@@ -1,61 +1,120 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Gauss-Jordan elimination on lists of ``Fraction`` rows.  Kept by hand
-rather than delegated so that nullspace bases and particular solutions
-come out in the reduced-echelon canonical form the reports promise.
+One streaming elimination routine, ``_echelon``, does all the work: rows
+arrive one at a time, are stored sparsely as ``{column: Fraction}`` dicts
+and are reduced against the pivot rows kept so far.  Each new pivot is
+substituted back into the earlier pivot rows as it arrives, so the pivot
+rows are always in reduced-echelon form.  That keeps every pivot row
+supported on its pivot and the free columns, which makes reducing a row
+that turns out to be dependent (most rows of an annihilation matrix) cheap.
+At most ``ncols`` pivot rows exist; the routine stops at full rank, and
+for a linear system at the first row that reduces to ``0 = b`` with
+``b != 0``.
+
+``rref``, ``nullspace``, ``solve`` and ``rank`` only read its result.  The
+reduced-echelon form of a row space is unique, so nullspace bases and
+particular solutions come out in the canonical form the reports promise,
+whatever order the rows arrive in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Row = List[Fraction]
+SparseRow = Dict[int, Fraction]
+
+
+def _subtract(r: SparseRow, f: Fraction, q: SparseRow, skip: int) -> None:
+    """r -= f * q in place, over every column of q except ``skip``."""
+    for k, y in q.items():
+        if k != skip:
+            v = r.get(k, 0) - f * y
+            if v:
+                r[k] = v
+            else:
+                del r[k]
+
+
+def _echelon(
+    rows: Sequence[Sequence[Fraction]],
+    ncols: int,
+    rhs: Optional[Sequence[Fraction]] = None,
+) -> Optional[Dict[int, SparseRow]]:
+    """Reduced pivot rows of ``rows``, keyed by pivot column.
+
+    Each pivot row has a 1 at its pivot and zeros at every other pivot
+    column.  With ``rhs`` the rows are augmented by it as column ``ncols``,
+    and None is returned as soon as that column would become a pivot,
+    i.e. when the system is inconsistent.
+    """
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"row of length {len(row)} in a matrix with {ncols} columns")
+    width = ncols if rhs is None else ncols + 1
+    pivots: Dict[int, SparseRow] = {}
+    for i, row in enumerate(rows):
+        if len(pivots) == width:
+            break
+        r = {c: Fraction(x) for c, x in enumerate(row) if x}
+        if rhs is not None and rhs[i]:
+            r[ncols] = Fraction(rhs[i])
+        # pivot rows vanish on each other's pivots, so subtracting one
+        # never brings back an entry at another pivot column
+        for c in [c for c in r if c in pivots]:
+            _subtract(r, r.pop(c), pivots[c], c)
+        if not r:
+            continue
+        p = min(r)
+        if p == ncols:
+            return None
+        lead = r[p]
+        if lead != 1:
+            r = {k: v / lead for k, v in r.items()}
+        for q in pivots.values():
+            f = q.pop(p, None)
+            if f is not None:
+                _subtract(q, f, r, p)
+        pivots[p] = r
+    return pivots
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form (a fresh matrix) and its pivot columns."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
+    """Reduced row echelon form (a fresh matrix) and its pivot columns.
+
+    The matrix has one row per input row: the pivot rows in pivot order,
+    then zero rows.
+    """
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    ncols = len(rows[0])
+    pivots = _echelon(rows, ncols)
+    cols = sorted(pivots)
+    m = []
+    for p in cols:
+        dense = [Fraction(0)] * ncols
+        for k, v in pivots[p].items():
+            dense[k] = v
+        m.append(dense)
+    m.extend([Fraction(0)] * ncols for _ in range(len(rows) - len(cols)))
+    return m, cols
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
     """Canonical nullspace basis: one vector per free column, unit there."""
-    if not rows:
-        return [
-            [Fraction(1) if i == f else Fraction(0) for i in range(ncols)]
-            for f in range(ncols)
-        ]
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -m[r][f]
-        basis.append(v)
-    return basis
+    pivots = _echelon(rows, ncols)
+    basis: Dict[int, Row] = {}
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            basis[f] = v
+    for p, row in pivots.items():
+        for k, x in row.items():
+            if k != p:
+                basis[k][p] = -x
+    return list(basis.values())
 
 
 def solve(
@@ -66,18 +125,19 @@ def solve(
     Returns None when the system is inconsistent.  With the RREF pivot
     convention this is the reduced-echelon canonical representative.
     """
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
     if not rows:
         return []
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    if ncols in pivots:
+    pivots = _echelon(rows, ncols, rhs)
+    if pivots is None:
         return None
     sol = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        sol[p] = m[r][ncols]
+    for p, row in pivots.items():
+        sol[p] = row.get(ncols, Fraction(0))
     return sol
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    return len(_echelon(rows, len(rows[0]))) if rows else 0

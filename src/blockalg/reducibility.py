@@ -303,6 +303,25 @@ def _annihilation_matrix(
     return [rows[k] for k in sorted(rows, key=lambda k: (k[0], k[1].sort_key()))]
 
 
+def _sub_kernel(kernel: List[List[Fraction]], cols: List[int]) -> List[List[Fraction]]:
+    """Canonical basis of the kernel vectors supported on ``cols``.
+
+    ``kernel`` is a nullspace basis of some matrix A and ``cols`` an
+    increasing column list.  The result, written over ``cols``, equals
+    ``linalg.nullspace`` of A restricted to ``cols`` without touching A:
+    that canonical basis is the reduced-echelon basis of the same space
+    with the columns reversed, listed from the last row up.  Eliminating
+    the other columns first leaves exactly the vectors that vanish there.
+    """
+    if not kernel:
+        return []
+    keep = set(cols)
+    rest = [c for c in range(len(kernel[0])) if c not in keep]
+    reduced, pivots = linalg.rref([[v[c] for c in rest + cols[::-1]] for v in kernel])
+    n = len(rest)
+    return [row[n:][::-1] for row, p in zip(reduced, pivots) if p >= n][::-1]
+
+
 def singular_candidates(
     module: VermaModule,
     mu,
@@ -317,9 +336,12 @@ def singular_candidates(
     report also singles out a *generator*: the canonical candidate living
     at the smallest index horizon that already admits one (for weight -1
     this is the characteristic polynomial direction; the remaining
-    candidates are its index shifts).  Every candidate is re-verified by
-    acting on it directly, an independent path through the straightening
-    engine.
+    candidates are its index shifts).  The matrix is eliminated once: the
+    candidates at an index bound are the kernel vectors that vanish on
+    every basis word with a larger index, so the generator and its
+    ``generator_dim`` are read off the full kernel.  Every candidate is
+    re-verified by acting on it directly, an independent path through the
+    straightening engine.
     """
     g = module.group
     if g.compare(mu, g.zero()) >= 0:
@@ -332,23 +354,16 @@ def singular_candidates(
         ModuleVector({m: c for m, c in zip(basis, v) if c}) for v in kernel
     ]
 
-    # distinguished minimal-horizon candidate
+    # distinguished minimal-horizon candidate, read off the one kernel
     generator = None
     generator_dim = None
     for bound in range(-1, max_index + 1):
-        sub = [i for i, m in enumerate(basis) if all(ix <= bound for _, ix in m.factors)]
-        if not sub:
-            continue
-        subbasis = [basis[i] for i in sub]
-        submatrix = _annihilation_matrix(module, subbasis, probes)
-        subkernel = linalg.nullspace(submatrix, len(subbasis))
-        if subkernel:
-            generator_dim = len(subkernel)
-            v = subkernel[0]
-            lead = next(c for c in reversed(v) if c)
-            generator = ModuleVector(
-                {m: c / lead for m, c in zip(subbasis, v) if c}
-            )
+        low = [i for i, m in enumerate(basis) if all(ix <= bound for _, ix in m.factors)]
+        sub = _sub_kernel(kernel, low)
+        if sub:
+            generator_dim = len(sub)
+            # the canonical vector's last nonzero coefficient is already 1
+            generator = ModuleVector({basis[i]: c for i, c in zip(low, sub[0]) if c})
             break
 
     # independent re-verification: exact zero under every probe

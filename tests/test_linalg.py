@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from blockalg import linalg
@@ -56,3 +57,133 @@ def test_nullspace_of_empty_matrix_is_full():
 def test_rank():
     m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert linalg.rank(m) == 1
+
+
+# -- dense Gauss-Jordan reference --------------------------------------------
+# The textbook elimination the streaming kernel replaced, kept verbatim:
+# the reduced-echelon form is unique, so every output must match it exactly.
+
+
+def _dense_rref(rows):
+    m = [list(map(Fraction, r)) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _dense_nullspace(rows, ncols):
+    if not rows:
+        return [
+            [Fraction(1) if i == f else Fraction(0) for i in range(ncols)]
+            for f in range(ncols)
+        ]
+    m, pivots = _dense_rref(rows)
+    basis = []
+    for f in [c for c in range(ncols) if c not in pivots]:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -m[r][f]
+        basis.append(v)
+    return basis
+
+
+def _dense_solve(rows, rhs):
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m, pivots = _dense_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    sol = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        sol[p] = m[r][ncols]
+    return sol
+
+
+def _sparse_matrix(rng, rows, cols, density=0.25):
+    return [
+        [
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < density else Fraction(0)
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+
+
+def _low_rank_matrix(rng, rows, cols, rank):
+    """Tall and rank-deficient, like an annihilation matrix: many rows,
+    each an integer combination of a few sparse ones."""
+    base = _sparse_matrix(rng, rank, cols, density=0.4)
+    mix = [[rng.randint(-2, 2) for _ in base] for _ in range(rows)]
+    return [
+        [sum((a * b[j] for a, b in zip(coeffs, base)), Fraction(0)) for j in range(cols)]
+        for coeffs in mix
+    ]
+
+
+def _reference_cases():
+    rng = random.Random(2)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        yield _random_matrix(rng, rows, cols)
+        yield _sparse_matrix(rng, rows, cols)
+        cols = rng.randint(2, 10)
+        yield _low_rank_matrix(rng, rng.randint(cols, 4 * cols), cols, rng.randint(0, cols - 1))
+    yield [[Fraction(0)] * 3] * 4
+    yield [[Fraction(0)]]
+
+
+def test_matches_dense_reference():
+    rng = random.Random(3)
+    inconsistent = 0
+    for m in _reference_cases():
+        cols = len(m[0])
+        assert linalg.rref(m) == _dense_rref(m)
+        assert linalg.nullspace(m, cols) == _dense_nullspace(m, cols)
+        assert linalg.rank(m) == len(_dense_rref(m)[1])
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+        consistent = [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in m]
+        noisy = [b + rng.randint(-1, 1) for b in consistent]
+        ref = _dense_solve(m, consistent)
+        assert ref is not None and linalg.solve(m, consistent) == ref
+        ref = _dense_solve(m, noisy)
+        assert linalg.solve(m, noisy) == ref
+        inconsistent += ref is None
+    assert inconsistent > 30
+
+
+def test_shape_mismatches_are_rejected():
+    rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]]
+    with pytest.raises(ValueError):
+        linalg.solve(rows, [Fraction(1), Fraction(2)])  # one right-hand side short
+    with pytest.raises(ValueError):
+        linalg.nullspace([[Fraction(1), Fraction(1), Fraction(1)]], 2)
+    # the short row arrives after full rank, where elimination could stop
+    ragged = rows + [[Fraction(1)]]
+    for call in (
+        lambda: linalg.rref(ragged),
+        lambda: linalg.rank(ragged),
+        lambda: linalg.nullspace(ragged, 2),
+        lambda: linalg.solve(ragged, [Fraction(0)] * 4),
+    ):
+        with pytest.raises(ValueError):
+            call()

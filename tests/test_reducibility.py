@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from blockalg import linalg
 from blockalg.groups import DYADIC, INTEGERS
 from blockalg.lie import BlockAlgebra, Generator
 from blockalg.polynomial import ONE, Poly, X
 from blockalg.reducibility import (
+    _sub_kernel,
     charpoly_certificate,
     charpoly_from_labels,
     delta_series,
@@ -185,6 +187,35 @@ def test_singular_candidates_dyadic_catalog():
     assert rep.dimension == 0
     with pytest.raises(ValueError):
         singular_candidates(m, Fraction(-1), 1, 8, 2)
+    # a recurrent weight: the generator first appears at index bound 1
+    m = module(labels_from_charpoly(X * X + 1, 2, [Fraction(1, 2)]), DYADIC)
+    rep = singular_candidates(m, Fraction(-1, 2), 3, 8, 2, parts=catalog)
+    assert len(rep.basis) == 5 and rep.dimension == 3
+    assert rep.generator == m.vector([(Fraction(1, 2), -1)]) + m.vector([(Fraction(1, 2), 1)])
+    assert rep.generator_dim == 1
+
+
+def test_sub_kernel_matches_nullspace_of_restriction():
+    # the canonical sub-kernel read off nullspace(A) is nullspace(A[:, S])
+    rng = random.Random(4)
+    above_one = 0
+    for _ in range(150):
+        ncols = rng.randint(1, 9)
+        base = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else Fraction(0)
+             for _ in range(ncols)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        mix = [[rng.randint(-2, 2) for _ in base] for _ in range(rng.randint(1, 8))]
+        a = [
+            [sum((x * b[j] for x, b in zip(coeffs, base)), Fraction(0)) for j in range(ncols)]
+            for coeffs in mix
+        ]
+        cols = sorted(rng.sample(range(ncols), rng.randint(0, ncols)))
+        sub = _sub_kernel(linalg.nullspace(a, ncols), cols)
+        assert sub == linalg.nullspace([[r[c] for c in cols] for r in a], len(cols))
+        above_one += len(sub) > 1
+    assert above_one > 20
 
 
 def test_singular_candidates_reject_nonnegative_weight():
