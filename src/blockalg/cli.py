@@ -2,7 +2,10 @@
 
 Subcommands map one-to-one onto the engine operations; every run is
 deterministic for a fixed ``--seed`` (default 0).  Exit codes: 0 success,
-1 mathematical-verdict failure (a failing verification), 2 usage error.
+1 mathematical-verdict failure (a failing verification), 2 usage error
+(bad input, including a JSON float where an exact rational belongs),
+3 resource limit (the straightening step budget ran out; the input is too
+large for the engine, not wrong).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from fractions import Fraction
 from .exprparse import ParseError, parse_element, parse_group_element, parse_vector
 from .groups import GROUPS, GroupError, get_group
 from .lie import BlockAlgebra
+from .polynomial import format_rational
 from .reducibility import (
     DetectorInconsistencyError,
     charpoly_certificate,
@@ -25,10 +29,11 @@ from .reducibility import (
     sweep_check,
 )
 from .verify import CHECKS, VerifyConfig, run_suite
-from .verma import HighestWeight, VermaModule
+from .verma import HighestWeight, StraighteningLimitError, VermaModule
 
-USAGE_ERROR = 2
 VERDICT_FAILURE = 1
+USAGE_ERROR = 2
+RESOURCE_LIMIT = 3
 
 
 def _add_common(p: argparse.ArgumentParser, group_default="integers"):
@@ -66,10 +71,6 @@ def _emit(args, text: str, data) -> None:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _fraction_list(values):
-    return [f"{v.numerator}/{v.denominator}" for v in values]
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -157,7 +158,7 @@ def cmd_charpoly(args) -> int:
         cert = charpoly_certificate(hw, f)
         text = f"characteristic polynomial: {f}   [{cert}]"
         data = {
-            "charpoly": _fraction_list(f.coeffs),
+            "charpoly": [format_rational(c) for c in f.coeffs],
             "printed": str(f),
             "certificate": cert,
             "max_degree": args.max_degree,
@@ -413,6 +414,9 @@ def main(argv=None) -> int:
     except DetectorInconsistencyError as e:
         print(f"internal consistency failure: {e}", file=sys.stderr)
         return VERDICT_FAILURE
+    except StraighteningLimitError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return RESOURCE_LIMIT
 
 
 if __name__ == "__main__":

@@ -171,8 +171,8 @@ def _t_power(tk: _Tokens) -> int:
     return 1
 
 
-def _t_poly(tk: _Tokens) -> Poly:
-    """Sum of rational multiples of t powers, inside parentheses or bare."""
+def _poly(tk: _Tokens, var: str = "t") -> Poly:
+    """Sum of rational multiples of ``var`` powers, inside parentheses or bare."""
 
     def tterm() -> Poly:
         coeff = Fraction(1)
@@ -181,12 +181,12 @@ def _t_poly(tk: _Tokens) -> Poly:
             t = tk.peek()
             if t and t[0] == "int":
                 coeff *= _rational(tk)
-            elif t and t[0] == "name" and t[1] == "t":
+            elif t and t[0] == "name" and t[1] == var:
                 tk.next()
                 p = Poly((0,) * _t_power(tk) + (1,))
                 poly = p if poly is None else poly * p
             else:
-                raise ParseError("expected a t-term", tk.text, tk.pos())
+                raise ParseError(f"expected a {var}-term", tk.text, tk.pos())
             if not tk.accept("op", "*"):
                 break
         return (poly if poly is not None else Poly((1,))) * coeff
@@ -205,6 +205,20 @@ def _t_poly(tk: _Tokens) -> Poly:
             total = total - tterm()
         else:
             return total
+
+
+def parse_poly(text: str, var: str = "t") -> Poly:
+    """Parse a polynomial in ``var`` as ``Poly.format(var)`` prints it.
+
+    Reads the Q[w] coefficients of the lex-z2 instance (``var="w"``).
+    """
+    tk = _Tokens(text)
+    if not tk.toks:
+        raise ParseError("empty input", text, 0)
+    p = _poly(tk, var)
+    if not tk.done():
+        raise ParseError("trailing input", text, tk.pos())
+    return p
 
 
 def parse_element(text: str, group: OrderedGroup) -> LieElement:
@@ -256,7 +270,7 @@ def parse_element(text: str, group: OrderedGroup) -> LieElement:
                 tpoly = p if tpoly is None else tpoly * p
             elif kind == "op" and val == "(":
                 tk.next()
-                p = _t_poly(tk)
+                p = _poly(tk)
                 tk.expect("op", ")")
                 tpoly = p if tpoly is None else tpoly * p
             else:

@@ -94,9 +94,12 @@ class OrderedGroup:
     def scalarize(self, x):
         """Image of ``x`` in the coefficient ring of the algebra.
 
-        Rational for the integers and dyadics.  The lexicographic pair
-        group is not an additive subgroup of Q, so its image lives in the
-        polynomial ring Q[w] for a formal unit w beyond every rational.
+        The integers map to themselves as Python ``int`` and the dyadics
+        to their ``Fraction``; the two mix freely in exact arithmetic.  The
+        lexicographic pair group is not an additive subgroup of Q, so its
+        image lives in the polynomial ring Q[w] for a formal unit w beyond
+        every rational: ``(a, b)`` maps to the ``Poly`` ``a*w + b`` with
+        ``int`` coefficients.
         """
         raise NotImplementedError
 
@@ -191,7 +194,7 @@ class IntegerGroup(OrderedGroup):
         return n * x
 
     def scalarize(self, x):
-        return Fraction(x)
+        return x
 
     def parse(self, text):
         try:
@@ -229,7 +232,7 @@ class DyadicGroup(OrderedGroup):
         return -x
 
     def scale(self, n, x):
-        return n * x
+        return x * n  # Fraction on the left: no reflected dispatch
 
     def scalarize(self, x):
         return x
@@ -287,7 +290,7 @@ class LexPairGroup(OrderedGroup):
         return (n * x[0], n * x[1])
 
     def scalarize(self, x):
-        return Poly((x[1], x[0]))
+        return Poly.of_exact([x[1], x[0]])
 
     def parse(self, text):
         t = text.strip()

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple, Union
 
-from .groups import IntegerGroup, OrderedGroup, format_element
-from .polynomial import Poly
+from .groups import IntegerGroup, LexPairGroup, OrderedGroup, format_element
+from .polynomial import Poly, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,10 @@ CENTRAL = Central()
 
 BasisSymbol = Union[Generator, Central]
 
-# Coefficients are Fraction for the integers/dyadic instances and Poly
-# (over the formal infinite unit) for the lexicographic pair instance.
-Coeff = Union[Fraction, Poly]
+# Coefficients are exact rationals -- int while integral, else Fraction --
+# for the integers/dyadic instances, and Poly (over the formal infinite
+# unit) for the lexicographic pair instance.
+Coeff = Union[int, Fraction, Poly]
 
 
 def _term_key(sym: BasisSymbol):
@@ -167,13 +168,13 @@ class LieElement:
         out = []
         for sym, coeff in self.items():
             if isinstance(sym, Central):
-                out.append({"alpha": None, "i": "central", "coeff": _coeff_json(coeff)})
+                out.append({"alpha": None, "i": "central", "coeff": coeff_json(coeff)})
             else:
                 out.append(
                     {
                         "alpha": element_json(sym.alpha),
                         "i": sym.index,
-                        "coeff": _coeff_json(coeff),
+                        "coeff": coeff_json(coeff),
                     }
                 )
         return out
@@ -182,7 +183,7 @@ class LieElement:
     def from_json(cls, data: list, group: OrderedGroup) -> "LieElement":
         out = cls.zero()
         for entry in data:
-            coeff = Fraction(entry["coeff"])
+            coeff = coeff_from_json(entry["coeff"], group)
             if entry["i"] == "central":
                 sym: BasisSymbol = CENTRAL
             else:
@@ -195,26 +196,48 @@ def element_json(x):
     if isinstance(x, tuple):
         return [x[0], x[1]]
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x)
+        return str(x)  # "3/4", or "3" when integral
     return x
 
 
+def _json_integer(data) -> int:
+    q = parse_rational(data)
+    if q.denominator != 1:
+        raise ValueError(f"not an integer: {data!r}")
+    return int(q)
+
+
 def element_from_json(data, group: OrderedGroup):
+    """Inverse of :func:`element_json`; a JSON float raises ``ValueError``."""
+    if isinstance(data, str):
+        return group.parse(data)
     if isinstance(data, list):
-        value = (int(data[0]), int(data[1]))
-    elif isinstance(data, str):
-        value = group.parse(data)
-        return value
+        if len(data) != 2:
+            raise ValueError(f"not an integer pair: {data!r}")
+        value = (_json_integer(data[0]), _json_integer(data[1]))
+    elif isinstance(group, IntegerGroup):
+        value = _json_integer(data)
     else:
-        value = int(data) if isinstance(group, IntegerGroup) else Fraction(data)
+        value = Fraction(parse_rational(data))
     group.validate(value)
     return value
 
 
-def _coeff_json(c: Coeff) -> str:
+def coeff_json(c: Coeff) -> str:
+    """JSON form of a coefficient: ``"p/q"``, or a Q[w] polynomial over lex-z2."""
     if isinstance(c, Poly):
         return c.format("w")
-    return f"{c.numerator}/{c.denominator}"
+    return format_rational(c)
+
+
+def coeff_from_json(data, group: OrderedGroup) -> Coeff:
+    """Inverse of :func:`coeff_json`; a JSON float raises ``ValueError``."""
+    if isinstance(group, LexPairGroup) and isinstance(data, str) and "w" in data:
+        # exprparse builds on this module, so its reader is imported late
+        from .exprparse import parse_poly
+
+        return parse_poly(data, "w")
+    return parse_rational(data)
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,61 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Dense coefficient tuples with ``Fraction`` entries; deliberately small.
-One class covers three roles in this package:
+Dense coefficient tuples; deliberately small.  A coefficient is a Python
+``int`` while it is integral and a ``Fraction`` once a non-integral value
+has entered it; the two compare and hash alike (``hash(3) ==
+hash(Fraction(3))``), so the mix is invisible to equality.  One class
+covers three roles in this package:
 
 * characteristic polynomials and probe expansions in ``t``;
 * symbolic sweep coefficients in ``x`` (for degree bookkeeping);
 * the coefficient ring for the lexicographic pair group, whose structure
   constants live in Q[w] for a formal unit ``w`` exceeding every rational.
+
+``format_rational`` and ``parse_rational`` are the one JSON form of an
+exact rational used throughout the package: ``"p/q"`` with ``q >= 1``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, List, Union
 
 Rat = Union[int, Fraction]
 
+_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
 
-def _rat(value) -> Fraction:
+
+def _rat(value) -> Rat:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)  # a bool becomes a plain int
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def format_rational(x: Rat) -> str:
+    """``"p/q"`` in lowest terms, ``"3/1"`` for an integral value."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parse_rational(value) -> Rat:
+    """An exact rational from JSON: an int, or a ``"p"`` or ``"p/q"`` string.
+
+    A ``Fraction`` passes through.  Anything else -- a float, a bool, a
+    decimal or exponent string -- raises ``ValueError``: a float has
+    already lost the value it was meant to hold.
+    """
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    raise ValueError(
+        f"not an exact rational: {value!r} (use an integer or a \"p/q\" string)"
+    )
 
 
 class Poly:
@@ -34,7 +67,20 @@ class Poly:
         cs = [_rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Rat, ...] = tuple(cs)
+
+    @classmethod
+    def of_exact(cls, cs: List[Rat]) -> "Poly":
+        """Poly over a list whose entries are already ``int`` or ``Fraction``.
+
+        Skips the per-entry check of the constructor; trims trailing
+        zeros in place.
+        """
+        while cs and not cs[-1]:
+            cs.pop()
+        p = cls.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
 
     @property
     def degree(self) -> int:
@@ -45,7 +91,7 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> Rat:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Fraction(0)
@@ -61,22 +107,30 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes like the rational it equals
+        cs = self.coeffs
+        if len(cs) > 1:
+            return hash(cs)
+        return hash(cs[0]) if cs else 0
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
-        if not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            b = other.coeffs
+        elif isinstance(other, (int, Fraction)):
+            b = (_rat(other),)
+        else:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            (self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
+        a = self.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        cs = [x + y for x, y in zip(a, b)]
+        cs.extend(a[len(b):])
+        return Poly.of_exact(cs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly((-c for c in self.coeffs))
+        return Poly.of_exact([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Poly) else Poly((-_rat(other),)))
@@ -86,16 +140,19 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly((c * other for c in self.coeffs))
+            # scalar on the left: a Fraction scalar then takes the fast
+            # forward path against the (mostly int) coefficients
+            return Poly.of_exact([other * c for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return Poly.of_exact(out)
 
     __rmul__ = __mul__
 

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .groups import IntegerGroup, OrderedGroup
 from .lie import Generator
-from .polynomial import ONE, Poly, X
+from .polynomial import ONE, Poly, X, format_rational
 from .verma import (
     HighestWeight,
     ModuleVector,
@@ -158,7 +158,7 @@ class QuasiVerdict:
             "verdict": "yes" if self.found else "unknown-within-horizon",
             "order": self.order,
             "recurrence": (
-                [f"{c.numerator}/{c.denominator}" for c in self.recurrence.coeffs]
+                [format_rational(c) for c in self.recurrence.coeffs]
                 if self.recurrence
                 else None
             ),
@@ -218,7 +218,7 @@ class DeltaReport:
 
     def to_json(self) -> dict:
         return {
-            "coefficients": [f"{c.numerator}/{c.denominator}" for c in self.coefficients],
+            "coefficients": [format_rational(c) for c in self.coefficients],
             "quasipolynomial": self.quasi.to_json(),
         }
 
@@ -405,7 +405,7 @@ class SingularCheck:
             "certificate": self.certificate,
             "failing_probe": self.failing_probe,
             "residuals": [
-                [m, f"{r.numerator}/{r.denominator}"] for m, r in self.residuals
+                [m, format_rational(r)] for m, r in self.residuals
             ],
             "engine_zero": [[m, z] for m, z in self.engine_zero],
             "higher_weight_probes_zero": self.higher_weight_zero,
@@ -605,9 +605,7 @@ class ReducibilityReport:
             "weight": self.weight_summary,
             "charpoly": (
                 {
-                    "coefficients": [
-                        f"{c.numerator}/{c.denominator}" for c in self.charpoly.coeffs
-                    ],
+                    "coefficients": [format_rational(c) for c in self.charpoly.coeffs],
                     "degree": self.charpoly.degree,
                     "certificate": self.charpoly_certificate,
                 }

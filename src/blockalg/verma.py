@@ -24,12 +24,22 @@ Straightening is a two-step recursion:
 Termination is provable by induction on (word length, inversion count),
 but an explicit work counter still guards every top-level action so an
 implementation bug fails loudly instead of hanging.
+
+Coefficients are exact and come in three representations that compare
+and hash alike: a Python ``int`` while the value is integral (the
+integer structure constants, and an integral input coefficient, which
+:meth:`VermaModule.act` passes down as an ``int``); a ``Fraction`` once
+a label, the central charge, a dyadic part or a fractional input enters;
+and a ``Poly`` in the formal unit ``w`` over the lex-z2 instance.  A
+product is written with the ``Fraction`` or ``Poly`` operand on the left,
+so it takes the operand's own method rather than the slower reflected
+one.  The JSON form ``"p/q"`` is the same for ``3`` and ``Fraction(3)``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -40,10 +50,11 @@ from .lie import (
     Central,
     Coeff,
     LieElement,
+    coeff_json,
     element_json,
     format_coeff,
 )
-from .polynomial import Poly
+from .polynomial import Poly, format_rational, parse_rational
 
 Factor = Tuple[object, int]  # (positive part, index >= -1)
 
@@ -54,9 +65,20 @@ class StraighteningLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class PBWMonomial:
-    """Normal-ordered word applied to the highest weight vector."""
+    """Normal-ordered word applied to the highest weight vector.
+
+    Immutable, so its hash is computed once: straightening files every
+    word it produces in a dict, and a word is looked up many times.
+    """
 
     factors: Tuple[Factor, ...] = ()
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.factors))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def length(self) -> int:
@@ -128,10 +150,14 @@ class ModuleVector:
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         out = dict(self._terms)
         for m, c in other._terms.items():
-            s = out.get(m, 0) + c
+            prev = out.get(m)
+            if prev is None:
+                out[m] = c
+                continue
+            s = prev + c
             if s:
                 out[m] = s
-            elif m in out:
+            else:
                 del out[m]
         res = ModuleVector.__new__(ModuleVector)
         res._terms = out
@@ -194,11 +220,7 @@ class ModuleVector:
             "terms": [
                 {
                     "factors": [[element_json(p), i] for p, i in mono.factors],
-                    "coeff": (
-                        c.format("w")
-                        if isinstance(c, Poly)
-                        else f"{c.numerator}/{c.denominator}"
-                    ),
+                    "coeff": coeff_json(c),
                 }
                 for mono, c in self.items()
             ],
@@ -221,7 +243,7 @@ class ExplicitLabels:
         return f"explicit({len(self.values)} stored)"
 
     def to_json(self):
-        return {"explicit": [f"{v.numerator}/{v.denominator}" for v in self.values]}
+        return {"explicit": [format_rational(v) for v in self.values]}
 
 
 class RecurrentLabels:
@@ -274,12 +296,9 @@ class RecurrentLabels:
 
     def to_json(self):
         return {
-            "charpoly": [
-                f"{c.numerator}/{c.denominator}" for c in self.charpoly.coeffs
-            ],
+            "charpoly": [format_rational(c) for c in self.charpoly.coeffs],
             "initial": [
-                f"{v.numerator}/{v.denominator}"
-                for v in self._memo[: self.charpoly.degree - 1]
+                format_rational(v) for v in self._memo[: self.charpoly.degree - 1]
             ],
         }
 
@@ -317,23 +336,34 @@ class HighestWeight:
         return f"cc={self.central_charge}, labels {self.labels.describe()}"
 
     def to_json(self) -> dict:
-        cc = self.central_charge
         return {
-            "central_charge": f"{cc.numerator}/{cc.denominator}",
+            "central_charge": format_rational(self.central_charge),
             "labels": self.labels.to_json(),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "HighestWeight":
-        cc = Fraction(data.get("central_charge", 0))
+        """Inverse of :meth:`to_json`; malformed input raises ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError("a weight spec is a JSON object")
+        cc = parse_rational(data.get("central_charge", 0))
         spec = data.get("labels", data)
+        if not isinstance(spec, dict):
+            raise ValueError("weight 'labels' must be a JSON object")
         if "charpoly" in spec:
-            f = Poly([Fraction(v) for v in spec["charpoly"]])
-            initial = [Fraction(v) for v in spec.get("initial", ())]
+            f = Poly(_rational_list(spec, "charpoly"))
+            initial = _rational_list(spec, "initial")
             return cls(cc, RecurrentLabels(f, initial, cc))
         if "explicit" in spec:
-            return cls.explicit([Fraction(v) for v in spec["explicit"]], cc)
+            return cls.explicit(_rational_list(spec, "explicit"), cc)
         raise ValueError("weight spec needs either 'charpoly' or 'explicit' labels")
+
+
+def _rational_list(spec: dict, key: str) -> list:
+    values = spec.get(key, [])
+    if not isinstance(values, list):
+        raise ValueError(f"weight {key!r} must be a JSON list")
+    return [parse_rational(v) for v in values]
 
 
 # -- the module ----------------------------------------------------------
@@ -389,10 +419,12 @@ class VermaModule:
         if isinstance(sym, Central):
             cc = self.hw.central_charge
             for mono, c in vec._terms.items():
-                _accumulate(out, mono, c * cc)
+                _accumulate(out, mono, cc * c)
         else:
             self.group.validate(sym.alpha)
             for mono, c in vec._terms.items():
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator  # integral: straighten in int arithmetic
                 self._apply(sym.alpha, sym.index, mono.factors, c, out, budget)
         return ModuleVector(out)
 
@@ -431,7 +463,7 @@ class VermaModule:
             self._insert(p1, i1, mono.factors, c, out, budget)
         merged = g.scalarize(g.sub(g.scale(i1 + 1, part), g.scale(idx + 1, p1)))
         if merged:
-            self._insert(g.add(part, p1), idx + i1, rest, coeff * merged, out, budget)
+            self._insert(g.add(part, p1), idx + i1, rest, merged * coeff, out, budget)
 
     def _apply(self, gamma, idx, factors, coeff, out, budget):
         """Act with L(gamma, idx), any weight sign, on a normal word."""
@@ -443,7 +475,7 @@ class VermaModule:
             return
         if not factors:
             if sign == 0:
-                _accumulate(out, VACUUM, coeff * self.hw.label(idx + 1))
+                _accumulate(out, VACUUM, self.hw.label(idx + 1) * coeff)
             return  # the positive part annihilates the highest weight vector
         (p1, i1), rest = factors[0], factors[1:]
         # L(gamma) L(-p1) = L(-p1) L(gamma) + [L(gamma), L(-p1)]
@@ -455,11 +487,11 @@ class VermaModule:
             g.sub(g.scale(idx + 1, g.neg(p1)), g.scale(i1 + 1, gamma))
         )
         if bcoeff:
-            self._apply(g.add(gamma, g.neg(p1)), idx + i1, rest, coeff * bcoeff, out, budget)
+            self._apply(g.add(gamma, g.neg(p1)), idx + i1, rest, bcoeff * coeff, out, budget)
         if gamma == p1 and idx + i1 == -2:
             cc = g.scalarize(gamma) * self.hw.central_charge
             if cc:
-                _accumulate(out, PBWMonomial(rest), coeff * cc)
+                _accumulate(out, PBWMonomial(rest), cc * coeff)
 
     # -- weight space enumeration ----------------------------------------
 
@@ -574,8 +606,12 @@ class VermaModule:
 def _accumulate(store: Dict[PBWMonomial, Coeff], mono: PBWMonomial, coeff: Coeff):
     if not coeff:
         return
-    s = store.get(mono, 0) + coeff
+    prev = store.get(mono)
+    if prev is None:
+        store[mono] = coeff
+        return
+    s = prev + coeff
     if s:
         store[mono] = s
-    elif mono in store:
+    else:
         del store[mono]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from blockalg import cli
 from blockalg.cli import main
 
 WEIGHT_B = '{"charpoly": [1, 1], "central_charge": 1}'
@@ -206,3 +207,25 @@ def test_text_and_json_verdicts_agree(capsys, argv):
         num, den = frac.split("/")
         want = num if den == "1" else frac
         assert want in text
+
+
+def test_step_budget_exhaustion_exits_with_resource_limit(capsys, monkeypatch):
+    class TinyBudget(cli.VermaModule):
+        def __init__(self, algebra, weight):
+            super().__init__(algebra, weight, step_budget=3)
+
+    monkeypatch.setattr(cli, "VermaModule", TinyBudget)
+    code, out, err = run(
+        capsys, "act", "L(2,1)", "L(-1,0)*L(-1,1)*L(-2,0)*v", "--weight", WEIGHT_B
+    )
+    assert code == cli.RESOURCE_LIMIT == 3
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+def test_float_in_weight_json_is_a_usage_error(capsys):
+    code, _, err = run(
+        capsys, "charpoly", "--weight", '{"charpoly": [1, 1], "central_charge": 0.1}'
+    )
+    assert code == 2
+    assert "0.1" in err and "p/q" in err

@@ -2,9 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from blockalg.groups import DYADIC, INTEGERS, LEX_Z2
-from blockalg.lie import CENTRAL, BlockAlgebra, Generator, LieElement, PolyForm
+from blockalg.lie import (
+    CENTRAL,
+    BlockAlgebra,
+    Generator,
+    LieElement,
+    PolyForm,
+    element_from_json,
+)
 from blockalg.polynomial import Poly, X, x_power
 
 alg = BlockAlgebra(INTEGERS)
@@ -146,6 +154,66 @@ def test_element_json_roundtrip():
                 terms[CENTRAL] = Fraction(rng.randint(1, 5))
             e = LieElement(terms)
             assert LieElement.from_json(e.to_json(group), group) == e
+
+
+def test_lex_json_roundtrip_of_polynomial_coefficients():
+    lalg = BlockAlgebra(LEX_Z2)
+    e = lalg.bracket(
+        LieElement.term(Generator((1, 2), 1)), LieElement.term(Generator((0, 1), 0))
+    )
+    assert [d["coeff"] for d in e.to_json(LEX_Z2)] == ["-w"]
+    e = e + LieElement.term(Generator((0, 1), 2), Poly([Fraction(-3, 2), 0, 2]))
+    back = LieElement.from_json(e.to_json(LEX_Z2), LEX_Z2)
+    assert back == e and hash(back) == hash(e)
+
+
+_ELEMENTS = {
+    "integers": st.integers(-6, 6),
+    "dyadic": st.builds(
+        lambda n, k: Fraction(n, 2**k), st.integers(-48, 48), st.integers(0, 3)
+    ),
+    "lex-z2": st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+}
+_RATIONALS = st.fractions(max_denominator=9).filter(lambda q: abs(q) < 100)
+
+
+@st.composite
+def _group_and_element(draw):
+    group = draw(st.sampled_from([INTEGERS, DYADIC, LEX_Z2]))
+    coeff = _RATIONALS
+    if group is LEX_Z2:
+        coeff = st.one_of(_RATIONALS, st.lists(_RATIONALS, max_size=4).map(Poly))
+    syms = st.one_of(
+        st.just(CENTRAL),
+        st.builds(Generator, _ELEMENTS[group.name], st.integers(-1, 6)),
+    )
+    return group, LieElement(draw(st.dictionaries(syms, coeff, max_size=5)))
+
+
+@given(_group_and_element())
+def test_element_json_roundtrip_property(case):
+    group, e = case
+    back = LieElement.from_json(e.to_json(group), group)
+    assert back == e
+    assert back.to_json(group) == LieElement.from_json(back.to_json(group), group).to_json(group)
+
+
+@pytest.mark.parametrize(
+    "data, group",
+    [(0.5, DYADIC), (2.0, INTEGERS), (True, INTEGERS), ([1.0, 2], LEX_Z2), ([1, 2, 3], LEX_Z2)],
+)
+def test_element_from_json_rejects_floats(data, group):
+    with pytest.raises(ValueError):
+        element_from_json(data, group)
+
+
+def test_element_coefficients_reject_floats():
+    with pytest.raises(ValueError):
+        LieElement.from_json([{"alpha": 1, "i": 0, "coeff": 0.5}], INTEGERS)
+    with pytest.raises(ValueError):
+        LieElement.from_json([{"alpha": [1, 0], "i": 0, "coeff": 1.0}], LEX_Z2)
+    e = LieElement.from_json([{"alpha": "1/2", "i": 0, "coeff": "3/4"}], DYADIC)
+    assert e == LieElement.term(Generator(Fraction(1, 2), 0), Fraction(3, 4))
 
 
 def test_canonical_printing():

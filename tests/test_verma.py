@@ -50,6 +50,33 @@ def test_highest_weight_json_roundtrip():
     assert flat.label(3) == HW.label(3)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"central_charge": 0.1, "explicit": []},
+        {"central_charge": 1, "explicit": [1, 0.5]},
+        {"central_charge": 1, "charpoly": [1.0, 1]},
+        {"central_charge": 1, "charpoly": [1, 1, 1], "initial": [0.25]},
+        {"central_charge": "0.1", "explicit": []},
+        {"central_charge": True, "explicit": []},
+        # malformed shapes: a domain error, not an AttributeError/TypeError
+        [1],
+        {"explicit": 5},
+        {"labels": 3},
+        {"charpoly": [1, 1], "initial": "1/2"},
+    ],
+)
+def test_highest_weight_json_rejects_floats_and_bad_shapes(data):
+    with pytest.raises(ValueError):
+        HighestWeight.from_json(data)
+
+
+def test_highest_weight_json_accepts_ints_and_ratio_strings():
+    hw = HighestWeight.from_json({"central_charge": "-3/4", "explicit": [2, "1/3", "-5"]})
+    assert hw.central_charge == Fraction(-3, 4)
+    assert [hw.label(i) for i in range(4)] == [2, Fraction(1, 3), -5, 0]
+
+
 # -- zero modes --------------------------------------------------------------
 
 
