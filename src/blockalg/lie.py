@@ -200,7 +200,8 @@ def element_json(x):
     return x
 
 
-def _json_integer(data) -> int:
+def integer_from_json(data) -> int:
+    """An integer from JSON: an int, or a ``"p"``/``"p/q"`` string of integral value."""
     q = parse_rational(data)
     if q.denominator != 1:
         raise ValueError(f"not an integer: {data!r}")
@@ -214,9 +215,9 @@ def element_from_json(data, group: OrderedGroup):
     if isinstance(data, list):
         if len(data) != 2:
             raise ValueError(f"not an integer pair: {data!r}")
-        value = (_json_integer(data[0]), _json_integer(data[1]))
+        value = (integer_from_json(data[0]), integer_from_json(data[1]))
     elif isinstance(group, IntegerGroup):
-        value = _json_integer(data)
+        value = integer_from_json(data)
     else:
         value = Fraction(parse_rational(data))
     group.validate(value)

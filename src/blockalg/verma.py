@@ -25,6 +25,17 @@ Termination is provable by induction on (word length, inversion count),
 but an explicit work counter still guards every top-level action so an
 implementation bug fails loudly instead of hanging.
 
+One recursion serves all three instances; :meth:`VermaModule.act` hands
+it the group-element arithmetic of the run.  Integer parts and lex-z2
+pairs are straightened as they are.  Dyadic parts are straightened as
+integer codes: ``act`` takes the largest denominator ``S`` among the
+symbol's weight and the parts of the input words, a power of two, and
+codes each part ``x`` as the ``int`` ``x*S``.  Every part the recursion
+reaches lies in ``S^-1 Z``, and ``S > 0`` keeps the order, so comparing,
+adding and hashing parts is plain ``int`` work; a structure constant is
+``n/S`` (an ``int`` when it divides).  The output words are decoded once
+per action, back to ``Fraction`` parts, integral ones included.
+
 Coefficients are exact and come in three representations that compare
 and hash alike: a Python ``int`` while the value is integral (the
 integer structure constants, and an integral input coefficient, which
@@ -39,20 +50,24 @@ one.  The JSON form ``"p/q"`` is the same for ``3`` and ``Fraction(3)``.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .groups import IntegerGroup, LexPairGroup, OrderedGroup
+from .groups import DyadicGroup, IntegerGroup, LexPairGroup, OrderedGroup
 from .lie import (
     BasisSymbol,
     BlockAlgebra,
     Central,
     Coeff,
     LieElement,
+    coeff_from_json,
     coeff_json,
+    element_from_json,
     element_json,
     format_coeff,
+    integer_from_json,
 )
 from .polynomial import Poly, format_rational, parse_rational
 
@@ -98,6 +113,26 @@ class PBWMonomial:
 
 
 VACUUM = PBWMonomial(())
+
+
+def normal_word(factors: Iterable[Factor], group: OrderedGroup) -> PBWMonomial:
+    """The word on ``factors``; ``ValueError`` unless it is normal-ordered.
+
+    Parts must be positive elements of ``group`` and indices integers
+    ``>= -1``, with the factors weakly increasing.
+    """
+    fs = tuple(factors)
+    prev = None
+    for p, i in fs:
+        group.validate(p)
+        if not group.is_positive(p):
+            raise ValueError(f"part {p} is not positive")
+        if i < -1:
+            raise ValueError("index must be >= -1")
+        if prev is not None and (p, i) < prev:
+            raise ValueError("factors are not normal-ordered")
+        prev = (p, i)
+    return PBWMonomial(fs)
 
 
 class ModuleVector:
@@ -225,6 +260,36 @@ class ModuleVector:
                 for mono, c in self.items()
             ],
         }
+
+    @classmethod
+    def from_json(cls, data: dict, group: OrderedGroup) -> "ModuleVector":
+        """Inverse of :meth:`to_json`; malformed input raises ``ValueError``.
+
+        Every word must be normal-ordered, and a stated weight must be the
+        weight of the words.
+        """
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+            raise ValueError("a module vector is a JSON object with a 'terms' list")
+        out: Dict[PBWMonomial, Coeff] = {}
+        for term in data["terms"]:
+            if not (
+                isinstance(term, dict)
+                and isinstance(term.get("factors"), list)
+                and "coeff" in term
+            ):
+                raise ValueError(f"a term is an object with 'factors' and 'coeff': {term!r}")
+            factors = []
+            for f in term["factors"]:
+                if not isinstance(f, list) or len(f) != 2:
+                    raise ValueError(f"a factor is a [part, index] pair: {f!r}")
+                factors.append((element_from_json(f[0], group), integer_from_json(f[1])))
+            mono = normal_word(factors, group)
+            _accumulate(out, mono, coeff_from_json(term["coeff"], group))
+        vec = cls(out)
+        weight = data.get("weight")
+        if weight is not None and element_from_json(weight, group) != vec.weight(group):
+            raise ValueError(f"stated weight {weight!r} is not the weight of the words")
+        return vec
 
 
 # -- highest weight functionals -----------------------------------------
@@ -370,7 +435,13 @@ def _rational_list(spec: dict, key: str) -> list:
 
 
 class VermaModule:
-    """Straightening engine for one algebra and one highest weight."""
+    """Straightening engine for one algebra and one highest weight.
+
+    ``step_budget`` caps the recursive steps of one :meth:`act` call; each
+    insertion and each application of a generator is one step.  A
+    generator swapped past a factor goes to the front of every resulting
+    word directly, without an insertion, so it spends no step there.
+    """
 
     def __init__(self, algebra: BlockAlgebra, weight: HighestWeight, step_budget: int = 5_000_000):
         self.algebra = algebra
@@ -385,19 +456,7 @@ class VermaModule:
 
     def monomial(self, factors: Iterable[Factor]) -> PBWMonomial:
         """Validated normal-ordered word."""
-        g = self.group
-        fs = tuple((p, int(i)) for p, i in factors)
-        prev = None
-        for p, i in fs:
-            g.validate(p)
-            if not g.is_positive(p):
-                raise ValueError(f"part {p} is not positive")
-            if i < -1:
-                raise ValueError("index must be >= -1")
-            if prev is not None and (p, i) < prev:
-                raise ValueError("factors are not normal-ordered")
-            prev = (p, i)
-        return PBWMonomial(fs)
+        return normal_word(((p, int(i)) for p, i in factors), self.group)
 
     def vector(self, factors: Iterable[Factor]) -> ModuleVector:
         return ModuleVector.of(self.monomial(factors))
@@ -413,19 +472,49 @@ class VermaModule:
     # -- straightening ---------------------------------------------------
 
     def act(self, sym: BasisSymbol, vec: ModuleVector) -> ModuleVector:
-        """Exact action of a basis symbol, result in normal form."""
+        """Exact action of a basis symbol, result in normal form.
+
+        A word too long for the interpreter's recursion limit raises
+        :class:`StraighteningLimitError`, like an exhausted step budget.
+        """
         budget = [self.step_budget]
         out: Dict[PBWMonomial, Coeff] = {}
         if isinstance(sym, Central):
             cc = self.hw.central_charge
             for mono, c in vec._terms.items():
                 _accumulate(out, mono, cc * c)
+            return ModuleVector(out)
+        g = self.group
+        g.validate(sym.alpha)
+        terms = vec._terms
+        if isinstance(g, LexPairGroup):
+            ar, scale = _LEX_PAIRS, None
+        elif isinstance(g, DyadicGroup):
+            # every element the recursion reaches lies in (1/scale)Z
+            scale = max(
+                [sym.alpha.denominator]
+                + [p.denominator for mono in terms for p, _ in mono.factors]
+            )
+            ar = _IntCodes(scale)
         else:
-            self.group.validate(sym.alpha)
-            for mono, c in vec._terms.items():
+            ar, scale = _INT_PARTS, None
+        alpha = sym.alpha if scale is None else _code(sym.alpha, scale)
+        try:
+            for mono, c in terms.items():
                 if type(c) is Fraction and c.denominator == 1:
                     c = c.numerator  # integral: straighten in int arithmetic
-                self._apply(sym.alpha, sym.index, mono.factors, c, out, budget)
+                factors = mono.factors
+                if scale is not None:
+                    factors = tuple((_code(p, scale), i) for p, i in factors)
+                self._apply(alpha, sym.index, factors, c, out, budget, ar)
+        except RecursionError:
+            longest = max(mono.length for mono in terms)
+            raise StraighteningLimitError(
+                f"a word of {longest} factors is too long to straighten "
+                "within the interpreter's recursion limit"
+            ) from None
+        if scale is not None:
+            out = _decode(out, scale)
         return ModuleVector(out)
 
     def act_element(self, elem: LieElement, vec: ModuleVector) -> ModuleVector:
@@ -448,48 +537,49 @@ class VermaModule:
                 f"straightening exceeded the {self.step_budget}-step budget"
             )
 
-    def _insert(self, part, idx, factors, coeff, out, budget):
+    def _insert(self, part, idx, factors, coeff, out, budget, ar):
         """Multiply the word by L(-part, idx) on the left and normalize."""
         self._tick(budget)
         if not factors or (part, idx) <= factors[0]:
             _accumulate(out, PBWMonomial(((part, idx),) + factors), coeff)
             return
-        g = self.group
         (p1, i1), rest = factors[0], factors[1:]
         # L(-part) L(-p1) = L(-p1) L(-part) + [L(-part), L(-p1)]
         swapped: Dict[PBWMonomial, Coeff] = {}
-        self._insert(part, idx, rest, coeff, swapped, budget)
+        self._insert(part, idx, rest, coeff, swapped, budget, ar)
+        # Every factor of a swapped word is at least (p1, i1): the factors
+        # of rest are, (part, idx) > (p1, i1) on this branch, and a merged
+        # part part + p_k exceeds p_k >= p1 since part is positive.  So
+        # L(-p1, i1) is prepended as it stands, with no insertion.
+        head = ((p1, i1),)
         for mono, c in swapped.items():
-            self._insert(p1, i1, mono.factors, c, out, budget)
-        merged = g.scalarize(g.sub(g.scale(i1 + 1, part), g.scale(idx + 1, p1)))
+            _accumulate(out, PBWMonomial(head + mono.factors), c)
+        merged = ar.const(i1 + 1, part, idx + 1, p1)
         if merged:
-            self._insert(g.add(part, p1), idx + i1, rest, merged * coeff, out, budget)
+            self._insert(ar.add(part, p1), idx + i1, rest, merged * coeff, out, budget, ar)
 
-    def _apply(self, gamma, idx, factors, coeff, out, budget):
+    def _apply(self, gamma, idx, factors, coeff, out, budget, ar):
         """Act with L(gamma, idx), any weight sign, on a normal word."""
         self._tick(budget)
-        g = self.group
-        sign = g.compare(gamma, g.zero())
-        if sign < 0:
-            self._insert(g.neg(gamma), idx, factors, coeff, out, budget)
+        zero = ar.zero
+        if gamma < zero:
+            self._insert(ar.neg(gamma), idx, factors, coeff, out, budget, ar)
             return
         if not factors:
-            if sign == 0:
+            if gamma == zero:
                 _accumulate(out, VACUUM, self.hw.label(idx + 1) * coeff)
             return  # the positive part annihilates the highest weight vector
         (p1, i1), rest = factors[0], factors[1:]
         # L(gamma) L(-p1) = L(-p1) L(gamma) + [L(gamma), L(-p1)]
         passed: Dict[PBWMonomial, Coeff] = {}
-        self._apply(gamma, idx, rest, coeff, passed, budget)
+        self._apply(gamma, idx, rest, coeff, passed, budget, ar)
         for mono, c in passed.items():
-            self._insert(p1, i1, mono.factors, c, out, budget)
-        bcoeff = g.scalarize(
-            g.sub(g.scale(idx + 1, g.neg(p1)), g.scale(i1 + 1, gamma))
-        )
+            self._insert(p1, i1, mono.factors, c, out, budget, ar)
+        bcoeff = ar.const(-(idx + 1), p1, i1 + 1, gamma)
         if bcoeff:
-            self._apply(g.add(gamma, g.neg(p1)), idx + i1, rest, bcoeff * coeff, out, budget)
+            self._apply(ar.sub(gamma, p1), idx + i1, rest, bcoeff * coeff, out, budget, ar)
         if gamma == p1 and idx + i1 == -2:
-            cc = g.scalarize(gamma) * self.hw.central_charge
+            cc = ar.scalar(gamma) * self.hw.central_charge
             if cc:
                 _accumulate(out, PBWMonomial(rest), cc * coeff)
 
@@ -615,3 +705,82 @@ def _accumulate(store: Dict[PBWMonomial, Coeff], mono: PBWMonomial, coeff: Coeff
         store[mono] = s
     else:
         del store[mono]
+
+
+# -- element arithmetic of one straightening run ---------------------------
+
+
+class _IntCodes:
+    """Parts as ints: integer elements as they are, dyadic ones coded ``x*scale``.
+
+    ``scale`` is positive, so coding keeps the order; a scalar image is
+    ``code/scale``, an ``int`` when it divides.
+    """
+
+    __slots__ = ("scale",)
+    zero = 0
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def scalar(self, x):
+        s = self.scale
+        return x // s if x % s == 0 else Fraction(x, s)
+
+    def const(self, n, x, m, y):
+        """Scalar image of ``n*x - m*y``."""
+        return self.scalar(n * x - m * y)
+
+
+class _LexPairs:
+    """Lex-z2 pairs as tuples; the scalar image of ``(a, b)`` is ``a*w + b``."""
+
+    __slots__ = ()
+    zero = (0, 0)
+
+    @staticmethod
+    def add(x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    @staticmethod
+    def sub(x, y):
+        return (x[0] - y[0], x[1] - y[1])
+
+    @staticmethod
+    def neg(x):
+        return (-x[0], -x[1])
+
+    @staticmethod
+    def scalar(x):
+        return Poly.of_exact([x[1], x[0]])
+
+    @staticmethod
+    def const(n, x, m, y):
+        """Scalar image of ``n*x - m*y``."""
+        return Poly.of_exact([n * x[1] - m * y[1], n * x[0] - m * y[0]])
+
+
+_INT_PARTS = _IntCodes(1)
+_LEX_PAIRS = _LexPairs()
+
+
+def _code(x: Fraction, scale: int) -> int:
+    return x.numerator * (scale // x.denominator)
+
+
+def _decode(store: Dict[PBWMonomial, Coeff], scale: int) -> Dict[PBWMonomial, Coeff]:
+    """Words with coded parts back to ``Fraction`` parts, one ``Fraction`` per code."""
+    parts: Dict[int, Fraction] = {}
+    out = {}
+    for mono, c in store.items():
+        factors = []
+        for p, i in mono.factors:
+            x = parts.get(p)
+            if x is None:
+                x = parts[p] = Fraction(p, scale)
+            factors.append((x, i))
+        out[PBWMonomial(tuple(factors))] = c
+    return out

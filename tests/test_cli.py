@@ -223,6 +223,15 @@ def test_step_budget_exhaustion_exits_with_resource_limit(capsys, monkeypatch):
     assert err.startswith("error: ") and "budget" in err
 
 
+def test_long_word_exits_with_resource_limit(capsys):
+    word = "*".join(["L(-1,-1)"] * 1200) + "*v"
+    code, out, err = run(capsys, "act", "L(1,-1)", word, "--weight", WEIGHT_B)
+    assert code == cli.RESOURCE_LIMIT == 3
+    assert out == ""
+    assert err.startswith("error: ") and "1200 factors" in err
+    assert "Traceback" not in err
+
+
 def test_float_in_weight_json_is_a_usage_error(capsys):
     code, _, err = run(
         capsys, "charpoly", "--weight", '{"charpoly": [1, 1], "central_charge": 0.1}'

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from blockalg.groups import DYADIC, INTEGERS, LEX_Z2
 from blockalg.lie import CENTRAL, BlockAlgebra, Generator, LieElement
-from blockalg.polynomial import X
+from blockalg.polynomial import Poly, X
 from blockalg.reducibility import labels_from_charpoly
 from blockalg.verma import (
     HighestWeight,
@@ -202,6 +203,137 @@ def test_step_budget_guard():
     m = VermaModule(ALG, HW, step_budget=3)
     with pytest.raises(StraighteningLimitError):
         m.act(Generator(2, 1), m.vector([(1, 0), (1, 1), (2, 0)]))
+
+
+def test_long_word_is_a_straightening_limit():
+    # straightening recurses once per factor; a word beyond the interpreter's
+    # recursion limit is refused as a resource limit, not a RecursionError
+    m = module()
+    with pytest.raises(StraighteningLimitError, match="1200 factors"):
+        m.act(Generator(1, -1), m.vector([(1, -1)] * 1200))
+
+
+def _rat(rng, bound=9):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def test_coded_dyadic_action_matches_rescaled_integer_module():
+    # L(a,i) -> L'(S*a,i)/S and c -> c'/S embed the dyadic algebra into the
+    # integer one when S*a is integral, and the module with (S*cc, S*labels)
+    # carries the dyadic one along: a word of length k goes to S^-k times
+    # its scaled image.  So the integer module, which straightens without
+    # coding, predicts every dyadic action up to a power of S per term.
+    rng = random.Random(7)
+    for trial in range(120):
+        dens = [2 ** rng.randint(0, 3) for _ in range(4)]
+        word = sorted(
+            (Fraction(rng.randint(1, 3 * d), d), rng.randint(-1, 3)) for d in dens[: trial % 4]
+        )
+        gamma = Fraction(rng.randint(-3 * dens[3], 3 * dens[3]), dens[3])
+        idx = rng.randint(-1, 3)
+        scale = max([gamma.denominator] + [p.denominator for p, _ in word]) * rng.choice([1, 2])
+        cc, labels, c = _rat(rng), [_rat(rng) for _ in range(8)], _rat(rng)
+        dyadic = module(HighestWeight.explicit(labels, cc), DYADIC)
+        integral = module(HighestWeight.explicit([scale * x for x in labels], scale * cc))
+        got = dyadic.act(Generator(gamma, idx), dyadic.vector(word).scaled(c))
+        image = integral.act(
+            Generator(int(scale * gamma), idx),
+            integral.vector([(int(scale * p), i) for p, i in word]).scaled(c),
+        )
+        want = ModuleVector(
+            {
+                PBWMonomial(tuple((Fraction(p, scale), i) for p, i in mono.factors)):
+                    d * Fraction(scale) ** (mono.length - len(word) - 1)
+                for mono, d in image.items()
+            }
+        )
+        assert got == want
+        assert all(type(p) is Fraction for mono in got.monomials() for p, _ in mono.factors)
+
+
+# -- JSON round trip of module vectors -------------------------------------------
+
+_POSITIVE = {
+    "integers": st.integers(1, 4),
+    "dyadic": st.builds(lambda n, k: Fraction(n, 2**k), st.integers(1, 24), st.integers(0, 3)),
+    "lex-z2": st.one_of(
+        st.tuples(st.just(0), st.integers(1, 3)),
+        st.tuples(st.integers(1, 2), st.integers(-3, 3)),
+    ),
+}
+_ELEMENT = {
+    "integers": st.integers(-4, 4),
+    "dyadic": st.builds(lambda n, k: Fraction(n, 2**k), st.integers(-24, 24), st.integers(0, 3)),
+    "lex-z2": st.tuples(st.integers(-2, 2), st.integers(-3, 3)),
+}
+_RATIONALS = st.fractions(max_denominator=9).filter(lambda q: abs(q) < 100)
+_JSON_WEIGHT = HighestWeight.explicit([1, Fraction(-1, 2), 3, Fraction(2, 3), -2], Fraction(5, 4))
+
+
+@st.composite
+def _vector_and_symbol(draw):
+    group = draw(st.sampled_from([INTEGERS, DYADIC, LEX_Z2]))
+    words = st.lists(
+        st.tuples(_POSITIVE[group.name], st.integers(-1, 3)), max_size=3
+    ).map(lambda fs: PBWMonomial(tuple(sorted(fs))))
+    coeff = _RATIONALS
+    if group is LEX_Z2:
+        coeff = st.one_of(_RATIONALS, st.lists(_RATIONALS, max_size=3).map(Poly))
+    vec = ModuleVector(draw(st.dictionaries(words, coeff, max_size=3)))
+    sym = draw(st.one_of(st.just(CENTRAL), st.builds(Generator, _ELEMENT[group.name], st.integers(-1, 3))))
+    return group, vec, sym
+
+
+@given(_vector_and_symbol())
+@example(
+    (
+        DYADIC,
+        ModuleVector(
+            {
+                PBWMonomial(((Fraction(3, 8), 1), (Fraction(1, 2), 0))): Fraction(3, 2),
+                PBWMonomial(((Fraction(5, 4), -1),)): Fraction(-1),
+            }
+        ),
+        Generator(Fraction(-7, 8), 1),
+    )
+)
+def test_module_vector_json_roundtrip_property(case):
+    group, vec, sym = case
+    out = module(_JSON_WEIGHT, group).act(sym, vec)
+    for v in (vec, out):
+        back = ModuleVector.from_json(v.to_json(group), group)
+        assert back == v
+        again = ModuleVector.from_json(back.to_json(group), group)
+        assert again.to_json(group) == back.to_json(group)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        {"terms": 3},
+        {"terms": [{"factors": [[1, 0]]}]},
+        {"terms": [{"factors": [[1, 0, 2]], "coeff": "1"}]},
+        {"terms": [{"factors": [[2, 0], [1, 0]], "coeff": "1"}]},  # not normal-ordered
+        {"terms": [{"factors": [[1, 1], [1, 0]], "coeff": "1"}]},  # indices fall in a run
+        {"terms": [{"factors": [[0, 0]], "coeff": "1"}]},  # part not positive
+        {"terms": [{"factors": [[1, -2]], "coeff": "1"}]},
+        {"terms": [{"factors": [[1, 0.0]], "coeff": "1"}]},
+        {"terms": [{"factors": [[1.0, 0]], "coeff": "1"}]},
+        {"terms": [{"factors": [[1, 0]], "coeff": 0.5}]},
+        {"weight": -2, "terms": [{"factors": [[1, 0]], "coeff": "1"}]},
+    ],
+)
+def test_module_vector_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        ModuleVector.from_json(data, INTEGERS)
+
+
+def test_module_vector_from_json_reads_written_input():
+    data = {"terms": [{"factors": [["1/2", 0], ["1/2", 0]], "coeff": "2"}]}
+    assert ModuleVector.from_json(data, DYADIC) == ModuleVector.of(
+        PBWMonomial(((Fraction(1, 2), 0), (Fraction(1, 2), 0))), 2
+    )
 
 
 # -- weight space enumeration --------------------------------------------------
