@@ -72,35 +72,39 @@ def format_coeff(c: Coeff) -> str:
     return str(c)
 
 
-class LieElement:
-    """Finite linear combination of basis symbols; zero coefficients pruned."""
+class SparseCombination:
+    """Finite linear combination of hashable keys; zero coefficients pruned.
+
+    The shared arithmetic of :class:`LieElement` and
+    :class:`verma.ModuleVector`.  A subclass names the order its
+    :meth:`items` are listed in through ``_sort_key``.  Only objects of
+    the same class compare equal.
+    """
 
     __slots__ = ("_terms",)
+
+    @staticmethod
+    def _sort_key(key):
+        raise NotImplementedError
 
     def __init__(self, terms=None):
         data = {}
         if terms:
-            for sym, coeff in dict(terms).items():
+            for key, coeff in dict(terms).items():
                 if coeff:
-                    data[sym] = coeff
+                    data[key] = coeff
         self._terms = data
 
     @classmethod
-    def zero(cls) -> "LieElement":
+    def zero(cls):
         return cls()
 
-    @classmethod
-    def term(cls, sym: BasisSymbol, coeff: Coeff = Fraction(1)) -> "LieElement":
-        return cls({sym: coeff})
+    def items(self) -> List[Tuple[object, Coeff]]:
+        key = self._sort_key
+        return sorted(self._terms.items(), key=lambda kv: key(kv[0]))
 
-    def items(self) -> List[Tuple[BasisSymbol, Coeff]]:
-        return sorted(self._terms.items(), key=lambda kv: _term_key(kv[0]))
-
-    def coefficient(self, sym: BasisSymbol) -> Coeff:
-        return self._terms.get(sym, Fraction(0))
-
-    def symbols(self):
-        return list(self._terms)
+    def coefficient(self, key) -> Coeff:
+        return self._terms.get(key, Fraction(0))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -109,52 +113,58 @@ class LieElement:
         return len(self._terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, LieElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other: "LieElement") -> "LieElement":
+    def __add__(self, other):
         out = dict(self._terms)
-        for sym, c in other._terms.items():
-            s = out.get(sym, 0) + c
+        for k, c in other._terms.items():
+            prev = out.get(k)
+            if prev is None:
+                out[k] = c
+                continue
+            s = prev + c
             if s:
-                out[sym] = s
-            elif sym in out:
-                del out[sym]
-        res = LieElement.__new__(LieElement)
+                out[k] = s
+            else:
+                del out[k]
+        cls = type(self)
+        res = cls.__new__(cls)
         res._terms = out
         return res
 
-    def __neg__(self) -> "LieElement":
+    def __neg__(self):
         return self.scaled(-1)
 
-    def __sub__(self, other: "LieElement") -> "LieElement":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scaled(self, scalar) -> "LieElement":
+    def scaled(self, scalar):
+        cls = type(self)
         if not scalar:
-            return LieElement()
-        res = LieElement.__new__(LieElement)
-        res._terms = {sym: scalar * c for sym, c in self._terms.items()}
+            return cls()
+        res = cls.__new__(cls)
+        res._terms = {k: scalar * c for k, c in self._terms.items()}
         return res
 
-    def __rmul__(self, scalar) -> "LieElement":
+    def __rmul__(self, scalar):
         return self.scaled(scalar)
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for sym, coeff in self.items():
+        for key, coeff in self.items():
             if isinstance(coeff, Poly):
-                mag, neg = format_coeff(coeff) + "*" + str(sym), False
+                mag, neg = format_coeff(coeff) + "*" + str(key), False
             else:
                 neg = coeff < 0
                 a = abs(coeff)
-                mag = str(sym) if a == 1 else f"{a}*{sym}"
+                mag = str(key) if a == 1 else f"{a}*{key}"
             if not parts:
                 parts.append(("-" if neg else "") + mag)
             else:
@@ -162,7 +172,22 @@ class LieElement:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"<LieElement {self}>"
+        return f"<{type(self).__name__} {self}>"
+
+
+class LieElement(SparseCombination):
+    """Finite linear combination of basis symbols."""
+
+    __slots__ = ()
+
+    _sort_key = staticmethod(_term_key)
+
+    @classmethod
+    def term(cls, sym: BasisSymbol, coeff: Coeff = Fraction(1)) -> "LieElement":
+        return cls({sym: coeff})
+
+    def symbols(self):
+        return list(self._terms)
 
     def to_json(self, group: OrderedGroup) -> list:
         out = []
@@ -181,13 +206,20 @@ class LieElement:
 
     @classmethod
     def from_json(cls, data: list, group: OrderedGroup) -> "LieElement":
+        """Inverse of :meth:`to_json`; malformed input raises ``ValueError``."""
+        if not isinstance(data, list):
+            raise ValueError("a Lie element is a JSON list of terms")
         out = cls.zero()
         for entry in data:
+            if not (isinstance(entry, dict) and {"alpha", "i", "coeff"} <= entry.keys()):
+                raise ValueError(f"a term is an object with 'alpha', 'i' and 'coeff': {entry!r}")
             coeff = coeff_from_json(entry["coeff"], group)
             if entry["i"] == "central":
                 sym: BasisSymbol = CENTRAL
             else:
-                sym = Generator(element_from_json(entry["alpha"], group), int(entry["i"]))
+                sym = Generator(
+                    element_from_json(entry["alpha"], group), integer_from_json(entry["i"])
+                )
             out = out + cls.term(sym, coeff)
         return out
 

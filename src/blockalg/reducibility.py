@@ -17,6 +17,18 @@ Negative verdicts are always "within horizon": a finite computation
 cannot refute an infinite system.  Positive verdicts built from a
 recurrent weight are full certificates.
 
+The label side of detectors 1 and 2, and the label-side kernel the
+report checks detector 3 against, are one linear system: probing
+f = sum_n a_n t^n against t^m gives the row (n+m)*label(n+m-1), minus
+the central charge at m = n = 0 (``_label_conditions``).  The
+characteristic polynomial reads the probes m >= 0 and the recurrence
+the probes m >= 1.  Each detector builds its own matrix over the
+coefficients a_0..a_D and eliminates it once: the first canonical
+kernel vector has a 1 at the first free column d and vanishes beyond
+it, so it is a monic polynomial of degree d, and columns 0..d-1 are all
+pivots exactly when no lower degree fits, which makes it the unique
+monic solution of minimal degree.
+
 The sweep-determinant identity: a positive generator applied to a word of
 strictly decreasing parts is absorbed factor by factor, and each step
 contributes one 2x2 determinant; the product gives the coefficient of the
@@ -35,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .groups import IntegerGroup, OrderedGroup
 from .lie import Generator
-from .polynomial import ONE, Poly, X, format_rational
+from .polynomial import Poly, X, format_rational
 from .verma import (
     HighestWeight,
     ModuleVector,
@@ -77,20 +89,35 @@ def labels_from_charpoly(
     return HighestWeight(cc, RecurrentLabels(f, initial, cc))
 
 
-def _condition_row(hw: HighestWeight, d: int, m: int) -> Tuple[List[Fraction], Fraction]:
-    """Unknowns a_0..a_{d-1} of a monic degree-d candidate, probe t^m."""
-    row = []
-    for j in range(d):
-        if j + m == 0:
-            # the label of index -1 never appears: its coefficient is j+m = 0
-            coef = Fraction(0)
-        else:
-            coef = (j + m) * hw.label(j + m - 1)
-        if m == 0 and j == 0:
-            coef -= hw.central_charge
-        row.append(coef)
-    rhs = -(d + m) * hw.label(d + m - 1)
-    return row, rhs
+def _label_conditions(
+    hw: HighestWeight, first: int, last: int, ncols: int
+) -> List[List[Fraction]]:
+    """The t^m label probes for m = first..last, on coefficients a_0..a_(ncols-1).
+
+    Row m, column n is the coefficient of a_n in the probe of
+    f = sum_n a_n t^n against t^m:
+
+        (n+m) * label(n+m-1) - [m = n = 0] * cc,
+
+    i.e. the shadow s_(n+m) with the central charge taken off at the
+    corner.  Every label detector reads this one system.
+    """
+    rows = []
+    for m in range(first, last + 1):
+        row = [hw.shadow(n + m) for n in range(ncols)]
+        if m == 0 and row:
+            row[0] -= hw.central_charge
+        rows.append(row)
+    return rows
+
+
+def _minimal_monic(rows: List[List[Fraction]], ncols: int) -> Optional[Poly]:
+    """The unique lowest-degree monic f in the kernel of ``rows``, or None.
+
+    It is the first canonical kernel vector (see the module docstring).
+    """
+    kernel = linalg.nullspace(rows, ncols)
+    return Poly(kernel[0]) if kernel else None
 
 
 def charpoly_from_labels(
@@ -98,30 +125,22 @@ def charpoly_from_labels(
 ) -> Optional[Poly]:
     """Minimal-degree monic polynomial satisfying all probes m <= horizon.
 
-    Exact nullspace computation; the returned polynomial is the
-    reduced-echelon canonical representative when the degree-d solution
-    space has dimension above one.  A negative answer is only valid
-    within the horizon; require horizon >= 2*max_degree + 2.
+    One exact nullspace computation on the probes m = 0..horizon over the
+    coefficients a_0..a_max_degree; the answer is the first canonical
+    kernel vector, whose 1 sits at the first free column d: columns
+    0..d-1 are pivots exactly when no lower degree fits, so it is the
+    unique monic solution of minimal degree.  Degree 0 (f = 1) is found
+    exactly when column 0 vanishes: zero central charge and zero shadow
+    within the horizon.  A negative answer is only valid within the
+    horizon; require horizon >= 2*max_degree + 2.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     if horizon < 2 * max_degree + 2:
         raise ValueError("horizon must be at least 2*max_degree + 2")
-    for d in range(0, max_degree + 1):
-        if d == 0:
-            ok = hw.central_charge == 0 and all(
-                hw.shadow(m) == 0 for m in range(1, horizon + 1)
-            )
-            if ok:
-                return ONE
-            continue
-        rows, rhs = [], []
-        for m in range(0, horizon + 1):
-            row, b = _condition_row(hw, d, m)
-            rows.append(row)
-            rhs.append(b)
-        sol = linalg.solve(rows, rhs)
-        if sol is not None:
-            return Poly(sol + [Fraction(1)])
-    return None
+    return _minimal_monic(
+        _label_conditions(hw, 0, horizon, max_degree + 1), max_degree + 1
+    )
 
 
 def charpoly_certificate(hw: HighestWeight, f: Poly) -> str:
@@ -189,26 +208,22 @@ def is_quasipolynomial(hw: HighestWeight, max_order: int, horizon: int) -> Quasi
     the shadow sequence admits a constant-coefficient linear recurrence
     valid at every positive shift; the shift-m instance is exactly the
     t^m label condition, so a characteristic polynomial and a recurrence
-    are two faces of one linear system (the t^0 probe, which also sees
-    the central charge, is checked separately by the consolidated
-    report).
+    are two faces of one linear system: the probes m = 1..horizon here,
+    m = 0..horizon for ``charpoly_from_labels`` (the t^0 probe, which
+    also sees the central charge, is checked separately by the
+    consolidated report).  One nullspace computation over the
+    coefficients a_0..a_max_order; the minimal recurrence is the first
+    canonical kernel vector, and order 0 is found exactly when the
+    shadow vanishes within the horizon.
     """
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
     if horizon < 2 * max_order + 2:
         raise ValueError("horizon must be at least 2*max_order + 2")
-    for d in range(0, max_order + 1):
-        if d == 0:
-            if all(hw.shadow(m) == 0 for m in range(1, horizon + 1)):
-                return QuasiVerdict(True, 0, ONE, max_order, horizon)
-            continue
-        rows = []
-        rhs = []
-        for m in range(1, horizon + 1):
-            rows.append([hw.shadow(m + j) for j in range(d)])
-            rhs.append(-hw.shadow(m + d))
-        sol = linalg.solve(rows, rhs)
-        if sol is not None:
-            return QuasiVerdict(True, d, Poly(sol + [Fraction(1)]), max_order, horizon)
-    return QuasiVerdict(False, None, None, max_order, horizon)
+    f = _minimal_monic(_label_conditions(hw, 1, horizon, max_order + 1), max_order + 1)
+    if f is None:
+        return QuasiVerdict(False, None, None, max_order, horizon)
+    return QuasiVerdict(True, f.degree, f, max_order, horizon)
 
 
 @dataclass
@@ -628,16 +643,7 @@ def _label_side_kernel(hw: HighestWeight, max_degree: int, probes: int):
     straightening engine; rows are the t^m probes for m <= probes.
     """
     ncols = max_degree + 1
-    rows = []
-    for m in range(0, probes + 1):
-        row = []
-        for n in range(ncols):
-            coef = Fraction(0) if n + m == 0 else (n + m) * hw.label(n + m - 1)
-            if m == 0 and n == 0:
-                coef -= hw.central_charge
-            row.append(coef)
-        rows.append(row)
-    return linalg.nullspace(rows, ncols)
+    return linalg.nullspace(_label_conditions(hw, 0, probes, ncols), ncols)
 
 
 def reducibility_report(

@@ -62,11 +62,11 @@ from .lie import (
     Central,
     Coeff,
     LieElement,
+    SparseCombination,
     coeff_from_json,
     coeff_json,
     element_from_json,
     element_json,
-    format_coeff,
     integer_from_json,
 )
 from .polynomial import Poly, format_rational, parse_rational
@@ -135,84 +135,22 @@ def normal_word(factors: Iterable[Factor], group: OrderedGroup) -> PBWMonomial:
     return PBWMonomial(fs)
 
 
-class ModuleVector:
+class ModuleVector(SparseCombination):
     """Exact linear combination of PBW monomials."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for mono, coeff in dict(terms).items():
-                if coeff:
-                    data[mono] = coeff
-        self._terms = data
-
-    @classmethod
-    def zero(cls) -> "ModuleVector":
-        return cls()
+    _sort_key = staticmethod(PBWMonomial.sort_key)
 
     @classmethod
     def of(cls, mono: PBWMonomial, coeff: Coeff = Fraction(1)) -> "ModuleVector":
         return cls({mono: coeff})
-
-    def items(self) -> List[Tuple[PBWMonomial, Coeff]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def coefficient(self, mono: PBWMonomial) -> Coeff:
-        return self._terms.get(mono, Fraction(0))
 
     def monomials(self) -> List[PBWMonomial]:
         return [m for m, _ in self.items()]
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            prev = out.get(m)
-            if prev is None:
-                out[m] = c
-                continue
-            s = prev + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        res = ModuleVector.__new__(ModuleVector)
-        res._terms = out
-        return res
-
-    def __neg__(self) -> "ModuleVector":
-        return self.scaled(-1)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + (-other)
-
-    def scaled(self, scalar) -> "ModuleVector":
-        if not scalar:
-            return ModuleVector()
-        res = ModuleVector.__new__(ModuleVector)
-        res._terms = {m: scalar * c for m, c in self._terms.items()}
-        return res
-
-    def __rmul__(self, scalar) -> "ModuleVector":
-        return self.scaled(scalar)
 
     def weight(self, group: OrderedGroup):
         """Common weight of all monomials, or None when mixed or zero."""
@@ -227,26 +165,6 @@ class ModuleVector:
             elif w != mw:
                 return None
         return w
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.items():
-            if isinstance(coeff, Poly):
-                mag, neg = format_coeff(coeff) + "*" + str(mono), False
-            else:
-                neg = coeff < 0
-                a = abs(coeff)
-                mag = str(mono) if a == 1 else f"{a}*{mono}"
-            if not parts:
-                parts.append(("-" if neg else "") + mag)
-            else:
-                parts.append(("- " if neg else "+ ") + mag)
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"<ModuleVector {self}>"
 
     def to_json(self, group: OrderedGroup) -> dict:
         w = self.weight(group)

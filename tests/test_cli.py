@@ -139,6 +139,10 @@ def test_usage_errors_exit_2(capsys):
     assert "index must be >= -1" in err
     code, _, err = run(capsys, "charpoly", "--weight", "{not json")
     assert code == 2
+    code, _, err = run(capsys, "charpoly", "--weight", WEIGHT_B, "--max-degree", "-1")
+    assert code == 2 and "max_degree must be >= 0" in err
+    code, _, err = run(capsys, "delta", "--weight", WEIGHT_B, "--max-degree", "-2")
+    assert code == 2 and "max_order must be >= 0" in err
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2

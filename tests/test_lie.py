@@ -216,6 +216,29 @@ def test_element_coefficients_reject_floats():
     assert e == LieElement.term(Generator(Fraction(1, 2), 0), Fraction(3, 4))
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"alpha": 1, "i": 0, "coeff": "1"},  # not a list
+        [3],
+        [{"alpha": 1, "i": 0}],
+        [{"i": 0, "coeff": "1"}],
+        [{"alpha": 1, "i": 2.5, "coeff": "1"}],  # was read as L(1,2)
+        [{"alpha": 1, "i": True, "coeff": "1"}],  # was read as L(1,1)
+        [{"alpha": 1, "i": "1/2", "coeff": "1"}],
+        [{"alpha": 1, "i": -2, "coeff": "1"}],
+    ],
+)
+def test_element_from_json_rejects_malformed_input(data):
+    with pytest.raises(ValueError):
+        LieElement.from_json(data, INTEGERS)
+
+
+def test_element_from_json_reads_string_indices():
+    e = LieElement.from_json([{"alpha": 1, "i": "2", "coeff": "1"}], INTEGERS)
+    assert e == L(1, 2)
+
+
 def test_canonical_printing():
     e = L(1, 0) + LieElement.term(CENTRAL, Fraction(2))
     assert str(e) == "L(1,0) + 2*c"

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from blockalg import linalg
+from blockalg import linalg, reducibility
 from blockalg.groups import DYADIC, INTEGERS
 from blockalg.lie import BlockAlgebra, Generator
 from blockalg.polynomial import ONE, Poly, X
 from blockalg.reducibility import (
+    DetectorInconsistencyError,
+    QuasiVerdict,
+    _label_side_kernel,
     _sub_kernel,
     charpoly_certificate,
     charpoly_from_labels,
@@ -124,6 +127,110 @@ def test_charpoly_shifts_past_a_failing_constant_probe():
     qp = is_quasipolynomial(hw, 4, 14)
     assert qp.found and qp.order == 0 and qp.recurrence == ONE
     assert not m0_condition_holds(hw, ONE)
+
+
+def test_negative_degree_bounds_are_rejected():
+    hw = labels_from_charpoly(X + 1, 1)
+    with pytest.raises(ValueError, match="max_degree"):
+        charpoly_from_labels(hw, -1, 14)
+    with pytest.raises(ValueError, match="max_order"):
+        is_quasipolynomial(hw, -2, 14)
+
+
+# -- reference: one solve per trial degree, as the detectors once did ----------
+
+
+def _reference_condition_row(hw, d, m):
+    row = []
+    for j in range(d):
+        coef = Fraction(0) if j + m == 0 else (j + m) * hw.label(j + m - 1)
+        if m == 0 and j == 0:
+            coef -= hw.central_charge
+        row.append(coef)
+    return row, -(d + m) * hw.label(d + m - 1)
+
+
+def _reference_charpoly(hw, max_degree, horizon):
+    for d in range(0, max_degree + 1):
+        if d == 0:
+            if hw.central_charge == 0 and all(
+                hw.shadow(m) == 0 for m in range(1, horizon + 1)
+            ):
+                return ONE
+            continue
+        rows, rhs = zip(*(_reference_condition_row(hw, d, m) for m in range(horizon + 1)))
+        sol = linalg.solve(list(rows), list(rhs))
+        if sol is not None:
+            return Poly(sol + [Fraction(1)])
+    return None
+
+
+def _reference_quasi(hw, max_order, horizon):
+    for d in range(0, max_order + 1):
+        if d == 0:
+            if all(hw.shadow(m) == 0 for m in range(1, horizon + 1)):
+                return QuasiVerdict(True, 0, ONE, max_order, horizon)
+            continue
+        rows = [[hw.shadow(m + j) for j in range(d)] for m in range(1, horizon + 1)]
+        rhs = [-hw.shadow(m + d) for m in range(1, horizon + 1)]
+        sol = linalg.solve(rows, rhs)
+        if sol is not None:
+            return QuasiVerdict(True, d, Poly(sol + [Fraction(1)]), max_order, horizon)
+    return QuasiVerdict(False, None, None, max_order, horizon)
+
+
+def _reference_label_kernel(hw, max_degree, probes):
+    rows = []
+    for m in range(0, probes + 1):
+        row = []
+        for n in range(max_degree + 1):
+            coef = Fraction(0) if n + m == 0 else (n + m) * hw.label(n + m - 1)
+            if m == 0 and n == 0:
+                coef -= hw.central_charge
+            row.append(coef)
+        rows.append(row)
+    return linalg.nullspace(rows, max_degree + 1)
+
+
+def _reference_weights():
+    rng = random.Random(5)
+
+    def rat():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    weights = [
+        HighestWeight.zero(),  # all-zero labels, cc = 0
+        HighestWeight.explicit([], Fraction(3)),  # failing t^0 probe
+        labels_from_charpoly(X, Fraction(-2)),  # f = t
+        labels_from_charpoly(X + 1, 0),  # cc = 0
+        HighestWeight.explicit(RANDOMISH, Fraction(2)),
+    ]
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        f = Poly([rat() for _ in range(d)] + [1])
+        cc = rng.choice([Fraction(0), rat()])
+        hw = labels_from_charpoly(f, cc, [rat() for _ in range(d - 1)])
+        weights.append(hw)
+        # same labels, another central charge: the t^0 probe fails
+        weights.append(HighestWeight.explicit([hw.label(i) for i in range(40)], cc + 1))
+        n = rng.randint(0, 12)
+        weights.append(HighestWeight.explicit([rat() for _ in range(n)], rng.choice([0, rat()])))
+    return weights
+
+
+def test_label_detectors_match_per_degree_reference():
+    for hw in _reference_weights():
+        for max_degree, horizon in [(0, 2), (0, 7), (1, 4), (3, 9), (4, 14), (6, 20)]:
+            assert charpoly_from_labels(hw, max_degree, horizon) == _reference_charpoly(
+                hw, max_degree, horizon
+            )
+            assert is_quasipolynomial(hw, max_degree, horizon) == _reference_quasi(
+                hw, max_degree, horizon
+            )
+        for max_degree, probes in [(0, 0), (0, 5), (2, 3), (4, 13), (5, 8)]:
+            assert _label_side_kernel(hw, max_degree, probes) == _reference_label_kernel(
+                hw, max_degree, probes
+            )
 
 
 # -- generating series ----------------------------------------------------------
@@ -385,3 +492,20 @@ def test_report_requires_integers():
     hw = HighestWeight.zero()
     with pytest.raises(ValueError):
         reducibility_report(module(hw, DYADIC))
+
+
+def test_report_still_catches_a_wrong_label_side_kernel(monkeypatch):
+    # the label detectors share one condition builder; the report must still
+    # notice when its label-side kernel disagrees with the engine's kernel
+    real = reducibility._label_conditions
+
+    def perturbed(hw, first, last, ncols):
+        rows = real(hw, first, last, ncols)
+        if (first, last) == (0, 13):  # the label-side kernel at probe_k = 12
+            rows[5][0] += 1
+        return rows
+
+    monkeypatch.setattr(reducibility, "_label_conditions", perturbed)
+    hw = labels_from_charpoly(X + 1, 1)
+    with pytest.raises(DetectorInconsistencyError, match="candidate space"):
+        reducibility_report(module(hw), max_degree=4, horizon=14, max_index=3, probe_index=12)

@@ -336,6 +336,14 @@ def test_module_vector_from_json_reads_written_input():
     )
 
 
+def test_lie_elements_and_module_vectors_never_compare_equal():
+    # the shared sparse-combination base compares objects of one class only
+    assert LieElement.zero() != ModuleVector.zero()
+    assert ModuleVector.zero() != LieElement.zero()
+    assert LieElement.zero() == LieElement.zero()
+    assert ModuleVector.zero() == ModuleVector.zero()
+
+
 # -- weight space enumeration --------------------------------------------------
 
 
