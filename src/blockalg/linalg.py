@@ -15,12 +15,19 @@ for a linear system at the first row that reduces to ``0 = b`` with
 reduced-echelon form of a row space is unique, so nullspace bases and
 particular solutions come out in the canonical form the reports promise,
 whatever order the rows arrive in.
+
+Dense matrices (a sequence of equal-length rows) are validated in full
+before elimination starts.  ``nullspace`` also takes an iterator of
+sparse rows, which it pulls one at a time and validates as each arrives;
+once the pivots reach full rank it pulls no further row, so a lazily
+assembled matrix is only built as far as the rank needs.  A full-rank
+verdict is exact: no later row can shrink a kernel that is already {0}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Row = List[Fraction]
 SparseRow = Dict[int, Fraction]
@@ -37,27 +44,41 @@ def _subtract(r: SparseRow, f: Fraction, q: SparseRow, skip: int) -> None:
                 del r[k]
 
 
+def _dense(rows: Sequence[Sequence[Fraction]], ncols: int) -> Iterable[SparseRow]:
+    """Sparse copies of dense rows, every row checked before the first one."""
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"row of length {len(row)} in a matrix with {ncols} columns")
+    return ({c: Fraction(x) for c, x in enumerate(row) if x} for row in rows)
+
+
+def _sparse(rows: Iterable[SparseRow], ncols: int) -> Iterable[SparseRow]:
+    """Lazily pulled sparse rows, each checked as it arrives."""
+    for row in rows:
+        for c in row:
+            if not isinstance(c, int) or not 0 <= c < ncols:
+                raise ValueError(f"column {c!r} in a matrix with {ncols} columns")
+        yield {c: Fraction(x) for c, x in row.items() if x}
+
+
 def _echelon(
-    rows: Sequence[Sequence[Fraction]],
+    rows: Iterable[SparseRow],
     ncols: int,
     rhs: Optional[Sequence[Fraction]] = None,
 ) -> Optional[Dict[int, SparseRow]]:
     """Reduced pivot rows of ``rows``, keyed by pivot column.
 
     Each pivot row has a 1 at its pivot and zeros at every other pivot
-    column.  With ``rhs`` the rows are augmented by it as column ``ncols``,
-    and None is returned as soon as that column would become a pivot,
-    i.e. when the system is inconsistent.
+    column.  No row is pulled once the pivots reach full rank.  With
+    ``rhs`` the rows are augmented by it as column ``ncols``, and None is
+    returned as soon as that column would become a pivot, i.e. when the
+    system is inconsistent.
     """
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"row of length {len(row)} in a matrix with {ncols} columns")
     width = ncols if rhs is None else ncols + 1
     pivots: Dict[int, SparseRow] = {}
-    for i, row in enumerate(rows):
-        if len(pivots) == width:
-            break
-        r = {c: Fraction(x) for c, x in enumerate(row) if x}
+    if width == 0:
+        return pivots
+    for i, r in enumerate(rows):
         if rhs is not None and rhs[i]:
             r[ncols] = Fraction(rhs[i])
         # pivot rows vanish on each other's pivots, so subtracting one
@@ -77,6 +98,8 @@ def _echelon(
             if f is not None:
                 _subtract(q, f, r, p)
         pivots[p] = r
+        if len(pivots) == width:
+            break
     return pivots
 
 
@@ -89,7 +112,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[Row], List[int]]:
     if not rows:
         return [], []
     ncols = len(rows[0])
-    pivots = _echelon(rows, ncols)
+    pivots = _echelon(_dense(rows, ncols), ncols)
     cols = sorted(pivots)
     m = []
     for p in cols:
@@ -101,9 +124,18 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[Row], List[int]]:
     return m, cols
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Canonical nullspace basis: one vector per free column, unit there."""
-    pivots = _echelon(rows, ncols)
+def nullspace(
+    rows: Union[Sequence[Sequence[Fraction]], Iterable[SparseRow]], ncols: int
+) -> List[List[Fraction]]:
+    """Canonical nullspace basis: one vector per free column, unit there.
+
+    ``rows`` is a dense matrix (a sequence of rows) or an iterator of
+    sparse ``{column: value}`` rows, pulled only until full rank.
+    """
+    if isinstance(rows, Sequence):
+        pivots = _echelon(_dense(rows, ncols), ncols)
+    else:
+        pivots = _echelon(_sparse(rows, ncols), ncols)
     basis: Dict[int, Row] = {}
     for f in range(ncols):
         if f not in pivots:
@@ -130,7 +162,7 @@ def solve(
     if not rows:
         return []
     ncols = len(rows[0])
-    pivots = _echelon(rows, ncols, rhs)
+    pivots = _echelon(_dense(rows, ncols), ncols, rhs)
     if pivots is None:
         return None
     sol = [Fraction(0)] * ncols
@@ -140,4 +172,7 @@ def solve(
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_echelon(rows, len(rows[0]))) if rows else 0
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    return len(_echelon(_dense(rows, ncols), ncols))

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groups import IntegerGroup, OrderedGroup
@@ -303,19 +303,23 @@ def _probe_generators(module: VermaModule, probe_weight: int, probe_index: int, 
     ]
 
 
-def _annihilation_matrix(
+def _annihilation_rows(
     module: VermaModule, basis: List[PBWMonomial], probes
-) -> List[List[Fraction]]:
-    rows: Dict[Tuple[int, PBWMonomial], List[Fraction]] = {}
-    for col, mono in enumerate(basis):
-        for pi, probe in enumerate(probes):
-            img = module.act(probe, ModuleVector.of(mono))
-            for out_mono, coeff in img.items():
-                key = (pi, out_mono)
-                if key not in rows:
-                    rows[key] = [Fraction(0)] * len(basis)
-                rows[key][col] += coeff
-    return [rows[k] for k in sorted(rows, key=lambda k: (k[0], k[1].sort_key()))]
+) -> Iterator[Dict[int, Fraction]]:
+    """Sparse rows of the truncated positive action, probe by probe.
+
+    A row is one output word of one probe, keyed by basis column.  The
+    probes come in order and each probe's rows by output word, and a
+    probe acts on the basis only when its first row is pulled, so an
+    elimination that reaches full rank early never straightens the rest.
+    """
+    for probe in probes:
+        rows: Dict[PBWMonomial, Dict[int, Fraction]] = {}
+        for col, mono in enumerate(basis):
+            for out_mono, coeff in module.act(probe, ModuleVector.of(mono)).items():
+                rows.setdefault(out_mono, {})[col] = coeff
+        for out_mono in sorted(rows, key=PBWMonomial.sort_key):
+            yield rows[out_mono]
 
 
 def _sub_kernel(kernel: List[List[Fraction]], cols: List[int]) -> List[List[Fraction]]:
@@ -348,23 +352,35 @@ def singular_candidates(
     """Nullspace of the truncated positive action at weight ``mu``.
 
     Exact: a candidate is annihilated by every probed generator.  The
-    report also singles out a *generator*: the canonical candidate living
-    at the smallest index horizon that already admits one (for weight -1
-    this is the characteristic polynomial direction; the remaining
-    candidates are its index shifts).  The matrix is eliminated once: the
-    candidates at an index bound are the kernel vectors that vanish on
-    every basis word with a larger index, so the generator and its
-    ``generator_dim`` are read off the full kernel.  Every candidate is
-    re-verified by acting on it directly, an independent path through the
-    straightening engine.
+    matrix rows stream into the elimination probe by probe, as sparse
+    rows, and elimination stops once the rank equals the basis size.
+    That full-rank verdict (no candidates) is exact: the kernel is
+    already {0}, so the probes not yet acted on cannot change it.
+    The report also singles out a *generator*: the canonical candidate
+    living at the smallest index horizon that already admits one (for
+    weight -1 this is the characteristic polynomial direction; the
+    remaining candidates are its index shifts).  The matrix is
+    eliminated once: the candidates at an index bound are the kernel
+    vectors that vanish on every basis word with a larger index, so the
+    generator and its ``generator_dim`` are read off the full kernel.
+    Every candidate is re-verified by acting on it directly with every
+    probe, an independent path through the straightening engine.
+
+    The horizon must not be vacuous: ``max_index`` and ``probe_index``
+    are at least -1 and, over the integers, ``probe_weight`` at least 1.
     """
     g = module.group
+    if max_index < -1:
+        raise ValueError("max_index must be >= -1")
+    if probe_index < -1:
+        raise ValueError("probe_index must be >= -1")
+    if isinstance(g, IntegerGroup) and probe_weight < 1:
+        raise ValueError("probe_weight must be >= 1")
     if g.compare(mu, g.zero()) >= 0:
         raise ValueError("singular candidates live at strictly negative weights")
     basis = module.weight_basis(mu, max_index, parts=parts)
     probes = _probe_generators(module, probe_weight, probe_index, parts=parts)
-    matrix = _annihilation_matrix(module, basis, probes)
-    kernel = linalg.nullspace(matrix, len(basis))
+    kernel = linalg.nullspace(_annihilation_rows(module, basis, probes), len(basis))
     candidates = [
         ModuleVector({m: c for m, c in zip(basis, v) if c}) for v in kernel
     ]

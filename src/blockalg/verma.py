@@ -442,12 +442,6 @@ class VermaModule:
             out = out + self.act(sym, vec).scaled(coeff)
         return out
 
-    def act_word(self, word: Iterable[BasisSymbol], vec: ModuleVector) -> ModuleVector:
-        """Apply symbols right to left, as written in an operator product."""
-        for sym in reversed(list(word)):
-            vec = self.act(sym, vec)
-        return vec
-
     def _tick(self, budget):
         budget[0] -= 1
         if budget[0] < 0:

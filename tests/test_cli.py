@@ -143,6 +143,16 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "max_degree must be >= 0" in err
     code, _, err = run(capsys, "delta", "--weight", WEIGHT_B, "--max-degree", "-2")
     assert code == 2 and "max_order must be >= 0" in err
+    # a vacuous singular-search horizon has no probes or no basis
+    for argv, message in (
+        (["singular-search", "--mu", "-2", "--probe-b", "0"], "probe_weight must be >= 1"),
+        (["singular-search", "--mu", "-2", "--probe-k", "-3"], "probe_index must be >= -1"),
+        (["singular-search", "--max-t-index", "-3"], "max_index must be >= -1"),
+        (["theorem2", "--probe-b", "0"], "probe_weight must be >= 1"),
+        (["theorem2", "--probe-k", "-2"], "probe_index must be >= -1"),
+    ):
+        code, _, err = run(capsys, *argv, "--weight", WEIGHT_B)
+        assert code == 2 and message in err
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2

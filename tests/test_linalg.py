@@ -187,3 +187,38 @@ def test_shape_mismatches_are_rejected():
     ):
         with pytest.raises(ValueError):
             call()
+
+
+# -- lazily fed sparse rows ------------------------------------------------------
+
+
+def test_lazy_sparse_rows_match_dense_reference():
+    for m in _reference_cases():
+        cols = len(m[0])
+        rows = ({c: x for c, x in enumerate(r) if x} for r in m)
+        assert linalg.nullspace(rows, cols) == _dense_nullspace(m, cols)
+
+
+def test_lazy_rows_are_not_pulled_past_full_rank():
+    pulled = []
+
+    def rows():
+        for r in ({0: 1, 1: 2}, {0: 2, 1: 4}, {1: 3}, {0: 5}, {7: 1}):
+            pulled.append(r)
+            yield r
+
+    assert linalg.nullspace(rows(), 2) == []
+    assert len(pulled) == 3  # the third row completes the rank
+
+
+def test_lazy_int_entries_stay_exact():
+    # int / int would give a float in the pivot normalisation
+    (v,) = linalg.nullspace(iter([{0: 2, 1: 1}]), 2)
+    assert v == [Fraction(-1, 2), Fraction(1)]
+    assert all(type(x) is Fraction for x in v)
+
+
+def test_lazy_sparse_column_out_of_range_is_rejected():
+    for bad in ({2: Fraction(1)}, {-1: Fraction(1)}, {Fraction(1): Fraction(1)}):
+        with pytest.raises(ValueError):
+            linalg.nullspace(iter([{0: Fraction(1)}, bad]), 2)

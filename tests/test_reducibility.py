@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from blockalg.reducibility import (
     vector_of_polynomial,
     verify_singular,
 )
-from blockalg.verma import HighestWeight, VermaModule
+from blockalg.verma import HighestWeight, ModuleVector, VermaModule
 
 ALG = BlockAlgebra(INTEGERS)
 
@@ -350,6 +351,100 @@ def test_singular_candidates_at_weight_minus_two():
     assert img == Fraction(12) * m.vector([(1, 2)])
     rep = singular_candidates(m, -2, 0, 6, 2)
     assert rep.dimension == 0
+
+
+# -- streamed assembly against the dense reference -------------------------------
+# The assembly the streamed rows replaced, kept verbatim: every (probe, word)
+# pair is straightened and every row is a dense list before elimination.
+
+
+def _dense_annihilation_matrix(module, basis, probes):
+    rows = {}
+    for col, mono in enumerate(basis):
+        for pi, probe in enumerate(probes):
+            img = module.act(probe, ModuleVector.of(mono))
+            for out_mono, coeff in img.items():
+                key = (pi, out_mono)
+                if key not in rows:
+                    rows[key] = [Fraction(0)] * len(basis)
+                rows[key][col] += coeff
+    return [rows[k] for k in sorted(rows, key=lambda k: (k[0], k[1].sort_key()))]
+
+
+def _streamed_search_cases():
+    rng = random.Random(6)
+    for _ in range(2):
+        labels = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(30)]
+        hw = HighestWeight.explicit(labels, Fraction(rng.randint(1, 7), 2))
+        for mu, bound in ((-1, 2), (-2, 1), (-3, 1)):
+            yield module(hw), mu, bound, 6, 3, None
+    recurrent = [labels_from_charpoly(X + 1, 1), labels_from_charpoly(X * X + 1, 2, [Fraction(1, 2)])]
+    zero_labels = [HighestWeight.explicit([], Fraction(3)), HighestWeight.zero()]
+    for hw in recurrent + zero_labels:
+        for mu, bound in ((-1, 2), (-1, 3), (-2, 1)):
+            yield module(hw), mu, bound, 6, 3, None
+    catalog = [Fraction(1, 2), Fraction(1)]
+    yield module(HighestWeight.explicit(RANDOMISH, Fraction(2)), DYADIC), Fraction(-1), 1, 8, 2, catalog
+    yield module(recurrent[1], DYADIC), Fraction(-1, 2), 3, 8, 2, catalog
+
+
+def test_streamed_search_matches_dense_reference(monkeypatch):
+    full_rank = deficient = 0
+    for m, mu, bound, k, b, parts in _streamed_search_cases():
+        got = singular_candidates(m, mu, bound, k, b, parts=parts)
+        with monkeypatch.context() as patch:
+            patch.setattr(reducibility, "_annihilation_rows", _dense_annihilation_matrix)
+            ref = singular_candidates(m, mu, bound, k, b, parts=parts)
+        g = m.group
+        assert json.dumps(got.to_json(g)) == json.dumps(ref.to_json(g))
+        assert got.probes == ref.probes
+        full_rank += got.dimension == 0
+        deficient += got.dimension > 0
+    assert full_rank >= 5 and deficient >= 5
+
+
+def _count_acts(monkeypatch):
+    calls = []
+    real = VermaModule.act
+
+    def counting(self, sym, vec):
+        calls.append(sym)
+        return real(self, sym, vec)
+
+    monkeypatch.setattr(VermaModule, "act", counting)
+    return calls
+
+
+def test_full_rank_search_stops_straightening_early(monkeypatch):
+    m = module(HighestWeight.explicit(RANDOMISH, Fraction(2)))
+    basis = m.weight_basis(-3, 2)
+    calls = _count_acts(monkeypatch)
+    rep = singular_candidates(m, -3, 2, 10, 3)
+    assert rep.dimension == 0
+    assert len(calls) <= 5 * len(basis)
+    assert len(rep.probes) == 3 * 12  # the report still lists every probe
+
+
+def test_rank_deficient_search_acts_on_every_probe(monkeypatch):
+    m = module(labels_from_charpoly(X + 1, 1))
+    calls = _count_acts(monkeypatch)
+    rep = singular_candidates(m, -1, 3, 12, 3)
+    assert rep.dimension > 0
+    # assembly acts with every probe on every word, then re-verification
+    # acts with every probe on every candidate
+    assert len(calls) == len(rep.probes) * (len(rep.basis) + rep.dimension)
+    assert set(calls[: len(rep.probes) * len(rep.basis)]) == set(rep.probes)
+
+
+def test_vacuous_horizons_are_rejected():
+    m = module(labels_from_charpoly(X + 1, 1))
+    for bad in ((-1, -2, 12, 3), (-1, 3, -2, 3), (-2, 3, 12, 0)):
+        with pytest.raises(ValueError):
+            singular_candidates(m, *bad)
+    # the probe weight is read off the catalog outside the integers
+    d = module(HighestWeight.zero(), DYADIC)
+    rep = singular_candidates(d, Fraction(-1), 0, 2, 0, parts=[Fraction(1)])
+    assert rep.probes
 
 
 # -- certified verification ---------------------------------------------------------
