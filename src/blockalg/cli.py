@@ -4,9 +4,9 @@ Subcommands map one-to-one onto the engine operations; every run is
 deterministic for a fixed ``--seed`` (default 0).  Exit codes: 0 success,
 1 mathematical-verdict failure (a failing verification), 2 usage error
 (bad input, including a JSON float where an exact rational belongs),
-3 resource limit (the straightening step budget ran out, or a word is
-longer than the recursion limit allows; the input is too large for the
-engine, not wrong).
+3 resource limit (the straightening step budget ran out, which also
+caps the length of a word; the input is too large for the engine, not
+wrong).
 """
 
 from __future__ import annotations

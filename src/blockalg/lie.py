@@ -99,6 +99,13 @@ class SparseCombination:
     def zero(cls):
         return cls()
 
+    @classmethod
+    def _of_nonzero(cls, terms: dict):
+        """Wrap ``terms`` without a copy; every coefficient must be nonzero."""
+        res = cls.__new__(cls)
+        res._terms = terms
+        return res
+
     def items(self) -> List[Tuple[object, Coeff]]:
         key = self._sort_key
         return sorted(self._terms.items(), key=lambda kv: key(kv[0]))
@@ -132,10 +139,7 @@ class SparseCombination:
                 out[k] = s
             else:
                 del out[k]
-        cls = type(self)
-        res = cls.__new__(cls)
-        res._terms = out
-        return res
+        return self._of_nonzero(out)
 
     def __neg__(self):
         return self.scaled(-1)
@@ -144,12 +148,9 @@ class SparseCombination:
         return self + (-other)
 
     def scaled(self, scalar):
-        cls = type(self)
         if not scalar:
-            return cls()
-        res = cls.__new__(cls)
-        res._terms = {k: scalar * c for k, c in self._terms.items()}
-        return res
+            return type(self)()
+        return self._of_nonzero({k: scalar * c for k, c in self._terms.items()})
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)

@@ -10,31 +10,39 @@ equal parts.  The highest weight functional assigns a rational label to
 every weight-zero generator and a central charge to the central symbol;
 positive-weight generators annihilate ``v``.
 
-Straightening is a two-step recursion:
+Straightening runs one loop over an explicit LIFO work stack of two
+kinds of step:
 
 * a negative generator is inserted into a word by adjacent swaps
   ``A B = B A + [A, B]``; the commutator of two negative generators is a
   single negative generator on a shorter word, so insertion terminates
-  (parts only merge into larger parts);
-* a zero- or positive-weight generator commutes toward ``v``, spawning
-  commutator terms that are processed recursively by weight sign; at
-  ``v`` the positive part acts as zero and the zero modes act through
-  the labels.
+  (parts only merge into larger parts).  A factor the generator has
+  passed is carried as a prefix of the insertion, not re-inserted;
+* a zero- or positive-weight generator commutes toward ``v``, pushing
+  its commutator terms as new tasks by weight sign; at ``v`` the
+  positive part acts as zero and the zero modes act through the labels.
+  The words it leaves behind a factor are merged first, and only then is
+  that factor inserted into each of them again: a flush task, pushed
+  under the task that produces those words, runs once they are done.
 
 Termination is provable by induction on (word length, inversion count),
-but an explicit work counter still guards every top-level action so an
-implementation bug fails loudly instead of hanging.
+but a step budget still guards every top-level action so an
+implementation bug fails loudly instead of hanging.  Each insertion and
+each application spends one step.  No word is held on the interpreter's
+call stack, so the budget is the only cap on the length of a word.
 
-One recursion serves all three instances; :meth:`VermaModule.act` hands
-it the group-element arithmetic of the run.  Integer parts and lex-z2
-pairs are straightened as they are.  Dyadic parts are straightened as
-integer codes: ``act`` takes the largest denominator ``S`` among the
-symbol's weight and the parts of the input words, a power of two, and
-codes each part ``x`` as the ``int`` ``x*S``.  Every part the recursion
-reaches lies in ``S^-1 Z``, and ``S > 0`` keeps the order, so comparing,
-adding and hashing parts is plain ``int`` work; a structure constant is
-``n/S`` (an ``int`` when it divides).  The output words are decoded once
-per action, back to ``Fraction`` parts, integral ones included.
+Words inside the loop are plain tuples of ``(part, index)`` factors;
+:meth:`VermaModule.act` wraps each output word in a :class:`PBWMonomial`
+once.  The one loop serves all three instances; ``act`` hands it the
+group-element arithmetic of the run.  Integer parts and lex-z2 pairs
+are straightened as they are.  Dyadic parts are straightened as integer
+codes: ``act`` takes the largest denominator ``S`` among the symbol's
+weight and the parts of the input words, a power of two, and codes each
+part ``x`` as the ``int`` ``x*S``.  Every part the loop reaches lies in
+``S^-1 Z``, and ``S > 0`` keeps the order, so comparing, adding and
+hashing parts is plain ``int`` work; a structure constant is ``n/S`` (an
+``int`` when it divides).  The output words are decoded once per action,
+back to ``Fraction`` parts, integral ones included.
 
 Coefficients are exact and come in three representations that compare
 and hash alike: a Python ``int`` while the value is integral (the
@@ -82,8 +90,8 @@ class StraighteningLimitError(RuntimeError):
 class PBWMonomial:
     """Normal-ordered word applied to the highest weight vector.
 
-    Immutable, so its hash is computed once: straightening files every
-    word it produces in a dict, and a word is looked up many times.
+    Immutable, so its hash is computed once: module vectors file their
+    words in dicts, and a word is looked up many times.
     """
 
     factors: Tuple[Factor, ...] = ()
@@ -355,8 +363,8 @@ def _rational_list(spec: dict, key: str) -> list:
 class VermaModule:
     """Straightening engine for one algebra and one highest weight.
 
-    ``step_budget`` caps the recursive steps of one :meth:`act` call; each
-    insertion and each application of a generator is one step.  A
+    ``step_budget`` caps the work-stack steps of one :meth:`act` call;
+    each insertion and each application of a generator is one step.  A
     generator swapped past a factor goes to the front of every resulting
     word directly, without an insertion, so it spends no step there.
     """
@@ -392,12 +400,11 @@ class VermaModule:
     def act(self, sym: BasisSymbol, vec: ModuleVector) -> ModuleVector:
         """Exact action of a basis symbol, result in normal form.
 
-        A word too long for the interpreter's recursion limit raises
-        :class:`StraighteningLimitError`, like an exhausted step budget.
+        Raises :class:`StraighteningLimitError` when the step budget runs
+        out; the budget is the only cap on the length of a word.
         """
-        budget = [self.step_budget]
-        out: Dict[PBWMonomial, Coeff] = {}
         if isinstance(sym, Central):
+            out: Dict[PBWMonomial, Coeff] = {}
             cc = self.hw.central_charge
             for mono, c in vec._terms.items():
                 _accumulate(out, mono, cc * c)
@@ -408,7 +415,7 @@ class VermaModule:
         if isinstance(g, LexPairGroup):
             ar, scale = _LEX_PAIRS, None
         elif isinstance(g, DyadicGroup):
-            # every element the recursion reaches lies in (1/scale)Z
+            # every element the kernel reaches lies in (1/scale)Z
             scale = max(
                 [sym.alpha.denominator]
                 + [p.denominator for mono in terms for p, _ in mono.factors]
@@ -417,23 +424,19 @@ class VermaModule:
         else:
             ar, scale = _INT_PARTS, None
         alpha = sym.alpha if scale is None else _code(sym.alpha, scale)
-        try:
-            for mono, c in terms.items():
-                if type(c) is Fraction and c.denominator == 1:
-                    c = c.numerator  # integral: straighten in int arithmetic
-                factors = mono.factors
-                if scale is not None:
-                    factors = tuple((_code(p, scale), i) for p, i in factors)
-                self._apply(alpha, sym.index, factors, c, out, budget, ar)
-        except RecursionError:
-            longest = max(mono.length for mono in terms)
-            raise StraighteningLimitError(
-                f"a word of {longest} factors is too long to straighten "
-                "within the interpreter's recursion limit"
-            ) from None
+        words: Dict[Tuple[Factor, ...], Coeff] = {}
+        stack = []
+        for mono, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator  # integral: straighten in int arithmetic
+            factors = mono.factors
+            if scale is not None:
+                factors = tuple((_code(p, scale), i) for p, i in factors)
+            stack.append((_APPLY, alpha, sym.index, factors, c, words))
+        self._straighten(stack, ar)
         if scale is not None:
-            out = _decode(out, scale)
-        return ModuleVector(out)
+            return ModuleVector._of_nonzero(_decode(words, scale))
+        return ModuleVector._of_nonzero({PBWMonomial(w): c for w, c in words.items()})
 
     def act_element(self, elem: LieElement, vec: ModuleVector) -> ModuleVector:
         """Linear extension of :meth:`act` over a Lie element."""
@@ -442,58 +445,104 @@ class VermaModule:
             out = out + self.act(sym, vec).scaled(coeff)
         return out
 
-    def _tick(self, budget):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise StraighteningLimitError(
-                f"straightening exceeded the {self.step_budget}-step budget"
-            )
+    def _straighten(self, stack: list, ar) -> None:
+        """Run the work stack until it is empty; words are plain factor tuples.
 
-    def _insert(self, part, idx, factors, coeff, out, budget, ar):
-        """Multiply the word by L(-part, idx) on the left and normalize."""
-        self._tick(budget)
-        if not factors or (part, idx) <= factors[0]:
-            _accumulate(out, PBWMonomial(((part, idx),) + factors), coeff)
-            return
-        (p1, i1), rest = factors[0], factors[1:]
-        # L(-part) L(-p1) = L(-p1) L(-part) + [L(-part), L(-p1)]
-        swapped: Dict[PBWMonomial, Coeff] = {}
-        self._insert(part, idx, rest, coeff, swapped, budget, ar)
-        # Every factor of a swapped word is at least (p1, i1): the factors
-        # of rest are, (part, idx) > (p1, i1) on this branch, and a merged
-        # part part + p_k exceeds p_k >= p1 since part is positive.  So
-        # L(-p1, i1) is prepended as it stands, with no insertion.
-        head = ((p1, i1),)
-        for mono, c in swapped.items():
-            _accumulate(out, PBWMonomial(head + mono.factors), c)
-        merged = ar.const(i1 + 1, part, idx + 1, p1)
-        if merged:
-            self._insert(ar.add(part, p1), idx + i1, rest, merged * coeff, out, budget, ar)
+        A task is one of
 
-    def _apply(self, gamma, idx, factors, coeff, out, budget, ar):
-        """Act with L(gamma, idx), any weight sign, on a normal word."""
-        self._tick(budget)
-        zero = ar.zero
-        if gamma < zero:
-            self._insert(ar.neg(gamma), idx, factors, coeff, out, budget, ar)
-            return
-        if not factors:
-            if gamma == zero:
-                _accumulate(out, VACUUM, self.hw.label(idx + 1) * coeff)
-            return  # the positive part annihilates the highest weight vector
-        (p1, i1), rest = factors[0], factors[1:]
-        # L(gamma) L(-p1) = L(-p1) L(gamma) + [L(gamma), L(-p1)]
-        passed: Dict[PBWMonomial, Coeff] = {}
-        self._apply(gamma, idx, rest, coeff, passed, budget, ar)
-        for mono, c in passed.items():
-            self._insert(p1, i1, mono.factors, c, out, budget, ar)
-        bcoeff = ar.const(-(idx + 1), p1, i1 + 1, gamma)
-        if bcoeff:
-            self._apply(ar.sub(gamma, p1), idx + i1, rest, bcoeff * coeff, out, budget, ar)
-        if gamma == p1 and idx + i1 == -2:
-            cc = ar.scalar(gamma) * self.hw.central_charge
-            if cc:
-                _accumulate(out, PBWMonomial(rest), cc * coeff)
+        * ``(_APPLY, gamma, idx, factors, coeff)``: add ``coeff`` times
+          L(gamma, idx) applied to the normal word ``factors``;
+        * ``(_INSERT, head, part, idx, factors, coeff)``: add ``coeff``
+          times ``head`` followed by L(-part, idx) inserted into
+          ``factors``, where every factor of ``head`` sits at or before
+          every factor of the normalized insertion;
+        * ``(_FLUSH, passed, p1, i1)``: insert L(-p1, i1) into every word
+          of ``passed``,
+
+        each followed by the dict it adds into.  Every insertion and every
+        application spends one step.
+        """
+        budget = self.step_budget
+        zero, add, sub, neg, const = ar.zero, ar.add, ar.sub, ar.neg, ar.const
+        push, pop = stack.append, stack.pop
+        while stack:
+            task = pop()
+            kind = task[0]
+            if kind == _FLUSH:
+                _, passed, p1, i1, dest = task
+                for factors, coeff in passed.items():
+                    push((_INSERT, (), p1, i1, factors, coeff, dest))
+                continue
+            if kind == _APPLY:
+                _, gamma, idx, factors, coeff, dest = task
+                if gamma < zero:
+                    # one step for the application, checked with the first
+                    # step of the insertion it becomes
+                    budget -= 1
+                    head, part = (), neg(gamma)
+                else:
+                    while True:
+                        budget -= 1
+                        if budget < 0:
+                            raise self._exhausted()
+                        if not factors:
+                            if gamma == zero:
+                                _accumulate(dest, (), self.hw.label(idx + 1) * coeff)
+                            break  # the positive part annihilates the highest weight vector
+                        # L(gamma) L(-p1) = L(-p1) L(gamma) + [L(gamma), L(-p1)]:
+                        # the bracket terms go on the stack first, then the
+                        # flush that inserts L(-p1) into every word that
+                        # L(gamma) makes of the rest of the word.  That child
+                        # runs on in this loop and, by LIFO order, finishes
+                        # before its flush, so equal words merge before they
+                        # are re-inserted.
+                        (p1, i1), factors = factors[0], factors[1:]
+                        bcoeff = const(-(idx + 1), p1, i1 + 1, gamma)
+                        if bcoeff:
+                            push((_APPLY, sub(gamma, p1), idx + i1, factors, bcoeff * coeff, dest))
+                        if gamma == p1 and idx + i1 == -2:
+                            cc = ar.scalar(gamma) * self.hw.central_charge
+                            if cc:
+                                _accumulate(dest, factors, cc * coeff)
+                        passed: Dict[Tuple[Factor, ...], Coeff] = {}
+                        push((_FLUSH, passed, p1, i1, dest))
+                        dest = passed
+                    continue
+            else:
+                _, head, part, idx, factors, coeff, dest = task
+            while True:
+                budget -= 1
+                if budget < 0:
+                    raise self._exhausted()
+                if not factors or (part, idx) <= factors[0]:
+                    word = head + ((part, idx),) + factors
+                    prev = dest.get(word)  # _accumulate, inlined on the hot path
+                    if prev is None:
+                        dest[word] = coeff
+                    else:
+                        s = prev + coeff
+                        if s:
+                            dest[word] = s
+                        else:
+                            del dest[word]
+                    break
+                # L(-part) L(-p1) = L(-p1) L(-part) + [L(-part), L(-p1)].
+                # Every factor of a swapped word is at least (p1, i1): the
+                # factors after it are, (part, idx) > (p1, i1) on this
+                # branch, and a merged part part + p_k exceeds p_k >= p1
+                # since part is positive.  So L(-p1, i1) joins the head as it
+                # stands, and the insertion goes on into the rest.
+                first, factors = factors[0], factors[1:]
+                p1, i1 = first
+                merged = const(i1 + 1, part, idx + 1, p1)
+                if merged:
+                    push((_INSERT, head, add(part, p1), idx + i1, factors, merged * coeff, dest))
+                head += (first,)
+
+    def _exhausted(self) -> StraighteningLimitError:
+        return StraighteningLimitError(
+            f"straightening exceeded the {self.step_budget}-step budget"
+        )
 
     # -- weight space enumeration ----------------------------------------
 
@@ -511,8 +560,13 @@ class VermaModule:
         finite catalog of positive parts (a dense order admits infinitely
         many decompositions).  The lexicographic instance additionally
         needs ``max_parts``: positivity alone does not bound word length
-        there.
+        there.  The horizon must not be vacuous: ``max_index`` is at least
+        -1 and ``max_parts``, when given, at least 0.
         """
+        if max_index < -1:
+            raise ValueError("max_index must be >= -1")
+        if max_parts is not None and max_parts < 0:
+            raise ValueError("max_parts must be >= 0")
         g = self.group
         g.validate(mu)
         sign = g.compare(mu, g.zero())
@@ -605,7 +659,7 @@ class VermaModule:
         return by_weight
 
 
-def _accumulate(store: Dict[PBWMonomial, Coeff], mono: PBWMonomial, coeff: Coeff):
+def _accumulate(store: Dict, mono, coeff: Coeff):
     if not coeff:
         return
     prev = store.get(mono)
@@ -675,6 +729,7 @@ class _LexPairs:
         return Poly.of_exact([n * x[1] - m * y[1], n * x[0] - m * y[0]])
 
 
+_APPLY, _INSERT, _FLUSH = range(3)  # task kinds of VermaModule._straighten
 _INT_PARTS = _IntCodes(1)
 _LEX_PAIRS = _LexPairs()
 
@@ -683,13 +738,13 @@ def _code(x: Fraction, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
 
-def _decode(store: Dict[PBWMonomial, Coeff], scale: int) -> Dict[PBWMonomial, Coeff]:
-    """Words with coded parts back to ``Fraction`` parts, one ``Fraction`` per code."""
+def _decode(store: Dict[Tuple[Factor, ...], Coeff], scale: int) -> Dict[PBWMonomial, Coeff]:
+    """Coded words as ``PBWMonomial``s on ``Fraction`` parts, one ``Fraction`` per code."""
     parts: Dict[int, Fraction] = {}
     out = {}
-    for mono, c in store.items():
+    for word, c in store.items():
         factors = []
-        for p, i in mono.factors:
+        for p, i in word:
             x = parts.get(p)
             if x is None:
                 x = parts[p] = Fraction(p, scale)

@@ -223,11 +223,12 @@ def test_text_and_json_verdicts_agree(capsys, argv):
         assert want in text
 
 
-def test_step_budget_exhaustion_exits_with_resource_limit(capsys, monkeypatch):
-    class TinyBudget(cli.VermaModule):
-        def __init__(self, algebra, weight):
-            super().__init__(algebra, weight, step_budget=3)
+class TinyBudget(cli.VermaModule):
+    def __init__(self, algebra, weight):
+        super().__init__(algebra, weight, step_budget=3)
 
+
+def test_step_budget_exhaustion_exits_with_resource_limit(capsys, monkeypatch):
     monkeypatch.setattr(cli, "VermaModule", TinyBudget)
     code, out, err = run(
         capsys, "act", "L(2,1)", "L(-1,0)*L(-1,1)*L(-2,0)*v", "--weight", WEIGHT_B
@@ -237,13 +238,33 @@ def test_step_budget_exhaustion_exits_with_resource_limit(capsys, monkeypatch):
     assert err.startswith("error: ") and "budget" in err
 
 
-def test_long_word_exits_with_resource_limit(capsys):
-    word = "*".join(["L(-1,-1)"] * 1200) + "*v"
-    code, out, err = run(capsys, "act", "L(1,-1)", word, "--weight", WEIGHT_B)
+LONG_WORD = "*".join(["L(-1,-1)"] * 1200) + "*v"
+
+
+def test_long_word_straightens(capsys):
+    # [L(1,-1), L(-1,-1)] = c and cc = 1: each of the 1200 factors gives cc
+    code, out, err = run(capsys, "act", "L(1,-1)", LONG_WORD, "--weight", WEIGHT_B)
+    assert code == 0 and err == ""
+    assert out.strip() == "1200*" + "*".join(["L(-1,-1)"] * 1199) + "*v"
+
+
+def test_long_word_exits_with_resource_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "VermaModule", TinyBudget)
+    code, out, err = run(capsys, "act", "L(1,-1)", LONG_WORD, "--weight", WEIGHT_B)
     assert code == cli.RESOURCE_LIMIT == 3
     assert out == ""
-    assert err.startswith("error: ") and "1200 factors" in err
+    assert err.startswith("error: ") and "3-step budget" in err
     assert "Traceback" not in err
+
+
+def test_vacuous_weight_basis_horizon_is_a_usage_error(capsys):
+    for argv, message in (
+        (["--max-t-index", "-3"], "max_index must be >= -1"),
+        (["--max-t-index", "0", "--max-parts", "-1"], "max_parts must be >= 0"),
+    ):
+        code, out, err = run(capsys, "weight-basis", "-2", *argv)
+        assert code == cli.USAGE_ERROR == 2
+        assert out == "" and message in err
 
 
 def test_float_in_weight_json_is_a_usage_error(capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,11 @@ from blockalg.verma import (
     RecurrentLabels,
     StraighteningLimitError,
     VermaModule,
+    _INT_PARTS,
+    _LEX_PAIRS,
+    _IntCodes,
+    _accumulate,
+    _code,
 )
 
 ALG = BlockAlgebra(INTEGERS)
@@ -205,12 +211,158 @@ def test_step_budget_guard():
         m.act(Generator(2, 1), m.vector([(1, 0), (1, 1), (2, 0)]))
 
 
+def test_long_word_straightens_past_the_recursion_limit():
+    # the work stack holds no word on the interpreter's call stack, so a
+    # word far longer than the recursion limit straightens; [L(1,-1),
+    # L(-1,-1)] = c, so L(1,-1) L(-1,-1)^n v = n cc L(-1,-1)^(n-1) v
+    m = module(HighestWeight.explicit([2, Fraction(-1, 3)], Fraction(3, 2)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        out = m.act(Generator(1, -1), m.vector([(1, -1)] * 1200))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == Fraction(1800) * m.vector([(1, -1)] * 1199)
+
+
 def test_long_word_is_a_straightening_limit():
-    # straightening recurses once per factor; a word beyond the interpreter's
-    # recursion limit is refused as a resource limit, not a RecursionError
-    m = module()
-    with pytest.raises(StraighteningLimitError, match="1200 factors"):
+    # the step budget is the only cap on word length: that action takes
+    # 2400 steps
+    m = VermaModule(ALG, HW, step_budget=2399)
+    with pytest.raises(StraighteningLimitError, match="2399-step budget"):
         m.act(Generator(1, -1), m.vector([(1, -1)] * 1200))
+
+
+_EXPLICIT = HighestWeight.explicit(
+    [Fraction(1, 3), 2, Fraction(-5, 4), 1, 0, 2, Fraction(7, 9)], Fraction(7, 2)
+)
+
+# (group, weight, symbol, word, steps): each action spends exactly its
+# step count; positive, negative and zero weights, and a central term
+_STEP_PINS = [
+    (INTEGERS, HW, (3, 2), [(1, -1), (1, 0), (1, 0), (2, 1), (3, -1)], 121),
+    (INTEGERS, HW, (-1, 1), [(1, -1), (1, 0), (2, -1), (2, 1), (3, 0)], 35),
+    (INTEGERS, HW, (1, -1), [(1, -1), (1, -1), (1, -1), (2, 0)], 12),  # central term
+    (DYADIC, _EXPLICIT, (Fraction(0), 2),
+     [(Fraction(1, 4), 0), (Fraction(1, 2), 1), (Fraction(3, 4), -1), (Fraction(1), 2)], 23),
+    (DYADIC, _EXPLICIT, (Fraction(-3, 4), 0),
+     [(Fraction(1, 8), 1), (Fraction(1, 4), 2), (Fraction(1, 2), 0), (Fraction(3, 2), 1)], 20),
+    (LEX_Z2, _EXPLICIT, ((1, -2), 0), [((0, 1), -1), ((0, 2), 1), ((1, -3), 0), ((1, -1), 2)], 58),
+    (LEX_Z2, _EXPLICIT, ((-1, 1), 0), [((0, 1), 0), ((0, 2), -1), ((1, -3), 1), ((1, 2), 0)], 24),
+]
+
+
+@pytest.mark.parametrize("group, hw, sym, word, steps", _STEP_PINS)
+def test_step_count_is_pinned(group, hw, sym, word, steps):
+    exact = VermaModule(BlockAlgebra(group), hw, step_budget=steps)
+    exact.act(Generator(*sym), exact.vector(word))
+    short = VermaModule(BlockAlgebra(group), hw, step_budget=steps - 1)
+    with pytest.raises(StraighteningLimitError):
+        short.act(Generator(*sym), short.vector(word))
+
+
+# -- reference: the recursive straightening the work stack replaced -----------
+
+
+def _reference_act(m, sym, vec):
+    """``VermaModule.act`` as a two-step recursion on ``PBWMonomial`` words."""
+    out = {}
+    if sym is CENTRAL:
+        for mono, c in vec.items():
+            _accumulate(out, mono, m.hw.central_charge * c)
+        return ModuleVector(out)
+    terms = dict(vec.items())
+    scale = None
+    if m.group is LEX_Z2:
+        ar = _LEX_PAIRS
+    elif m.group is DYADIC:
+        scale = max(
+            [sym.alpha.denominator] + [p.denominator for mono in terms for p, _ in mono.factors]
+        )
+        ar = _IntCodes(scale)
+    else:
+        ar = _INT_PARTS
+    alpha = sym.alpha if scale is None else _code(sym.alpha, scale)
+    for mono, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
+        factors = mono.factors
+        if scale is not None:
+            factors = tuple((_code(p, scale), i) for p, i in factors)
+        _ref_apply(m, alpha, sym.index, factors, c, out, ar)
+    if scale is not None:
+        out = {
+            PBWMonomial(tuple((Fraction(p, scale), i) for p, i in mono.factors)): c
+            for mono, c in out.items()
+        }
+    return ModuleVector(out)
+
+
+def _ref_insert(m, part, idx, factors, coeff, out, ar):
+    if not factors or (part, idx) <= factors[0]:
+        _accumulate(out, PBWMonomial(((part, idx),) + factors), coeff)
+        return
+    (p1, i1), rest = factors[0], factors[1:]
+    swapped = {}
+    _ref_insert(m, part, idx, rest, coeff, swapped, ar)
+    for mono, c in swapped.items():
+        _accumulate(out, PBWMonomial(((p1, i1),) + mono.factors), c)
+    merged = ar.const(i1 + 1, part, idx + 1, p1)
+    if merged:
+        _ref_insert(m, ar.add(part, p1), idx + i1, rest, merged * coeff, out, ar)
+
+
+def _ref_apply(m, gamma, idx, factors, coeff, out, ar):
+    if gamma < ar.zero:
+        _ref_insert(m, ar.neg(gamma), idx, factors, coeff, out, ar)
+        return
+    if not factors:
+        if gamma == ar.zero:
+            _accumulate(out, PBWMonomial(()), m.hw.label(idx + 1) * coeff)
+        return
+    (p1, i1), rest = factors[0], factors[1:]
+    passed = {}
+    _ref_apply(m, gamma, idx, rest, coeff, passed, ar)
+    for mono, c in passed.items():
+        _ref_insert(m, p1, i1, mono.factors, c, out, ar)
+    bcoeff = ar.const(-(idx + 1), p1, i1 + 1, gamma)
+    if bcoeff:
+        _ref_apply(m, ar.sub(gamma, p1), idx + i1, rest, bcoeff * coeff, out, ar)
+    if gamma == p1 and idx + i1 == -2:
+        cc = ar.scalar(gamma) * m.hw.central_charge
+        if cc:
+            _accumulate(out, PBWMonomial(rest), cc * coeff)
+
+
+def _random_coeff(rng, group):
+    kind = rng.randrange(3 if group is LEX_Z2 else 2)
+    if kind == 0:
+        return rng.choice([-3, -1, 1, 2, 5])
+    if kind == 1:
+        return _rat(rng) or Fraction(1, 2)
+    return Poly([_rat(rng), _rat(rng)]) or Poly([1])
+
+
+def test_act_matches_the_recursive_reference():
+    rng = random.Random(11)
+    for trial in range(240):
+        group = (INTEGERS, DYADIC, LEX_Z2)[trial % 3]
+        m = module(_EXPLICIT, group)
+        if rng.random() < 0.1:
+            sym = CENTRAL
+        else:
+            sym = Generator(group.random_element(rng, 3), rng.randint(-1, 4))
+        words = {
+            PBWMonomial(tuple(sorted(
+                (group.random_positive(rng, 3), rng.randint(-1, 4))
+                for _ in range(rng.randint(0, 4))
+            )))
+            for _ in range(rng.randint(1, 3))
+        }
+        vec = ModuleVector({w: _random_coeff(rng, group) for w in words})
+        got, want = m.act(sym, vec), _reference_act(m, sym, vec)
+        assert got == want
+        assert got.to_json(group) == want.to_json(group)
 
 
 def _rat(rng, bound=9):
@@ -365,6 +517,19 @@ def test_weight_basis_examples():
     assert m.weight_basis(0, 5) == [PBWMonomial(())]
     with pytest.raises(ValueError):
         m.weight_basis(1, 2)
+
+
+def test_weight_basis_rejects_vacuous_horizon():
+    m = module()
+    with pytest.raises(ValueError, match="max_index must be >= -1"):
+        m.weight_basis(-2, -3)
+    with pytest.raises(ValueError, match="max_parts must be >= 0"):
+        m.weight_basis(-2, 0, max_parts=-1)
+    with pytest.raises(ValueError, match="max_index must be >= -1"):
+        m.weight_basis(0, -2)  # refused at weight zero too
+    assert m.weight_basis(-1, -1) == [PBWMonomial(((1, -1),))]
+    assert m.weight_basis(0, 0, max_parts=0) == [PBWMonomial(())]
+    assert module(group=LEX_Z2).weight_basis((0, -1), 0, parts=[(0, 1)], max_parts=0) == []
 
 
 def test_weight_basis_catalog_modes():
