@@ -1,21 +1,27 @@
 """Exact linear algebra over the rationals.
 
 One streaming elimination routine, ``_echelon``, does all the work: rows
-arrive one at a time, are stored sparsely as ``{column: Fraction}`` dicts
-and are reduced against the pivot rows kept so far.  Each new pivot is
+arrive one at a time, are scaled to primitive integer vectors stored
+sparsely as ``{column: int}`` dicts, and are reduced against the pivot
+rows kept so far without ever forming a fraction (integer-preserving
+elimination, after Bareiss, Math. Comp. 22, 1968).  Each new pivot is
 substituted back into the earlier pivot rows as it arrives, so the pivot
-rows are always in reduced-echelon form.  That keeps every pivot row
-supported on its pivot and the free columns, which makes reducing a row
-that turns out to be dependent (most rows of an annihilation matrix) cheap.
-At most ``ncols`` pivot rows exist; the routine stops at full rank, and
-for a linear system at the first row that reduces to ``0 = b`` with
-``b != 0``.
+rows are always the reduced-echelon form scaled to integers.  That keeps
+every pivot row supported on its pivot and the free columns, which makes
+reducing a row that turns out to be dependent (most rows of an
+annihilation matrix) cheap.  At most ``ncols`` pivot rows exist; the
+routine stops at full rank, and for a linear system at the first row
+that reduces to ``0 = b`` with ``b != 0``.  The pivot rows are divided
+by their pivots once, at the end, so every result comes back exact, as
+``Fraction`` entries.
 
 ``rref``, ``nullspace``, ``solve`` and ``rank`` only read its result.  The
 reduced-echelon form of a row space is unique, so nullspace bases and
 particular solutions come out in the canonical form the reports promise,
 whatever order the rows arrive in.
 
+Matrix entries are ``int`` or ``Fraction``; anything else (a float, a
+string, a bool) is refused with ``ValueError`` rather than converted.
 Dense matrices (a sequence of equal-length rows) are validated in full
 before elimination starts.  ``nullspace`` also takes an iterator of
 sparse rows, which it pulls one at a time and validates as each arrives;
@@ -26,14 +32,43 @@ verdict is exact: no later row can shrink a kernel that is already {0}.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+Rational = Union[int, Fraction]
 Row = List[Fraction]
 SparseRow = Dict[int, Fraction]
+IntRow = Dict[int, int]
 
 
-def _subtract(r: SparseRow, f: Fraction, q: SparseRow, skip: int) -> None:
+def _check_entries(values: Iterable[Rational]) -> None:
+    """``ValueError`` unless every entry is an ``int`` or a ``Fraction``."""
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise ValueError(f"matrix entry {x!r} is not an int or a Fraction")
+
+
+def _dense(rows: Sequence[Sequence[Rational]], ncols: int) -> Iterable[Dict[int, Rational]]:
+    """Sparse copies of dense rows, every row checked before the first one."""
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"row of length {len(row)} in a matrix with {ncols} columns")
+        _check_entries(row)
+    return ({c: x for c, x in enumerate(row) if x} for row in rows)
+
+
+def _sparse(rows: Iterable[Dict[int, Rational]], ncols: int) -> Iterable[Dict[int, Rational]]:
+    """Lazily pulled sparse rows, each checked as it arrives."""
+    for row in rows:
+        for c in row:
+            if not isinstance(c, int) or not 0 <= c < ncols:
+                raise ValueError(f"column {c!r} in a matrix with {ncols} columns")
+        _check_entries(row.values())
+        yield {c: x for c, x in row.items() if x}
+
+
+def _subtract(r: IntRow, f: int, q: IntRow, skip: int) -> None:
     """r -= f * q in place, over every column of q except ``skip``."""
     for k, y in q.items():
         if k != skip:
@@ -44,63 +79,73 @@ def _subtract(r: SparseRow, f: Fraction, q: SparseRow, skip: int) -> None:
                 del r[k]
 
 
-def _dense(rows: Sequence[Sequence[Fraction]], ncols: int) -> Iterable[SparseRow]:
-    """Sparse copies of dense rows, every row checked before the first one."""
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError(f"row of length {len(row)} in a matrix with {ncols} columns")
-    return ({c: Fraction(x) for c, x in enumerate(row) if x} for row in rows)
-
-
-def _sparse(rows: Iterable[SparseRow], ncols: int) -> Iterable[SparseRow]:
-    """Lazily pulled sparse rows, each checked as it arrives."""
-    for row in rows:
-        for c in row:
-            if not isinstance(c, int) or not 0 <= c < ncols:
-                raise ValueError(f"column {c!r} in a matrix with {ncols} columns")
-        yield {c: Fraction(x) for c, x in row.items() if x}
+def _primitive(r: IntRow, p: int) -> IntRow:
+    """``r`` divided by the gcd of its entries, signed so that ``r[p] > 0``."""
+    g = math.gcd(*r.values())
+    if r[p] < 0:
+        g = -g
+    return r if g == 1 else {k: v // g for k, v in r.items()}
 
 
 def _echelon(
-    rows: Iterable[SparseRow],
+    rows: Iterable[Dict[int, Rational]],
     ncols: int,
-    rhs: Optional[Sequence[Fraction]] = None,
+    rhs: Optional[Sequence[Rational]] = None,
 ) -> Optional[Dict[int, SparseRow]]:
     """Reduced pivot rows of ``rows``, keyed by pivot column.
 
     Each pivot row has a 1 at its pivot and zeros at every other pivot
-    column.  No row is pulled once the pivots reach full rank.  With
-    ``rhs`` the rows are augmented by it as column ``ncols``, and None is
-    returned as soon as that column would become a pivot, i.e. when the
-    system is inconsistent.
+    column, with ``Fraction`` entries.  While eliminating, a pivot row is
+    kept as a primitive integer vector, positive at its pivot, that
+    vanishes at every other pivot column.  An incoming row is scaled by
+    the lcm of its denominators; it is reduced in one step against all
+    the pivot rows it meets, ``r <- m*r - sum f_c*q_c`` with the smallest
+    positive integer ``m`` that keeps every ``f_c`` integral, and divided
+    by the gcd of its entries.  A new pivot row is substituted back into
+    each earlier one the same way.  No row is pulled once the pivots
+    reach full rank.  With ``rhs`` the rows are augmented by it as column
+    ``ncols``, and None is returned as soon as that column would become a
+    pivot, i.e. when the system is inconsistent.
     """
     width = ncols if rhs is None else ncols + 1
-    pivots: Dict[int, SparseRow] = {}
+    pivots: Dict[int, IntRow] = {}
     if width == 0:
-        return pivots
-    for i, r in enumerate(rows):
+        return {}
+    for i, row in enumerate(rows):
         if rhs is not None and rhs[i]:
-            r[ncols] = Fraction(rhs[i])
+            row[ncols] = rhs[i]
+        den = math.lcm(*[x.denominator for x in row.values()])
+        r = {k: x.numerator * (den // x.denominator) for k, x in row.items()}
         # pivot rows vanish on each other's pivots, so subtracting one
         # never brings back an entry at another pivot column
-        for c in [c for c in r if c in pivots]:
-            _subtract(r, r.pop(c), pivots[c], c)
+        hit = [(c, r.pop(c), pivots[c]) for c in [c for c in r if c in pivots]]
+        m = math.lcm(*[q[c] // math.gcd(q[c], f) for c, f, q in hit])
+        if m != 1:
+            r = {k: m * v for k, v in r.items()}
+        for c, f, q in hit:
+            _subtract(r, f * m // q[c], q, c)
         if not r:
             continue
         p = min(r)
         if p == ncols:
             return None
-        lead = r[p]
-        if lead != 1:
-            r = {k: v / lead for k, v in r.items()}
-        for q in pivots.values():
+        r = _primitive(r, p)
+        d = r[p]
+        for c, q in pivots.items():
             f = q.pop(p, None)
             if f is not None:
-                _subtract(q, f, r, p)
+                g = math.gcd(d, f)
+                if d != g:
+                    for k in q:
+                        q[k] *= d // g
+                _subtract(q, f // g, r, p)
+                pivots[c] = _primitive(q, c)
         pivots[p] = r
         if len(pivots) == width:
             break
-    return pivots
+    return {
+        p: {k: Fraction(v, q[p]) for k, v in q.items()} for p, q in pivots.items()
+    }
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[Row], List[int]]:
@@ -159,6 +204,7 @@ def solve(
     """
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
+    _check_entries(rhs)
     if not rows:
         return []
     ncols = len(rows[0])

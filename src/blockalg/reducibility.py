@@ -100,14 +100,14 @@ def _label_conditions(
         (n+m) * label(n+m-1) - [m = n = 0] * cc,
 
     i.e. the shadow s_(n+m) with the central charge taken off at the
-    corner.  Every label detector reads this one system.
+    corner.  Every label detector reads this one system.  It is a Hankel
+    matrix, so each shadow is computed once and every row is a slice of
+    that one list.
     """
-    rows = []
-    for m in range(first, last + 1):
-        row = [hw.shadow(n + m) for n in range(ncols)]
-        if m == 0 and row:
-            row[0] -= hw.central_charge
-        rows.append(row)
+    shadows = [hw.shadow(k) for k in range(first, last + ncols)]
+    rows = [shadows[i : i + ncols] for i in range(last - first + 1)]
+    if first == 0 and rows and rows[0]:
+        rows[0][0] -= hw.central_charge
     return rows
 
 

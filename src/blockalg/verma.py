@@ -86,7 +86,7 @@ class StraighteningLimitError(RuntimeError):
     """The straightening work counter was exhausted (step budget)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PBWMonomial:
     """Normal-ordered word applied to the highest weight vector.
 

@@ -140,6 +140,27 @@ def _low_rank_matrix(rng, rows, cols, rank):
     ]
 
 
+def _big_matrix(rng, rows, cols, rank):
+    """Integer combinations of ``rank`` random rows whose entries are 0,
+    ints near 10^30, or such numerators over products of two distinct
+    primes above 10^12; the result mixes ints and Fractions."""
+    primes = [sympy.nextprime(10**12 + 10**6 * k) for k in range(5)]
+
+    def entry():
+        kind = rng.randrange(3)
+        num = rng.randint(-(10**30), 10**30)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return num
+        p, q = rng.sample(primes, 2)
+        return Fraction(num, p * q)
+
+    base = [[entry() for _ in range(cols)] for _ in range(rank)]
+    mix = [[rng.randint(-3, 3) for _ in base] for _ in range(rows)]
+    return [[sum(a * b[j] for a, b in zip(coeffs, base)) for j in range(cols)] for coeffs in mix]
+
+
 def _reference_cases():
     rng = random.Random(2)
     for _ in range(40):
@@ -148,8 +169,16 @@ def _reference_cases():
         yield _sparse_matrix(rng, rows, cols)
         cols = rng.randint(2, 10)
         yield _low_rank_matrix(rng, rng.randint(cols, 4 * cols), cols, rng.randint(0, cols - 1))
+    for _ in range(6):
+        cols = rng.randint(2, 6)
+        yield _big_matrix(rng, cols, cols, cols)  # full rank
+        yield _big_matrix(rng, rng.randint(cols, 3 * cols), cols, rng.randint(1, cols - 1))
     yield [[Fraction(0)] * 3] * 4
     yield [[Fraction(0)]]
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
 
 
 def test_matches_dense_reference():
@@ -157,14 +186,17 @@ def test_matches_dense_reference():
     inconsistent = 0
     for m in _reference_cases():
         cols = len(m[0])
-        assert linalg.rref(m) == _dense_rref(m)
-        assert linalg.nullspace(m, cols) == _dense_nullspace(m, cols)
+        reduced = linalg.rref(m)
+        assert reduced == _dense_rref(m) and _all_fractions(reduced[0])
+        kernel = linalg.nullspace(m, cols)
+        assert kernel == _dense_nullspace(m, cols) and _all_fractions(kernel)
         assert linalg.rank(m) == len(_dense_rref(m)[1])
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
         consistent = [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in m]
         noisy = [b + rng.randint(-1, 1) for b in consistent]
         ref = _dense_solve(m, consistent)
-        assert ref is not None and linalg.solve(m, consistent) == ref
+        sol = linalg.solve(m, consistent)
+        assert ref is not None and sol == ref and _all_fractions([sol])
         ref = _dense_solve(m, noisy)
         assert linalg.solve(m, noisy) == ref
         inconsistent += ref is None
@@ -189,6 +221,21 @@ def test_shape_mismatches_are_rejected():
             call()
 
 
+def test_non_rational_entries_are_rejected():
+    # a float or a string would otherwise be converted by Fraction(x):
+    # 0.1 and 0.3 are not in ratio 1:3 in binary, so the rank would read 2
+    for call in (
+        lambda: linalg.rank([[0.1, 0.3], [1, 3]]),
+        lambda: linalg.nullspace([["1/2", "1"]], 2),
+        lambda: linalg.rref([[Fraction(1), None], [True, 2]]),
+        lambda: linalg.solve([[1, 2]], [0.5]),
+        lambda: linalg.nullspace(iter([{0: 1}, {1: 2.0}]), 2),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    assert linalg.rank([[Fraction(1, 10), Fraction(3, 10)], [1, 3]]) == 1
+
+
 # -- lazily fed sparse rows ------------------------------------------------------
 
 
@@ -196,7 +243,8 @@ def test_lazy_sparse_rows_match_dense_reference():
     for m in _reference_cases():
         cols = len(m[0])
         rows = ({c: x for c, x in enumerate(r) if x} for r in m)
-        assert linalg.nullspace(rows, cols) == _dense_nullspace(m, cols)
+        kernel = linalg.nullspace(rows, cols)
+        assert kernel == _dense_nullspace(m, cols) and _all_fractions(kernel)
 
 
 def test_lazy_rows_are_not_pulled_past_full_rank():
