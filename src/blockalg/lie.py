@@ -145,7 +145,18 @@ class SparseCombination:
         return self.scaled(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            prev = out.get(k)
+            if prev is None:
+                out[k] = -c
+                continue
+            s = prev - c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return self._of_nonzero(out)
 
     def scaled(self, scalar):
         if not scalar:

@@ -114,7 +114,9 @@ class Poly:
         return hash(cs[0]) if cs else 0
 
     def __add__(self, other):
-        if isinstance(other, Poly):
+        # the exact type test first: isinstance against the numeric
+        # classes goes through the ABC machinery
+        if type(other) is Poly:
             b = other.coeffs
         elif isinstance(other, (int, Fraction)):
             b = (_rat(other),)
@@ -133,17 +135,29 @@ class Poly:
         return Poly.of_exact([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else Poly((-_rat(other),)))
+        if type(other) is Poly:
+            b = other.coeffs
+        elif isinstance(other, (int, Fraction)):
+            b = (_rat(other),)
+        else:
+            return NotImplemented
+        a = self.coeffs
+        cs = [x - y for x, y in zip(a, b)]
+        if len(a) >= len(b):
+            cs.extend(a[len(b):])
+        else:
+            cs.extend(-y for y in b[len(a):])
+        return Poly.of_exact(cs)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # scalar on the left: a Fraction scalar then takes the fast
-            # forward path against the (mostly int) coefficients
-            return Poly.of_exact([other * c for c in self.coeffs])
-        if not isinstance(other, Poly):
+        if type(other) is not Poly:
+            if isinstance(other, (int, Fraction)):
+                # scalar on the left: a Fraction scalar then takes the fast
+                # forward path against the (mostly int) coefficients
+                return Poly.of_exact([other * c for c in self.coeffs])
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:

@@ -34,30 +34,46 @@ call stack, so the budget is the only cap on the length of a word.
 Words inside the loop are plain tuples of ``(part, index)`` factors;
 :meth:`VermaModule.act` wraps each output word in a :class:`PBWMonomial`
 once.  The one loop serves all three instances; ``act`` hands it the
-group-element arithmetic of the run.  Integer parts and lex-z2 pairs
-are straightened as they are.  Dyadic parts are straightened as integer
-codes: ``act`` takes the largest denominator ``S`` among the symbol's
-weight and the parts of the input words, a power of two, and codes each
-part ``x`` as the ``int`` ``x*S``.  Every part the loop reaches lies in
-``S^-1 Z``, and ``S > 0`` keeps the order, so comparing, adding and
-hashing parts is plain ``int`` work; a structure constant is ``n/S`` (an
-``int`` when it divides).  The output words are decoded once per action,
-back to ``Fraction`` parts, integral ones included.
+group-element arithmetic of the run.  Lex-z2 pairs are straightened as
+they are.  Integer and dyadic parts share one integer kernel, because
+the dyadic algebra is the integer one rescaled: for a scale ``S`` that
+clears every denominator, ``L(a,i) -> L(S*a,i)/S`` and ``c -> c/S`` map
+it into the integer algebra, and the module of weight ``(cc, labels)``
+goes to the integer module of weight ``(S*cc, S*labels)``, a word of
+length ``k`` to ``S^-k`` times its image.  So a dyadic part ``x`` runs
+as the ``int`` code ``x*S`` (``S > 0`` keeps the order), every structure
+constant is an ``int``, and the weight data enters scaled: the label
+term as ``label*S`` and the central term as ``code*(S*cc)``.  An output
+word of length ``n`` then carries ``S^(n - len_in - 1)``.  ``act`` clears
+that in one step, together with the common denominator ``D`` of its
+input coefficients: an input of length ``len_in`` enters as the ``int``
+``c*D*S^(top - len_in)``, ``top`` the longest input word, and each output
+coefficient is multiplied by ``1/(D*S^(top + 1 - n))``, the one
+``Fraction`` operation per output term.  Integer runs have ``S = 1``.
+
+A dyadic module keeps one code table for its whole life: its scale ``S``
+(the ``lcm`` of every denominator it has met), each word's code and each
+code's word, decoded to ``Fraction`` parts, integral ones included.  So
+a word is decoded and hashed once per module, and equal words from two
+actions are the same object.  A finer denominator brings a new table
+rather than rewriting the old one, so an action that holds the old table
+keeps one consistent scale.
 
 Coefficients are exact and come in three representations that compare
 and hash alike: a Python ``int`` while the value is integral (the
-integer structure constants, and an integral input coefficient, which
-:meth:`VermaModule.act` passes down as an ``int``); a ``Fraction`` once
-a label, the central charge, a dyadic part or a fractional input enters;
-and a ``Poly`` in the formal unit ``w`` over the lex-z2 instance.  A
-product is written with the ``Fraction`` or ``Poly`` operand on the left,
-so it takes the operand's own method rather than the slower reflected
-one.  The JSON form ``"p/q"`` is the same for ``3`` and ``Fraction(3)``.
+integer structure constants, and an input coefficient, which
+:meth:`VermaModule.act` clears of denominators); a ``Fraction`` once a
+label, the central charge or the final rescaling enters; and a ``Poly``
+in the formal unit ``w`` over the lex-z2 instance.  A product is written
+with the ``Fraction`` or ``Poly`` operand on the left, so it takes the
+operand's own method rather than the slower reflected one.  The JSON
+form ``"p/q"`` is the same for ``3`` and ``Fraction(3)``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -367,6 +383,11 @@ class VermaModule:
     each insertion and each application of a generator is one step.  A
     generator swapped past a factor goes to the front of every resulting
     word directly, without an insertion, so it spends no step there.
+
+    Over the dyadic instance the module holds the code table of its words
+    (see the module docstring).  The table lives and dies with the module:
+    it grows with every new word an action meets and is freed only with
+    the module, so a long-lived module keeps each word it has seen.
     """
 
     def __init__(self, algebra: BlockAlgebra, weight: HighestWeight, step_budget: int = 5_000_000):
@@ -374,6 +395,7 @@ class VermaModule:
         self.group = algebra.group
         self.hw = weight
         self.step_budget = step_budget
+        self._codes = _DyadicCodes(1)
 
     # -- construction and validation ------------------------------------
 
@@ -412,31 +434,54 @@ class VermaModule:
         g = self.group
         g.validate(sym.alpha)
         terms = vec._terms
-        if isinstance(g, LexPairGroup):
-            ar, scale = _LEX_PAIRS, None
-        elif isinstance(g, DyadicGroup):
-            # every element the kernel reaches lies in (1/scale)Z
-            scale = max(
-                [sym.alpha.denominator]
-                + [p.denominator for mono in terms for p, _ in mono.factors]
-            )
-            ar = _IntCodes(scale)
-        else:
-            ar, scale = _INT_PARTS, None
-        alpha = sym.alpha if scale is None else _code(sym.alpha, scale)
+        if not terms:
+            return ModuleVector()
         words: Dict[Tuple[Factor, ...], Coeff] = {}
         stack = []
+        if isinstance(g, LexPairGroup):
+            for mono, c in terms.items():
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator  # integral: straighten in int arithmetic
+                stack.append((_APPLY, sym.alpha, sym.index, mono.factors, c, words))
+            self._straighten(stack, _LEX_PAIRS, 1)
+            return ModuleVector._of_nonzero({_word(w): c for w, c in words.items()})
+        # Integer and dyadic words run on the integer kernel, a dyadic word
+        # coded at the scale of the module's table.  An input coefficient
+        # enters as an int: times the common denominator ``den`` and times
+        # scale**(top - length), which the output rescaling takes off again.
+        if isinstance(g, DyadicGroup):
+            table = self._dyadic_codes(sym.alpha, terms)
+            scale, alpha = table.scale, table.code(sym.alpha)
+            encode, decode = table.encode, table.decode
+        else:
+            scale, alpha, encode, decode = 1, sym.alpha, None, _word
+        top, den = 0, 1
         for mono, c in terms.items():
-            if type(c) is Fraction and c.denominator == 1:
-                c = c.numerator  # integral: straighten in int arithmetic
-            factors = mono.factors
-            if scale is not None:
-                factors = tuple((_code(p, scale), i) for p, i in factors)
+            if len(mono.factors) > top:
+                top = len(mono.factors)
+            if type(c) is not int:
+                den = math.lcm(den, c.denominator)
+        for mono, c in terms.items():
+            c = c.numerator * (den // c.denominator) * scale ** (top - len(mono.factors))
+            factors = mono.factors if encode is None else encode(mono)
             stack.append((_APPLY, alpha, sym.index, factors, c, words))
-        self._straighten(stack, ar)
-        if scale is not None:
-            return ModuleVector._of_nonzero(_decode(words, scale))
-        return ModuleVector._of_nonzero({PBWMonomial(w): c for w, c in words.items()})
+        self._straighten(stack, _INT_PARTS, scale)
+        if den == 1 and scale == 1:
+            return ModuleVector._of_nonzero({decode(w): c for w, c in words.items()})
+        # a word of length n carries den * scale**(top + 1 - n) too much;
+        # den or scale exceeds 1 here, so that is 1 only where den is 1
+        # and n is top + 1
+        inverse = [None] * (top + 2)
+        out = {}
+        for w, c in words.items():
+            n = len(w)
+            if n <= top or den != 1:
+                f = inverse[n]
+                if f is None:
+                    f = inverse[n] = Fraction(1, den * scale ** (top + 1 - n))
+                c = f * c
+            out[decode(w)] = c
+        return ModuleVector._of_nonzero(out)
 
     def act_element(self, elem: LieElement, vec: ModuleVector) -> ModuleVector:
         """Linear extension of :meth:`act` over a Lie element."""
@@ -445,7 +490,7 @@ class VermaModule:
             out = out + self.act(sym, vec).scaled(coeff)
         return out
 
-    def _straighten(self, stack: list, ar) -> None:
+    def _straighten(self, stack: list, ar, scale: int) -> None:
         """Run the work stack until it is empty; words are plain factor tuples.
 
         A task is one of
@@ -460,10 +505,20 @@ class VermaModule:
           of ``passed``,
 
         each followed by the dict it adds into.  Every insertion and every
-        application spends one step.
+        application spends one step.  Parts are coded at ``scale``, so the
+        weight data enters scaled: a label as ``label*scale``, the central
+        charge as ``scale*cc``.
         """
         budget = self.step_budget
         zero, add, sub, neg, const = ar.zero, ar.add, ar.sub, ar.neg, ar.const
+        label, cc = self.hw.label, self.hw.central_charge
+        if scale != 1:
+            cc *= scale
+            hw_label = label
+
+            def label(i):
+                return hw_label(i) * scale
+
         push, pop = stack.append, stack.pop
         while stack:
             task = pop()
@@ -487,7 +542,7 @@ class VermaModule:
                             raise self._exhausted()
                         if not factors:
                             if gamma == zero:
-                                _accumulate(dest, (), self.hw.label(idx + 1) * coeff)
+                                _accumulate(dest, (), label(idx + 1) * coeff)
                             break  # the positive part annihilates the highest weight vector
                         # L(gamma) L(-p1) = L(-p1) L(gamma) + [L(gamma), L(-p1)]:
                         # the bracket terms go on the stack first, then the
@@ -501,9 +556,9 @@ class VermaModule:
                         if bcoeff:
                             push((_APPLY, sub(gamma, p1), idx + i1, factors, bcoeff * coeff, dest))
                         if gamma == p1 and idx + i1 == -2:
-                            cc = ar.scalar(gamma) * self.hw.central_charge
-                            if cc:
-                                _accumulate(dest, factors, cc * coeff)
+                            central = ar.scalar(gamma) * cc
+                            if central:
+                                _accumulate(dest, factors, central * coeff)
                         passed: Dict[Tuple[Factor, ...], Coeff] = {}
                         push((_FLUSH, passed, p1, i1, dest))
                         dest = passed
@@ -538,6 +593,19 @@ class VermaModule:
                 if merged:
                     push((_INSERT, head, add(part, p1), idx + i1, factors, merged * coeff, dest))
                 head += (first,)
+
+    def _dyadic_codes(self, alpha: Fraction, terms: Dict[PBWMonomial, Coeff]) -> _DyadicCodes:
+        """The code table, replaced by a finer one if ``alpha`` or a new word needs it."""
+        table = self._codes
+        codes = table.codes
+        scale = math.lcm(
+            table.scale,
+            alpha.denominator,
+            *[p.denominator for mono in terms if mono not in codes for p, _ in mono.factors],
+        )
+        if scale != table.scale:
+            table = self._codes = _DyadicCodes(scale)
+        return table
 
     def _exhausted(self) -> StraighteningLimitError:
         return StraighteningLimitError(
@@ -676,29 +744,23 @@ def _accumulate(store: Dict, mono, coeff: Coeff):
 # -- element arithmetic of one straightening run ---------------------------
 
 
-class _IntCodes:
-    """Parts as ints: integer elements as they are, dyadic ones coded ``x*scale``.
+class _IntParts:
+    """Integer parts, and dyadic parts coded as ints; a scalar image is the int itself."""
 
-    ``scale`` is positive, so coding keeps the order; a scalar image is
-    ``code/scale``, an ``int`` when it divides.
-    """
-
-    __slots__ = ("scale",)
+    __slots__ = ()
     zero = 0
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     neg = staticmethod(operator.neg)
 
-    def __init__(self, scale: int):
-        self.scale = scale
+    @staticmethod
+    def scalar(x):
+        return x
 
-    def scalar(self, x):
-        s = self.scale
-        return x // s if x % s == 0 else Fraction(x, s)
-
-    def const(self, n, x, m, y):
+    @staticmethod
+    def const(n, x, m, y):
         """Scalar image of ``n*x - m*y``."""
-        return self.scalar(n * x - m * y)
+        return n * x - m * y
 
 
 class _LexPairs:
@@ -730,24 +792,51 @@ class _LexPairs:
 
 
 _APPLY, _INSERT, _FLUSH = range(3)  # task kinds of VermaModule._straighten
-_INT_PARTS = _IntCodes(1)
+_INT_PARTS = _IntParts()
 _LEX_PAIRS = _LexPairs()
 
 
-def _code(x: Fraction, scale: int) -> int:
-    return x.numerator * (scale // x.denominator)
+def _word(factors: Tuple[Factor, ...]) -> PBWMonomial:
+    return PBWMonomial(factors) if factors else VACUUM
 
 
-def _decode(store: Dict[Tuple[Factor, ...], Coeff], scale: int) -> Dict[PBWMonomial, Coeff]:
-    """Coded words as ``PBWMonomial``s on ``Fraction`` parts, one ``Fraction`` per code."""
-    parts: Dict[int, Fraction] = {}
-    out = {}
-    for word, c in store.items():
-        factors = []
-        for p, i in word:
-            x = parts.get(p)
-            if x is None:
-                x = parts[p] = Fraction(p, scale)
-            factors.append((x, i))
-        out[PBWMonomial(tuple(factors))] = c
-    return out
+class _DyadicCodes:
+    """A dyadic module's words coded at one scale, decoded once per module.
+
+    ``scale`` is a positive multiple of every denominator the table has
+    coded, so ``x -> x*scale`` maps those parts to ints and keeps their
+    order.  ``codes`` maps a word to its coded factor tuple, ``words`` a
+    coded tuple back to its one ``PBWMonomial`` on ``Fraction`` parts, and
+    ``parts`` a code to its ``Fraction``.  A finer denominator needs a new
+    table; this one is never cleared or rescaled.
+    """
+
+    __slots__ = ("scale", "codes", "words", "parts")
+
+    def __init__(self, scale: int):
+        self.scale = scale
+        self.codes: Dict[PBWMonomial, Tuple[Factor, ...]] = {}
+        self.words: Dict[Tuple[Factor, ...], PBWMonomial] = {}
+        self.parts: Dict[int, Fraction] = {}
+
+    def code(self, x: Fraction) -> int:
+        return x.numerator * (self.scale // x.denominator)
+
+    def encode(self, mono: PBWMonomial) -> Tuple[Factor, ...]:
+        coded = self.codes.get(mono)
+        if coded is None:
+            coded = self.codes[mono] = tuple((self.code(p), i) for p, i in mono.factors)
+        return coded
+
+    def decode(self, word: Tuple[Factor, ...]) -> PBWMonomial:
+        mono = self.words.get(word)
+        if mono is None:
+            parts, factors = self.parts, []
+            for p, i in word:
+                x = parts.get(p)
+                if x is None:
+                    x = parts[p] = Fraction(p, self.scale)
+                factors.append((x, i))
+            mono = self.words[word] = _word(tuple(factors))
+            self.codes[mono] = word
+        return mono

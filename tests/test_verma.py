@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -16,11 +17,8 @@ from blockalg.verma import (
     RecurrentLabels,
     StraighteningLimitError,
     VermaModule,
-    _INT_PARTS,
     _LEX_PAIRS,
-    _IntCodes,
     _accumulate,
-    _code,
 )
 
 ALG = BlockAlgebra(INTEGERS)
@@ -264,8 +262,43 @@ def test_step_count_is_pinned(group, hw, sym, word, steps):
 # -- reference: the recursive straightening the work stack replaced -----------
 
 
+class _IntCodes:
+    """Parts as ints: integer elements as they are, dyadic ones coded ``x*scale``.
+
+    ``scale`` is positive, so coding keeps the order; a scalar image is
+    ``code/scale``, an ``int`` when it divides.
+    """
+
+    __slots__ = ("scale",)
+    zero = 0
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def scalar(self, x):
+        s = self.scale
+        return x // s if x % s == 0 else Fraction(x, s)
+
+    def const(self, n, x, m, y):
+        """Scalar image of ``n*x - m*y``."""
+        return self.scalar(n * x - m * y)
+
+
+def _code(x: Fraction, scale: int) -> int:
+    return x.numerator * (scale // x.denominator)
+
+
 def _reference_act(m, sym, vec):
-    """``VermaModule.act`` as a two-step recursion on ``PBWMonomial`` words."""
+    """``VermaModule.act`` as a two-step recursion on ``PBWMonomial`` words.
+
+    Dyadic parts are coded per action at the largest denominator in
+    sight, and every structure constant is the ``Fraction`` ``n/scale``:
+    no code table and no integer rescaling of the weight, so the engine's
+    module-wide scale and common denominator are checked against it.
+    """
     out = {}
     if sym is CENTRAL:
         for mono, c in vec.items():
@@ -281,7 +314,7 @@ def _reference_act(m, sym, vec):
         )
         ar = _IntCodes(scale)
     else:
-        ar = _INT_PARTS
+        ar = _IntCodes(1)
     alpha = sym.alpha if scale is None else _code(sym.alpha, scale)
     for mono, c in terms.items():
         if type(c) is Fraction and c.denominator == 1:
@@ -401,6 +434,66 @@ def test_coded_dyadic_action_matches_rescaled_integer_module():
         )
         assert got == want
         assert all(type(p) is Fraction for mono in got.monomials() for p, _ in mono.factors)
+
+
+def test_dyadic_central_term_enters_scaled():
+    # [L(a,-1), L(-a,-1)] = a*c, so L(a,-1) L(-a,-1)^n v = n*a*cc L(-a,-1)^(n-1) v:
+    # on the coded kernel the central charge enters scaled with the parts
+    m = module(_EXPLICIT, DYADIC)
+    for a in (Fraction(3, 4), Fraction(5, 8), Fraction(2)):
+        for n in (1, 2, 4):
+            got = m.act(Generator(a, -1), m.vector([(a, -1)] * n))
+            assert got == (n * a * _EXPLICIT.central_charge) * m.vector([(a, -1)] * (n - 1))
+
+
+def test_dyadic_actions_share_their_decoded_words():
+    # the module's code table decodes a word once: equal words from two
+    # actions are one object, so combining the results compares no parts
+    m = module(_EXPLICIT, DYADIC)
+    vec = m.vector([(Fraction(1, 4), 0), (Fraction(1, 2), 1)])
+    a = m.act(Generator(Fraction(1, 4), 1), vec)
+    b = m.act(Generator(Fraction(1, 4), 1), vec)
+    assert a == b and a.monomials()
+    assert all(x is y for x, y in zip(a.monomials(), b.monomials()))
+    c = m.act(Generator(Fraction(0), 2), m.act(Generator(Fraction(1, 4), 0), vec))
+    seen = {w: w for w in a.monomials()}
+    assert any(w in seen for w in c.monomials())
+    assert all(seen[w] is w for w in c.monomials() if w in seen)
+
+
+def test_finer_denominator_replaces_the_code_table():
+    # acting at denominators <= 2 and then at 8 rescales the module's
+    # codes; every action still equals a fresh module's and the reference,
+    # on a word the coarse table decoded too
+    rng = random.Random(13)
+    m = module(_EXPLICIT, DYADIC)
+    base = m.vector([(Fraction(1, 2), -1), (Fraction(1), 1)])
+    vecs = [base, m.act(Generator(Fraction(-1, 2), 0), base)]
+    coarse = [
+        Generator(Fraction(rng.randint(-4, 4), rng.choice([1, 2])), rng.randint(-1, 2))
+        for _ in range(8)
+    ]
+    fine = [Generator(Fraction(-3, 8), 1), Generator(Fraction(5, 8), 0)]
+    for sym in coarse[:4] + fine + coarse[4:]:
+        for vec in vecs:
+            got = m.act(sym, vec)
+            assert got == module(_EXPLICIT, DYADIC).act(sym, vec) == _reference_act(m, sym, vec)
+    assert m._codes.scale == 8
+
+
+def test_vector_made_in_one_module_acts_in_another():
+    # each module codes words in its own table: a vector decoded by one
+    # module, at a finer scale than the other's table, acts in the other
+    first, second = module(HW, DYADIC), module(_EXPLICIT, DYADIC)
+    second.act(Generator(Fraction(1, 2), 0), second.vector([(Fraction(1, 2), 1)]))
+    vec = first.act(
+        Generator(Fraction(-1, 8), 1), first.vector([(Fraction(3, 8), 0), (Fraction(1, 2), 2)])
+    )
+    for sym in (Generator(Fraction(1, 2), 0), Generator(Fraction(-1, 4), 1), CENTRAL):
+        got = second.act(sym, vec)
+        assert got == _reference_act(second, sym, vec)
+        fresh = ModuleVector.from_json(vec.to_json(DYADIC), DYADIC)
+        assert got == module(_EXPLICIT, DYADIC).act(sym, fresh)
 
 
 # -- JSON round trip of module vectors -------------------------------------------
