@@ -7,6 +7,10 @@ deterministic for a fixed ``--seed`` (default 0).  Exit codes: 0 success,
 3 resource limit (the straightening step budget ran out, which also
 caps the length of a word; the input is too large for the engine, not
 wrong).
+
+``step3-check`` without ``--eps`` samples random dyadic instances, so
+that random mode needs ``--group dyadic`` (the default) and a positive
+``--count``; the explicit mode (``--eps`` and ``--part``) takes any group.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .exprparse import ParseError, parse_element, parse_group_element, parse_vector
-from .groups import GROUPS, GroupError, get_group
+from .groups import DYADIC, GROUPS, GroupError, get_group
 from .lie import BlockAlgebra
 from .polynomial import format_rational
 from .reducibility import (
@@ -29,7 +32,7 @@ from .reducibility import (
     singular_candidates,
     sweep_check,
 )
-from .verify import CHECKS, VerifyConfig, run_suite
+from .verify import CHECKS, VerifyConfig, _random_weight, run_suite, sweep_instance
 from .verma import HighestWeight, StraighteningLimitError, VermaModule
 
 VERDICT_FAILURE = 1
@@ -60,6 +63,13 @@ def _load_weight(spec: str) -> HighestWeight:
     else:
         data = json.loads(spec)
     return HighestWeight.from_json(data)
+
+
+def _parts(args, group):
+    """The ``--parts`` catalog, or None when it is not given."""
+    if not args.parts:
+        return None
+    return [parse_group_element(s, group) for s in args.parts.split(";")]
 
 
 def _emit(args, text: str, data) -> None:
@@ -101,11 +111,8 @@ def cmd_weight_basis(args) -> int:
     group = get_group(args.group)
     module = VermaModule(BlockAlgebra(group), HighestWeight.zero())
     mu = parse_group_element(args.mu, group)
-    parts = None
-    if args.parts:
-        parts = [parse_group_element(s, group) for s in args.parts.split(";")]
     basis = module.weight_basis(
-        mu, args.max_t_index, parts=parts, max_parts=args.max_parts
+        mu, args.max_t_index, parts=_parts(args, group), max_parts=args.max_parts
     )
     text = "\n".join(str(m) for m in basis) or "(empty)"
     _emit(
@@ -126,11 +133,13 @@ def cmd_singular_search(args) -> int:
     group = get_group(args.group)
     module = VermaModule(BlockAlgebra(group), _load_weight(args.weight))
     mu = parse_group_element(args.mu, group)
-    parts = None
-    if args.parts:
-        parts = [parse_group_element(s, group) for s in args.parts.split(";")]
     rep = singular_candidates(
-        module, mu, args.max_t_index, args.probe_k, args.probe_b, parts=parts
+        module,
+        mu,
+        args.max_t_index,
+        args.probe_k,
+        args.probe_b,
+        parts=_parts(args, group),
     )
     lines = [
         f"weight {args.mu}: {rep.dimension} candidate(s) within horizon "
@@ -200,11 +209,16 @@ def cmd_classify_order(args) -> int:
 
 def cmd_step3_check(args) -> int:
     group = get_group(args.group)
+    if args.eps is None:
+        if group is not DYADIC:
+            raise GroupError(
+                "random mode samples dyadic parts: use --group dyadic, or --eps and --part"
+            )
+        if args.count < 1:
+            raise ValueError("--count must be >= 1")
     import random
 
     rng = random.Random(args.seed)
-    from .verify import _random_weight
-
     module = VermaModule(BlockAlgebra(group), _random_weight(rng))
     results = []
     if args.eps is not None:
@@ -217,23 +231,11 @@ def cmd_step3_check(args) -> int:
             raise GroupError("explicit mode needs at least one --part")
         results.append(sweep_check(module, eps, parts, args.probe_j))
     else:
-        done = 0
-        while done < args.count:
-            r = rng.randint(1, args.max_r)
-            pool = sorted(
-                {
-                    Fraction(rng.randint(1, 48), 2 ** rng.randint(0, 3))
-                    for _ in range(r + 3)
-                }
-            )
-            if len(pool) < r + 1 or not all(group.contains(p) for p in pool):
-                continue
-            eps, chain = pool[0], pool[1 : r + 1]
-            parts = [(p, rng.randint(-1, args.max_k)) for p in chain]
+        for _ in range(args.count):
+            eps, parts = sweep_instance(rng, args.max_r, args.max_k)
             results.append(
                 sweep_check(module, eps, parts, rng.randint(-1, args.max_k))
             )
-            done += 1
     ok = all(r.passed for r in results)
     text = (
         f"{len(results)} sweep determinant check(s): "

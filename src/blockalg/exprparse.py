@@ -4,7 +4,7 @@ Elements:  ``L(a,i)`` for generators, ``c`` for the central symbol,
 rational scalars attached with ``*``, terms joined with ``+``/``-``;
 over the integers the realization form ``x^a*(t^2+1)`` (and bare ``x``,
 ``t`` powers) is accepted and converted through the basis dictionary.
-Group elements read as decimal integers, dyadics ``p/q`` or ``p/2^k``,
+Group elements read as integers ``3``, dyadics ``p/q`` or ``p/2^k``,
 lexicographic pairs ``(a,b)``.
 
 Vectors:   words ``L(-a1,i1)*...*L(-ak,ik)*v`` with optional rational
@@ -12,6 +12,12 @@ scalars, joined with ``+``/``-``; factors must be normal-ordered.
 
 Parsing is whitespace-insensitive and round-trips with the canonical
 printers.  Errors carry the offending position.
+
+This module is the one reader of a group element written as text,
+whether it comes from the command line or from a JSON string
+(:func:`lie.element_from_json` calls :func:`parse_group_element`), so a
+decimal such as ``0.5`` or a digit separator such as ``1_000`` is
+refused everywhere.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import List, Optional, Tuple
 
 from .groups import GroupError, IntegerGroup, LexPairGroup, OrderedGroup
 from .lie import CENTRAL, BlockAlgebra, Generator, LieElement, PolyForm
-from .polynomial import Poly
+from .polynomial import Poly, x_power
 from .verma import ModuleVector, PBWMonomial
 
 
@@ -88,37 +94,43 @@ class _Tokens:
         return t[2] if t else len(self.text)
 
 
-def _integer(tk: _Tokens) -> int:
-    sign = 1
-    while True:
-        if tk.accept("op", "-"):
-            sign = -sign
-        elif tk.accept("op", "+"):
-            pass
-        else:
-            break
+def _digits(tk: _Tokens, what: str) -> Tuple[int, int]:
+    """The next token, which must be an unsigned integer, and its position."""
     t = tk.next()
     if t[0] != "int":
-        raise ParseError("expected an integer", tk.text, t[2])
-    return sign * int(t[1])
+        raise ParseError(f"expected {what}", tk.text, t[2])
+    return int(t[1]), t[2]
+
+
+def _power(tk: _Tokens) -> int:
+    """An optional exponent ``^n``; 1 when there is none."""
+    return _digits(tk, "an exponent")[0] if tk.accept("op", "^") else 1
+
+
+def _sign(tk: _Tokens) -> Optional[int]:
+    if tk.accept("op", "+"):
+        return 1
+    if tk.accept("op", "-"):
+        return -1
+    return None
+
+
+def _integer(tk: _Tokens) -> int:
+    sign = 1
+    while (s := _sign(tk)) is not None:
+        sign *= s
+    return sign * _digits(tk, "an integer")[0]
 
 
 def _rational(tk: _Tokens) -> Fraction:
     num = _integer(tk)
-    if tk.accept("op", "/"):
-        t = tk.next()
-        if t[0] != "int":
-            raise ParseError("expected a denominator", tk.text, t[2])
-        den = int(t[1])
-        if tk.accept("op", "^"):
-            e = tk.next()
-            if e[0] != "int":
-                raise ParseError("expected an exponent", tk.text, e[2])
-            den = den ** int(e[1])
-        if den == 0:
-            raise ParseError("zero denominator", tk.text, t[2])
-        return Fraction(num, den)
-    return Fraction(num)
+    if not tk.accept("op", "/"):
+        return Fraction(num)
+    den, pos = _digits(tk, "a denominator")
+    den **= _power(tk)
+    if den == 0:
+        raise ParseError("zero denominator", tk.text, pos)
+    return Fraction(num, den)
 
 
 def _group_element(tk: _Tokens, group: OrderedGroup):
@@ -142,12 +154,51 @@ def _group_element(tk: _Tokens, group: OrderedGroup):
     return q
 
 
-def parse_group_element(text: str, group: OrderedGroup):
+def _whole(text: str, read):
+    """``read(tokens)`` over all of ``text``; empty or trailing input is an error."""
     tk = _Tokens(text)
-    x = _group_element(tk, group)
+    if not tk.toks:
+        raise ParseError("empty input", text, 0)
+    out = read(tk)
     if not tk.done():
         raise ParseError("trailing input", text, tk.pos())
-    return x
+    return out
+
+
+def _signed_sum(tk: _Tokens, term):
+    """An optional leading sign, then terms joined by ``+``/``-``.
+
+    ``term(tk, sign)`` reads one term and multiplies it by its sign.
+    """
+    out = term(tk, _sign(tk) or 1)
+    while True:
+        sign = _sign(tk)
+        if sign is None:
+            return out
+        out = out + term(tk, sign)
+
+
+def _combination(text: str, term, zero):
+    """An element or vector: all of ``text`` as a signed sum of ``term``.
+
+    The canonical printers render the zero element or vector as ``"0"``.
+    """
+
+    def read(tk: _Tokens):
+        if [t[:2] for t in tk.toks] == [("int", "0")]:
+            tk.next()
+            return zero
+        out = _signed_sum(tk, term)
+        if not tk.done():
+            raise ParseError("expected '+' or '-'", text, tk.pos())
+        return out
+
+    return _whole(text, read)
+
+
+def parse_group_element(text: str, group: OrderedGroup):
+    """Parse one element of ``group``: ``3``, ``3/4`` or ``5/2^3``, ``(1,-5)``."""
+    return _whole(text, lambda tk: _group_element(tk, group))
 
 
 def _generator(tk: _Tokens, group: OrderedGroup) -> Generator:
@@ -162,20 +213,11 @@ def _generator(tk: _Tokens, group: OrderedGroup) -> Generator:
     return Generator(alpha, index)
 
 
-def _t_power(tk: _Tokens) -> int:
-    if tk.accept("op", "^"):
-        t = tk.next()
-        if t[0] != "int":
-            raise ParseError("expected an exponent", tk.text, t[2])
-        return int(t[1])
-    return 1
-
-
 def _poly(tk: _Tokens, var: str = "t") -> Poly:
     """Sum of rational multiples of ``var`` powers, inside parentheses or bare."""
 
-    def tterm() -> Poly:
-        coeff = Fraction(1)
+    def term(tk: _Tokens, sign: int) -> Poly:
+        coeff = Fraction(sign)
         poly = None
         while True:
             t = tk.peek()
@@ -183,7 +225,7 @@ def _poly(tk: _Tokens, var: str = "t") -> Poly:
                 coeff *= _rational(tk)
             elif t and t[0] == "name" and t[1] == var:
                 tk.next()
-                p = Poly((0,) * _t_power(tk) + (1,))
+                p = x_power(_power(tk))
                 poly = p if poly is None else poly * p
             else:
                 raise ParseError(f"expected a {var}-term", tk.text, tk.pos())
@@ -191,20 +233,7 @@ def _poly(tk: _Tokens, var: str = "t") -> Poly:
                 break
         return (poly if poly is not None else Poly((1,))) * coeff
 
-    total = Poly()
-    sign = 1
-    if tk.accept("op", "-"):
-        sign = -1
-    elif tk.accept("op", "+"):
-        pass
-    total = total + sign * tterm()
-    while True:
-        if tk.accept("op", "+"):
-            total = total + tterm()
-        elif tk.accept("op", "-"):
-            total = total - tterm()
-        else:
-            return total
+    return _signed_sum(tk, term)
 
 
 def parse_poly(text: str, var: str = "t") -> Poly:
@@ -212,31 +241,18 @@ def parse_poly(text: str, var: str = "t") -> Poly:
 
     Reads the Q[w] coefficients of the lex-z2 instance (``var="w"``).
     """
-    tk = _Tokens(text)
-    if not tk.toks:
-        raise ParseError("empty input", text, 0)
-    p = _poly(tk, var)
-    if not tk.done():
-        raise ParseError("trailing input", text, tk.pos())
-    return p
+    return _whole(text, lambda tk: _poly(tk, var))
 
 
 def parse_element(text: str, group: OrderedGroup) -> LieElement:
     """Parse the element grammar; exact, whitespace-insensitive."""
     algebra = BlockAlgebra(group)
-    tk = _Tokens(text)
-    if not tk.toks:
-        raise ParseError("empty input", text, 0)
-    # the canonical printer renders the zero element as "0"
-    if len(tk.toks) == 1 and tk.toks[0][:2] == ("int", "0"):
-        return LieElement.zero()
 
-    def term(sign: int) -> LieElement:
+    def term(tk: _Tokens, sign: int) -> LieElement:
         coeff = Fraction(sign)
-        symbol = None  # Generator | CENTRAL | PolyForm parts
-        x_alpha = None
+        symbol = None  # Generator | CENTRAL
+        x_alpha = None  # the x,t form
         tpoly = None
-        saw_symbol = False
         while True:
             t = tk.peek()
             if t is None:
@@ -244,18 +260,11 @@ def parse_element(text: str, group: OrderedGroup) -> LieElement:
             kind, val, pos = t
             if kind == "int":
                 coeff *= _rational(tk)
-            elif kind == "name" and val == "L":
+            elif kind == "name" and val in ("L", "c"):
                 tk.next()
-                if saw_symbol:
+                if symbol is not None:
                     raise ParseError("more than one basis symbol in a term", tk.text, pos)
-                symbol = _generator(tk, group)
-                saw_symbol = True
-            elif kind == "name" and val == "c":
-                tk.next()
-                if saw_symbol:
-                    raise ParseError("more than one basis symbol in a term", tk.text, pos)
-                symbol = CENTRAL
-                saw_symbol = True
+                symbol = _generator(tk, group) if val == "L" else CENTRAL
             elif kind == "name" and val == "x":
                 tk.next()
                 if x_alpha is not None:
@@ -266,7 +275,7 @@ def parse_element(text: str, group: OrderedGroup) -> LieElement:
                     x_alpha = 1
             elif kind == "name" and val == "t":
                 tk.next()
-                p = Poly((0,) * _t_power(tk) + (1,))
+                p = x_power(_power(tk))
                 tpoly = p if tpoly is None else tpoly * p
             elif kind == "op" and val == "(":
                 tk.next()
@@ -277,9 +286,9 @@ def parse_element(text: str, group: OrderedGroup) -> LieElement:
                 break
             if not tk.accept("op", "*"):
                 break
-        if saw_symbol and (x_alpha is not None or tpoly is not None):
+        if symbol is not None and (x_alpha is not None or tpoly is not None):
             raise ParseError("cannot mix L/c with the x,t form", tk.text, tk.pos())
-        if saw_symbol:
+        if symbol is not None:
             return LieElement.term(symbol, coeff)
         if x_alpha is not None or tpoly is not None:
             if not isinstance(group, IntegerGroup):
@@ -291,31 +300,13 @@ def parse_element(text: str, group: OrderedGroup) -> LieElement:
             return algebra.from_poly(PolyForm(alpha, poly * coeff))
         raise ParseError("a term needs a basis symbol", tk.text, tk.pos())
 
-    sign = 1
-    if tk.accept("op", "-"):
-        sign = -1
-    elif tk.accept("op", "+"):
-        pass
-    out = term(sign)
-    while not tk.done():
-        if tk.accept("op", "+"):
-            out = out + term(1)
-        elif tk.accept("op", "-"):
-            out = out + term(-1)
-        else:
-            raise ParseError("expected '+' or '-'", tk.text, tk.pos())
-    return out
+    return _combination(text, term, LieElement.zero())
 
 
 def parse_vector(text: str, group: OrderedGroup) -> ModuleVector:
     """Parse the module vector grammar (normal-ordered words on ``v``)."""
-    tk = _Tokens(text)
-    if not tk.toks:
-        raise ParseError("empty input", text, 0)
-    if len(tk.toks) == 1 and tk.toks[0][:2] == ("int", "0"):
-        return ModuleVector.zero()
 
-    def vterm(sign: int) -> ModuleVector:
+    def term(tk: _Tokens, sign: int) -> ModuleVector:
         coeff = Fraction(sign)
         factors = []
         closed = False
@@ -353,17 +344,4 @@ def parse_vector(text: str, group: OrderedGroup) -> ModuleVector:
                 )
         return ModuleVector({PBWMonomial(tuple(factors)): coeff})
 
-    sign = 1
-    if tk.accept("op", "-"):
-        sign = -1
-    elif tk.accept("op", "+"):
-        pass
-    out = vterm(sign)
-    while not tk.done():
-        if tk.accept("op", "+"):
-            out = out + vterm(1)
-        elif tk.accept("op", "-"):
-            out = out + vterm(-1)
-        else:
-            raise ParseError("expected '+' or '-'", tk.text, tk.pos())
-    return out
+    return _combination(text, term, ModuleVector.zero())

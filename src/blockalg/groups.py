@@ -57,13 +57,6 @@ class OrderedGroup:
     def validate(self, x):
         raise NotImplementedError
 
-    def contains(self, x) -> bool:
-        try:
-            self.validate(x)
-            return True
-        except GroupError:
-            return False
-
     # All catalogued element types compare natively in group order.
     def compare(self, x, y) -> int:
         self.validate(x)
@@ -101,9 +94,6 @@ class OrderedGroup:
         every rational: ``(a, b)`` maps to the ``Poly`` ``a*w + b`` with
         ``int`` coefficients.
         """
-        raise NotImplementedError
-
-    def parse(self, text: str):
         raise NotImplementedError
 
     def format(self, x) -> str:
@@ -196,12 +186,6 @@ class IntegerGroup(OrderedGroup):
     def scalarize(self, x):
         return x
 
-    def parse(self, text):
-        try:
-            return int(text)
-        except ValueError:
-            raise GroupError(f"not an integer: {text!r}") from None
-
     def random_element(self, rng, bound=8):
         return rng.randint(-bound, bound)
 
@@ -236,22 +220,6 @@ class DyadicGroup(OrderedGroup):
 
     def scalarize(self, x):
         return x
-
-    def parse(self, text):
-        # accepted forms: "3", "-5/8", "3/2^4"
-        try:
-            if "/" in text and "^" in text:
-                num, den = text.split("/", 1)
-                base, exp = den.split("^", 1)
-                if int(base) != 2:
-                    raise ValueError
-                value = Fraction(int(num), 2 ** int(exp))
-            else:
-                value = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise GroupError(f"not a dyadic rational: {text!r}") from None
-        self.validate(value)
-        return value
 
     def random_element(self, rng, bound=8):
         e = rng.randint(0, 3)
@@ -291,18 +259,6 @@ class LexPairGroup(OrderedGroup):
 
     def scalarize(self, x):
         return Poly.of_exact([x[1], x[0]])
-
-    def parse(self, text):
-        t = text.strip()
-        if not (t.startswith("(") and t.endswith(")")):
-            raise GroupError(f"not a pair: {text!r}")
-        bits = t[1:-1].split(",")
-        if len(bits) != 2:
-            raise GroupError(f"not a pair: {text!r}")
-        try:
-            return (int(bits[0]), int(bits[1]))
-        except ValueError:
-            raise GroupError(f"not a pair of integers: {text!r}") from None
 
     def random_element(self, rng, bound=8):
         return (rng.randint(-bound, bound), rng.randint(-bound, bound))

@@ -253,9 +253,18 @@ def integer_from_json(data) -> int:
 
 
 def element_from_json(data, group: OrderedGroup):
-    """Inverse of :func:`element_json`; a JSON float raises ``ValueError``."""
+    """Inverse of :func:`element_json`; a JSON float raises ``ValueError``.
+
+    A string is read by :func:`exprparse.parse_group_element`, the one
+    reader of group elements written as text, so ``"3/2^3"`` and
+    ``"(1,-5)"`` read as on the command line and a decimal such as
+    ``"0.5"`` raises ``ValueError``.
+    """
     if isinstance(data, str):
-        return group.parse(data)
+        # exprparse builds on this module, so its reader is imported late
+        from .exprparse import parse_group_element
+
+        return parse_group_element(data, group)
     if isinstance(data, list):
         if len(data) != 2:
             raise ValueError(f"not an integer pair: {data!r}")

@@ -10,10 +10,9 @@ rows are always the reduced-echelon form scaled to integers.  That keeps
 every pivot row supported on its pivot and the free columns, which makes
 reducing a row that turns out to be dependent (most rows of an
 annihilation matrix) cheap.  At most ``ncols`` pivot rows exist; the
-routine stops at full rank, and for a linear system at the first row
-that reduces to ``0 = b`` with ``b != 0``.  The pivot rows are divided
-by their pivots once, at the end, so every result comes back exact, as
-``Fraction`` entries.
+routine stops at full rank.  The pivot rows are divided by their pivots
+once, at the end, so every result comes back exact, as ``Fraction``
+entries.
 
 ``rref``, ``nullspace``, ``solve`` and ``rank`` only read its result.  The
 reduced-echelon form of a row space is unique, so nullspace bases and
@@ -87,11 +86,7 @@ def _primitive(r: IntRow, p: int) -> IntRow:
     return r if g == 1 else {k: v // g for k, v in r.items()}
 
 
-def _echelon(
-    rows: Iterable[Dict[int, Rational]],
-    ncols: int,
-    rhs: Optional[Sequence[Rational]] = None,
-) -> Optional[Dict[int, SparseRow]]:
+def _echelon(rows: Iterable[Dict[int, Rational]], ncols: int) -> Dict[int, SparseRow]:
     """Reduced pivot rows of ``rows``, keyed by pivot column.
 
     Each pivot row has a 1 at its pivot and zeros at every other pivot
@@ -103,17 +98,12 @@ def _echelon(
     positive integer ``m`` that keeps every ``f_c`` integral, and divided
     by the gcd of its entries.  A new pivot row is substituted back into
     each earlier one the same way.  No row is pulled once the pivots
-    reach full rank.  With ``rhs`` the rows are augmented by it as column
-    ``ncols``, and None is returned as soon as that column would become a
-    pivot, i.e. when the system is inconsistent.
+    reach full rank.
     """
-    width = ncols if rhs is None else ncols + 1
     pivots: Dict[int, IntRow] = {}
-    if width == 0:
+    if ncols == 0:
         return {}
-    for i, row in enumerate(rows):
-        if rhs is not None and rhs[i]:
-            row[ncols] = rhs[i]
+    for row in rows:
         den = math.lcm(*[x.denominator for x in row.values()])
         r = {k: x.numerator * (den // x.denominator) for k, x in row.items()}
         # pivot rows vanish on each other's pivots, so subtracting one
@@ -127,8 +117,6 @@ def _echelon(
         if not r:
             continue
         p = min(r)
-        if p == ncols:
-            return None
         r = _primitive(r, p)
         d = r[p]
         for c, q in pivots.items():
@@ -141,7 +129,7 @@ def _echelon(
                 _subtract(q, f // g, r, p)
                 pivots[c] = _primitive(q, c)
         pivots[p] = r
-        if len(pivots) == width:
+        if len(pivots) == ncols:
             break
     return {
         p: {k: Fraction(v, q[p]) for k, v in q.items()} for p, q in pivots.items()
@@ -201,6 +189,9 @@ def solve(
 
     Returns None when the system is inconsistent.  With the RREF pivot
     convention this is the reduced-echelon canonical representative.
+    The augmented rows ``[A | b]`` are eliminated over ``ncols + 1``
+    columns; the system is inconsistent exactly when column ``ncols``
+    becomes a pivot.
     """
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
@@ -208,8 +199,11 @@ def solve(
     if not rows:
         return []
     ncols = len(rows[0])
-    pivots = _echelon(_dense(rows, ncols), ncols, rhs)
-    if pivots is None:
+    augmented = (
+        {**row, ncols: b} if b else row for row, b in zip(_dense(rows, ncols), rhs)
+    )
+    pivots = _echelon(augmented, ncols + 1)
+    if ncols in pivots:
         return None
     sol = [Fraction(0)] * ncols
     for p, row in pivots.items():

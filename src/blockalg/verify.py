@@ -388,6 +388,24 @@ def check_delta_series(cfg: VerifyConfig) -> CheckResult:
 # -- criterion 8: sweep determinant identity -----------------------------------
 
 
+def sweep_instance(rng, max_r: int, max_k: int):
+    """A random dyadic sweep instance ``(eps, parts)``.
+
+    ``eps`` lies below ``r <= max_r`` normal-ordered parts, each with an
+    index in ``[-1, max_k]``; all are multiples of ``1/8`` in ``(0, 48]``.
+    """
+    while True:
+        r = rng.randint(1, max_r)
+        pool = sorted(
+            {
+                Fraction(rng.randint(1, 48), 2 ** rng.randint(0, 3))
+                for _ in range(r + 3)
+            }
+        )
+        if len(pool) > r:
+            return pool[0], [(p, rng.randint(-1, max_k)) for p in pool[1 : r + 1]]
+
+
 def check_sweep_determinants(cfg: VerifyConfig) -> CheckResult:
     rng = _rng(cfg, "sweep")
     alg = BlockAlgebra(DYADIC)
@@ -401,19 +419,8 @@ def check_sweep_determinants(cfg: VerifyConfig) -> CheckResult:
             "step3-determinant", False, f"worked instance gave {worked.expected}"
         )
 
-    done = 0
-    while done < 100:
-        r = rng.randint(1, 3)
-        pool = sorted(
-            {
-                Fraction(rng.randint(1, 48), 2 ** rng.randint(0, 3))
-                for _ in range(r + 3)
-            }
-        )
-        if len(pool) < r + 1:
-            continue
-        eps, chain = pool[0], pool[1 : r + 1]
-        parts = [(p, rng.randint(-1, 4)) for p in chain]
+    for _ in range(100):
+        eps, parts = sweep_instance(rng, 3, 4)
         res = sweep_check(VermaModule(alg, _random_weight(rng)), eps, parts, rng.randint(-1, 4))
         if not res.passed:
             return CheckResult(
@@ -422,7 +429,6 @@ def check_sweep_determinants(cfg: VerifyConfig) -> CheckResult:
                 f"determinant product {res.expected} vs engine {res.from_engine} "
                 f"for parts {parts}",
             )
-        done += 1
     return CheckResult(
         "step3-determinant",
         True,

@@ -110,6 +110,19 @@ def test_step3_check_random(capsys):
     assert "all exact" in out
 
 
+def test_step3_check_random_instances_are_pinned(capsys):
+    # the sampler draws from the seeded RNG in a fixed order, so a seed
+    # names the same instances from one release to the next
+    code, out, _ = run(capsys, "step3-check", "--count", "4", "--seed", "5", "--format", "json")
+    assert code == 0
+    assert [(c["target"], c["expected"]) for c in json.loads(out)["checks"]] == [
+        ("L(-1/2,11)*v", "1155/2"),
+        ("L(-5/4,-1)*v", "0"),
+        ("L(-1/4,2)*v", "-3261147/8"),
+        ("L(-23/4,1)*v", "10317/8"),
+    ]
+
+
 def test_verify_suite_single_check(capsys):
     code, out, _ = run(capsys, "verify-suite", "--only", "weight-counts")
     assert code == 0
@@ -153,6 +166,15 @@ def test_usage_errors_exit_2(capsys):
     ):
         code, _, err = run(capsys, *argv, "--weight", WEIGHT_B)
         assert code == 2 and message in err
+    # step3-check random mode samples dyadic parts, and at least one instance
+    for argv, message in (
+        (["--group", "integers"], "dyadic"),
+        (["--group", "lex-z2"], "dyadic"),
+        (["--count", "0"], "--count must be >= 1"),
+        (["--count", "-3"], "--count must be >= 1"),
+    ):
+        code, out, err = run(capsys, "step3-check", *argv)
+        assert code == 2 and message in err and out == ""
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2

@@ -104,17 +104,6 @@ def test_scalarize():
     assert LEX_Z2.scalarize((2, -5)) == Poly([-5, 2])
 
 
-def test_parse_forms():
-    assert INTEGERS.parse("-7") == -7
-    assert DYADIC.parse("3/4") == Fraction(3, 4)
-    assert DYADIC.parse("3/2^3") == Fraction(3, 8)
-    assert LEX_Z2.parse("(1,-5)") == (1, -5)
-    with pytest.raises(GroupError):
-        DYADIC.parse("1/3")
-    with pytest.raises(GroupError):
-        INTEGERS.parse("1/2")
-
-
 def test_get_group():
     assert get_group("lex-z2") is LEX_Z2
     with pytest.raises(GroupError):

@@ -207,6 +207,27 @@ def test_element_from_json_rejects_floats(data, group):
         element_from_json(data, group)
 
 
+@pytest.mark.parametrize(
+    "text, group", [("0.5", DYADIC), ("1_000", DYADIC), ("1_000", INTEGERS)]
+)
+def test_element_strings_refuse_decimals_and_digit_separators(text, group):
+    # a JSON string is read by the element grammar of the command line
+    with pytest.raises(ValueError):
+        element_from_json(text, group)
+    with pytest.raises(ValueError):
+        LieElement.from_json([{"alpha": text, "i": 0, "coeff": "1"}], group)
+
+
+def test_element_strings_read_the_written_forms():
+    for text, group, alpha in (
+        ("3/2^3", DYADIC, Fraction(3, 8)),
+        ("(1,-5)", LEX_Z2, (1, -5)),
+    ):
+        assert element_from_json(text, group) == alpha
+        e = LieElement.from_json([{"alpha": text, "i": 0, "coeff": "1"}], group)
+        assert e == LieElement.term(Generator(alpha, 0))
+
+
 def test_element_coefficients_reject_floats():
     with pytest.raises(ValueError):
         LieElement.from_json([{"alpha": 1, "i": 0, "coeff": 0.5}], INTEGERS)

@@ -119,6 +119,17 @@ def test_vector_grammar():
         parse_vector("L(-1,0)", INTEGERS)
 
 
+def test_parse_forms():
+    assert parse_group_element("-7", INTEGERS) == -7
+    assert parse_group_element("3/4", DYADIC) == Fraction(3, 4)
+    assert parse_group_element("3/2^3", DYADIC) == Fraction(3, 8)
+    assert parse_group_element("(1,-5)", LEX_Z2) == (1, -5)
+    with pytest.raises(ValueError):
+        parse_group_element("1/3", DYADIC)
+    with pytest.raises(ValueError):
+        parse_group_element("1/2", INTEGERS)
+
+
 def test_parse_group_element_trailing():
     assert parse_group_element("-3", INTEGERS) == -3
     with pytest.raises(ParseError, match="trailing"):

@@ -581,6 +581,26 @@ def test_module_vector_from_json_reads_written_input():
     )
 
 
+@pytest.mark.parametrize(
+    "text, group", [("0.5", DYADIC), ("1_000", DYADIC), ("1_000", INTEGERS)]
+)
+def test_module_vector_from_json_refuses_decimal_parts(text, group):
+    data = {"terms": [{"factors": [[text, 0]], "coeff": "1"}]}
+    with pytest.raises(ValueError):
+        ModuleVector.from_json(data, group)
+
+
+def test_module_vector_from_json_reads_written_parts():
+    for text, group, part in (
+        ("3/2^3", DYADIC, Fraction(3, 8)),
+        ("(1,-5)", LEX_Z2, (1, -5)),
+    ):
+        data = {"terms": [{"factors": [[text, 0]], "coeff": "1"}]}
+        assert ModuleVector.from_json(data, group) == ModuleVector.of(
+            PBWMonomial(((part, 0),)), 1
+        )
+
+
 def test_lie_elements_and_module_vectors_never_compare_equal():
     # the shared sparse-combination base compares objects of one class only
     assert LieElement.zero() != ModuleVector.zero()
