@@ -9,8 +9,10 @@ caps the length of a word; the input is too large for the engine, not
 wrong).
 
 ``step3-check`` without ``--eps`` samples random dyadic instances, so
-that random mode needs ``--group dyadic`` (the default) and a positive
-``--count``; the explicit mode (``--eps`` and ``--part``) takes any group.
+that random mode needs ``--group dyadic`` (the default), a positive
+``--count`` and ``--max-r``, and ``--max-k >= -1``; the explicit mode
+(``--eps`` and ``--part``) takes any group, each ``--part`` written
+``part,index`` in the grammar of :mod:`blockalg.exprparse`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ import argparse
 import json
 import sys
 
-from .exprparse import ParseError, parse_element, parse_group_element, parse_vector
+from .exprparse import (
+    ParseError,
+    parse_element,
+    parse_group_element,
+    parse_pair,
+    parse_vector,
+)
 from .groups import DYADIC, GROUPS, GroupError, get_group
 from .lie import BlockAlgebra
 from .polynomial import format_rational
@@ -216,6 +224,10 @@ def cmd_step3_check(args) -> int:
             )
         if args.count < 1:
             raise ValueError("--count must be >= 1")
+        if args.max_r < 1:
+            raise ValueError("--max-r must be >= 1")
+        if args.max_k < -1:
+            raise ValueError("--max-k must be >= -1")
     import random
 
     rng = random.Random(args.seed)
@@ -225,8 +237,10 @@ def cmd_step3_check(args) -> int:
         eps = parse_group_element(args.eps, group)
         parts = []
         for spec in args.part or []:
-            p, k = spec.rsplit(",", 1)
-            parts.append((parse_group_element(p, group), int(k)))
+            try:
+                parts.append(parse_pair(spec, group))
+            except ParseError as e:
+                raise ValueError(f"--part takes 'part,index': {e}") from None
         if not parts:
             raise GroupError("explicit mode needs at least one --part")
         results.append(sweep_check(module, eps, parts, args.probe_j))

@@ -201,14 +201,25 @@ def parse_group_element(text: str, group: OrderedGroup):
     return _whole(text, lambda tk: _group_element(tk, group))
 
 
-def _generator(tk: _Tokens, group: OrderedGroup) -> Generator:
-    tk.expect("op", "(")
+def _pair(tk: _Tokens, group: OrderedGroup) -> Tuple[object, int]:
+    """``alpha,index``: a group element and an integer index ``>= -1``."""
     alpha = _group_element(tk, group)
     tk.expect("op", ",")
     pos = tk.pos()
     index = _integer(tk)
     if index < -1:
         raise ParseError("index must be >= -1", tk.text, pos)
+    return alpha, index
+
+
+def parse_pair(text: str, group: OrderedGroup) -> Tuple[object, int]:
+    """Parse ``part,index``, e.g. ``3/4,2`` or ``(1,-5),0``; the index is ``>= -1``."""
+    return _whole(text, lambda tk: _pair(tk, group))
+
+
+def _generator(tk: _Tokens, group: OrderedGroup) -> Generator:
+    tk.expect("op", "(")
+    alpha, index = _pair(tk, group)
     tk.expect("op", ")")
     return Generator(alpha, index)
 

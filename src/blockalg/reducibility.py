@@ -46,7 +46,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groups import IntegerGroup, OrderedGroup
-from .lie import Generator
+from .lie import Coeff, Generator
 from .polynomial import Poly, X, format_rational
 from .verma import (
     HighestWeight,
@@ -305,21 +305,18 @@ def _probe_generators(module: VermaModule, probe_weight: int, probe_index: int, 
 
 def _annihilation_rows(
     module: VermaModule, basis: List[PBWMonomial], probes
-) -> Iterator[Dict[int, Fraction]]:
+) -> Iterator[Dict[int, Coeff]]:
     """Sparse rows of the truncated positive action, probe by probe.
 
     A row is one output word of one probe, keyed by basis column.  The
-    probes come in order and each probe's rows by output word, and a
-    probe acts on the basis only when its first row is pulled, so an
-    elimination that reaches full rank early never straightens the rest.
+    probes come in order and each probe's rows by output word.  One
+    straightening run per probe builds all of its rows
+    (:meth:`VermaModule.action_rows`), and it runs only when the probe's
+    first row is pulled, so an elimination that reaches full rank early
+    never straightens the remaining probes.
     """
     for probe in probes:
-        rows: Dict[PBWMonomial, Dict[int, Fraction]] = {}
-        for col, mono in enumerate(basis):
-            for out_mono, coeff in module.act(probe, ModuleVector.of(mono)).items():
-                rows.setdefault(out_mono, {})[col] = coeff
-        for out_mono in sorted(rows, key=PBWMonomial.sort_key):
-            yield rows[out_mono]
+        yield from module.action_rows(probe, basis)
 
 
 def _sub_kernel(kernel: List[List[Fraction]], cols: List[int]) -> List[List[Fraction]]:

@@ -26,30 +26,38 @@ kinds of step:
   under the task that produces those words, runs once they are done.
 
 Termination is provable by induction on (word length, inversion count),
-but a step budget still guards every top-level action so an
+but a step budget still guards every input of a run so an
 implementation bug fails loudly instead of hanging.  Each insertion and
 each application spends one step.  No word is held on the interpreter's
 call stack, so the budget is the only cap on the length of a word.
 
-Words inside the loop are plain tuples of ``(part, index)`` factors;
-:meth:`VermaModule.act` wraps each output word in a :class:`PBWMonomial`
-once.  The one loop serves all three instances; ``act`` hands it the
-group-element arithmetic of the run.  Lex-z2 pairs are straightened as
-they are.  Integer and dyadic parts share one integer kernel, because
-the dyadic algebra is the integer one rescaled: for a scale ``S`` that
-clears every denominator, ``L(a,i) -> L(S*a,i)/S`` and ``c -> c/S`` map
-it into the integer algebra, and the module of weight ``(cc, labels)``
-goes to the integer module of weight ``(S*cc, S*labels)``, a word of
-length ``k`` to ``S^-k`` times its image.  So a dyadic part ``x`` runs
-as the ``int`` code ``x*S`` (``S > 0`` keeps the order), every structure
-constant is an ``int``, and the weight data enters scaled: the label
-term as ``label*S`` and the central term as ``code*(S*cc)``.  An output
-word of length ``n`` then carries ``S^(n - len_in - 1)``.  ``act`` clears
-that in one step, together with the common denominator ``D`` of its
-input coefficients: an input of length ``len_in`` enters as the ``int``
-``c*D*S^(top - len_in)``, ``top`` the longest input word, and each output
-coefficient is multiplied by ``1/(D*S^(top + 1 - n))``, the one
-``Fraction`` operation per output term.  Integer runs have ``S = 1``.
+Words inside the loop are plain tuples of ``(part, index)`` factors.  A
+run straightens one generator on one or more inputs, each with its own
+output dict: :meth:`VermaModule.act` runs it on one vector and wraps each
+output word in a :class:`PBWMonomial` once, and
+:meth:`VermaModule.action_rows` runs it on every word of a basis and
+reads the matrix rows off the raw output words, never decoding them.
+Both share one setup: the group-element arithmetic of the run, the
+clearing of denominators and the output rescaling.
+
+Lex-z2 pairs are straightened as they are.  Integer and dyadic parts
+share one integer kernel, because the dyadic algebra is the integer one
+rescaled: for a scale ``S`` that clears every denominator,
+``L(a,i) -> L(S*a,i)/S`` and ``c -> c/S`` map it into the integer
+algebra, and the module of weight ``(cc, labels)`` goes to the integer
+module of weight ``(S*cc, S*labels)``, a word of length ``k`` to ``S^-k``
+times its image.  So a dyadic part ``x`` runs as the ``int`` code ``x*S``
+(``S > 0`` keeps the order), every structure constant is an ``int``, and
+the weight data enters scaled: the label term as ``label*S`` and the
+central term as ``code*(S*cc)``.  An output word of length ``n`` then
+carries ``S^(n - len_in - 1)``.  A run clears that in one step, together
+with the common denominator ``D`` of its input coefficients: an input of
+length ``len_in`` enters as the ``int`` ``c*D*S^(top - len_in)``, ``top``
+the longest input word, and each output coefficient is multiplied by
+``1/(D*S^(top + 1 - n))``, the one ``Fraction`` operation per output
+term.  Each input of a run is cleared on its own, so the basis words of
+:meth:`VermaModule.action_rows` enter as ``1`` and are rescaled per
+column.  Integer runs have ``S = 1``.
 
 A dyadic module keeps one code table for its whole life: its scale ``S``
 (the ``lcm`` of every denominator it has met), each word's code and each
@@ -85,6 +93,7 @@ from .lie import (
     BlockAlgebra,
     Central,
     Coeff,
+    Generator,
     LieElement,
     SparseCombination,
     coeff_from_json,
@@ -383,6 +392,11 @@ class VermaModule:
     each insertion and each application of a generator is one step.  A
     generator swapped past a factor goes to the front of every resulting
     word directly, without an insertion, so it spends no step there.
+    :meth:`action_rows` straightens a whole basis in one run but charges
+    each basis word separately: a word runs to the end before the next
+    starts, against a fresh ``step_budget``.  So the run fails exactly
+    where one :meth:`act` call per word would, and a word too large for
+    the budget still ends in :class:`StraighteningLimitError`.
 
     Over the dyadic instance the module holds the code table of its words
     (see the module docstring).  The table lives and dies with the module:
@@ -431,57 +445,102 @@ class VermaModule:
             for mono, c in vec._terms.items():
                 _accumulate(out, mono, cc * c)
             return ModuleVector(out)
+        (words,), decode = self._run(sym, [vec._terms.items()])
+        return ModuleVector._of_nonzero({decode(w): c for w, c in words.items()})
+
+    def action_rows(
+        self, probe: Generator, basis: Sequence[PBWMonomial]
+    ) -> List[Dict[int, Coeff]]:
+        """The matrix of ``probe`` on ``basis``, one sparse row per output word.
+
+        The row of an output word maps column ``j`` to its coefficient in
+        ``act(probe, basis[j])``.  Rows come in the order of
+        :meth:`PBWMonomial.sort_key` on their words, and the columns of a
+        row ascend.  One straightening run covers the whole basis: each
+        word is its own input, with its own output dict and its own step
+        budget, and output words stay raw factor tuples (coded ones over
+        the dyadic instance, which sort the same), never decoded.
+        """
+        if isinstance(probe, Central):
+            raise ValueError("action rows need a generator, not the central symbol")
+        cols, _ = self._run(probe, [((mono, 1),) for mono in basis])
+        rows: Dict[Tuple[Factor, ...], Dict[int, Coeff]] = {}
+        for j, words in enumerate(cols):
+            for w, c in words.items():
+                row = rows.get(w)
+                if row is None:
+                    rows[w] = {j: c}
+                else:
+                    row[j] = c
+        return [rows[w] for w in sorted(rows, key=lambda w: (len(w), w))]
+
+    def _run(self, sym: Generator, inputs: Sequence[Iterable[Tuple[PBWMonomial, Coeff]]]):
+        """Straighten ``sym`` on each of ``inputs`` in one kernel run.
+
+        An input is a vector given as ``(word, coeff)`` pairs that can be
+        read more than once.  Returns one dict per input, from raw output words to
+        their exact nonzero coefficients, and the decoder of a raw word to
+        its :class:`PBWMonomial`.  Each input is straightened in full before
+        the next starts and spends its own step budget.
+        """
         g = self.group
-        g.validate(sym.alpha)
-        terms = vec._terms
-        if not terms:
-            return ModuleVector()
-        words: Dict[Tuple[Factor, ...], Coeff] = {}
-        stack = []
+        alpha, idx = sym.alpha, sym.index
+        g.validate(alpha)
+        outs: List[Dict[Tuple[Factor, ...], Coeff]] = []
+        seeds = []
         if isinstance(g, LexPairGroup):
-            for mono, c in terms.items():
-                if type(c) is Fraction and c.denominator == 1:
-                    c = c.numerator  # integral: straighten in int arithmetic
-                stack.append((_APPLY, sym.alpha, sym.index, mono.factors, c, words))
-            self._straighten(stack, _LEX_PAIRS, 1)
-            return ModuleVector._of_nonzero({_word(w): c for w, c in words.items()})
+            for terms in inputs:
+                dest, tasks = {}, []
+                for mono, c in terms:
+                    if type(c) is Fraction and c.denominator == 1:
+                        c = c.numerator  # integral: straighten in int arithmetic
+                    tasks.append((_APPLY, alpha, idx, mono.factors, c, dest))
+                outs.append(dest)
+                seeds.append(tasks)
+            self._straighten(seeds, _LEX_PAIRS, 1)
+            return outs, _word
         # Integer and dyadic words run on the integer kernel, a dyadic word
         # coded at the scale of the module's table.  An input coefficient
-        # enters as an int: times the common denominator ``den`` and times
-        # scale**(top - length), which the output rescaling takes off again.
+        # enters as an int: times the input's common denominator ``den`` and
+        # times scale**(top - length), which the output rescaling takes off
+        # again, in place.
         if isinstance(g, DyadicGroup):
-            table = self._dyadic_codes(sym.alpha, terms)
-            scale, alpha = table.scale, table.code(sym.alpha)
+            table = self._dyadic_codes(alpha, inputs)
+            scale, alpha = table.scale, table.code(alpha)
             encode, decode = table.encode, table.decode
         else:
-            scale, alpha, encode, decode = 1, sym.alpha, None, _word
-        top, den = 0, 1
-        for mono, c in terms.items():
-            if len(mono.factors) > top:
-                top = len(mono.factors)
-            if type(c) is not int:
-                den = math.lcm(den, c.denominator)
-        for mono, c in terms.items():
-            c = c.numerator * (den // c.denominator) * scale ** (top - len(mono.factors))
-            factors = mono.factors if encode is None else encode(mono)
-            stack.append((_APPLY, alpha, sym.index, factors, c, words))
-        self._straighten(stack, _INT_PARTS, scale)
-        if den == 1 and scale == 1:
-            return ModuleVector._of_nonzero({decode(w): c for w, c in words.items()})
+            scale, encode, decode = 1, None, _word
+        rescale = []
+        for terms in inputs:
+            top, den = 0, 1
+            for mono, c in terms:
+                if len(mono.factors) > top:
+                    top = len(mono.factors)
+                if type(c) is not int:
+                    den = math.lcm(den, c.denominator)
+            dest, tasks = {}, []
+            for mono, c in terms:
+                c = c.numerator * (den // c.denominator) * scale ** (top - len(mono.factors))
+                factors = mono.factors if encode is None else encode(mono)
+                tasks.append((_APPLY, alpha, idx, factors, c, dest))
+            outs.append(dest)
+            seeds.append(tasks)
+            if den != 1 or scale != 1:
+                rescale.append((dest, top, den))
+        self._straighten(seeds, _INT_PARTS, scale)
         # a word of length n carries den * scale**(top + 1 - n) too much;
         # den or scale exceeds 1 here, so that is 1 only where den is 1
         # and n is top + 1
-        inverse = [None] * (top + 2)
-        out = {}
-        for w, c in words.items():
-            n = len(w)
-            if n <= top or den != 1:
-                f = inverse[n]
-                if f is None:
-                    f = inverse[n] = Fraction(1, den * scale ** (top + 1 - n))
-                c = f * c
-            out[decode(w)] = c
-        return ModuleVector._of_nonzero(out)
+        for dest, top, den in rescale:
+            inverse = [None] * (top + 2)
+            for w, c in dest.items():
+                n = len(w)
+                if n <= top or den != 1:
+                    f = inverse[n]
+                    if f is None:
+                        f = inverse[n] = Fraction(1, den * scale ** (top + 1 - n))
+                    dest[w] = f * c
+        return outs, decode
 
     def act_element(self, elem: LieElement, vec: ModuleVector) -> ModuleVector:
         """Linear extension of :meth:`act` over a Lie element."""
@@ -490,10 +549,12 @@ class VermaModule:
             out = out + self.act(sym, vec).scaled(coeff)
         return out
 
-    def _straighten(self, stack: list, ar, scale: int) -> None:
-        """Run the work stack until it is empty; words are plain factor tuples.
+    def _straighten(self, seeds: list, ar, scale: int) -> None:
+        """Run each seed's tasks until the stack is empty; words are plain factor tuples.
 
-        A task is one of
+        ``seeds`` is a list of task lists, one per input of the run.  An
+        input runs to the end before the next one starts, with a fresh
+        budget of ``step_budget`` steps.  A task is one of
 
         * ``(_APPLY, gamma, idx, factors, coeff)``: add ``coeff`` times
           L(gamma, idx) applied to the normal word ``factors``;
@@ -509,7 +570,6 @@ class VermaModule:
         weight data enters scaled: a label as ``label*scale``, the central
         charge as ``scale*cc``.
         """
-        budget = self.step_budget
         zero, add, sub, neg, const = ar.zero, ar.add, ar.sub, ar.neg, ar.const
         label, cc = self.hw.label, self.hw.central_charge
         if scale != 1:
@@ -519,89 +579,104 @@ class VermaModule:
             def label(i):
                 return hw_label(i) * scale
 
+        stack: list = []
         push, pop = stack.append, stack.pop
-        while stack:
-            task = pop()
-            kind = task[0]
-            if kind == _FLUSH:
-                _, passed, p1, i1, dest = task
-                for factors, coeff in passed.items():
-                    push((_INSERT, (), p1, i1, factors, coeff, dest))
-                continue
-            if kind == _APPLY:
-                _, gamma, idx, factors, coeff, dest = task
-                if gamma < zero:
-                    # one step for the application, checked with the first
-                    # step of the insertion it becomes
-                    budget -= 1
-                    head, part = (), neg(gamma)
-                else:
-                    while True:
-                        budget -= 1
-                        if budget < 0:
-                            raise self._exhausted()
-                        if not factors:
-                            if gamma == zero:
-                                _accumulate(dest, (), label(idx + 1) * coeff)
-                            break  # the positive part annihilates the highest weight vector
-                        # L(gamma) L(-p1) = L(-p1) L(gamma) + [L(gamma), L(-p1)]:
-                        # the bracket terms go on the stack first, then the
-                        # flush that inserts L(-p1) into every word that
-                        # L(gamma) makes of the rest of the word.  That child
-                        # runs on in this loop and, by LIFO order, finishes
-                        # before its flush, so equal words merge before they
-                        # are re-inserted.
-                        (p1, i1), factors = factors[0], factors[1:]
-                        bcoeff = const(-(idx + 1), p1, i1 + 1, gamma)
-                        if bcoeff:
-                            push((_APPLY, sub(gamma, p1), idx + i1, factors, bcoeff * coeff, dest))
-                        if gamma == p1 and idx + i1 == -2:
-                            central = ar.scalar(gamma) * cc
-                            if central:
-                                _accumulate(dest, factors, central * coeff)
-                        passed: Dict[Tuple[Factor, ...], Coeff] = {}
-                        push((_FLUSH, passed, p1, i1, dest))
-                        dest = passed
+        for tasks in seeds:
+            budget = self.step_budget
+            stack += tasks
+            while stack:
+                task = pop()
+                kind = task[0]
+                if kind == _FLUSH:
+                    _, passed, p1, i1, dest = task
+                    for factors, coeff in passed.items():
+                        push((_INSERT, (), p1, i1, factors, coeff, dest))
                     continue
-            else:
-                _, head, part, idx, factors, coeff, dest = task
-            while True:
-                budget -= 1
-                if budget < 0:
-                    raise self._exhausted()
-                if not factors or (part, idx) <= factors[0]:
-                    word = head + ((part, idx),) + factors
-                    prev = dest.get(word)  # _accumulate, inlined on the hot path
-                    if prev is None:
-                        dest[word] = coeff
+                if kind == _APPLY:
+                    _, gamma, idx, factors, coeff, dest = task
+                    if gamma < zero:
+                        # one step for the application, checked with the first
+                        # step of the insertion it becomes
+                        budget -= 1
+                        head, part = (), neg(gamma)
                     else:
-                        s = prev + coeff
-                        if s:
-                            dest[word] = s
+                        while True:
+                            budget -= 1
+                            if budget < 0:
+                                raise self._exhausted()
+                            if not factors:
+                                if gamma == zero:
+                                    _accumulate(dest, (), label(idx + 1) * coeff)
+                                break  # the positive part annihilates the highest weight vector
+                            # L(gamma) L(-p1) = L(-p1) L(gamma) + [L(gamma), L(-p1)]:
+                            # the bracket terms go on the stack first, then the
+                            # flush that inserts L(-p1) into every word that
+                            # L(gamma) makes of the rest of the word.  That child
+                            # runs on in this loop and, by LIFO order, finishes
+                            # before its flush, so equal words merge before they
+                            # are re-inserted.
+                            (p1, i1), factors = factors[0], factors[1:]
+                            bcoeff = const(-(idx + 1), p1, i1 + 1, gamma)
+                            if bcoeff:
+                                push((_APPLY, sub(gamma, p1), idx + i1, factors,
+                                      bcoeff * coeff, dest))
+                            if gamma == p1 and idx + i1 == -2:
+                                central = ar.scalar(gamma) * cc
+                                if central:
+                                    _accumulate(dest, factors, central * coeff)
+                            passed: Dict[Tuple[Factor, ...], Coeff] = {}
+                            push((_FLUSH, passed, p1, i1, dest))
+                            dest = passed
+                        continue
+                else:
+                    _, head, part, idx, factors, coeff, dest = task
+                while True:
+                    budget -= 1
+                    if budget < 0:
+                        raise self._exhausted()
+                    if not factors or (part, idx) <= factors[0]:
+                        word = head + ((part, idx),) + factors
+                        prev = dest.get(word)  # _accumulate, inlined on the hot path
+                        if prev is None:
+                            dest[word] = coeff
                         else:
-                            del dest[word]
-                    break
-                # L(-part) L(-p1) = L(-p1) L(-part) + [L(-part), L(-p1)].
-                # Every factor of a swapped word is at least (p1, i1): the
-                # factors after it are, (part, idx) > (p1, i1) on this
-                # branch, and a merged part part + p_k exceeds p_k >= p1
-                # since part is positive.  So L(-p1, i1) joins the head as it
-                # stands, and the insertion goes on into the rest.
-                first, factors = factors[0], factors[1:]
-                p1, i1 = first
-                merged = const(i1 + 1, part, idx + 1, p1)
-                if merged:
-                    push((_INSERT, head, add(part, p1), idx + i1, factors, merged * coeff, dest))
-                head += (first,)
+                            s = prev + coeff
+                            if s:
+                                dest[word] = s
+                            else:
+                                del dest[word]
+                        break
+                    # L(-part) L(-p1) = L(-p1) L(-part) + [L(-part), L(-p1)].
+                    # Every factor of a swapped word is at least (p1, i1): the
+                    # factors after it are, (part, idx) > (p1, i1) on this
+                    # branch, and a merged part part + p_k exceeds p_k >= p1
+                    # since part is positive.  So L(-p1, i1) joins the head as it
+                    # stands, and the insertion goes on into the rest.
+                    first, factors = factors[0], factors[1:]
+                    p1, i1 = first
+                    merged = const(i1 + 1, part, idx + 1, p1)
+                    if merged:
+                        push((_INSERT, head, add(part, p1), idx + i1, factors,
+                              merged * coeff, dest))
+                    head += (first,)
 
-    def _dyadic_codes(self, alpha: Fraction, terms: Dict[PBWMonomial, Coeff]) -> _DyadicCodes:
-        """The code table, replaced by a finer one if ``alpha`` or a new word needs it."""
+    def _dyadic_codes(self, alpha: Fraction, inputs) -> _DyadicCodes:
+        """The code table, replaced by a finer one if ``alpha`` or a new word needs it.
+
+        ``inputs`` are the inputs of a run, as :meth:`_run` takes them.
+        """
         table = self._codes
         codes = table.codes
         scale = math.lcm(
             table.scale,
             alpha.denominator,
-            *[p.denominator for mono in terms if mono not in codes for p, _ in mono.factors],
+            *[
+                p.denominator
+                for terms in inputs
+                for mono, _ in terms
+                if mono not in codes
+                for p, _ in mono.factors
+            ],
         )
         if scale != table.scale:
             table = self._codes = _DyadicCodes(scale)

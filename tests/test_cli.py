@@ -104,6 +104,37 @@ def test_step3_check_explicit(capsys):
     assert data["checks"][0]["expected"] == "-5/2"
 
 
+def test_step3_check_part_reads_the_integer_grammar(capsys):
+    # the index is read by the same grammar as every other integer: no
+    # digit separators, and a part without an index is refused
+    for part, message in (
+        ("1,1_0", "unexpected character"),
+        ("1", "expected ','"),
+        ("1,-2", "index must be >= -1"),
+    ):
+        code, out, err = run(capsys, "step3-check", "--eps", "1/2", "--part", part)
+        assert code == cli.USAGE_ERROR == 2
+        assert out == ""
+        assert err.startswith("error: --part takes 'part,index'") and message in err
+        assert "Traceback" not in err and "unpack" not in err
+    code, out, _ = run(capsys, "step3-check", "--eps", "1/2", "--part", "1,+2")
+    assert code == 0 and "all exact" in out
+
+
+def test_step3_check_random_bounds_are_checked_before_sampling(capsys):
+    for argv, message in (
+        (["--max-r", "0"], "--max-r must be >= 1"),
+        (["--max-r", "-4"], "--max-r must be >= 1"),
+        (["--max-k", "-3"], "--max-k must be >= -1"),
+    ):
+        code, out, err = run(capsys, "step3-check", *argv)
+        assert code == cli.USAGE_ERROR == 2
+        assert out == "" and message in err and "randrange" not in err
+    # the smallest bounds still sample: one part, every index -1
+    code, out, _ = run(capsys, "step3-check", "--max-r", "1", "--max-k", "-1", "--count", "5")
+    assert code == 0 and "all exact" in out
+
+
 def test_step3_check_random(capsys):
     code, out, _ = run(capsys, "step3-check", "--count", "10")
     assert code == 0
@@ -258,6 +289,17 @@ def test_step_budget_exhaustion_exits_with_resource_limit(capsys, monkeypatch):
     assert code == cli.RESOURCE_LIMIT == 3
     assert out == ""
     assert err.startswith("error: ") and "budget" in err
+
+
+def test_singular_search_budget_exhaustion_exits_with_resource_limit(capsys, monkeypatch):
+    # a generic weight has no candidate at -2, so the budget runs out while
+    # the annihilation rows are built, not in the re-verification
+    monkeypatch.setattr(cli, "VermaModule", TinyBudget)
+    weight = '{"explicit": [1, 2, 3], "central_charge": 1}'
+    code, out, err = run(capsys, "singular-search", "--mu", "-2", "--weight", weight)
+    assert code == cli.RESOURCE_LIMIT == 3
+    assert out == ""
+    assert err.startswith("error: ") and "3-step budget" in err
 
 
 LONG_WORD = "*".join(["L(-1,-1)"] * 1200) + "*v"

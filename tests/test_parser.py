@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from blockalg.exprparse import ParseError, parse_element, parse_group_element, parse_vector
+from blockalg.exprparse import (
+    ParseError,
+    parse_element,
+    parse_group_element,
+    parse_pair,
+    parse_vector,
+)
 from blockalg.groups import DYADIC, INTEGERS, LEX_Z2
 from blockalg.lie import CENTRAL, Generator, LieElement
 from blockalg.verma import ModuleVector, PBWMonomial
@@ -128,6 +134,21 @@ def test_parse_forms():
         parse_group_element("1/3", DYADIC)
     with pytest.raises(ValueError):
         parse_group_element("1/2", INTEGERS)
+
+
+def test_parse_pair():
+    assert parse_pair("3/4,2", DYADIC) == (Fraction(3, 4), 2)
+    assert parse_pair(" (1,-5) , -1 ", LEX_Z2) == ((1, -5), -1)
+    for text, message in (
+        ("1", "expected ','"),
+        ("1,1_0", "unexpected character"),
+        ("1,-2", "index must be >= -1"),
+        ("1,2,3", "trailing"),
+        ("1,1/2", "trailing"),
+        ("", "empty"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_pair(text, INTEGERS)
 
 
 def test_parse_group_element_trailing():

@@ -27,7 +27,7 @@ from blockalg.reducibility import (
     vector_of_polynomial,
     verify_singular,
 )
-from blockalg.verma import HighestWeight, ModuleVector, VermaModule
+from blockalg.verma import HighestWeight, ModuleVector, StraighteningLimitError, VermaModule
 
 ALG = BlockAlgebra(INTEGERS)
 
@@ -403,37 +403,57 @@ def test_streamed_search_matches_dense_reference(monkeypatch):
     assert full_rank >= 5 and deficient >= 5
 
 
-def _count_acts(monkeypatch):
-    calls = []
-    real = VermaModule.act
+def _log_straightening(monkeypatch):
+    """Log every probe run (``action_rows``) and every plain ``act``, in order."""
+    log = []
+    for name in ("action_rows", "act"):
+        real = getattr(VermaModule, name)
 
-    def counting(self, sym, vec):
-        calls.append(sym)
-        return real(self, sym, vec)
+        def logged(self, sym, arg, name=name, real=real):
+            log.append((name, sym, arg))
+            return real(self, sym, arg)
 
-    monkeypatch.setattr(VermaModule, "act", counting)
-    return calls
+        monkeypatch.setattr(VermaModule, name, logged)
+    return log
 
 
 def test_full_rank_search_stops_straightening_early(monkeypatch):
     m = module(HighestWeight.explicit(RANDOMISH, Fraction(2)))
-    basis = m.weight_basis(-3, 2)
-    calls = _count_acts(monkeypatch)
+    log = _log_straightening(monkeypatch)
     rep = singular_candidates(m, -3, 2, 10, 3)
     assert rep.dimension == 0
-    assert len(calls) <= 5 * len(basis)
+    # at most 5 of the 36 probes straighten, in order, each over the
+    # whole basis; with no candidate nothing is re-verified
+    assert 1 <= len(log) <= 5
+    assert [(name, sym) for name, sym, _ in log] == [
+        ("action_rows", p) for p in rep.probes[: len(log)]
+    ]
+    assert all(arg == rep.basis for _, _, arg in log)
     assert len(rep.probes) == 3 * 12  # the report still lists every probe
 
 
 def test_rank_deficient_search_acts_on_every_probe(monkeypatch):
     m = module(labels_from_charpoly(X + 1, 1))
-    calls = _count_acts(monkeypatch)
+    log = _log_straightening(monkeypatch)
     rep = singular_candidates(m, -1, 3, 12, 3)
     assert rep.dimension > 0
-    # assembly acts with every probe on every word, then re-verification
-    # acts with every probe on every candidate
-    assert len(calls) == len(rep.probes) * (len(rep.basis) + rep.dimension)
-    assert set(calls[: len(rep.probes) * len(rep.basis)]) == set(rep.probes)
+    # assembly runs every probe once over the whole basis, then
+    # re-verification acts with every probe on every candidate
+    n = len(rep.probes)
+    assert [(name, sym) for name, sym, _ in log[:n]] == [("action_rows", p) for p in rep.probes]
+    assert all(arg == rep.basis for _, _, arg in log[:n])
+    assert [(name, sym, arg) for name, sym, arg in log[n:]] == [
+        ("act", p, cand) for cand in rep.candidates for p in rep.probes
+    ]
+    assert len(log) == n * (1 + rep.dimension)
+
+
+def test_oversized_search_is_a_straightening_limit():
+    # the probe runs give each basis word the module's step budget; at -2
+    # three steps cannot straighten a word, and the search fails loudly
+    m = VermaModule(ALG, HighestWeight.explicit(RANDOMISH, Fraction(2)), step_budget=3)
+    with pytest.raises(StraighteningLimitError, match="3-step budget"):
+        singular_candidates(m, -2, 2, 10, 3)
 
 
 def test_vacuous_horizons_are_rejected():

@@ -398,6 +398,92 @@ def test_act_matches_the_recursive_reference():
         assert got.to_json(group) == want.to_json(group)
 
 
+# -- the rows of one probe on a whole basis ---------------------------------------
+
+
+def _rows_word_by_word(m, probe, basis):
+    """The rows of ``probe`` on ``basis``, from one ``act`` call per word."""
+    rows = {}
+    for col, mono in enumerate(basis):
+        for out, c in m.act(probe, ModuleVector.of(mono)).items():
+            rows.setdefault(out, {})[col] = c
+    return [rows[w] for w in sorted(rows, key=PBWMonomial.sort_key)]
+
+
+def _assert_rows_match(m, probes, basis):
+    for probe in probes:
+        got, want = m.action_rows(probe, basis), _rows_word_by_word(m, probe, basis)
+        # the same rows in the same order, the same columns in the same
+        # order, and equal coefficients of the same type
+        assert [[(j, c, type(c)) for j, c in r.items()] for r in got] == [
+            [(j, c, type(c)) for j, c in r.items()] for r in want
+        ]
+
+
+_RECURRENT = labels_from_charpoly(X**2 - 3 * X + Fraction(1, 2), Fraction(5, 3), [Fraction(2)])
+
+
+@pytest.mark.parametrize("hw", [_EXPLICIT, HW, _RECURRENT, HighestWeight.zero()])
+def test_action_rows_match_word_by_word_act_over_integers(hw):
+    m = module(hw)
+    probes = [Generator(b, k) for b in (1, 2, 3) for k in range(-1, 5)]
+    probes += [Generator(0, 2), Generator(-1, 0), Generator(-2, 1)]
+    for mu, bound in ((-1, 3), (-2, 2), (-3, 1)):
+        _assert_rows_match(m, probes, m.weight_basis(mu, bound))
+
+
+def test_action_rows_match_word_by_word_act_over_dyadics():
+    # a mixed-denominator catalog codes the basis at scale 4, and the probe
+    # at 1/8 replaces the code table between two runs
+    m = module(_EXPLICIT, DYADIC)
+    parts = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(3, 2)]
+    basis = m.weight_basis(Fraction(-3, 2), 1, parts=parts)
+    probes = [Generator(p, k) for p in parts for k in (-1, 0, 2)]
+    _assert_rows_match(m, probes, basis)
+    assert m._codes.scale == 4
+    probes = [Generator(Fraction(1, 8), 1), Generator(Fraction(-3, 8), 0), Generator(Fraction(0), 1)]
+    _assert_rows_match(m, probes, basis)
+    assert m._codes.scale == 8
+
+
+def test_action_rows_match_word_by_word_act_over_lex_pairs():
+    m = module(_EXPLICIT, LEX_Z2)
+    basis = [
+        m.monomial(w)
+        for w in (
+            [((1, -2), 0)],
+            [((0, 1), -1), ((1, -3), 1)],
+            [],
+            [((0, 1), 0), ((0, 1), 2), ((1, 0), -1)],
+            [((0, 2), 1), ((1, -1), 0)],
+        )
+    ]
+    probes = [
+        Generator(a, k)
+        for a in ((0, 1), (1, -3), (1, -1), (0, 3), (0, 0), (-1, 2))
+        for k in (-1, 0, 1)
+    ]
+    _assert_rows_match(m, probes, basis)
+
+
+def test_action_rows_give_every_word_its_own_step_budget():
+    # a positive probe takes 3 steps on each word at weight -1, so a 3-step
+    # budget covers each word on its own, as one act call per word would,
+    # however many words one run straightens
+    m = VermaModule(ALG, HW, step_budget=3)
+    basis = m.weight_basis(-1, 6)
+    for probe in (Generator(1, 0), Generator(2, 3)):
+        assert m.action_rows(probe, basis) == _rows_word_by_word(m, probe, basis)
+    with pytest.raises(StraighteningLimitError, match="3-step budget"):
+        m.action_rows(Generator(1, 0), m.weight_basis(-2, 1))
+
+
+def test_action_rows_refuse_the_central_symbol():
+    m = module()
+    with pytest.raises(ValueError, match="generator"):
+        m.action_rows(CENTRAL, m.weight_basis(-1, 1))
+
+
 def _rat(rng, bound=9):
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
