@@ -278,9 +278,16 @@ def element_from_json(data, group: OrderedGroup):
 
 
 def coeff_json(c: Coeff) -> str:
-    """JSON form of a coefficient: ``"p/q"``, or a Q[w] polynomial over lex-z2."""
+    """JSON form of a coefficient: ``"p/q"``, or a Q[w] polynomial over lex-z2.
+
+    A constant Q[w] coefficient is written ``"p/q"`` like an equal
+    rational one, so equal vectors serialize alike whatever arithmetic
+    made them.
+    """
     if isinstance(c, Poly):
-        return c.format("w")
+        if c.degree > 0:
+            return c.format("w")
+        c = c.coefficient(0)
     return format_rational(c)
 
 

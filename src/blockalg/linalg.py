@@ -1,18 +1,27 @@
 """Exact linear algebra over the rationals.
 
-One streaming elimination routine, ``_echelon``, does all the work: rows
-arrive one at a time, are scaled to primitive integer vectors stored
-sparsely as ``{column: int}`` dicts, and are reduced against the pivot
-rows kept so far without ever forming a fraction (integer-preserving
-elimination, after Bareiss, Math. Comp. 22, 1968).  Each new pivot is
-substituted back into the earlier pivot rows as it arrives, so the pivot
-rows are always the reduced-echelon form scaled to integers.  That keeps
-every pivot row supported on its pivot and the free columns, which makes
-reducing a row that turns out to be dependent (most rows of an
-annihilation matrix) cheap.  At most ``ncols`` pivot rows exist; the
-routine stops at full rank.  The pivot rows are divided by their pivots
-once, at the end, so every result comes back exact, as ``Fraction``
-entries.
+One streaming elimination routine, ``_echelon``, does all the work.  Rows
+arrive one at a time as sparse ``{column: int}`` dicts: the callers scale
+a ``Fraction`` row by the lcm of its denominators on the way in, and the
+singular search hands in ``int`` rows already.  Each row is reduced
+against the pivot rows kept so far without ever forming a fraction
+(integer-preserving elimination, after Bareiss, Math. Comp. 22, 1968).
+
+Back-substitution is deferred.  A new pivot row is reduced against the
+pivots that existed before it, but the new pivot is not substituted back
+into the earlier pivot rows, so a pivot row may still hold entries at
+pivot columns that arrived after it.  An incoming row therefore clears
+its pivot columns one at a time, in increasing column order, picking up
+and clearing those later entries as it goes.  A generic search ends at
+full rank, where the reduced form is the identity: the routine stops
+pulling rows there and never back-substitutes at all.  Only when a
+kernel is left does it bring the pivot rows to reduced-echelon form, last
+pivot first.  Where dependent rows keep meeting the same stale pivot row
+with no new pivot in between (a rank-deficient system past its last
+pivot, or a deep search), that row is reduced once and then reused; see
+``_echelon``.  The pivot rows are
+divided by their pivots once, at the end, so every result comes back
+exact, as ``Fraction`` entries.
 
 ``rref``, ``nullspace``, ``solve`` and ``rank`` only read its result.  The
 reduced-echelon form of a row space is unique, so nullspace bases and
@@ -31,6 +40,7 @@ verdict is exact: no later row can shrink a kernel that is already {0}.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -48,23 +58,38 @@ def _check_entries(values: Iterable[Rational]) -> None:
             raise ValueError(f"matrix entry {x!r} is not an int or a Fraction")
 
 
-def _dense(rows: Sequence[Sequence[Rational]], ncols: int) -> Iterable[Dict[int, Rational]]:
-    """Sparse copies of dense rows, every row checked before the first one."""
+def _integral(items: Iterable[Tuple[int, Rational]]) -> IntRow:
+    """The nonzero entries of a checked row, times the lcm of their denominators."""
+    items = [(k, x) for k, x in items if x]
+    den = math.lcm(*[x.denominator for _, x in items])
+    return {k: x.numerator * (den // x.denominator) for k, x in items}
+
+
+def _dense(
+    rows: Sequence[Sequence[Rational]], ncols: int, rhs: Optional[Sequence[Rational]] = None
+) -> Iterable[IntRow]:
+    """Integral sparse copies of dense rows, every row checked before the first one.
+
+    With ``rhs``, row ``i`` gets ``rhs[i]`` appended as column ``ncols``.
+    """
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)} in a matrix with {ncols} columns")
         _check_entries(row)
-    return ({c: x for c, x in enumerate(row) if x} for row in rows)
+    if rhs is not None:
+        _check_entries(rhs)
+        rows = [[*row, b] for row, b in zip(rows, rhs)]
+    return (_integral(enumerate(row)) for row in rows)
 
 
-def _sparse(rows: Iterable[Dict[int, Rational]], ncols: int) -> Iterable[Dict[int, Rational]]:
-    """Lazily pulled sparse rows, each checked as it arrives."""
+def _sparse(rows: Iterable[Dict[int, Rational]], ncols: int) -> Iterable[IntRow]:
+    """Integral copies of lazily pulled sparse rows, each checked as it arrives."""
     for row in rows:
         for c in row:
             if not isinstance(c, int) or not 0 <= c < ncols:
                 raise ValueError(f"column {c!r} in a matrix with {ncols} columns")
         _check_entries(row.values())
-        yield {c: x for c, x in row.items() if x}
+        yield _integral(row.items())
 
 
 def _subtract(r: IntRow, f: int, q: IntRow, skip: int) -> None:
@@ -86,51 +111,124 @@ def _primitive(r: IntRow, p: int) -> IntRow:
     return r if g == 1 else {k: v // g for k, v in r.items()}
 
 
-def _echelon(rows: Iterable[Dict[int, Rational]], ncols: int) -> Dict[int, SparseRow]:
+def _reduce_pivot_row(pivots: Dict[int, IntRow], reduced: Dict[int, int], p: int) -> None:
+    """Bring pivot row ``p`` to reduced form, and first every stale row it needs.
+
+    ``reduced`` holds the pivot count at which each pivot row was last
+    reduced; a row is stale when pivots have arrived since.  A row is
+    reduced in one step against the later pivot rows it meets once those
+    are reduced themselves: they vanish on each other's pivots, so
+    subtracting one never brings back an entry at another pivot column,
+    and ``q <- m*q - sum f_c*q_c`` with the smallest positive ``m`` that
+    keeps every ``f_c`` integral.  An explicit stack holds the rows still
+    waiting for a later row.
+    """
+    n = len(pivots)
+    stack = [p]
+    while stack:
+        p = stack[-1]
+        if reduced[p] == n:
+            stack.pop()
+            continue
+        q = pivots[p]
+        hits = [c for c in q if c != p and c in pivots]
+        stale = [c for c in hits if reduced[c] != n]
+        if stale:
+            stack += stale
+            continue
+        stack.pop()
+        reduced[p] = n
+        if not hits:
+            continue
+        hit = [(c, q.pop(c), pivots[c]) for c in hits]
+        m = math.lcm(*[qc[c] // math.gcd(qc[c], f) for c, f, qc in hit])
+        if m != 1:
+            for k in q:
+                q[k] *= m
+        for c, f, qc in hit:
+            _subtract(q, f * m // qc[c], qc, c)
+        pivots[p] = _primitive(q, p)
+
+
+def _echelon(rows: Iterable[IntRow], ncols: int) -> Dict[int, SparseRow]:
     """Reduced pivot rows of ``rows``, keyed by pivot column.
 
     Each pivot row has a 1 at its pivot and zeros at every other pivot
-    column, with ``Fraction`` entries.  While eliminating, a pivot row is
-    kept as a primitive integer vector, positive at its pivot, that
-    vanishes at every other pivot column.  An incoming row is scaled by
-    the lcm of its denominators; it is reduced in one step against all
-    the pivot rows it meets, ``r <- m*r - sum f_c*q_c`` with the smallest
-    positive integer ``m`` that keeps every ``f_c`` integral, and divided
-    by the gcd of its entries.  A new pivot row is substituted back into
-    each earlier one the same way.  No row is pulled once the pivots
-    reach full rank.
+    column, with ``Fraction`` entries.  The incoming rows are integral,
+    and the routine reduces them in place.  While eliminating, a pivot
+    row is a primitive integer vector, positive at its pivot, with no
+    entry left of its pivot and none at the pivot columns that existed
+    when it was last reduced.
+
+    An incoming row clears its pivot columns in increasing order, one
+    pivot row at a time: ``r <- s*r - f*q`` with the smallest positive
+    integer ``s`` that keeps ``f`` integral.  Clearing column ``c`` only
+    adds entries right of ``c``, so a heap of the pivot columns still to
+    clear never goes back.  What is left is divided by the gcd of its
+    entries and becomes a pivot row at its first column; no earlier pivot
+    row is touched.  A pivot row is stale once a pivot has arrived since
+    it was last reduced.  When a stale row is used a second time with no
+    new pivot in between, as the dependent rows of a rank-deficient
+    system use it, it is brought to reduced form first
+    (``_reduce_pivot_row``), so the rows that follow subtract it without
+    clearing its later entries again.  A stream in which every row adds a
+    pivot reduces no pivot row this way.
+
+    No row is pulled once the pivots reach full rank; the reduced form is
+    then the identity.  Otherwise every pivot row is brought to reduced
+    form at the end, last pivot first.
     """
     pivots: Dict[int, IntRow] = {}
+    # per pivot row: the pivot count when it was last reduced, and when
+    # it was last used while stale
+    reduced: Dict[int, int] = {}
+    used: Dict[int, int] = {}
     if ncols == 0:
         return {}
-    for row in rows:
-        den = math.lcm(*[x.denominator for x in row.values()])
-        r = {k: x.numerator * (den // x.denominator) for k, x in row.items()}
-        # pivot rows vanish on each other's pivots, so subtracting one
-        # never brings back an entry at another pivot column
-        hit = [(c, r.pop(c), pivots[c]) for c in [c for c in r if c in pivots]]
-        m = math.lcm(*[q[c] // math.gcd(q[c], f) for c, f, q in hit])
-        if m != 1:
-            r = {k: m * v for k, v in r.items()}
-        for c, f, q in hit:
-            _subtract(r, f * m // q[c], q, c)
+    for r in rows:
+        n = len(pivots)
+        todo = [c for c in r if c in pivots]
+        heapq.heapify(todo)
+        while todo:
+            c = heapq.heappop(todo)
+            f = r.pop(c, None)
+            if f is None:
+                continue  # cancelled, or a column pushed twice
+            if reduced[c] != n:
+                if used.get(c) == n:
+                    _reduce_pivot_row(pivots, reduced, c)
+                else:
+                    used[c] = n
+            q = pivots[c]
+            d = q[c]
+            g = math.gcd(d, f)
+            if g != d:
+                s = d // g
+                for k in r:
+                    r[k] *= s
+            f //= g
+            for k, y in q.items():
+                v = r.get(k)
+                if v is None:
+                    if k != c:
+                        r[k] = -f * y
+                        if k in pivots:
+                            heapq.heappush(todo, k)
+                else:
+                    v -= f * y
+                    if v:
+                        r[k] = v
+                    else:
+                        del r[k]
         if not r:
             continue
         p = min(r)
-        r = _primitive(r, p)
-        d = r[p]
-        for c, q in pivots.items():
-            f = q.pop(p, None)
-            if f is not None:
-                g = math.gcd(d, f)
-                if d != g:
-                    for k in q:
-                        q[k] *= d // g
-                _subtract(q, f // g, r, p)
-                pivots[c] = _primitive(q, c)
-        pivots[p] = r
+        pivots[p] = _primitive(r, p)
+        reduced[p] = len(pivots)
         if len(pivots) == ncols:
-            break
+            return {p: {p: Fraction(1)} for p in range(ncols)}
+    for p in sorted(pivots, reverse=True):
+        _reduce_pivot_row(pivots, reduced, p)
     return {
         p: {k: Fraction(v, q[p]) for k, v in q.items()} for p, q in pivots.items()
     }
@@ -195,14 +293,10 @@ def solve(
     """
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
-    _check_entries(rhs)
     if not rows:
         return []
     ncols = len(rows[0])
-    augmented = (
-        {**row, ncols: b} if b else row for row, b in zip(_dense(rows, ncols), rhs)
-    )
-    pivots = _echelon(augmented, ncols + 1)
+    pivots = _echelon(_dense(rows, ncols, rhs), ncols + 1)
     if ncols in pivots:
         return None
     sol = [Fraction(0)] * ncols

@@ -13,6 +13,7 @@ covers three roles in this package:
 
 ``format_rational`` and ``parse_rational`` are the one JSON form of an
 exact rational used throughout the package: ``"p/q"`` with ``q >= 1``.
+``exact_fraction`` is the one strict conversion of a value to ``Fraction``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,19 @@ def _rat(value) -> Rat:
 def format_rational(x: Rat) -> str:
     """``"p/q"`` in lowest terms, ``"3/1"`` for an integral value."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def exact_fraction(value) -> Fraction:
+    """``value`` as a ``Fraction``: a ``Fraction`` passes, an ``int`` converts.
+
+    Anything else -- a float, a bool, a string -- raises ``ValueError``
+    rather than being converted: ``Fraction(0.1)`` is not 1/10.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"not an exact rational: {value!r} (use an int or a Fraction)")
 
 
 def parse_rational(value) -> Rat:

@@ -47,7 +47,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from . import linalg
 from .groups import IntegerGroup, OrderedGroup
 from .lie import Coeff, Generator
-from .polynomial import Poly, X, format_rational
+from .polynomial import Poly, X, exact_fraction, format_rational
 from .verma import (
     HighestWeight,
     ModuleVector,
@@ -79,7 +79,7 @@ def labels_from_charpoly(
     """
     if not f.is_monic:
         raise ValueError("characteristic polynomial must be monic")
-    cc = Fraction(central_charge)
+    cc = exact_fraction(central_charge)
     if f.degree == 0:
         if cc != 0 or initial:
             raise ValueError(
@@ -311,7 +311,9 @@ def _annihilation_rows(
     A row is one output word of one probe, keyed by basis column.  The
     probes come in order and each probe's rows by output word.  One
     straightening run per probe builds all of its rows
-    (:meth:`VermaModule.action_rows`), and it runs only when the probe's
+    (:meth:`VermaModule.action_rows`; over the integers ``int`` rows, each
+    probe's scaled by one positive integer, which leaves the row space
+    as it is), and it runs only when the probe's
     first row is pulled, so an elimination that reaches full rank early
     never straightens the remaining probes.
     """

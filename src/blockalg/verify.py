@@ -341,7 +341,7 @@ def check_generic_irreducibility(cfg: VerifyConfig) -> CheckResult:
                 )
             continue
         module = VermaModule(alg, hw)
-        for mu in (-1, -2, -3):
+        for mu in (-1, -2, -3, -4, -5):
             rep = singular_candidates(module, mu, 2, 10, 3)
             if rep.candidates:
                 return CheckResult(
@@ -360,7 +360,7 @@ def check_generic_irreducibility(cfg: VerifyConfig) -> CheckResult:
     return CheckResult(
         "generic-irreducibility",
         True,
-        "20 generic weights: no candidates at weights -1,-2,-3 (I=2,K=10,B=3), "
+        "20 generic weights: no candidates at weights -1,-2,-3,-4,-5 (I=2,K=10,B=3), "
         "all detectors negative within horizon and mutually consistent",
     )
 

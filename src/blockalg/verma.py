@@ -38,7 +38,10 @@ output word in a :class:`PBWMonomial` once, and
 :meth:`VermaModule.action_rows` runs it on every word of a basis and
 reads the matrix rows off the raw output words, never decoding them.
 Both share one setup: the group-element arithmetic of the run, the
-clearing of denominators and the output rescaling.
+clearing of denominators and the output rescaling.  Over the integers
+the rows stay ``int``: every basis word enters at one probe-wide scale
+that the denominator of each label and of the central charge the probe
+can reach divides, so those terms are exact integer divisions.
 
 Lex-z2 pairs are straightened as they are.  Integer and dyadic parts
 share one integer kernel, because the dyadic algebra is the integer one
@@ -71,11 +74,13 @@ Coefficients are exact and come in three representations that compare
 and hash alike: a Python ``int`` while the value is integral (the
 integer structure constants, and an input coefficient, which
 :meth:`VermaModule.act` clears of denominators); a ``Fraction`` once a
-label, the central charge or the final rescaling enters; and a ``Poly``
-in the formal unit ``w`` over the lex-z2 instance.  A product is written
-with the ``Fraction`` or ``Poly`` operand on the left, so it takes the
+label, the central charge or the final rescaling enters (except in the
+integer rows of :meth:`VermaModule.action_rows`); and a ``Poly`` in the
+formal unit ``w`` over the lex-z2 instance.  A product is written with
+the ``Fraction`` or ``Poly`` operand on the left, so it takes the
 operand's own method rather than the slower reflected one.  The JSON
-form ``"p/q"`` is the same for ``3`` and ``Fraction(3)``.
+form ``"p/q"`` is the same for ``3``, ``Fraction(3)`` and the constant
+``Poly`` 3.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ from .lie import (
     element_json,
     integer_from_json,
 )
-from .polynomial import Poly, format_rational, parse_rational
+from .polynomial import Poly, exact_fraction, format_rational, parse_rational
 
 Factor = Tuple[object, int]  # (positive part, index >= -1)
 
@@ -250,7 +255,7 @@ class ExplicitLabels:
     """Finitely supported label sequence, zero beyond the stored prefix."""
 
     def __init__(self, values: Iterable[Union[int, Fraction]]):
-        self.values = tuple(Fraction(v) for v in values)
+        self.values = tuple(map(exact_fraction, values))
 
     def label(self, i: int) -> Fraction:
         return self.values[i] if i < len(self.values) else Fraction(0)
@@ -285,8 +290,8 @@ class RecurrentLabels:
                 f"expected {charpoly.degree - 1} initial labels, got {len(initial)}"
             )
         self.charpoly = charpoly
-        self.central_charge = Fraction(central_charge)
-        self._memo: List[Fraction] = [Fraction(v) for v in initial]
+        self.central_charge = exact_fraction(central_charge)
+        self._memo: List[Fraction] = list(map(exact_fraction, initial))
 
     def label(self, i: int) -> Fraction:
         d = self.charpoly.degree
@@ -323,7 +328,7 @@ class HighestWeight:
     """Central charge plus the label sequence of the weight-zero modes."""
 
     def __init__(self, central_charge, labels):
-        self.central_charge = Fraction(central_charge)
+        self.central_charge = exact_fraction(central_charge)
         self.labels = labels
 
     @classmethod
@@ -410,6 +415,7 @@ class VermaModule:
         self.hw = weight
         self.step_budget = step_budget
         self._codes = _DyadicCodes(1)
+        self._weight_scales: List[int] = []  # see _weight_scale
 
     # -- construction and validation ------------------------------------
 
@@ -454,16 +460,35 @@ class VermaModule:
         """The matrix of ``probe`` on ``basis``, one sparse row per output word.
 
         The row of an output word maps column ``j`` to its coefficient in
-        ``act(probe, basis[j])``.  Rows come in the order of
-        :meth:`PBWMonomial.sort_key` on their words, and the columns of a
-        row ascend.  One straightening run covers the whole basis: each
-        word is its own input, with its own output dict and its own step
-        budget, and output words stay raw factor tuples (coded ones over
-        the dyadic instance, which sort the same), never decoded.
+        ``act(probe, basis[j])``, over the integers times one probe-wide
+        scale.  Rows come in the order of :meth:`PBWMonomial.sort_key` on
+        their words, and the columns of a row ascend.  One straightening
+        run covers the whole basis: each word is its own input, with its
+        own output dict and its own step budget, and output words stay raw
+        factor tuples (coded ones over the dyadic instance, which sort the
+        same), never decoded.
+
+        Over the integers every row is an ``int`` row.  Each basis word
+        enters at the scale ``lam``: the lcm of the central charge's
+        denominator and the denominators of every label the probe can
+        reach.  A zero mode L(0, i) reached at ``v`` consumes a subset of
+        the factors of a basis word, so its label index ``probe.index + 1 +
+        sum of consumed indices`` is at most ``probe.index + 1`` plus the
+        word's sum of positive indices.  Every coefficient that meets a
+        label or the central charge is then a multiple of ``lam``, and the
+        term is formed by exact division, ``coeff // q * p`` for ``p/q``.
+        Scaling all columns by one ``lam`` leaves the row space unchanged.
         """
         if isinstance(probe, Central):
             raise ValueError("action rows need a generator, not the central symbol")
-        cols, _ = self._run(probe, [((mono, 1),) for mono in basis])
+        lam = 1
+        integral = isinstance(self.group, IntegerGroup)
+        if integral:
+            reach = probe.index + 1 + max(
+                (sum(i for _, i in mono.factors if i > 0) for mono in basis), default=0
+            )
+            lam = self._weight_scale(reach)
+        cols, _ = self._run(probe, [((mono, lam),) for mono in basis], integral)
         rows: Dict[Tuple[Factor, ...], Dict[int, Coeff]] = {}
         for j, words in enumerate(cols):
             for w, c in words.items():
@@ -474,14 +499,22 @@ class VermaModule:
                     row[j] = c
         return [rows[w] for w in sorted(rows, key=lambda w: (len(w), w))]
 
-    def _run(self, sym: Generator, inputs: Sequence[Iterable[Tuple[PBWMonomial, Coeff]]]):
+    def _run(
+        self,
+        sym: Generator,
+        inputs: Sequence[Iterable[Tuple[PBWMonomial, Coeff]]],
+        integral: bool = False,
+    ):
         """Straighten ``sym`` on each of ``inputs`` in one kernel run.
 
         An input is a vector given as ``(word, coeff)`` pairs that can be
         read more than once.  Returns one dict per input, from raw output words to
         their exact nonzero coefficients, and the decoder of a raw word to
         its :class:`PBWMonomial`.  Each input is straightened in full before
-        the next starts and spends its own step budget.
+        the next starts and spends its own step budget.  ``integral`` runs
+        the integer group on ``int`` input coefficients that every label
+        and central-charge denominator the run meets divides (see
+        :meth:`action_rows`), and every output coefficient is an ``int``.
         """
         g = self.group
         alpha, idx = sym.alpha, sym.index
@@ -527,7 +560,7 @@ class VermaModule:
             seeds.append(tasks)
             if den != 1 or scale != 1:
                 rescale.append((dest, top, den))
-        self._straighten(seeds, _INT_PARTS, scale)
+        self._straighten(seeds, _INT_PARTS, scale, integral)
         # a word of length n carries den * scale**(top + 1 - n) too much;
         # den or scale exceeds 1 here, so that is 1 only where den is 1
         # and n is top + 1
@@ -549,7 +582,7 @@ class VermaModule:
             out = out + self.act(sym, vec).scaled(coeff)
         return out
 
-    def _straighten(self, seeds: list, ar, scale: int) -> None:
+    def _straighten(self, seeds: list, ar, scale: int, integral: bool = False) -> None:
         """Run each seed's tasks until the stack is empty; words are plain factor tuples.
 
         ``seeds`` is a list of task lists, one per input of the run.  An
@@ -568,7 +601,9 @@ class VermaModule:
         each followed by the dict it adds into.  Every insertion and every
         application spends one step.  Parts are coded at ``scale``, so the
         weight data enters scaled: a label as ``label*scale``, the central
-        charge as ``scale*cc``.
+        charge as ``scale*cc``.  With ``integral`` (integer parts, ``scale``
+        1) a label or central term ``p/q`` is formed as ``coeff // q * p``,
+        exact because ``q`` divides every coefficient that meets it.
         """
         zero, add, sub, neg, const = ar.zero, ar.add, ar.sub, ar.neg, ar.const
         label, cc = self.hw.label, self.hw.central_charge
@@ -606,7 +641,9 @@ class VermaModule:
                                 raise self._exhausted()
                             if not factors:
                                 if gamma == zero:
-                                    _accumulate(dest, (), label(idx + 1) * coeff)
+                                    x = label(idx + 1)
+                                    _accumulate(dest, (), coeff // x.denominator * x.numerator
+                                                if integral else x * coeff)
                                 break  # the positive part annihilates the highest weight vector
                             # L(gamma) L(-p1) = L(-p1) L(gamma) + [L(gamma), L(-p1)]:
                             # the bracket terms go on the stack first, then the
@@ -621,9 +658,13 @@ class VermaModule:
                                 push((_APPLY, sub(gamma, p1), idx + i1, factors,
                                       bcoeff * coeff, dest))
                             if gamma == p1 and idx + i1 == -2:
-                                central = ar.scalar(gamma) * cc
-                                if central:
-                                    _accumulate(dest, factors, central * coeff)
+                                if integral:
+                                    _accumulate(dest, factors,
+                                                coeff // cc.denominator * cc.numerator * gamma)
+                                else:
+                                    central = ar.scalar(gamma) * cc
+                                    if central:
+                                        _accumulate(dest, factors, central * coeff)
                             passed: Dict[Tuple[Factor, ...], Coeff] = {}
                             push((_FLUSH, passed, p1, i1, dest))
                             dest = passed
@@ -681,6 +722,14 @@ class VermaModule:
         if scale != table.scale:
             table = self._codes = _DyadicCodes(scale)
         return table
+
+    def _weight_scale(self, n: int) -> int:
+        """The lcm of the central charge's denominator and those of labels 0..n."""
+        lcms = self._weight_scales
+        while len(lcms) <= n:
+            prev = lcms[-1] if lcms else self.hw.central_charge.denominator
+            lcms.append(math.lcm(prev, self.hw.label(len(lcms)).denominator))
+        return lcms[n]
 
     def _exhausted(self) -> StraighteningLimitError:
         return StraighteningLimitError(

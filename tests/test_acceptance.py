@@ -17,7 +17,7 @@ CRITERIA = {
     "module-axiom": "3. module axiom oracle, 500 actions, both instances",
     "charpoly-roundtrip": "4. characteristic polynomial round trip, 50 draws",
     "singular-witnesses": "5. singular vector witnesses incl. central cancellation",
-    "generic-irreducibility": "6. generic weights: all detectors negative in horizon",
+    "generic-irreducibility": "6. generic weights: no candidates at -1..-5, all detectors negative",
     "delta-series": "7. series golden values match 2 - exp(-z)",
     "step3-determinant": "8. sweep determinant identity, 100 dyadic instances",
     "discrete-order": "9. step lattice decomposition and annihilation identity",

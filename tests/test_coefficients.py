@@ -24,8 +24,10 @@ from blockalg.verma import HighestWeight, PBWMonomial, VermaModule
 GROUPS = (INTEGERS, DYADIC, LEX_Z2)
 
 # SHA-256 of the canonical JSON of _seeded_results(), computed with every
-# coefficient still a Fraction; any "3" vs "3/1" drift changes it
-GOLDEN_SHA256 = "83a0abeabcf61e69afca27660e49459060956ceb1164ada78501534ebe035305"
+# coefficient still a Fraction; any "3" vs "3/1" drift changes it.  A
+# constant Q[w] coefficient over lex-z2 is written "p/q" like a rational
+# one (nine strings of this list, such as "-6/1", were "-6" before)
+GOLDEN_SHA256 = "2a18829c6c99c46f6c607dc206958ff76e7e62d71cb43a4005f3b06553d609c0"
 
 
 def _rat(rng, bound=9):

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from blockalg import linalg
+from blockalg import linalg, reducibility
+from blockalg.groups import INTEGERS
+from blockalg.lie import BlockAlgebra
+from blockalg.polynomial import X
+from blockalg.reducibility import labels_from_charpoly
+from blockalg.verma import HighestWeight, ModuleVector, VermaModule
 
 
 def _random_matrix(rng, rows, cols):
@@ -270,3 +275,101 @@ def test_lazy_sparse_column_out_of_range_is_rejected():
     for bad in ({2: Fraction(1)}, {-1: Fraction(1)}, {Fraction(1): Fraction(1)}):
         with pytest.raises(ValueError):
             linalg.nullspace(iter([{0: Fraction(1)}, bad]), 2)
+
+
+# -- streams with deferred back-substitution ------------------------------------------
+# The forward pass leaves later pivot entries in earlier pivot rows and
+# reduces a stale pivot row only once dependent rows keep meeting it; the
+# reduced form it returns must still be the unique one.
+
+
+def _entry(rng, fractions):
+    n = rng.choice([k for k in range(-9, 10) if k])
+    return Fraction(n, rng.randint(1, 6)) if fractions else n
+
+
+def _sparse_stream(rng, ncols, rank, fractions, dependent):
+    """Sparse rows of rank ``rank``: each new base row is followed by
+    ``dependent`` integer combinations of the base rows so far, so
+    dependent rows come both before and after the last pivot.  Base row
+    ``i`` holds column ``order[i]`` and some of the columns after it in
+    ``order``, so the base rows are independent."""
+    order = rng.sample(range(ncols), ncols)
+    base, rows = [], []
+    for i in range(rank):
+        later = order[i + 1 :]
+        cols = [order[i]] + rng.sample(later, min(len(later), rng.randint(0, 3)))
+        base.append({c: _entry(rng, fractions) for c in cols})
+        rows.append(base[-1])
+        for _ in range(dependent):
+            combo = {}
+            for b in rng.sample(base, min(len(base), rng.randint(1, 3))):
+                a = rng.choice([-2, -1, 1, 2, 3])
+                for c, x in b.items():
+                    combo[c] = combo.get(c, 0) + a * x
+            rows.append({c: x for c, x in combo.items() if x})
+    return rows
+
+
+def test_sparse_streams_match_dense_reference():
+    rng = random.Random(12)
+    full_rank = deficient = 0
+    for trial in range(80):
+        fractions = trial % 2 == 1
+        ncols = rng.randint(2, 24)
+        rank = ncols if trial % 4 < 2 else rng.randint(1, ncols - 1)
+        dependent = rng.randint(1, 4)
+        rows = _sparse_stream(rng, ncols, rank, fractions, dependent)
+        dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+        pulled = []
+
+        def stream():
+            for r in rows:
+                pulled.append(r)
+                yield dict(r)
+
+        kernel = linalg.nullspace(stream(), ncols)
+        assert kernel == _dense_nullspace(dense, ncols) and _all_fractions(kernel)
+        if kernel:
+            deficient += 1
+            assert len(pulled) == len(rows)
+        else:
+            # full rank mid-stream, at the last base row: no row after it is pulled
+            full_rank += 1
+            first = (rank - 1) * (dependent + 1) + 1
+            assert len(_dense_rref(dense[: first - 1])[1]) < ncols
+            assert len(_dense_rref(dense[:first])[1]) == ncols
+            assert len(pulled) == first < len(rows)
+    assert full_rank >= 20 and deficient >= 20
+
+
+_RNG = random.Random(7)
+_GENERIC_LABELS = [Fraction(_RNG.randint(-9, 9), _RNG.randint(1, 5)) for _ in range(40)]
+
+
+def _act_matrix(module, basis, probes):
+    """The annihilation matrix built word by word with ``act``, as dense rows."""
+    rows = {}
+    for col, mono in enumerate(basis):
+        for pi, probe in enumerate(probes):
+            for out, c in module.act(probe, ModuleVector.of(mono)).items():
+                rows.setdefault((pi, out), [Fraction(0)] * len(basis))[col] = c
+    return list(rows.values())
+
+
+@pytest.mark.parametrize(
+    "weight, mu, bound, probe_index, probe_weight",
+    [
+        # generic explicit labels at (-4, 2), probes cut short so a kernel is left
+        (HighestWeight.explicit(_GENERIC_LABELS, Fraction(3, 2)), -4, 2, -1, 3),
+        # recurrent labels at -1, I = 3: the kernel holds the charpoly and its shifts
+        (labels_from_charpoly(X**2 - 3 * X + Fraction(1, 2), Fraction(5, 3), [Fraction(2)]), -1, 3, 12, 3),
+    ],
+)
+def test_annihilation_kernels_match_dense_reference(weight, mu, bound, probe_index, probe_weight):
+    m = VermaModule(BlockAlgebra(INTEGERS), weight)
+    basis = m.weight_basis(mu, bound)
+    probes = reducibility._probe_generators(m, probe_weight, probe_index)
+    kernel = linalg.nullspace(reducibility._annihilation_rows(m, basis, probes), len(basis))
+    assert kernel
+    assert kernel == _dense_nullspace(_act_matrix(m, basis, probes), len(basis))

@@ -1,3 +1,4 @@
+import json
 import operator
 import random
 import sys
@@ -11,6 +12,7 @@ from blockalg.lie import CENTRAL, BlockAlgebra, Generator, LieElement
 from blockalg.polynomial import Poly, X
 from blockalg.reducibility import labels_from_charpoly
 from blockalg.verma import (
+    ExplicitLabels,
     HighestWeight,
     ModuleVector,
     PBWMonomial,
@@ -45,6 +47,33 @@ def test_recurrent_labels_validate_shape():
         RecurrentLabels(2 * X + 1, [], 1)  # not monic
     with pytest.raises(ValueError):
         RecurrentLabels(X + 1, [Fraction(1)], 1)  # too many initial labels
+
+
+@pytest.mark.parametrize("bad", [0.1, True, "1/3"], ids=["float", "bool", "string"])
+def test_weight_constructors_refuse_inexact_values(bad):
+    # Fraction(0.1) would store 3602879701896397/36028797018963968, and
+    # Fraction("1/3") and Fraction(True) would pass unchecked
+    for build in (
+        lambda: ExplicitLabels([1, bad]),
+        lambda: RecurrentLabels(X**2 + 1, [bad], 1),
+        lambda: RecurrentLabels(X + 1, [], bad),
+        lambda: HighestWeight(bad, ExplicitLabels([])),
+        lambda: HighestWeight.explicit([Fraction(1, 3), bad], 1),
+        lambda: HighestWeight.explicit([1], bad),
+        lambda: labels_from_charpoly(X + 1, bad),
+        lambda: labels_from_charpoly(X**2 + 1, 1, [bad]),
+    ):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            build()
+
+
+def test_weight_constructors_keep_exact_values():
+    hw = HighestWeight.explicit([Fraction(1, 3), 2, Fraction(-4, 2)], 5)
+    assert [hw.label(i) for i in range(4)] == [Fraction(1, 3), 2, -2, 0]
+    assert all(type(hw.label(i)) is Fraction for i in range(4))
+    assert type(hw.central_charge) is Fraction and hw.central_charge == 5
+    rec = labels_from_charpoly(X**2 + 1, 2, [Fraction(1, 2)])
+    assert type(rec.central_charge) is Fraction and rec.label(0) == Fraction(1, 2)
 
 
 def test_highest_weight_json_roundtrip():
@@ -413,6 +442,15 @@ def _rows_word_by_word(m, probe, basis):
 def _assert_rows_match(m, probes, basis):
     for probe in probes:
         got, want = m.action_rows(probe, basis), _rows_word_by_word(m, probe, basis)
+        if m.group is INTEGERS and want:
+            # over the integers each row is one positive integer probe scale
+            # times the act row, with int entries
+            j, c = next(iter(want[0].items()))
+            scale = Fraction(got[0][j]) / c
+            assert scale.denominator == 1 and scale > 0
+            scaled = [{j: scale * c for j, c in r.items()} for r in want]
+            assert all(c.denominator == 1 for r in scaled for c in r.values())
+            want = [{j: c.numerator for j, c in r.items()} for r in scaled]
         # the same rows in the same order, the same columns in the same
         # order, and equal coefficients of the same type
         assert [[(j, c, type(c)) for j, c in r.items()] for r in got] == [
@@ -472,8 +510,7 @@ def test_action_rows_give_every_word_its_own_step_budget():
     # however many words one run straightens
     m = VermaModule(ALG, HW, step_budget=3)
     basis = m.weight_basis(-1, 6)
-    for probe in (Generator(1, 0), Generator(2, 3)):
-        assert m.action_rows(probe, basis) == _rows_word_by_word(m, probe, basis)
+    _assert_rows_match(m, (Generator(1, 0), Generator(2, 3)), basis)
     with pytest.raises(StraighteningLimitError, match="3-step budget"):
         m.action_rows(Generator(1, 0), m.weight_basis(-2, 1))
 
@@ -636,6 +673,35 @@ def test_module_vector_json_roundtrip_property(case):
         assert back == v
         again = ModuleVector.from_json(back.to_json(group), group)
         assert again.to_json(group) == back.to_json(group)
+
+
+_ONE_WORD = {INTEGERS: [(1, 0)], DYADIC: [(Fraction(1, 2), 0)], LEX_Z2: [((0, 1), 0)]}
+
+
+@pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
+def test_equal_vectors_serialize_alike(group):
+    # one value as an int, a Fraction and, over lex-z2, a constant Q[w]
+    # coefficient: equal vectors write equal bytes, and a round trip
+    # through JSON writes them again unchanged
+    m = module(_JSON_WEIGHT, group)
+    word = m.monomial(_ONE_WORD[group])
+    forms = [-6, Fraction(-6), Fraction(-3, 2)]
+    if group is LEX_Z2:
+        forms += [Poly([-6]), Poly([Fraction(-3, 2)])]
+    vectors = [ModuleVector.of(word, c) for c in forms]
+    if group is LEX_Z2:
+        # an action that leaves a constant Q[w] coefficient, next to the
+        # same value as an int
+        out = m.act(Generator((0, 1), 0), m.vector([((0, 1), 0), ((0, 1), 0)]))
+        ((_, c),) = out.items()
+        assert isinstance(c, Poly) and c.degree == 0
+        vectors += [out, ModuleVector.of(word, c.coefficient(0))]
+    by_value = {}
+    for v in vectors:
+        data = v.to_json(group)
+        by_value.setdefault(v, set()).add(json.dumps(data))
+        assert ModuleVector.from_json(data, group).to_json(group) == data
+    assert len(by_value) >= 2 and all(len(texts) == 1 for texts in by_value.values())
 
 
 @pytest.mark.parametrize(
