@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, List, Union
+from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -84,14 +84,16 @@ class Poly:
         self.coeffs: tuple[Rat, ...] = tuple(cs)
 
     @classmethod
-    def of_exact(cls, cs: List[Rat]) -> "Poly":
-        """Poly over a list whose entries are already ``int`` or ``Fraction``.
+    def of_exact(cls, cs: Sequence[Rat]) -> "Poly":
+        """Poly over a list or tuple whose entries are already ``int`` or ``Fraction``.
 
-        Skips the per-entry check of the constructor; trims trailing
-        zeros in place.
+        Skips the per-entry check of the constructor and trims trailing
+        zeros; a tuple that needs no trim becomes the coefficients as it is.
         """
-        while cs and not cs[-1]:
-            cs.pop()
+        if cs and not cs[-1]:
+            cs = list(cs)
+            while cs and not cs[-1]:
+                cs.pop()
         p = cls.__new__(cls)
         p.coeffs = tuple(cs)
         return p

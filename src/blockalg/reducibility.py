@@ -91,7 +91,7 @@ def labels_from_charpoly(
 
 def _label_conditions(
     hw: HighestWeight, first: int, last: int, ncols: int
-) -> List[List[Fraction]]:
+) -> List[List[int]]:
     """The t^m label probes for m = first..last, on coefficients a_0..a_(ncols-1).
 
     Row m, column n is the coefficient of a_n in the probe of
@@ -100,18 +100,21 @@ def _label_conditions(
         (n+m) * label(n+m-1) - [m = n = 0] * cc,
 
     i.e. the shadow s_(n+m) with the central charge taken off at the
-    corner.  Every label detector reads this one system.  It is a Hankel
-    matrix, so each shadow is computed once and every row is a slice of
-    that one list.
+    corner, times one positive integer for the whole system: the lcm of
+    the denominators, so every entry is an ``int`` and the kernel is the
+    same.  Every label detector reads this one system.  It is a Hankel
+    matrix, so each shadow is computed and cleared once and every row is
+    a slice of that one list; the corner is the only entry at index 0.
     """
     shadows = [hw.shadow(k) for k in range(first, last + ncols)]
-    rows = [shadows[i : i + ncols] for i in range(last - first + 1)]
-    if first == 0 and rows and rows[0]:
-        rows[0][0] -= hw.central_charge
-    return rows
+    if first == 0 and shadows:
+        shadows[0] -= hw.central_charge
+    den = math.lcm(*[s.denominator for s in shadows])
+    shadows = [s.numerator * (den // s.denominator) for s in shadows]
+    return [shadows[i : i + ncols] for i in range(last - first + 1)]
 
 
-def _minimal_monic(rows: List[List[Fraction]], ncols: int) -> Optional[Poly]:
+def _minimal_monic(rows: List[List[int]], ncols: int) -> Optional[Poly]:
     """The unique lowest-degree monic f in the kernel of ``rows``, or None.
 
     It is the first canonical kernel vector (see the module docstring).

@@ -56,11 +56,11 @@ central term as ``code*(S*cc)``.  An output word of length ``n`` then
 carries ``S^(n - len_in - 1)``.  A run clears that in one step, together
 with the common denominator ``D`` of its input coefficients: an input of
 length ``len_in`` enters as the ``int`` ``c*D*S^(top - len_in)``, ``top``
-the longest input word, and each output coefficient is multiplied by
-``1/(D*S^(top + 1 - n))``, the one ``Fraction`` operation per output
-term.  Each input of a run is cleared on its own, so the basis words of
-:meth:`VermaModule.action_rows` enter as ``1`` and are rescaled per
-column.  Integer runs have ``S = 1``.
+the longest input word, and each output coefficient ``c`` becomes
+``Fraction(c, D*S^(top + 1 - n))``, one ``Fraction`` constructor (one
+gcd) per output term.  Each input of a run is cleared on its own, so
+the basis words of :meth:`VermaModule.action_rows` enter as ``1`` and
+are rescaled per column.  Integer runs have ``S = 1``.
 
 A dyadic module keeps one code table for its whole life: its scale ``S``
 (the ``lcm`` of every denominator it has met), each word's code and each
@@ -76,11 +76,23 @@ integer structure constants, and an input coefficient, which
 :meth:`VermaModule.act` clears of denominators); a ``Fraction`` once a
 label, the central charge or the final rescaling enters (except in the
 integer rows of :meth:`VermaModule.action_rows`); and a ``Poly`` in the
-formal unit ``w`` over the lex-z2 instance.  A product is written with
-the ``Fraction`` or ``Poly`` operand on the left, so it takes the
-operand's own method rather than the slower reflected one.  The JSON
-form ``"p/q"`` is the same for ``3``, ``Fraction(3)`` and the constant
-``Poly`` 3.
+formal unit ``w`` over the lex-z2 instance.  The JSON form ``"p/q"`` is
+the same for ``3``, ``Fraction(3)`` and the constant ``Poly`` 3; the
+printed form is not (``3*v`` against ``(3)*v``), so a coefficient stays
+a rational until w-arithmetic touches it, and is a ``Poly`` from then
+on, even when constant.
+
+``Poly`` appears only at the boundary of a run.  Inside the kernel a
+Q[w] coefficient is a plain trimmed tuple ``(c0, c1, ..., cd)`` of
+``int`` and ``Fraction`` entries, lowest degree first, and zero is
+``()``: a ``Poly`` input enters as its ``coeffs``, and each tuple output
+becomes a ``Poly`` once.  The kernel reaches coefficient arithmetic only
+through three ring hooks of the run's part arithmetic: ``mul`` by a
+linear structure constant, ``smul`` by a label or the central charge,
+and ``cadd``, a sum that is falsy when it cancels.  Over the integers
+and dyadics they are the plain operators.  A product is written with the
+``Fraction`` operand on the left, so it takes the ``Fraction``'s own
+method rather than the slower reflected one.
 """
 
 from __future__ import annotations
@@ -522,15 +534,23 @@ class VermaModule:
         outs: List[Dict[Tuple[Factor, ...], Coeff]] = []
         seeds = []
         if isinstance(g, LexPairGroup):
+            # a Q[w] coefficient runs as its coefficient tuple, and each
+            # output tuple becomes a Poly once
             for terms in inputs:
                 dest, tasks = {}, []
                 for mono, c in terms:
-                    if type(c) is Fraction and c.denominator == 1:
+                    if type(c) is Poly:
+                        c = c.coeffs
+                    elif type(c) is Fraction and c.denominator == 1:
                         c = c.numerator  # integral: straighten in int arithmetic
                     tasks.append((_APPLY, alpha, idx, mono.factors, c, dest))
                 outs.append(dest)
                 seeds.append(tasks)
             self._straighten(seeds, _LEX_PAIRS, 1)
+            for dest in outs:
+                for w, c in dest.items():
+                    if type(c) is tuple:
+                        dest[w] = Poly.of_exact(c)
             return outs, _word
         # Integer and dyadic words run on the integer kernel, a dyadic word
         # coded at the scale of the module's table.  An input coefficient
@@ -563,16 +583,14 @@ class VermaModule:
         self._straighten(seeds, _INT_PARTS, scale, integral)
         # a word of length n carries den * scale**(top + 1 - n) too much;
         # den or scale exceeds 1 here, so that is 1 only where den is 1
-        # and n is top + 1
+        # and n is top + 1.  One Fraction constructor (one gcd) per term.
         for dest, top, den in rescale:
-            inverse = [None] * (top + 2)
+            excess = [den * scale ** (top + 1 - n) for n in range(top + 2)]
             for w, c in dest.items():
-                n = len(w)
-                if n <= top or den != 1:
-                    f = inverse[n]
-                    if f is None:
-                        f = inverse[n] = Fraction(1, den * scale ** (top + 1 - n))
-                    dest[w] = f * c
+                d = excess[len(w)]
+                if d != 1:
+                    dest[w] = (Fraction(c, d) if type(c) is int
+                               else Fraction(c.numerator, c.denominator * d))
         return outs, decode
 
     def act_element(self, elem: LieElement, vec: ModuleVector) -> ModuleVector:
@@ -599,13 +617,18 @@ class VermaModule:
           of ``passed``,
 
         each followed by the dict it adds into.  Every insertion and every
-        application spends one step.  Parts are coded at ``scale``, so the
-        weight data enters scaled: a label as ``label*scale``, the central
-        charge as ``scale*cc``.  With ``integral`` (integer parts, ``scale``
-        1) a label or central term ``p/q`` is formed as ``coeff // q * p``,
-        exact because ``q`` divides every coefficient that meets it.
+        application spends one step.  ``ar`` is the part arithmetic of the
+        run, :class:`_IntParts` or :class:`_LexPairs`.  Coefficients meet
+        only its ring hooks ``mul``, ``smul`` and ``cadd``, so a Q[w]
+        coefficient stays a tuple here and no ``Poly`` is built.  Parts are
+        coded at ``scale``, so the weight data enters scaled: a label as
+        ``label*scale``, the central charge as ``scale*cc``.  With
+        ``integral`` (integer parts, ``scale`` 1) a label or central term
+        ``p/q`` is formed as ``coeff // q * p``, exact because ``q`` divides
+        every coefficient that meets it.
         """
         zero, add, sub, neg, const = ar.zero, ar.add, ar.sub, ar.neg, ar.const
+        mul, smul, cadd = ar.mul, ar.smul, ar.cadd
         label, cc = self.hw.label, self.hw.central_charge
         if scale != 1:
             cc *= scale
@@ -643,7 +666,7 @@ class VermaModule:
                                 if gamma == zero:
                                     x = label(idx + 1)
                                     _accumulate(dest, (), coeff // x.denominator * x.numerator
-                                                if integral else x * coeff)
+                                                if integral else smul(x, coeff), cadd)
                                 break  # the positive part annihilates the highest weight vector
                             # L(gamma) L(-p1) = L(-p1) L(gamma) + [L(gamma), L(-p1)]:
                             # the bracket terms go on the stack first, then the
@@ -656,15 +679,15 @@ class VermaModule:
                             bcoeff = const(-(idx + 1), p1, i1 + 1, gamma)
                             if bcoeff:
                                 push((_APPLY, sub(gamma, p1), idx + i1, factors,
-                                      bcoeff * coeff, dest))
+                                      mul(bcoeff, coeff), dest))
                             if gamma == p1 and idx + i1 == -2:
                                 if integral:
                                     _accumulate(dest, factors,
                                                 coeff // cc.denominator * cc.numerator * gamma)
                                 else:
-                                    central = ar.scalar(gamma) * cc
+                                    central = smul(cc, ar.scalar(gamma))
                                     if central:
-                                        _accumulate(dest, factors, central * coeff)
+                                        _accumulate(dest, factors, mul(central, coeff), cadd)
                             passed: Dict[Tuple[Factor, ...], Coeff] = {}
                             push((_FLUSH, passed, p1, i1, dest))
                             dest = passed
@@ -681,7 +704,7 @@ class VermaModule:
                         if prev is None:
                             dest[word] = coeff
                         else:
-                            s = prev + coeff
+                            s = cadd(prev, coeff)
                             if s:
                                 dest[word] = s
                             else:
@@ -698,7 +721,7 @@ class VermaModule:
                     merged = const(i1 + 1, part, idx + 1, p1)
                     if merged:
                         push((_INSERT, head, add(part, p1), idx + i1, factors,
-                              merged * coeff, dest))
+                              mul(merged, coeff), dest))
                     head += (first,)
 
     def _dyadic_codes(self, alpha: Fraction, inputs) -> _DyadicCodes:
@@ -851,14 +874,14 @@ class VermaModule:
         return by_weight
 
 
-def _accumulate(store: Dict, mono, coeff: Coeff):
+def _accumulate(store: Dict, mono, coeff: Coeff, add=operator.add):
     if not coeff:
         return
     prev = store.get(mono)
     if prev is None:
         store[mono] = coeff
         return
-    s = prev + coeff
+    s = add(prev, coeff)
     if s:
         store[mono] = s
     else:
@@ -869,13 +892,17 @@ def _accumulate(store: Dict, mono, coeff: Coeff):
 
 
 class _IntParts:
-    """Integer parts, and dyadic parts coded as ints; a scalar image is the int itself."""
+    """Integer parts, and dyadic parts coded as ints; a scalar image is the int itself.
+
+    The ring hooks of the kernel are the plain operators.
+    """
 
     __slots__ = ()
     zero = 0
-    add = staticmethod(operator.add)
+    add = cadd = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     neg = staticmethod(operator.neg)
+    mul = smul = staticmethod(operator.mul)
 
     @staticmethod
     def scalar(x):
@@ -888,7 +915,16 @@ class _IntParts:
 
 
 class _LexPairs:
-    """Lex-z2 pairs as tuples; the scalar image of ``(a, b)`` is ``a*w + b``."""
+    """Lex-z2 pairs as tuples; the scalar image of ``(a, b)`` is ``a*w + b``.
+
+    A Q[w] value is a trimmed tuple ``(c0, c1, ..., cd)`` of ``int`` and
+    ``Fraction`` entries, lowest degree first, with ``cd != 0``; zero is
+    ``()``.  ``scalar`` and ``const`` return linear ones.  A coefficient
+    is such a tuple once w-arithmetic has touched it and a plain rational
+    before (see the module docstring), so the ring hooks ``mul``, ``smul``
+    and ``cadd`` take either.  In a product the coefficient's entries are
+    the left operand, so a ``Fraction`` takes its own method.
+    """
 
     __slots__ = ()
     zero = (0, 0)
@@ -907,12 +943,61 @@ class _LexPairs:
 
     @staticmethod
     def scalar(x):
-        return Poly.of_exact([x[1], x[0]])
+        a, b = x
+        return (b, a) if a else ((b,) if b else ())
 
     @staticmethod
     def const(n, x, m, y):
         """Scalar image of ``n*x - m*y``."""
-        return Poly.of_exact([n * x[1] - m * y[1], n * x[0] - m * y[0]])
+        a = n * x[0] - m * y[0]
+        b = n * x[1] - m * y[1]
+        return (b, a) if a else ((b,) if b else ())
+
+    @staticmethod
+    def mul(c, a):
+        """``c*a`` for a nonzero linear ``c`` and a coefficient ``a``, in one pass.
+
+        The top entry ``a[-1]*c1`` is nonzero, so the product needs no trim.
+        """
+        if type(a) is not tuple:
+            return tuple([a * x for x in c])
+        if len(c) == 1:
+            c0 = c[0]
+            return tuple([y * c0 for y in a])
+        c0, c1 = c
+        x = a[0]
+        out = [x * c0]
+        for y in a[1:]:
+            out.append(y * c0 + x * c1)
+            x = y
+        out.append(x * c1)
+        return tuple(out)
+
+    @staticmethod
+    def smul(x, a):
+        """``x*a`` for a rational ``x``: a label or the central charge."""
+        if type(a) is not tuple:
+            return x * a
+        return tuple([x * y for y in a]) if x else ()
+
+    @staticmethod
+    def cadd(a, b):
+        """``a + b``, trimmed; a sum that cancels is ``()`` (or a rational 0)."""
+        if type(a) is not tuple:
+            if type(b) is not tuple:
+                return a + b
+            a = (a,)
+        elif type(b) is not tuple:
+            b = (b,)
+        if len(a) != len(b):
+            if len(a) < len(b):
+                a, b = b, a
+            return tuple(map(operator.add, a, b)) + a[len(b):]
+        s = tuple(map(operator.add, a, b))
+        n = len(s)
+        while n and not s[n - 1]:
+            n -= 1
+        return s[:n]
 
 
 _APPLY, _INSERT, _FLUSH = range(3)  # task kinds of VermaModule._straighten

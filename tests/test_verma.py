@@ -1,3 +1,4 @@
+import hashlib
 import json
 import operator
 import random
@@ -19,7 +20,6 @@ from blockalg.verma import (
     RecurrentLabels,
     StraighteningLimitError,
     VermaModule,
-    _LEX_PAIRS,
     _accumulate,
 )
 
@@ -316,6 +316,33 @@ class _IntCodes:
         return self.scalar(n * x - m * y)
 
 
+class _PolyPairs:
+    """Lex-z2 pairs as tuples; the scalar image of ``(a, b)`` is the ``Poly`` ``a*w + b``."""
+
+    __slots__ = ()
+    zero = (0, 0)
+
+    @staticmethod
+    def add(x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    @staticmethod
+    def sub(x, y):
+        return (x[0] - y[0], x[1] - y[1])
+
+    @staticmethod
+    def neg(x):
+        return (-x[0], -x[1])
+
+    @staticmethod
+    def scalar(x):
+        return Poly([x[1], x[0]])
+
+    def const(self, n, x, m, y):
+        """Scalar image of ``n*x - m*y``."""
+        return self.scalar((n * x[0] - m * y[0], n * x[1] - m * y[1]))
+
+
 def _code(x: Fraction, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
@@ -336,7 +363,7 @@ def _reference_act(m, sym, vec):
     terms = dict(vec.items())
     scale = None
     if m.group is LEX_Z2:
-        ar = _LEX_PAIRS
+        ar = _PolyPairs()
     elif m.group is DYADIC:
         scale = max(
             [sym.alpha.denominator] + [p.denominator for mono in terms for p, _ in mono.factors]
@@ -425,6 +452,168 @@ def test_act_matches_the_recursive_reference():
         got, want = m.act(sym, vec), _reference_act(m, sym, vec)
         assert got == want
         assert got.to_json(group) == want.to_json(group)
+
+
+# -- Q[w] coefficients and output rescaling on the kernel ----------------------
+
+
+def _typed(vec):
+    """The terms of ``vec`` with each coefficient's type: ``3`` prints as
+    ``3*v`` and the constant ``Poly`` 3 as ``(3)*v``."""
+    return [(mono, c, type(c)) for mono, c in vec.items()]
+
+
+def _act_as_reference(m, sym, vec):
+    """``m.act(sym, vec)``, checked term by term against the reference."""
+    got, want = m.act(sym, vec), _reference_act(m, sym, vec)
+    assert got == want
+    assert got.to_json(m.group) == want.to_json(m.group)
+    assert str(got) == str(want)
+    if m.group is LEX_Z2:
+        assert _typed(got) == _typed(want)
+    return got
+
+
+def test_lex_coefficients_that_cancel_drop_the_word():
+    # the two words of one input meet on a shared output word with
+    # coefficients a and b in Q[w]; scaled crosswise, the run's sums there
+    # cancel to zero and the word is gone, while the other words stay
+    m = module(_EXPLICIT, LEX_Z2)
+    sym = Generator((0, 1), 0)
+    u = m.vector([((0, 1), 0), ((1, -2), 1)])
+    v = m.vector([((0, 1), 1), ((1, -2), 0)])
+    a, b = m.act(sym, u), m.act(sym, v)
+    shared = [w for w in a.monomials() if w in b.monomials()]
+    w = shared[0]
+    ca, cb = a.coefficient(w), b.coefficient(w)
+    assert isinstance(ca, Poly) and ca.degree >= 1 and cb.degree >= 1
+    got = _act_as_reference(m, sym, u.scaled(cb) - v.scaled(ca))
+    assert w not in got.monomials() and got
+
+
+def test_nested_lex_actions_reach_high_w_degrees():
+    # each structure constant is linear in w, so nested actions on long
+    # words raise the degree of the coefficients step by step
+    m = module(_EXPLICIT, LEX_Z2)
+    syms = [Generator((1, -2), 1), Generator((0, 1), 0), Generator((-1, 2), 0), Generator((1, 1), -1)]
+    for word in (
+        [((0, 1), -1), ((0, 1), 2), ((0, 2), 0), ((1, -3), 1), ((1, -1), 0)],
+        [((0, 1), 0), ((0, 1), 0), ((0, 2), 1), ((1, -2), -1), ((1, -2), 2), ((1, 0), 0)],
+    ):
+        vec = m.vector(word)
+        for sym in syms:
+            vec = _act_as_reference(m, sym, vec)
+        assert max(c.degree for _, c in vec.items()) >= 4
+
+
+def test_lex_inputs_of_every_coefficient_type():
+    m = module(_EXPLICIT, LEX_Z2)
+    vec = ModuleVector({
+        m.monomial([((0, 1), 0), ((1, -2), 1)]): Fraction(-3, 4),
+        m.monomial([((0, 1), 1), ((1, -2), 0)]): Poly([Fraction(1, 2), Fraction(-5, 3)]),
+        m.monomial([((0, 2), -1), ((1, -3), 0)]): 2,
+        m.monomial([((1, -1), 0)]): Poly([Fraction(7, 3)]),
+        m.monomial([((0, 3), 1), ((1, -4), 2)]): Fraction(6),
+    })
+    for sym in (
+        Generator((0, 1), 0), Generator((1, -1), 1), Generator((0, 0), 2),
+        Generator((-1, 2), 0), Generator((0, -1), -1), CENTRAL,
+    ):
+        assert _act_as_reference(m, sym, vec)
+
+
+def test_lex_central_term():
+    # [L(a,-1), L(-a,-1)] = a(w)*c, so L(a,-1) L(-a,-1)^n v = n*a(w)*cc L(-a,-1)^(n-1) v
+    # with a(w) the scalar image of a: a Poly, constant when a = (0, k)
+    m = module(_EXPLICIT, LEX_Z2)
+    cc = _EXPLICIT.central_charge
+    for a, image in (((1, 2), Poly([2, 1])), ((2, 0), Poly([0, 2])), ((0, 3), Poly([3]))):
+        for n in (1, 2, 3):
+            got = _act_as_reference(m, Generator(a, -1), m.vector([(a, -1)] * n))
+            assert _typed(got) == [(m.monomial([(a, -1)] * (n - 1)), image * (n * cc), Poly)]
+
+
+def test_lex_outputs_are_poly_once_w_arithmetic_touched_them():
+    # parts (0, k) have constant structure constants: the output is a
+    # constant, but a Poly, printed as one; a term only a label reached
+    # stays a rational
+    m = module(_EXPLICIT, LEX_Z2)
+    got = _act_as_reference(m, Generator((0, 1), 0), m.vector([((0, 1), 0)]))
+    assert _typed(got) == [(PBWMonomial(), Poly([-4]), Poly)]
+    assert str(got) == "(-4)*v"
+    got = _act_as_reference(m, Generator((0, 0), 1), m.vacuum())
+    assert _typed(got) == [(PBWMonomial(), Fraction(-5, 4), Fraction)]
+    assert str(got) == "-5/4*v"
+
+
+@pytest.mark.parametrize("group", [INTEGERS, DYADIC])
+def test_output_rescaling_with_odd_input_denominators(group):
+    # input denominators 3, 5, 7 and 9 on words of lengths 0..3: the
+    # output words of each action run from length top - 1 to top + 1, and
+    # each length is cleared of its own power of the scale
+    m = module(_EXPLICIT, group)
+    unit = Fraction(1, 2) if group is DYADIC else 1
+    parts = [unit, 2 * unit, 3 * unit, 4 * unit]
+    vec = ModuleVector({
+        m.monomial([]): Fraction(2, 9),
+        m.monomial([(parts[0], 0)]): Fraction(-1, 3),
+        m.monomial([(parts[0], -1), (parts[1], 1)]): Fraction(4, 5),
+        m.monomial([(parts[0], 0), (parts[1], 0), (parts[2], 1)]): Fraction(7, 3),
+        m.monomial([(parts[1], -1), (parts[3], 2)]): Fraction(-3, 7),
+    })
+    for sym in (
+        Generator(-parts[0], 0), Generator(-parts[2], 1), Generator(parts[0], 0),
+        Generator(parts[1], -1), Generator(0 * unit, 1), CENTRAL,
+    ):
+        got = _act_as_reference(m, sym, vec)
+        assert len({mono.length for mono in got.monomials()}) >= 2
+
+
+# every output of a seeded corpus of nested actions, word lengths 0..6 in all
+# three groups; the digest of their JSON and printed forms is pinned
+_CORPUS_SHA256 = "92bf8abf0524566d019d789c7ce2dc24c74425755947d07d9f81027a5de74941"
+
+
+def _corpus_element(rng, group, positive):
+    if group is INTEGERS:
+        return rng.randint(1, 3) if positive else rng.randint(-3, 3)
+    if group is DYADIC:
+        den = 2 ** rng.randint(0, 2)
+        return Fraction(rng.randint(1 if positive else -3 * den, 3 * den), den)
+    if positive:
+        a = rng.randint(0, 2)
+        return (a, rng.randint(1, 3) if a == 0 else rng.randint(-3, 3))
+    return (rng.randint(-2, 2), rng.randint(-3, 3))
+
+
+def _corpus_outputs():
+    rng = random.Random("nested-actions")
+    for group in (INTEGERS, DYADIC, LEX_Z2):
+        m = module(_EXPLICIT, group)
+        for length in range(7):
+            for _ in range(2):
+                word = sorted(
+                    (_corpus_element(rng, group, True), rng.randint(-1, 3)) for _ in range(length)
+                )
+                g, h = (
+                    CENTRAL if rng.random() < 0.1
+                    else Generator(_corpus_element(rng, group, False), rng.randint(-1, 3))
+                    for _ in range(2)
+                )
+                vec = m.vector(word).scaled(_random_coeff(rng, group))
+                inner = m.act(h, vec)
+                yield group, inner
+                yield group, m.act(g, inner)
+
+
+def _corpus_digest():
+    forms = [{"json": v.to_json(group), "printed": str(v)} for group, v in _corpus_outputs()]
+    text = json.dumps(forms, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_nested_action_corpus_output_is_pinned():
+    assert _corpus_digest() == _CORPUS_SHA256
 
 
 # -- the rows of one probe on a whole basis ---------------------------------------
