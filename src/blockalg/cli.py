@@ -28,7 +28,7 @@ from .exprparse import (
     parse_pair,
     parse_vector,
 )
-from .groups import DYADIC, GROUPS, GroupError, get_group
+from .groups import DYADIC, GROUPS, GroupError, format_element, get_group
 from .lie import BlockAlgebra
 from .polynomial import format_rational
 from .reducibility import (
@@ -206,9 +206,7 @@ def cmd_classify_order(args) -> int:
     data = {
         "group": group.name,
         "dense": cls.dense,
-        "least_positive": (
-            None if cls.dense else str(cls.least_positive).replace(" ", "")
-        ),
+        "least_positive": None if cls.dense else format_element(cls.least_positive),
         "printed": str(cls),
     }
     _emit(args, str(cls), data)

@@ -46,7 +46,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groups import IntegerGroup, OrderedGroup
-from .lie import Coeff, Generator
+from .lie import Coeff, Generator, coeff_json
 from .polynomial import Poly, X, exact_fraction, format_rational
 from .verma import (
     HighestWeight,
@@ -314,9 +314,9 @@ def _annihilation_rows(
     A row is one output word of one probe, keyed by basis column.  The
     probes come in order and each probe's rows by output word.  One
     straightening run per probe builds all of its rows
-    (:meth:`VermaModule.action_rows`; over the integers ``int`` rows, each
-    probe's scaled by one positive integer, which leaves the row space
-    as it is), and it runs only when the probe's
+    (:meth:`VermaModule.action_rows`; over the integers and dyadics
+    ``int`` rows, each scaled by one positive integer, which leaves the
+    row space as it is), and it runs only when the probe's
     first row is pulled, so an elimination that reaches full rank early
     never straightens the remaining probes.
     """
@@ -551,16 +551,16 @@ def sweep_coefficient(x, parts: Sequence[Tuple[object, int]], probe_index: int):
 @dataclass
 class SweepCheck:
     passed: bool
-    expected: Fraction
-    from_engine: Fraction
+    expected: Coeff
+    from_engine: Coeff
     target: Optional[PBWMonomial]
     extra_terms: int
 
     def to_json(self) -> dict:
         return {
             "passed": self.passed,
-            "expected": str(self.expected),
-            "from_engine": str(self.from_engine),
+            "expected": coeff_json(self.expected),
+            "from_engine": coeff_json(self.from_engine),
             "target": str(self.target) if self.target else None,
             "extra_terms": self.extra_terms,
         }

@@ -38,10 +38,10 @@ output word in a :class:`PBWMonomial` once, and
 :meth:`VermaModule.action_rows` runs it on every word of a basis and
 reads the matrix rows off the raw output words, never decoding them.
 Both share one setup: the group-element arithmetic of the run, the
-clearing of denominators and the output rescaling.  Over the integers
-the rows stay ``int``: every basis word enters at one probe-wide scale
-that the denominator of each label and of the central charge the probe
-can reach divides, so those terms are exact integer divisions.
+clearing of denominators and the divisor of each output length.  Over
+the integers and dyadics the rows stay ``int``: the entries of a row
+share one divisor, which :meth:`VermaModule.act` divides out and the
+rows keep, so the row space is that of the action.
 
 Lex-z2 pairs are straightened as they are.  Integer and dyadic parts
 share one integer kernel, because the dyadic algebra is the integer one
@@ -53,14 +53,18 @@ times its image.  So a dyadic part ``x`` runs as the ``int`` code ``x*S``
 (``S > 0`` keeps the order), every structure constant is an ``int``, and
 the weight data enters scaled: the label term as ``label*S`` and the
 central term as ``code*(S*cc)``.  An output word of length ``n`` then
-carries ``S^(n - len_in - 1)``.  A run clears that in one step, together
-with the common denominator ``D`` of its input coefficients: an input of
-length ``len_in`` enters as the ``int`` ``c*D*S^(top - len_in)``, ``top``
-the longest input word, and each output coefficient ``c`` becomes
-``Fraction(c, D*S^(top + 1 - n))``, one ``Fraction`` constructor (one
-gcd) per output term.  Each input of a run is cleared on its own, so
-the basis words of :meth:`VermaModule.action_rows` enter as ``1`` and
-are rescaled per column.  Integer runs have ``S = 1``.
+carries ``S^(n - len_in - 1)``.  The kernel runs in ``int`` alone.  An
+input word of length ``len_in`` enters as the ``int``
+``c*D*lam*S^(top - len_in)``: ``top`` is the longest input word and
+``D`` the common denominator of the input coefficients, both over the
+whole run, and ``lam`` is a multiple of the denominator of the central
+charge and of every label the run can reach.  A label or central term
+``p/q`` is then the exact division ``coeff // q * p``, and an output
+word of length ``n`` carries the one divisor ``D*lam*S^(top + 1 - n)``.
+:meth:`VermaModule.act` divides it out, an ``int`` where the quotient is
+exact and a ``Fraction`` otherwise.  Integer runs have ``S = 1``, and a
+run that reaches no label or central term, such as one of a generator
+of negative weight, has ``lam = 1``.
 
 A dyadic module keeps one code table for its whole life: its scale ``S``
 (the ``lcm`` of every denominator it has met), each word's code and each
@@ -71,16 +75,14 @@ rather than rewriting the old one, so an action that holds the old table
 keeps one consistent scale.
 
 Coefficients are exact and come in three representations that compare
-and hash alike: a Python ``int`` while the value is integral (the
-integer structure constants, and an input coefficient, which
-:meth:`VermaModule.act` clears of denominators); a ``Fraction`` once a
-label, the central charge or the final rescaling enters (except in the
-integer rows of :meth:`VermaModule.action_rows`); and a ``Poly`` in the
-formal unit ``w`` over the lex-z2 instance.  The JSON form ``"p/q"`` is
-the same for ``3``, ``Fraction(3)`` and the constant ``Poly`` 3; the
-printed form is not (``3*v`` against ``(3)*v``), so a coefficient stays
-a rational until w-arithmetic touches it, and is a ``Poly`` from then
-on, even when constant.
+and hash alike: a Python ``int``, a ``Fraction`` and a ``Poly`` in the
+formal unit ``w`` over the lex-z2 instance.  An integer or dyadic output
+of :meth:`VermaModule.act` is an ``int`` exactly when its value is
+integral.  The JSON form ``"p/q"`` is the same for ``3``,
+``Fraction(3)`` and the constant ``Poly`` 3; the printed form is not
+(``3*v`` against ``(3)*v``), so a lex-z2 coefficient stays a rational
+until w-arithmetic touches it, and is a ``Poly`` from then on, even
+when constant.
 
 ``Poly`` appears only at the boundary of a run.  Inside the kernel a
 Q[w] coefficient is a plain trimmed tuple ``(c0, c1, ..., cd)`` of
@@ -90,7 +92,8 @@ becomes a ``Poly`` once.  The kernel reaches coefficient arithmetic only
 through three ring hooks of the run's part arithmetic: ``mul`` by a
 linear structure constant, ``smul`` by a label or the central charge,
 and ``cadd``, a sum that is falsy when it cancels.  Over the integers
-and dyadics they are the plain operators.  A product is written with the
+and dyadics ``mul`` and ``cadd`` are the plain operators and ``smul``
+the exact division above.  Over lex-z2 a product is written with the
 ``Fraction`` operand on the left, so it takes the ``Fraction``'s own
 method rather than the slower reflected one.
 """
@@ -463,8 +466,12 @@ class VermaModule:
             for mono, c in vec._terms.items():
                 _accumulate(out, mono, cc * c)
             return ModuleVector(out)
-        (words,), decode = self._run(sym, [vec._terms.items()])
-        return ModuleVector._of_nonzero({decode(w): c for w, c in words.items()})
+        (words,), decode, divisor = self._run(sym, [vec._terms.items()])
+        if divisor is None:
+            return ModuleVector._of_nonzero({decode(w): c for w, c in words.items()})
+        return ModuleVector._of_nonzero(
+            {decode(w): _quotient(c, divisor[len(w)]) for w, c in words.items()}
+        )
 
     def action_rows(
         self, probe: Generator, basis: Sequence[PBWMonomial]
@@ -472,35 +479,23 @@ class VermaModule:
         """The matrix of ``probe`` on ``basis``, one sparse row per output word.
 
         The row of an output word maps column ``j`` to its coefficient in
-        ``act(probe, basis[j])``, over the integers times one probe-wide
-        scale.  Rows come in the order of :meth:`PBWMonomial.sort_key` on
-        their words, and the columns of a row ascend.  One straightening
-        run covers the whole basis: each word is its own input, with its
-        own output dict and its own step budget, and output words stay raw
-        factor tuples (coded ones over the dyadic instance, which sort the
-        same), never decoded.
+        ``act(probe, basis[j])``, over the integers and dyadics times the
+        run's divisor for the word's length (see :meth:`_run`).  Rows come
+        in the order of :meth:`PBWMonomial.sort_key` on their words, and
+        the columns of a row ascend.  One straightening run covers the
+        whole basis: each word is its own input, with its own output dict
+        and its own step budget, and output words stay raw factor tuples
+        (coded ones over the dyadic instance, which sort the same), never
+        decoded.
 
-        Over the integers every row is an ``int`` row.  Each basis word
-        enters at the scale ``lam``: the lcm of the central charge's
-        denominator and the denominators of every label the probe can
-        reach.  A zero mode L(0, i) reached at ``v`` consumes a subset of
-        the factors of a basis word, so its label index ``probe.index + 1 +
-        sum of consumed indices`` is at most ``probe.index + 1`` plus the
-        word's sum of positive indices.  Every coefficient that meets a
-        label or the central charge is then a multiple of ``lam``, and the
-        term is formed by exact division, ``coeff // q * p`` for ``p/q``.
-        Scaling all columns by one ``lam`` leaves the row space unchanged.
+        Over the integers and dyadics every row is an ``int`` row.  All
+        entries of a row share one positive divisor, so the row space is
+        the one of the ``act`` rows.  Over lex-z2 the rows are the ``act``
+        rows themselves.
         """
         if isinstance(probe, Central):
             raise ValueError("action rows need a generator, not the central symbol")
-        lam = 1
-        integral = isinstance(self.group, IntegerGroup)
-        if integral:
-            reach = probe.index + 1 + max(
-                (sum(i for _, i in mono.factors if i > 0) for mono in basis), default=0
-            )
-            lam = self._weight_scale(reach)
-        cols, _ = self._run(probe, [((mono, lam),) for mono in basis], integral)
+        cols, _, _ = self._run(probe, [((mono, 1),) for mono in basis])
         rows: Dict[Tuple[Factor, ...], Dict[int, Coeff]] = {}
         for j, words in enumerate(cols):
             for w, c in words.items():
@@ -511,22 +506,23 @@ class VermaModule:
                     row[j] = c
         return [rows[w] for w in sorted(rows, key=lambda w: (len(w), w))]
 
-    def _run(
-        self,
-        sym: Generator,
-        inputs: Sequence[Iterable[Tuple[PBWMonomial, Coeff]]],
-        integral: bool = False,
-    ):
+    def _run(self, sym: Generator, inputs: Sequence[Iterable[Tuple[PBWMonomial, Coeff]]]):
         """Straighten ``sym`` on each of ``inputs`` in one kernel run.
 
         An input is a vector given as ``(word, coeff)`` pairs that can be
-        read more than once.  Returns one dict per input, from raw output words to
-        their exact nonzero coefficients, and the decoder of a raw word to
-        its :class:`PBWMonomial`.  Each input is straightened in full before
-        the next starts and spends its own step budget.  ``integral`` runs
-        the integer group on ``int`` input coefficients that every label
-        and central-charge denominator the run meets divides (see
-        :meth:`action_rows`), and every output coefficient is an ``int``.
+        read more than once.  Returns one dict per input, from raw output
+        words to their exact nonzero coefficients, the decoder of a raw
+        word to its :class:`PBWMonomial`, and the divisor: ``None`` over
+        lex-z2, whose outputs are the action itself, and otherwise the
+        list of ``int``s by which an output word of length ``n`` is
+        ``divisor[n]`` times too large.  Each input is straightened in full
+        before the next starts and spends its own step budget.
+
+        Integer and dyadic runs stay in ``int``, with ``divisor[n] = den *
+        lam * S**(top + 1 - n)`` (see the module docstring).  ``lam`` is the
+        lcm of the central charge's denominator and the denominators of
+        labels ``0..sym.index + 1 + reach``, or 1 when no input word can
+        reach a label or the central charge (:func:`_label_reach`).
         """
         g = self.group
         alpha, idx = sym.alpha, sym.index
@@ -551,47 +547,38 @@ class VermaModule:
                 for w, c in dest.items():
                     if type(c) is tuple:
                         dest[w] = Poly.of_exact(c)
-            return outs, _word
+            return outs, _word, None
         # Integer and dyadic words run on the integer kernel, a dyadic word
-        # coded at the scale of the module's table.  An input coefficient
-        # enters as an int: times the input's common denominator ``den`` and
-        # times scale**(top - length), which the output rescaling takes off
-        # again, in place.
+        # coded at the scale of the module's table.
         if isinstance(g, DyadicGroup):
             table = self._dyadic_codes(alpha, inputs)
             scale, alpha = table.scale, table.code(alpha)
             encode, decode = table.encode, table.decode
         else:
             scale, encode, decode = 1, None, _word
-        rescale = []
+        top, den, reach = 0, 1, -1
         for terms in inputs:
-            top, den = 0, 1
             for mono, c in terms:
                 if len(mono.factors) > top:
                     top = len(mono.factors)
                 if type(c) is not int:
                     den = math.lcm(den, c.denominator)
+                if alpha >= 0:  # a negative generator only inserts
+                    r = _label_reach(alpha, mono.factors if encode is None else encode(mono))
+                    if r > reach:
+                        reach = r
+        lam = 1 if reach < 0 else self._weight_scale(idx + 1 + reach)
+        enter = [lam * scale ** (top - n) for n in range(top + 1)]
+        for terms in inputs:
             dest, tasks = {}, []
             for mono, c in terms:
-                c = c.numerator * (den // c.denominator) * scale ** (top - len(mono.factors))
                 factors = mono.factors if encode is None else encode(mono)
+                c = c.numerator * (den // c.denominator) * enter[len(factors)]
                 tasks.append((_APPLY, alpha, idx, factors, c, dest))
             outs.append(dest)
             seeds.append(tasks)
-            if den != 1 or scale != 1:
-                rescale.append((dest, top, den))
-        self._straighten(seeds, _INT_PARTS, scale, integral)
-        # a word of length n carries den * scale**(top + 1 - n) too much;
-        # den or scale exceeds 1 here, so that is 1 only where den is 1
-        # and n is top + 1.  One Fraction constructor (one gcd) per term.
-        for dest, top, den in rescale:
-            excess = [den * scale ** (top + 1 - n) for n in range(top + 2)]
-            for w, c in dest.items():
-                d = excess[len(w)]
-                if d != 1:
-                    dest[w] = (Fraction(c, d) if type(c) is int
-                               else Fraction(c.numerator, c.denominator * d))
-        return outs, decode
+        self._straighten(seeds, _INT_PARTS, scale)
+        return outs, decode, [den * x * scale for x in enter] + [den * lam]
 
     def act_element(self, elem: LieElement, vec: ModuleVector) -> ModuleVector:
         """Linear extension of :meth:`act` over a Lie element."""
@@ -600,7 +587,7 @@ class VermaModule:
             out = out + self.act(sym, vec).scaled(coeff)
         return out
 
-    def _straighten(self, seeds: list, ar, scale: int, integral: bool = False) -> None:
+    def _straighten(self, seeds: list, ar, scale: int) -> None:
         """Run each seed's tasks until the stack is empty; words are plain factor tuples.
 
         ``seeds`` is a list of task lists, one per input of the run.  An
@@ -622,10 +609,13 @@ class VermaModule:
         only its ring hooks ``mul``, ``smul`` and ``cadd``, so a Q[w]
         coefficient stays a tuple here and no ``Poly`` is built.  Parts are
         coded at ``scale``, so the weight data enters scaled: a label as
-        ``label*scale``, the central charge as ``scale*cc``.  With
-        ``integral`` (integer parts, ``scale`` 1) a label or central term
-        ``p/q`` is formed as ``coeff // q * p``, exact because ``q`` divides
-        every coefficient that meets it.
+        ``label*scale``, the central charge as ``scale*cc``.  A label term
+        is ``smul(label, coeff)`` and a central term ``smul(cc,
+        mul(scalar(gamma), coeff))``.  On integer parts ``smul`` by ``p/q``
+        is ``coeff // q * p``: a coefficient meets a label or the central
+        charge only before any label or central term has touched it, so it
+        is still an integer multiple of the entry scale of :meth:`_run`,
+        which ``q`` divides.  After that a term is only inserted into.
         """
         zero, add, sub, neg, const = ar.zero, ar.add, ar.sub, ar.neg, ar.const
         mul, smul, cadd = ar.mul, ar.smul, ar.cadd
@@ -664,9 +654,7 @@ class VermaModule:
                                 raise self._exhausted()
                             if not factors:
                                 if gamma == zero:
-                                    x = label(idx + 1)
-                                    _accumulate(dest, (), coeff // x.denominator * x.numerator
-                                                if integral else smul(x, coeff), cadd)
+                                    _accumulate(dest, (), smul(label(idx + 1), coeff), cadd)
                                 break  # the positive part annihilates the highest weight vector
                             # L(gamma) L(-p1) = L(-p1) L(gamma) + [L(gamma), L(-p1)]:
                             # the bracket terms go on the stack first, then the
@@ -681,13 +669,8 @@ class VermaModule:
                                 push((_APPLY, sub(gamma, p1), idx + i1, factors,
                                       mul(bcoeff, coeff), dest))
                             if gamma == p1 and idx + i1 == -2:
-                                if integral:
-                                    _accumulate(dest, factors,
-                                                coeff // cc.denominator * cc.numerator * gamma)
-                                else:
-                                    central = smul(cc, ar.scalar(gamma))
-                                    if central:
-                                        _accumulate(dest, factors, mul(central, coeff), cadd)
+                                _accumulate(dest, factors,
+                                            smul(cc, mul(ar.scalar(gamma), coeff)), cadd)
                             passed: Dict[Tuple[Factor, ...], Coeff] = {}
                             push((_FLUSH, passed, p1, i1, dest))
                             dest = passed
@@ -894,7 +877,9 @@ def _accumulate(store: Dict, mono, coeff: Coeff, add=operator.add):
 class _IntParts:
     """Integer parts, and dyadic parts coded as ints; a scalar image is the int itself.
 
-    The ring hooks of the kernel are the plain operators.
+    Coefficients are ``int``s.  ``mul`` and ``cadd`` are the plain
+    operators, and ``smul`` by a label or the central charge ``p/q`` is
+    the exact division ``a // q * p`` (see :meth:`VermaModule._run`).
     """
 
     __slots__ = ()
@@ -902,7 +887,11 @@ class _IntParts:
     add = cadd = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     neg = staticmethod(operator.neg)
-    mul = smul = staticmethod(operator.mul)
+    mul = staticmethod(operator.mul)
+
+    @staticmethod
+    def smul(x, a):
+        return a // x.denominator * x.numerator
 
     @staticmethod
     def scalar(x):
@@ -1007,6 +996,35 @@ _LEX_PAIRS = _LexPairs()
 
 def _word(factors: Tuple[Factor, ...]) -> PBWMonomial:
     return PBWMonomial(factors) if factors else VACUUM
+
+
+def _label_reach(gamma: int, factors: Tuple[Factor, ...]) -> int:
+    """A bound on the indices L(gamma, i) consumes from ``factors`` on its way
+    to a label or the central charge; -1 when it reaches neither.
+
+    ``gamma`` is not negative: a generator of negative weight only
+    inserts and reaches neither.  Applying L(gamma, i) consumes a
+    subsequence of the factors: consuming ``(p, j)`` leaves L(gamma - p,
+    i + j), which only inserts once its weight is negative.  So a label,
+    reached at ``v`` with weight 0, has index ``i + 1`` plus the indices
+    of consumed parts ``p <= gamma`` that sum to ``gamma``, and a central
+    term, met where the weight equals the next part, also needs the parts
+    to reach ``gamma``.  A generator heavier than the word reaches neither.
+    """
+    weight = reach = 0
+    for p, j in factors:
+        weight += p
+        if j > 0 and p <= gamma:
+            reach += j
+    return reach if weight >= gamma else -1
+
+
+def _quotient(c: int, d: int) -> Union[int, Fraction]:
+    """``c / d``: an ``int`` when ``d`` divides ``c``, else a ``Fraction``."""
+    if d == 1:
+        return c
+    q, r = divmod(c, d)
+    return Fraction(c, d) if r else q
 
 
 class _DyadicCodes:

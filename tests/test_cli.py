@@ -1,9 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from blockalg import cli
 from blockalg.cli import main
+from blockalg.groups import LEX_Z2
+from blockalg.lie import coeff_from_json
+from blockalg.polynomial import Poly
+
+DATA = Path(__file__).parent / "data"
 
 WEIGHT_B = '{"charpoly": [1, 1], "central_charge": 1}'
 WEIGHT_ZERO_LABELS = '{"explicit": [], "central_charge": 3}'
@@ -102,6 +108,21 @@ def test_step3_check_explicit(capsys):
     )
     data = json.loads(raw)
     assert data["checks"][0]["expected"] == "-5/2"
+    # over lex-z2 the values are Q[w] polynomials in the coefficient JSON form
+    code, raw, _ = run(
+        capsys,
+        "step3-check",
+        "--group", "lex-z2",
+        "--eps", "(0,1)",
+        "--part", "(0,2),1",
+        "--part", "(1,0),2",
+        "--format", "json",
+    )
+    assert code == 0
+    (check,) = json.loads(raw)["checks"]
+    assert check["passed"] and check["expected"] == "10*w^2 + 14*w - 12"
+    for key in ("expected", "from_engine"):
+        assert coeff_from_json(check[key], LEX_Z2) == Poly([-12, 14, 10])
 
 
 def test_step3_check_part_reads_the_integer_grammar(capsys):
@@ -148,10 +169,33 @@ def test_step3_check_random_instances_are_pinned(capsys):
     assert code == 0
     assert [(c["target"], c["expected"]) for c in json.loads(out)["checks"]] == [
         ("L(-1/2,11)*v", "1155/2"),
-        ("L(-5/4,-1)*v", "0"),
+        ("L(-5/4,-1)*v", "0/1"),
         ("L(-1/4,2)*v", "-3261147/8"),
         ("L(-23/4,1)*v", "10317/8"),
     ]
+
+
+# a recurrent weight whose label denominators grow with the index
+WEIGHT_RECURRENT = '{"central_charge":"3/7","charpoly":["2/5","-1/3","1"],"initial":["1/2"]}'
+
+
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [
+        (["--mu=-1/2", "--parts", "1/2"], "singular_dyadic_recurrent_half.json"),
+        (["--mu=-3/4", "--parts", "1/4;3/4"], "singular_dyadic_recurrent_three_quarters.json"),
+    ],
+    ids=["dimension-3", "full-rank-40-words"],
+)
+def test_dyadic_singular_search_reports_are_pinned(capsys, argv, pinned):
+    # a dyadic search eliminates int rows that carry a power of the scale
+    # per word length; its reports are pinned byte for byte
+    code, out, _ = run(
+        capsys, "singular-search", "--group", "dyadic", *argv, "--max-t-index", "3",
+        "--probe-k", "8", "--weight", WEIGHT_RECURRENT, "--format", "json",
+    )
+    assert code == 0
+    assert out == (DATA / pinned).read_text()
 
 
 def test_verify_suite_single_check(capsys):

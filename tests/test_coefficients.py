@@ -1,8 +1,9 @@
 """Pins of the exact coefficient representation.
 
-Straightening keeps integral coefficients as Python ``int`` and only
-turns to ``Fraction`` (or to ``Poly`` over the lex-z2 instance) where a
-label, the central charge or a fractional structure constant enters.
+Integer and dyadic straightening runs in Python ``int`` and makes an
+output a ``Fraction`` only where its value is not integral; over the
+lex-z2 instance a coefficient turns to ``Poly`` where w-arithmetic
+enters.
 These tests pin what that must not change: the serialized results, the
 equality and hashing of mixed int/Fraction values, and the absence of
 floats.
@@ -97,9 +98,30 @@ def test_integral_straightening_stays_int():
     vec = module.vector([(1, 0), (2, 1)])
     out = module.act(Generator(-1, 2), vec)
     assert out and all(type(c) is int for _, c in out.items())
-    # a label entering at the vacuum makes that term a Fraction
-    out = module.act(Generator(1, 0), module.vector([(1, 0)]))
-    assert [type(c) for _, c in out.items()] == [Fraction]
+    # an integer or dyadic output is an int exactly when its value is
+    # integral, whether a label, the central charge, an input denominator
+    # or the dyadic scale went into it, and a Fraction otherwise
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    hw = HighestWeight.explicit([1, 2, third], half)
+    for group, a, values in (
+        (INTEGERS, 1, [-4, -1, Fraction(-1, 3), half, 2, 2]),
+        (DYADIC, Fraction(1), [-4, -1, Fraction(-1, 3), half, 2, 2]),
+        (DYADIC, Fraction(3, 4), [-3, Fraction(-3, 4), Fraction(-1, 4), Fraction(3, 8), 1 + half, 2]),
+    ):
+        module = VermaModule(BlockAlgebra(group), hw)
+        got = []
+        for sym, index, c in (
+            (Generator(a, 0), 0, 1),                # -2a * label(1)
+            (Generator(a, 1), 0, 1),                # -3a * label(2), label(2) = 1/3
+            (Generator(a, 1), 0, third),
+            (Generator(a, -1), -1, 1),              # the central term a * cc
+            (Generator(a, -1), -1, 4),
+            (Generator(-a, 0), 0, Fraction(4, 2)),  # an integral Fraction input
+        ):
+            (x,) = [x for _, x in module.act(sym, module.vector([(a, index)]).scaled(c)).items()]
+            assert type(x) is (int if x.denominator == 1 else Fraction)
+            got.append(x)
+        assert got == values
 
 
 def test_int_and_fraction_polys_agree():

@@ -432,26 +432,59 @@ def _random_coeff(rng, group):
     return Poly([_rat(rng), _rat(rng)]) or Poly([1])
 
 
+# integral labels next to a central charge of denominator 11, which no input
+# denominator or dyadic scale of the trials shares, so only the central
+# term needs the entry scale of a run; indices -1 and 0 make central terms
+# common
+_CC_ONLY = HighestWeight.explicit([2, -1, 3, 0, 5, -4, 1, 6], Fraction(5, 11))
+# a recurrent weight whose label denominators grow fast with the index
+_DEEP_RECURRENT = labels_from_charpoly(
+    X**2 - Fraction(1, 3) * X + Fraction(2, 5), Fraction(3, 7), [Fraction(1, 2)]
+)
+
+
 def test_act_matches_the_recursive_reference():
-    rng = random.Random(11)
-    for trial in range(240):
-        group = (INTEGERS, DYADIC, LEX_Z2)[trial % 3]
-        m = module(_EXPLICIT, group)
-        if rng.random() < 0.1:
-            sym = CENTRAL
-        else:
-            sym = Generator(group.random_element(rng, 3), rng.randint(-1, 4))
-        words = {
-            PBWMonomial(tuple(sorted(
-                (group.random_positive(rng, 3), rng.randint(-1, 4))
-                for _ in range(rng.randint(0, 4))
-            )))
-            for _ in range(rng.randint(1, 3))
-        }
-        vec = ModuleVector({w: _random_coeff(rng, group) for w in words})
-        got, want = m.act(sym, vec), _reference_act(m, sym, vec)
-        assert got == want
-        assert got.to_json(group) == want.to_json(group)
+    for hw, top in ((_EXPLICIT, 4), (_CC_ONLY, 0), (_DEEP_RECURRENT, 4)):
+        rng = random.Random(11)
+        for trial in range(240):
+            group = (INTEGERS, DYADIC, LEX_Z2)[trial % 3]
+            m = module(hw, group)
+            if rng.random() < 0.1:
+                sym = CENTRAL
+            else:
+                sym = Generator(group.random_element(rng, 3), rng.randint(-1, top))
+            words = {
+                PBWMonomial(tuple(sorted(
+                    (group.random_positive(rng, 3), rng.randint(-1, top))
+                    for _ in range(rng.randint(0, 4))
+                )))
+                for _ in range(rng.randint(1, 3))
+            }
+            vec = ModuleVector({w: _random_coeff(rng, group) for w in words})
+            got, want = m.act(sym, vec), _reference_act(m, sym, vec)
+            assert got == want
+            assert got.to_json(group) == want.to_json(group)
+
+
+def test_actions_that_reach_no_label_compute_none():
+    # a negative generator only inserts, and a positive one heavier than
+    # the word never gets down to weight 0, so however large the index
+    # neither reaches a label: the recurrent label memo stays as it was.
+    # A part heavier than the generator is never consumed on the way to a
+    # label, so its index does not count.
+    for group, a in ((INTEGERS, 1), (DYADIC, Fraction(1, 2))):
+        hw = HighestWeight.from_json(_DEEP_RECURRENT.to_json())  # a fresh label memo
+        m = module(hw, group)
+        vec = m.vector([(a, 5), (2 * a, 3)]).scaled(Fraction(2, 3))
+        for sym, vec, labels in (
+            (Generator(-a, 10**6), vec, 1),
+            (Generator(4 * a, 10**6), vec, 1),
+            (Generator(a, 10**6), m.vacuum(), 1),
+            (Generator(a, 0), m.vector([(a, 0), (2 * a, 10**4)]), 2),
+        ):
+            out = m.act(sym, vec)
+            assert out == _reference_act(m, sym, vec)
+            assert len(hw.labels._memo) == labels
 
 
 # -- Q[w] coefficients and output rescaling on the kernel ----------------------
@@ -620,26 +653,34 @@ def test_nested_action_corpus_output_is_pinned():
 
 
 def _rows_word_by_word(m, probe, basis):
-    """The rows of ``probe`` on ``basis``, from one ``act`` call per word."""
+    """The rows of ``probe`` on ``basis``, from one ``act`` call per word,
+    each with its output word."""
     rows = {}
     for col, mono in enumerate(basis):
         for out, c in m.act(probe, ModuleVector.of(mono)).items():
             rows.setdefault(out, {})[col] = c
-    return [rows[w] for w in sorted(rows, key=PBWMonomial.sort_key)]
+    return [(w, rows[w]) for w in sorted(rows, key=PBWMonomial.sort_key)]
 
 
 def _assert_rows_match(m, probes, basis):
     for probe in probes:
-        got, want = m.action_rows(probe, basis), _rows_word_by_word(m, probe, basis)
-        if m.group is INTEGERS and want:
-            # over the integers each row is one positive integer probe scale
-            # times the act row, with int entries
-            j, c = next(iter(want[0].items()))
-            scale = Fraction(got[0][j]) / c
-            assert scale.denominator == 1 and scale > 0
-            scaled = [{j: scale * c for j, c in r.items()} for r in want]
+        got = m.action_rows(probe, basis)
+        want = _rows_word_by_word(m, probe, basis)
+        if m.group is LEX_Z2:
+            want = [r for _, r in want]
+        else:
+            # over the integers and dyadics each row is the act row times
+            # the run's divisor for the row's word length, with int
+            # entries; one act call straightens a word at its own scale
+            _, _, divisor = m._run(probe, [((mono, 1),) for mono in basis])
+            scale = m._codes.scale if m.group is DYADIC else 1
+            assert len(divisor) == max(mono.length for mono in basis) + 2
+            assert divisor[-1] > 0 and all(
+                d == e * scale for d, e in zip(divisor, divisor[1:])
+            )
+            scaled = [{j: c * divisor[w.length] for j, c in r.items()} for w, r in want]
             assert all(c.denominator == 1 for r in scaled for c in r.values())
-            want = [{j: c.numerator for j, c in r.items()} for r in scaled]
+            want = [{j: int(c) for j, c in r.items()} for r in scaled]
         # the same rows in the same order, the same columns in the same
         # order, and equal coefficients of the same type
         assert [[(j, c, type(c)) for j, c in r.items()] for r in got] == [
