@@ -68,11 +68,13 @@ of negative weight, has ``lam = 1``.
 
 A dyadic module keeps one code table for its whole life: its scale ``S``
 (the ``lcm`` of every denominator it has met), each word's code and each
-code's word, decoded to ``Fraction`` parts, integral ones included.  So
-a word is decoded and hashed once per module, and equal words from two
-actions are the same object.  A finer denominator brings a new table
-rather than rewriting the old one, so an action that holds the old table
-keeps one consistent scale.
+code's word, decoded to ``Fraction`` parts, integral ones included.  A
+part is decoded and hashed once per module, and a new word is hashed as
+its ``(hash(part), index)`` pairs, which is ``hash(factors)``: a tuple's
+hash depends only on its items' hashes, and a ``Fraction`` hash ``h`` has
+``hash(h) == h``.  Equal words from two actions are the same object.  A
+finer denominator brings a new table rather than rewriting the old one,
+so an action that holds the old table keeps one consistent scale.
 
 Coefficients are exact and come in three representations that compare
 and hash alike: a Python ``int``, a ``Fraction`` and a ``Poly`` in the
@@ -207,6 +209,8 @@ class ModuleVector(SparseCombination):
 
     def weight(self, group: OrderedGroup):
         """Common weight of all monomials, or None when mixed or zero."""
+        if isinstance(group, DyadicGroup):
+            return _dyadic_weight(self._terms)
         w = None
         for mono in self._terms:
             s = group.zero()
@@ -261,6 +265,25 @@ class ModuleVector(SparseCombination):
         if weight is not None and element_from_json(weight, group) != vec.weight(group):
             raise ValueError(f"stated weight {weight!r} is not the weight of the words")
         return vec
+
+
+def _dyadic_weight(words: Iterable[PBWMonomial]) -> Optional[Fraction]:
+    """:meth:`ModuleVector.weight` over the dyadics: ``int`` sums over one
+    denominator per word, compared crosswise, and one ``Fraction``."""
+    num = den = None
+    for mono in words:
+        n, d = 0, 1
+        for p, _ in mono.factors:
+            q = p.denominator
+            if d % q:
+                m = q // math.gcd(d, q)
+                n, d = n * m, d * m
+            n += p.numerator * (d // q)
+        if den is None:
+            num, den = n, d
+        elif n * den != num * d:
+            return None
+    return None if den is None else Fraction(-num, den)
 
 
 # -- highest weight functionals -----------------------------------------
@@ -522,7 +545,9 @@ class VermaModule:
         lam * S**(top + 1 - n)`` (see the module docstring).  ``lam`` is the
         lcm of the central charge's denominator and the denominators of
         labels ``0..sym.index + 1 + reach``, or 1 when no input word can
-        reach a label or the central charge (:func:`_label_reach`).
+        reach a label or the central charge (:func:`_label_reach`).  A
+        zero mode meets no central term and no other label (its bracket
+        terms only insert), so its ``lam`` is that of ``label(index + 1)``.
         """
         g = self.group
         alpha, idx = sym.alpha, sym.index
@@ -567,7 +592,12 @@ class VermaModule:
                     r = _label_reach(alpha, mono.factors if encode is None else encode(mono))
                     if r > reach:
                         reach = r
-        lam = 1 if reach < 0 else self._weight_scale(idx + 1 + reach)
+        if reach < 0:
+            lam = 1
+        elif alpha == 0:
+            lam = self.hw.label(idx + 1).denominator
+        else:
+            lam = self._weight_scale(idx + 1 + reach)
         enter = [lam * scale ** (top - n) for n in range(top + 1)]
         for terms in inputs:
             dest, tasks = {}, []
@@ -994,8 +1024,22 @@ _INT_PARTS = _IntParts()
 _LEX_PAIRS = _LexPairs()
 
 
+# the slot setters: a frozen dataclass guards only __setattr__
+_new_object = object.__new__
+_set_factors = PBWMonomial.factors.__set__
+_set_hash = PBWMonomial._hash.__set__
+
+
+def _monomial(factors: Tuple[Factor, ...], h: int) -> PBWMonomial:
+    """The word on ``factors`` with hash ``h``, without the dataclass ``__init__``."""
+    mono = _new_object(PBWMonomial)
+    _set_factors(mono, factors)
+    _set_hash(mono, h)
+    return mono
+
+
 def _word(factors: Tuple[Factor, ...]) -> PBWMonomial:
-    return PBWMonomial(factors) if factors else VACUUM
+    return _monomial(factors, hash(factors)) if factors else VACUUM
 
 
 def _label_reach(gamma: int, factors: Tuple[Factor, ...]) -> int:
@@ -1034,8 +1078,9 @@ class _DyadicCodes:
     coded, so ``x -> x*scale`` maps those parts to ints and keeps their
     order.  ``codes`` maps a word to its coded factor tuple, ``words`` a
     coded tuple back to its one ``PBWMonomial`` on ``Fraction`` parts, and
-    ``parts`` a code to its ``Fraction``.  A finer denominator needs a new
-    table; this one is never cleared or rescaled.
+    ``parts`` a code to its ``Fraction`` and that ``Fraction``'s hash.  A
+    finer denominator needs a new table; this one is never cleared or
+    rescaled.
     """
 
     __slots__ = ("scale", "codes", "words", "parts")
@@ -1044,7 +1089,7 @@ class _DyadicCodes:
         self.scale = scale
         self.codes: Dict[PBWMonomial, Tuple[Factor, ...]] = {}
         self.words: Dict[Tuple[Factor, ...], PBWMonomial] = {}
-        self.parts: Dict[int, Fraction] = {}
+        self.parts: Dict[int, Tuple[Fraction, int]] = {}
 
     def code(self, x: Fraction) -> int:
         return x.numerator * (self.scale // x.denominator)
@@ -1058,12 +1103,18 @@ class _DyadicCodes:
     def decode(self, word: Tuple[Factor, ...]) -> PBWMonomial:
         mono = self.words.get(word)
         if mono is None:
-            parts, factors = self.parts, []
-            for p, i in word:
-                x = parts.get(p)
-                if x is None:
-                    x = parts[p] = Fraction(p, self.scale)
-                factors.append((x, i))
-            mono = self.words[word] = _word(tuple(factors))
+            if word:
+                parts, factors, keys = self.parts, [], []
+                for p, i in word:
+                    x = parts.get(p)
+                    if x is None:
+                        f = Fraction(p, self.scale)
+                        x = parts[p] = (f, hash(f))
+                    factors.append((x[0], i))
+                    keys.append((x[1], i))
+                mono = _monomial(tuple(factors), hash(tuple(keys)))
+            else:
+                mono = VACUUM
+            self.words[word] = mono
             self.codes[mono] = word
         return mono

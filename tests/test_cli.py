@@ -198,6 +198,21 @@ def test_dyadic_singular_search_reports_are_pinned(capsys, argv, pinned):
     assert out == (DATA / pinned).read_text()
 
 
+def test_dyadic_act_json_is_pinned(capsys):
+    # parts at denominators 1, 4 and 8 and element terms of one weight, so
+    # the words decode at the module's scale and "weight" is written; the
+    # JSON is pinned byte for byte
+    code, out, _ = run(
+        capsys, "act", "--group", "dyadic", "2*L(7/8,1) - 1/3*L(7/8,-1) + L(7/8,3)",
+        "L(-1/8,0)*L(-3/4,1)*L(-1,2)*v",
+        "--weight", '{"central_charge":"7/2","explicit":["1/3",2,"-5/4",1,0,2]}',
+        "--format", "json",
+    )
+    assert code == 0
+    assert '"weight": "-1"' in out
+    assert out == (DATA / "act_dyadic_nested.json").read_text()
+
+
 def test_verify_suite_single_check(capsys):
     code, out, _ = run(capsys, "verify-suite", "--only", "weight-counts")
     assert code == 0

@@ -13,6 +13,7 @@ from blockalg.lie import CENTRAL, BlockAlgebra, Generator, LieElement
 from blockalg.polynomial import Poly, X
 from blockalg.reducibility import labels_from_charpoly
 from blockalg.verma import (
+    VACUUM,
     ExplicitLabels,
     HighestWeight,
     ModuleVector,
@@ -487,6 +488,23 @@ def test_actions_that_reach_no_label_compute_none():
             assert len(hw.labels._memo) == labels
 
 
+def test_zero_mode_takes_the_denominator_of_its_one_label():
+    # a zero mode L(0, i) reaches label(i + 1) alone: its bracket terms have
+    # negative weight and only insert, and it meets no central term.  So its
+    # run computes no lcm over the labels 0..i + 1, and the module's
+    # prefix-lcm list stays empty however large the index.
+    for group, a in ((INTEGERS, 1), (DYADIC, Fraction(1, 2))):
+        m = module(HighestWeight.from_json(_DEEP_RECURRENT.to_json()), group)
+        vec = m.vector([(a, 0), (2 * a, 3)]).scaled(Fraction(2, 3))
+        for idx in (1500, 0, -1):
+            sym = Generator(group.zero(), idx)
+            assert m.act(sym, vec) == _reference_act(m, sym, vec)
+            assert m.act(sym, m.vacuum()) == m.vacuum().scaled(m.hw.label(idx + 1))
+        assert m._weight_scales == []
+        m.act(Generator(3 * a, 1), vec)  # a positive mode takes the prefix lcm
+        assert 0 < len(m._weight_scales) <= 8
+
+
 # -- Q[w] coefficients and output rescaling on the kernel ----------------------
 
 
@@ -847,6 +865,82 @@ def test_vector_made_in_one_module_acts_in_another():
         assert got == _reference_act(second, sym, vec)
         fresh = ModuleVector.from_json(vec.to_json(DYADIC), DYADIC)
         assert got == module(_EXPLICIT, DYADIC).act(sym, fresh)
+
+
+def test_decoded_dyadic_words_hash_as_their_factors():
+    # a decoded word's hash is made from its parts' hashes, never from the
+    # parts themselves; it must still be hash(factors), equal the word the
+    # constructor builds and find it in a dict, at every code table
+    m = module(_EXPLICIT, DYADIC)
+    vec = m.vector([(Fraction(1, 2), -1), (Fraction(1), 1), (Fraction(2), 0)])
+    seen = []
+    coarse = [Generator(Fraction(a), i) for a, i in (("-1/2", 0), ("3/2", 1), (1, 0))]
+    for sym in coarse:
+        seen += m.act(sym, vec).monomials()
+    first = m._codes
+    seen += m._codes.words.values()
+    for sym in (Generator(Fraction(-3, 8), 1), Generator(Fraction(5, 8), 0)):
+        seen += m.act(sym, vec).monomials()
+    assert m._codes is not first and m._codes.scale == 8
+    for sym in coarse:  # coarse denominators decoded at the finer table
+        seen += m.act(sym, vec).monomials()
+    seen += m._codes.words.values()
+    assert any(p.denominator == 1 for w in seen for p, _ in w.factors)
+    for w in seen:
+        built = PBWMonomial(w.factors)
+        assert hash(w) == hash(w.factors) == hash(built)
+        assert w == built and built in {w: 0} and w in {built: 0}
+    # an integral part decodes to a Fraction that matches the integer word
+    two = m._codes.decode(((2 * m._codes.scale, 0),))
+    assert two.factors == ((Fraction(2), 0),) and type(two.factors[0][0]) is Fraction
+    assert two == PBWMonomial(((2, 0),)) and hash(two) == hash(PBWMonomial(((2, 0),)))
+    assert {PBWMonomial(((2, 0),)): 1}[two] == 1
+    # the empty word is the vacuum, at both tables
+    for table in (first, m._codes):
+        assert table.decode(()) is VACUUM
+    assert m.act(Generator(Fraction(0), 1), m.vacuum()).monomials()[0] is VACUUM
+
+
+def _weight_by_add(vec, group):
+    """``ModuleVector.weight`` as it reads: ``group.add`` over each word."""
+    w = None
+    for mono in vec.monomials():
+        s = group.zero()
+        for p, _ in mono.factors:
+            s = group.add(s, p)
+        if w is None:
+            w = group.neg(s)
+        elif w != group.neg(s):
+            return None
+    return w
+
+
+def test_dyadic_weight_matches_group_addition():
+    rng = random.Random(17)
+    words = {
+        PBWMonomial(tuple(sorted(
+            (Fraction(rng.randint(1, 8), 2 ** rng.randint(0, 3)), rng.randint(-1, 2))
+            for _ in range(rng.randint(0, 4))
+        )))
+        for _ in range(400)
+    }
+    by_weight = {}
+    for w in words:
+        by_weight.setdefault(_weight_by_add(ModuleVector.of(w), DYADIC), []).append(w)
+    shared = [ws for ws in by_weight.values() if len(ws) > 1]
+    assert len(shared) > 20
+    vecs = [ModuleVector({w: 1 for w in ws}) for ws in shared]
+    ordered = sorted(words, key=PBWMonomial.sort_key)
+    vecs += [ModuleVector({w: 1 for w in rng.sample(ordered, 3)}) for _ in range(100)]
+    integral = PBWMonomial(((Fraction(2), 0), (Fraction(3), 1)))
+    vecs += [ModuleVector.zero(), ModuleVector.of(VACUUM), ModuleVector.of(integral)]
+    kinds = set()
+    for vec in vecs:
+        got, want = vec.weight(DYADIC), _weight_by_add(vec, DYADIC)
+        assert got == want and type(got) is type(want)
+        kinds.add(None if got is None else got.denominator == 1)
+        assert vec.to_json(DYADIC)["weight"] == (None if want is None else str(want))
+    assert kinds == {None, True, False}
 
 
 # -- JSON round trip of module vectors -------------------------------------------
