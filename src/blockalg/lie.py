@@ -151,11 +151,12 @@ class SparseCombination:
             if prev is None:
                 out[k] = -c
                 continue
-            s = prev - c
-            if s:
-                out[k] = s
-            else:
+            # exact coefficients cancel exactly when equal; the test is
+            # cheaper than building a zero int, Fraction or Poly
+            if prev == c:
                 del out[k]
+            else:
+                out[k] = prev - c
         return self._of_nonzero(out)
 
     def scaled(self, scalar):

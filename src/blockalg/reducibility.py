@@ -358,6 +358,10 @@ def singular_candidates(
     rows, and elimination stops once the rank equals the basis size.
     That full-rank verdict (no candidates) is exact: the kernel is
     already {0}, so the probes not yet acted on cannot change it.
+    A probe L(beta,k) with beta heavier than -mu is never straightened:
+    it sends the weight space to mu+beta > 0, where the module is zero,
+    so it gives no row and annihilates every candidate.  The report
+    still lists every probe of the horizon.
     The report also singles out a *generator*: the canonical candidate
     living at the smallest index horizon that already admits one (for
     weight -1 this is the characteristic polynomial direction; the
@@ -366,7 +370,7 @@ def singular_candidates(
     vectors that vanish on every basis word with a larger index, so the
     generator and its ``generator_dim`` are read off the full kernel.
     Every candidate is re-verified by acting on it directly with every
-    probe, an independent path through the straightening engine.
+    live probe, an independent path through the straightening engine.
 
     The horizon must not be vacuous: ``max_index`` and ``probe_index``
     are at least -1 and, over the integers, ``probe_weight`` at least 1.
@@ -382,7 +386,10 @@ def singular_candidates(
         raise ValueError("singular candidates live at strictly negative weights")
     basis = module.weight_basis(mu, max_index, parts=parts)
     probes = _probe_generators(module, probe_weight, probe_index, parts=parts)
-    kernel = linalg.nullspace(_annihilation_rows(module, basis, probes), len(basis))
+    # a probe heavier than -mu lands above the highest weight: no rows
+    top = g.neg(mu)
+    live = [p for p in probes if g.compare(p.alpha, top) <= 0]
+    kernel = linalg.nullspace(_annihilation_rows(module, basis, live), len(basis))
     candidates = [
         ModuleVector({m: c for m, c in zip(basis, v) if c}) for v in kernel
     ]
@@ -390,18 +397,21 @@ def singular_candidates(
     # distinguished minimal-horizon candidate, read off the one kernel
     generator = None
     generator_dim = None
-    for bound in range(-1, max_index + 1):
-        low = [i for i, m in enumerate(basis) if all(ix <= bound for _, ix in m.factors)]
-        sub = _sub_kernel(kernel, low)
-        if sub:
-            generator_dim = len(sub)
-            # the canonical vector's last nonzero coefficient is already 1
-            generator = ModuleVector({basis[i]: c for i, c in zip(low, sub[0]) if c})
-            break
+    if kernel:
+        # a word's largest index; at mu < 0 no word is empty
+        reach = [max(ix for _, ix in m.factors) for m in basis]
+        for bound in range(-1, max_index + 1):
+            low = [i for i, r in enumerate(reach) if r <= bound]
+            sub = _sub_kernel(kernel, low)
+            if sub:
+                generator_dim = len(sub)
+                # the canonical vector's last nonzero coefficient is already 1
+                generator = ModuleVector({basis[i]: c for i, c in zip(low, sub[0]) if c})
+                break
 
-    # independent re-verification: exact zero under every probe
+    # independent re-verification: exact zero under every live probe
     for cand in candidates:
-        for probe in probes:
+        for probe in live:
             if not module.act(probe, cand).is_zero():
                 raise DetectorInconsistencyError(
                     f"candidate {cand} fails probe {probe}: matrix assembly bug"

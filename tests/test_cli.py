@@ -184,18 +184,30 @@ WEIGHT_RECURRENT = '{"central_charge":"3/7","charpoly":["2/5","-1/3","1"],"initi
     [
         (["--mu=-1/2", "--parts", "1/2"], "singular_dyadic_recurrent_half.json"),
         (["--mu=-3/4", "--parts", "1/4;3/4"], "singular_dyadic_recurrent_three_quarters.json"),
+        (["--mu=-1/2", "--parts", "1/2;1"], "singular_dyadic_recurrent_half.json"),
     ],
-    ids=["dimension-3", "full-rank-40-words"],
+    ids=["dimension-3", "full-rank-40-words", "dimension-3-heavier-part"],
 )
 def test_dyadic_singular_search_reports_are_pinned(capsys, argv, pinned):
     # a dyadic search eliminates int rows that carry a power of the scale
-    # per word length; its reports are pinned byte for byte
+    # per word length; its reports are pinned byte for byte.  A part
+    # heavier than -mu adds probes that reach no weight space, so the
+    # report is the one without it
     code, out, _ = run(
         capsys, "singular-search", "--group", "dyadic", *argv, "--max-t-index", "3",
         "--probe-k", "8", "--weight", WEIGHT_RECURRENT, "--format", "json",
     )
     assert code == 0
     assert out == (DATA / pinned).read_text()
+
+
+def test_theorem2_report_of_a_recurrent_weight_is_pinned(capsys):
+    # the consolidated report at the default horizon: a kernel of
+    # dimension 3 at -1, found by the probes of weight 1 alone
+    code, out, _ = run(capsys, "theorem2", "--weight", WEIGHT_RECURRENT, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["singular"]["dimension"] == 3
+    assert out == (DATA / "theorem2_recurrent.json").read_text()
 
 
 def test_dyadic_act_json_is_pinned(capsys):

@@ -266,3 +266,44 @@ def test_canonical_printing():
     assert str(L(0, 0, -2)) == "-2*L(0,0)"
     assert str(LieElement.zero()) == "0"
     assert str(L(2, -1, Fraction(-3, 4))) == "-3/4*L(2,-1)"
+
+
+def _reference_sub(a, b):
+    """The terms of a - b as built through ``prev - c`` on every shared key."""
+    out = dict(a._terms)
+    for k, c in b._terms.items():
+        prev = out.get(k)
+        if prev is None:
+            out[k] = -c
+            continue
+        s = prev - c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def test_difference_matches_subtracting_every_shared_coefficient():
+    # equal coefficients cancel without a subtraction; the result must
+    # be the same terms, in the same order and of the same types
+    values = [
+        1, 2, -3, Fraction(1, 2), Fraction(2), Fraction(-3),
+        Poly((2,)), Poly((Fraction(1, 2),)), Poly((-3,)), Poly((1, 2)), Poly((Fraction(1, 2), 1)),
+    ]
+    shared, only_a, only_b = Generator(1, 0), Generator(2, 1), Generator(-1, 3)
+    cancelled = 0
+    for p in values:
+        for c in values:
+            a = LieElement({shared: p, only_a: Fraction(5, 3)})
+            b = LieElement({only_b: 7, shared: c})
+            got = a - b
+            ref = _reference_sub(a, b)
+            assert [(k, v, type(v)) for k, v in got._terms.items()] == [
+                (k, v, type(v)) for k, v in ref.items()
+            ]
+            assert got == LieElement(ref) and hash(got) == hash(LieElement(ref))
+            cancelled += shared not in ref
+    # the equal pairs: 2, -3 and 1/2 as int, Fraction or constant Poly in
+    # either order, and 1 and the two linear polys against themselves
+    assert cancelled == 9 + 9 + 4 + 3

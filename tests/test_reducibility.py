@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from blockalg import linalg, reducibility
-from blockalg.groups import DYADIC, INTEGERS
+from blockalg.groups import DYADIC, INTEGERS, LEX_Z2
 from blockalg.lie import BlockAlgebra, Generator
 from blockalg.polynomial import ONE, Poly, X
 from blockalg.reducibility import (
@@ -383,24 +383,37 @@ def _streamed_search_cases():
     for hw in recurrent + zero_labels:
         for mu, bound in ((-1, 2), (-1, 3), (-2, 1)):
             yield module(hw), mu, bound, 6, 3, None
+    # at -1/2 the catalog's part 1 is heavier than -mu: the search skips
+    # its probes, the reference straightens them
     catalog = [Fraction(1, 2), Fraction(1)]
-    yield module(HighestWeight.explicit(RANDOMISH, Fraction(2)), DYADIC), Fraction(-1), 1, 8, 2, catalog
+    explicit = HighestWeight.explicit(RANDOMISH, Fraction(2))
+    yield module(explicit, DYADIC), Fraction(-1), 1, 8, 2, catalog
+    yield module(explicit, DYADIC), Fraction(-1, 2), 2, 8, 2, catalog
     yield module(recurrent[1], DYADIC), Fraction(-1, 2), 3, 8, 2, catalog
+    # no lex-z2 case: its weight spaces need a word-length bound and its
+    # rows hold Q[w] entries, and the search supports neither
 
 
 def test_streamed_search_matches_dense_reference(monkeypatch):
-    full_rank = deficient = 0
+    full_rank = deficient = heavier = 0
     for m, mu, bound, k, b, parts in _streamed_search_cases():
         got = singular_candidates(m, mu, bound, k, b, parts=parts)
+        # the reference straightens every probe of the horizon
+        every = reducibility._probe_generators(m, b, k, parts=parts)
+
+        def dense(module, basis, _live, every=every):
+            return _dense_annihilation_matrix(module, basis, every)
+
         with monkeypatch.context() as patch:
-            patch.setattr(reducibility, "_annihilation_rows", _dense_annihilation_matrix)
+            patch.setattr(reducibility, "_annihilation_rows", dense)
             ref = singular_candidates(m, mu, bound, k, b, parts=parts)
         g = m.group
         assert json.dumps(got.to_json(g)) == json.dumps(ref.to_json(g))
-        assert got.probes == ref.probes
+        assert got.probes == ref.probes == every
         full_rank += got.dimension == 0
         deficient += got.dimension > 0
-    assert full_rank >= 5 and deficient >= 5
+        heavier += any(g.compare(p.alpha, g.neg(mu)) > 0 for p in every)
+    assert full_rank >= 5 and deficient >= 5 and heavier >= 10
 
 
 def _log_straightening(monkeypatch):
@@ -432,20 +445,47 @@ def test_full_rank_search_stops_straightening_early(monkeypatch):
     assert len(rep.probes) == 3 * 12  # the report still lists every probe
 
 
-def test_rank_deficient_search_acts_on_every_probe(monkeypatch):
+def test_rank_deficient_search_acts_on_every_live_probe(monkeypatch):
     m = module(labels_from_charpoly(X + 1, 1))
     log = _log_straightening(monkeypatch)
     rep = singular_candidates(m, -1, 3, 12, 3)
     assert rep.dimension > 0
-    # assembly runs every probe once over the whole basis, then
-    # re-verification acts with every probe on every candidate
-    n = len(rep.probes)
-    assert [(name, sym) for name, sym, _ in log[:n]] == [("action_rows", p) for p in rep.probes]
+    # at -1 only the weight-1 probes are live; assembly runs each once over
+    # the whole basis, then re-verification acts with each on every candidate
+    live = [p for p in rep.probes if p.alpha == 1]
+    n = len(live)
+    assert n == 14 and len(rep.probes) == 3 * 14  # the report still lists every probe
+    assert [(name, sym) for name, sym, _ in log[:n]] == [("action_rows", p) for p in live]
     assert all(arg == rep.basis for _, _, arg in log[:n])
     assert [(name, sym, arg) for name, sym, arg in log[n:]] == [
-        ("act", p, cand) for cand in rep.candidates for p in rep.probes
+        ("act", p, cand) for cand in rep.candidates for p in live
     ]
     assert len(log) == n * (1 + rep.dimension)
+
+
+def test_probes_heavier_than_the_weight_annihilate_every_basis_word():
+    # the grading argument behind skipping them: L(beta,k) sends weight mu
+    # to mu+beta > 0, where the module is zero
+    explicit = HighestWeight.explicit(RANDOMISH, Fraction(2))
+    cases = [
+        (module(labels_from_charpoly(X + 1, 1)), -1, 3, 3, None, None),
+        (module(explicit), -2, 2, 4, None, None),
+        (module(explicit, DYADIC), Fraction(-3, 4), 2, 0,
+         [Fraction(1, 4), Fraction(3, 4), Fraction(7, 8), Fraction(1)], None),
+        (module(explicit, LEX_Z2), (-1, 5), 1, 0, [(0, 1), (1, -6), (1, -4), (2, -9)], 3),
+    ]
+    for m, mu, bound, b, parts, max_parts in cases:
+        g = m.group
+        basis = m.weight_basis(mu, bound, parts=parts, max_parts=max_parts)
+        probes = reducibility._probe_generators(m, b, 4, parts=parts)
+        dead = [p for p in probes if g.compare(p.alpha, g.neg(mu)) > 0]
+        assert basis and dead
+        for p in dead:
+            for word in basis:
+                assert m.act(p, ModuleVector.of(word)).is_zero()
+        # a live probe does reach the weight space
+        live = [p for p in probes if p not in dead]
+        assert any(m.act(p, ModuleVector.of(w)) for p in live for w in basis)
 
 
 def test_oversized_search_is_a_straightening_limit():
