@@ -1,7 +1,11 @@
 """Command line front-end.
 
-Subcommands map one-to-one onto the engine operations; every run is
-deterministic for a fixed ``--seed`` (default 0).  Exit codes: 0 success,
+Subcommands map one-to-one onto the engine operations.  Each option is
+given only to the subcommands that read it: ``--group`` to those that
+work over more than the integers, and ``--seed`` (default 0) to the
+three that sample, ``classify-order``, ``step3-check`` and
+``verify-suite``, whose runs are deterministic for a fixed seed.  The
+rest take no random input.  Exit codes: 0 success,
 1 mathematical-verdict failure (a failing verification), 2 usage error
 (bad input, including a JSON float where an exact rational belongs),
 3 resource limit (the straightening step budget ran out, which also
@@ -28,7 +32,7 @@ from .exprparse import (
     parse_pair,
     parse_vector,
 )
-from .groups import DYADIC, GROUPS, GroupError, format_element, get_group
+from .groups import DYADIC, GROUPS, INTEGERS, GroupError, format_element, get_group
 from .lie import BlockAlgebra
 from .polynomial import format_rational
 from .reducibility import (
@@ -48,11 +52,15 @@ USAGE_ERROR = 2
 RESOURCE_LIMIT = 3
 
 
-def _add_common(p: argparse.ArgumentParser, group_default="integers"):
-    p.add_argument("--group", default=group_default, choices=sorted(GROUPS))
+def _add_common(p: argparse.ArgumentParser, group="integers", seed=False):
+    """``--format`` and ``--out``, plus ``--group`` (default ``group``) unless
+    ``group`` is None, and ``--seed`` for the subcommands that sample."""
+    if group is not None:
+        p.add_argument("--group", default=group, choices=sorted(GROUPS))
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
 
 
 def _weight_arg(p: argparse.ArgumentParser, required=True):
@@ -163,7 +171,6 @@ def cmd_singular_search(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
-    group = get_group(args.group)
     hw = _load_weight(args.weight)
     f = charpoly_from_labels(hw, args.max_degree, args.horizon)
     if f is None:
@@ -262,8 +269,7 @@ def cmd_step3_check(args) -> int:
 
 
 def cmd_theorem2(args) -> int:
-    group = get_group(args.group)
-    module = VermaModule(BlockAlgebra(group), _load_weight(args.weight))
+    module = VermaModule(BlockAlgebra(INTEGERS), _load_weight(args.weight))
     rep = reducibility_report(
         module,
         max_degree=args.max_degree,
@@ -281,7 +287,7 @@ def cmd_theorem2(args) -> int:
         f"(I={args.max_t_index}, K={args.probe_k}, B={args.probe_b})",
         f"verdict: {rep.verdict}",
     ]
-    _emit(args, "\n".join(lines), rep.to_json(group))
+    _emit(args, "\n".join(lines), rep.to_json(INTEGERS))
     return 0
 
 
@@ -361,18 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
     _weight_arg(p)
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--horizon", type=int, default=14)
-    _add_common(p)
+    _add_common(p, group=None)
     p.set_defaults(fn=cmd_charpoly)
 
     p = sub.add_parser("delta", help="generating series and quasipolynomial test")
     _weight_arg(p)
     p.add_argument("--horizon", type=int, default=10, help="series order")
     p.add_argument("--max-degree", type=int, default=4, help="max recurrence order")
-    _add_common(p)
+    _add_common(p, group=None)
     p.set_defaults(fn=cmd_delta)
 
     p = sub.add_parser("classify-order", help="dense/discrete classification")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(fn=cmd_classify_order)
 
     p = sub.add_parser(
@@ -389,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit mode factor 'part,index' (repeatable, normal order)",
     )
     p.add_argument("--probe-j", type=int, default=0)
-    _add_common(p, group_default="dyadic")
+    _add_common(p, group="dyadic", seed=True)
     p.set_defaults(fn=cmd_step3_check)
 
     p = sub.add_parser(
@@ -401,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-t-index", type=int, default=3)
     p.add_argument("--probe-k", type=int, default=12)
     p.add_argument("--probe-b", type=int, default=3)
-    _add_common(p)
+    _add_common(p, group=None)
     p.set_defaults(fn=cmd_theorem2)
 
     p = sub.add_parser("verify-suite", help="run the bundled verification checks")
@@ -412,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="self-test fixture: corrupt one label so the singular check fails",
     )
-    _add_common(p)
+    _add_common(p, group=None, seed=True)
     p.set_defaults(fn=cmd_verify_suite)
 
     return ap

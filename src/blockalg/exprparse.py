@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 from .groups import GroupError, IntegerGroup, LexPairGroup, OrderedGroup
 from .lie import CENTRAL, BlockAlgebra, Generator, LieElement, PolyForm
 from .polynomial import Poly, x_power
-from .verma import ModuleVector, PBWMonomial
+from .verma import ModuleVector, normal_word
 
 
 class ParseError(ValueError):
@@ -320,6 +320,7 @@ def parse_vector(text: str, group: OrderedGroup) -> ModuleVector:
     def term(tk: _Tokens, sign: int) -> ModuleVector:
         coeff = Fraction(sign)
         factors = []
+        start = None  # position of the word's first factor
         closed = False
         while True:
             t = tk.peek()
@@ -335,6 +336,8 @@ def parse_vector(text: str, group: OrderedGroup) -> ModuleVector:
                     raise ParseError(
                         "word factors must have negative weight", tk.text, pos
                     )
+                if start is None:
+                    start = pos
                 factors.append((group.neg(gen.alpha), gen.index))
             elif kind == "name" and val == "v":
                 tk.next()
@@ -348,11 +351,10 @@ def parse_vector(text: str, group: OrderedGroup) -> ModuleVector:
                     raise ParseError("expected '*' or 'v'", tk.text, tk.pos())
         if not closed:
             raise ParseError("a word must end in 'v'", tk.text, tk.pos())
-        for a, b in zip(factors, factors[1:]):
-            if b < a:
-                raise ParseError(
-                    "word factors are not normal-ordered", tk.text, tk.pos()
-                )
-        return ModuleVector({PBWMonomial(tuple(factors)): coeff})
+        try:
+            word = normal_word(factors, group)
+        except ValueError as e:
+            raise ParseError(str(e), tk.text, start) from None
+        return ModuleVector({word: coeff})
 
     return _combination(text, term, ModuleVector.zero())

@@ -31,14 +31,22 @@ from .groups import IntegerGroup, LexPairGroup, OrderedGroup, format_element
 from .polynomial import Poly, format_rational, parse_rational
 
 
+def check_index(i) -> None:
+    """The index rule of generators and word factors: an ``int``, not a
+    ``bool``, and at least -1; anything else raises ``ValueError``."""
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise ValueError(f"index must be an integer, not {i!r}")
+    if i < -1:
+        raise ValueError("index must be >= -1")
+
+
 @dataclass(frozen=True)
 class Generator:
     alpha: object
     index: int
 
     def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < -1:
-            raise ValueError("generator index must be an integer >= -1")
+        check_index(self.index)
 
     def __str__(self) -> str:
         return f"L({format_element(self.alpha)},{self.index})"

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .groups import IntegerGroup, OrderedGroup
+from .groups import IntegerGroup, LexPairGroup, OrderedGroup
 from .lie import Coeff, Generator, coeff_json
 from .polynomial import Poly, X, exact_fraction, format_rational
 from .verma import (
@@ -372,10 +372,15 @@ def singular_candidates(
     Every candidate is re-verified by acting on it directly with every
     live probe, an independent path through the straightening engine.
 
-    The horizon must not be vacuous: ``max_index`` and ``probe_index``
-    are at least -1 and, over the integers, ``probe_weight`` at least 1.
+    The search runs over the integers and the dyadics; lex-z2 is refused
+    up front, since its weight spaces need a ``max_parts`` bound and its
+    Q[w] rows are not rational.  The horizon must not be vacuous:
+    ``max_index`` and ``probe_index`` are at least -1 and, over the
+    integers, ``probe_weight`` at least 1.
     """
     g = module.group
+    if isinstance(g, LexPairGroup):
+        raise ValueError("the singular search runs over the integers and the dyadics")
     if max_index < -1:
         raise ValueError("max_index must be >= -1")
     if probe_index < -1:
@@ -584,27 +589,23 @@ def sweep_check(
 ) -> SweepCheck:
     """Replay the determinant product through the straightening engine.
 
-    Builds the word of ``parts`` (strictly decreasing parts, all larger
+    Builds the word of ``parts`` (strictly increasing parts, all larger
     than ``eps``), applies the positive generator of weight
     (sum of parts) - eps, and compares the coefficient of the surviving
     word L(-eps, probe_index + sum of indices) v with the determinant
     product at x = that weight.
     """
     g = module.group
-    g.validate(eps)
-    if not g.is_positive(eps):
+    if not g.is_positive(eps):  # validates eps
         raise ValueError("eps must be positive")
     prev = None
-    for p, k in parts:
-        g.validate(p)
+    for p, _ in parts:
         if g.compare(eps, p) >= 0:
             raise ValueError("eps must be smaller than every part")
         if prev is not None and g.compare(prev, p) >= 0:
             raise ValueError("parts must be strictly increasing in normal order")
-        if k < -1:
-            raise ValueError("index must be >= -1")
         prev = p
-    word = module.monomial(parts)
+    word = module.monomial(parts)  # validates every part and index
     total = g.zero()
     for p, _ in parts:
         total = g.add(total, p)

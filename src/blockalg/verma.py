@@ -6,75 +6,10 @@ A module vector is an exact linear combination of normal-ordered words
 
 where the parts ``a_s`` are positive group elements, weakly increasing
 left to right, and the indices ``i_s`` weakly increase within a run of
-equal parts.  The highest weight functional assigns a rational label to
-every weight-zero generator and a central charge to the central symbol;
+equal parts.  A word from outside the engine passes :func:`normal_word`.
+The highest weight functional assigns a rational label to every
+weight-zero generator and a central charge to the central symbol;
 positive-weight generators annihilate ``v``.
-
-Straightening runs one loop over an explicit LIFO work stack of two
-kinds of step:
-
-* a negative generator is inserted into a word by adjacent swaps
-  ``A B = B A + [A, B]``; the commutator of two negative generators is a
-  single negative generator on a shorter word, so insertion terminates
-  (parts only merge into larger parts).  A factor the generator has
-  passed is carried as a prefix of the insertion, not re-inserted;
-* a zero- or positive-weight generator commutes toward ``v``, pushing
-  its commutator terms as new tasks by weight sign; at ``v`` the
-  positive part acts as zero and the zero modes act through the labels.
-  The words it leaves behind a factor are merged first, and only then is
-  that factor inserted into each of them again: a flush task, pushed
-  under the task that produces those words, runs once they are done.
-
-Termination is provable by induction on (word length, inversion count),
-but a step budget still guards every input of a run so an
-implementation bug fails loudly instead of hanging.  Each insertion and
-each application spends one step.  No word is held on the interpreter's
-call stack, so the budget is the only cap on the length of a word.
-
-Words inside the loop are plain tuples of ``(part, index)`` factors.  A
-run straightens one generator on one or more inputs, each with its own
-output dict: :meth:`VermaModule.act` runs it on one vector and wraps each
-output word in a :class:`PBWMonomial` once, and
-:meth:`VermaModule.action_rows` runs it on every word of a basis and
-reads the matrix rows off the raw output words, never decoding them.
-Both share one setup: the group-element arithmetic of the run, the
-clearing of denominators and the divisor of each output length.  Over
-the integers and dyadics the rows stay ``int``: the entries of a row
-share one divisor, which :meth:`VermaModule.act` divides out and the
-rows keep, so the row space is that of the action.
-
-Lex-z2 pairs are straightened as they are.  Integer and dyadic parts
-share one integer kernel, because the dyadic algebra is the integer one
-rescaled: for a scale ``S`` that clears every denominator,
-``L(a,i) -> L(S*a,i)/S`` and ``c -> c/S`` map it into the integer
-algebra, and the module of weight ``(cc, labels)`` goes to the integer
-module of weight ``(S*cc, S*labels)``, a word of length ``k`` to ``S^-k``
-times its image.  So a dyadic part ``x`` runs as the ``int`` code ``x*S``
-(``S > 0`` keeps the order), every structure constant is an ``int``, and
-the weight data enters scaled: the label term as ``label*S`` and the
-central term as ``code*(S*cc)``.  An output word of length ``n`` then
-carries ``S^(n - len_in - 1)``.  The kernel runs in ``int`` alone.  An
-input word of length ``len_in`` enters as the ``int``
-``c*D*lam*S^(top - len_in)``: ``top`` is the longest input word and
-``D`` the common denominator of the input coefficients, both over the
-whole run, and ``lam`` is a multiple of the denominator of the central
-charge and of every label the run can reach.  A label or central term
-``p/q`` is then the exact division ``coeff // q * p``, and an output
-word of length ``n`` carries the one divisor ``D*lam*S^(top + 1 - n)``.
-:meth:`VermaModule.act` divides it out, an ``int`` where the quotient is
-exact and a ``Fraction`` otherwise.  Integer runs have ``S = 1``, and a
-run that reaches no label or central term, such as one of a generator
-of negative weight, has ``lam = 1``.
-
-A dyadic module keeps one code table for its whole life: its scale ``S``
-(the ``lcm`` of every denominator it has met), each word's code and each
-code's word, decoded to ``Fraction`` parts, integral ones included.  A
-part is decoded and hashed once per module, and a new word is hashed as
-its ``(hash(part), index)`` pairs, which is ``hash(factors)``: a tuple's
-hash depends only on its items' hashes, and a ``Fraction`` hash ``h`` has
-``hash(h) == h``.  Equal words from two actions are the same object.  A
-finer denominator brings a new table rather than rewriting the old one,
-so an action that holds the old table keeps one consistent scale.
 
 Coefficients are exact and come in three representations that compare
 and hash alike: a Python ``int``, a ``Fraction`` and a ``Poly`` in the
@@ -86,23 +21,17 @@ integral.  The JSON form ``"p/q"`` is the same for ``3``,
 until w-arithmetic touches it, and is a ``Poly`` from then on, even
 when constant.
 
-``Poly`` appears only at the boundary of a run.  Inside the kernel a
-Q[w] coefficient is a plain trimmed tuple ``(c0, c1, ..., cd)`` of
-``int`` and ``Fraction`` entries, lowest degree first, and zero is
-``()``: a ``Poly`` input enters as its ``coeffs``, and each tuple output
-becomes a ``Poly`` once.  The kernel reaches coefficient arithmetic only
-through three ring hooks of the run's part arithmetic: ``mul`` by a
-linear structure constant, ``smul`` by a label or the central charge,
-and ``cadd``, a sum that is falsy when it cancels.  Over the integers
-and dyadics ``mul`` and ``cadd`` are the plain operators and ``smul``
-the exact division above.  Over lex-z2 a product is written with the
-``Fraction`` operand on the left, so it takes the ``Fraction``'s own
-method rather than the slower reflected one.
+Each piece of the engine is described once, next to its code: the work
+stack loop in :meth:`VermaModule._straighten`, the setup of a run that
+puts integer and dyadic parts on one ``int`` kernel in
+:meth:`VermaModule._run`, the code table of a dyadic module in
+:class:`_DyadicCodes`, the Q[w] coefficients of the kernel in
+:class:`_LexPairs`, and the enumeration of a weight space in
+:meth:`VermaModule.weight_basis`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -118,6 +47,7 @@ from .lie import (
     Generator,
     LieElement,
     SparseCombination,
+    check_index,
     coeff_from_json,
     coeff_json,
     element_from_json,
@@ -173,17 +103,16 @@ VACUUM = PBWMonomial(())
 def normal_word(factors: Iterable[Factor], group: OrderedGroup) -> PBWMonomial:
     """The word on ``factors``; ``ValueError`` unless it is normal-ordered.
 
-    Parts must be positive elements of ``group`` and indices integers
-    ``>= -1``, with the factors weakly increasing.
+    Parts must be positive elements of ``group`` and indices pass
+    :func:`lie.check_index`, with the factors weakly increasing.  This is
+    the one gate for words that come from outside the engine.
     """
     fs = tuple(factors)
     prev = None
     for p, i in fs:
-        group.validate(p)
-        if not group.is_positive(p):
+        if not group.is_positive(p):  # validates p
             raise ValueError(f"part {p} is not positive")
-        if i < -1:
-            raise ValueError("index must be >= -1")
+        check_index(i)
         if prev is not None and (p, i) < prev:
             raise ValueError("factors are not normal-ordered")
         prev = (p, i)
@@ -442,7 +371,7 @@ class VermaModule:
     the budget still ends in :class:`StraighteningLimitError`.
 
     Over the dyadic instance the module holds the code table of its words
-    (see the module docstring).  The table lives and dies with the module:
+    (:class:`_DyadicCodes`).  The table lives and dies with the module:
     it grows with every new word an action meets and is freed only with
     the module, so a long-lived module keeps each word it has seen.
     """
@@ -461,8 +390,8 @@ class VermaModule:
         return ModuleVector.of(VACUUM)
 
     def monomial(self, factors: Iterable[Factor]) -> PBWMonomial:
-        """Validated normal-ordered word."""
-        return normal_word(((p, int(i)) for p, i in factors), self.group)
+        """Validated normal-ordered word (see :func:`normal_word`)."""
+        return normal_word(factors, self.group)
 
     def vector(self, factors: Iterable[Factor]) -> ModuleVector:
         return ModuleVector.of(self.monomial(factors))
@@ -541,13 +470,32 @@ class VermaModule:
         ``divisor[n]`` times too large.  Each input is straightened in full
         before the next starts and spends its own step budget.
 
-        Integer and dyadic runs stay in ``int``, with ``divisor[n] = den *
-        lam * S**(top + 1 - n)`` (see the module docstring).  ``lam`` is the
-        lcm of the central charge's denominator and the denominators of
-        labels ``0..sym.index + 1 + reach``, or 1 when no input word can
-        reach a label or the central charge (:func:`_label_reach`).  A
-        zero mode meets no central term and no other label (its bracket
-        terms only insert), so its ``lam`` is that of ``label(index + 1)``.
+        Integer and dyadic parts share one integer kernel, because the
+        dyadic algebra is the integer one rescaled: for a scale ``S`` that
+        clears every denominator, ``L(a,i) -> L(S*a,i)/S`` and ``c -> c/S``
+        map it into the integer algebra, and the module of weight ``(cc,
+        labels)`` goes to the integer module of weight ``(S*cc,
+        S*labels)``, a word of length ``k`` to ``S^-k`` times its image.
+        So a dyadic part ``x`` runs as the ``int`` code ``x*S`` of the
+        module's table (``S > 0`` keeps the order), every structure
+        constant is an ``int``, and the weight data enters scaled (see
+        :meth:`_straighten`).  An output word of length ``n`` then carries
+        ``S^(n - len_in - 1)``.  Integer runs have ``S = 1``.
+
+        Such a run stays in ``int``.  An input word of length ``len_in``
+        enters as the ``int`` ``c*den*lam*S^(top - len_in)``: ``top`` is
+        the longest input word and ``den`` the common denominator of the
+        input coefficients, both over the whole run.  ``lam`` is the lcm
+        of the central charge's denominator and the denominators of labels
+        ``0..sym.index + 1 + reach``, or 1 when no input word can reach a
+        label or the central charge (:func:`_label_reach`), such as under
+        a generator of negative weight.  A zero mode meets no central term
+        and no other label (its bracket terms only insert), so its ``lam``
+        is that of ``label(index + 1)``.  Every label or central term is
+        then an exact division, and an output word of length ``n`` carries
+        the one divisor ``divisor[n] = den*lam*S^(top + 1 - n)``, which
+        :meth:`act` divides out: an ``int`` where the quotient is exact and
+        a ``Fraction`` otherwise.
         """
         g = self.group
         alpha, idx = sym.alpha, sym.index
@@ -619,6 +567,23 @@ class VermaModule:
 
     def _straighten(self, seeds: list, ar, scale: int) -> None:
         """Run each seed's tasks until the stack is empty; words are plain factor tuples.
+
+        One loop runs over an explicit LIFO work stack, so no word is held
+        on the interpreter's call stack and the step budget is the only cap
+        on the length of a word.  A negative generator is inserted into a
+        word by adjacent swaps ``A B = B A + [A, B]``: the commutator of two
+        negative generators is one negative generator on a shorter word,
+        so insertion terminates (parts only merge into larger parts), and a
+        factor the generator has passed is carried as a prefix of the
+        insertion, not re-inserted.  A zero- or positive-weight generator
+        commutes toward ``v``, pushing its commutator terms as new tasks by
+        weight sign; at ``v`` the positive part acts as zero and the zero
+        modes act through the labels.  The words it leaves behind a factor
+        are merged first, and only then is that factor inserted into each
+        of them again: a flush task, pushed under the task that produces
+        those words, runs once they are done.  Termination holds by
+        induction on (word length, inversion count); the budget still
+        guards every input, so a bug fails loudly instead of hanging.
 
         ``seeds`` is a list of task lists, one per input of the run.  An
         input runs to the end before the next one starts, with a fresh
@@ -790,14 +755,20 @@ class VermaModule:
         needs ``max_parts``: positivity alone does not bound word length
         there.  The horizon must not be vacuous: ``max_index`` is at least
         -1 and ``max_parts``, when given, at least 0.
+
+        The enumeration is iterative: one loop over an explicit stack of
+        normal-ordered prefixes, each with the weight still to place, so
+        no word is held on the interpreter's call stack.  A prefix grows
+        by a factor never below its last one, and one of ``max_parts``
+        factors does not grow.  The list is sorted by
+        :meth:`PBWMonomial.sort_key`.
         """
         if max_index < -1:
             raise ValueError("max_index must be >= -1")
         if max_parts is not None and max_parts < 0:
             raise ValueError("max_parts must be >= 0")
         g = self.group
-        g.validate(mu)
-        sign = g.compare(mu, g.zero())
+        sign = g.compare(mu, g.zero())  # validates mu
         if sign > 0:
             raise ValueError("weight spaces sit at non-positive weights")
         if sign == 0:
@@ -812,44 +783,33 @@ class VermaModule:
                 )
         parts = sorted(set(parts))
         for p in parts:
-            g.validate(p)
-            if not g.is_positive(p):
+            if not g.is_positive(p):  # validates p
                 raise ValueError(f"catalog part {p} is not positive")
         if isinstance(g, LexPairGroup) and max_parts is None:
             raise ValueError("the lex-z2 instance needs a max_parts bound")
 
-        sequences: List[Tuple] = []
-
-        def dfs(remaining, start, chosen):
-            if remaining == g.zero():
-                sequences.append(tuple(chosen))
-                return
-            if max_parts is not None and len(chosen) >= max_parts:
-                return
+        # a stack entry also holds the catalog position of its last part:
+        # the next part walks the catalog from there, and a repeated part
+        # starts at the last index
+        zero, top = g.zero(), max_index + 1
+        out = []
+        stack = [((), target, 0)]
+        while stack:
+            word, remaining, start = stack.pop()
+            if remaining == zero:
+                out.append(PBWMonomial(word))
+                continue
+            if max_parts is not None and len(word) >= max_parts:
+                continue
+            first = word[-1][1] if word else -1
             for k in range(start, len(parts)):
                 p = parts[k]
                 # every continuation adds at least p, so overshoot prunes
                 if g.compare(p, remaining) > 0:
                     break
-                chosen.append(p)
-                dfs(g.sub(remaining, p), k, chosen)
-                chosen.pop()
-
-        dfs(target, 0, [])
-
-        idx_range = range(-1, max_index + 1)
-        out = []
-        for seq in sequences:
-            runs = [(p, len(list(grp))) for p, grp in itertools.groupby(seq)]
-            choices = [
-                list(itertools.combinations_with_replacement(idx_range, r))
-                for _, r in runs
-            ]
-            for pick in itertools.product(*choices):
-                factors = []
-                for (p, _), idxs in zip(runs, pick):
-                    factors.extend((p, i) for i in idxs)
-                out.append(PBWMonomial(tuple(factors)))
+                rest = g.sub(remaining, p)
+                for i in range(first if k == start else -1, top):
+                    stack.append((word + ((p, i),), rest, k))
         out.sort(key=PBWMonomial.sort_key)
         return out
 
@@ -942,7 +902,10 @@ class _LexPairs:
     is such a tuple once w-arithmetic has touched it and a plain rational
     before (see the module docstring), so the ring hooks ``mul``, ``smul``
     and ``cadd`` take either.  In a product the coefficient's entries are
-    the left operand, so a ``Fraction`` takes its own method.
+    the left operand, so a ``Fraction`` takes its own method.  ``Poly``
+    appears only at the boundary: :meth:`VermaModule._run` enters a
+    ``Poly`` coefficient as its ``coeffs`` and turns each tuple output into
+    a ``Poly`` once.
     """
 
     __slots__ = ()
@@ -1078,9 +1041,14 @@ class _DyadicCodes:
     coded, so ``x -> x*scale`` maps those parts to ints and keeps their
     order.  ``codes`` maps a word to its coded factor tuple, ``words`` a
     coded tuple back to its one ``PBWMonomial`` on ``Fraction`` parts, and
-    ``parts`` a code to its ``Fraction`` and that ``Fraction``'s hash.  A
-    finer denominator needs a new table; this one is never cleared or
-    rescaled.
+    ``parts`` a code to its ``Fraction`` and that ``Fraction``'s hash.
+    Integral parts are decoded to ``Fraction`` too.  A part is decoded and
+    hashed once per table, and a new word is hashed as its ``(hash(part),
+    index)`` pairs, which is ``hash(factors)``: a tuple's hash depends only
+    on its items' hashes, and a ``Fraction`` hash ``h`` has ``hash(h) ==
+    h``.  Equal words from two actions are the same object.  A finer
+    denominator needs a new table; this one is never cleared or rescaled,
+    so an action that holds it keeps one consistent scale.
     """
 
     __slots__ = ("scale", "codes", "words", "parts")

@@ -248,6 +248,71 @@ def test_verify_suite_perturbation_fails(capsys):
     assert "FAIL" in out
 
 
+def test_weight_basis_of_one_long_word(capsys):
+    # one part and one index: a single word of 1100 factors, deeper than
+    # the interpreter's default recursion limit
+    code, out, err = run(
+        capsys, "weight-basis", "-1100", "--parts", "1", "--max-t-index", "-1",
+        "--format", "json",
+    )
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["count"] == 1
+    assert data["monomials"] == ["*".join(["L(-1,-1)"] * 1100) + "*v"]
+
+
+def test_singular_search_refuses_lex_z2(capsys):
+    code, out, err = run(
+        capsys, "singular-search", "--group", "lex-z2", "--mu=(-1,0)",
+        "--parts", "(0,1);(1,0)", "--weight", WEIGHT_B,
+    )
+    assert code == cli.USAGE_ERROR == 2
+    assert out == ""
+    assert "runs over the integers and the dyadics" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["charpoly", "--group", "dyadic", "--weight", WEIGHT_B],
+        ["delta", "--group", "integers", "--weight", WEIGHT_B],
+        ["theorem2", "--group", "integers", "--weight", WEIGHT_B],
+        ["verify-suite", "--group", "integers"],
+        ["singular-search", "--seed", "1", "--weight", WEIGHT_B],
+        ["bracket", "L(1,0)", "L(-1,0)", "--seed", "1"],
+        ["act", "L(1,0)", "L(-1,0)*v", "--weight", WEIGHT_B, "--seed", "1"],
+        ["weight-basis", "-2", "--seed", "1"],
+        ["charpoly", "--seed", "1", "--weight", WEIGHT_B],
+        ["delta", "--seed", "1", "--weight", WEIGHT_B],
+        ["theorem2", "--seed", "1", "--weight", WEIGHT_B],
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_group_and_seed_go_only_where_they_are_read():
+    (subs,) = [a.choices for a in cli.build_parser()._actions if a.dest == "command"]
+
+    def taking(option):
+        return {name for name, p in subs.items() if option in p._option_string_actions}
+
+    assert taking("--group") == {
+        "bracket", "act", "weight-basis", "singular-search", "classify-order", "step3-check",
+    }
+    assert taking("--seed") == {"classify-order", "step3-check", "verify-suite"}
+    assert taking("--format") == taking("--out") == set(subs)
+
+
+def test_non_integer_word_index_exits_2(capsys):
+    code, _, err = run(capsys, "act", "L(1,0)", "L(-1,2.5)*v", "--weight", WEIGHT_B)
+    assert code == 2 and "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "bracket", "L(1,-2)", "c")
     assert code == 2

@@ -125,6 +125,21 @@ def test_vector_grammar():
         parse_vector("L(-1,0)", INTEGERS)
 
 
+def test_vector_words_pass_the_one_word_gate():
+    # the order check is normal_word's; the error points at the word
+    with pytest.raises(ParseError, match="normal-ordered") as exc:
+        parse_vector("v + 2*L(-2,0)*L(-1,3)*v", INTEGERS)
+    assert exc.value.pos == 6
+    with pytest.raises(ParseError, match="normal-ordered"):
+        parse_vector("L(-1/2,1)*L(-1/2,0)*v", DYADIC)
+    with pytest.raises(ParseError, match="negative weight") as exc:
+        parse_vector("L(-1,0)*L(0,1)*v", INTEGERS)
+    assert exc.value.pos == 8
+    assert parse_vector("L(-1,0)*L(-1,0)*L(-2,-1)*v", INTEGERS) == ModuleVector.of(
+        PBWMonomial(((1, 0), (1, 0), (2, -1)))
+    )
+
+
 def test_parse_forms():
     assert parse_group_element("-7", INTEGERS) == -7
     assert parse_group_element("3/4", DYADIC) == Fraction(3, 4)

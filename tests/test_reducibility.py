@@ -303,6 +303,19 @@ def test_singular_candidates_dyadic_catalog():
     assert rep.generator_dim == 1
 
 
+def test_singular_candidates_refuse_lex_z2_before_enumerating(monkeypatch):
+    # lex-z2 weight spaces need a word-length bound and its rows hold Q[w]
+    # entries, so the search names the groups it supports and straightens
+    # nothing
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("the weight space was enumerated")
+
+    monkeypatch.setattr(VermaModule, "weight_basis", enumerate_nothing)
+    m = module(HighestWeight.explicit(RANDOMISH, Fraction(2)), LEX_Z2)
+    with pytest.raises(ValueError, match="runs over the integers and the dyadics"):
+        singular_candidates(m, (-1, 0), 1, 2, 2, parts=[(0, 1), (1, 0)])
+
+
 def test_sub_kernel_matches_nullspace_of_restriction():
     # the canonical sub-kernel read off nullspace(A) is nullspace(A[:, S])
     rng = random.Random(4)

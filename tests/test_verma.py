@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import operator
 import random
@@ -22,6 +23,7 @@ from blockalg.verma import (
     StraighteningLimitError,
     VermaModule,
     _accumulate,
+    normal_word,
 )
 
 ALG = BlockAlgebra(INTEGERS)
@@ -231,6 +233,31 @@ def test_monomial_validation():
         m.monomial([(2, 0), (1, 0)])  # out of order
     with pytest.raises(ValueError):
         m.monomial([(1, 1), (1, 0)])  # indices must rise within a run
+    # an index is an int, not a bool, and is never coerced
+    for bad in (2.7, 2.0, True, False, "2"):
+        with pytest.raises(ValueError, match="index must be an integer"):
+            m.monomial([(1, bad)])
+        with pytest.raises(ValueError, match="index must be an integer"):
+            m.vector([(1, 0), (2, bad)])
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.0, True, False, "1", None])
+def test_generators_and_words_share_one_index_rule(bad):
+    with pytest.raises(ValueError, match="index must be an integer"):
+        Generator(1, bad)
+    with pytest.raises(ValueError, match="index must be an integer"):
+        normal_word([(1, bad)], INTEGERS)
+    with pytest.raises(ValueError, match="index must be an integer"):
+        normal_word([(Fraction(1, 2), bad)], DYADIC)
+
+
+def test_index_rule_bounds_below_at_minus_one():
+    with pytest.raises(ValueError, match="index must be >= -1"):
+        Generator(1, -2)
+    with pytest.raises(ValueError, match="index must be >= -1"):
+        normal_word([(1, -2)], INTEGERS)
+    assert Generator(1, -1).index == -1
+    assert normal_word([(1, -1), (1, 7)], INTEGERS) == PBWMonomial(((1, -1), (1, 7)))
 
 
 def test_step_budget_guard():
@@ -1119,6 +1146,88 @@ def test_weight_basis_rejects_vacuous_horizon():
     assert m.weight_basis(-1, -1) == [PBWMonomial(((1, -1),))]
     assert m.weight_basis(0, 0, max_parts=0) == [PBWMonomial(())]
     assert module(group=LEX_Z2).weight_basis((0, -1), 0, parts=[(0, 1)], max_parts=0) == []
+
+
+def _reference_weight_basis(m, mu, max_index, parts=None, max_parts=None):
+    """A recursive reference for ``weight_basis``: part sequences by
+    depth-first search, then the index choices of each run of equal
+    parts."""
+    g = m.group
+    if g.compare(mu, g.zero()) == 0:
+        return [VACUUM]
+    target = g.neg(mu)
+    if parts is None:
+        parts = list(range(1, target + 1))
+    parts = sorted(set(parts))
+    sequences = []
+
+    def dfs(remaining, start, chosen):
+        if remaining == g.zero():
+            sequences.append(tuple(chosen))
+            return
+        if max_parts is not None and len(chosen) >= max_parts:
+            return
+        for k in range(start, len(parts)):
+            p = parts[k]
+            if g.compare(p, remaining) > 0:
+                break
+            chosen.append(p)
+            dfs(g.sub(remaining, p), k, chosen)
+            chosen.pop()
+
+    dfs(target, 0, [])
+    idx_range = range(-1, max_index + 1)
+    out = []
+    for seq in sequences:
+        runs = [(p, len(list(grp))) for p, grp in itertools.groupby(seq)]
+        choices = [
+            list(itertools.combinations_with_replacement(idx_range, r)) for _, r in runs
+        ]
+        for pick in itertools.product(*choices):
+            factors = []
+            for (p, _), idxs in zip(runs, pick):
+                factors.extend((p, i) for i in idxs)
+            out.append(PBWMonomial(tuple(factors)))
+    out.sort(key=PBWMonomial.sort_key)
+    return out
+
+
+def _weight_basis_cases():
+    """Seeded catalogs; each weight is minus a sum of 1-4 catalog parts, so
+    most weight spaces are not empty."""
+    rng = random.Random(17)
+    cases = [(INTEGERS, -mu, i, None, None) for mu in range(0, 8) for i in (-1, 0, 2, 3)]
+    cases.append((INTEGERS, -4, 5, None, None))
+    pools = (
+        (INTEGERS, list(range(1, 7))),
+        (DYADIC, [Fraction(n, 8) for n in range(1, 17)]),
+        (LEX_Z2, [(0, 1), (0, 2), (0, 3), (1, -3), (1, -1), (1, 0), (1, 2)]),
+    )
+    for group, pool in pools:
+        for _ in range(8):
+            parts = rng.sample(pool, rng.randint(1, 4))
+            total = group.zero()
+            for _ in range(rng.randint(1, 4)):
+                total = group.add(total, rng.choice(parts))
+            max_parts = rng.choice([1, 2, 3, 5])
+            if group is not LEX_Z2 and rng.random() < 0.5:
+                max_parts = None
+            cases.append((group, group.neg(total), rng.randint(-1, 2), parts, max_parts))
+    return cases
+
+
+@pytest.mark.parametrize("group, mu, max_index, parts, max_parts", _weight_basis_cases())
+def test_weight_basis_matches_the_recursive_reference(group, mu, max_index, parts, max_parts):
+    m = module(group=group)
+    got = m.weight_basis(mu, max_index, parts=parts, max_parts=max_parts)
+    assert got == _reference_weight_basis(m, mu, max_index, parts, max_parts)
+
+
+def test_weight_basis_enumerates_past_the_recursion_limit():
+    # one part and one index: the only word has 1100 factors, deeper than
+    # the interpreter's default recursion limit
+    basis = module().weight_basis(-1100, -1, parts=[1])
+    assert basis == [PBWMonomial(((1, -1),) * 1100)]
 
 
 def test_weight_basis_catalog_modes():
