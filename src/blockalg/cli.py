@@ -33,7 +33,7 @@ from .exprparse import (
     parse_vector,
 )
 from .groups import DYADIC, GROUPS, INTEGERS, GroupError, format_element, get_group
-from .lie import BlockAlgebra
+from .lie import BlockAlgebra, check_int
 from .polynomial import format_rational
 from .reducibility import (
     DetectorInconsistencyError,
@@ -227,12 +227,9 @@ def cmd_step3_check(args) -> int:
             raise GroupError(
                 "random mode samples dyadic parts: use --group dyadic, or --eps and --part"
             )
-        if args.count < 1:
-            raise ValueError("--count must be >= 1")
-        if args.max_r < 1:
-            raise ValueError("--max-r must be >= 1")
-        if args.max_k < -1:
-            raise ValueError("--max-k must be >= -1")
+        check_int(args.count, "--count", 1)
+        check_int(args.max_r, "--max-r", 1)
+        check_int(args.max_k, "--max-k", -1)
     import random
 
     rng = random.Random(args.seed)

@@ -25,19 +25,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .groups import IntegerGroup, LexPairGroup, OrderedGroup, format_element
 from .polynomial import Poly, format_rational, parse_rational
 
 
-def check_index(i) -> None:
-    """The index rule of generators and word factors: an ``int``, not a
-    ``bool``, and at least -1; anything else raises ``ValueError``."""
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise ValueError(f"index must be an integer, not {i!r}")
-    if i < -1:
-        raise ValueError("index must be >= -1")
+def check_int(value, name: str, least: Optional[int] = None) -> None:
+    """The integer rule of indices (at least -1) and horizons: an ``int``,
+    not a ``bool``, and at least ``least`` when given; anything else raises
+    ``ValueError``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class Generator:
     index: int
 
     def __post_init__(self):
-        check_index(self.index)
+        check_int(self.index, "index", -1)
 
     def __str__(self) -> str:
         return f"L({format_element(self.alpha)},{self.index})"

@@ -46,7 +46,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groups import IntegerGroup, LexPairGroup, OrderedGroup
-from .lie import Coeff, Generator, coeff_json
+from .lie import Coeff, Generator, check_int, coeff_json
 from .polynomial import Poly, X, exact_fraction, format_rational
 from .verma import (
     HighestWeight,
@@ -137,10 +137,8 @@ def charpoly_from_labels(
     within the horizon.  A negative answer is only valid within the
     horizon; require horizon >= 2*max_degree + 2.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    if horizon < 2 * max_degree + 2:
-        raise ValueError("horizon must be at least 2*max_degree + 2")
+    check_int(max_degree, "max_degree", 0)
+    check_int(horizon, "horizon", 2 * max_degree + 2)
     return _minimal_monic(
         _label_conditions(hw, 0, horizon, max_degree + 1), max_degree + 1
     )
@@ -196,8 +194,7 @@ def delta_series(hw: HighestWeight, n: int) -> List[Fraction]:
     convention: the series is cc plus the label part; the quasipolynomial
     property does not depend on that choice.)
     """
-    if n < 0:
-        raise ValueError("series length must be >= 0")
+    check_int(n, "series length", 0)
     out = [hw.central_charge]
     for i in range(n):
         out.append(hw.label(i) / math.factorial(i))
@@ -219,10 +216,8 @@ def is_quasipolynomial(hw: HighestWeight, max_order: int, horizon: int) -> Quasi
     canonical kernel vector, and order 0 is found exactly when the
     shadow vanishes within the horizon.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    if horizon < 2 * max_order + 2:
-        raise ValueError("horizon must be at least 2*max_order + 2")
+    check_int(max_order, "max_order", 0)
+    check_int(horizon, "horizon", 2 * max_order + 2)
     f = _minimal_monic(_label_conditions(hw, 1, horizon, max_order + 1), max_order + 1)
     if f is None:
         return QuasiVerdict(False, None, None, max_order, horizon)
@@ -374,19 +369,16 @@ def singular_candidates(
 
     The search runs over the integers and the dyadics; lex-z2 is refused
     up front, since its weight spaces need a ``max_parts`` bound and its
-    Q[w] rows are not rational.  The horizon must not be vacuous:
+    Q[w] rows are not rational.  The horizon is ``int`` and not vacuous:
     ``max_index`` and ``probe_index`` are at least -1 and, over the
     integers, ``probe_weight`` at least 1.
     """
     g = module.group
     if isinstance(g, LexPairGroup):
         raise ValueError("the singular search runs over the integers and the dyadics")
-    if max_index < -1:
-        raise ValueError("max_index must be >= -1")
-    if probe_index < -1:
-        raise ValueError("probe_index must be >= -1")
-    if isinstance(g, IntegerGroup) and probe_weight < 1:
-        raise ValueError("probe_weight must be >= 1")
+    check_int(max_index, "max_index", -1)
+    check_int(probe_index, "probe_index", -1)
+    check_int(probe_weight, "probe_weight", 1 if isinstance(g, IntegerGroup) else None)
     if g.compare(mu, g.zero()) >= 0:
         raise ValueError("singular candidates live at strictly negative weights")
     basis = module.weight_basis(mu, max_index, parts=parts)

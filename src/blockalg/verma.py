@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -47,7 +48,7 @@ from .lie import (
     Generator,
     LieElement,
     SparseCombination,
-    check_index,
+    check_int,
     coeff_from_json,
     coeff_json,
     element_from_json,
@@ -103,16 +104,16 @@ VACUUM = PBWMonomial(())
 def normal_word(factors: Iterable[Factor], group: OrderedGroup) -> PBWMonomial:
     """The word on ``factors``; ``ValueError`` unless it is normal-ordered.
 
-    Parts must be positive elements of ``group`` and indices pass
-    :func:`lie.check_index`, with the factors weakly increasing.  This is
-    the one gate for words that come from outside the engine.
+    Parts must be positive elements of ``group`` and indices ``int``s of
+    at least -1 (:func:`lie.check_int`), with the factors weakly
+    increasing.  This is the one gate for words from outside the engine.
     """
     fs = tuple(factors)
     prev = None
     for p, i in fs:
         if not group.is_positive(p):  # validates p
             raise ValueError(f"part {p} is not positive")
-        check_index(i)
+        check_int(i, "index", -1)
         if prev is not None and (p, i) < prev:
             raise ValueError("factors are not normal-ordered")
         prev = (p, i)
@@ -360,10 +361,8 @@ def _rational_list(spec: dict, key: str) -> list:
 class VermaModule:
     """Straightening engine for one algebra and one highest weight.
 
-    ``step_budget`` caps the work-stack steps of one :meth:`act` call;
-    each insertion and each application of a generator is one step.  A
-    generator swapped past a factor goes to the front of every resulting
-    word directly, without an insertion, so it spends no step there.
+    ``step_budget`` caps the work-stack steps of one :meth:`act` call,
+    about one per factor a generator passes (see :meth:`_straighten`).
     :meth:`action_rows` straightens a whole basis in one run but charges
     each basis word separately: a word runs to the end before the next
     starts, against a fresh ``step_budget``.  So the run fails exactly
@@ -512,7 +511,7 @@ class VermaModule:
                         c = c.coeffs
                     elif type(c) is Fraction and c.denominator == 1:
                         c = c.numerator  # integral: straighten in int arithmetic
-                    tasks.append((_APPLY, alpha, idx, mono.factors, c, dest))
+                    tasks.append((_APPLY, alpha, idx, (), mono.factors, c, dest))
                 outs.append(dest)
                 seeds.append(tasks)
             self._straighten(seeds, _LEX_PAIRS, 1)
@@ -552,7 +551,7 @@ class VermaModule:
             for mono, c in terms:
                 factors = mono.factors if encode is None else encode(mono)
                 c = c.numerator * (den // c.denominator) * enter[len(factors)]
-                tasks.append((_APPLY, alpha, idx, factors, c, dest))
+                tasks.append((_APPLY, alpha, idx, (), factors, c, dest))
             outs.append(dest)
             seeds.append(tasks)
         self._straighten(seeds, _INT_PARTS, scale)
@@ -570,47 +569,48 @@ class VermaModule:
 
         One loop runs over an explicit LIFO work stack, so no word is held
         on the interpreter's call stack and the step budget is the only cap
-        on the length of a word.  A negative generator is inserted into a
-        word by adjacent swaps ``A B = B A + [A, B]``: the commutator of two
-        negative generators is one negative generator on a shorter word,
-        so insertion terminates (parts only merge into larger parts), and a
-        factor the generator has passed is carried as a prefix of the
-        insertion, not re-inserted.  A zero- or positive-weight generator
-        commutes toward ``v``, pushing its commutator terms as new tasks by
-        weight sign; at ``v`` the positive part acts as zero and the zero
-        modes act through the labels.  The words it leaves behind a factor
-        are merged first, and only then is that factor inserted into each
-        of them again: a flush task, pushed under the task that produces
-        those words, runs once they are done.  Termination holds by
+        on the length of a word.  A task stands a generator between the
+        halves ``head`` and ``factors`` of a normal word, where every
+        factor of ``head`` sorts at or below every factor of ``factors``.
+        The generator moves right by ``A B = B A + [A, B]``, and each factor
+        it passes joins ``head``.  A negative generator stops where it
+        sorts: the bracket of two negative generators is one negative
+        generator on a shorter word, so insertion terminates.  A zero- or
+        positive-weight one walks on to ``v``, where the positive part acts
+        as zero and a zero mode leaves a label term on ``head``.  Of its
+        brackets, a central term lands on ``head + factors``, one of weight
+        at least zero walks on with the same ``head``, and L(-q, j) is
+        inserted into ``factors`` when ``(q, j)`` sorts at or above
+        ``head[-1]``.  Otherwise it moves left past ``H2``, the factors of
+        ``head = H1 + H2`` above ``(q, j)``: by ``H2 L = L H2 + sum_k h_<k
+        [h_k, L] h_>k`` the normal word ``H1 + ((q, j),) + H2 + factors``
+        is placed at once, and each ``h_k = (p_k, i_k)`` of ``H2`` inserts
+        L(-(p_k + q), i_k + j) into the factors after it, behind those
+        before it, whose parts are at most ``p_k``.  Termination holds by
         induction on (word length, inversion count); the budget still
         guards every input, so a bug fails loudly instead of hanging.
 
         ``seeds`` is a list of task lists, one per input of the run.  An
         input runs to the end before the next one starts, with a fresh
-        budget of ``step_budget`` steps.  A task is one of
-
-        * ``(_APPLY, gamma, idx, factors, coeff)``: add ``coeff`` times
-          L(gamma, idx) applied to the normal word ``factors``;
-        * ``(_INSERT, head, part, idx, factors, coeff)``: add ``coeff``
-          times ``head`` followed by L(-part, idx) inserted into
-          ``factors``, where every factor of ``head`` sits at or before
-          every factor of the normalized insertion;
-        * ``(_FLUSH, passed, p1, i1)``: insert L(-p1, i1) into every word
-          of ``passed``,
-
-        each followed by the dict it adds into.  Every insertion and every
-        application spends one step.  ``ar`` is the part arithmetic of the
-        run, :class:`_IntParts` or :class:`_LexPairs`.  Coefficients meet
-        only its ring hooks ``mul``, ``smul`` and ``cadd``, so a Q[w]
-        coefficient stays a tuple here and no ``Poly`` is built.  Parts are
-        coded at ``scale``, so the weight data enters scaled: a label as
-        ``label*scale``, the central charge as ``scale*cc``.  A label term
-        is ``smul(label, coeff)`` and a central term ``smul(cc,
-        mul(scalar(gamma), coeff))``.  On integer parts ``smul`` by ``p/q``
-        is ``coeff // q * p``: a coefficient meets a label or the central
-        charge only before any label or central term has touched it, so it
-        is still an integer multiple of the entry scale of :meth:`_run`,
-        which ``q`` divides.  After that a term is only inserted into.
+        budget of ``step_budget`` steps.  A task adds ``coeff`` times
+        ``head``, the generator and ``factors``, in normal form, into the
+        dict ``dest``: ``(_APPLY, gamma, idx, head, factors, coeff, dest)``
+        applies L(gamma, idx) and ``(_INSERT, head, part, idx, factors,
+        coeff, dest)`` inserts L(-part, idx).  A seed applies with an empty
+        ``head``, and only a seed has a negative ``gamma``.  One step is
+        spent by each negative generator applied, each factor a generator
+        passes to the right or the left, and each walk or insertion that
+        ends.  ``ar`` is the part arithmetic of the run, :class:`_IntParts`
+        or :class:`_LexPairs`.  Coefficients meet only its ring hooks
+        ``mul``, ``smul`` and ``cadd``, so a Q[w] coefficient stays a tuple
+        here and no ``Poly`` is built.  Parts are coded at ``scale``, so the
+        weight data enters scaled: a label as ``label*scale``, the central
+        charge as ``scale*cc``.  A label term is ``smul(label, coeff)`` and
+        a central term ``smul(cc, mul(scalar(gamma), coeff))``.  On integer
+        parts ``smul`` by ``p/q`` is ``coeff // q * p``: both terms go
+        straight to the output, so the coefficient they scale is still an
+        integer multiple of the entry scale of :meth:`_run`, which ``q``
+        divides.
         """
         zero, add, sub, neg, const = ar.zero, ar.add, ar.sub, ar.neg, ar.const
         mul, smul, cadd = ar.mul, ar.smul, ar.cadd
@@ -629,19 +629,13 @@ class VermaModule:
             stack += tasks
             while stack:
                 task = pop()
-                kind = task[0]
-                if kind == _FLUSH:
-                    _, passed, p1, i1, dest = task
-                    for factors, coeff in passed.items():
-                        push((_INSERT, (), p1, i1, factors, coeff, dest))
-                    continue
-                if kind == _APPLY:
-                    _, gamma, idx, factors, coeff, dest = task
+                if task[0] == _APPLY:
+                    _, gamma, idx, head, factors, coeff, dest = task
                     if gamma < zero:
                         # one step for the application, checked with the first
                         # step of the insertion it becomes
                         budget -= 1
-                        head, part = (), neg(gamma)
+                        part = neg(gamma)
                     else:
                         while True:
                             budget -= 1
@@ -649,26 +643,39 @@ class VermaModule:
                                 raise self._exhausted()
                             if not factors:
                                 if gamma == zero:
-                                    _accumulate(dest, (), smul(label(idx + 1), coeff), cadd)
+                                    _accumulate(dest, head, smul(label(idx + 1), coeff), cadd)
                                 break  # the positive part annihilates the highest weight vector
-                            # L(gamma) L(-p1) = L(-p1) L(gamma) + [L(gamma), L(-p1)]:
-                            # the bracket terms go on the stack first, then the
-                            # flush that inserts L(-p1) into every word that
-                            # L(gamma) makes of the rest of the word.  That child
-                            # runs on in this loop and, by LIFO order, finishes
-                            # before its flush, so equal words merge before they
-                            # are re-inserted.
-                            (p1, i1), factors = factors[0], factors[1:]
+                            # L(gamma) L(-p1) = L(-p1) L(gamma) + [L(gamma), L(-p1)]
+                            first, factors = factors[0], factors[1:]
+                            p1, i1 = first
                             bcoeff = const(-(idx + 1), p1, i1 + 1, gamma)
                             if bcoeff:
-                                push((_APPLY, sub(gamma, p1), idx + i1, factors,
-                                      mul(bcoeff, coeff), dest))
+                                beta, j, c = sub(gamma, p1), idx + i1, mul(bcoeff, coeff)
+                                q = neg(beta)
+                                if beta >= zero:
+                                    push((_APPLY, beta, j, head, factors, c, dest))
+                                elif not head or (q, j) >= head[-1]:
+                                    # the application's step, checked by the insertion
+                                    budget -= 1
+                                    push((_INSERT, head, q, j, factors, c, dest))
+                                else:
+                                    # the application and a left move past H2 = head[k:]
+                                    k = bisect_right(head, (q, j))
+                                    budget -= 1 + len(head) - k
+                                    if budget < 0:
+                                        raise self._exhausted()
+                                    _accumulate(dest, head[:k] + ((q, j),) + head[k:] + factors,
+                                                c, cadd)
+                                    for t in range(k, len(head)):
+                                        pk, ik = head[t]
+                                        merged = const(j + 1, pk, ik + 1, q)
+                                        if merged:
+                                            push((_INSERT, head[:t], add(pk, q), ik + j,
+                                                  head[t + 1:] + factors, mul(merged, c), dest))
                             if gamma == p1 and idx + i1 == -2:
-                                _accumulate(dest, factors,
+                                _accumulate(dest, head + factors,
                                             smul(cc, mul(ar.scalar(gamma), coeff)), cadd)
-                            passed: Dict[Tuple[Factor, ...], Coeff] = {}
-                            push((_FLUSH, passed, p1, i1, dest))
-                            dest = passed
+                            head += (first,)
                         continue
                 else:
                     _, head, part, idx, factors, coeff, dest = task
@@ -753,8 +760,8 @@ class VermaModule:
         finite catalog of positive parts (a dense order admits infinitely
         many decompositions).  The lexicographic instance additionally
         needs ``max_parts``: positivity alone does not bound word length
-        there.  The horizon must not be vacuous: ``max_index`` is at least
-        -1 and ``max_parts``, when given, at least 0.
+        there.  The horizon is ``int`` and not vacuous: ``max_index`` is at
+        least -1 and ``max_parts``, when given, at least 0.
 
         The enumeration is iterative: one loop over an explicit stack of
         normal-ordered prefixes, each with the weight still to place, so
@@ -763,10 +770,9 @@ class VermaModule:
         factors does not grow.  The list is sorted by
         :meth:`PBWMonomial.sort_key`.
         """
-        if max_index < -1:
-            raise ValueError("max_index must be >= -1")
-        if max_parts is not None and max_parts < 0:
-            raise ValueError("max_parts must be >= 0")
+        check_int(max_index, "max_index", -1)
+        if max_parts is not None:
+            check_int(max_parts, "max_parts", 0)
         g = self.group
         sign = g.compare(mu, g.zero())  # validates mu
         if sign > 0:
@@ -982,7 +988,7 @@ class _LexPairs:
         return s[:n]
 
 
-_APPLY, _INSERT, _FLUSH = range(3)  # task kinds of VermaModule._straighten
+_APPLY, _INSERT = range(2)  # task kinds of VermaModule._straighten
 _INT_PARTS = _IntParts()
 _LEX_PAIRS = _LexPairs()
 

@@ -225,6 +225,21 @@ def test_dyadic_act_json_is_pinned(capsys):
     assert out == (DATA / "act_dyadic_nested.json").read_text()
 
 
+def test_integer_act_json_is_pinned(capsys):
+    # generators of weights 2, 1 and 0 on a word of four factors: the
+    # positive ones pass factors and bring brackets back to the left of
+    # them, and the zero mode reaches a label; the JSON is pinned byte for
+    # byte
+    code, out, _ = run(
+        capsys, "act", "--group", "integers", "2*L(2,3) - L(1,0) + L(0,2)",
+        "L(-1,-1)*L(-1,2)*L(-2,1)*L(-3,0)*v",
+        "--weight", '{"central_charge":"7/2","explicit":["1/3",2,"-5/4",1,0,2,"3/7",5]}',
+        "--format", "json",
+    )
+    assert code == 0
+    assert out == (DATA / "act_integers_nested.json").read_text()
+
+
 def test_verify_suite_single_check(capsys):
     code, out, _ = run(capsys, "verify-suite", "--only", "weight-counts")
     assert code == 0

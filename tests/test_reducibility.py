@@ -316,6 +316,44 @@ def test_singular_candidates_refuse_lex_z2_before_enumerating(monkeypatch):
         singular_candidates(m, (-1, 0), 1, 2, 2, parts=[(0, 1), (1, 0)])
 
 
+# probe horizons that are not ints are refused before any straightening
+_NOT_INTS = [1.5, 2.0, True, False, "2", Fraction(2)]
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS, ids=repr)
+def test_singular_candidates_refuse_a_probe_index_that_is_not_an_int(bad):
+    m = module(HighestWeight.explicit(RANDOMISH, Fraction(2)))
+    with pytest.raises(ValueError, match="probe_index must be an integer, not"):
+        singular_candidates(m, -1, 1, bad, 2)
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS, ids=repr)
+def test_singular_candidates_refuse_a_probe_weight_that_is_not_an_int(bad):
+    # the dyadic search probes with its part catalog and only reports the
+    # probe weight, but the rule is the same
+    hw = HighestWeight.explicit(RANDOMISH, Fraction(2))
+    with pytest.raises(ValueError, match="probe_weight must be an integer, not"):
+        singular_candidates(module(hw), -1, 1, 2, bad)
+    with pytest.raises(ValueError, match="probe_weight must be an integer, not"):
+        singular_candidates(module(hw, DYADIC), Fraction(-1, 2), 1, 2, bad, parts=[Fraction(1, 2)])
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS, ids=repr)
+def test_label_detectors_refuse_horizons_that_are_not_ints(bad):
+    # a degree, order or series length of True ran as 1 and a float ended
+    # in a bare TypeError; the horizon takes the same rule
+    hw = HighestWeight.explicit(RANDOMISH, Fraction(2))
+    for call, name in (
+        (lambda: charpoly_from_labels(hw, bad, 14), "max_degree"),
+        (lambda: charpoly_from_labels(hw, 2, bad), "horizon"),
+        (lambda: is_quasipolynomial(hw, bad, 14), "max_order"),
+        (lambda: is_quasipolynomial(hw, 2, bad), "horizon"),
+        (lambda: delta_series(hw, bad), "series length"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, not"):
+            call()
+
+
 def test_sub_kernel_matches_nullspace_of_restriction():
     # the canonical sub-kernel read off nullspace(A) is nullspace(A[:, S])
     rng = random.Random(4)

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from blockalg import verma
 from blockalg.groups import DYADIC, INTEGERS, LEX_Z2
 from blockalg.lie import CENTRAL, BlockAlgebra, Generator, LieElement
 from blockalg.polynomial import Poly, X
@@ -282,10 +284,13 @@ def test_long_word_straightens_past_the_recursion_limit():
 
 def test_long_word_is_a_straightening_limit():
     # the step budget is the only cap on word length: that action takes
-    # 2400 steps
-    m = VermaModule(ALG, HW, step_budget=2399)
-    with pytest.raises(StraighteningLimitError, match="2399-step budget"):
-        m.act(Generator(1, -1), m.vector([(1, -1)] * 1200))
+    # 1201 steps, one per factor passed and one at v
+    m = VermaModule(ALG, HW, step_budget=1201)
+    word = m.vector([(1, -1)] * 1200)
+    assert m.act(Generator(1, -1), word)
+    m = VermaModule(ALG, HW, step_budget=1200)
+    with pytest.raises(StraighteningLimitError, match="1200-step budget"):
+        m.act(Generator(1, -1), word)
 
 
 _EXPLICIT = HighestWeight.explicit(
@@ -295,14 +300,14 @@ _EXPLICIT = HighestWeight.explicit(
 # (group, weight, symbol, word, steps): each action spends exactly its
 # step count; positive, negative and zero weights, and a central term
 _STEP_PINS = [
-    (INTEGERS, HW, (3, 2), [(1, -1), (1, 0), (1, 0), (2, 1), (3, -1)], 121),
+    (INTEGERS, HW, (3, 2), [(1, -1), (1, 0), (1, 0), (2, 1), (3, -1)], 74),
     (INTEGERS, HW, (-1, 1), [(1, -1), (1, 0), (2, -1), (2, 1), (3, 0)], 35),
-    (INTEGERS, HW, (1, -1), [(1, -1), (1, -1), (1, -1), (2, 0)], 12),  # central term
+    (INTEGERS, HW, (1, -1), [(1, -1), (1, -1), (1, -1), (2, 0)], 7),  # central term
     (DYADIC, _EXPLICIT, (Fraction(0), 2),
-     [(Fraction(1, 4), 0), (Fraction(1, 2), 1), (Fraction(3, 4), -1), (Fraction(1), 2)], 23),
+     [(Fraction(1, 4), 0), (Fraction(1, 2), 1), (Fraction(3, 4), -1), (Fraction(1), 2)], 13),
     (DYADIC, _EXPLICIT, (Fraction(-3, 4), 0),
      [(Fraction(1, 8), 1), (Fraction(1, 4), 2), (Fraction(1, 2), 0), (Fraction(3, 2), 1)], 20),
-    (LEX_Z2, _EXPLICIT, ((1, -2), 0), [((0, 1), -1), ((0, 2), 1), ((1, -3), 0), ((1, -1), 2)], 58),
+    (LEX_Z2, _EXPLICIT, ((1, -2), 0), [((0, 1), -1), ((0, 2), 1), ((1, -3), 0), ((1, -1), 2)], 39),
     (LEX_Z2, _EXPLICIT, ((-1, 1), 0), [((0, 1), 0), ((0, 2), -1), ((1, -3), 1), ((1, 2), 0)], 24),
 ]
 
@@ -492,6 +497,74 @@ def test_act_matches_the_recursive_reference():
             got, want = m.act(sym, vec), _reference_act(m, sym, vec)
             assert got == want
             assert got.to_json(group) == want.to_json(group)
+
+
+# part n of a word in each group: the integers themselves, quarters, and
+# pairs (0, n), all in the order of n
+_PART = {
+    INTEGERS: lambda n: n,
+    DYADIC: lambda n: Fraction(n, 4),
+    LEX_Z2: lambda n: (0, n),
+}
+
+
+def _count_left_moves(monkeypatch):
+    """Record how many head factors each left move of the kernel passes."""
+    moves = []
+
+    def split(head, factor):
+        k = bisect.bisect_right(head, factor)
+        moves.append(len(head) - k)
+        return k
+
+    monkeypatch.setattr(verma, "bisect_right", split)
+    return moves
+
+
+@pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
+@pytest.mark.parametrize(
+    "sym, word, passed",
+    [
+        # L(2,3) brings L(-1,3) back past L(-2,1); L(1,0) brings L(-1,1)
+        # back past L(-1,2) and L(-2,0) back past L(-2,1)
+        ((2, 3), [(1, -1), (1, 2), (2, 1), (3, 0)], [1]),
+        ((1, 0), [(1, -1), (1, 2), (2, 1), (3, 0)], [1, 1]),
+        # L(-1,-1) goes back past all three factors of the head, so each
+        # of them gives an insertion of its own
+        ((1, 0), [(1, 1), (1, 2), (1, 3), (2, -1)], [3]),
+    ],
+)
+def test_left_moves_match_the_recursive_reference(monkeypatch, group, sym, word, passed):
+    moves = _count_left_moves(monkeypatch)
+    part = _PART[group]
+    for hw in (_EXPLICIT, _DEEP_RECURRENT):
+        moves.clear()
+        m = module(hw, group)
+        vec = m.vector([(part(p), i) for p, i in word])
+        _act_as_reference(m, Generator(part(sym[0]), sym[1]), vec.scaled(Fraction(-3, 2)))
+        assert sorted(moves) == passed
+
+
+def test_random_left_moves_match_the_recursive_reference(monkeypatch):
+    # long words of few distinct parts under generators of weight one or
+    # two parts, so brackets often sort below factors already passed
+    moves = _count_left_moves(monkeypatch)
+    rng = random.Random(23)
+    for trial in range(150):
+        group = (INTEGERS, DYADIC, LEX_Z2)[trial % 3]
+        part = _PART[group]
+        m = module((_EXPLICIT, _CC_ONLY, _DEEP_RECURRENT)[trial % 5 % 3], group)
+        sym = Generator(part(rng.randint(1, 5)), rng.randint(-1, 3))
+        words = {
+            PBWMonomial(tuple(sorted(
+                (part(rng.randint(1, 3)), rng.randint(-1, 3))
+                for _ in range(rng.randint(2, 6))
+            )))
+            for _ in range(rng.randint(1, 3))
+        }
+        vec = ModuleVector({w: _random_coeff(rng, group) for w in words})
+        _act_as_reference(m, sym, vec)
+    assert max(moves) >= 3 and len(moves) > 300
 
 
 def test_actions_that_reach_no_label_compute_none():
@@ -1146,6 +1219,26 @@ def test_weight_basis_rejects_vacuous_horizon():
     assert m.weight_basis(-1, -1) == [PBWMonomial(((1, -1),))]
     assert m.weight_basis(0, 0, max_parts=0) == [PBWMonomial(())]
     assert module(group=LEX_Z2).weight_basis((0, -1), 0, parts=[(0, 1)], max_parts=0) == []
+
+
+# horizons that are not ints: floats, integral or not, bools, strings and
+# integral fractions are refused, never truncated or read as 0 and 1
+_NOT_INTS = [1.5, 2.0, True, False, "2", Fraction(2)]
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS, ids=repr)
+def test_weight_basis_refuses_a_max_index_that_is_not_an_int(bad):
+    for mu in (-2, 0):
+        with pytest.raises(ValueError, match="max_index must be an integer, not"):
+            module().weight_basis(mu, bad)
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS, ids=repr)
+def test_weight_basis_refuses_max_parts_that_is_not_an_int(bad):
+    with pytest.raises(ValueError, match="max_parts must be an integer, not"):
+        module().weight_basis(-2, 1, max_parts=bad)
+    with pytest.raises(ValueError, match="max_parts must be an integer, not"):
+        module(group=LEX_Z2).weight_basis((0, -2), 1, parts=[(0, 1)], max_parts=bad)
 
 
 def _reference_weight_basis(m, mu, max_index, parts=None, max_parts=None):
