@@ -147,6 +147,10 @@ def cmd_weight_basis(args) -> int:
 
 def cmd_singular_search(args) -> int:
     group = get_group(args.group)
+    if group is DYADIC and args.probe_b is not None:
+        raise GroupError("--probe-b bounds integer probe weights; here --parts sets them")
+    probe_b = 3 if args.probe_b is None else args.probe_b
+    bound = f"B={probe_b}" if group is INTEGERS else "probe weights from --parts"
     module = VermaModule(BlockAlgebra(group), _load_weight(args.weight))
     mu = parse_group_element(args.mu, group)
     rep = singular_candidates(
@@ -154,12 +158,12 @@ def cmd_singular_search(args) -> int:
         mu,
         args.max_t_index,
         args.probe_k,
-        args.probe_b,
+        probe_b,
         parts=_parts(args, group),
     )
     lines = [
         f"weight {args.mu}: {rep.dimension} candidate(s) within horizon "
-        f"I={args.max_t_index}, K={args.probe_k}, B={args.probe_b}",
+        f"I={args.max_t_index}, K={args.probe_k}, {bound}",
         "candidates are singular within the stated horizon only",
     ]
     for v in rep.candidates:
@@ -355,7 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     _weight_arg(p)
     p.add_argument("--max-t-index", type=int, default=3)
     p.add_argument("--probe-k", type=int, default=12)
-    p.add_argument("--probe-b", type=int, default=3)
+    p.add_argument(
+        "--probe-b", type=int, default=None,
+        help="largest probe weight over the integers (default 3); elsewhere --parts sets them",
+    )
     p.add_argument("--parts", default=None, help="part catalog, ';'-separated")
     _add_common(p)
     p.set_defaults(fn=cmd_singular_search)

@@ -2,8 +2,9 @@
 
 One streaming elimination routine, ``_echelon``, does all the work.  Rows
 arrive one at a time as sparse ``{column: int}`` dicts: the callers scale
-a ``Fraction`` row by the lcm of its denominators on the way in, and the
-singular search hands in ``int`` rows already.  Each row is reduced
+a ``Fraction`` row by the lcm of its denominators on the way in, while
+the singular search and the label detectors hand in ``int`` rows
+already, which are copied without that pass.  Each row is reduced
 against the pivot rows kept so far without ever forming a fraction
 (integer-preserving elimination, after Bareiss, Math. Comp. 22, 1968).
 
@@ -29,7 +30,8 @@ particular solutions come out in the canonical form the reports promise,
 whatever order the rows arrive in.
 
 Matrix entries are ``int`` or ``Fraction``; anything else (a float, a
-string, a bool) is refused with ``ValueError`` rather than converted.
+string, a bool) is refused with ``ValueError`` rather than converted.  A
+plain ``int`` passes that check on one ``type`` test.
 Dense matrices (a sequence of equal-length rows) are validated in full
 before elimination starts.  ``nullspace`` also takes an iterator of
 sparse rows, which it pulls one at a time and validates as each arrives;
@@ -52,17 +54,30 @@ IntRow = Dict[int, int]
 
 
 def _check_entries(values: Iterable[Rational]) -> None:
-    """``ValueError`` unless every entry is an ``int`` or a ``Fraction``."""
+    """``ValueError`` unless every entry is an ``int`` or a ``Fraction``.
+
+    A plain ``int`` passes on one ``type`` test; ``type(True)`` is
+    ``bool``, so a bool still takes the full test and is refused.
+    """
     for x in values:
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, (int, Fraction))):
             raise ValueError(f"matrix entry {x!r} is not an int or a Fraction")
 
 
 def _integral(items: Iterable[Tuple[int, Rational]]) -> IntRow:
-    """The nonzero entries of a checked row, times the lcm of their denominators."""
-    items = [(k, x) for k, x in items if x]
-    den = math.lcm(*[x.denominator for _, x in items])
-    return {k: x.numerator * (den // x.denominator) for k, x in items}
+    """The nonzero entries of a checked row, times the lcm of their denominators.
+
+    The result is always a fresh dict, which ``_echelon`` may reduce in
+    place; a row of plain ``int`` entries is that dict as it is.
+    """
+    row = {k: x for k, x in items if x}
+    for x in row.values():
+        if type(x) is not int:
+            break
+    else:
+        return row
+    den = math.lcm(*[x.denominator for x in row.values()])
+    return {k: x.numerator * (den // x.denominator) for k, x in row.items()}
 
 
 def _dense(

@@ -105,12 +105,23 @@ def _label_conditions(
     same.  Every label detector reads this one system.  It is a Hankel
     matrix, so each shadow is computed and cleared once and every row is
     a slice of that one list; the corner is the only entry at index 0.
+    No ``Fraction`` is built: with label(k-1) = p/q in lowest terms, the
+    shadow k*p/q is the int pair (k/g * p, q/g) with g = gcd(k, q), in
+    lowest terms too, and the corner is the pair of -cc.
     """
-    shadows = [hw.shadow(k) for k in range(first, last + ncols)]
-    if first == 0 and shadows:
-        shadows[0] -= hw.central_charge
-    den = math.lcm(*[s.denominator for s in shadows])
-    shadows = [s.numerator * (den // s.denominator) for s in shadows]
+    nums, dens = [], []
+    for k in range(first, last + ncols):
+        if k:
+            x = hw.label(k - 1)
+            q = x.denominator
+            g = math.gcd(k, q)
+            nums.append(k // g * x.numerator)
+            dens.append(q // g)
+        else:
+            nums.append(-hw.central_charge.numerator)
+            dens.append(hw.central_charge.denominator)
+    den = math.lcm(*dens)
+    shadows = [n * (den // q) for n, q in zip(nums, dens)]
     return [shadows[i : i + ncols] for i in range(last - first + 1)]
 
 
@@ -260,17 +271,20 @@ class SingularReport:
     def dimension(self) -> int:
         return len(self.candidates)
 
-    def horizon(self) -> dict:
+    def horizon(self, group: OrderedGroup) -> dict:
+        """The search horizon.  ``probe_b`` bounds the probe weights over
+        the integers only; elsewhere the part catalog sets them, and it is
+        ``None``."""
         return {
             "max_t_index": self.max_index,
             "probe_k": self.probe_index,
-            "probe_b": self.probe_weight,
+            "probe_b": self.probe_weight if isinstance(group, IntegerGroup) else None,
         }
 
     def to_json(self, group: OrderedGroup) -> dict:
         return {
             "weight": str(self.weight),
-            "horizon": self.horizon(),
+            "horizon": self.horizon(group),
             "basis_size": len(self.basis),
             "dimension": self.dimension,
             "candidates": [v.to_json(group) for v in self.candidates],

@@ -248,6 +248,12 @@ class RecurrentLabels:
     (coefficient d != 0), and each m >= 1 instance fixes label(d+m-1).
     Labels are memoized; the table is append-only, so sharing a weight
     between workers is safe under the GIL, or give each worker its own.
+
+    The m >= 1 instances run in integers: the coefficients a_j = alpha_j
+    / A are cleared to one denominator A once, and each new label is one
+    integer combination of the labels it reads (at most d) over the lcm L
+    of their denominators, so it costs one ``Fraction``,
+    ``-sum_j (j+m) alpha_j label(j+m-1) L / (A L (d+m))``.
     """
 
     def __init__(self, charpoly: Poly, initial: Sequence[Union[int, Fraction]], central_charge):
@@ -260,6 +266,14 @@ class RecurrentLabels:
         self.charpoly = charpoly
         self.central_charge = exact_fraction(central_charge)
         self._memo: List[Fraction] = list(map(exact_fraction, initial))
+        cs = charpoly.coeffs
+        # A and the pairs (j, alpha_j) of the nonzero a_j below the top
+        self._den = math.lcm(*[c.denominator for c in cs])
+        self._terms = [
+            (j, c.numerator * (self._den // c.denominator))
+            for j, c in enumerate(cs[:-1])
+            if c
+        ]
 
     def label(self, i: int) -> Fraction:
         d = self.charpoly.degree
@@ -274,10 +288,12 @@ class RecurrentLabels:
                 memo.append(s / d)
             else:
                 m = n - d + 1  # n = d + m - 1 with m >= 1
-                s = Fraction(0)
-                for j in range(0, d):
-                    s += (j + m) * a(j) * memo[j + m - 1]
-                memo.append(-s / (d + m))
+                window = [memo[j + m - 1] for j, _ in self._terms]
+                lam = math.lcm(*[x.denominator for x in window])
+                s = 0
+                for (j, alpha), x in zip(self._terms, window):
+                    s += (j + m) * alpha * x.numerator * (lam // x.denominator)
+                memo.append(Fraction(-s, self._den * lam * (d + m)))
         return memo[i]
 
     def describe(self) -> str:

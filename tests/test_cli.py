@@ -201,6 +201,33 @@ def test_dyadic_singular_search_reports_are_pinned(capsys, argv, pinned):
     assert out == (DATA / pinned).read_text()
 
 
+def test_dyadic_singular_search_refuses_a_probe_weight(capsys):
+    # the part catalog sets the dyadic probe weights; a --probe-b there
+    # would bound nothing
+    code, out, err = run(
+        capsys, "singular-search", "--group", "dyadic", "--mu=-1/2", "--parts", "1/2",
+        "--max-t-index", "1", "--probe-b", "-5",
+        "--weight", '{"central_charge":1,"explicit":[1,2,3]}', "--format", "json",
+    )
+    assert code == 2 and out == ""
+    assert "--probe-b" in err and "--parts" in err
+
+
+def test_delta_series_of_a_recurrent_weight_is_pinned(capsys):
+    # 41 series coefficients of a degree-4 recurrent weight with rational
+    # coefficients, and its order-4 verdict; the JSON is pinned byte for byte
+    weight = ('{"central_charge":"-5/3","charpoly":["3/7","-2/5","5/2","-1/9","1"],'
+              '"initial":["1/2","-4/3","2/7"]}')
+    code, out, _ = run(
+        capsys, "delta", "--weight", weight, "--horizon", "40", "--max-degree", "4",
+        "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["coefficients"]) == 41 and data["quasipolynomial"]["order"] == 4
+    assert out == (DATA / "delta_recurrent_degree4.json").read_text()
+
+
 def test_theorem2_report_of_a_recurrent_weight_is_pinned(capsys):
     # the consolidated report at the default horizon: a kernel of
     # dimension 3 at -1, found by the probes of weight 1 alone

@@ -241,6 +241,28 @@ def test_non_rational_entries_are_rejected():
     assert linalg.rank([[Fraction(1, 10), Fraction(3, 10)], [1, 3]]) == 1
 
 
+@pytest.mark.parametrize("bad", [True, 0.5, "1", None], ids=repr)
+def test_a_non_rational_entry_after_ints_is_rejected(bad):
+    # plain ints pass on a type test; what follows them is still checked
+    row = [3, -1, 4, 1, 5, bad]
+    for call in (
+        lambda: linalg.nullspace([[2, 7, 1, 8, 2, 8], row], 6),
+        lambda: linalg.rref([row, [2, 7, 1, 8, 2, 8]]),
+        lambda: linalg.rank([row]),
+        lambda: linalg.nullspace(iter([{0: 2, 1: 7}, dict(enumerate(row))]), 6),
+    ):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            call()
+
+
+def test_int_rows_of_the_caller_are_left_unchanged():
+    # _echelon reduces its rows in place, so an all-int row is copied first
+    rows = [{0: 2, 1: 4, 2: 6}, {0: 1, 1: 3, 2: 5}, {0: 3, 1: 7, 2: 11}, {1: 0}]
+    copies = [dict(r) for r in rows]
+    assert linalg.nullspace(iter(rows), 3) == [[Fraction(1), Fraction(-2), Fraction(1)]]
+    assert rows == copies
+
+
 # -- lazily fed sparse rows ------------------------------------------------------
 
 

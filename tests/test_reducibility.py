@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -84,6 +85,78 @@ def test_label_recurrence_against_symbolic_expansion():
             )
             expected = f.coefficient(0) * cc if m == 0 else Fraction(0)
             assert value == expected
+
+
+def _fraction_labels(f: Poly, cc: Fraction, initial, n: int):
+    """Labels 0..n-1 of the recurrence of ``f``, in plain Fraction arithmetic."""
+    d = f.degree
+    a = [Fraction(c) for c in f.coeffs]
+    lab = [Fraction(x) for x in initial]
+    while len(lab) < n:
+        k = len(lab)
+        if k == d - 1:
+            s = a[0] * cc - sum((j * a[j] * lab[j - 1] for j in range(1, d)), Fraction(0))
+            lab.append(s / d)
+        else:
+            m = k - d + 1
+            s = sum(((j + m) * a[j] * lab[j + m - 1] for j in range(d)), Fraction(0))
+            lab.append(-s / (d + m))
+    return lab
+
+
+def _recurrent_cases():
+    rng = random.Random(19)
+    for d in range(1, 7):
+        for integral in (True, False):
+            if integral:
+                cs = [rng.randint(-7, 7) for _ in range(d)]
+            else:
+                cs = [Fraction(rng.randint(-7, 7), rng.randint(1, 9)) for _ in range(d)]
+            initial = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(d - 1)]
+            yield Poly(cs + [1]), Fraction(rng.randint(-5, 5), rng.randint(1, 4)), initial
+    yield X**3 - Fraction(2, 3) * X, Fraction(5, 2), [Fraction(1), Fraction(-1, 2)]  # a_0 = 0
+    yield X**2 + 3 * X - 1, Fraction(0), [Fraction(7, 5)]  # cc = 0
+    yield X**2 - Fraction(1, 997) * X + Fraction(3, 997), Fraction(2, 7), [Fraction(1, 997)]
+    yield X**4, Fraction(1, 3), [Fraction(1), Fraction(2), Fraction(3)]  # no lower term
+
+
+@pytest.mark.parametrize(
+    "f, cc, initial", [pytest.param(*case, id=str(case[0])) for case in _recurrent_cases()]
+)
+def test_recurrent_labels_match_a_fraction_recurrence(f, cc, initial):
+    # the labels are built in integers over one denominator per label; every
+    # value, and its type, is the one the Fraction recurrence gives
+    hw = labels_from_charpoly(f, cc, initial)
+    got = [hw.label(i) for i in range(121)]
+    assert got == _fraction_labels(f, cc, initial, 121)
+    assert all(type(x) is Fraction for x in got)
+
+
+def _reference_conditions(hw, first, last, ncols):
+    """The t^m probes from ``hw.shadow`` as Fractions, cleared by one lcm."""
+    rows = [
+        [hw.shadow(n + m) - (hw.central_charge if m == n == 0 else 0) for n in range(ncols)]
+        for m in range(first, last + 1)
+    ]
+    den = math.lcm(*[x.denominator for row in rows for x in row])
+    return [[int(x * den) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_label_conditions_match_the_shadow_reference(first):
+    # the Hankel rows are built from int pairs; they equal the shadows
+    # n*label(n-1), with the corner corrected by cc, cleared by one lcm
+    weights = [HighestWeight.zero(), HighestWeight.explicit([], Fraction(-3, 4))]
+    weights += [labels_from_charpoly(f, cc, initial) for f, cc, initial in _recurrent_cases()]
+    rng = random.Random(23)
+    for n in (1, 4, 9):  # stored labels end before the horizon
+        labels = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+        weights.append(HighestWeight.explicit(labels, Fraction(rng.randint(-4, 4), rng.randint(1, 5))))
+    for hw in weights:
+        for last, ncols in [(first, 1), (6, 3), (14, 5), (30, 9)]:
+            rows = reducibility._label_conditions(hw, first, last, ncols)
+            assert rows == _reference_conditions(hw, first, last, ncols)
+            assert all(type(x) is int for row in rows for x in row)
 
 
 def test_m0_consistency_for_recurrent_weights():
@@ -303,6 +376,16 @@ def test_singular_candidates_dyadic_catalog():
     assert rep.generator_dim == 1
 
 
+def test_singular_report_writes_no_probe_weight_outside_the_integers():
+    # the part catalog sets the dyadic probe weights, so the report names
+    # no probe weight there; over the integers it is the bound searched
+    hw = HighestWeight.explicit(RANDOMISH, Fraction(2))
+    rep = singular_candidates(module(hw, DYADIC), Fraction(-1, 2), 1, 2, 5, parts=[Fraction(1, 2)])
+    assert rep.to_json(DYADIC)["horizon"] == {"max_t_index": 1, "probe_k": 2, "probe_b": None}
+    rep = singular_candidates(module(hw), -1, 1, 2, 5)
+    assert rep.to_json(INTEGERS)["horizon"]["probe_b"] == 5
+
+
 def test_singular_candidates_refuse_lex_z2_before_enumerating(monkeypatch):
     # lex-z2 weight spaces need a word-length bound and its rows hold Q[w]
     # entries, so the search names the groups it supports and straightens
@@ -329,8 +412,8 @@ def test_singular_candidates_refuse_a_probe_index_that_is_not_an_int(bad):
 
 @pytest.mark.parametrize("bad", _NOT_INTS, ids=repr)
 def test_singular_candidates_refuse_a_probe_weight_that_is_not_an_int(bad):
-    # the dyadic search probes with its part catalog and only reports the
-    # probe weight, but the rule is the same
+    # the dyadic search probes with its part catalog and does not report
+    # the probe weight, but the rule is the same
     hw = HighestWeight.explicit(RANDOMISH, Fraction(2))
     with pytest.raises(ValueError, match="probe_weight must be an integer, not"):
         singular_candidates(module(hw), -1, 1, 2, bad)
