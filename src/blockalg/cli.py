@@ -73,11 +73,14 @@ def _weight_arg(p: argparse.ArgumentParser, required=True):
 
 
 def _load_weight(spec: str) -> HighestWeight:
-    if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(spec)
+    try:
+        if spec.startswith("@"):
+            with open(spec[1:], "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        else:
+            data = json.loads(spec)
+    except RecursionError:
+        raise ValueError("--weight is nested too deeply") from None
     return HighestWeight.from_json(data)
 
 

@@ -208,9 +208,6 @@ class LieElement(SparseCombination):
     def term(cls, sym: BasisSymbol, coeff: Coeff = Fraction(1)) -> "LieElement":
         return cls({sym: coeff})
 
-    def symbols(self):
-        return list(self._terms)
-
     def to_json(self, group: OrderedGroup) -> list:
         out = []
         for sym, coeff in self.items():
@@ -327,13 +324,6 @@ class BlockAlgebra:
 
     def __init__(self, group: OrderedGroup):
         self.group = group
-
-    def generator(self, alpha, index: int) -> Generator:
-        self.group.validate(alpha)
-        return Generator(alpha, index)
-
-    def central(self) -> Central:
-        return CENTRAL
 
     def bracket_basis(self, a: BasisSymbol, b: BasisSymbol) -> LieElement:
         """Exact bracket of two basis symbols."""

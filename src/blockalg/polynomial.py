@@ -238,7 +238,6 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-ZERO = Poly()
 ONE = Poly((1,))
 X = Poly((0, 1))
 

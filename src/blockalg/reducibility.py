@@ -735,15 +735,11 @@ def reducibility_report(
                         f"expected characteristic polynomial {expect}, got {cp}"
                     )
 
-    # singular candidates <-> label-side solution space, matched horizons
-    label_kernel = _label_side_kernel(hw, max_index + 1, probe_index + 1)
-    matrix_kernel = [
-        [v.coefficient(m) for m in sr.basis] for v in sr.candidates
-    ]
-    # same canonical form on both sides: compare as reduced bases
-    lk = linalg.rref(label_kernel)[0] if label_kernel else []
-    mk = linalg.rref(matrix_kernel)[0] if matrix_kernel else []
-    if [r for r in lk if any(r)] != [r for r in mk if any(r)]:
+    # singular candidates <-> label-side solution space, matched horizons:
+    # both are canonical nullspace bases over the same columns (a_n <->
+    # L(-1,n-1)*v), and such a basis depends only on the space
+    matrix_kernel = [[v.coefficient(m) for m in sr.basis] for v in sr.candidates]
+    if _label_side_kernel(hw, max_index + 1, probe_index + 1) != matrix_kernel:
         raise DetectorInconsistencyError(
             "weight -1 candidate space disagrees with the label conditions"
         )

@@ -4,10 +4,16 @@ Every check is deterministic for a fixed seed and asserts exact equality
 (tolerance zero).  Negative structural verdicts (no characteristic
 polynomial, empty candidate spaces) are horizon-limited evidence and the
 details say so; the identities themselves are exact.
+
+A check body returns its pass detail, raises :class:`CheckFailed` with the
+detail of a counterexample, or crashes.  ``@_check(name)`` files it in
+:data:`CHECKS` as a function returning a :class:`CheckResult`; a crash
+propagates from there, and :func:`run_suite` reports it as a failure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -50,6 +56,28 @@ class CheckResult:
     seconds: float = 0.0
 
 
+class CheckFailed(Exception):
+    """A check met a counterexample; the message is the result's detail."""
+
+
+CHECKS: Dict[str, Callable[[VerifyConfig], CheckResult]] = {}
+
+
+def _check(name: str):
+    """Register a check body under ``name``; the check returns a CheckResult."""
+
+    def register(body: Callable[[VerifyConfig], str]):
+        @functools.wraps(body)
+        def check(cfg: VerifyConfig) -> CheckResult:
+            try:
+                return CheckResult(name, True, body(cfg))
+            except CheckFailed as e:
+                return CheckResult(name, False, str(e))
+        CHECKS[name] = check
+        return check
+    return register
+
+
 def _rng(cfg: VerifyConfig, name: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{name}")
 
@@ -63,7 +91,8 @@ def _random_symbol(rng, group, bound=8, max_index=6, central_chance=0.02):
 # -- criterion 1: Lie axioms ------------------------------------------------
 
 
-def check_antisymmetry(cfg: VerifyConfig) -> CheckResult:
+@_check("antisymmetry")
+def check_antisymmetry(cfg: VerifyConfig) -> str:
     rng = _rng(cfg, "antisymmetry")
     for group in (INTEGERS, DYADIC):
         alg = BlockAlgebra(group)
@@ -72,15 +101,12 @@ def check_antisymmetry(cfg: VerifyConfig) -> CheckResult:
             b = _random_symbol(rng, group)
             s = alg.bracket_basis(a, b) + alg.bracket_basis(b, a)
             if s:
-                return CheckResult(
-                    "antisymmetry", False, f"[{a},{b}]+[{b},{a}] = {s} on {group.name}"
-                )
-    return CheckResult(
-        "antisymmetry", True, "exact on 1000 pairs over integers and dyadics"
-    )
+                raise CheckFailed(f"[{a},{b}]+[{b},{a}] = {s} on {group.name}")
+    return "exact on 1000 pairs over integers and dyadics"
 
 
-def check_jacobi(cfg: VerifyConfig) -> CheckResult:
+@_check("jacobi")
+def check_jacobi(cfg: VerifyConfig) -> str:
     rng = _rng(cfg, "jacobi")
     for group in (INTEGERS, DYADIC):
         alg = BlockAlgebra(group)
@@ -93,18 +119,15 @@ def check_jacobi(cfg: VerifyConfig) -> CheckResult:
                 + alg.bracket(alg.bracket(ec, ea), eb)
             )
             if s:
-                return CheckResult(
-                    "jacobi", False, f"Jacobi fails for {a},{b},{c} on {group.name}"
-                )
-    return CheckResult(
-        "jacobi", True, "exact on 1000 triples over integers and dyadics"
-    )
+                raise CheckFailed(f"Jacobi fails for {a},{b},{c} on {group.name}")
+    return "exact on 1000 triples over integers and dyadics"
 
 
 # -- criterion 2: realization equivalence ------------------------------------
 
 
-def check_realization(cfg: VerifyConfig) -> CheckResult:
+@_check("realization")
+def check_realization(cfg: VerifyConfig) -> str:
     rng = _rng(cfg, "realization")
     alg = BlockAlgebra(INTEGERS)
     for _ in range(500):
@@ -115,23 +138,20 @@ def check_realization(cfg: VerifyConfig) -> CheckResult:
             PolyForm(a, x_power(i + 1)), PolyForm(b, x_power(j + 1))
         )
         if lhs != rhs:
-            return CheckResult(
-                "realization",
-                False,
-                f"structure constants disagree with x,t bracket at ({a},{i}),({b},{j})",
+            raise CheckFailed(
+                f"structure constants disagree with x,t bracket at ({a},{i}),({b},{j})"
             )
-    return CheckResult("realization", True, "exact on 500 monomial pairs")
+    return "exact on 500 monomial pairs"
 
 
 # -- criterion 3: module axiom -----------------------------------------------
 
 
 def _random_word(rng, group, max_len=4, max_index=4, part_bound=3):
-    k = rng.randint(0, max_len)
-    parts = []
-    for _ in range(k):
-        p = group.random_positive(rng, part_bound)
-        parts.append((p, rng.randint(-1, max_index)))
+    parts = [
+        (group.random_positive(rng, part_bound), rng.randint(-1, max_index))
+        for _ in range(rng.randint(0, max_len))
+    ]
     return PBWMonomial(tuple(sorted(parts)))
 
 
@@ -141,7 +161,8 @@ def _random_weight(rng, length=20) -> HighestWeight:
     return HighestWeight.explicit(labels, cc)
 
 
-def check_module_axiom(cfg: VerifyConfig) -> CheckResult:
+@_check("module-axiom")
+def check_module_axiom(cfg: VerifyConfig) -> str:
     rng = _rng(cfg, "module-axiom")
     for group in (INTEGERS, DYADIC):
         module = VermaModule(BlockAlgebra(group), _random_weight(rng))
@@ -150,20 +171,12 @@ def check_module_axiom(cfg: VerifyConfig) -> CheckResult:
             h = _random_symbol(rng, group, bound=3, max_index=4, central_chance=0.05)
             m = ModuleVector.of(_random_word(rng, group))
             lhs = module.act(g, module.act(h, m)) - module.act(h, module.act(g, m))
-            rhs = module.act_element(
-                module.algebra.bracket_basis(g, h), m
-            )
+            rhs = module.act_element(module.algebra.bracket_basis(g, h), m)
             if lhs != rhs:
-                return CheckResult(
-                    "module-axiom",
-                    False,
-                    f"g(h m) - h(g m) != [g,h] m for {g},{h} on {group.name}",
+                raise CheckFailed(
+                    f"g(h m) - h(g m) != [g,h] m for {g},{h} on {group.name}"
                 )
-    return CheckResult(
-        "module-axiom",
-        True,
-        "exact on 500 triples over integers and dyadics (words up to length 4)",
-    )
+    return "exact on 500 triples over integers and dyadics (words up to length 4)"
 
 
 # -- criterion 4: characteristic polynomial round trip ------------------------
@@ -182,151 +195,102 @@ def _is_minimal_for_own_labels(hw: HighestWeight, d: int) -> bool:
     return linalg.rank(window) == d
 
 
-def check_charpoly_roundtrip(cfg: VerifyConfig) -> CheckResult:
+@_check("charpoly-roundtrip")
+def check_charpoly_roundtrip(cfg: VerifyConfig) -> str:
     rng = _rng(cfg, "charpoly-roundtrip")
     tested = 0
     resamples = 0
     while tested < 50:
         d = rng.randint(1, 4)
-        coeffs = [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)
-        ] + [Fraction(1)]
-        f = Poly(coeffs)
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
+        f = Poly(coeffs + [Fraction(1)])
         cc = Fraction(rng.choice([n for n in range(-9, 10) if n]), rng.randint(1, 9))
         initial = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d - 1)]
         hw = labels_from_charpoly(f, cc, initial)
         if not _is_minimal_for_own_labels(hw, d):
             resamples += 1
             if resamples > 25:
-                return CheckResult(
-                    "charpoly-roundtrip", False, "sampling premise kept failing"
-                )
+                raise CheckFailed("sampling premise kept failing")
             continue
         back = charpoly_from_labels(hw, max_degree=5, horizon=14)
         if back != f:
-            return CheckResult(
-                "charpoly-roundtrip",
-                False,
-                f"trial {tested}: built from {f}, recovered {back}",
-            )
+            raise CheckFailed(f"trial {tested}: built from {f}, recovered {back}")
         qp = is_quasipolynomial(hw, max_order=5, horizon=14)
         if not qp.found or qp.recurrence != f:
-            return CheckResult(
-                "charpoly-roundtrip",
-                False,
-                f"trial {tested}: recurrence {qp.recurrence} differs from {f}",
+            raise CheckFailed(
+                f"trial {tested}: recurrence {qp.recurrence} differs from {f}"
             )
         tested += 1
-    return CheckResult(
-        "charpoly-roundtrip",
-        True,
+    return (
         "50 random minimal monic polynomials of degree <= 4 recovered exactly "
-        f"(D=5, N=14; {resamples} degenerate draws resampled)",
+        f"(D=5, N=14; {resamples} degenerate draws resampled)"
     )
 
 
 # -- criterion 5: singular vector witnesses -----------------------------------
 
 
-def _shift_span_matches(report, generator: ModuleVector, max_index: int) -> bool:
-    """Candidate space == index shifts of the generator (weight -1 only)."""
-    f = polynomial_of_vector(generator)
-    shifts = [f.shifted(k) for k in range(0, max_index + 2 - f.degree)]
-    if len(shifts) != len(report.candidates):
+def _shift_span_matches(report, max_index: int) -> bool:
+    """Candidate space == index shifts of its generator (weight -1 only)."""
+    f = polynomial_of_vector(report.generator)
+    count = max_index + 2 - f.degree
+    shifts = [vector_of_polynomial(f.shifted(k)) for k in range(count)]
+    rows = [[v.coefficient(m) for m in report.basis] for v in report.candidates]
+    if len(shifts) != len(rows) or linalg.rank(rows) != len(rows):
         return False
-    basis = report.basis
-    cand_rows = [[v.coefficient(m) for m in basis] for v in report.candidates]
-    rank0 = linalg.rank(cand_rows)
-    if rank0 != len(report.candidates):
-        return False
-    for g in shifts:
-        vec = vector_of_polynomial(g)
-        row = [vec.coefficient(m) for m in basis]
-        if linalg.rank(cand_rows + [row]) != rank0:
-            return False
-    return True
+    rows += [[v.coefficient(m) for m in report.basis] for v in shifts]
+    return linalg.rank(rows) == len(shifts)
 
 
-def check_singular_witnesses(cfg: VerifyConfig) -> CheckResult:
+@_check("singular-witnesses")
+def check_singular_witnesses(cfg: VerifyConfig) -> str:
     alg = BlockAlgebra(INTEGERS)
-
-    # (a) f = t: every label zero, any central charge
-    f_a = X
-    for cc in (Fraction(3), Fraction(-2, 5)):
-        hw = labels_from_charpoly(f_a, cc)
+    # f = t: every label zero, any central charge; f = t+1, cc = 1: labels
+    # alternate as (-1)^m/(m+1)
+    for name, f, cc in (
+        ("t", X, Fraction(3)),
+        ("t", X, Fraction(-2, 5)),
+        ("t+1", X + 1, Fraction(1)),
+    ):
+        tag = f"f={name}, cc={cc}"
+        hw = labels_from_charpoly(f, cc)
+        if name == "t+1":
+            for m in range(12):
+                if hw.label(m) != Fraction((-1) ** m, m + 1):
+                    raise CheckFailed(f"{tag}: label {m} is {hw.label(m)}")
+            if cfg.perturb_labels:
+                # injected fixture: break one label, keep everything else
+                vals = [hw.label(m) for m in range(30)]
+                vals[1] += 1
+                hw = HighestWeight.explicit(vals, cc)
         module = VermaModule(alg, hw)
-        v = vector_of_polynomial(f_a)
-        res = verify_singular(module, v, f_a, probes=20)
-        if not (res.passed and all(r == 0 for _, r in res.residuals)):
-            return CheckResult(
-                "singular-witnesses", False, f"f=t, cc={cc}: {res.failing_probe}"
-            )
+        v = vector_of_polynomial(f)
+        res = verify_singular(module, v, f, probes=20)
+        if not res.passed or any(r for _, r in res.residuals):
+            raise CheckFailed(f"{tag}: probe {res.failing_probe} has nonzero residual")
+        if res.residuals[0] != (0, 0):
+            raise CheckFailed(f"{tag}: the m=0 probe (index -1) was not checked")
         rep = singular_candidates(module, -1, 3, 12, 3)
         if rep.generator != v or rep.generator_dim != 1:
-            return CheckResult(
-                "singular-witnesses",
-                False,
-                f"f=t, cc={cc}: generator {rep.generator} (dim {rep.generator_dim})",
+            raise CheckFailed(
+                f"{tag}: generator {rep.generator} (dim {rep.generator_dim})"
             )
-        if not _shift_span_matches(rep, rep.generator, 3):
-            return CheckResult(
-                "singular-witnesses",
-                False,
-                "f=t: candidate space is not the shift family of the generator",
+        if not _shift_span_matches(rep, 3):
+            raise CheckFailed(
+                f"{tag}: candidate space is not the shift family of the generator"
             )
-
-    # (b) f = t+1, cc = 1: labels alternate as (-1)^m/(m+1)
-    f_b = X + 1
-    hw_b = labels_from_charpoly(f_b, 1)
-    for m in range(12):
-        if hw_b.label(m) != Fraction((-1) ** m, m + 1):
-            return CheckResult(
-                "singular-witnesses", False, f"label {m} is {hw_b.label(m)}"
-            )
-    if cfg.perturb_labels:
-        # injected fixture: break one label, keep everything else
-        vals = [hw_b.label(m) for m in range(30)]
-        vals[1] += 1
-        hw_b = HighestWeight.explicit(vals, 1)
-    module_b = VermaModule(alg, hw_b)
-    v_b = vector_of_polynomial(f_b)
-    res_b = verify_singular(module_b, v_b, f_b, probes=20)
-    if not res_b.passed:
-        return CheckResult(
-            "singular-witnesses",
-            False,
-            f"f=t+1, cc=1: probe {res_b.failing_probe} has nonzero residual",
-        )
-    if res_b.residuals[0] != (0, Fraction(0)):
-        return CheckResult(
-            "singular-witnesses", False, "the m=0 probe (index -1) was not checked"
-        )
-    rep_b = singular_candidates(module_b, -1, 3, 12, 3)
-    if rep_b.generator != v_b or rep_b.generator_dim != 1:
-        return CheckResult(
-            "singular-witnesses",
-            False,
-            f"f=t+1: generator {rep_b.generator} (dim {rep_b.generator_dim})",
-        )
-    if not _shift_span_matches(rep_b, rep_b.generator, 3):
-        return CheckResult(
-            "singular-witnesses",
-            False,
-            "f=t+1: candidate space is not the shift family of the generator",
-        )
-    return CheckResult(
-        "singular-witnesses",
-        True,
+    return (
         "f=t and f=t+1 witnesses verified (probes m<=20, incl. the central "
         "cancellation at index -1); candidate spaces at I=3,K=12,B=3 are the "
-        "shift families of one generator each",
+        "shift families of one generator each"
     )
 
 
 # -- criterion 6: generic irreducibility evidence ------------------------------
 
 
-def check_generic_irreducibility(cfg: VerifyConfig) -> CheckResult:
+@_check("generic-irreducibility")
+def check_generic_irreducibility(cfg: VerifyConfig) -> str:
     rng = _rng(cfg, "generic-irreducibility")
     alg = BlockAlgebra(INTEGERS)
     tested = 0
@@ -336,53 +300,43 @@ def check_generic_irreducibility(cfg: VerifyConfig) -> CheckResult:
         if charpoly_from_labels(hw, 4, 14) is not None:
             resamples += 1  # the premise asks for weights with no such polynomial
             if resamples > 40:
-                return CheckResult(
-                    "generic-irreducibility", False, "sampling premise kept failing"
-                )
+                raise CheckFailed("sampling premise kept failing")
             continue
         module = VermaModule(alg, hw)
         for mu in (-1, -2, -3, -4, -5):
             rep = singular_candidates(module, mu, 2, 10, 3)
             if rep.candidates:
-                return CheckResult(
-                    "generic-irreducibility",
-                    False,
-                    f"unexpected candidate at weight {mu}: {rep.candidates[0]}",
+                raise CheckFailed(
+                    f"unexpected candidate at weight {mu}: {rep.candidates[0]}"
                 )
         full = reducibility_report(
             module, max_degree=4, horizon=14, max_index=2, probe_index=10, probe_weight=3
         )
         if full.reducible_within_horizon:
-            return CheckResult(
-                "generic-irreducibility", False, "a detector fired on a generic weight"
-            )
+            raise CheckFailed("a detector fired on a generic weight")
         tested += 1
-    return CheckResult(
-        "generic-irreducibility",
-        True,
+    return (
         "20 generic weights: no candidates at weights -1,-2,-3,-4,-5 (I=2,K=10,B=3), "
-        "all detectors negative within horizon and mutually consistent",
+        "all detectors negative within horizon and mutually consistent"
     )
 
 
 # -- criterion 7: generating series golden values ------------------------------
 
 
-def check_delta_series(cfg: VerifyConfig) -> CheckResult:
+@_check("delta-series")
+def check_delta_series(cfg: VerifyConfig) -> str:
     hw = labels_from_charpoly(X + 1, 1)
     got = delta_series(hw, 10)
     # closed form: the label recurrence gives label(i) = (-1)^i/(i+1), so the
     # series coefficients are those of 2 - exp(-z)
-    want = [Fraction(1)] + [
-        -Fraction((-1) ** n, math.factorial(n)) for n in range(1, 11)
-    ]
+    want = [Fraction(1)]
+    want += [-Fraction((-1) ** n, math.factorial(n)) for n in range(1, 11)]
     if got != want:
-        return CheckResult("delta-series", False, f"coefficients {got[:5]}...")
+        raise CheckFailed(f"coefficients {got[:5]}...")
     if delta_series(HighestWeight.zero(), 6) != [Fraction(0)] * 7:
-        return CheckResult("delta-series", False, "zero functional series not zero")
-    return CheckResult(
-        "delta-series", True, "matches the expansion of 2 - exp(-z) through order 10"
-    )
+        raise CheckFailed("zero functional series not zero")
+    return "matches the expansion of 2 - exp(-z) through order 10"
 
 
 # -- criterion 8: sweep determinant identity -----------------------------------
@@ -406,61 +360,54 @@ def sweep_instance(rng, max_r: int, max_k: int):
             return pool[0], [(p, rng.randint(-1, max_k)) for p in pool[1 : r + 1]]
 
 
-def check_sweep_determinants(cfg: VerifyConfig) -> CheckResult:
+@_check("step3-determinant")
+def check_sweep_determinants(cfg: VerifyConfig) -> str:
     rng = _rng(cfg, "sweep")
     alg = BlockAlgebra(DYADIC)
 
     # worked instance: single factor, f(e1 - e) = -5/2
-    hw = _random_weight(rng)
-    module = VermaModule(alg, hw)
+    module = VermaModule(alg, _random_weight(rng))
     worked = sweep_check(module, Fraction(1, 2), [(Fraction(1), 2)], 0)
     if not worked.passed or worked.expected != Fraction(-5, 2):
-        return CheckResult(
-            "step3-determinant", False, f"worked instance gave {worked.expected}"
-        )
+        raise CheckFailed(f"worked instance gave {worked.expected}")
 
     for _ in range(100):
         eps, parts = sweep_instance(rng, 3, 4)
         res = sweep_check(VermaModule(alg, _random_weight(rng)), eps, parts, rng.randint(-1, 4))
         if not res.passed:
-            return CheckResult(
-                "step3-determinant",
-                False,
+            raise CheckFailed(
                 f"determinant product {res.expected} vs engine {res.from_engine} "
-                f"for parts {parts}",
+                f"for parts {parts}"
             )
-    return CheckResult(
-        "step3-determinant",
-        True,
+    return (
         "100 random dyadic instances (r <= 3, indices <= 4) plus the worked "
-        "-5/2 instance, exact",
+        "-5/2 instance, exact"
     )
 
 
 # -- criterion 9: discrete order structure -------------------------------------
 
 
-def check_discrete_order(cfg: VerifyConfig) -> CheckResult:
+@_check("discrete-order")
+def check_discrete_order(cfg: VerifyConfig) -> str:
     rng = _rng(cfg, "discrete-order")
     g = LEX_Z2
     cls = g.classify(rng)
     if cls.dense or cls.least_positive != (0, 1):
-        return CheckResult("discrete-order", False, f"classification {cls}")
+        raise CheckFailed(f"classification {cls}")
     a = cls.least_positive
     for _ in range(1000):
         x = g.random_element(rng, 10)
         region = g.decompose(a, x)
         mirror = g.decompose(a, g.neg(x))
         if (region == Region.ABOVE) != (mirror == Region.BELOW):
-            return CheckResult("discrete-order", False, f"{x} breaks the mirror rule")
+            raise CheckFailed(f"{x} breaks the mirror rule")
         if (region == Region.MULTIPLE) != (x[0] == 0):
-            return CheckResult("discrete-order", False, f"{x} misfiled as {region}")
+            raise CheckFailed(f"{x} misfiled as {region}")
         if region == Region.ABOVE:
             n = rng.randint(-20, 20)
             if g.compare(x, g.scale(n, a)) <= 0:
-                return CheckResult(
-                    "discrete-order", False, f"{x} not above the multiple {n}*a"
-                )
+                raise CheckFailed(f"{x} not above the multiple {n}*a")
 
     # the positive part beyond the step lattice kills the lattice submodule
     module = VermaModule(BlockAlgebra(g), _random_weight(rng))
@@ -472,19 +419,12 @@ def check_discrete_order(cfg: VerifyConfig) -> CheckResult:
         h = (rng.randint(1, 3), rng.randint(-6, 6))
         k = rng.randint(-1, 4)
         mono = rng.choice(words)
-        img = module.act(Generator(h, k), ModuleVector.of(mono))
-        if not img.is_zero():
-            return CheckResult(
-                "discrete-order",
-                False,
-                f"L({h},{k}) does not annihilate {mono}",
-            )
-    return CheckResult(
-        "discrete-order",
-        True,
+        if not module.act(Generator(h, k), ModuleVector.of(mono)).is_zero():
+            raise CheckFailed(f"L({h},{k}) does not annihilate {mono}")
+    return (
         "1000 elements partition consistently around the step lattice; 200 "
         "actions from above the lattice annihilate its submodule exactly "
-        f"(horizon: closure depth {cfg.depth})",
+        f"(horizon: closure depth {cfg.depth})"
     )
 
 
@@ -508,57 +448,35 @@ def _brute_force_count(n: int, max_index: int) -> int:
     return count
 
 
-def check_weight_counts(cfg: VerifyConfig) -> CheckResult:
+@_check("weight-counts")
+def check_weight_counts(cfg: VerifyConfig) -> str:
     module = VermaModule(BlockAlgebra(INTEGERS), HighestWeight.zero())
     for max_index in range(0, 5):
         got = len(module.weight_basis(-1, max_index))
         if got != max_index + 2:
-            return CheckResult(
-                "weight-counts", False, f"weight -1, I={max_index}: {got} monomials"
-            )
+            raise CheckFailed(f"weight -1, I={max_index}: {got} monomials")
     if len(module.weight_basis(-2, 0)) != 5:
-        return CheckResult("weight-counts", False, "weight -2, I=0 is not 5")
+        raise CheckFailed("weight -2, I=0 is not 5")
     for n, max_index in ((1, 3), (2, 0), (2, 2), (3, 1), (4, 1)):
         got = len(module.weight_basis(-n, max_index))
         want = _brute_force_count(n, max_index)
         if got != want:
-            return CheckResult(
-                "weight-counts",
-                False,
-                f"weight {-n}, I={max_index}: {got} vs brute force {want}",
+            raise CheckFailed(
+                f"weight {-n}, I={max_index}: {got} vs brute force {want}"
             )
     if module.weight_basis(0, 3) != [PBWMonomial(())]:
-        return CheckResult("weight-counts", False, "weight 0 should be the vacuum")
-    return CheckResult(
-        "weight-counts", True, "truncated dimensions match brute-force enumeration"
-    )
-
-
-CHECKS: Dict[str, Callable[[VerifyConfig], CheckResult]] = {
-    "antisymmetry": check_antisymmetry,
-    "jacobi": check_jacobi,
-    "realization": check_realization,
-    "module-axiom": check_module_axiom,
-    "charpoly-roundtrip": check_charpoly_roundtrip,
-    "singular-witnesses": check_singular_witnesses,
-    "generic-irreducibility": check_generic_irreducibility,
-    "delta-series": check_delta_series,
-    "step3-determinant": check_sweep_determinants,
-    "discrete-order": check_discrete_order,
-    "weight-counts": check_weight_counts,
-}
+        raise CheckFailed("weight 0 should be the vacuum")
+    return "truncated dimensions match brute-force enumeration"
 
 
 def run_suite(cfg: VerifyConfig, only: Optional[str] = None) -> List[CheckResult]:
     if only is not None and only not in CHECKS:
         raise KeyError(f"unknown check {only!r}; available: {', '.join(CHECKS)}")
     results = []
-    for name, fn in CHECKS.items():
-        if only is not None and name != only:
-            continue
+    for name in list(CHECKS) if only is None else [only]:
         t0 = time.perf_counter()
         try:
-            res = fn(cfg)
+            res = CHECKS[name](cfg)
         except Exception as e:  # a crash is a failure, not a verdict
             res = CheckResult(name, False, f"exception: {e!r}")
         res.seconds = time.perf_counter() - t0

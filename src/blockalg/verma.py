@@ -749,6 +749,11 @@ class VermaModule:
 
     def _weight_scale(self, n: int) -> int:
         """The lcm of the central charge's denominator and those of labels 0..n."""
+        if isinstance(self.hw.labels, ExplicitLabels):
+            # labels past the stored prefix are 0, of denominator 1
+            n = min(n, len(self.hw.labels.values) - 1)
+            if n < 0:
+                return self.hw.central_charge.denominator
         lcms = self._weight_scales
         while len(lcms) <= n:
             prev = lcms[-1] if lcms else self.hw.central_charge.denominator

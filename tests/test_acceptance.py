@@ -1,14 +1,22 @@
 """Acceptance gate: every bundled check at its stated count, tolerance zero.
 
 Each criterion prints one pass/fail line; run with ``pytest -s`` (or
-``blockalg verify-suite``) to see the table.
+``blockalg verify-suite``) to see the table.  Each detail must match the
+pinned ``blockalg verify-suite --format json`` report at seed 0.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from blockalg.verify import CHECKS, VerifyConfig
 
 CONFIG = VerifyConfig(seed=0)
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "verify_suite_seed0.json").read_text()
+)
+PINNED_DETAIL = {check["name"]: check["detail"] for check in PINNED["checks"]}
 
 CRITERIA = {
     "antisymmetry": "1a. Lie antisymmetry, 1000 triples, exact",
@@ -31,3 +39,10 @@ def test_acceptance(name):
     status = "PASS" if result.passed else "FAIL"
     print(f"{status}  {CRITERIA[name]} :: {result.detail}")
     assert result.passed, f"{CRITERIA[name]}: {result.detail}"
+    assert result.name == name
+    assert result.detail == PINNED_DETAIL[name]
+
+
+def test_pinned_report_names_every_check_in_order():
+    assert list(PINNED_DETAIL) == list(CHECKS)
+    assert PINNED["passed"] and PINNED["seed"] == CONFIG.seed

@@ -287,7 +287,9 @@ def test_verify_suite_perturbation_fails(capsys):
         "--inject-label-perturbation",
     )
     assert code == 1
-    assert "FAIL" in out
+    pinned = json.loads((DATA / "verify_suite_label_perturbation.json").read_text())
+    (failed,) = [line for line in out.splitlines() if "FAIL" in line]
+    assert failed.endswith(pinned["checks"][0]["detail"])
 
 
 def test_weight_basis_of_one_long_word(capsys):
@@ -507,6 +509,26 @@ def test_vacuous_weight_basis_horizon_is_a_usage_error(capsys):
         code, out, err = run(capsys, "weight-basis", "-2", *argv)
         assert code == cli.USAGE_ERROR == 2
         assert out == "" and message in err
+
+
+def test_deeply_nested_weight_json_is_a_usage_error(capsys, tmp_path):
+    # json recurses once per bracket; the interpreter's limit is not a crash
+    deep = "[" * 100_000
+    path = tmp_path / "weight.json"
+    path.write_text(deep)
+    for spec in (deep, f"@{path}"):
+        code, out, err = run(capsys, "charpoly", "--weight", spec)
+        assert code == cli.USAGE_ERROR == 2
+        assert out == "" and err == "error: --weight is nested too deeply\n"
+
+
+def test_act_with_a_huge_index_over_explicit_labels(capsys):
+    code, out, err = run(
+        capsys, "act", f"L(1,{10**14})", "L(-1,0)*v",
+        "--weight", '{"central_charge":1,"explicit":[1]}',
+    )
+    assert code == 0 and err == ""
+    assert out == "0\n"
 
 
 def test_float_in_weight_json_is_a_usage_error(capsys):

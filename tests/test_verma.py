@@ -605,6 +605,21 @@ def test_zero_mode_takes_the_denominator_of_its_one_label():
         assert 0 < len(m._weight_scales) <= 8
 
 
+def test_positive_mode_stops_the_prefix_lcm_at_the_explicit_labels():
+    # labels past an explicit prefix are 0, so a positive mode of a huge
+    # index takes the lcm over the stored labels only
+    m = module(HighestWeight.explicit([1, Fraction(1, 2), Fraction(2, 3)], Fraction(1, 5)))
+    vec = m.vector([(1, 0)])
+    assert m.act(Generator(1, 10**12), vec).is_zero()
+    assert m.act(Generator(2, 10**12), m.vector([(1, 0), (1, 4)])).is_zero()
+    assert len(m._weight_scales) <= 3
+    sym = Generator(1, 2)  # reaches label 2 and past it
+    assert m.act(sym, vec) == _reference_act(m, sym, vec)
+    assert m._weight_scale(10**12) == 30
+    empty = module(HighestWeight.explicit([], Fraction(3, 7)))
+    assert empty._weight_scale(10**12) == 7 and empty._weight_scales == []
+
+
 # -- Q[w] coefficients and output rescaling on the kernel ----------------------
 
 
