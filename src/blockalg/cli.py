@@ -296,6 +296,7 @@ def cmd_theorem2(args) -> int:
 
 
 def cmd_verify_suite(args) -> int:
+    check_int(args.depth, "--depth", 1)  # depth 0 closes over nothing
     cfg = VerifyConfig(
         seed=args.seed,
         depth=args.depth,

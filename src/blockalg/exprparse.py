@@ -32,10 +32,30 @@ from .polynomial import Poly, x_power
 from .verma import ModuleVector, normal_word
 
 
+_CONTEXT = 30  # characters of the input quoted on each side of an error
+
+
 class ParseError(ValueError):
+    """A parse failure at position ``pos`` of ``text``.
+
+    The message quotes an input of up to ``2 * _CONTEXT`` characters
+    whole.  Of a longer one it quotes the window of ``_CONTEXT``
+    characters on each side of ``pos``, marked ``...`` where it is cut,
+    and gives the input's length, so an oversized argument is not echoed
+    back in full.
+    """
+
     def __init__(self, message: str, text: str, pos: int):
         self.pos = pos
-        super().__init__(f"at position {pos}: {message} (in {text!r})")
+        if len(text) <= 2 * _CONTEXT:
+            where = repr(text)
+        else:
+            lo, hi = max(0, pos - _CONTEXT), pos + _CONTEXT
+            where = (
+                ("..." if lo else "") + repr(text[lo:hi]) + ("..." if hi < len(text) else "")
+                + f", {len(text)} characters"
+            )
+        super().__init__(f"at position {pos}: {message} (in {where})")
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([+\-*/^(),]))")

@@ -13,9 +13,10 @@ positive-weight generators annihilate ``v``.
 
 Coefficients are exact and come in three representations that compare
 and hash alike: a Python ``int``, a ``Fraction`` and a ``Poly`` in the
-formal unit ``w`` over the lex-z2 instance.  An integer or dyadic output
-of :meth:`VermaModule.act` is an ``int`` exactly when its value is
-integral.  The JSON form ``"p/q"`` is the same for ``3``,
+formal unit ``w`` over the lex-z2 instance.  An integer or dyadic
+output of a generator's :meth:`VermaModule.act`, and of sums and
+rational multiples of such outputs, is an ``int`` exactly when its value
+is integral.  The JSON form ``"p/q"`` is the same for ``3``,
 ``Fraction(3)`` and the constant ``Poly`` 3; the printed form is not
 (``3*v`` against ``(3)*v``), so a lex-z2 coefficient stays a rational
 until w-arithmetic touches it, and is a ``Poly`` from then on, even
@@ -26,8 +27,9 @@ stack loop in :meth:`VermaModule._straighten`, the setup of a run that
 puts integer and dyadic parts on one ``int`` kernel in
 :meth:`VermaModule._run`, the code table of a dyadic module in
 :class:`_DyadicCodes`, the Q[w] coefficients of the kernel in
-:class:`_LexPairs`, and the enumeration of a weight space in
-:meth:`VermaModule.weight_basis`.
+:class:`_LexPairs`, the coded form in which the result of an action
+stays until it is read in :class:`ModuleVector`, and the enumeration of
+a weight space in :meth:`VermaModule.weight_basis`.
 """
 
 from __future__ import annotations
@@ -121,11 +123,74 @@ def normal_word(factors: Iterable[Factor], group: OrderedGroup) -> PBWMonomial:
 
 
 class ModuleVector(SparseCombination):
-    """Exact linear combination of PBW monomials."""
+    """Exact linear combination of PBW monomials.
 
-    __slots__ = ()
+    A vector built from words holds its terms, word to coefficient.  A
+    result of :meth:`VermaModule.act` holds the kernel's output instead,
+    its coded form, and builds its terms only when they are first read:
+    ``_terms`` is unset until then, and :meth:`__getattr__` decodes it.
+
+    The coded form is ``_raw``, a dict from raw output words to nonzero
+    coefficients, and ``_words``, the coding of those words: the module's
+    :class:`_DyadicCodes` table over the dyadic instance, else
+    :data:`_INTEGER_WORDS` or :data:`_LEX_WORDS`, where a raw word is its
+    own factor tuple.  Over lex-z2 ``_divisor`` is ``None`` and a
+    coefficient is the action's own, a rational or a Q[w] tuple of
+    :class:`_LexPairs`.  Over the integers and dyadics a coefficient is
+    an ``int`` numerator, and ``_divisor = (d, e)`` makes ``d * S**(e -
+    n)`` the divisor of every word of length ``n``, where ``S`` is the
+    coding's scale (1 over the integers) and ``e`` is at least the
+    longest word.  A run's per-length divisors have that form
+    (:meth:`VermaModule._run`), and a run reads a coded input of its own
+    coding as it stands.
+
+    ``+`` and ``-`` of two vectors of one coding work on the coded form.
+    They bring both divisors to their lcm at every length, which has the
+    same form: ``lcm(d1*S**(e1 - n), d2*S**(e2 - n))`` is
+    ``lcm(d1*S**e1, d2*S**e2) / S**n``, so each side's numerators are
+    multiplied by one ``int``.  :meth:`scaled` by a rational ``p/q``
+    multiplies the numerators by ``p`` and ``d`` by ``q``.  ``len``,
+    ``bool`` and :meth:`is_zero` read the coded form too.  Any other
+    operand takes the decoded path of :class:`lie.SparseCombination`: a
+    vector built from words, a result from a code table that a finer one
+    has replaced, or a Lie element.
+    """
+
+    __slots__ = ("_raw", "_words", "_divisor")
 
     _sort_key = staticmethod(PBWMonomial.sort_key)
+
+    def __init__(self, terms=None):
+        super().__init__(terms)
+        self._raw = None
+
+    @classmethod
+    def _of_nonzero(cls, terms: dict) -> "ModuleVector":
+        res = cls.__new__(cls)
+        res._terms, res._raw = terms, None
+        return res
+
+    @classmethod
+    def _of_coded(cls, raw: dict, words, divisor: Optional[Tuple[int, int]]) -> "ModuleVector":
+        res = cls.__new__(cls)
+        res._raw, res._words, res._divisor = raw, words, divisor
+        return res
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the terms of a coded vector, which
+        # are built here alone, each word once through the coding
+        if name != "_terms":
+            raise AttributeError(name)
+        decode, raw = self._words.decode, self._raw
+        if self._divisor is None:
+            terms = {decode(w): _lex_coeff(c) for w, c in raw.items()}
+        else:
+            d, e = self._divisor
+            scale = self._words.scale
+            divisor = [d * scale ** (e - n) for n in range(e + 1)]
+            terms = {decode(w): _quotient(c, divisor[len(w)]) for w, c in raw.items()}
+        self._terms = terms
+        return terms
 
     @classmethod
     def of(cls, mono: PBWMonomial, coeff: Coeff = Fraction(1)) -> "ModuleVector":
@@ -134,8 +199,76 @@ class ModuleVector(SparseCombination):
     def monomials(self) -> List[PBWMonomial]:
         return [m for m, _ in self.items()]
 
+    def __bool__(self) -> bool:
+        return bool(self._terms if self._raw is None else self._raw)
+
+    def __len__(self) -> int:
+        return len(self._terms if self._raw is None else self._raw)
+
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self
+
+    def __add__(self, other):
+        return self._combined(other, False)
+
+    def __sub__(self, other):
+        return self._combined(other, True)
+
+    def _combined(self, other, negate: bool):
+        if isinstance(other, ModuleVector):
+            if self._raw is not None and other._raw is not None and self._words is other._words:
+                return self._coded_sum(other, negate)
+            if not self:
+                return -other if negate else other
+            if not other:
+                return self
+        if negate:
+            return SparseCombination.__sub__(self, other)
+        return SparseCombination.__add__(self, other)
+
+    def _coded_sum(self, other: "ModuleVector", negate: bool) -> "ModuleVector":
+        if self._divisor is None:
+            out, add, divisor = dict(self._raw), _LEX_PAIRS.cadd, None
+            terms = other._raw.items()
+            if negate:
+                terms = [(w, _LEX_PAIRS.smul(-1, c)) for w, c in terms]
+        else:
+            scale = self._words.scale
+            (d1, e1), (d2, e2) = self._divisor, other._divisor
+            x, y = d1 * scale**e1, d2 * scale**e2
+            lcm, e = math.lcm(x, y), max(e1, e2)
+            mx, my = lcm // x, (-1 if negate else 1) * (lcm // y)
+            out = dict(self._raw) if mx == 1 else {w: c * mx for w, c in self._raw.items()}
+            terms = other._raw.items()
+            if my != 1:
+                terms = [(w, c * my) for w, c in terms]
+            add, divisor = operator.add, (lcm // scale**e, e)
+        get = out.get
+        for w, c in terms:
+            prev = get(w)
+            if prev is None:
+                out[w] = c
+            else:
+                s = add(prev, c)
+                if s:
+                    out[w] = s
+                else:
+                    del out[w]
+        return self._of_coded(out, self._words, divisor)
+
+    def scaled(self, scalar):
+        if self._raw is None or type(scalar) not in (int, Fraction):
+            return super().scaled(scalar)
+        if not scalar:
+            return type(self)()
+        raw = self._raw
+        if self._divisor is None:
+            smul = _LEX_PAIRS.smul
+            return self._of_coded({w: smul(scalar, c) for w, c in raw.items()}, self._words, None)
+        p, (d, e) = scalar.numerator, self._divisor
+        if p != 1:
+            raw = {w: c * p for w, c in raw.items()}
+        return self._of_coded(raw, self._words, (d * scalar.denominator, e))
 
     def weight(self, group: OrderedGroup):
         """Common weight of all monomials, or None when mixed or zero."""
@@ -424,21 +557,21 @@ class VermaModule:
     def act(self, sym: BasisSymbol, vec: ModuleVector) -> ModuleVector:
         """Exact action of a basis symbol, result in normal form.
 
+        The result holds the kernel's output in the coded form of
+        :class:`ModuleVector`: its words and coefficients are built when
+        first read, and a sum, a difference, a rational multiple or a
+        further action of results of one coding works on the coded form.
+        Read, an integer or dyadic coefficient is an ``int`` exactly when
+        it is integral.  The central symbol acts as the central charge,
+        through :meth:`ModuleVector.scaled`.
+
         Raises :class:`StraighteningLimitError` when the step budget runs
         out; the budget is the only cap on the length of a word.
         """
         if isinstance(sym, Central):
-            out: Dict[PBWMonomial, Coeff] = {}
-            cc = self.hw.central_charge
-            for mono, c in vec._terms.items():
-                _accumulate(out, mono, cc * c)
-            return ModuleVector(out)
-        (words,), decode, divisor = self._run(sym, [vec._terms.items()])
-        if divisor is None:
-            return ModuleVector._of_nonzero({decode(w): c for w, c in words.items()})
-        return ModuleVector._of_nonzero(
-            {decode(w): _quotient(c, divisor[len(w)]) for w, c in words.items()}
-        )
+            return vec.scaled(self.hw.central_charge)
+        (raw,), words, divisor = self._run(sym, [vec])
+        return ModuleVector._of_coded(raw, words, divisor)
 
     def action_rows(
         self, probe: Generator, basis: Sequence[PBWMonomial]
@@ -458,14 +591,16 @@ class VermaModule:
         Over the integers and dyadics every row is an ``int`` row.  All
         entries of a row share one positive divisor, so the row space is
         the one of the ``act`` rows.  Over lex-z2 the rows are the ``act``
-        rows themselves.
+        rows themselves, with a Q[w] entry as its ``Poly``.
         """
         if isinstance(probe, Central):
             raise ValueError("action rows need a generator, not the central symbol")
-        cols, _, _ = self._run(probe, [((mono, 1),) for mono in basis])
+        cols, _, divisor = self._run(probe, basis)
         rows: Dict[Tuple[Factor, ...], Dict[int, Coeff]] = {}
         for j, words in enumerate(cols):
             for w, c in words.items():
+                if divisor is None:
+                    c = _lex_coeff(c)
                 row = rows.get(w)
                 if row is None:
                     rows[w] = {j: c}
@@ -473,17 +608,18 @@ class VermaModule:
                     row[j] = c
         return [rows[w] for w in sorted(rows, key=lambda w: (len(w), w))]
 
-    def _run(self, sym: Generator, inputs: Sequence[Iterable[Tuple[PBWMonomial, Coeff]]]):
+    def _run(self, sym: Generator, inputs: Sequence[Union[ModuleVector, PBWMonomial]]):
         """Straighten ``sym`` on each of ``inputs`` in one kernel run.
 
-        An input is a vector given as ``(word, coeff)`` pairs that can be
-        read more than once.  Returns one dict per input, from raw output
-        words to their exact nonzero coefficients, the decoder of a raw
-        word to its :class:`PBWMonomial`, and the divisor: ``None`` over
-        lex-z2, whose outputs are the action itself, and otherwise the
-        list of ``int``s by which an output word of length ``n`` is
-        ``divisor[n]`` times too large.  Each input is straightened in full
-        before the next starts and spends its own step budget.
+        An input is a vector, or a word that stands for itself with
+        coefficient 1.  Returns one dict per input, from raw output words
+        to their nonzero coefficients, the coding of those words and the
+        run's divisor, in the terms of the coded form of
+        :class:`ModuleVector`.  Each input is straightened in full before the next starts and
+        spends its own step budget.  A vector coded in the run's own coding
+        enters as it stands: its words are not decoded and its
+        coefficients not cleared again.  Any other input enters through
+        its terms.
 
         Integer and dyadic parts share one integer kernel, because the
         dyadic algebra is the integer one rescaled: for a scale ``S`` that
@@ -498,19 +634,22 @@ class VermaModule:
         ``S^(n - len_in - 1)``.  Integer runs have ``S = 1``.
 
         Such a run stays in ``int``.  An input word of length ``len_in``
-        enters as the ``int`` ``c*den*lam*S^(top - len_in)``: ``top`` is
-        the longest input word and ``den`` the common denominator of the
-        input coefficients, both over the whole run.  ``lam`` is the lcm
-        of the central charge's denominator and the denominators of labels
-        ``0..sym.index + 1 + reach``, or 1 when no input word can reach a
-        label or the central charge (:func:`_label_reach`), such as under
-        a generator of negative weight.  A zero mode meets no central term
-        and no other label (its bracket terms only insert), so its ``lam``
-        is that of ``label(index + 1)``.  Every label or central term is
-        then an exact division, and an output word of length ``n`` carries
-        the one divisor ``divisor[n] = den*lam*S^(top + 1 - n)``, which
-        :meth:`act` divides out: an ``int`` where the quotient is exact and
-        a ``Fraction`` otherwise.
+        enters as the ``int`` ``c*den*lam*S^(top - len_in)``: ``top``
+        bounds the input word lengths and ``den`` is a common denominator
+        of the input coefficients, both over the whole run.  A coded input
+        of divisor ``(d, e)`` already holds ``c*d*S^(e - len_in)``, so it
+        brings ``d`` to ``den`` and ``e`` to ``top`` and enters times one
+        factor.  ``lam`` is the lcm of the central charge's denominator and
+        the denominators of labels ``0..sym.index + 1 + reach``, or 1 when
+        no input word can reach a label or the central charge
+        (:func:`_label_reach`), such as under a generator of negative
+        weight.  A zero mode meets no central term and no other label (its
+        bracket terms only insert), so its ``lam`` is that of ``label(index
+        + 1)``.  Every label or central term is then an exact division,
+        and an output word of length ``n`` carries the divisor
+        ``den*lam*S^(top + 1 - n)``: the run's divisor is ``(den*lam, top +
+        1)``.  Over lex-z2 the outputs are the action itself, divisor
+        ``None``.
         """
         g = self.group
         alpha, idx = sym.alpha, sym.index
@@ -518,43 +657,58 @@ class VermaModule:
         outs: List[Dict[Tuple[Factor, ...], Coeff]] = []
         seeds = []
         if isinstance(g, LexPairGroup):
-            # a Q[w] coefficient runs as its coefficient tuple, and each
-            # output tuple becomes a Poly once
-            for terms in inputs:
+            # a Q[w] coefficient runs as its coefficient tuple
+            for x in inputs:
+                if type(x) is PBWMonomial:
+                    terms = ((x.factors, 1),)
+                elif x._raw is not None and x._words is _LEX_WORDS:
+                    terms = x._raw.items()
+                else:
+                    terms = [(mono.factors, c) for mono, c in x._terms.items()]
                 dest, tasks = {}, []
-                for mono, c in terms:
+                for factors, c in terms:
                     if type(c) is Poly:
                         c = c.coeffs
                     elif type(c) is Fraction and c.denominator == 1:
                         c = c.numerator  # integral: straighten in int arithmetic
-                    tasks.append((_APPLY, alpha, idx, (), mono.factors, c, dest))
+                    tasks.append((_APPLY, alpha, idx, (), factors, c, dest))
                 outs.append(dest)
                 seeds.append(tasks)
             self._straighten(seeds, _LEX_PAIRS, 1)
-            for dest in outs:
-                for w, c in dest.items():
-                    if type(c) is tuple:
-                        dest[w] = Poly.of_exact(c)
-            return outs, _word, None
+            return outs, _LEX_WORDS, None
         # Integer and dyadic words run on the integer kernel, a dyadic word
         # coded at the scale of the module's table.
         if isinstance(g, DyadicGroup):
-            table = self._dyadic_codes(alpha, inputs)
-            scale, alpha = table.scale, table.code(alpha)
-            encode, decode = table.encode, table.decode
+            words = self._dyadic_codes(alpha, inputs)
+            scale, alpha, encode = words.scale, words.code(alpha), words.encode
         else:
-            scale, encode, decode = 1, None, _word
-        top, den, reach = 0, 1, -1
-        for terms in inputs:
-            for mono, c in terms:
-                if len(mono.factors) > top:
-                    top = len(mono.factors)
-                if type(c) is not int:
-                    den = math.lcm(den, c.denominator)
-                if alpha >= 0:  # a negative generator only inserts
-                    r = _label_reach(alpha, mono.factors if encode is None else encode(mono))
+            words, scale, encode = _INTEGER_WORDS, 1, None
+        top, den, reach, sources = 0, 1, -1, []
+        for x in inputs:
+            if type(x) is PBWMonomial:  # a word times 1: divisor 1 at its length
+                factors = x.factors if encode is None else encode(x)
+                terms, d, e = ((factors, 1),), 1, len(factors)
+            elif x._raw is not None and x._words is words:
+                terms, (d, e) = x._raw.items(), x._divisor
+            else:
+                terms, d, e = [], None, None
+                for mono, c in x._terms.items():
+                    factors = mono.factors if encode is None else encode(mono)
+                    terms.append((factors, c))
+                    if len(factors) > top:
+                        top = len(factors)
+                    if type(c) is not int:
+                        den = math.lcm(den, c.denominator)
+            if d is not None:
+                den = math.lcm(den, d)
+                if e > top:
+                    top = e
+            if alpha >= 0:  # a negative generator only inserts
+                for factors, _ in terms:
+                    r = _label_reach(alpha, factors)
                     if r > reach:
                         reach = r
+            sources.append((terms, d, e))
         if reach < 0:
             lam = 1
         elif alpha == 0:
@@ -562,16 +716,19 @@ class VermaModule:
         else:
             lam = self._weight_scale(idx + 1 + reach)
         enter = [lam * scale ** (top - n) for n in range(top + 1)]
-        for terms in inputs:
+        for terms, d, e in sources:
             dest, tasks = {}, []
-            for mono, c in terms:
-                factors = mono.factors if encode is None else encode(mono)
-                c = c.numerator * (den // c.denominator) * enter[len(factors)]
+            m = None if d is None else enter[e] * (den // d)
+            for factors, c in terms:
+                if m is None:
+                    c = c.numerator * (den // c.denominator) * enter[len(factors)]
+                else:
+                    c *= m
                 tasks.append((_APPLY, alpha, idx, (), factors, c, dest))
             outs.append(dest)
             seeds.append(tasks)
         self._straighten(seeds, _INT_PARTS, scale)
-        return outs, decode, [den * x * scale for x in enter] + [den * lam]
+        return outs, words, (den * lam, top + 1)
 
     def act_element(self, elem: LieElement, vec: ModuleVector) -> ModuleVector:
         """Linear extension of :meth:`act` over a Lie element."""
@@ -728,7 +885,8 @@ class VermaModule:
     def _dyadic_codes(self, alpha: Fraction, inputs) -> _DyadicCodes:
         """The code table, replaced by a finer one if ``alpha`` or a new word needs it.
 
-        ``inputs`` are the inputs of a run, as :meth:`_run` takes them.
+        ``inputs`` are the inputs of a run, as :meth:`_run` takes them.  An
+        input coded at this table holds only words the table has coded.
         """
         table = self._codes
         codes = table.codes
@@ -737,8 +895,9 @@ class VermaModule:
             alpha.denominator,
             *[
                 p.denominator
-                for terms in inputs
-                for mono, _ in terms
+                for x in inputs
+                if type(x) is PBWMonomial or x._raw is None or x._words is not table
+                for mono in ((x,) if type(x) is PBWMonomial else x._terms)
                 if mono not in codes
                 for p, _ in mono.factors
             ],
@@ -1053,6 +1212,11 @@ def _label_reach(gamma: int, factors: Tuple[Factor, ...]) -> int:
     return reach if weight >= gamma else -1
 
 
+def _lex_coeff(c) -> Coeff:
+    """A lex-z2 kernel coefficient as read: a Q[w] tuple becomes its ``Poly``."""
+    return Poly.of_exact(c) if type(c) is tuple else c
+
+
 def _quotient(c: int, d: int) -> Union[int, Fraction]:
     """``c / d``: an ``int`` when ``d`` divides ``c``, else a ``Fraction``."""
     if d == 1:
@@ -1113,3 +1277,16 @@ class _DyadicCodes:
             self.words[word] = mono
             self.codes[mono] = word
         return mono
+
+
+class _PlainWords:
+    """The coding of integer and lex-z2 words: a raw word is its factor tuple."""
+
+    __slots__ = ()
+    scale = 1
+    decode = staticmethod(_word)
+
+
+# two codings, so that an integer and a lex-z2 result never combine coded
+_INTEGER_WORDS = _PlainWords()
+_LEX_WORDS = _PlainWords()

@@ -279,6 +279,18 @@ def test_verify_suite_unknown_check(capsys):
     assert "unknown check" in err
 
 
+def test_verify_suite_empty_closure_depth_is_a_usage_error(capsys):
+    # a closure of depth 0 applies no symbol, so it checks nothing
+    for depth in ("0", "-1"):
+        code, out, err = run(
+            capsys, "verify-suite", "--only", "discrete-order", "--depth", depth
+        )
+        assert code == cli.USAGE_ERROR == 2
+        assert out == "" and err == "error: --depth must be >= 1\n"
+    code, out, _ = run(capsys, "verify-suite", "--only", "discrete-order", "--depth", "1")
+    assert code == 0 and "closure depth 1" in out
+
+
 def test_verify_suite_perturbation_fails(capsys):
     code, out, _ = run(
         capsys,
@@ -509,6 +521,16 @@ def test_vacuous_weight_basis_horizon_is_a_usage_error(capsys):
         code, out, err = run(capsys, "weight-basis", "-2", *argv)
         assert code == cli.USAGE_ERROR == 2
         assert out == "" and message in err
+
+
+def test_parse_error_quotes_a_window_of_a_long_input(capsys):
+    # 5000 nested brackets fail at position 1; the message quotes a window
+    # around it and the length, not the 10006 characters of the argument
+    text = "(" * 5000 + "L(1,0)" + ")" * 5000
+    code, out, err = run(capsys, "bracket", text, "L(-1,0)")
+    assert code == cli.USAGE_ERROR == 2 and out == ""
+    assert err.startswith("error: at position 1: ") and "10006 characters" in err
+    assert len(err) < 200
 
 
 def test_deeply_nested_weight_json_is_a_usage_error(capsys, tmp_path):

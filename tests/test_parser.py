@@ -83,6 +83,27 @@ def test_error_positions_and_messages():
         parse_element("", INTEGERS)
 
 
+def test_error_message_quotes_a_bounded_window():
+    # a short input is quoted whole; a long one by the characters around
+    # the position, cut marks and its length
+    with pytest.raises(ParseError) as exc:
+        parse_element("L(1,0) + @", INTEGERS)
+    assert str(exc.value) == "at position 9: unexpected character (in 'L(1,0) + @')"
+    for text in (
+        "L(1,0)" + " + L(1,0)" * 500 + " + @",
+        "@" + " + L(1,0)" * 500,
+        "L(1,0)" + " + L(1,0)" * 250 + " @ " + " + L(1,0)" * 250,
+    ):
+        pos = text.index("@")
+        with pytest.raises(ParseError) as exc:
+            parse_element(text, INTEGERS)
+        message = str(exc.value)
+        assert exc.value.pos == pos and message.startswith(f"at position {pos}: ")
+        assert f", {len(text)} characters)" in message and len(message) < 150
+        assert repr(text[max(0, pos - 30):pos + 30]) in message
+        assert message.count("...") == (pos > 30) + (pos + 30 < len(text))
+
+
 def test_print_parse_roundtrip_elements():
     rng = random.Random(0)
     for group in (INTEGERS, DYADIC, LEX_Z2):

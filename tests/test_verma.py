@@ -782,6 +782,136 @@ def test_nested_action_corpus_output_is_pinned():
     assert _corpus_digest() == _CORPUS_SHA256
 
 
+# -- coded action results ---------------------------------------------------------
+
+
+def _from_terms(vec):
+    """``vec`` built again from its terms: its arithmetic takes the decoded path."""
+    return ModuleVector(dict(vec.items()))
+
+
+def _assert_same_as_rebuilt(vec, group, decoded):
+    """``vec`` against its JSON rebuild and against ``decoded``, the same
+    value reached by decoded arithmetic."""
+    size, nonzero = len(vec), bool(vec)  # read on the coded form
+    back = ModuleVector.from_json(vec.to_json(group), group)
+    assert vec == back == decoded
+    assert hash(vec) == hash(back) == hash(decoded)
+    assert size == len(back) == len(decoded) and nonzero == bool(back)
+    assert vec.to_json(group) == back.to_json(group) == decoded.to_json(group)
+    assert str(vec) == str(decoded)
+    for (_, c), (_, d) in zip(vec.items(), decoded.items()):
+        if group is LEX_Z2:
+            # a rational stays rational until w-arithmetic touches it
+            assert type(c) in (int, Fraction, Poly)
+            assert isinstance(c, Poly) == isinstance(d, Poly)
+        else:
+            assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
+def test_coded_results_match_their_json_rebuild(group):
+    # generator actions, nested ones, and their sums, differences and
+    # rational multiples stay coded; read, each is the vector JSON gives
+    # back and the one decoded arithmetic gives
+    rng = random.Random(f"coded-{group.name}")
+    m = module(_EXPLICIT, group)
+    kinds = set()
+    for trial in range(36):
+        word = sorted(
+            (_corpus_element(rng, group, True), rng.randint(-1, 3)) for _ in range(trial % 5)
+        )
+        g, h = (Generator(_corpus_element(rng, group, False), rng.randint(-1, 3)) for _ in range(2))
+        vec = m.vector(word).scaled(_random_coeff(rng, group))
+        q = _rat(rng) or Fraction(-2)
+        hv, gv = m.act(h, vec), m.act(g, vec)
+        ghv, hgv = m.act(g, hv), m.act(h, gv)
+        lhs = ghv - hgv
+        assert lhs == m.act_element(m.algebra.bracket_basis(g, h), vec)
+        for got, want in (
+            (hv, _from_terms(hv)),
+            (ghv, _from_terms(ghv)),
+            (lhs, _from_terms(ghv) - _from_terms(hgv)),
+            (ghv + hgv, _from_terms(ghv) + _from_terms(hgv)),
+            (hv.scaled(q), _from_terms(hv).scaled(q)),
+            (lhs.scaled(q) + hv, _from_terms(lhs).scaled(q) + _from_terms(hv)),
+            (-ghv - hgv.scaled(3), -_from_terms(ghv) - _from_terms(hgv).scaled(3)),
+            (ghv - ghv, ModuleVector()),
+            (m.act(CENTRAL, ghv), _from_terms(ghv).scaled(_EXPLICIT.central_charge)),
+        ):
+            _assert_same_as_rebuilt(got, group, want)
+            kinds.update(type(c) for _, c in got.items())
+    assert kinds == ({int, Fraction, Poly} if group is LEX_Z2 else {int, Fraction})
+
+
+def test_coded_results_of_a_replaced_code_table_combine_through_their_terms():
+    # a part at 1/8 replaces the module's code table between two results:
+    # they no longer share a coding, so sums and nested actions read the
+    # older one through its terms, and every value stays the same
+    m = module(_EXPLICIT, DYADIC)
+    vec = m.vector([(Fraction(1, 2), 0), (Fraction(1), 1)])
+    a = m.act(Generator(Fraction(-1, 2), 1), vec)
+    first = m._codes
+    b = m.act(Generator(Fraction(-3, 8), 0), vec)
+    assert m._codes is not first and m._codes.scale == 8
+    sym = Generator(Fraction(1, 2), 2)
+    c = m.act(sym, a)
+    assert c == module(_EXPLICIT, DYADIC).act(sym, _from_terms(a)) == _reference_act(m, sym, a)
+    q = Fraction(-5, 3)
+    for got, want in (
+        (a + b, _from_terms(a) + _from_terms(b)),
+        (b - a.scaled(q), _from_terms(b) - _from_terms(a).scaled(q)),
+        (c - m.act(sym, b), _from_terms(c) - _from_terms(m.act(sym, b))),
+        (c + c.scaled(q), _from_terms(c).scaled(1 + q)),
+    ):
+        _assert_same_as_rebuilt(got, DYADIC, want)
+
+
+@pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
+def test_one_run_reads_coded_and_decoded_inputs_alike(group):
+    # the inputs of one run share its divisor: a coded result, a vector
+    # with denominators and a bare word each come out as their own action
+    m = module(_EXPLICIT, group)
+    word = m.monomial(_ONE_WORD[group] * 2)
+    coded = m.act(Generator(group.neg(word.factors[0][0]), 2), ModuleVector.of(word, Fraction(2, 3)))
+    decoded = ModuleVector({word: Fraction(-5, 7), VACUUM: 1})
+    inputs = [coded, decoded, word]
+    sym = Generator(word.factors[0][0], 1)
+    outs, words, divisor = m._run(sym, inputs)
+    for x, raw in zip(inputs, outs):
+        got = ModuleVector._of_coded(raw, words, divisor)
+        if type(x) is PBWMonomial:
+            x = ModuleVector.of(x, 1)
+        assert got and got == m.act(sym, x) == _reference_act(m, sym, x)
+
+
+@pytest.mark.parametrize("group", [INTEGERS, LEX_Z2], ids=lambda g: g.name)
+def test_nested_coded_action_spends_the_steps_of_its_terms(group):
+    # a coded input enters the kernel as it stands, term for term, so the
+    # outer action costs what it costs on the same vector read back from
+    # JSON; one step short of that, both end in the step-budget error
+    m = module(_EXPLICIT, group)
+    part = {INTEGERS: 1, LEX_Z2: (0, 1)}[group]
+    inner = m.act(Generator(group.neg(part), 1), m.vector(sorted([(part, 0), (part, 2)] * 2)))
+    back = ModuleVector.from_json(inner.to_json(group), group)
+    sym = Generator(group.scale(3, part), 1)
+
+    def fits(budget, vec):
+        m.step_budget = budget
+        try:
+            m.act(sym, vec)
+        except StraighteningLimitError:
+            return False
+        return True
+
+    steps = next(b for b in itertools.count(1) if fits(b, inner))
+    assert steps > 20 and fits(steps, back)
+    assert not fits(steps - 1, back)
+    m.step_budget = steps - 1
+    with pytest.raises(StraighteningLimitError, match=f"{steps - 1}-step budget"):
+        m.act(sym, inner)
+
+
 # -- the rows of one probe on a whole basis ---------------------------------------
 
 
@@ -805,12 +935,10 @@ def _assert_rows_match(m, probes, basis):
             # over the integers and dyadics each row is the act row times
             # the run's divisor for the row's word length, with int
             # entries; one act call straightens a word at its own scale
-            _, _, divisor = m._run(probe, [((mono, 1),) for mono in basis])
+            _, _, (d, e) = m._run(probe, basis)
             scale = m._codes.scale if m.group is DYADIC else 1
-            assert len(divisor) == max(mono.length for mono in basis) + 2
-            assert divisor[-1] > 0 and all(
-                d == e * scale for d, e in zip(divisor, divisor[1:])
-            )
+            assert d > 0 and e == max(mono.length for mono in basis) + 1
+            divisor = [d * scale ** (e - n) for n in range(e + 1)]
             scaled = [{j: c * divisor[w.length] for j, c in r.items()} for w, r in want]
             assert all(c.denominator == 1 for r in scaled for c in r.values())
             want = [{j: int(c) for j, c in r.items()} for r in scaled]
