@@ -96,10 +96,6 @@ class OrderedGroup:
         """
         raise NotImplementedError
 
-    def format(self, x) -> str:
-        self.validate(x)
-        return format_element(x)
-
     def random_element(self, rng, bound: int = 8):
         raise NotImplementedError
 

@@ -23,6 +23,7 @@ the structure constants; the two paths must agree exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
@@ -81,6 +82,24 @@ def format_coeff(c: Coeff) -> str:
     return str(c)
 
 
+def merge_terms(out: dict, terms, add=operator.add) -> dict:
+    """Add the ``(key, coeff)`` pairs of ``terms`` into ``out`` by ``add`` and
+    return it; a key whose sum is zero is deleted, so nonzero coefficients
+    stay nonzero."""
+    get = out.get
+    for k, c in terms:
+        prev = get(k)
+        if prev is None:
+            out[k] = c
+        else:
+            s = add(prev, c)
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
 class SparseCombination:
     """Finite linear combination of hashable keys; zero coefficients pruned.
 
@@ -137,36 +156,14 @@ class SparseCombination:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = c
-                continue
-            s = prev + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return self._of_nonzero(out)
+        return self._of_nonzero(merge_terms(dict(self._terms), other._terms.items()))
 
     def __neg__(self):
         return self.scaled(-1)
 
     def __sub__(self, other):
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = -c
-                continue
-            # exact coefficients cancel exactly when equal; the test is
-            # cheaper than building a zero int, Fraction or Poly
-            if prev == c:
-                del out[k]
-            else:
-                out[k] = prev - c
-        return self._of_nonzero(out)
+        terms = [(k, -c) for k, c in other._terms.items()]
+        return self._of_nonzero(merge_terms(dict(self._terms), terms))
 
     def scaled(self, scalar):
         if not scalar:

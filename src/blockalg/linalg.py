@@ -80,20 +80,12 @@ def _integral(items: Iterable[Tuple[int, Rational]]) -> IntRow:
     return {k: x.numerator * (den // x.denominator) for k, x in row.items()}
 
 
-def _dense(
-    rows: Sequence[Sequence[Rational]], ncols: int, rhs: Optional[Sequence[Rational]] = None
-) -> Iterable[IntRow]:
-    """Integral sparse copies of dense rows, every row checked before the first one.
-
-    With ``rhs``, row ``i`` gets ``rhs[i]`` appended as column ``ncols``.
-    """
+def _dense(rows: Sequence[Sequence[Rational]], ncols: int) -> Iterable[IntRow]:
+    """Integral sparse copies of dense rows, every row checked before the first one."""
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)} in a matrix with {ncols} columns")
         _check_entries(row)
-    if rhs is not None:
-        _check_entries(rhs)
-        rows = [[*row, b] for row, b in zip(rows, rhs)]
     return (_integral(enumerate(row)) for row in rows)
 
 
@@ -311,7 +303,8 @@ def solve(
     if not rows:
         return []
     ncols = len(rows[0])
-    pivots = _echelon(_dense(rows, ncols, rhs), ncols + 1)
+    augmented = [[*row, b] for row, b in zip(rows, rhs)]
+    pivots = _echelon(_dense(augmented, ncols + 1), ncols + 1)
     if ncols in pivots:
         return None
     sol = [Fraction(0)] * ncols

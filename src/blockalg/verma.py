@@ -14,9 +14,9 @@ positive-weight generators annihilate ``v``.
 Coefficients are exact and come in three representations that compare
 and hash alike: a Python ``int``, a ``Fraction`` and a ``Poly`` in the
 formal unit ``w`` over the lex-z2 instance.  An integer or dyadic
-output of a generator's :meth:`VermaModule.act`, and of sums and
-rational multiples of such outputs, is an ``int`` exactly when its value
-is integral.  The JSON form ``"p/q"`` is the same for ``3``,
+output of :meth:`VermaModule.act`, by a generator or the central symbol,
+and of sums and rational multiples of such outputs, is an ``int``
+exactly when its value is integral.  The JSON form ``"p/q"`` is the same for ``3``,
 ``Fraction(3)`` and the constant ``Poly`` 3; the printed form is not
 (``3*v`` against ``(3)*v``), so a lex-z2 coefficient stays a rational
 until w-arithmetic touches it, and is a ``Poly`` from then on, even
@@ -56,6 +56,7 @@ from .lie import (
     element_from_json,
     element_json,
     integer_from_json,
+    merge_terms,
 )
 from .polynomial import Poly, exact_fraction, format_rational, parse_rational
 
@@ -149,8 +150,11 @@ class ModuleVector(SparseCombination):
     same form: ``lcm(d1*S**(e1 - n), d2*S**(e2 - n))`` is
     ``lcm(d1*S**e1, d2*S**e2) / S**n``, so each side's numerators are
     multiplied by one ``int``.  :meth:`scaled` by a rational ``p/q``
-    multiplies the numerators by ``p`` and ``d`` by ``q``.  ``len``,
-    ``bool`` and :meth:`is_zero` read the coded form too.  Any other
+    multiplies the numerators by ``p`` and ``d`` by ``q``.  ``==``
+    between two vectors of one coding is true exactly when their coded
+    difference is empty.  ``len``, ``bool`` and :meth:`is_zero` read the
+    coded form too, and so does :meth:`weight` over the integers and
+    dyadics, from the sum of a raw word's ``int`` codes.  Any other
     operand takes the decoded path of :class:`lie.SparseCombination`: a
     vector built from words, a result from a code table that a finer one
     has replaced, or a Lie element.
@@ -208,6 +212,22 @@ class ModuleVector(SparseCombination):
     def is_zero(self) -> bool:
         return not self
 
+    def _shares_coding(self, other) -> bool:
+        return (
+            isinstance(other, ModuleVector)
+            and self._raw is not None
+            and other._raw is not None
+            and self._words is other._words
+        )
+
+    def __eq__(self, other) -> bool:
+        if self._shares_coding(other):
+            return not self._coded_sum(other, True)
+        return SparseCombination.__eq__(self, other)
+
+    # defining __eq__ clears the inherited hash; equal vectors have equal terms
+    __hash__ = SparseCombination.__hash__
+
     def __add__(self, other):
         return self._combined(other, False)
 
@@ -215,9 +235,9 @@ class ModuleVector(SparseCombination):
         return self._combined(other, True)
 
     def _combined(self, other, negate: bool):
+        if self._shares_coding(other):
+            return self._coded_sum(other, negate)
         if isinstance(other, ModuleVector):
-            if self._raw is not None and other._raw is not None and self._words is other._words:
-                return self._coded_sum(other, negate)
             if not self:
                 return -other if negate else other
             if not other:
@@ -243,18 +263,7 @@ class ModuleVector(SparseCombination):
             if my != 1:
                 terms = [(w, c * my) for w, c in terms]
             add, divisor = operator.add, (lcm // scale**e, e)
-        get = out.get
-        for w, c in terms:
-            prev = get(w)
-            if prev is None:
-                out[w] = c
-            else:
-                s = add(prev, c)
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return self._of_coded(out, self._words, divisor)
+        return self._of_coded(merge_terms(out, terms, add), self._words, divisor)
 
     def scaled(self, scalar):
         if self._raw is None or type(scalar) not in (int, Fraction):
@@ -272,8 +281,12 @@ class ModuleVector(SparseCombination):
 
     def weight(self, group: OrderedGroup):
         """Common weight of all monomials, or None when mixed or zero."""
-        if isinstance(group, DyadicGroup):
-            return _dyadic_weight(self._terms)
+        if self._raw is not None and self._divisor is not None:
+            sums = {sum([p for p, _ in word]) for word in self._raw}
+            if len(sums) != 1:
+                return None
+            (s,) = sums
+            return Fraction(-s, self._words.scale) if isinstance(group, DyadicGroup) else -s
         w = None
         for mono in self._terms:
             s = group.zero()
@@ -328,25 +341,6 @@ class ModuleVector(SparseCombination):
         if weight is not None and element_from_json(weight, group) != vec.weight(group):
             raise ValueError(f"stated weight {weight!r} is not the weight of the words")
         return vec
-
-
-def _dyadic_weight(words: Iterable[PBWMonomial]) -> Optional[Fraction]:
-    """:meth:`ModuleVector.weight` over the dyadics: ``int`` sums over one
-    denominator per word, compared crosswise, and one ``Fraction``."""
-    num = den = None
-    for mono in words:
-        n, d = 0, 1
-        for p, _ in mono.factors:
-            q = p.denominator
-            if d % q:
-                m = q // math.gcd(d, q)
-                n, d = n * m, d * m
-            n += p.numerator * (d // q)
-        if den is None:
-            num, den = n, d
-        elif n * den != num * d:
-            return None
-    return None if den is None else Fraction(-num, den)
 
 
 # -- highest weight functionals -----------------------------------------
@@ -569,7 +563,13 @@ class VermaModule:
         out; the budget is the only cap on the length of a word.
         """
         if isinstance(sym, Central):
-            return vec.scaled(self.hw.central_charge)
+            out = vec.scaled(self.hw.central_charge)
+            if out._raw is None and not isinstance(self.group, LexPairGroup):
+                # integral values read as ints, as a coded result's do
+                out = ModuleVector._of_nonzero(
+                    {w: _quotient(c.numerator, c.denominator) for w, c in out._terms.items()}
+                )
+            return out
         (raw,), words, divisor = self._run(sym, [vec])
         return ModuleVector._of_coded(raw, words, divisor)
 
@@ -1173,22 +1173,8 @@ _INT_PARTS = _IntParts()
 _LEX_PAIRS = _LexPairs()
 
 
-# the slot setters: a frozen dataclass guards only __setattr__
-_new_object = object.__new__
-_set_factors = PBWMonomial.factors.__set__
-_set_hash = PBWMonomial._hash.__set__
-
-
-def _monomial(factors: Tuple[Factor, ...], h: int) -> PBWMonomial:
-    """The word on ``factors`` with hash ``h``, without the dataclass ``__init__``."""
-    mono = _new_object(PBWMonomial)
-    _set_factors(mono, factors)
-    _set_hash(mono, h)
-    return mono
-
-
 def _word(factors: Tuple[Factor, ...]) -> PBWMonomial:
-    return _monomial(factors, hash(factors)) if factors else VACUUM
+    return PBWMonomial(factors) if factors else VACUUM
 
 
 def _label_reach(gamma: int, factors: Tuple[Factor, ...]) -> int:
@@ -1232,14 +1218,11 @@ class _DyadicCodes:
     coded, so ``x -> x*scale`` maps those parts to ints and keeps their
     order.  ``codes`` maps a word to its coded factor tuple, ``words`` a
     coded tuple back to its one ``PBWMonomial`` on ``Fraction`` parts, and
-    ``parts`` a code to its ``Fraction`` and that ``Fraction``'s hash.
-    Integral parts are decoded to ``Fraction`` too.  A part is decoded and
-    hashed once per table, and a new word is hashed as its ``(hash(part),
-    index)`` pairs, which is ``hash(factors)``: a tuple's hash depends only
-    on its items' hashes, and a ``Fraction`` hash ``h`` has ``hash(h) ==
-    h``.  Equal words from two actions are the same object.  A finer
-    denominator needs a new table; this one is never cleared or rescaled,
-    so an action that holds it keeps one consistent scale.
+    ``parts`` a code to its ``Fraction``, so a part is decoded once per
+    table.  Integral parts are decoded to ``Fraction`` too.  Equal words
+    from two actions are the same object.  A finer denominator needs a new
+    table; this one is never cleared or rescaled, so an action that holds
+    it keeps one consistent scale.
     """
 
     __slots__ = ("scale", "codes", "words", "parts")
@@ -1248,7 +1231,7 @@ class _DyadicCodes:
         self.scale = scale
         self.codes: Dict[PBWMonomial, Tuple[Factor, ...]] = {}
         self.words: Dict[Tuple[Factor, ...], PBWMonomial] = {}
-        self.parts: Dict[int, Tuple[Fraction, int]] = {}
+        self.parts: Dict[int, Fraction] = {}
 
     def code(self, x: Fraction) -> int:
         return x.numerator * (self.scale // x.denominator)
@@ -1262,19 +1245,13 @@ class _DyadicCodes:
     def decode(self, word: Tuple[Factor, ...]) -> PBWMonomial:
         mono = self.words.get(word)
         if mono is None:
-            if word:
-                parts, factors, keys = self.parts, [], []
-                for p, i in word:
-                    x = parts.get(p)
-                    if x is None:
-                        f = Fraction(p, self.scale)
-                        x = parts[p] = (f, hash(f))
-                    factors.append((x[0], i))
-                    keys.append((x[1], i))
-                mono = _monomial(tuple(factors), hash(tuple(keys)))
-            else:
-                mono = VACUUM
-            self.words[word] = mono
+            parts, factors = self.parts, []
+            for p, i in word:
+                f = parts.get(p)
+                if f is None:
+                    f = parts[p] = Fraction(p, self.scale)
+                factors.append((f, i))
+            mono = self.words[word] = _word(tuple(factors))
             self.codes[mono] = word
         return mono
 

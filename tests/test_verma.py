@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from blockalg import verma
 from blockalg.groups import DYADIC, INTEGERS, LEX_Z2
-from blockalg.lie import CENTRAL, BlockAlgebra, Generator, LieElement
+from blockalg.lie import CENTRAL, BlockAlgebra, Generator, LieElement, element_json
 from blockalg.polynomial import Poly, X
 from blockalg.reducibility import labels_from_charpoly
 from blockalg.verma import (
@@ -867,6 +867,98 @@ def test_coded_results_of_a_replaced_code_table_combine_through_their_terms():
         _assert_same_as_rebuilt(got, DYADIC, want)
 
 
+def _axiom_pairs(m, rng, trials):
+    """Pairs of results of seeded (g, h, word) triples: the two sides of the
+    module axiom, which are equal, and pairs that differ.  A bracket that
+    vanishes leaves a right side built from no terms, which is not coded."""
+    group = m.group
+    for _ in range(trials):
+        word = sorted(
+            (_corpus_element(rng, group, True), rng.randint(-1, 3))
+            for _ in range(rng.randint(0, 4))
+        )
+        g, h = (Generator(_corpus_element(rng, group, False), rng.randint(-1, 3)) for _ in range(2))
+        vec = m.vector(word)
+        ghv, hgv = m.act(g, m.act(h, vec)), m.act(h, m.act(g, vec))
+        rhs = m.act_element(m.algebra.bracket_basis(g, h), vec)
+        yield ghv - hgv, rhs
+        yield ghv, hgv
+        yield ghv - hgv, rhs.scaled(2)
+        yield ghv, ghv + m.act(g, vec)
+
+
+@pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
+def test_coded_equality_agrees_with_the_decoded_comparison(group):
+    # == on two results of one coding reads their coded difference; it must
+    # say what the comparison of their terms says, and equal vectors, coded
+    # or built from terms, hash alike and are one element of a set
+    m = module(_EXPLICIT, group)
+    if group is DYADIC:
+        m.act(Generator(Fraction(1, 4), 0), m.vacuum())  # the finest scale of the trials
+    seen = set()
+    for a, b in _axiom_pairs(m, random.Random(f"coded-eq-{group.name}"), 40):
+        coded = a._shares_coding(b)
+        got = a == b
+        assert got == (b == a) == (not a != b)
+        assert got == (_from_terms(a) == _from_terms(b))
+        if got:
+            assert hash(a) == hash(b) == hash(_from_terms(a))
+            assert len({a, b, _from_terms(a), _from_terms(b)}) == 1
+        else:
+            assert len({a, b}) == 2
+        seen.add((coded, got, bool(a)))
+    assert seen >= {(True, True, True), (True, False, True)}
+
+
+def test_coded_equality_of_a_replaced_code_table_compares_terms():
+    # the two results hold different code tables, so == compares their terms
+    m = module(_EXPLICIT, DYADIC)
+    vec = m.vector([(Fraction(1, 2), 0), (Fraction(1), 1)])
+    sym = Generator(Fraction(-1, 2), 1)
+    a = m.act(sym, vec)
+    m.act(Generator(Fraction(-3, 8), 0), vec)
+    b = m.act(sym, vec)
+    assert a._words is not b._words and a._raw is not None and b._raw is not None
+    assert a == b and b == a and len({a, b}) == 1
+    assert a != b.scaled(2) and b.scaled(2) != a
+
+
+@pytest.mark.parametrize("group", [INTEGERS, DYADIC], ids=lambda g: g.name)
+def test_comparing_results_of_one_coding_decodes_neither_side(group, monkeypatch):
+    m = module(_EXPLICIT, group)
+    if group is DYADIC:
+        m.act(Generator(Fraction(1, 4), 0), m.vacuum())  # the finest scale of the trials
+
+    def no_decode(self, name):
+        raise AssertionError(f"decoded {name}")
+
+    monkeypatch.setattr(ModuleVector, "__getattr__", no_decode)
+    pairs = _axiom_pairs(m, random.Random(f"no-decode-{group.name}"), 20)
+    results = [a == b for a, b in pairs if a._shares_coding(b)]
+    assert True in results and False in results
+
+
+@pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
+def test_central_action_reads_an_integral_value_as_an_int(group):
+    # central charge 7/2 on coefficients 2, 4/7 and 1/3: a vector built from
+    # words and a coded result read 7 and 2 as ints over the integers and
+    # dyadics; over lex-z2 a rational stays a rational
+    m = module(_EXPLICIT, group)
+    words = [m.monomial(_ONE_WORD[group] * k) for k in (1, 2, 3)]
+    decoded = ModuleVector(dict(zip(words, (Fraction(2), Fraction(4, 7), Fraction(1, 3)))))
+    coded = m.act(Generator(group.neg(words[0].factors[0][0]), 2), decoded)
+    for vec in (decoded, coded):
+        got = m.act(CENTRAL, vec)
+        assert got == _reference_act(m, CENTRAL, vec)
+        for (_, c), (_, d) in zip(got.items(), vec.items()):
+            if group is LEX_Z2:
+                assert isinstance(c, Poly) == isinstance(d, Poly)
+            else:
+                assert type(c) is (int if c.denominator == 1 else Fraction)
+    types = {type(c) for _, c in m.act(CENTRAL, decoded).items()}
+    assert types == ({Fraction} if group is LEX_Z2 else {int, Fraction})
+
+
 @pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
 def test_one_run_reads_coded_and_decoded_inputs_alike(group):
     # the inputs of one run share its divisor: a coded result, a vector
@@ -1111,8 +1203,7 @@ def test_vector_made_in_one_module_acts_in_another():
 
 
 def test_decoded_dyadic_words_hash_as_their_factors():
-    # a decoded word's hash is made from its parts' hashes, never from the
-    # parts themselves; it must still be hash(factors), equal the word the
+    # a decoded word must hash as its factors, equal the word the
     # constructor builds and find it in a dict, at every code table
     m = module(_EXPLICIT, DYADIC)
     vec = m.vector([(Fraction(1, 2), -1), (Fraction(1), 1), (Fraction(2), 0)])
@@ -1177,13 +1268,36 @@ def test_dyadic_weight_matches_group_addition():
     vecs += [ModuleVector({w: 1 for w in rng.sample(ordered, 3)}) for _ in range(100)]
     integral = PBWMonomial(((Fraction(2), 0), (Fraction(3), 1)))
     vecs += [ModuleVector.zero(), ModuleVector.of(VACUUM), ModuleVector.of(integral)]
+    cases = [(vec, DYADIC) for vec in vecs]
+    # coded results, whose weight sums the int codes of their raw words: a
+    # zero result and a sum of two weights read None
+    for group in (INTEGERS, DYADIC):
+        m = module(_EXPLICIT, group)
+        for _ in range(30):
+            word = sorted(
+                (_corpus_element(rng, group, True), rng.randint(-1, 3))
+                for _ in range(rng.randint(0, 4))
+            )
+            g = Generator(_corpus_element(rng, group, False), rng.randint(-1, 3))
+            out = m.act(g, m.vector(word))
+            cases += [(out, group), (out + m.act(g, m.act(g, m.vector(word))), group)]
+        p = _ONE_WORD[group][0][0]
+        zero = m.act(Generator(p, 0), m.vacuum())
+        mixed = m.act(Generator(group.neg(p), 0), m.vacuum()) + m.act(
+            Generator(group.scale(-2, p), 0), m.vacuum()
+        )
+        assert zero._raw == {} and mixed._raw and mixed.weight(group) is None
+        cases += [(zero, group), (mixed, group)]
     kinds = set()
-    for vec in vecs:
-        got, want = vec.weight(DYADIC), _weight_by_add(vec, DYADIC)
+    for vec, group in cases:
+        got, want = vec.weight(group), _weight_by_add(vec, group)
         assert got == want and type(got) is type(want)
-        kinds.add(None if got is None else got.denominator == 1)
-        assert vec.to_json(DYADIC)["weight"] == (None if want is None else str(want))
-    assert kinds == {None, True, False}
+        kinds.add((group.name, vec._raw is not None, None if got is None else got.denominator == 1))
+        assert vec.to_json(group)["weight"] == (None if want is None else element_json(want))
+    assert {k for k in kinds if k[0] == "dyadic"} == {
+        ("dyadic", coded, kind) for coded in (False, True) for kind in (None, True, False)
+    }
+    assert {k for k in kinds if k[0] == "integers"} == {("integers", True, None), ("integers", True, True)}
 
 
 # -- JSON round trip of module vectors -------------------------------------------
