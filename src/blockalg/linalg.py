@@ -15,7 +15,14 @@ pivot columns that arrived after it.  An incoming row therefore clears
 its pivot columns one at a time, in increasing column order, picking up
 and clearing those later entries as it goes.  A generic search ends at
 full rank, where the reduced form is the identity: the routine stops
-pulling rows there and never back-substitutes at all.  Only when a
+pulling rows there and never back-substitutes at all.  The singular
+search hands in each probe's rows sparsest first (fewest entries first,
+as in structured Gaussian elimination), so its pivot rows start sparse
+and the rows reduced against them, and the clearing of stale entries,
+create little fill-in; at a deep weight such as 2990 words that cuts
+the elimination about twentyfold.  The order changes no result, since
+the reduced form is unique, and full rank, when it comes, still comes
+within the same probe.  Only when a
 kernel is left does it bring the pivot rows to reduced-echelon form, last
 pivot first.  Where dependent rows keep meeting the same stale pivot row
 with no new pivot in between (a rank-deficient system past its last

@@ -321,16 +321,25 @@ def _annihilation_rows(
     """Sparse rows of the truncated positive action, probe by probe.
 
     A row is one output word of one probe, keyed by basis column.  The
-    probes come in order and each probe's rows by output word.  One
-    straightening run per probe builds all of its rows
-    (:meth:`VermaModule.action_rows`; over the integers and dyadics
-    ``int`` rows, each scaled by one positive integer, which leaves the
-    row space as it is), and it runs only when the probe's
+    probes come in order.  One straightening run per probe builds all of
+    its rows (:meth:`VermaModule.action_rows`; over the integers and
+    dyadics ``int`` rows, each scaled by one positive integer, which
+    leaves the row space as it is), and it runs only when the probe's
     first row is pulled, so an elimination that reaches full rank early
     never straightens the remaining probes.
+
+    Within a probe the rows come sparsest first: sorted by entry count,
+    stably, so rows of equal count keep ``action_rows``' output-word
+    order.  The order is exact: a row space has one reduced echelon
+    form, so the kernel is the same in any order, and full rank, if it
+    comes, comes within the same probe.  It is fast because a sparse
+    row becomes a sparse pivot row, so the rows reduced against it and
+    the deferred back-substitution of ``linalg._echelon`` create far
+    less fill-in (sparse rows first, as in structured Gaussian
+    elimination: LaMacchia and Odlyzko, CRYPTO '90).
     """
     for probe in probes:
-        yield from module.action_rows(probe, basis)
+        yield from sorted(module.action_rows(probe, basis), key=len)
 
 
 def _sub_kernel(kernel: List[List[Fraction]], cols: List[int]) -> List[List[Fraction]]:
@@ -364,7 +373,10 @@ def singular_candidates(
 
     Exact: a candidate is annihilated by every probed generator.  The
     matrix rows stream into the elimination probe by probe, as sparse
-    rows, and elimination stops once the rank equals the basis size.
+    rows, each probe's rows sparsest first (see ``_annihilation_rows``:
+    the kernel does not depend on the row order, and sparse pivot rows
+    keep the fill-in of a deep search small), and elimination stops
+    once the rank equals the basis size.
     That full-rank verdict (no candidates) is exact: the kernel is
     already {0}, so the probes not yet acted on cannot change it.
     A probe L(beta,k) with beta heavier than -mu is never straightened:

@@ -597,6 +597,54 @@ def test_rank_deficient_search_acts_on_every_live_probe(monkeypatch):
     assert len(log) == n * (1 + rep.dimension)
 
 
+def _unsorted_rows(module, basis, probes):
+    """The stream without the sort: each probe's rows in word order."""
+    for probe in probes:
+        yield from module.action_rows(probe, basis)
+
+
+def _row_key(row):
+    return sorted(row.items())
+
+
+def test_annihilation_rows_come_sparsest_first_within_each_probe(monkeypatch):
+    deep = module(HighestWeight.explicit(RANDOMISH, Fraction(2))), -3, 2, 10, 3, None
+    reordered = full_rank = 0
+    for m, mu, bound, k, b, parts in [*_streamed_search_cases(), deep]:
+        g = m.group
+        basis = m.weight_basis(mu, bound, parts=parts)
+        probes = reducibility._probe_generators(m, b, k, parts=parts)
+        live = [p for p in probes if g.compare(p.alpha, g.neg(mu)) <= 0]
+        # the whole stream, each row filed under the probe last straightened
+        by_probe = {p: [] for p in live}
+        with monkeypatch.context() as patch:
+            log = _log_straightening(patch)
+            for row in reducibility._annihilation_rows(m, basis, live):
+                by_probe[log[-1][1]].append(row)
+        assert [sym for _, sym, _ in log] == live
+        for p in live:
+            word_order = m.action_rows(p, basis)
+            got = by_probe[p]
+            # the same rows, as a multiset, with entry counts never falling
+            assert sorted(map(_row_key, got)) == sorted(map(_row_key, word_order))
+            assert [len(r) for r in got] == sorted(len(r) for r in got)
+            reordered += [len(r) for r in word_order] != [len(r) for r in got]
+        # the search straightens the same probes, and re-verifies the same
+        # candidates, as it does on the unsorted stream
+        with monkeypatch.context() as patch:
+            log = _log_straightening(patch)
+            got = singular_candidates(m, mu, bound, k, b, parts=parts)
+        with monkeypatch.context() as patch:
+            patch.setattr(reducibility, "_annihilation_rows", _unsorted_rows)
+            ref_log = _log_straightening(patch)
+            ref = singular_candidates(m, mu, bound, k, b, parts=parts)
+        assert log == ref_log
+        assert json.dumps(got.to_json(g)) == json.dumps(ref.to_json(g))
+        full_rank += got.dimension == 0 and len(log) < len(live)
+    # the order matters somewhere, and full rank still stops early
+    assert reordered >= 50 and full_rank >= 5
+
+
 def test_probes_heavier_than_the_weight_annihilate_every_basis_word():
     # the grading argument behind skipping them: L(beta,k) sends weight mu
     # to mu+beta > 0, where the module is zero
