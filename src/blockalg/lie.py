@@ -100,6 +100,27 @@ def merge_terms(out: dict, terms, add=operator.add) -> dict:
     return out
 
 
+def subtract_terms(out: dict, terms, sub=operator.sub, neg=operator.neg) -> dict:
+    """Subtract the ``(key, coeff)`` pairs of ``terms`` from ``out`` and
+    return it, as :func:`merge_terms` adds them: a key new to ``out`` takes
+    ``neg(coeff)``, one whose coefficient equals ``coeff`` is deleted, and
+    any other takes ``sub(prev, coeff)``, deleted if that is zero."""
+    get = out.get
+    for k, c in terms:
+        prev = get(k)
+        if prev is None:
+            out[k] = neg(c)
+        elif prev == c:
+            del out[k]
+        else:
+            s = sub(prev, c)
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
 class SparseCombination:
     """Finite linear combination of hashable keys; zero coefficients pruned.
 
@@ -162,8 +183,7 @@ class SparseCombination:
         return self.scaled(-1)
 
     def __sub__(self, other):
-        terms = [(k, -c) for k, c in other._terms.items()]
-        return self._of_nonzero(merge_terms(dict(self._terms), terms))
+        return self._of_nonzero(subtract_terms(dict(self._terms), other._terms.items()))
 
     def scaled(self, scalar):
         if not scalar:

@@ -57,6 +57,7 @@ from .lie import (
     element_json,
     integer_from_json,
     merge_terms,
+    subtract_terms,
 )
 from .polynomial import Poly, exact_fraction, format_rational, parse_rational
 
@@ -149,15 +150,27 @@ class ModuleVector(SparseCombination):
     They bring both divisors to their lcm at every length, which has the
     same form: ``lcm(d1*S**(e1 - n), d2*S**(e2 - n))`` is
     ``lcm(d1*S**e1, d2*S**e2) / S**n``, so each side's numerators are
-    multiplied by one ``int``.  :meth:`scaled` by a rational ``p/q``
-    multiplies the numerators by ``p`` and ``d`` by ``q``.  ``==``
-    between two vectors of one coding is true exactly when their coded
-    difference is empty.  ``len``, ``bool`` and :meth:`is_zero` read the
-    coded form too, and so does :meth:`weight` over the integers and
-    dyadics, from the sum of a raw word's ``int`` codes.  Any other
-    operand takes the decoded path of :class:`lie.SparseCombination`: a
+    multiplied by one ``int``; ``-`` then subtracts the other side's
+    terms in one pass (:func:`lie.subtract_terms`), with no negated
+    copy.  :meth:`scaled` by a rational ``p/q`` multiplies the numerators
+    by ``p`` and ``d`` by ``q``.  Over lex-z2 it multiplies each
+    coefficient, by a rational or by a Q[w] ``Poly`` of degree at most 1,
+    which is what a bracket's coefficients are, so
+    :meth:`VermaModule.act_element` stays coded in all three groups.
+    ``==`` between two vectors of one coding is true exactly when their
+    coded difference is empty.
+
+    The other reads of the coded form are ``len``, ``bool``,
+    :meth:`is_zero`, :meth:`weight`, which sums the parts of each raw
+    word, :meth:`to_json` and ``hash``.  :meth:`to_json` writes the raw
+    words in the decoded order, each part through the coding, and an
+    integer or dyadic coefficient as its numerator and divisor over their
+    gcd.  ``hash`` reads each word's indices and its coefficient's value,
+    which a vector of any coding, or built from words, gives alike.  ``str``, :meth:`items`, :meth:`monomials` and
+    :meth:`coefficient` decode.  So does any arithmetic with another
+    operand, which takes the path of :class:`lie.SparseCombination`: a
     vector built from words, a result from a code table that a finer one
-    has replaced, or a Lie element.
+    has replaced, a result over another group, or a Lie element.
     """
 
     __slots__ = ("_raw", "_words", "_divisor")
@@ -189,12 +202,16 @@ class ModuleVector(SparseCombination):
         if self._divisor is None:
             terms = {decode(w): _lex_coeff(c) for w, c in raw.items()}
         else:
-            d, e = self._divisor
-            scale = self._words.scale
-            divisor = [d * scale ** (e - n) for n in range(e + 1)]
+            divisor = self._divisors()
             terms = {decode(w): _quotient(c, divisor[len(w)]) for w, c in raw.items()}
         self._terms = terms
         return terms
+
+    def _divisors(self) -> List[int]:
+        """The divisor of a coded integer or dyadic word, by its length."""
+        d, e = self._divisor
+        scale = self._words.scale
+        return [d * scale ** (e - n) for n in range(e + 1)]
 
     @classmethod
     def of(cls, mono: PBWMonomial, coeff: Coeff = Fraction(1)) -> "ModuleVector":
@@ -222,11 +239,23 @@ class ModuleVector(SparseCombination):
 
     def __eq__(self, other) -> bool:
         if self._shares_coding(other):
-            return not self._coded_sum(other, True)
+            # equal vectors of one coding hold the same raw words
+            return self._raw.keys() == other._raw.keys() and not self._coded_sum(other, True)
         return SparseCombination.__eq__(self, other)
 
-    # defining __eq__ clears the inherited hash; equal vectors have equal terms
-    __hash__ = SparseCombination.__hash__
+    def __hash__(self) -> int:
+        # each word's index sequence with its coefficient, read without
+        # building the word: every coding gives the same, so equal vectors
+        # hash alike
+        raw = self._raw
+        if raw is None:
+            terms = [(m.factors, c) for m, c in self._terms.items()]
+        elif self._divisor is None:
+            terms = [(w, _lex_coeff(c)) for w, c in raw.items()]
+        else:
+            divisor = self._divisors()
+            terms = [(w, _quotient(c, divisor[len(w)])) for w, c in raw.items()]
+        return hash(frozenset([(tuple([i for _, i in w]), c) for w, c in terms]))
 
     def __add__(self, other):
         return self._combined(other, False)
@@ -247,33 +276,42 @@ class ModuleVector(SparseCombination):
         return SparseCombination.__add__(self, other)
 
     def _coded_sum(self, other: "ModuleVector", negate: bool) -> "ModuleVector":
+        terms = other._raw.items()
         if self._divisor is None:
-            out, add, divisor = dict(self._raw), _LEX_PAIRS.cadd, None
-            terms = other._raw.items()
-            if negate:
-                terms = [(w, _LEX_PAIRS.smul(-1, c)) for w, c in terms]
+            out, ar, divisor = dict(self._raw), _LEX_PAIRS, None
         else:
             scale = self._words.scale
             (d1, e1), (d2, e2) = self._divisor, other._divisor
             x, y = d1 * scale**e1, d2 * scale**e2
             lcm, e = math.lcm(x, y), max(e1, e2)
-            mx, my = lcm // x, (-1 if negate else 1) * (lcm // y)
+            mx, my = lcm // x, lcm // y
             out = dict(self._raw) if mx == 1 else {w: c * mx for w, c in self._raw.items()}
-            terms = other._raw.items()
             if my != 1:
                 terms = [(w, c * my) for w, c in terms]
-            add, divisor = operator.add, (lcm // scale**e, e)
-        return self._of_coded(merge_terms(out, terms, add), self._words, divisor)
+            ar, divisor = _INT_PARTS, (lcm // scale**e, e)
+        if negate:
+            out = subtract_terms(out, terms, ar.csub, ar.cneg)
+        else:
+            out = merge_terms(out, terms, ar.cadd)
+        return self._of_coded(out, self._words, divisor)
 
     def scaled(self, scalar):
-        if self._raw is None or type(scalar) not in (int, Fraction):
+        raw = self._raw
+        if raw is None:
+            return super().scaled(scalar)
+        kind, lex = type(scalar), self._divisor is None
+        if not (kind in (int, Fraction) or (lex and kind is Poly and len(scalar.coeffs) <= 2)):
             return super().scaled(scalar)
         if not scalar:
             return type(self)()
-        raw = self._raw
-        if self._divisor is None:
-            smul = _LEX_PAIRS.smul
-            return self._of_coded({w: smul(scalar, c) for w, c in raw.items()}, self._words, None)
+        if lex:
+            if kind is Poly:
+                mul, c = _LEX_PAIRS.mul, scalar.coeffs
+                raw = {w: mul(c, a) for w, a in raw.items()}
+            else:
+                smul = _LEX_PAIRS.smul
+                raw = {w: smul(scalar, c) for w, c in raw.items()}
+            return self._of_coded(raw, self._words, None)
         p, (d, e) = scalar.numerator, self._divisor
         if p != 1:
             raw = {w: c * p for w, c in raw.items()}
@@ -281,12 +319,26 @@ class ModuleVector(SparseCombination):
 
     def weight(self, group: OrderedGroup):
         """Common weight of all monomials, or None when mixed or zero."""
-        if self._raw is not None and self._divisor is not None:
-            sums = {sum([p for p, _ in word]) for word in self._raw}
-            if len(sums) != 1:
+        if self._raw is not None:
+            # minus the sum of each raw word's parts: lex pairs, or int codes
+            weights = set()
+            if self._divisor is None:
+                for word in self._raw:
+                    a = b = 0
+                    for (x, y), _ in word:
+                        a -= x
+                        b -= y
+                    weights.add((a, b))
+            else:
+                for word in self._raw:
+                    s = 0
+                    for p, _ in word:
+                        s -= p
+                    weights.add(s)
+            if len(weights) != 1:
                 return None
-            (s,) = sums
-            return Fraction(-s, self._words.scale) if isinstance(group, DyadicGroup) else -s
+            (w,) = weights
+            return Fraction(w, self._words.scale) if isinstance(group, DyadicGroup) else w
         w = None
         for mono in self._terms:
             s = group.zero()
@@ -300,17 +352,28 @@ class ModuleVector(SparseCombination):
         return w
 
     def to_json(self, group: OrderedGroup) -> dict:
-        w = self.weight(group)
-        return {
-            "weight": element_json(w) if w is not None else None,
-            "terms": [
+        weight = self.weight(group)
+        if self._raw is None:
+            terms = [
                 {
                     "factors": [[element_json(p), i] for p, i in mono.factors],
                     "coeff": coeff_json(c),
                 }
                 for mono, c in self.items()
-            ],
-        }
+            ]
+        else:
+            # raw words in the decoded order, with no word or coefficient built
+            raw, word_json = self._raw, self._words.word_json
+            words = sorted(raw, key=_raw_key)
+            if self._divisor is None:
+                coeffs = [coeff_json(_lex_coeff(raw[w])) for w in words]
+            else:
+                divisor = self._divisors()
+                coeffs = [_quotient_json(raw[w], divisor[len(w)]) for w in words]
+            terms = [
+                {"factors": word_json(w), "coeff": c} for w, c in zip(words, coeffs)
+            ]
+        return {"weight": None if weight is None else element_json(weight), "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict, group: OrderedGroup) -> "ModuleVector":
@@ -553,7 +616,8 @@ class VermaModule:
 
         The result holds the kernel's output in the coded form of
         :class:`ModuleVector`: its words and coefficients are built when
-        first read, and a sum, a difference, a rational multiple or a
+        first read term by term, and a sum, a difference, a rational
+        multiple (over lex-z2 also a Q[w] one of degree at most 1) or a
         further action of results of one coding works on the coded form.
         Read, an integer or dyadic coefficient is an ``int`` exactly when
         it is integral.  The central symbol acts as the central charge,
@@ -606,7 +670,7 @@ class VermaModule:
                     rows[w] = {j: c}
                 else:
                     row[j] = c
-        return [rows[w] for w in sorted(rows, key=lambda w: (len(w), w))]
+        return [rows[w] for w in sorted(rows, key=_raw_key)]
 
     def _run(self, sym: Generator, inputs: Sequence[Union[ModuleVector, PBWMonomial]]):
         """Straighten ``sym`` on each of ``inputs`` in one kernel run.
@@ -1020,9 +1084,11 @@ class VermaModule:
             for vec in frontier:
                 for sym in catalog:
                     w = self.act(sym, vec)
-                    if w and w not in seen:
-                        seen.add(w)
-                        new.append(w)
+                    if w:
+                        size = len(seen)
+                        seen.add(w)  # one hash per result
+                        if len(seen) > size:
+                            new.append(w)
             collected.extend(new)
             frontier = new
             if not frontier:
@@ -1053,16 +1119,17 @@ def _accumulate(store: Dict, mono, coeff: Coeff, add=operator.add):
 class _IntParts:
     """Integer parts, and dyadic parts coded as ints; a scalar image is the int itself.
 
-    Coefficients are ``int``s.  ``mul`` and ``cadd`` are the plain
-    operators, and ``smul`` by a label or the central charge ``p/q`` is
-    the exact division ``a // q * p`` (see :meth:`VermaModule._run`).
+    Coefficients are ``int``s.  ``mul``, ``cadd``, ``csub`` and ``cneg``
+    are the plain operators, and ``smul`` by a label or the central charge
+    ``p/q`` is the exact division ``a // q * p`` (see
+    :meth:`VermaModule._run`).
     """
 
     __slots__ = ()
     zero = 0
     add = cadd = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    neg = staticmethod(operator.neg)
+    sub = csub = staticmethod(operator.sub)
+    neg = cneg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
 
     @staticmethod
@@ -1090,8 +1157,10 @@ class _LexPairs:
     and ``cadd`` take either.  In a product the coefficient's entries are
     the left operand, so a ``Fraction`` takes its own method.  ``Poly``
     appears only at the boundary: :meth:`VermaModule._run` enters a
-    ``Poly`` coefficient as its ``coeffs`` and turns each tuple output into
-    a ``Poly`` once.
+    ``Poly`` coefficient as its ``coeffs``, :meth:`ModuleVector.scaled` a
+    ``Poly`` scalar, and a tuple becomes a ``Poly`` where a coded result is
+    read (:func:`_lex_coeff`).  ``csub`` and ``cneg`` are not kernel hooks:
+    they serve the coded difference of two results.
     """
 
     __slots__ = ()
@@ -1149,6 +1218,10 @@ class _LexPairs:
         return tuple([x * y for y in a]) if x else ()
 
     @staticmethod
+    def cneg(a):
+        return tuple([-y for y in a]) if type(a) is tuple else -a
+
+    @staticmethod
     def cadd(a, b):
         """``a + b``, trimmed; a sum that cancels is ``()`` (or a rational 0)."""
         if type(a) is not tuple:
@@ -1162,6 +1235,17 @@ class _LexPairs:
                 a, b = b, a
             return tuple(map(operator.add, a, b)) + a[len(b):]
         s = tuple(map(operator.add, a, b))
+        n = len(s)
+        while n and not s[n - 1]:
+            n -= 1
+        return s[:n]
+
+    @staticmethod
+    def csub(a, b):
+        """``a - b``, trimmed as by :meth:`cadd`; two tuples of one length in one pass."""
+        if type(a) is not tuple or type(b) is not tuple or len(a) != len(b):
+            return _LexPairs.cadd(a, _LexPairs.cneg(b))
+        s = tuple(map(operator.sub, a, b))
         n = len(s)
         while n and not s[n - 1]:
             n -= 1
@@ -1198,6 +1282,11 @@ def _label_reach(gamma: int, factors: Tuple[Factor, ...]) -> int:
     return reach if weight >= gamma else -1
 
 
+def _raw_key(word: Tuple[Factor, ...]):
+    """:meth:`PBWMonomial.sort_key` of a raw word, which a coding keeps."""
+    return (len(word), word)
+
+
 def _lex_coeff(c) -> Coeff:
     """A lex-z2 kernel coefficient as read: a Q[w] tuple becomes its ``Poly``."""
     return Poly.of_exact(c) if type(c) is tuple else c
@@ -1211,27 +1300,35 @@ def _quotient(c: int, d: int) -> Union[int, Fraction]:
     return Fraction(c, d) if r else q
 
 
+def _quotient_json(c: int, d: int) -> str:
+    """The JSON form of ``c / d`` for a positive ``d``, with no ``Fraction`` built."""
+    g = math.gcd(c, d)
+    return f"{c // g}/{d // g}"
+
+
 class _DyadicCodes:
     """A dyadic module's words coded at one scale, decoded once per module.
 
     ``scale`` is a positive multiple of every denominator the table has
     coded, so ``x -> x*scale`` maps those parts to ints and keeps their
     order.  ``codes`` maps a word to its coded factor tuple, ``words`` a
-    coded tuple back to its one ``PBWMonomial`` on ``Fraction`` parts, and
-    ``parts`` a code to its ``Fraction``, so a part is decoded once per
-    table.  Integral parts are decoded to ``Fraction`` too.  Equal words
-    from two actions are the same object.  A finer denominator needs a new
-    table; this one is never cleared or rescaled, so an action that holds
-    it keeps one consistent scale.
+    coded tuple back to its one ``PBWMonomial`` on ``Fraction`` parts,
+    ``parts`` a code to its ``Fraction`` and ``texts`` a code to its JSON
+    string, so a part is decoded and written once per table.  Integral
+    parts are decoded to ``Fraction`` too.  Equal words from two actions
+    are the same object.  A finer denominator needs a new table; this one
+    is never cleared or rescaled, so an action that holds it keeps one
+    consistent scale.
     """
 
-    __slots__ = ("scale", "codes", "words", "parts")
+    __slots__ = ("scale", "codes", "words", "parts", "texts")
 
     def __init__(self, scale: int):
         self.scale = scale
         self.codes: Dict[PBWMonomial, Tuple[Factor, ...]] = {}
         self.words: Dict[Tuple[Factor, ...], PBWMonomial] = {}
         self.parts: Dict[int, Fraction] = {}
+        self.texts: Dict[int, str] = {}
 
     def code(self, x: Fraction) -> int:
         return x.numerator * (self.scale // x.denominator)
@@ -1255,15 +1352,30 @@ class _DyadicCodes:
             self.codes[mono] = word
         return mono
 
+    def word_json(self, word: Tuple[Factor, ...]) -> list:
+        """The JSON ``factors`` of the word coded as ``word``."""
+        texts = self.texts
+        for p, _ in word:
+            if p not in texts:
+                texts[p] = element_json(Fraction(p, self.scale))
+        return [[texts[p], i] for p, i in word]
+
 
 class _PlainWords:
-    """The coding of integer and lex-z2 words: a raw word is its factor tuple."""
+    """The coding of integer and lex-z2 words: a raw word is its factor tuple.
 
-    __slots__ = ()
+    ``word_json`` writes a raw word's JSON ``factors``, as
+    :meth:`_DyadicCodes.word_json` does.
+    """
+
+    __slots__ = ("word_json",)
     scale = 1
     decode = staticmethod(_word)
 
+    def __init__(self, word_json):
+        self.word_json = word_json
+
 
 # two codings, so that an integer and a lex-z2 result never combine coded
-_INTEGER_WORDS = _PlainWords()
-_LEX_WORDS = _PlainWords()
+_INTEGER_WORDS = _PlainWords(lambda word: list(map(list, word)))
+_LEX_WORDS = _PlainWords(lambda word: [[[a, b], i] for (a, b), i in word])

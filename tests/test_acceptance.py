@@ -22,7 +22,7 @@ CRITERIA = {
     "antisymmetry": "1a. Lie antisymmetry, 1000 triples, exact",
     "jacobi": "1b. Jacobi identity, 1000 triples, exact",
     "realization": "2. structure constants match the x,t realization, 500 pairs",
-    "module-axiom": "3. module axiom oracle, 500 actions, both instances",
+    "module-axiom": "3. module axiom oracle, 500 actions, all three instances",
     "charpoly-roundtrip": "4. characteristic polynomial round trip, 50 draws",
     "singular-witnesses": "5. singular vector witnesses incl. central cancellation",
     "generic-irreducibility": "6. generic weights: no candidates at -1..-5, all detectors negative",

@@ -798,7 +798,10 @@ def _assert_same_as_rebuilt(vec, group, decoded):
     assert vec == back == decoded
     assert hash(vec) == hash(back) == hash(decoded)
     assert size == len(back) == len(decoded) and nonzero == bool(back)
-    assert vec.to_json(group) == back.to_json(group) == decoded.to_json(group)
+    text = json.dumps(vec.to_json(group))
+    assert text == json.dumps(back.to_json(group)) == json.dumps(decoded.to_json(group))
+    weight = vec.weight(group)
+    assert weight == decoded.weight(group) and type(weight) is type(decoded.weight(group))
     assert str(vec) == str(decoded)
     for (_, c), (_, d) in zip(vec.items(), decoded.items()):
         if group is LEX_Z2:
@@ -828,7 +831,7 @@ def test_coded_results_match_their_json_rebuild(group):
         ghv, hgv = m.act(g, hv), m.act(h, gv)
         lhs = ghv - hgv
         assert lhs == m.act_element(m.algebra.bracket_basis(g, h), vec)
-        for got, want in (
+        cases = [
             (hv, _from_terms(hv)),
             (ghv, _from_terms(ghv)),
             (lhs, _from_terms(ghv) - _from_terms(hgv)),
@@ -838,7 +841,19 @@ def test_coded_results_match_their_json_rebuild(group):
             (-ghv - hgv.scaled(3), -_from_terms(ghv) - _from_terms(hgv).scaled(3)),
             (ghv - ghv, ModuleVector()),
             (m.act(CENTRAL, ghv), _from_terms(ghv).scaled(_EXPLICIT.central_charge)),
-        ):
+        ]
+        if group is LEX_Z2:
+            # Q[w] multiples of degree at most 1, as a bracket's coefficients
+            # are: a constant Poly makes every coefficient a Poly, and a
+            # rational and a constant Poly of one value cancel
+            linear, one = Poly((Fraction(1, 2), q)), Poly((1,))
+            cases += [
+                (hv.scaled(linear), _from_terms(hv).scaled(linear)),
+                (lhs.scaled(one), _from_terms(lhs).scaled(one)),
+                (hv - hv.scaled(one), ModuleVector()),
+                (ghv.scaled(one) - hgv, _from_terms(ghv).scaled(one) - _from_terms(hgv)),
+            ]
+        for got, want in cases:
             _assert_same_as_rebuilt(got, group, want)
             kinds.update(type(c) for _, c in got.items())
     assert kinds == ({int, Fraction, Poly} if group is LEX_Z2 else {int, Fraction})
@@ -910,6 +925,26 @@ def test_coded_equality_agrees_with_the_decoded_comparison(group):
     assert seen >= {(True, True, True), (True, False, True)}
 
 
+def test_coded_lex_difference_matches_the_decoded_one():
+    # one word whose coefficient is a rational, a constant or a linear Q[w]
+    # tuple on either side: the coded difference cancels equal values of
+    # either kind and reads as the decoded difference, printed form included
+    word, other = ((((0, 1), 0),), (((0, 1), 1),))
+    values = [2, Fraction(-1, 2), (2,), (Fraction(-1, 2),), (1, 3), (Fraction(1, 2), 2)]
+    cancelled = 0
+    for p in values:
+        for c in values:
+            a = ModuleVector._of_coded({word: p, other: 5}, verma._LEX_WORDS, None)
+            b = ModuleVector._of_coded({word: c}, verma._LEX_WORDS, None)
+            got = a - b
+            _assert_same_as_rebuilt(got, LEX_Z2, _from_terms(a) - _from_terms(b))
+            assert (a == b.scaled(1) + got) and (a - b == -(b - a))
+            cancelled += word not in got._raw
+    # 2 and -1/2, each as a rational or a constant tuple in either order,
+    # and the two linear tuples against themselves
+    assert cancelled == 4 + 4 + 2
+
+
 def test_coded_equality_of_a_replaced_code_table_compares_terms():
     # the two results hold different code tables, so == compares their terms
     m = module(_EXPLICIT, DYADIC)
@@ -923,19 +958,36 @@ def test_coded_equality_of_a_replaced_code_table_compares_terms():
     assert a != b.scaled(2) and b.scaled(2) != a
 
 
-@pytest.mark.parametrize("group", [INTEGERS, DYADIC], ids=lambda g: g.name)
+def _no_decode(self, name):
+    raise AssertionError(f"decoded {name}")
+
+
+@pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
 def test_comparing_results_of_one_coding_decodes_neither_side(group, monkeypatch):
     m = module(_EXPLICIT, group)
     if group is DYADIC:
         m.act(Generator(Fraction(1, 4), 0), m.vacuum())  # the finest scale of the trials
-
-    def no_decode(self, name):
-        raise AssertionError(f"decoded {name}")
-
-    monkeypatch.setattr(ModuleVector, "__getattr__", no_decode)
+    monkeypatch.setattr(ModuleVector, "__getattr__", _no_decode)
     pairs = _axiom_pairs(m, random.Random(f"no-decode-{group.name}"), 20)
     results = [a == b for a, b in pairs if a._shares_coding(b)]
     assert True in results and False in results
+
+
+@pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
+def test_json_weight_and_hash_of_results_decode_nothing(group, monkeypatch):
+    m = module(_EXPLICIT, group)
+    if group is DYADIC:
+        m.act(Generator(Fraction(1, 4), 0), m.vacuum())  # the finest scale of the trials
+    rng = random.Random(f"no-decode-reads-{group.name}")
+    vecs = [v for pair in _axiom_pairs(m, rng, 10) for v in pair if v._raw is not None]
+    # the reads of decoded copies, which leave the results themselves coded
+    want = [
+        (json.dumps(d.to_json(group)), d.weight(group), hash(d))
+        for d in [_from_terms(ModuleVector._of_coded(v._raw, v._words, v._divisor)) for v in vecs]
+    ]
+    monkeypatch.setattr(ModuleVector, "__getattr__", _no_decode)
+    got = [(json.dumps(v.to_json(group)), v.weight(group), hash(v)) for v in vecs]
+    assert got == want and len(vecs) > 20
 
 
 @pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
@@ -1002,6 +1054,26 @@ def test_nested_coded_action_spends_the_steps_of_its_terms(group):
     m.step_budget = steps - 1
     with pytest.raises(StraighteningLimitError, match=f"{steps - 1}-step budget"):
         m.act(sym, inner)
+
+
+def test_submodule_closure_hashes_its_results_coded(monkeypatch):
+    # the closure files every result in a set: hashing reads the coded form,
+    # and only a result whose hash meets that of the seed, which is built
+    # from words, is decoded to compare the two
+    m = module(HighestWeight.explicit([Fraction(1, 3), 2, Fraction(-5, 4), 1], Fraction(7, 2)))
+    catalog = [Generator(a, i) for a in (-2, -1, 1) for i in (-1, 0, 1)]
+    decodes = []
+    decode = ModuleVector.__getattr__
+
+    def counting(self, name):
+        decodes.append(name)
+        return decode(self, name)
+
+    monkeypatch.setattr(ModuleVector, "__getattr__", counting)
+    closure = m.submodule_generated([m.vacuum()], catalog, 3)
+    sizes = {w: len(vs) for w, vs in closure.items()}
+    assert sizes == {0: 21, -1: 47, -2: 82, -3: 89, -4: 78, -5: 69, -6: 27}
+    assert len(decodes) <= 1
 
 
 # -- the rows of one probe on a whole basis ---------------------------------------
