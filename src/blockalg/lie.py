@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .groups import IntegerGroup, LexPairGroup, OrderedGroup, format_element
-from .polynomial import Poly, format_rational, parse_rational
+from .polynomial import Poly, format_poly, format_rational, parse_rational
 
 
 def check_int(value, name: str, least: Optional[int] = None) -> None:
@@ -304,14 +304,17 @@ def element_from_json(data, group: OrderedGroup):
 def coeff_json(c: Coeff) -> str:
     """JSON form of a coefficient: ``"p/q"``, or a Q[w] polynomial over lex-z2.
 
-    A constant Q[w] coefficient is written ``"p/q"`` like an equal
-    rational one, so equal vectors serialize alike whatever arithmetic
-    made them.
+    A Q[w] coefficient is a ``Poly`` or its trimmed coefficient tuple, as
+    a coded lex-z2 result keeps it.  A constant one is written ``"p/q"``
+    like an equal rational one, so equal vectors serialize alike whatever
+    arithmetic made them.
     """
     if isinstance(c, Poly):
-        if c.degree > 0:
-            return c.format("w")
-        c = c.coefficient(0)
+        c = c.coeffs
+    if type(c) is tuple:
+        if len(c) > 1:
+            return format_poly(c, "w")
+        c = c[0] if c else 0
     return format_rational(c)
 
 

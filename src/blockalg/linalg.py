@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
-One streaming elimination routine, ``_echelon``, does all the work.  Rows
-arrive one at a time as sparse ``{column: int}`` dicts: the callers scale
-a ``Fraction`` row by the lcm of its denominators on the way in, while
-the singular search and the label detectors hand in ``int`` rows
-already, which are copied without that pass.  Each row is reduced
-against the pivot rows kept so far without ever forming a fraction
-(integer-preserving elimination, after Bareiss, Math. Comp. 22, 1968).
+One streaming elimination, ``_echelon`` with its per-row step
+``_eliminate``, does all the work.  Rows arrive one at a time as sparse
+``{column: int}`` dicts: the callers scale a ``Fraction`` row by the lcm
+of its denominators on the way in, while the singular search and the
+label detectors hand in ``int`` rows already, which are copied without
+that pass.  Each row is reduced against the pivot rows kept so far
+without ever forming a fraction (integer-preserving elimination, after
+Bareiss, Math. Comp. 22, 1968).
 
 Back-substitution is deferred.  A new pivot row is reduced against the
 pivots that existed before it, but the new pivot is not substituted back
@@ -34,7 +35,11 @@ exact, as ``Fraction`` entries.
 ``rref``, ``nullspace``, ``solve`` and ``rank`` only read its result.  The
 reduced-echelon form of a row space is unique, so nullspace bases and
 particular solutions come out in the canonical form the reports promise,
-whatever order the rows arrive in.
+whatever order the rows arrive in.  ``first_null_vector`` wants only the
+first vector of that basis.  It reduces rows through the same step as
+``_echelon`` (``_eliminate``), but only until one row is dependent, and
+then checks each remaining row against a candidate vector with one dot
+product; a row that fails is eliminated, and the candidate moves on.
 
 Matrix entries are ``int`` or ``Fraction``; anything else (a float, a
 string, a bool) is refused with ``ValueError`` rather than converted.  A
@@ -51,6 +56,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -164,29 +170,81 @@ def _reduce_pivot_row(pivots: Dict[int, IntRow], reduced: Dict[int, int], p: int
         pivots[p] = _primitive(q, p)
 
 
+def _eliminate(
+    pivots: Dict[int, IntRow], reduced: Dict[int, int], used: Dict[int, int], r: IntRow
+) -> bool:
+    """Reduce the integral row ``r`` in place; keep what is left as a pivot row.
+
+    ``r`` clears its pivot columns in increasing order, one pivot row at
+    a time: ``r <- s*r - f*q`` with the smallest positive integer ``s``
+    that keeps ``f`` integral.  Clearing column ``c`` only adds entries
+    right of ``c``, so a heap of the pivot columns still to clear never
+    goes back.  What is left is divided by the gcd of its entries and
+    becomes a pivot row at its first column; no earlier pivot row is
+    touched.  ``reduced`` holds the pivot count at which each pivot row
+    was last reduced, and ``used`` the count at which it was last used
+    while stale (see ``_echelon``).  True when ``r`` added a pivot row,
+    False when it reduced to zero.
+    """
+    n = len(pivots)
+    todo = [c for c in r if c in pivots]
+    heapq.heapify(todo)
+    while todo:
+        c = heapq.heappop(todo)
+        f = r.pop(c, None)
+        if f is None:
+            continue  # cancelled, or a column pushed twice
+        if reduced[c] != n:
+            if used.get(c) == n:
+                _reduce_pivot_row(pivots, reduced, c)
+            else:
+                used[c] = n
+        q = pivots[c]
+        d = q[c]
+        g = math.gcd(d, f)
+        if g != d:
+            s = d // g
+            for k in r:
+                r[k] *= s
+        f //= g
+        for k, y in q.items():
+            v = r.get(k)
+            if v is None:
+                if k != c:
+                    r[k] = -f * y
+                    if k in pivots:
+                        heapq.heappush(todo, k)
+            else:
+                v -= f * y
+                if v:
+                    r[k] = v
+                else:
+                    del r[k]
+    if not r:
+        return False
+    p = min(r)
+    pivots[p] = _primitive(r, p)
+    reduced[p] = len(pivots)
+    return True
+
+
 def _echelon(rows: Iterable[IntRow], ncols: int) -> Dict[int, SparseRow]:
     """Reduced pivot rows of ``rows``, keyed by pivot column.
 
     Each pivot row has a 1 at its pivot and zeros at every other pivot
     column, with ``Fraction`` entries.  The incoming rows are integral,
-    and the routine reduces them in place.  While eliminating, a pivot
-    row is a primitive integer vector, positive at its pivot, with no
-    entry left of its pivot and none at the pivot columns that existed
-    when it was last reduced.
+    and ``_eliminate`` reduces them in place, one at a time.  While
+    eliminating, a pivot row is a primitive integer vector, positive at
+    its pivot, with no entry left of its pivot and none at the pivot
+    columns that existed when it was last reduced.
 
-    An incoming row clears its pivot columns in increasing order, one
-    pivot row at a time: ``r <- s*r - f*q`` with the smallest positive
-    integer ``s`` that keeps ``f`` integral.  Clearing column ``c`` only
-    adds entries right of ``c``, so a heap of the pivot columns still to
-    clear never goes back.  What is left is divided by the gcd of its
-    entries and becomes a pivot row at its first column; no earlier pivot
-    row is touched.  A pivot row is stale once a pivot has arrived since
-    it was last reduced.  When a stale row is used a second time with no
-    new pivot in between, as the dependent rows of a rank-deficient
-    system use it, it is brought to reduced form first
-    (``_reduce_pivot_row``), so the rows that follow subtract it without
-    clearing its later entries again.  A stream in which every row adds a
-    pivot reduces no pivot row this way.
+    A pivot row is stale once a pivot has arrived since it was last
+    reduced.  When a stale row is used a second time with no new pivot
+    in between, as the dependent rows of a rank-deficient system use it,
+    it is brought to reduced form first (``_reduce_pivot_row``), so the
+    rows that follow subtract it without clearing its later entries
+    again.  A stream in which every row adds a pivot reduces no pivot
+    row this way.
 
     No row is pulled once the pivots reach full rank; the reduced form is
     then the identity.  Otherwise every pivot row is brought to reduced
@@ -200,46 +258,7 @@ def _echelon(rows: Iterable[IntRow], ncols: int) -> Dict[int, SparseRow]:
     if ncols == 0:
         return {}
     for r in rows:
-        n = len(pivots)
-        todo = [c for c in r if c in pivots]
-        heapq.heapify(todo)
-        while todo:
-            c = heapq.heappop(todo)
-            f = r.pop(c, None)
-            if f is None:
-                continue  # cancelled, or a column pushed twice
-            if reduced[c] != n:
-                if used.get(c) == n:
-                    _reduce_pivot_row(pivots, reduced, c)
-                else:
-                    used[c] = n
-            q = pivots[c]
-            d = q[c]
-            g = math.gcd(d, f)
-            if g != d:
-                s = d // g
-                for k in r:
-                    r[k] *= s
-            f //= g
-            for k, y in q.items():
-                v = r.get(k)
-                if v is None:
-                    if k != c:
-                        r[k] = -f * y
-                        if k in pivots:
-                            heapq.heappush(todo, k)
-                else:
-                    v -= f * y
-                    if v:
-                        r[k] = v
-                    else:
-                        del r[k]
-        if not r:
-            continue
-        p = min(r)
-        pivots[p] = _primitive(r, p)
-        reduced[p] = len(pivots)
-        if len(pivots) == ncols:
+        if _eliminate(pivots, reduced, used, r) and len(pivots) == ncols:
             return {p: {p: Fraction(1)} for p in range(ncols)}
     for p in sorted(pivots, reverse=True):
         _reduce_pivot_row(pivots, reduced, p)
@@ -292,6 +311,55 @@ def nullspace(
             if k != p:
                 basis[k][p] = -x
     return list(basis.values())
+
+
+def first_null_vector(rows: Sequence[Sequence[Rational]], ncols: int) -> Optional[Row]:
+    """``nullspace(rows, ncols)[0]``, or None when the kernel is {0}.
+
+    ``rows`` is a dense matrix.  Its rows are eliminated in order only
+    until one reduces to zero (or the rank is full, and the answer is
+    None).  Then a candidate is read off the pivots: a 1 at the first
+    free column d0, and at each pivot column p < d0 minus the entry at d0
+    of pivot row p in reduced form.  Every row not yet eliminated is
+    checked against it with one exact dot product.  The first row that
+    fails is independent of the rows eliminated so far, so eliminating
+    it adds a pivot, at d0, and the next candidate's first free column
+    lies further right; the rows that passed the old candidate are
+    checked again.  When every row passes, the candidate lies in the
+    kernel of the whole matrix, which the kernel of the eliminated rows
+    contains; the columns left of d0 are pivots of those rows, so it is
+    the one kernel vector with its 1 at d0 and nothing right of d0,
+    which is the first canonical one.
+    """
+    integral = _dense(rows, ncols)
+    if ncols == 0:
+        return None
+    pivots: Dict[int, IntRow] = {}
+    reduced: Dict[int, int] = {}
+    used: Dict[int, int] = {}
+    eliminated = 0
+    for r in integral:
+        eliminated += 1
+        if not _eliminate(pivots, reduced, used, r):
+            break
+        if len(pivots) == ncols:
+            return None
+    rest = list(rows[eliminated:])
+    while True:
+        d0 = next(c for c in range(ncols) if c not in pivots)
+        for p in range(d0):
+            _reduce_pivot_row(pivots, reduced, p)
+        den = math.lcm(*[pivots[p][p] for p in range(d0)])
+        v = [-pivots[p].get(d0, 0) * (den // pivots[p][p]) for p in range(d0)]
+        v.append(den)
+        for i, row in enumerate(rest):
+            if sum(map(operator.mul, row, v)):
+                break
+        else:
+            return [Fraction(x, den) for x in v] + [Fraction(0)] * (ncols - d0 - 1)
+        _eliminate(pivots, reduced, used, _integral(enumerate(rest.pop(i))))
+        if len(pivots) == ncols:
+            return None
 
 
 def solve(

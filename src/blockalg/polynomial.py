@@ -13,6 +13,7 @@ covers three roles in this package:
 
 ``format_rational`` and ``parse_rational`` are the one JSON form of an
 exact rational used throughout the package: ``"p/q"`` with ``q >= 1``.
+``format_poly`` writes a coefficient tuple as ``Poly.format`` prints it.
 ``exact_fraction`` is the one strict conversion of a value to ``Fraction``.
 """
 
@@ -38,6 +39,32 @@ def _rat(value) -> Rat:
 def format_rational(x: Rat) -> str:
     """``"p/q"`` in lowest terms, ``"3/1"`` for an integral value."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_poly(cs: Sequence[Rat], var: str = "t") -> str:
+    """``cs[0] + cs[1]*var + ...`` as text, highest degree first: ``"-2*w^2 + w - 1/3"``.
+
+    ``cs`` is a coefficient tuple, lowest degree first, as ``Poly`` keeps
+    it; zero entries are left out, and no nonzero entry reads ``"0"``.
+    """
+    bits = []
+    for i in range(len(cs) - 1, -1, -1):
+        c = cs[i]
+        if not c:
+            continue
+        if c < 0:
+            c = -c
+            sign = "- " if bits else "-"
+        else:
+            sign = "+ " if bits else ""
+        if not i:
+            body = str(c)
+        else:
+            body = var if i == 1 else f"{var}^{i}"
+            if c != 1:
+                body = f"{c!s}*{body}"
+        bits.append(sign + body)
+    return " ".join(bits) if bits else "0"
 
 
 def exact_fraction(value) -> Fraction:
@@ -213,23 +240,7 @@ class Poly:
         return out
 
     def format(self, var: str = "t") -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                body = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
-            if not bits:
-                bits.append(("-" if c < 0 else "") + body)
-            else:
-                bits.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(bits)
+        return format_poly(self.coeffs, var)
 
     def __str__(self) -> str:
         return self.format()

@@ -23,11 +23,15 @@ f = sum_n a_n t^n against t^m gives the row (n+m)*label(n+m-1), minus
 the central charge at m = n = 0 (``_label_conditions``).  The
 characteristic polynomial reads the probes m >= 0 and the recurrence
 the probes m >= 1.  Each detector builds its own matrix over the
-coefficients a_0..a_D and eliminates it once: the first canonical
-kernel vector has a 1 at the first free column d and vanishes beyond
-it, so it is a monic polynomial of degree d, and columns 0..d-1 are all
-pivots exactly when no lower degree fits, which makes it the unique
-monic solution of minimal degree.
+coefficients a_0..a_D and asks ``linalg.first_null_vector`` for its
+first canonical kernel vector.  That vector has a 1 at the first free
+column d and vanishes beyond it, so it is a monic polynomial of degree
+d, and columns 0..d-1 are all pivots exactly when no lower degree fits,
+which makes it the unique monic solution of minimal degree.  The probes
+are eliminated in order only until one is dependent, which on a
+recurrent weight of degree d is usually the probe after the first d;
+every later probe costs one exact dot product with the candidate
+instead of an elimination step.
 
 The sweep-determinant identity: a positive generator applied to a word of
 strictly decreasing parts is absorbed factor by factor, and each step
@@ -128,10 +132,12 @@ def _label_conditions(
 def _minimal_monic(rows: List[List[int]], ncols: int) -> Optional[Poly]:
     """The unique lowest-degree monic f in the kernel of ``rows``, or None.
 
-    It is the first canonical kernel vector (see the module docstring).
+    It is the first canonical kernel vector (see the module docstring),
+    which ``linalg.first_null_vector`` finds without eliminating the rows
+    that the candidate already satisfies.
     """
-    kernel = linalg.nullspace(rows, ncols)
-    return Poly(kernel[0]) if kernel else None
+    v = linalg.first_null_vector(rows, ncols)
+    return None if v is None else Poly(v)
 
 
 def charpoly_from_labels(
@@ -139,14 +145,14 @@ def charpoly_from_labels(
 ) -> Optional[Poly]:
     """Minimal-degree monic polynomial satisfying all probes m <= horizon.
 
-    One exact nullspace computation on the probes m = 0..horizon over the
-    coefficients a_0..a_max_degree; the answer is the first canonical
-    kernel vector, whose 1 sits at the first free column d: columns
-    0..d-1 are pivots exactly when no lower degree fits, so it is the
-    unique monic solution of minimal degree.  Degree 0 (f = 1) is found
-    exactly when column 0 vanishes: zero central charge and zero shadow
-    within the horizon.  A negative answer is only valid within the
-    horizon; require horizon >= 2*max_degree + 2.
+    The probes m = 0..horizon over the coefficients a_0..a_max_degree
+    form one exact system; the answer is its first canonical kernel
+    vector (``_minimal_monic``), whose 1 sits at the first free column
+    d: columns 0..d-1 are pivots exactly when no lower degree fits, so
+    it is the unique monic solution of minimal degree.  Degree 0 (f = 1)
+    is found exactly when column 0 vanishes: zero central charge and zero
+    shadow within the horizon.  A negative answer is only valid within
+    the horizon; require horizon >= 2*max_degree + 2.
     """
     check_int(max_degree, "max_degree", 0)
     check_int(horizon, "horizon", 2 * max_degree + 2)
@@ -222,10 +228,10 @@ def is_quasipolynomial(hw: HighestWeight, max_order: int, horizon: int) -> Quasi
     are two faces of one linear system: the probes m = 1..horizon here,
     m = 0..horizon for ``charpoly_from_labels`` (the t^0 probe, which
     also sees the central charge, is checked separately by the
-    consolidated report).  One nullspace computation over the
-    coefficients a_0..a_max_order; the minimal recurrence is the first
-    canonical kernel vector, and order 0 is found exactly when the
-    shadow vanishes within the horizon.
+    consolidated report).  One exact system over the coefficients
+    a_0..a_max_order; the minimal recurrence is its first canonical
+    kernel vector (``_minimal_monic``), and order 0 is found exactly
+    when the shadow vanishes within the horizon.
     """
     check_int(max_order, "max_order", 0)
     check_int(horizon, "horizon", 2 * max_order + 2)

@@ -366,7 +366,7 @@ class ModuleVector(SparseCombination):
             raw, word_json = self._raw, self._words.word_json
             words = sorted(raw, key=_raw_key)
             if self._divisor is None:
-                coeffs = [coeff_json(_lex_coeff(raw[w])) for w in words]
+                coeffs = [coeff_json(raw[w]) for w in words]
             else:
                 divisor = self._divisors()
                 coeffs = [_quotient_json(raw[w], divisor[len(w)]) for w in words]
@@ -1159,7 +1159,8 @@ class _LexPairs:
     appears only at the boundary: :meth:`VermaModule._run` enters a
     ``Poly`` coefficient as its ``coeffs``, :meth:`ModuleVector.scaled` a
     ``Poly`` scalar, and a tuple becomes a ``Poly`` where a coded result is
-    read (:func:`_lex_coeff`).  ``csub`` and ``cneg`` are not kernel hooks:
+    read (:func:`_lex_coeff`); ``to_json`` writes the tuple through
+    :func:`lie.coeff_json` without one.  ``csub`` and ``cneg`` are not kernel hooks:
     they serve the coded difference of two results.
     """
 

@@ -182,6 +182,12 @@ def _reference_cases():
     yield [[Fraction(0)]]
 
 
+def _first_reference(rows, ncols):
+    """The first canonical kernel vector of the dense reference, or None."""
+    basis = _dense_nullspace(rows, ncols)
+    return basis[0] if basis else None
+
+
 def _all_fractions(vectors):
     return all(type(x) is Fraction for v in vectors for x in v)
 
@@ -195,6 +201,7 @@ def test_matches_dense_reference():
         assert reduced == _dense_rref(m) and _all_fractions(reduced[0])
         kernel = linalg.nullspace(m, cols)
         assert kernel == _dense_nullspace(m, cols) and _all_fractions(kernel)
+        assert linalg.first_null_vector(m, cols) == _first_reference(m, cols)
         assert linalg.rank(m) == len(_dense_rref(m)[1])
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
         consistent = [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in m]
@@ -214,13 +221,19 @@ def test_shape_mismatches_are_rejected():
         linalg.solve(rows, [Fraction(1), Fraction(2)])  # one right-hand side short
     with pytest.raises(ValueError):
         linalg.nullspace([[Fraction(1), Fraction(1), Fraction(1)]], 2)
+    with pytest.raises(ValueError):
+        linalg.first_null_vector([[Fraction(1), Fraction(1), Fraction(1)]], 2)
     # the short row arrives after full rank, where elimination could stop
     ragged = rows + [[Fraction(1)]]
+    # and here after the first dependent row, where elimination does stop
+    ragged_after_dependent = [[1, 2], [2, 4], [3, 6], [1]]
     for call in (
         lambda: linalg.rref(ragged),
         lambda: linalg.rank(ragged),
         lambda: linalg.nullspace(ragged, 2),
         lambda: linalg.solve(ragged, [Fraction(0)] * 4),
+        lambda: linalg.first_null_vector(ragged, 2),
+        lambda: linalg.first_null_vector(ragged_after_dependent, 2),
     ):
         with pytest.raises(ValueError):
             call()
@@ -235,6 +248,8 @@ def test_non_rational_entries_are_rejected():
         lambda: linalg.rref([[Fraction(1), None], [True, 2]]),
         lambda: linalg.solve([[1, 2]], [0.5]),
         lambda: linalg.nullspace(iter([{0: 1}, {1: 2.0}]), 2),
+        lambda: linalg.first_null_vector([[1, 2], [2, 4], [0.5, 1]], 2),
+        lambda: linalg.first_null_vector([[True, 2]], 2),
     ):
         with pytest.raises(ValueError):
             call()
@@ -250,6 +265,7 @@ def test_a_non_rational_entry_after_ints_is_rejected(bad):
         lambda: linalg.rref([row, [2, 7, 1, 8, 2, 8]]),
         lambda: linalg.rank([row]),
         lambda: linalg.nullspace(iter([{0: 2, 1: 7}, dict(enumerate(row))]), 6),
+        lambda: linalg.first_null_vector([[2, 7, 1, 8, 2, 8], [4, 14, 2, 16, 4, 16], row], 6),
     ):
         with pytest.raises(ValueError, match="is not an int or a Fraction"):
             call()
@@ -395,3 +411,65 @@ def test_annihilation_kernels_match_dense_reference(weight, mu, bound, probe_ind
     kernel = linalg.nullspace(reducibility._annihilation_rows(m, basis, probes), len(basis))
     assert kernel
     assert kernel == _dense_nullspace(_act_matrix(m, basis, probes), len(basis))
+
+
+# -- the first kernel vector alone -------------------------------------------------
+# first_null_vector eliminates rows only until one is dependent and checks
+# the rest with a dot product against a candidate; a row that fails is
+# eliminated and every row still waiting is checked again.
+
+
+def _hankel(seq, nrows, ncols):
+    return [seq[i : i + ncols] for i in range(nrows)]
+
+
+def _first_null_cases():
+    rng = random.Random(13)
+    for trial in range(60):
+        fractions = trial % 2 == 1
+        d = rng.randint(1, 4)
+        f = [_entry(rng, fractions) for _ in range(d)]
+        seq = [_entry(rng, fractions) for _ in range(d)]
+        ncols = d + 1 + rng.randint(0, 3)
+        nrows = rng.randint(1, 3 * ncols)
+        while len(seq) < nrows + ncols - 1:
+            seq.append(-sum(a * x for a, x in zip(f, seq[-d:])))
+        # Hankel rows of a sequence with a recurrence of order d
+        yield _hankel(seq, nrows, ncols), ncols
+        # a zero first row; and the first row again before the rows and after
+        # them: elimination stops at the second row, rows in the middle fail
+        # the first candidate, and the last row passes it
+        yield [[0] * ncols] + _hankel(seq, nrows, ncols), ncols
+        first = _hankel(seq, 1, ncols)
+        yield first + _hankel(seq, nrows, ncols) + first, ncols
+        # the entry at column d of the last row, which no other row reads at
+        # a column <= d: of the rows after the first dependent one, only
+        # the last fails the candidate the earlier rows leave
+        seq[nrows - 1 + d] += 1
+        yield _hankel(seq, nrows, ncols), ncols
+        # fewer rows than columns, and more
+        yield _random_matrix(rng, rng.randint(1, ncols - 1), ncols), ncols
+        yield _low_rank_matrix(rng, 3 * ncols, ncols, rng.randint(0, ncols - 1)), ncols
+    yield [], 0
+    yield [], 1
+    yield [], 4
+    yield [[]], 0
+    yield [[], []], 0
+    yield [[0]], 1
+    yield [[3]], 1
+    yield [[0], [Fraction(1, 2)]], 1
+    yield [[0, 0, 0], [0, 0, 0]], 3
+
+
+def test_first_null_vector_matches_dense_reference():
+    found = missing = 0
+    for rows, ncols in _first_null_cases():
+        v = linalg.first_null_vector(rows, ncols)
+        assert v == _first_reference(rows, ncols)
+        if v is None:
+            missing += 1
+        else:
+            found += 1
+            assert len(v) == ncols and _all_fractions([v])
+    assert found > 150 and missing > 10
+

@@ -12,6 +12,7 @@ from blockalg.polynomial import ONE, Poly, X
 from blockalg.reducibility import (
     DetectorInconsistencyError,
     QuasiVerdict,
+    _label_conditions,
     _label_side_kernel,
     _sub_kernel,
     charpoly_certificate,
@@ -305,6 +306,63 @@ def test_label_detectors_match_per_degree_reference():
             assert _label_side_kernel(hw, max_degree, probes) == _reference_label_kernel(
                 hw, max_degree, probes
             )
+
+
+def test_charpoly_eliminates_probes_only_until_one_is_dependent(monkeypatch):
+    # degree 2 at D = 8, N = 30: two probes make pivots, the third is
+    # dependent, and the 28 probes after it are checked by dot product
+    f = Poly([Fraction(2, 5), Fraction(-1, 3), 1])
+    hw = labels_from_charpoly(f, Fraction(3, 7), [Fraction(1, 2)])
+    eliminate, calls = linalg._eliminate, []
+
+    def counted(*args):
+        calls.append(1)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert charpoly_from_labels(hw, 8, 30) == f
+    assert len(calls) <= 3
+
+
+def _detector_weights():
+    """Seeded zero, explicit and recurrent (d = 1..4) weights, and each
+    recurrent one with the label that the last probe at (D, N) = (8, 30)
+    reads at column d perturbed."""
+    rng = random.Random(23)
+
+    def rat():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    weights = [(HighestWeight.zero(), None)]
+    for d in range(1, 5):
+        for _ in range(3):
+            f = Poly([rat() for _ in range(d)] + [1])
+            cc = rng.choice([Fraction(0), rat()])
+            hw = labels_from_charpoly(f, cc, [rat() for _ in range(d - 1)])
+            weights.append((hw, None))
+            labels = [hw.label(i) for i in range(40)]
+            labels[30 + d - 1] += 1
+            weights.append((HighestWeight.explicit(labels, cc), f))
+        explicit = [rat() for _ in range(rng.randint(0, 12))]
+        weights.append((HighestWeight.explicit(explicit, rat()), None))
+    return weights
+
+
+def test_label_detectors_match_the_full_nullspace():
+    for hw, broken in _detector_weights():
+        for max_degree, horizon in [(8, 30), (4, 14), (6, 20)]:
+            ncols = max_degree + 1
+            found = []
+            for first in (0, 1):
+                kernel = linalg.nullspace(_label_conditions(hw, first, horizon, ncols), ncols)
+                found.append(Poly(kernel[0]) if kernel else None)
+            assert charpoly_from_labels(hw, max_degree, horizon) == found[0]
+            qp = is_quasipolynomial(hw, max_degree, horizon)
+            assert qp.found == (found[1] is not None) and qp.recurrence == found[1]
+            if broken is not None and (max_degree, horizon) == (8, 30):
+                # only the last probe reads the perturbed label at a column
+                # <= d, and it refutes the recurrence the others satisfy
+                assert found[0] != broken and found[1] != broken
 
 
 # -- generating series ----------------------------------------------------------
