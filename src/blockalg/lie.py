@@ -124,8 +124,10 @@ def subtract_terms(out: dict, terms, sub=operator.sub, neg=operator.neg) -> dict
 class SparseCombination:
     """Finite linear combination of hashable keys; zero coefficients pruned.
 
-    The shared arithmetic of :class:`LieElement` and
-    :class:`verma.ModuleVector`.  A subclass names the order its
+    The arithmetic of :class:`LieElement`.  :class:`verma.ModuleVector`
+    shares only the reads of ``_terms`` (:meth:`items`,
+    :meth:`coefficient` and ``str``) and does its arithmetic on its one
+    coded form.  A subclass names the order its
     :meth:`items` are listed in through ``_sort_key``.  Only objects of
     the same class compare equal.
     """
@@ -305,7 +307,7 @@ def coeff_json(c: Coeff) -> str:
     """JSON form of a coefficient: ``"p/q"``, or a Q[w] polynomial over lex-z2.
 
     A Q[w] coefficient is a ``Poly`` or its trimmed coefficient tuple, as
-    a coded lex-z2 result keeps it.  A constant one is written ``"p/q"``
+    a lex-z2 module vector keeps it.  A constant one is written ``"p/q"``
     like an equal rational one, so equal vectors serialize alike whatever
     arithmetic made them.
     """
@@ -374,20 +376,6 @@ class BlockAlgebra:
                 out = out + self.bracket_basis(sa, sb).scaled(ca * cb)
         return out
 
-    def weight_of(self, e: LieElement):
-        """The common grading weight, or None when mixed or zero.
-
-        The central symbol counts as weight zero.
-        """
-        weight = None
-        for sym, _ in e.items():
-            w = self.group.zero() if isinstance(sym, Central) else sym.alpha
-            if weight is None:
-                weight = w
-            elif weight != w:
-                return None
-        return weight
-
     # -- polynomial realization (integers instance only) ----------------
 
     def _require_integer_instance(self):
@@ -405,21 +393,6 @@ class BlockAlgebra:
             if c:
                 terms[Generator(form.alpha, n - 1)] = c
         return LieElement(terms)
-
-    def to_poly(self, e: LieElement) -> List[PolyForm]:
-        """Group the terms of ``e`` by weight; rejects central terms."""
-        self._require_integer_instance()
-        buckets = {}
-        for sym, coeff in e.items():
-            if isinstance(sym, Central):
-                raise ValueError("the central symbol has no polynomial image")
-            buckets.setdefault(sym.alpha, {})[sym.index + 1] = coeff
-        out = []
-        for alpha in sorted(buckets):
-            d = buckets[alpha]
-            coeffs = [d.get(n, Fraction(0)) for n in range(max(d) + 1)]
-            out.append(PolyForm(alpha, Poly(coeffs)))
-        return out
 
     def realization_bracket(self, p1: PolyForm, p2: PolyForm) -> LieElement:
         """Bracket evaluated in the polynomial realization.

@@ -13,10 +13,9 @@ positive-weight generators annihilate ``v``.
 
 Coefficients are exact and come in three representations that compare
 and hash alike: a Python ``int``, a ``Fraction`` and a ``Poly`` in the
-formal unit ``w`` over the lex-z2 instance.  An integer or dyadic
-output of :meth:`VermaModule.act`, by a generator or the central symbol,
-and of sums and rational multiples of such outputs, is an ``int``
-exactly when its value is integral.  The JSON form ``"p/q"`` is the same for ``3``,
+formal unit ``w`` over the lex-z2 instance.  An integer or dyadic vector
+with parts reads a coefficient as an ``int`` exactly when its value is
+integral.  The JSON form ``"p/q"`` is the same for ``3``,
 ``Fraction(3)`` and the constant ``Poly`` 3; the printed form is not
 (``3*v`` against ``(3)*v``), so a lex-z2 coefficient stays a rational
 until w-arithmetic touches it, and is a ``Poly`` from then on, even
@@ -27,9 +26,9 @@ stack loop in :meth:`VermaModule._straighten`, the setup of a run that
 puts integer and dyadic parts on one ``int`` kernel in
 :meth:`VermaModule._run`, the code table of a dyadic module in
 :class:`_DyadicCodes`, the Q[w] coefficients of the kernel in
-:class:`_LexPairs`, the coded form in which the result of an action
-stays until it is read in :class:`ModuleVector`, and the enumeration of
-a weight space in :meth:`VermaModule.weight_basis`.
+:class:`_LexPairs`, the one coded form of every vector, read term by
+term only when printed or listed, in :class:`ModuleVector`, and the
+enumeration of a weight space in :meth:`VermaModule.weight_basis`.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .groups import DyadicGroup, IntegerGroup, LexPairGroup, OrderedGroup
@@ -125,93 +125,73 @@ def normal_word(factors: Iterable[Factor], group: OrderedGroup) -> PBWMonomial:
 
 
 class ModuleVector(SparseCombination):
-    """Exact linear combination of PBW monomials.
+    """Exact linear combination of PBW monomials, in one coded form.
 
-    A vector built from words holds its terms, word to coefficient.  A
-    result of :meth:`VermaModule.act` holds the kernel's output instead,
-    its coded form, and builds its terms only when they are first read:
-    ``_terms`` is unset until then, and :meth:`__getattr__` decodes it.
+    ``_raw`` maps raw words to nonzero coefficients, ``_words`` is their
+    coding and ``_scale`` the scale of their parts.  A vector built from
+    words is encoded once (:func:`_encode`); a result of
+    :meth:`VermaModule.act` is the kernel's output as it stands.  Only
+    ``str``, :meth:`items`, :meth:`monomials` and :meth:`coefficient`
+    read terms, from ``_terms``: the terms as given for a vector built
+    from words, else decoded by :meth:`__getattr__` on the first read.
 
-    The coded form is ``_raw``, a dict from raw output words to nonzero
-    coefficients, and ``_words``, the coding of those words: the module's
-    :class:`_DyadicCodes` table over the dyadic instance, else
-    :data:`_INTEGER_WORDS` or :data:`_LEX_WORDS`, where a raw word is its
-    own factor tuple.  Over lex-z2 ``_divisor`` is ``None`` and a
-    coefficient is the action's own, a rational or a Q[w] tuple of
-    :class:`_LexPairs`.  Over the integers and dyadics a coefficient is
-    an ``int`` numerator, and ``_divisor = (d, e)`` makes ``d * S**(e -
-    n)`` the divisor of every word of length ``n``, where ``S`` is the
-    coding's scale (1 over the integers) and ``e`` is at least the
-    longest word.  A run's per-length divisors have that form
-    (:meth:`VermaModule._run`), and a run reads a coded input of its own
-    coding as it stands.
+    In the lex-z2 shape ``_divisor`` is ``None``, a raw word is its factor
+    tuple and a coefficient is exact: a rational or a Q[w] tuple of
+    :class:`_LexPairs`.  A vector built with no parts, such as the vacuum,
+    takes it too and keeps its coefficient as given.  In the int shape a
+    raw word holds ``int`` part codes ``x * _scale`` and a coefficient is
+    an ``int`` numerator: ``_divisor = (d, e)`` makes ``d * _scale**(e -
+    n)`` the divisor of a word of length ``n``, as a run leaves it
+    (:meth:`VermaModule._run`), and a coefficient reads as an ``int``
+    exactly when its value is integral.  A dyadic coding is named by its
+    scale, a power of two; ``_words`` is only the :class:`_DyadicCodes`
+    cache that decodes and writes words.
 
-    ``+`` and ``-`` of two vectors of one coding work on the coded form.
-    They bring both divisors to their lcm at every length, which has the
-    same form: ``lcm(d1*S**(e1 - n), d2*S**(e2 - n))`` is
-    ``lcm(d1*S**e1, d2*S**e2) / S**n``, so each side's numerators are
-    multiplied by one ``int``; ``-`` then subtracts the other side's
-    terms in one pass (:func:`lie.subtract_terms`), with no negated
-    copy.  :meth:`scaled` by a rational ``p/q`` multiplies the numerators
-    by ``p`` and ``d`` by ``q``.  Over lex-z2 it multiplies each
-    coefficient, by a rational or by a Q[w] ``Poly`` of degree at most 1,
-    which is what a bracket's coefficients are, so
-    :meth:`VermaModule.act_element` stays coded in all three groups.
-    ``==`` between two vectors of one coding is true exactly when their
-    coded difference is empty.
-
-    The other reads of the coded form are ``len``, ``bool``,
-    :meth:`is_zero`, :meth:`weight`, which sums the parts of each raw
-    word, :meth:`to_json` and ``hash``.  :meth:`to_json` writes the raw
-    words in the decoded order, each part through the coding, and an
-    integer or dyadic coefficient as its numerator and divisor over their
-    gcd.  ``hash`` reads each word's indices and its coefficient's value,
-    which a vector of any coding, or built from words, gives alike.  ``str``, :meth:`items`, :meth:`monomials` and
-    :meth:`coefficient` decode.  So does any arithmetic with another
-    operand, which takes the path of :class:`lie.SparseCombination`: a
-    vector built from words, a result from a code table that a finer one
-    has replaced, a result over another group, or a Lie element.
+    Two vectors combine at the finer scale, to which :meth:`_as` re-codes
+    the other.  ``+`` and ``-`` bring both divisors to their lcm at every
+    length, ``lcm(d1*S**e1, d2*S**e2) / S**n``, so each side's numerators
+    are multiplied by one ``int``, and ``-`` subtracts in one pass
+    (:func:`lie.subtract_terms`); ``==`` is true exactly when that
+    difference is empty.  :meth:`scaled` by ``p/q`` multiplies the
+    numerators by ``p`` and ``d`` by ``q``.  :meth:`weight` sums the parts
+    of each raw word, :meth:`to_json` writes the raw words in the decoded
+    order, and ``hash`` reads each word's indices and its coefficient's
+    value, which every coding gives alike.
     """
 
-    __slots__ = ("_raw", "_words", "_divisor")
+    __slots__ = ("_raw", "_words", "_scale", "_divisor")
 
     _sort_key = staticmethod(PBWMonomial.sort_key)
 
     def __init__(self, terms=None):
-        super().__init__(terms)
-        self._raw = None
+        coded = _encode(dict(terms) if terms else {})
+        self._terms, self._raw, self._words, self._scale, self._divisor = coded
 
     @classmethod
-    def _of_nonzero(cls, terms: dict) -> "ModuleVector":
+    def _of_coded(cls, raw: dict, words, scale: int, divisor: Optional[Tuple[int, int]]):
         res = cls.__new__(cls)
-        res._terms, res._raw = terms, None
-        return res
-
-    @classmethod
-    def _of_coded(cls, raw: dict, words, divisor: Optional[Tuple[int, int]]) -> "ModuleVector":
-        res = cls.__new__(cls)
-        res._raw, res._words, res._divisor = raw, words, divisor
+        res._raw, res._words, res._scale, res._divisor = raw, words, scale, divisor
         return res
 
     def __getattr__(self, name):
-        # reached only for an unset slot: the terms of a coded vector, which
-        # are built here alone, each word once through the coding
+        # reached only for an unset slot: the terms of a result, built here
+        # on the first read, each word once through the coding
         if name != "_terms":
             raise AttributeError(name)
         decode, raw = self._words.decode, self._raw
+        k = self._words.scale // self._scale  # the cache may code at a finer scale
         if self._divisor is None:
             terms = {decode(w): _lex_coeff(c) for w, c in raw.items()}
         else:
             divisor = self._divisors()
-            terms = {decode(w): _quotient(c, divisor[len(w)]) for w, c in raw.items()}
+            terms = {decode(_recoded(w, k)): _quotient(c, divisor[len(w)]) for w, c in raw.items()}
         self._terms = terms
         return terms
 
     def _divisors(self) -> List[int]:
-        """The divisor of a coded integer or dyadic word, by its length."""
+        """The divisor of an int-shape word, by its length."""
         d, e = self._divisor
-        scale = self._words.scale
-        return [d * scale ** (e - n) for n in range(e + 1)]
+        return [d * self._scale ** (e - n) for n in range(e + 1)]
 
     @classmethod
     def of(cls, mono: PBWMonomial, coeff: Coeff = Fraction(1)) -> "ModuleVector":
@@ -221,36 +201,64 @@ class ModuleVector(SparseCombination):
         return [m for m, _ in self.items()]
 
     def __bool__(self) -> bool:
-        return bool(self._terms if self._raw is None else self._raw)
+        return bool(self._raw)
 
     def __len__(self) -> int:
-        return len(self._terms if self._raw is None else self._raw)
+        return len(self._raw)
 
     def is_zero(self) -> bool:
         return not self
 
-    def _shares_coding(self, other) -> bool:
-        return (
-            isinstance(other, ModuleVector)
-            and self._raw is not None
-            and other._raw is not None
-            and self._words is other._words
-        )
+    def _as(self, words, scale: int) -> "ModuleVector":
+        """This vector coded by ``words`` at ``scale``, or ``TypeError``.
+
+        From a coarser scale, for ``k = scale / _scale`` each part code is
+        multiplied by ``k`` and, under the same divisor, the numerator of a
+        word of length ``n`` by ``k**(e - n)``.  A vector built with no
+        parts and a rational coefficient takes the int shape.
+        """
+        raw, divisor = self._raw, self._divisor
+        if (divisor is None) != (words is _LEX_WORDS):
+            c = raw.get(())
+            if divisor is not None or raw.keys() - {()} or type(c) is tuple:
+                raise TypeError("module vectors of different groups do not combine")
+            raw, divisor = ({}, (1, 0)) if c is None else ({(): c.numerator}, (c.denominator, 0))
+            return self._of_coded(raw, words, scale, divisor)
+        if self._scale == scale:
+            return self
+        k, finer = divmod(scale, self._scale)
+        if finer:
+            raise TypeError("module vectors of different groups do not combine")
+        d, e = divisor
+        power = [k ** (e - n) for n in range(e + 1)]
+        raw = {_recoded(w, k): c * power[len(w)] for w, c in raw.items()}
+        return self._of_coded(raw, words, scale, divisor)
+
+    def _aligned(self, other):
+        """``self`` and ``other`` in one coding, then that coding and its scale:
+        the finer scale's, and at one scale the int shape's."""
+        if not isinstance(other, ModuleVector):
+            raise TypeError(f"a module vector does not combine with {type(other).__name__}")
+        if self._scale == other._scale and (self._divisor is None) == (other._divisor is None):
+            return self, other, self._words, self._scale
+        fine = max(self, other, key=lambda v: (v._scale, v._divisor is not None))
+        words, scale = fine._words, fine._scale
+        return self._as(words, scale), other._as(words, scale), words, scale
 
     def __eq__(self, other) -> bool:
-        if self._shares_coding(other):
-            # equal vectors of one coding hold the same raw words
-            return self._raw.keys() == other._raw.keys() and not self._coded_sum(other, True)
-        return SparseCombination.__eq__(self, other)
+        try:
+            a, b, words, scale = self._aligned(other)
+        except TypeError:  # another group, or not a module vector
+            return False
+        # equal vectors in one coding hold the same raw words
+        return a._raw.keys() == b._raw.keys() and not _coded_sum(a, b, words, scale, True)
 
     def __hash__(self) -> int:
         # each word's index sequence with its coefficient, read without
         # building the word: every coding gives the same, so equal vectors
         # hash alike
         raw = self._raw
-        if raw is None:
-            terms = [(m.factors, c) for m, c in self._terms.items()]
-        elif self._divisor is None:
+        if self._divisor is None:
             terms = [(w, _lex_coeff(c)) for w, c in raw.items()]
         else:
             divisor = self._divisors()
@@ -258,121 +266,64 @@ class ModuleVector(SparseCombination):
         return hash(frozenset([(tuple([i for _, i in w]), c) for w, c in terms]))
 
     def __add__(self, other):
-        return self._combined(other, False)
+        return _coded_sum(*self._aligned(other), False)
 
     def __sub__(self, other):
-        return self._combined(other, True)
-
-    def _combined(self, other, negate: bool):
-        if self._shares_coding(other):
-            return self._coded_sum(other, negate)
-        if isinstance(other, ModuleVector):
-            if not self:
-                return -other if negate else other
-            if not other:
-                return self
-        if negate:
-            return SparseCombination.__sub__(self, other)
-        return SparseCombination.__add__(self, other)
-
-    def _coded_sum(self, other: "ModuleVector", negate: bool) -> "ModuleVector":
-        terms = other._raw.items()
-        if self._divisor is None:
-            out, ar, divisor = dict(self._raw), _LEX_PAIRS, None
-        else:
-            scale = self._words.scale
-            (d1, e1), (d2, e2) = self._divisor, other._divisor
-            x, y = d1 * scale**e1, d2 * scale**e2
-            lcm, e = math.lcm(x, y), max(e1, e2)
-            mx, my = lcm // x, lcm // y
-            out = dict(self._raw) if mx == 1 else {w: c * mx for w, c in self._raw.items()}
-            if my != 1:
-                terms = [(w, c * my) for w, c in terms]
-            ar, divisor = _INT_PARTS, (lcm // scale**e, e)
-        if negate:
-            out = subtract_terms(out, terms, ar.csub, ar.cneg)
-        else:
-            out = merge_terms(out, terms, ar.cadd)
-        return self._of_coded(out, self._words, divisor)
+        return _coded_sum(*self._aligned(other), True)
 
     def scaled(self, scalar):
-        raw = self._raw
-        if raw is None:
-            return super().scaled(scalar)
-        kind, lex = type(scalar), self._divisor is None
-        if not (kind in (int, Fraction) or (lex and kind is Poly and len(scalar.coeffs) <= 2)):
-            return super().scaled(scalar)
+        """This vector times ``scalar``: an ``int``, a ``Fraction`` or, over
+        lex-z2, a Q[w] ``Poly``; anything else raises ``ValueError``."""
+        raw, lex = self._raw, self._divisor is None
+        scalar = _exact(scalar, lex)
         if not scalar:
             return type(self)()
         if lex:
-            if kind is Poly:
-                mul, c = _LEX_PAIRS.mul, scalar.coeffs
-                raw = {w: mul(c, a) for w, a in raw.items()}
-            else:
-                smul = _LEX_PAIRS.smul
-                raw = {w: smul(scalar, c) for w, c in raw.items()}
-            return self._of_coded(raw, self._words, None)
+            mul = _LEX_PAIRS.smul
+            if type(scalar) is Poly:
+                scalar, mul = scalar.coeffs, _LEX_PAIRS.tmul
+            return self._of_coded({w: mul(scalar, c) for w, c in raw.items()}, _LEX_WORDS, 1, None)
         p, (d, e) = scalar.numerator, self._divisor
         if p != 1:
             raw = {w: c * p for w, c in raw.items()}
-        return self._of_coded(raw, self._words, (d * scalar.denominator, e))
+        return self._of_coded(raw, self._words, self._scale, (d * scalar.denominator, e))
 
     def weight(self, group: OrderedGroup):
         """Common weight of all monomials, or None when mixed or zero."""
-        if self._raw is not None:
-            # minus the sum of each raw word's parts: lex pairs, or int codes
-            weights = set()
-            if self._divisor is None:
-                for word in self._raw:
-                    a = b = 0
-                    for (x, y), _ in word:
-                        a -= x
-                        b -= y
-                    weights.add((a, b))
-            else:
-                for word in self._raw:
-                    s = 0
-                    for p, _ in word:
-                        s -= p
-                    weights.add(s)
-            if len(weights) != 1:
-                return None
-            (w,) = weights
-            return Fraction(w, self._words.scale) if isinstance(group, DyadicGroup) else w
-        w = None
-        for mono in self._terms:
-            s = group.zero()
-            for p, _ in mono.factors:
-                s = group.add(s, p)
-            mw = group.neg(s)
-            if w is None:
-                w = mw
-            elif w != mw:
-                return None
-        return w
+        # minus the sum of each raw word's parts: lex pairs, or int codes
+        weights = set()
+        if isinstance(group, LexPairGroup):
+            for word in self._raw:
+                a = b = 0
+                for (x, y), _ in word:
+                    a -= x
+                    b -= y
+                weights.add((a, b))
+        else:
+            for word in self._raw:
+                s = 0
+                for p, _ in word:
+                    s -= p
+                weights.add(s)
+        if len(weights) != 1:
+            return None
+        (w,) = weights
+        return Fraction(w, self._scale) if isinstance(group, DyadicGroup) else w
 
     def to_json(self, group: OrderedGroup) -> dict:
         weight = self.weight(group)
-        if self._raw is None:
-            terms = [
-                {
-                    "factors": [[element_json(p), i] for p, i in mono.factors],
-                    "coeff": coeff_json(c),
-                }
-                for mono, c in self.items()
-            ]
+        # raw words in the decoded order, with no word or coefficient built
+        raw = self._raw
+        words = sorted(raw, key=_raw_key)
+        if self._divisor is None:
+            coeffs = [coeff_json(raw[w]) for w in words]
         else:
-            # raw words in the decoded order, with no word or coefficient built
-            raw, word_json = self._raw, self._words.word_json
-            words = sorted(raw, key=_raw_key)
-            if self._divisor is None:
-                coeffs = [coeff_json(raw[w]) for w in words]
-            else:
-                divisor = self._divisors()
-                coeffs = [_quotient_json(raw[w], divisor[len(w)]) for w in words]
-            terms = [
-                {"factors": word_json(w), "coeff": c} for w, c in zip(words, coeffs)
-            ]
+            divisor = self._divisors()
+            coeffs = [_quotient_json(raw[w], divisor[len(w)]) for w in words]
+        word_json, k = self._words.word_json, self._words.scale // self._scale
+        if k != 1:  # the cache codes at a finer scale
+            words = [_recoded(w, k) for w in words]
+        terms = [{"factors": word_json(w), "coeff": c} for w, c in zip(words, coeffs)]
         return {"weight": None if weight is None else element_json(weight), "terms": terms}
 
     @classmethod
@@ -404,6 +355,64 @@ class ModuleVector(SparseCombination):
         if weight is not None and element_from_json(weight, group) != vec.weight(group):
             raise ValueError(f"stated weight {weight!r} is not the weight of the words")
         return vec
+
+
+def _encode(terms: dict):
+    """``terms`` without zeros, then their coded form ``raw, words, scale, divisor``.
+
+    Integer pairs, or no parts at all, take the lex-z2 shape; ``int`` parts
+    the integer coding and dyadic ones a code table of their own at the
+    lcm of their denominators, in the int shape.  A coefficient is checked
+    by :func:`_exact`.
+    """
+    part = next((m.factors[0][0] for m in terms if m.factors), None)
+    lex = part is None or type(part) is tuple
+    terms = {m: c for m, c in terms.items() if _exact(c, lex)}
+    items = terms.items()
+    if lex or not terms:
+        raw = {m.factors: (c.coeffs if type(c) is Poly else c) for m, c in items}
+        return terms, raw, _LEX_WORDS, 1, None
+    parts = [p for m in terms for p, _ in m.factors]
+    if all(type(p) is int for p in parts):
+        words, scale = _INTEGER_WORDS, 1
+    else:
+        scale = math.lcm(*[p.denominator for p in parts])
+        words = _DyadicCodes(scale)
+    den = math.lcm(*[c.denominator for _, c in items])
+    e = max(len(m.factors) for m, _ in items)
+    raw = {
+        words.encode(m): c.numerator * (den // c.denominator) * scale ** (e - len(m.factors))
+        for m, c in items
+    }
+    return terms, raw, words, scale, (den, e)
+
+
+def _exact(c, lex: bool):
+    """``c`` if it is an ``int``, a ``Fraction`` or, in the lex-z2 shape, a
+    ``Poly``; else :func:`polynomial.exact_fraction` of it."""
+    kind = type(c)
+    return c if kind is int or kind is Fraction or (lex and kind is Poly) else exact_fraction(c)
+
+
+def _coded_sum(a: ModuleVector, b: ModuleVector, words, scale: int, negate: bool) -> ModuleVector:
+    """``a + b`` or ``a - b`` of two vectors coded by ``words`` at ``scale``."""
+    terms = b._raw.items()
+    if a._divisor is None:
+        out, ar, divisor = dict(a._raw), _LEX_PAIRS, None
+    else:
+        (d1, e1), (d2, e2) = a._divisor, b._divisor
+        x, y = d1 * scale**e1, d2 * scale**e2
+        lcm, e = math.lcm(x, y), max(e1, e2)
+        mx, my = lcm // x, lcm // y
+        out = dict(a._raw) if mx == 1 else {w: c * mx for w, c in a._raw.items()}
+        if my != 1:
+            terms = [(w, c * my) for w, c in terms]
+        ar, divisor = _INT_PARTS, (lcm // scale**e, e)
+    if negate:
+        out = subtract_terms(out, terms, ar.csub, ar.cneg)
+    else:
+        out = merge_terms(out, terms, ar.cadd)
+    return ModuleVector._of_coded(out, words, scale, divisor)
 
 
 # -- highest weight functionals -----------------------------------------
@@ -577,8 +586,9 @@ class VermaModule:
 
     Over the dyadic instance the module holds the code table of its words
     (:class:`_DyadicCodes`).  The table lives and dies with the module:
-    it grows with every new word an action meets and is freed only with
-    the module, so a long-lived module keeps each word it has seen.
+    it grows with every new word an action meets, its scale only grows,
+    and it is freed only with the module, so a long-lived module keeps
+    each word it has seen.
     """
 
     def __init__(self, algebra: BlockAlgebra, weight: HighestWeight, step_budget: int = 5_000_000):
@@ -601,14 +611,6 @@ class VermaModule:
     def vector(self, factors: Iterable[Factor]) -> ModuleVector:
         return ModuleVector.of(self.monomial(factors))
 
-    def zero_mode(self, sym: BasisSymbol) -> Fraction:
-        """Value of the weight functional on a weight-zero symbol."""
-        if isinstance(sym, Central):
-            return self.hw.central_charge
-        if sym.alpha != self.group.zero():
-            raise ValueError("zero-mode action needs a weight-zero symbol")
-        return self.hw.label(sym.index + 1)
-
     # -- straightening ---------------------------------------------------
 
     def act(self, sym: BasisSymbol, vec: ModuleVector) -> ModuleVector:
@@ -616,26 +618,17 @@ class VermaModule:
 
         The result holds the kernel's output in the coded form of
         :class:`ModuleVector`: its words and coefficients are built when
-        first read term by term, and a sum, a difference, a rational
-        multiple (over lex-z2 also a Q[w] one of degree at most 1) or a
-        further action of results of one coding works on the coded form.
-        Read, an integer or dyadic coefficient is an ``int`` exactly when
-        it is integral.  The central symbol acts as the central charge,
-        through :meth:`ModuleVector.scaled`.
+        first read term by term.  Read, an integer or dyadic coefficient
+        is an ``int`` exactly when it is integral.  The central symbol
+        acts as the central charge, through :meth:`ModuleVector.scaled`.
 
         Raises :class:`StraighteningLimitError` when the step budget runs
         out; the budget is the only cap on the length of a word.
         """
         if isinstance(sym, Central):
-            out = vec.scaled(self.hw.central_charge)
-            if out._raw is None and not isinstance(self.group, LexPairGroup):
-                # integral values read as ints, as a coded result's do
-                out = ModuleVector._of_nonzero(
-                    {w: _quotient(c.numerator, c.denominator) for w, c in out._terms.items()}
-                )
-            return out
-        (raw,), words, divisor = self._run(sym, [vec])
-        return ModuleVector._of_coded(raw, words, divisor)
+            return vec.scaled(self.hw.central_charge)
+        (raw,), words, scale, divisor = self._run(sym, [vec])
+        return ModuleVector._of_coded(raw, words, scale, divisor)
 
     def action_rows(
         self, probe: Generator, basis: Sequence[PBWMonomial]
@@ -659,7 +652,7 @@ class VermaModule:
         """
         if isinstance(probe, Central):
             raise ValueError("action rows need a generator, not the central symbol")
-        cols, _, divisor = self._run(probe, basis)
+        cols, _, _, divisor = self._run(probe, basis)
         rows: Dict[Tuple[Factor, ...], Dict[int, Coeff]] = {}
         for j, words in enumerate(cols):
             for w, c in words.items():
@@ -677,13 +670,13 @@ class VermaModule:
 
         An input is a vector, or a word that stands for itself with
         coefficient 1.  Returns one dict per input, from raw output words
-        to their nonzero coefficients, the coding of those words and the
-        run's divisor, in the terms of the coded form of
-        :class:`ModuleVector`.  Each input is straightened in full before the next starts and
-        spends its own step budget.  A vector coded in the run's own coding
-        enters as it stands: its words are not decoded and its
-        coefficients not cleared again.  Any other input enters through
-        its terms.
+        to their nonzero coefficients, the coding of those words, its
+        scale and the run's divisor, in the terms of the coded form of
+        :class:`ModuleVector`.  Each input is straightened in full before
+        the next starts and spends its own step budget.  A vector enters
+        in its coded form, re-coded first if its dyadic scale is coarser
+        than the run's (:meth:`ModuleVector._as`): no word is decoded and
+        no coefficient cleared again.
 
         Integer and dyadic parts share one integer kernel, because the
         dyadic algebra is the integer one rescaled: for a scale ``S`` that
@@ -691,8 +684,8 @@ class VermaModule:
         map it into the integer algebra, and the module of weight ``(cc,
         labels)`` goes to the integer module of weight ``(S*cc,
         S*labels)``, a word of length ``k`` to ``S^-k`` times its image.
-        So a dyadic part ``x`` runs as the ``int`` code ``x*S`` of the
-        module's table (``S > 0`` keeps the order), every structure
+        So a dyadic part ``x`` runs as the ``int`` code ``x*S`` at the scale
+        of the module's table (``S > 0`` keeps the order), every structure
         constant is an ``int``, and the weight data enters scaled (see
         :meth:`_straighten`).  An output word of length ``n`` then carries
         ``S^(n - len_in - 1)``.  Integer runs have ``S = 1``.
@@ -700,12 +693,12 @@ class VermaModule:
         Such a run stays in ``int``.  An input word of length ``len_in``
         enters as the ``int`` ``c*den*lam*S^(top - len_in)``: ``top``
         bounds the input word lengths and ``den`` is a common denominator
-        of the input coefficients, both over the whole run.  A coded input
-        of divisor ``(d, e)`` already holds ``c*d*S^(e - len_in)``, so it
-        brings ``d`` to ``den`` and ``e`` to ``top`` and enters times one
-        factor.  ``lam`` is the lcm of the central charge's denominator and
-        the denominators of labels ``0..sym.index + 1 + reach``, or 1 when
-        no input word can reach a label or the central charge
+        of the input coefficients, both over the whole run.  An input of
+        divisor ``(d, e)`` holds ``c*d*S^(e - len_in)``, so it brings ``d``
+        to ``den`` and ``e`` to ``top`` and enters times one factor.
+        ``lam`` is the lcm of the central charge's denominator and the
+        denominators of labels ``0..sym.index + 1 + reach``, or 1 when no
+        input word can reach a label or the central charge
         (:func:`_label_reach`), such as under a generator of negative
         weight.  A zero mode meets no central term and no other label (its
         bracket terms only insert), so its ``lam`` is that of ``label(index
@@ -721,52 +714,38 @@ class VermaModule:
         outs: List[Dict[Tuple[Factor, ...], Coeff]] = []
         seeds = []
         if isinstance(g, LexPairGroup):
-            # a Q[w] coefficient runs as its coefficient tuple
             for x in inputs:
                 if type(x) is PBWMonomial:
                     terms = ((x.factors, 1),)
-                elif x._raw is not None and x._words is _LEX_WORDS:
-                    terms = x._raw.items()
                 else:
-                    terms = [(mono.factors, c) for mono, c in x._terms.items()]
+                    terms = x._as(_LEX_WORDS, 1)._raw.items()
                 dest, tasks = {}, []
                 for factors, c in terms:
-                    if type(c) is Poly:
-                        c = c.coeffs
-                    elif type(c) is Fraction and c.denominator == 1:
+                    if type(c) is Fraction and c.denominator == 1:
                         c = c.numerator  # integral: straighten in int arithmetic
                     tasks.append((_APPLY, alpha, idx, (), factors, c, dest))
                 outs.append(dest)
                 seeds.append(tasks)
             self._straighten(seeds, _LEX_PAIRS, 1)
-            return outs, _LEX_WORDS, None
+            return outs, _LEX_WORDS, 1, None
         # Integer and dyadic words run on the integer kernel, a dyadic word
         # coded at the scale of the module's table.
         if isinstance(g, DyadicGroup):
             words = self._dyadic_codes(alpha, inputs)
-            scale, alpha, encode = words.scale, words.code(alpha), words.encode
+            scale, alpha = words.scale, words.code(alpha)
         else:
-            words, scale, encode = _INTEGER_WORDS, 1, None
+            words, scale = _INTEGER_WORDS, 1
         top, den, reach, sources = 0, 1, -1, []
         for x in inputs:
             if type(x) is PBWMonomial:  # a word times 1: divisor 1 at its length
-                factors = x.factors if encode is None else encode(x)
+                factors = words.encode(x)
                 terms, d, e = ((factors, 1),), 1, len(factors)
-            elif x._raw is not None and x._words is words:
-                terms, (d, e) = x._raw.items(), x._divisor
             else:
-                terms, d, e = [], None, None
-                for mono, c in x._terms.items():
-                    factors = mono.factors if encode is None else encode(mono)
-                    terms.append((factors, c))
-                    if len(factors) > top:
-                        top = len(factors)
-                    if type(c) is not int:
-                        den = math.lcm(den, c.denominator)
-            if d is not None:
-                den = math.lcm(den, d)
-                if e > top:
-                    top = e
+                x = x._as(words, scale)
+                terms, (d, e) = x._raw.items(), x._divisor
+            den = math.lcm(den, d)
+            if e > top:
+                top = e
             if alpha >= 0:  # a negative generator only inserts
                 for factors, _ in terms:
                     r = _label_reach(alpha, factors)
@@ -782,24 +761,18 @@ class VermaModule:
         enter = [lam * scale ** (top - n) for n in range(top + 1)]
         for terms, d, e in sources:
             dest, tasks = {}, []
-            m = None if d is None else enter[e] * (den // d)
+            m = enter[e] * (den // d)
             for factors, c in terms:
-                if m is None:
-                    c = c.numerator * (den // c.denominator) * enter[len(factors)]
-                else:
-                    c *= m
-                tasks.append((_APPLY, alpha, idx, (), factors, c, dest))
+                tasks.append((_APPLY, alpha, idx, (), factors, c * m, dest))
             outs.append(dest)
             seeds.append(tasks)
         self._straighten(seeds, _INT_PARTS, scale)
-        return outs, words, (den * lam, top + 1)
+        return outs, words, scale, (den * lam, top + 1)
 
     def act_element(self, elem: LieElement, vec: ModuleVector) -> ModuleVector:
         """Linear extension of :meth:`act` over a Lie element."""
-        out = ModuleVector.zero()
-        for sym, coeff in elem.items():
-            out = out + self.act(sym, vec).scaled(coeff)
-        return out
+        terms = [self.act(sym, vec).scaled(coeff) for sym, coeff in elem.items()]
+        return reduce(operator.add, terms) if terms else ModuleVector.zero()
 
     def _straighten(self, seeds: list, ar, scale: int) -> None:
         """Run each seed's tasks until the stack is empty; words are plain factor tuples.
@@ -947,27 +920,21 @@ class VermaModule:
                     head += (first,)
 
     def _dyadic_codes(self, alpha: Fraction, inputs) -> _DyadicCodes:
-        """The code table, replaced by a finer one if ``alpha`` or a new word needs it.
+        """The code table, its scale extended if ``alpha`` or an input needs a finer one.
 
-        ``inputs`` are the inputs of a run, as :meth:`_run` takes them.  An
-        input coded at this table holds only words the table has coded.
+        ``inputs`` are the inputs of a run, as :meth:`_run` takes them: a
+        vector brings its own scale, and a word the table has not coded the
+        denominators of its parts.
         """
         table = self._codes
         codes = table.codes
-        scale = math.lcm(
-            table.scale,
-            alpha.denominator,
-            *[
-                p.denominator
-                for x in inputs
-                if type(x) is PBWMonomial or x._raw is None or x._words is not table
-                for mono in ((x,) if type(x) is PBWMonomial else x._terms)
-                if mono not in codes
-                for p, _ in mono.factors
-            ],
-        )
-        if scale != table.scale:
-            table = self._codes = _DyadicCodes(scale)
+        dens = [alpha.denominator]
+        for x in inputs:
+            if type(x) is not PBWMonomial:
+                dens.append(x._scale)
+            elif x not in codes:
+                dens += [p.denominator for p, _ in x.factors]
+        table.extend(math.lcm(table.scale, *dens))
         return table
 
     def _weight_scale(self, n: int) -> int:
@@ -1156,12 +1123,13 @@ class _LexPairs:
     before (see the module docstring), so the ring hooks ``mul``, ``smul``
     and ``cadd`` take either.  In a product the coefficient's entries are
     the left operand, so a ``Fraction`` takes its own method.  ``Poly``
-    appears only at the boundary: :meth:`VermaModule._run` enters a
-    ``Poly`` coefficient as its ``coeffs``, :meth:`ModuleVector.scaled` a
-    ``Poly`` scalar, and a tuple becomes a ``Poly`` where a coded result is
-    read (:func:`_lex_coeff`); ``to_json`` writes the tuple through
-    :func:`lie.coeff_json` without one.  ``csub`` and ``cneg`` are not kernel hooks:
-    they serve the coded difference of two results.
+    appears only at the boundary: a vector built from words holds a
+    ``Poly`` coefficient as its ``coeffs`` (:func:`_encode`),
+    :meth:`ModuleVector.scaled` multiplies by a ``Poly`` scalar's
+    coefficients through :meth:`tmul`, and a tuple becomes a ``Poly``
+    where a vector is read (:func:`_lex_coeff`); ``to_json`` writes the
+    tuple through :func:`lie.coeff_json` without one.  ``tmul``, ``csub``
+    and ``cneg`` are not kernel hooks: they serve the arithmetic of vectors.
     """
 
     __slots__ = ()
@@ -1212,8 +1180,21 @@ class _LexPairs:
         return tuple(out)
 
     @staticmethod
+    def tmul(c, a):
+        """``c*a`` for a nonzero Q[w] tuple ``c`` of any degree; no trim, as in :meth:`mul`."""
+        if len(c) <= 2:
+            return _LexPairs.mul(c, a)
+        if type(a) is not tuple:
+            return tuple([a * x for x in c])
+        out = [0] * (len(a) + len(c) - 1)
+        for j, x in enumerate(c):
+            for i, y in enumerate(a):
+                out[i + j] += y * x
+        return tuple(out)
+
+    @staticmethod
     def smul(x, a):
-        """``x*a`` for a rational ``x``: a label or the central charge."""
+        """``x*a`` for a rational ``x``: a label, the central charge or a scalar."""
         if type(a) is not tuple:
             return x * a
         return tuple([x * y for y in a]) if x else ()
@@ -1283,6 +1264,11 @@ def _label_reach(gamma: int, factors: Tuple[Factor, ...]) -> int:
     return reach if weight >= gamma else -1
 
 
+def _recoded(word: Tuple[Factor, ...], k: int) -> Tuple[Factor, ...]:
+    """A raw dyadic word coded at ``k`` times its scale."""
+    return word if k == 1 else tuple([(p * k, i) for p, i in word])
+
+
 def _raw_key(word: Tuple[Factor, ...]):
     """:meth:`PBWMonomial.sort_key` of a raw word, which a coding keeps."""
     return (len(word), word)
@@ -1308,7 +1294,7 @@ def _quotient_json(c: int, d: int) -> str:
 
 
 class _DyadicCodes:
-    """A dyadic module's words coded at one scale, decoded once per module.
+    """The code, decode and JSON cache of a dyadic module's words.
 
     ``scale`` is a positive multiple of every denominator the table has
     coded, so ``x -> x*scale`` maps those parts to ints and keeps their
@@ -1317,9 +1303,9 @@ class _DyadicCodes:
     ``parts`` a code to its ``Fraction`` and ``texts`` a code to its JSON
     string, so a part is decoded and written once per table.  Integral
     parts are decoded to ``Fraction`` too.  Equal words from two actions
-    are the same object.  A finer denominator needs a new table; this one
-    is never cleared or rescaled, so an action that holds it keeps one
-    consistent scale.
+    are the same object.  The scale only grows: :meth:`extend` re-codes
+    the cache in place, and a vector keeps the scale it was coded at
+    (``ModuleVector._scale``), so the table is not what names its coding.
     """
 
     __slots__ = ("scale", "codes", "words", "parts", "texts")
@@ -1330,6 +1316,17 @@ class _DyadicCodes:
         self.words: Dict[Tuple[Factor, ...], PBWMonomial] = {}
         self.parts: Dict[int, Fraction] = {}
         self.texts: Dict[int, str] = {}
+
+    def extend(self, scale: int) -> None:
+        """Re-code the cache at ``scale``, a multiple of the present scale."""
+        k = scale // self.scale
+        if k == 1:
+            return
+        self.codes = {mono: _recoded(w, k) for mono, w in self.codes.items()}
+        self.words = {_recoded(w, k): mono for w, mono in self.words.items()}
+        self.parts = {p * k: f for p, f in self.parts.items()}
+        self.texts = {p * k: s for p, s in self.texts.items()}
+        self.scale = scale
 
     def code(self, x: Fraction) -> int:
         return x.numerator * (self.scale // x.denominator)
@@ -1372,11 +1369,12 @@ class _PlainWords:
     __slots__ = ("word_json",)
     scale = 1
     decode = staticmethod(_word)
+    encode = staticmethod(operator.attrgetter("factors"))
 
     def __init__(self, word_json):
         self.word_json = word_json
 
 
-# two codings, so that an integer and a lex-z2 result never combine coded
+# the two plain codings: the int shape of integer words, and the lex-z2 shape
 _INTEGER_WORDS = _PlainWords(lambda word: list(map(list, word)))
 _LEX_WORDS = _PlainWords(lambda word: [[[a, b], i] for (a, b), i in word])

@@ -116,18 +116,6 @@ def test_highest_weight_json_accepts_ints_and_ratio_strings():
     assert [hw.label(i) for i in range(4)] == [2, Fraction(1, 3), -5, 0]
 
 
-# -- zero modes --------------------------------------------------------------
-
-
-def test_zero_mode_examples():
-    m = module()
-    assert m.zero_mode(Generator(0, -1)) == 1
-    assert m.zero_mode(Generator(0, 0)) == Fraction(-1, 2)
-    assert m.zero_mode(CENTRAL) == 1
-    with pytest.raises(ValueError):
-        m.zero_mode(Generator(1, 0))
-
-
 # -- the action ---------------------------------------------------------------
 
 
@@ -786,13 +774,13 @@ def test_nested_action_corpus_output_is_pinned():
 
 
 def _from_terms(vec):
-    """``vec`` built again from its terms: its arithmetic takes the decoded path."""
+    """``vec`` decoded and built again from its terms, in a coding of its own."""
     return ModuleVector(dict(vec.items()))
 
 
 def _assert_same_as_rebuilt(vec, group, decoded):
     """``vec`` against its JSON rebuild and against ``decoded``, the same
-    value reached by decoded arithmetic."""
+    value reached by arithmetic on vectors rebuilt from terms."""
     size, nonzero = len(vec), bool(vec)  # read on the coded form
     back = ModuleVector.from_json(vec.to_json(group), group)
     assert vec == back == decoded
@@ -815,8 +803,8 @@ def _assert_same_as_rebuilt(vec, group, decoded):
 @pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
 def test_coded_results_match_their_json_rebuild(group):
     # generator actions, nested ones, and their sums, differences and
-    # rational multiples stay coded; read, each is the vector JSON gives
-    # back and the one decoded arithmetic gives
+    # rational multiples; read, each is the vector JSON gives back and the
+    # one the same arithmetic on vectors rebuilt from terms gives
     rng = random.Random(f"coded-{group.name}")
     m = module(_EXPLICIT, group)
     kinds = set()
@@ -843,15 +831,17 @@ def test_coded_results_match_their_json_rebuild(group):
             (m.act(CENTRAL, ghv), _from_terms(ghv).scaled(_EXPLICIT.central_charge)),
         ]
         if group is LEX_Z2:
-            # Q[w] multiples of degree at most 1, as a bracket's coefficients
-            # are: a constant Poly makes every coefficient a Poly, and a
-            # rational and a constant Poly of one value cancel
+            # Q[w] multiples: a constant Poly makes every coefficient a
+            # Poly, a rational and a constant Poly of one value cancel, and
+            # a quadratic multiple is two linear ones in turn
             linear, one = Poly((Fraction(1, 2), q)), Poly((1,))
+            other = Poly((q, Fraction(-2, 3)))
             cases += [
                 (hv.scaled(linear), _from_terms(hv).scaled(linear)),
                 (lhs.scaled(one), _from_terms(lhs).scaled(one)),
                 (hv - hv.scaled(one), ModuleVector()),
                 (ghv.scaled(one) - hgv, _from_terms(ghv).scaled(one) - _from_terms(hgv)),
+                (ghv.scaled(linear * other), _from_terms(ghv).scaled(linear).scaled(other)),
             ]
         for got, want in cases:
             _assert_same_as_rebuilt(got, group, want)
@@ -859,33 +849,35 @@ def test_coded_results_match_their_json_rebuild(group):
     assert kinds == ({int, Fraction, Poly} if group is LEX_Z2 else {int, Fraction})
 
 
-def test_coded_results_of_a_replaced_code_table_combine_through_their_terms():
-    # a part at 1/8 replaces the module's code table between two results:
-    # they no longer share a coding, so sums and nested actions read the
-    # older one through its terms, and every value stays the same
+def test_coded_results_of_two_scales_combine_recoded(monkeypatch):
+    # a part at 1/8 extends the module's scale from 2 to 8 between two
+    # results: sums and nested actions re-code the older one, decode
+    # nothing, and every value stays the same
     m = module(_EXPLICIT, DYADIC)
     vec = m.vector([(Fraction(1, 2), 0), (Fraction(1), 1)])
     a = m.act(Generator(Fraction(-1, 2), 1), vec)
-    first = m._codes
+    assert m._codes.scale == 2
     b = m.act(Generator(Fraction(-3, 8), 0), vec)
-    assert m._codes is not first and m._codes.scale == 8
-    sym = Generator(Fraction(1, 2), 2)
-    c = m.act(sym, a)
+    assert m._codes.scale == 8
+    sym, q = Generator(Fraction(1, 2), 2), Fraction(-5, 3)
+    with monkeypatch.context() as patched:
+        patched.setattr(ModuleVector, "__getattr__", _no_decode)
+        c = m.act(sym, a)
+        combined = [a + b, b - a.scaled(q), c - m.act(sym, b), c + c.scaled(q)]
     assert c == module(_EXPLICIT, DYADIC).act(sym, _from_terms(a)) == _reference_act(m, sym, a)
-    q = Fraction(-5, 3)
-    for got, want in (
-        (a + b, _from_terms(a) + _from_terms(b)),
-        (b - a.scaled(q), _from_terms(b) - _from_terms(a).scaled(q)),
-        (c - m.act(sym, b), _from_terms(c) - _from_terms(m.act(sym, b))),
-        (c + c.scaled(q), _from_terms(c).scaled(1 + q)),
-    ):
+    for got, want in zip(combined, (
+        _from_terms(a) + _from_terms(b),
+        _from_terms(b) - _from_terms(a).scaled(q),
+        _from_terms(c) - _from_terms(m.act(sym, b)),
+        _from_terms(c).scaled(1 + q),
+    )):
         _assert_same_as_rebuilt(got, DYADIC, want)
 
 
 def _axiom_pairs(m, rng, trials):
     """Pairs of results of seeded (g, h, word) triples: the two sides of the
     module axiom, which are equal, and pairs that differ.  A bracket that
-    vanishes leaves a right side built from no terms, which is not coded."""
+    vanishes leaves the zero vector as the right side."""
     group = m.group
     for _ in range(trials):
         word = sorted(
@@ -904,15 +896,12 @@ def _axiom_pairs(m, rng, trials):
 
 @pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
 def test_coded_equality_agrees_with_the_decoded_comparison(group):
-    # == on two results of one coding reads their coded difference; it must
-    # say what the comparison of their terms says, and equal vectors, coded
-    # or built from terms, hash alike and are one element of a set
+    # == reads the coded difference of two results; it must say what the
+    # comparison of their terms says, and equal vectors, results or built
+    # from terms, hash alike and are one element of a set
     m = module(_EXPLICIT, group)
-    if group is DYADIC:
-        m.act(Generator(Fraction(1, 4), 0), m.vacuum())  # the finest scale of the trials
     seen = set()
     for a, b in _axiom_pairs(m, random.Random(f"coded-eq-{group.name}"), 40):
-        coded = a._shares_coding(b)
         got = a == b
         assert got == (b == a) == (not a != b)
         assert got == (_from_terms(a) == _from_terms(b))
@@ -921,39 +910,43 @@ def test_coded_equality_agrees_with_the_decoded_comparison(group):
             assert len({a, b, _from_terms(a), _from_terms(b)}) == 1
         else:
             assert len({a, b}) == 2
-        seen.add((coded, got, bool(a)))
-    assert seen >= {(True, True, True), (True, False, True)}
+        seen.add((got, bool(a)))
+    assert seen >= {(True, True), (False, True)}
 
 
 def test_coded_lex_difference_matches_the_decoded_one():
     # one word whose coefficient is a rational, a constant or a linear Q[w]
     # tuple on either side: the coded difference cancels equal values of
     # either kind and reads as the decoded difference, printed form included
-    word, other = ((((0, 1), 0),), (((0, 1), 1),))
-    values = [2, Fraction(-1, 2), (2,), (Fraction(-1, 2),), (1, 3), (Fraction(1, 2), 2)]
+    word, other = PBWMonomial((((0, 1), 0),)), PBWMonomial((((0, 1), 1),))
+    values = [2, Fraction(-1, 2), Poly([2]), Poly([Fraction(-1, 2)])]
+    values += [Poly([1, 3]), Poly([Fraction(1, 2), 2])]
     cancelled = 0
     for p in values:
         for c in values:
-            a = ModuleVector._of_coded({word: p, other: 5}, verma._LEX_WORDS, None)
-            b = ModuleVector._of_coded({word: c}, verma._LEX_WORDS, None)
+            a = ModuleVector({word: p, other: 5})
+            b = ModuleVector({word: c})
             got = a - b
             _assert_same_as_rebuilt(got, LEX_Z2, _from_terms(a) - _from_terms(b))
             assert (a == b.scaled(1) + got) and (a - b == -(b - a))
-            cancelled += word not in got._raw
+            cancelled += word not in got.monomials()
     # 2 and -1/2, each as a rational or a constant tuple in either order,
     # and the two linear tuples against themselves
     assert cancelled == 4 + 4 + 2
 
 
-def test_coded_equality_of_a_replaced_code_table_compares_terms():
-    # the two results hold different code tables, so == compares their terms
+def test_coded_equality_across_dyadic_scales(monkeypatch):
+    # one result coded at scale 2 and again at scale 8 once a part at 1/8
+    # has extended the module's scale: == re-codes the coarser one and
+    # decodes neither, and equal vectors hash alike
     m = module(_EXPLICIT, DYADIC)
     vec = m.vector([(Fraction(1, 2), 0), (Fraction(1), 1)])
     sym = Generator(Fraction(-1, 2), 1)
     a = m.act(sym, vec)
     m.act(Generator(Fraction(-3, 8), 0), vec)
     b = m.act(sym, vec)
-    assert a._words is not b._words and a._raw is not None and b._raw is not None
+    assert m._codes.scale == 8
+    monkeypatch.setattr(ModuleVector, "__getattr__", _no_decode)
     assert a == b and b == a and len({a, b}) == 1
     assert a != b.scaled(2) and b.scaled(2) != a
 
@@ -962,31 +955,86 @@ def _no_decode(self, name):
     raise AssertionError(f"decoded {name}")
 
 
+def test_dyadic_module_axiom_decodes_nothing(monkeypatch):
+    # seeded triples with denominators up to 8, so a later action often
+    # extends the module's scale past that of a result it reads; the first
+    # triple is h = L(1,3) on a word with a part 3/2, then g = L(-5/4,-1)
+    rng = random.Random("dyadic-axiom")
+    triples = [(Generator(Fraction(-5, 4), -1), Generator(Fraction(1), 3),
+                [(Fraction(1, 2), 0), (Fraction(3, 2), 1)])]
+    for _ in range(80):
+        g, h = (Generator(DYADIC.random_element(rng, 3), rng.randint(-1, 3)) for _ in range(2))
+        word = sorted((DYADIC.random_positive(rng, 3), rng.randint(-1, 3))
+                      for _ in range(rng.randint(0, 4)))
+        triples.append((g, h, word))
+    sides, recoded = [], 0
+    with monkeypatch.context() as patched:
+        patched.setattr(ModuleVector, "__getattr__", _no_decode)
+        for g, h, word in triples:
+            m = module(_EXPLICIT, DYADIC)
+            vec = m.vector(word)
+            hv = m.act(h, vec)
+            ghv = m.act(g, hv)
+            recoded += hv._scale < m._codes.scale
+            lhs = ghv - m.act(h, m.act(g, vec))
+            rhs = m.act_element(m.algebra.bracket_basis(g, h), vec)
+            assert lhs == rhs and hash(lhs) == hash(rhs)
+            assert lhs.to_json(DYADIC) == rhs.to_json(DYADIC)
+            sides.append((lhs, rhs))
+    assert recoded >= 10 and sum(bool(lhs) for lhs, _ in sides) >= 40
+    for lhs, rhs in sides:
+        _assert_same_as_rebuilt(lhs, DYADIC, _from_terms(rhs))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True], ids=repr)
+def test_vectors_refuse_inexact_coefficients(bad):
+    # a float or a bool coefficient would pass into the coded form and
+    # fail later; it is refused where it enters, in every group
+    for group, word in _ONE_WORD.items():
+        m = module(_EXPLICIT, group)
+        vec = m.vector(word)
+        result = m.act(Generator(group.neg(word[0][0]), 0), vec)
+        for build in (
+            lambda: vec.scaled(bad),
+            lambda: bad * vec,
+            lambda: result.scaled(bad),
+            lambda: m.vacuum().scaled(bad),
+            lambda: ModuleVector({VACUUM: bad}),
+            lambda: ModuleVector({m.monomial(word): bad, VACUUM: 1}),
+        ):
+            with pytest.raises(ValueError, match="not an exact rational"):
+                build()
+    # a Q[w] coefficient is exact over lex-z2 only
+    with pytest.raises(ValueError, match="not an exact rational"):
+        module().vector([(1, 0)]).scaled(Poly([1, 2]))
+    with pytest.raises(ValueError, match="not an exact rational"):
+        ModuleVector({PBWMonomial(((1, 0),)): Poly([1, 2])})
+
+
 @pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
 def test_comparing_results_of_one_coding_decodes_neither_side(group, monkeypatch):
+    # dyadic results of the trials run at scales 1 to 4, so some pairs
+    # meet at two scales
     m = module(_EXPLICIT, group)
-    if group is DYADIC:
-        m.act(Generator(Fraction(1, 4), 0), m.vacuum())  # the finest scale of the trials
     monkeypatch.setattr(ModuleVector, "__getattr__", _no_decode)
     pairs = _axiom_pairs(m, random.Random(f"no-decode-{group.name}"), 20)
-    results = [a == b for a, b in pairs if a._shares_coding(b)]
+    results = [a == b for a, b in pairs]
     assert True in results and False in results
 
 
 @pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
 def test_json_weight_and_hash_of_results_decode_nothing(group, monkeypatch):
     m = module(_EXPLICIT, group)
-    if group is DYADIC:
-        m.act(Generator(Fraction(1, 4), 0), m.vacuum())  # the finest scale of the trials
     rng = random.Random(f"no-decode-reads-{group.name}")
-    vecs = [v for pair in _axiom_pairs(m, rng, 10) for v in pair if v._raw is not None]
-    # the reads of decoded copies, which leave the results themselves coded
+    vecs = [v for pair in _axiom_pairs(m, rng, 10) for v in pair]
+    with monkeypatch.context() as patched:
+        patched.setattr(ModuleVector, "__getattr__", _no_decode)
+        got = [(json.dumps(v.to_json(group)), v.weight(group), hash(v)) for v in vecs]
+    # the same reads of the vectors rebuilt from their decoded terms
     want = [
         (json.dumps(d.to_json(group)), d.weight(group), hash(d))
-        for d in [_from_terms(ModuleVector._of_coded(v._raw, v._words, v._divisor)) for v in vecs]
+        for d in map(_from_terms, vecs)
     ]
-    monkeypatch.setattr(ModuleVector, "__getattr__", _no_decode)
-    got = [(json.dumps(v.to_json(group)), v.weight(group), hash(v)) for v in vecs]
     assert got == want and len(vecs) > 20
 
 
@@ -1013,17 +1061,21 @@ def test_central_action_reads_an_integral_value_as_an_int(group):
 
 @pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
 def test_one_run_reads_coded_and_decoded_inputs_alike(group):
-    # the inputs of one run share its divisor: a coded result, a vector
-    # with denominators and a bare word each come out as their own action
+    # the inputs of one run share its divisor: a result, a vector built
+    # from words with denominators (over the dyadics at a coarser scale
+    # than the run's) and a bare word each come out as their own action
     m = module(_EXPLICIT, group)
     word = m.monomial(_ONE_WORD[group] * 2)
     coded = m.act(Generator(group.neg(word.factors[0][0]), 2), ModuleVector.of(word, Fraction(2, 3)))
-    decoded = ModuleVector({word: Fraction(-5, 7), VACUUM: 1})
-    inputs = [coded, decoded, word]
+    built = ModuleVector({word: Fraction(-5, 7), VACUUM: 1})
+    inputs = [coded, built, word]
     sym = Generator(word.factors[0][0], 1)
-    outs, words, divisor = m._run(sym, inputs)
+    if group is DYADIC:
+        sym = Generator(Fraction(1, 8), 1)  # finer than the scale 2 of the inputs
+    outs, words, scale, divisor = m._run(sym, inputs)
+    assert scale == (8 if group is DYADIC else 1)
     for x, raw in zip(inputs, outs):
-        got = ModuleVector._of_coded(raw, words, divisor)
+        got = ModuleVector._of_coded(raw, words, scale, divisor)
         if type(x) is PBWMonomial:
             x = ModuleVector.of(x, 1)
         assert got and got == m.act(sym, x) == _reference_act(m, sym, x)
@@ -1057,9 +1109,8 @@ def test_nested_coded_action_spends_the_steps_of_its_terms(group):
 
 
 def test_submodule_closure_hashes_its_results_coded(monkeypatch):
-    # the closure files every result in a set: hashing reads the coded form,
-    # and only a result whose hash meets that of the seed, which is built
-    # from words, is decoded to compare the two
+    # the closure files every result in a set: hashing and comparing read
+    # the coded form, the vacuum seed's included, so nothing is decoded
     m = module(HighestWeight.explicit([Fraction(1, 3), 2, Fraction(-5, 4), 1], Fraction(7, 2)))
     catalog = [Generator(a, i) for a in (-2, -1, 1) for i in (-1, 0, 1)]
     decodes = []
@@ -1073,7 +1124,7 @@ def test_submodule_closure_hashes_its_results_coded(monkeypatch):
     closure = m.submodule_generated([m.vacuum()], catalog, 3)
     sizes = {w: len(vs) for w, vs in closure.items()}
     assert sizes == {0: 21, -1: 47, -2: 82, -3: 89, -4: 78, -5: 69, -6: 27}
-    assert len(decodes) <= 1
+    assert decodes == []
 
 
 # -- the rows of one probe on a whole basis ---------------------------------------
@@ -1099,8 +1150,7 @@ def _assert_rows_match(m, probes, basis):
             # over the integers and dyadics each row is the act row times
             # the run's divisor for the row's word length, with int
             # entries; one act call straightens a word at its own scale
-            _, _, (d, e) = m._run(probe, basis)
-            scale = m._codes.scale if m.group is DYADIC else 1
+            _, _, scale, (d, e) = m._run(probe, basis)
             assert d > 0 and e == max(mono.length for mono in basis) + 1
             divisor = [d * scale ** (e - n) for n in range(e + 1)]
             scaled = [{j: c * divisor[w.length] for j, c in r.items()} for w, r in want]
@@ -1127,7 +1177,7 @@ def test_action_rows_match_word_by_word_act_over_integers(hw):
 
 def test_action_rows_match_word_by_word_act_over_dyadics():
     # a mixed-denominator catalog codes the basis at scale 4, and the probe
-    # at 1/8 replaces the code table between two runs
+    # at 1/8 extends the scale of the code table between two runs
     m = module(_EXPLICIT, DYADIC)
     parts = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(3, 2)]
     basis = m.weight_basis(Fraction(-3, 2), 1, parts=parts)
@@ -1240,9 +1290,10 @@ def test_dyadic_actions_share_their_decoded_words():
 
 
 def test_finer_denominator_replaces_the_code_table():
-    # acting at denominators <= 2 and then at 8 rescales the module's
-    # codes; every action still equals a fresh module's and the reference,
-    # on a word the coarse table decoded too
+    # acting at denominators <= 2 and then at 8 replaces the scale of the
+    # module's codes, and re-codes its table in place; every action still
+    # equals a fresh module's and the reference, on a result coded at the
+    # coarse scale too
     rng = random.Random(13)
     m = module(_EXPLICIT, DYADIC)
     base = m.vector([(Fraction(1, 2), -1), (Fraction(1), 1)])
@@ -1259,19 +1310,25 @@ def test_finer_denominator_replaces_the_code_table():
     assert m._codes.scale == 8
 
 
-def test_vector_made_in_one_module_acts_in_another():
-    # each module codes words in its own table: a vector decoded by one
-    # module, at a finer scale than the other's table, acts in the other
+def test_vector_made_in_one_module_acts_in_another(monkeypatch):
+    # each module codes words in its own table: a result of one module, at
+    # a finer scale than the other's table, acts in the other, which
+    # extends its scale and decodes nothing
     first, second = module(HW, DYADIC), module(_EXPLICIT, DYADIC)
     second.act(Generator(Fraction(1, 2), 0), second.vector([(Fraction(1, 2), 1)]))
     vec = first.act(
         Generator(Fraction(-1, 8), 1), first.vector([(Fraction(3, 8), 0), (Fraction(1, 2), 2)])
     )
-    for sym in (Generator(Fraction(1, 2), 0), Generator(Fraction(-1, 4), 1), CENTRAL):
-        got = second.act(sym, vec)
-        assert got == _reference_act(second, sym, vec)
-        fresh = ModuleVector.from_json(vec.to_json(DYADIC), DYADIC)
-        assert got == module(_EXPLICIT, DYADIC).act(sym, fresh)
+    syms = (Generator(Fraction(1, 2), 0), Generator(Fraction(-1, 4), 1), CENTRAL)
+    with monkeypatch.context() as patched:
+        patched.setattr(ModuleVector, "__getattr__", _no_decode)
+        for sym in syms:
+            got = second.act(sym, vec)
+            fresh = ModuleVector.from_json(vec.to_json(DYADIC), DYADIC)
+            assert got == module(_EXPLICIT, DYADIC).act(sym, fresh)
+        assert second._codes.scale == 8
+    for sym in syms:
+        assert second.act(sym, vec) == _reference_act(second, sym, vec)
 
 
 def test_decoded_dyadic_words_hash_as_their_factors():
@@ -1281,14 +1338,15 @@ def test_decoded_dyadic_words_hash_as_their_factors():
     vec = m.vector([(Fraction(1, 2), -1), (Fraction(1), 1), (Fraction(2), 0)])
     seen = []
     coarse = [Generator(Fraction(a), i) for a, i in (("-1/2", 0), ("3/2", 1), (1, 0))]
-    for sym in coarse:
-        seen += m.act(sym, vec).monomials()
-    first = m._codes
+    kept = [m.act(sym, vec) for sym in coarse]  # results at the coarse scale
+    for out in kept[:2]:
+        seen += out.monomials()
     seen += m._codes.words.values()
     for sym in (Generator(Fraction(-3, 8), 1), Generator(Fraction(5, 8), 0)):
         seen += m.act(sym, vec).monomials()
-    assert m._codes is not first and m._codes.scale == 8
-    for sym in coarse:  # coarse denominators decoded at the finer table
+    assert m._codes.scale == 8
+    seen += kept[2].monomials()  # a coarse result decoded at the finer table
+    for sym in coarse:  # coarse denominators coded at the finer scale
         seen += m.act(sym, vec).monomials()
     seen += m._codes.words.values()
     assert any(p.denominator == 1 for w in seen for p, _ in w.factors)
@@ -1301,9 +1359,8 @@ def test_decoded_dyadic_words_hash_as_their_factors():
     assert two.factors == ((Fraction(2), 0),) and type(two.factors[0][0]) is Fraction
     assert two == PBWMonomial(((2, 0),)) and hash(two) == hash(PBWMonomial(((2, 0),)))
     assert {PBWMonomial(((2, 0),)): 1}[two] == 1
-    # the empty word is the vacuum, at both tables
-    for table in (first, m._codes):
-        assert table.decode(()) is VACUUM
+    # the empty word is the vacuum
+    assert m._codes.decode(()) is VACUUM
     assert m.act(Generator(Fraction(0), 1), m.vacuum()).monomials()[0] is VACUUM
 
 
@@ -1340,7 +1397,7 @@ def test_dyadic_weight_matches_group_addition():
     vecs += [ModuleVector({w: 1 for w in rng.sample(ordered, 3)}) for _ in range(100)]
     integral = PBWMonomial(((Fraction(2), 0), (Fraction(3), 1)))
     vecs += [ModuleVector.zero(), ModuleVector.of(VACUUM), ModuleVector.of(integral)]
-    cases = [(vec, DYADIC) for vec in vecs]
+    cases = [(vec, DYADIC, False) for vec in vecs]
     # coded results, whose weight sums the int codes of their raw words: a
     # zero result and a sum of two weights read None
     for group in (INTEGERS, DYADIC):
@@ -1352,22 +1409,22 @@ def test_dyadic_weight_matches_group_addition():
             )
             g = Generator(_corpus_element(rng, group, False), rng.randint(-1, 3))
             out = m.act(g, m.vector(word))
-            cases += [(out, group), (out + m.act(g, m.act(g, m.vector(word))), group)]
+            cases += [(out, group, True), (out + m.act(g, m.act(g, m.vector(word))), group, True)]
         p = _ONE_WORD[group][0][0]
         zero = m.act(Generator(p, 0), m.vacuum())
         mixed = m.act(Generator(group.neg(p), 0), m.vacuum()) + m.act(
             Generator(group.scale(-2, p), 0), m.vacuum()
         )
-        assert zero._raw == {} and mixed._raw and mixed.weight(group) is None
-        cases += [(zero, group), (mixed, group)]
+        assert not zero and mixed and mixed.weight(group) is None
+        cases += [(zero, group, True), (mixed, group, True)]
     kinds = set()
-    for vec, group in cases:
+    for vec, group, result in cases:
         got, want = vec.weight(group), _weight_by_add(vec, group)
         assert got == want and type(got) is type(want)
-        kinds.add((group.name, vec._raw is not None, None if got is None else got.denominator == 1))
+        kinds.add((group.name, result, None if got is None else got.denominator == 1))
         assert vec.to_json(group)["weight"] == (None if want is None else element_json(want))
     assert {k for k in kinds if k[0] == "dyadic"} == {
-        ("dyadic", coded, kind) for coded in (False, True) for kind in (None, True, False)
+        ("dyadic", result, kind) for result in (False, True) for kind in (None, True, False)
     }
     assert {k for k in kinds if k[0] == "integers"} == {("integers", True, None), ("integers", True, True)}
 
