@@ -76,12 +76,6 @@ def _term_key(sym: BasisSymbol):
     return (0, sym.alpha, sym.index)
 
 
-def format_coeff(c: Coeff) -> str:
-    if isinstance(c, Poly):
-        return f"({c.format('w')})"
-    return str(c)
-
-
 def merge_terms(out: dict, terms, add=operator.add) -> dict:
     """Add the ``(key, coeff)`` pairs of ``terms`` into ``out`` by ``add`` and
     return it; a key whose sum is zero is deleted, so nonzero coefficients
@@ -121,22 +115,33 @@ def subtract_terms(out: dict, terms, sub=operator.sub, neg=operator.neg) -> dict
     return out
 
 
-class SparseCombination:
-    """Finite linear combination of hashable keys; zero coefficients pruned.
+def format_terms(items) -> str:
+    """The printed form of a combination from its sorted ``(key, coeff)``
+    pairs: ``"0"`` when there are none, a Q[w] coefficient in parentheses
+    and a unit rational left out."""
+    parts = []
+    for key, coeff in items:
+        if isinstance(coeff, Poly):
+            mag, neg = f"({coeff.format('w')})*{key}", False
+        else:
+            neg = coeff < 0
+            a = abs(coeff)
+            mag = str(key) if a == 1 else f"{a}*{key}"
+        if not parts:
+            parts.append(("-" if neg else "") + mag)
+        else:
+            parts.append(("- " if neg else "+ ") + mag)
+    return " ".join(parts) or "0"
 
-    The arithmetic of :class:`LieElement`.  :class:`verma.ModuleVector`
-    shares only the reads of ``_terms`` (:meth:`items`,
-    :meth:`coefficient` and ``str``) and does its arithmetic on its one
-    coded form.  A subclass names the order its
-    :meth:`items` are listed in through ``_sort_key``.  Only objects of
-    the same class compare equal.
+
+class LieElement:
+    """Finite linear combination of basis symbols; zero coefficients pruned.
+
+    Only two elements compare equal, and only another element adds to or
+    subtracts from one.
     """
 
     __slots__ = ("_terms",)
-
-    @staticmethod
-    def _sort_key(key):
-        raise NotImplementedError
 
     def __init__(self, terms=None):
         data = {}
@@ -157,12 +162,8 @@ class SparseCombination:
         res._terms = terms
         return res
 
-    def items(self) -> List[Tuple[object, Coeff]]:
-        key = self._sort_key
-        return sorted(self._terms.items(), key=lambda kv: key(kv[0]))
-
-    def coefficient(self, key) -> Coeff:
-        return self._terms.get(key, Fraction(0))
+    def items(self) -> List[Tuple[BasisSymbol, Coeff]]:
+        return sorted(self._terms.items(), key=lambda kv: _term_key(kv[0]))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -179,12 +180,16 @@ class SparseCombination:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
+        if not isinstance(other, LieElement):
+            return NotImplemented
         return self._of_nonzero(merge_terms(dict(self._terms), other._terms.items()))
 
     def __neg__(self):
         return self.scaled(-1)
 
     def __sub__(self, other):
+        if not isinstance(other, LieElement):
+            return NotImplemented
         return self._of_nonzero(subtract_terms(dict(self._terms), other._terms.items()))
 
     def scaled(self, scalar):
@@ -196,32 +201,10 @@ class SparseCombination:
         return self.scaled(scalar)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for key, coeff in self.items():
-            if isinstance(coeff, Poly):
-                mag, neg = format_coeff(coeff) + "*" + str(key), False
-            else:
-                neg = coeff < 0
-                a = abs(coeff)
-                mag = str(key) if a == 1 else f"{a}*{key}"
-            if not parts:
-                parts.append(("-" if neg else "") + mag)
-            else:
-                parts.append(("- " if neg else "+ ") + mag)
-        return " ".join(parts)
+        return format_terms(self.items())
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self}>"
-
-
-class LieElement(SparseCombination):
-    """Finite linear combination of basis symbols."""
-
-    __slots__ = ()
-
-    _sort_key = staticmethod(_term_key)
 
     @classmethod
     def term(cls, sym: BasisSymbol, coeff: Coeff = Fraction(1)) -> "LieElement":

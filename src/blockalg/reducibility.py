@@ -756,7 +756,7 @@ def reducibility_report(
     # singular candidates <-> label-side solution space, matched horizons:
     # both are canonical nullspace bases over the same columns (a_n <->
     # L(-1,n-1)*v), and such a basis depends only on the space
-    matrix_kernel = [[v.coefficient(m) for m in sr.basis] for v in sr.candidates]
+    matrix_kernel = [v.coefficients(sr.basis) for v in sr.candidates]
     if _label_side_kernel(hw, max_index + 1, probe_index + 1) != matrix_kernel:
         raise DetectorInconsistencyError(
             "weight -1 candidate space disagrees with the label conditions"

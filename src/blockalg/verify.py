@@ -236,10 +236,10 @@ def _shift_span_matches(report, max_index: int) -> bool:
     f = polynomial_of_vector(report.generator)
     count = max_index + 2 - f.degree
     shifts = [vector_of_polynomial(f.shifted(k)) for k in range(count)]
-    rows = [[v.coefficient(m) for m in report.basis] for v in report.candidates]
+    rows = [v.coefficients(report.basis) for v in report.candidates]
     if len(shifts) != len(rows) or linalg.rank(rows) != len(rows):
         return False
-    rows += [[v.coefficient(m) for m in report.basis] for v in shifts]
+    rows += [v.coefficients(report.basis) for v in shifts]
     return linalg.rank(rows) == len(shifts)
 
 

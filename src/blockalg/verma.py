@@ -49,12 +49,12 @@ from .lie import (
     Coeff,
     Generator,
     LieElement,
-    SparseCombination,
     check_int,
     coeff_from_json,
     coeff_json,
     element_from_json,
     element_json,
+    format_terms,
     integer_from_json,
     merge_terms,
     subtract_terms,
@@ -124,16 +124,16 @@ def normal_word(factors: Iterable[Factor], group: OrderedGroup) -> PBWMonomial:
     return PBWMonomial(fs)
 
 
-class ModuleVector(SparseCombination):
+class ModuleVector:
     """Exact linear combination of PBW monomials, in one coded form.
 
     ``_raw`` maps raw words to nonzero coefficients, ``_words`` is their
-    coding and ``_scale`` the scale of their parts.  A vector built from
-    words is encoded once (:func:`_encode`); a result of
-    :meth:`VermaModule.act` is the kernel's output as it stands.  Only
-    ``str``, :meth:`items`, :meth:`monomials` and :meth:`coefficient`
-    read terms, from ``_terms``: the terms as given for a vector built
-    from words, else decoded by :meth:`__getattr__` on the first read.
+    coding and ``_scale`` the scale of their parts; nothing else is kept.
+    A vector built from words is encoded once (:func:`_encode`); a result
+    of :meth:`VermaModule.act` is the kernel's output as it stands.
+    :meth:`_values` reads each raw word's coefficient value, and
+    :meth:`items`, the one decoder, builds each word through the coding
+    on every call, for :meth:`coefficients`, :meth:`monomials` and ``str``.
 
     In the lex-z2 shape ``_divisor`` is ``None``, a raw word is its factor
     tuple and a coefficient is exact: a rational or a Q[w] tuple of
@@ -161,11 +161,12 @@ class ModuleVector(SparseCombination):
 
     __slots__ = ("_raw", "_words", "_scale", "_divisor")
 
-    _sort_key = staticmethod(PBWMonomial.sort_key)
-
     def __init__(self, terms=None):
-        coded = _encode(dict(terms) if terms else {})
-        self._terms, self._raw, self._words, self._scale, self._divisor = coded
+        self._raw, self._words, self._scale, self._divisor = _encode(dict(terms) if terms else {})
+
+    @classmethod
+    def zero(cls) -> "ModuleVector":
+        return cls()
 
     @classmethod
     def _of_coded(cls, raw: dict, words, scale: int, divisor: Optional[Tuple[int, int]]):
@@ -173,20 +174,13 @@ class ModuleVector(SparseCombination):
         res._raw, res._words, res._scale, res._divisor = raw, words, scale, divisor
         return res
 
-    def __getattr__(self, name):
-        # reached only for an unset slot: the terms of a result, built here
-        # on the first read, each word once through the coding
-        if name != "_terms":
-            raise AttributeError(name)
-        decode, raw = self._words.decode, self._raw
-        k = self._words.scale // self._scale  # the cache may code at a finer scale
+    def _values(self) -> List[Tuple[Tuple[Factor, ...], Coeff]]:
+        """Each raw word with its coefficient's value, as every coding gives it."""
+        raw = self._raw
         if self._divisor is None:
-            terms = {decode(w): _lex_coeff(c) for w, c in raw.items()}
-        else:
-            divisor = self._divisors()
-            terms = {decode(_recoded(w, k)): _quotient(c, divisor[len(w)]) for w, c in raw.items()}
-        self._terms = terms
-        return terms
+            return [(w, _lex_coeff(c)) for w, c in raw.items()]
+        divisor = self._divisors()
+        return [(w, _quotient(c, divisor[len(w)])) for w, c in raw.items()]
 
     def _divisors(self) -> List[int]:
         """The divisor of an int-shape word, by its length."""
@@ -196,6 +190,20 @@ class ModuleVector(SparseCombination):
     @classmethod
     def of(cls, mono: PBWMonomial, coeff: Coeff = Fraction(1)) -> "ModuleVector":
         return cls({mono: coeff})
+
+    def items(self) -> List[Tuple[PBWMonomial, Coeff]]:
+        """The terms in :meth:`PBWMonomial.sort_key` order, each word decoded."""
+        decode, k = self._words.decode, self._words.scale // self._scale
+        terms = sorted(self._values(), key=lambda wc: _raw_key(wc[0]))
+        return [(decode(_recoded(w, k)), c) for w, c in terms]  # the cache may code finer
+
+    def coefficients(self, monos: Iterable[PBWMonomial]) -> List[Coeff]:
+        """The coefficients of ``monos``, ``Fraction(0)`` where absent, by one :meth:`items`."""
+        terms = dict(self.items())
+        return [terms.get(m, Fraction(0)) for m in monos]
+
+    def coefficient(self, mono: PBWMonomial) -> Coeff:
+        return self.coefficients([mono])[0]
 
     def monomials(self) -> List[PBWMonomial]:
         return [m for m, _ in self.items()]
@@ -257,16 +265,13 @@ class ModuleVector(SparseCombination):
         # each word's index sequence with its coefficient, read without
         # building the word: every coding gives the same, so equal vectors
         # hash alike
-        raw = self._raw
-        if self._divisor is None:
-            terms = [(w, _lex_coeff(c)) for w, c in raw.items()]
-        else:
-            divisor = self._divisors()
-            terms = [(w, _quotient(c, divisor[len(w)])) for w, c in raw.items()]
-        return hash(frozenset([(tuple([i for _, i in w]), c) for w, c in terms]))
+        return hash(frozenset([(tuple([i for _, i in w]), c) for w, c in self._values()]))
 
     def __add__(self, other):
         return _coded_sum(*self._aligned(other), False)
+
+    def __neg__(self):
+        return self.scaled(-1)
 
     def __sub__(self, other):
         return _coded_sum(*self._aligned(other), True)
@@ -287,6 +292,15 @@ class ModuleVector(SparseCombination):
         if p != 1:
             raw = {w: c * p for w, c in raw.items()}
         return self._of_coded(raw, self._words, self._scale, (d * scalar.denominator, e))
+
+    def __rmul__(self, scalar):
+        return self.scaled(scalar)
+
+    def __str__(self) -> str:
+        return format_terms(self.items())
+
+    def __repr__(self) -> str:
+        return f"<ModuleVector {self}>"
 
     def weight(self, group: OrderedGroup):
         """Common weight of all monomials, or None when mixed or zero."""
@@ -358,7 +372,7 @@ class ModuleVector(SparseCombination):
 
 
 def _encode(terms: dict):
-    """``terms`` without zeros, then their coded form ``raw, words, scale, divisor``.
+    """The coded form ``raw, words, scale, divisor`` of ``terms``, zeros dropped.
 
     Integer pairs, or no parts at all, take the lex-z2 shape; ``int`` parts
     the integer coding and dyadic ones a code table of their own at the
@@ -371,7 +385,7 @@ def _encode(terms: dict):
     items = terms.items()
     if lex or not terms:
         raw = {m.factors: (c.coeffs if type(c) is Poly else c) for m, c in items}
-        return terms, raw, _LEX_WORDS, 1, None
+        return raw, _LEX_WORDS, 1, None
     parts = [p for m in terms for p, _ in m.factors]
     if all(type(p) is int for p in parts):
         words, scale = _INTEGER_WORDS, 1
@@ -384,7 +398,7 @@ def _encode(terms: dict):
         words.encode(m): c.numerator * (den // c.denominator) * scale ** (e - len(m.factors))
         for m, c in items
     }
-    return terms, raw, words, scale, (den, e)
+    return raw, words, scale, (den, e)
 
 
 def _exact(c, lex: bool):

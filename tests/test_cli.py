@@ -36,6 +36,26 @@ def test_bracket_json_matches_text(capsys):
     assert data["result"] == [{"alpha": 0, "i": 0, "coeff": "-2/1"}]
 
 
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [
+        (["integers", "L(2,-1) - 1/3*L(1,2) + 5/2*L(0,0)", "L(-2,-1) + L(3,0)"],
+         "bracket_integers.json"),
+        (["lex-z2", "L((1,-1),-1) + 2*L((1,-1),1) - 1/2*L((0,1),0)",
+          "L((-1,1),-1) - L((0,2),2) + 3*L((1,1),0)"], "bracket_lex_z2.json"),
+    ],
+    ids=["integers", "lex-z2"],
+)
+def test_bracket_json_is_pinned(capsys, argv, pinned):
+    # the printed form and the terms of a bracket: over the integers a
+    # central term and a negative fractional coefficient, over lex-z2 Q[w]
+    # coefficients, a constant one among them; pinned byte for byte
+    group, left, right = argv
+    code, out, _ = run(capsys, "bracket", "--group", group, left, right, "--format", "json")
+    assert code == 0
+    assert out == (DATA / pinned).read_text()
+
+
 def test_act_command(capsys):
     code, out, _ = run(
         capsys, "act", "L(0,1)", "L(-1,-1)*v", "--weight", WEIGHT_B

@@ -14,6 +14,7 @@ from blockalg.lie import (
     element_from_json,
 )
 from blockalg.polynomial import Poly, X, x_power
+from blockalg.verma import VACUUM, ModuleVector
 
 alg = BlockAlgebra(INTEGERS)
 
@@ -254,6 +255,20 @@ def test_canonical_printing():
     assert str(L(0, 0, -2)) == "-2*L(0,0)"
     assert str(LieElement.zero()) == "0"
     assert str(L(2, -1, Fraction(-3, 4))) == "-3/4*L(2,-1)"
+
+
+@pytest.mark.parametrize(
+    "other", [ModuleVector.of(VACUUM), ModuleVector.zero(), 1, Fraction(1, 2)], ids=repr
+)
+def test_element_combines_only_with_elements(other):
+    # an element and a module vector or a number neither add nor subtract,
+    # in either order: an element plus a vector would be an element keyed
+    # by a word, which fails only when printed
+    e = L(1, 0) + LieElement.term(CENTRAL, Fraction(2))
+    for combine in (lambda: e + other, lambda: e - other, lambda: other + e, lambda: other - e):
+        with pytest.raises(TypeError):
+            combine()
+    assert e != other and other != e
 
 
 def _reference_sub(a, b):

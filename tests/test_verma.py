@@ -861,7 +861,7 @@ def test_coded_results_of_two_scales_combine_recoded(monkeypatch):
     assert m._codes.scale == 8
     sym, q = Generator(Fraction(1, 2), 2), Fraction(-5, 3)
     with monkeypatch.context() as patched:
-        patched.setattr(ModuleVector, "__getattr__", _no_decode)
+        patched.setattr(ModuleVector, "items", _no_decode)
         c = m.act(sym, a)
         combined = [a + b, b - a.scaled(q), c - m.act(sym, b), c + c.scaled(q)]
     assert c == module(_EXPLICIT, DYADIC).act(sym, _from_terms(a)) == _reference_act(m, sym, a)
@@ -946,13 +946,13 @@ def test_coded_equality_across_dyadic_scales(monkeypatch):
     m.act(Generator(Fraction(-3, 8), 0), vec)
     b = m.act(sym, vec)
     assert m._codes.scale == 8
-    monkeypatch.setattr(ModuleVector, "__getattr__", _no_decode)
+    monkeypatch.setattr(ModuleVector, "items", _no_decode)
     assert a == b and b == a and len({a, b}) == 1
     assert a != b.scaled(2) and b.scaled(2) != a
 
 
-def _no_decode(self, name):
-    raise AssertionError(f"decoded {name}")
+def _no_decode(self):
+    raise AssertionError("decoded the words of a vector")
 
 
 def test_dyadic_module_axiom_decodes_nothing(monkeypatch):
@@ -969,7 +969,7 @@ def test_dyadic_module_axiom_decodes_nothing(monkeypatch):
         triples.append((g, h, word))
     sides, recoded = [], 0
     with monkeypatch.context() as patched:
-        patched.setattr(ModuleVector, "__getattr__", _no_decode)
+        patched.setattr(ModuleVector, "items", _no_decode)
         for g, h, word in triples:
             m = module(_EXPLICIT, DYADIC)
             vec = m.vector(word)
@@ -1016,7 +1016,7 @@ def test_comparing_results_of_one_coding_decodes_neither_side(group, monkeypatch
     # dyadic results of the trials run at scales 1 to 4, so some pairs
     # meet at two scales
     m = module(_EXPLICIT, group)
-    monkeypatch.setattr(ModuleVector, "__getattr__", _no_decode)
+    monkeypatch.setattr(ModuleVector, "items", _no_decode)
     pairs = _axiom_pairs(m, random.Random(f"no-decode-{group.name}"), 20)
     results = [a == b for a, b in pairs]
     assert True in results and False in results
@@ -1028,7 +1028,7 @@ def test_json_weight_and_hash_of_results_decode_nothing(group, monkeypatch):
     rng = random.Random(f"no-decode-reads-{group.name}")
     vecs = [v for pair in _axiom_pairs(m, rng, 10) for v in pair]
     with monkeypatch.context() as patched:
-        patched.setattr(ModuleVector, "__getattr__", _no_decode)
+        patched.setattr(ModuleVector, "items", _no_decode)
         got = [(json.dumps(v.to_json(group)), v.weight(group), hash(v)) for v in vecs]
     # the same reads of the vectors rebuilt from their decoded terms
     want = [
@@ -1057,6 +1057,67 @@ def test_central_action_reads_an_integral_value_as_an_int(group):
                 assert type(c) is (int if c.denominator == 1 else Fraction)
     types = {type(c) for _, c in m.act(CENTRAL, decoded).items()}
     assert types == ({Fraction} if group is LEX_Z2 else {int, Fraction})
+
+
+@pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
+def test_vector_built_from_words_reads_as_its_sum_with_zero(group):
+    # Fraction(2) given for a word reads as the int 2 over the integers and
+    # dyadics, as the same vector plus zero reads it; over lex-z2 a
+    # rational stays the rational it was given as
+    m = module(_EXPLICIT, group)
+    words = [m.monomial(_ONE_WORD[group] * k) for k in (1, 2, 3)]
+    given = dict(zip(words, (Fraction(2), Fraction(-4, 6), 5)))
+    for built in (ModuleVector.of(words[0], Fraction(2)), ModuleVector(given)):
+        summed = built + ModuleVector.zero()
+        assert _typed(built) == _typed(summed)
+        for word, c in built.items():
+            got, other = built.coefficient(word), summed.coefficient(word)
+            assert got == other == given[word] and type(got) is type(other)
+            if group is LEX_Z2:
+                assert type(got) is type(given[word])
+            else:
+                assert type(got) is (int if got.denominator == 1 else Fraction)
+
+
+def test_coefficient_reads_every_term_of_a_result():
+    # an integer result, a dyadic one coded at scale 2 and read after a
+    # part at 1/8 has extended its module's table to scale 8, and a lex-z2
+    # one with Q[w] coefficients: each word of items() reads its value, as
+    # the reference action built from words reads it
+    ints = module(_EXPLICIT, INTEGERS)
+    dyadic = module(_EXPLICIT, DYADIC)
+    lex = module(_EXPLICIT, LEX_Z2)
+    base = dyadic.vector([(Fraction(1, 2), 0), (Fraction(1, 2), 2), (Fraction(1), 1)])
+    inner = lex.act(Generator((0, 1), 0), lex.vector([((0, 1), 0), ((1, -2), 1)]))
+    cases = [
+        (ints, Generator(1, 1), ints.vector([(1, 0), (1, 2), (2, 1)])),
+        (dyadic, Generator(Fraction(1, 2), 1), base.scaled(Fraction(2, 3))),
+        (lex, Generator((0, 1), 1), inner),
+    ]
+    results = [m.act(sym, vec) for m, sym, vec in cases]
+    dyadic.act(Generator(Fraction(-3, 8), 0), base)
+    assert results[1]._scale == 2 and dyadic._codes.scale == 8
+    for (m, sym, vec), result in zip(cases, results):
+        want = _reference_act(m, sym, vec)
+        assert len(result) >= 3
+        for word, c in result.items():
+            got = result.coefficient(word)
+            assert got == c == want.coefficient(word) and type(got) is type(c)
+        assert result.coefficients(result.monomials()) == [c for _, c in want.items()]
+    assert any(isinstance(c, Poly) and c.degree >= 1 for _, c in results[2].items())
+    assert {type(c) for _, c in results[1].items()} == {int, Fraction}
+    # a word not in the vector reads Fraction(0): over the dyadics one at
+    # 1/8, whose denominator does not divide the vector's scale 2
+    absent = [
+        (results[0], PBWMonomial(((7, 3),))),
+        (results[1], PBWMonomial(((Fraction(1, 8), 0),))),
+        (results[1], PBWMonomial(((Fraction(1, 8), 0), (Fraction(3, 8), 1)))),
+        (results[2], PBWMonomial((((5, 5), 0),))),
+    ]
+    for vec, word in absent:
+        got = vec.coefficient(word)
+        assert word not in vec.monomials() and got == 0 and type(got) is Fraction
+        assert vec.coefficients([word, vec.monomials()[0]]) == [0, vec.items()[0][1]]
 
 
 @pytest.mark.parametrize("group", [INTEGERS, DYADIC, LEX_Z2], ids=lambda g: g.name)
@@ -1114,13 +1175,13 @@ def test_submodule_closure_hashes_its_results_coded(monkeypatch):
     m = module(HighestWeight.explicit([Fraction(1, 3), 2, Fraction(-5, 4), 1], Fraction(7, 2)))
     catalog = [Generator(a, i) for a in (-2, -1, 1) for i in (-1, 0, 1)]
     decodes = []
-    decode = ModuleVector.__getattr__
+    decode = ModuleVector.items
 
-    def counting(self, name):
-        decodes.append(name)
-        return decode(self, name)
+    def counting(self):
+        decodes.append(self)
+        return decode(self)
 
-    monkeypatch.setattr(ModuleVector, "__getattr__", counting)
+    monkeypatch.setattr(ModuleVector, "items", counting)
     closure = m.submodule_generated([m.vacuum()], catalog, 3)
     sizes = {w: len(vs) for w, vs in closure.items()}
     assert sizes == {0: 21, -1: 47, -2: 82, -3: 89, -4: 78, -5: 69, -6: 27}
@@ -1321,7 +1382,7 @@ def test_vector_made_in_one_module_acts_in_another(monkeypatch):
     )
     syms = (Generator(Fraction(1, 2), 0), Generator(Fraction(-1, 4), 1), CENTRAL)
     with monkeypatch.context() as patched:
-        patched.setattr(ModuleVector, "__getattr__", _no_decode)
+        patched.setattr(ModuleVector, "items", _no_decode)
         for sym in syms:
             got = second.act(sym, vec)
             fresh = ModuleVector.from_json(vec.to_json(DYADIC), DYADIC)
