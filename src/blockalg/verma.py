@@ -24,8 +24,8 @@ when constant.
 Each piece of the engine is described once, next to its code: the work
 stack loop in :meth:`VermaModule._straighten`, the setup of a run that
 puts integer and dyadic parts on one ``int`` kernel in
-:meth:`VermaModule._run`, the code table of a dyadic module in
-:class:`_DyadicCodes`, the Q[w] coefficients of the kernel in
+:meth:`VermaModule._run`, the three stateless codings of raw words in
+:class:`_IntegerWords`, the Q[w] coefficients of the kernel in
 :class:`_LexPairs`, the one coded form of every vector, read term by
 term only when printed or listed, in :class:`ModuleVector`, and the
 enumeration of a weight space in :meth:`VermaModule.weight_basis`.
@@ -143,14 +143,15 @@ class ModuleVector:
     an ``int`` numerator: ``_divisor = (d, e)`` makes ``d * _scale**(e -
     n)`` the divisor of a word of length ``n``, as a run leaves it
     (:meth:`VermaModule._run`), and a coefficient reads as an ``int``
-    exactly when its value is integral.  A dyadic coding is named by its
-    scale, a power of two; ``_words`` is only the :class:`_DyadicCodes`
-    cache that decodes and writes words.
+    exactly when its value is integral.  ``_words`` is the integer, lex-z2
+    or dyadic coding (:class:`_IntegerWords`), which reads a raw word at
+    ``_scale`` and keeps no state.
 
-    Two vectors combine at the finer scale, to which :meth:`_as` re-codes
-    the other.  ``+`` and ``-`` bring both divisors to their lcm at every
-    length, ``lcm(d1*S**e1, d2*S**e2) / S**n``, so each side's numerators
-    are multiplied by one ``int``, and ``-`` subtracts in one pass
+    Two vectors combine at the finer scale (at a tie, see :meth:`_aligned`),
+    to which :meth:`_as` re-codes the other.  ``+`` and ``-``
+    bring both divisors to their lcm at every length, ``lcm(d1*S**e1,
+    d2*S**e2) / S**n``, so each side's numerators are multiplied by one
+    ``int``, and ``-`` subtracts in one pass
     (:func:`lie.subtract_terms`); ``==`` is true exactly when that
     difference is empty.  :meth:`scaled` by ``p/q`` multiplies the
     numerators by ``p`` and ``d`` by ``q``.  :meth:`weight` sums the parts
@@ -193,9 +194,9 @@ class ModuleVector:
 
     def items(self) -> List[Tuple[PBWMonomial, Coeff]]:
         """The terms in :meth:`PBWMonomial.sort_key` order, each word decoded."""
-        decode, k = self._words.decode, self._words.scale // self._scale
+        decode, scale = self._words.decode, self._scale
         terms = sorted(self._values(), key=lambda wc: _raw_key(wc[0]))
-        return [(decode(_recoded(w, k)), c) for w, c in terms]  # the cache may code finer
+        return [(decode(w, scale), c) for w, c in terms]
 
     def coefficients(self, monos: Iterable[PBWMonomial]) -> List[Coeff]:
         """The coefficients of ``monos``, ``Fraction(0)`` where absent, by one :meth:`items`."""
@@ -233,23 +234,24 @@ class ModuleVector:
             raw, divisor = ({}, (1, 0)) if c is None else ({(): c.numerator}, (c.denominator, 0))
             return self._of_coded(raw, words, scale, divisor)
         if self._scale == scale:
-            return self
+            return self  # at one scale the int-shape codings share raw words
         k, finer = divmod(scale, self._scale)
         if finer:
             raise TypeError("module vectors of different groups do not combine")
         d, e = divisor
         power = [k ** (e - n) for n in range(e + 1)]
-        raw = {_recoded(w, k): c * power[len(w)] for w, c in raw.items()}
+        raw = {tuple([(p * k, i) for p, i in w]): c * power[len(w)] for w, c in raw.items()}
         return self._of_coded(raw, words, scale, divisor)
 
     def _aligned(self, other):
         """``self`` and ``other`` in one coding, then that coding and its scale:
-        the finer scale's, and at one scale the int shape's."""
+        the finer scale's, and at one scale the int shape's, dyadic first."""
         if not isinstance(other, ModuleVector):
             raise TypeError(f"a module vector does not combine with {type(other).__name__}")
-        if self._scale == other._scale and (self._divisor is None) == (other._divisor is None):
+        if self._scale == other._scale and self._words is other._words:
             return self, other, self._words, self._scale
-        fine = max(self, other, key=lambda v: (v._scale, v._divisor is not None))
+        fine = max(self, other, key=lambda v: (
+            v._scale, v._divisor is not None, v._words is _DYADIC_WORDS))
         words, scale = fine._words, fine._scale
         return self._as(words, scale), other._as(words, scale), words, scale
 
@@ -334,10 +336,8 @@ class ModuleVector:
         else:
             divisor = self._divisors()
             coeffs = [_quotient_json(raw[w], divisor[len(w)]) for w in words]
-        word_json, k = self._words.word_json, self._words.scale // self._scale
-        if k != 1:  # the cache codes at a finer scale
-            words = [_recoded(w, k) for w in words]
-        terms = [{"factors": word_json(w), "coeff": c} for w, c in zip(words, coeffs)]
+        word_json, scale = self._words.word_json, self._scale
+        terms = [{"factors": word_json(w, scale), "coeff": c} for w, c in zip(words, coeffs)]
         return {"weight": None if weight is None else element_json(weight), "terms": terms}
 
     @classmethod
@@ -375,8 +375,8 @@ def _encode(terms: dict):
     """The coded form ``raw, words, scale, divisor`` of ``terms``, zeros dropped.
 
     Integer pairs, or no parts at all, take the lex-z2 shape; ``int`` parts
-    the integer coding and dyadic ones a code table of their own at the
-    lcm of their denominators, in the int shape.  A coefficient is checked
+    the integer coding and dyadic ones the dyadic coding at the lcm of
+    their denominators, in the int shape.  A coefficient is checked
     by :func:`_exact`.
     """
     part = next((m.factors[0][0] for m in terms if m.factors), None)
@@ -390,12 +390,11 @@ def _encode(terms: dict):
     if all(type(p) is int for p in parts):
         words, scale = _INTEGER_WORDS, 1
     else:
-        scale = math.lcm(*[p.denominator for p in parts])
-        words = _DyadicCodes(scale)
+        words, scale = _DYADIC_WORDS, math.lcm(*[p.denominator for p in parts])
     den = math.lcm(*[c.denominator for _, c in items])
     e = max(len(m.factors) for m, _ in items)
     raw = {
-        words.encode(m): c.numerator * (den // c.denominator) * scale ** (e - len(m.factors))
+        words.encode(m, scale): c.numerator * (den // c.denominator) * scale ** (e - len(m.factors))
         for m, c in items
     }
     return raw, words, scale, (den, e)
@@ -598,11 +597,8 @@ class VermaModule:
     where one :meth:`act` call per word would, and a word too large for
     the budget still ends in :class:`StraighteningLimitError`.
 
-    Over the dyadic instance the module holds the code table of its words
-    (:class:`_DyadicCodes`).  The table lives and dies with the module:
-    it grows with every new word an action meets, its scale only grows,
-    and it is freed only with the module, so a long-lived module keeps
-    each word it has seen.
+    Beyond its settings a module keeps only the label lcms of
+    :meth:`_weight_scale`, so a result depends on its own run alone.
     """
 
     def __init__(self, algebra: BlockAlgebra, weight: HighestWeight, step_budget: int = 5_000_000):
@@ -610,7 +606,6 @@ class VermaModule:
         self.group = algebra.group
         self.hw = weight
         self.step_budget = step_budget
-        self._codes = _DyadicCodes(1)
         self._weight_scales: List[int] = []  # see _weight_scale
 
     # -- construction and validation ------------------------------------
@@ -698,11 +693,12 @@ class VermaModule:
         map it into the integer algebra, and the module of weight ``(cc,
         labels)`` goes to the integer module of weight ``(S*cc,
         S*labels)``, a word of length ``k`` to ``S^-k`` times its image.
-        So a dyadic part ``x`` runs as the ``int`` code ``x*S`` at the scale
-        of the module's table (``S > 0`` keeps the order), every structure
-        constant is an ``int``, and the weight data enters scaled (see
-        :meth:`_straighten`).  An output word of length ``n`` then carries
-        ``S^(n - len_in - 1)``.  Integer runs have ``S = 1``.
+        A dyadic run takes for ``S`` the lcm of the denominators of ``sym``
+        and its inputs, a vector's ``_scale`` or a word's parts; an integer
+        run has ``S = 1``.  So a part ``x`` runs as the ``int`` code ``x*S``
+        (``S > 0`` keeps the order), every structure constant is an
+        ``int``, and the weight data enters scaled (see :meth:`_straighten`).
+        An output word of length ``n`` then carries ``S^(n - len_in - 1)``.
 
         Such a run stays in ``int``.  An input word of length ``len_in``
         enters as the ``int`` ``c*den*lam*S^(top - len_in)``: ``top``
@@ -743,16 +739,18 @@ class VermaModule:
             self._straighten(seeds, _LEX_PAIRS, 1)
             return outs, _LEX_WORDS, 1, None
         # Integer and dyadic words run on the integer kernel, a dyadic word
-        # coded at the scale of the module's table.
+        # coded at the run's scale.
         if isinstance(g, DyadicGroup):
-            words = self._dyadic_codes(alpha, inputs)
-            scale, alpha = words.scale, words.code(alpha)
+            words, scale = _DYADIC_WORDS, math.lcm(alpha.denominator, *[
+                math.lcm(*[p.denominator for p, _ in x.factors]) if type(x) is PBWMonomial
+                else x._scale for x in inputs])
+            alpha = alpha.numerator * (scale // alpha.denominator)
         else:
             words, scale = _INTEGER_WORDS, 1
         top, den, reach, sources = 0, 1, -1, []
         for x in inputs:
             if type(x) is PBWMonomial:  # a word times 1: divisor 1 at its length
-                factors = words.encode(x)
+                factors = words.encode(x, scale)
                 terms, d, e = ((factors, 1),), 1, len(factors)
             else:
                 x = x._as(words, scale)
@@ -932,24 +930,6 @@ class VermaModule:
                         push((_INSERT, head, add(part, p1), idx + i1, factors,
                               mul(merged, coeff), dest))
                     head += (first,)
-
-    def _dyadic_codes(self, alpha: Fraction, inputs) -> _DyadicCodes:
-        """The code table, its scale extended if ``alpha`` or an input needs a finer one.
-
-        ``inputs`` are the inputs of a run, as :meth:`_run` takes them: a
-        vector brings its own scale, and a word the table has not coded the
-        denominators of its parts.
-        """
-        table = self._codes
-        codes = table.codes
-        dens = [alpha.denominator]
-        for x in inputs:
-            if type(x) is not PBWMonomial:
-                dens.append(x._scale)
-            elif x not in codes:
-                dens += [p.denominator for p, _ in x.factors]
-        table.extend(math.lcm(table.scale, *dens))
-        return table
 
     def _weight_scale(self, n: int) -> int:
         """The lcm of the central charge's denominator and those of labels 0..n."""
@@ -1253,10 +1233,6 @@ _INT_PARTS = _IntParts()
 _LEX_PAIRS = _LexPairs()
 
 
-def _word(factors: Tuple[Factor, ...]) -> PBWMonomial:
-    return PBWMonomial(factors) if factors else VACUUM
-
-
 def _label_reach(gamma: int, factors: Tuple[Factor, ...]) -> int:
     """A bound on the indices L(gamma, i) consumes from ``factors`` on its way
     to a label or the central charge; -1 when it reaches neither.
@@ -1276,11 +1252,6 @@ def _label_reach(gamma: int, factors: Tuple[Factor, ...]) -> int:
         if j > 0 and p <= gamma:
             reach += j
     return reach if weight >= gamma else -1
-
-
-def _recoded(word: Tuple[Factor, ...], k: int) -> Tuple[Factor, ...]:
-    """A raw dyadic word coded at ``k`` times its scale."""
-    return word if k == 1 else tuple([(p * k, i) for p, i in word])
 
 
 def _raw_key(word: Tuple[Factor, ...]):
@@ -1307,88 +1278,66 @@ def _quotient_json(c: int, d: int) -> str:
     return f"{c // g}/{d // g}"
 
 
-class _DyadicCodes:
-    """The code, decode and JSON cache of a dyadic module's words.
+class _IntegerWords:
+    """The integer coding of raw words: a raw word is its factor tuple.
 
-    ``scale`` is a positive multiple of every denominator the table has
-    coded, so ``x -> x*scale`` maps those parts to ints and keeps their
-    order.  ``codes`` maps a word to its coded factor tuple, ``words`` a
-    coded tuple back to its one ``PBWMonomial`` on ``Fraction`` parts,
-    ``parts`` a code to its ``Fraction`` and ``texts`` a code to its JSON
-    string, so a part is decoded and written once per table.  Integral
-    parts are decoded to ``Fraction`` too.  Equal words from two actions
-    are the same object.  The scale only grows: :meth:`extend` re-codes
-    the cache in place, and a vector keeps the scale it was coded at
-    (``ModuleVector._scale``), so the table is not what names its coding.
+    A coding keeps no state: each method takes the ``scale`` of the vector
+    or run whose raw words it reads, 1 but over the dyadic instance
+    (:class:`_DyadicWords`).  :meth:`encode` codes a word, :meth:`decode`
+    builds the word of a raw one and :meth:`word_json` writes its JSON.
     """
 
-    __slots__ = ("scale", "codes", "words", "parts", "texts")
+    __slots__ = ()
 
-    def __init__(self, scale: int):
-        self.scale = scale
-        self.codes: Dict[PBWMonomial, Tuple[Factor, ...]] = {}
-        self.words: Dict[Tuple[Factor, ...], PBWMonomial] = {}
-        self.parts: Dict[int, Fraction] = {}
-        self.texts: Dict[int, str] = {}
+    @staticmethod
+    def encode(mono: PBWMonomial, scale: int) -> Tuple[Factor, ...]:
+        return mono.factors
 
-    def extend(self, scale: int) -> None:
-        """Re-code the cache at ``scale``, a multiple of the present scale."""
-        k = scale // self.scale
-        if k == 1:
-            return
-        self.codes = {mono: _recoded(w, k) for mono, w in self.codes.items()}
-        self.words = {_recoded(w, k): mono for w, mono in self.words.items()}
-        self.parts = {p * k: f for p, f in self.parts.items()}
-        self.texts = {p * k: s for p, s in self.texts.items()}
-        self.scale = scale
+    @staticmethod
+    def decode(word: Tuple[Factor, ...], scale: int) -> PBWMonomial:
+        return PBWMonomial(word) if word else VACUUM
 
-    def code(self, x: Fraction) -> int:
-        return x.numerator * (self.scale // x.denominator)
-
-    def encode(self, mono: PBWMonomial) -> Tuple[Factor, ...]:
-        coded = self.codes.get(mono)
-        if coded is None:
-            coded = self.codes[mono] = tuple((self.code(p), i) for p, i in mono.factors)
-        return coded
-
-    def decode(self, word: Tuple[Factor, ...]) -> PBWMonomial:
-        mono = self.words.get(word)
-        if mono is None:
-            parts, factors = self.parts, []
-            for p, i in word:
-                f = parts.get(p)
-                if f is None:
-                    f = parts[p] = Fraction(p, self.scale)
-                factors.append((f, i))
-            mono = self.words[word] = _word(tuple(factors))
-            self.codes[mono] = word
-        return mono
-
-    def word_json(self, word: Tuple[Factor, ...]) -> list:
-        """The JSON ``factors`` of the word coded as ``word``."""
-        texts = self.texts
-        for p, _ in word:
-            if p not in texts:
-                texts[p] = element_json(Fraction(p, self.scale))
-        return [[texts[p], i] for p, i in word]
+    @staticmethod
+    def word_json(word: Tuple[Factor, ...], scale: int) -> list:
+        return list(map(list, word))
 
 
-class _PlainWords:
-    """The coding of integer and lex-z2 words: a raw word is its factor tuple.
+class _LexWords(_IntegerWords):
+    """The lex-z2 coding: as the integer one, with pair parts in JSON."""
 
-    ``word_json`` writes a raw word's JSON ``factors``, as
-    :meth:`_DyadicCodes.word_json` does.
+    __slots__ = ()
+
+    @staticmethod
+    def word_json(word: Tuple[Factor, ...], scale: int) -> list:
+        return [[[a, b], i] for (a, b), i in word]
+
+
+class _DyadicWords:
+    """The dyadic coding: a part ``x`` is the ``int`` ``x*scale``.
+
+    ``scale`` is a positive multiple of every part's denominator, so codes
+    keep the order of parts.  A part decodes to a ``Fraction``, an integral
+    one too, and is written as :func:`lie.element_json` writes it, with no
+    ``Fraction`` built.
     """
 
-    __slots__ = ("word_json",)
-    scale = 1
-    decode = staticmethod(_word)
-    encode = staticmethod(operator.attrgetter("factors"))
+    __slots__ = ()
 
-    def __init__(self, word_json):
-        self.word_json = word_json
+    @staticmethod
+    def encode(mono: PBWMonomial, scale: int) -> Tuple[Factor, ...]:
+        return tuple([(p.numerator * (scale // p.denominator), i) for p, i in mono.factors])
+
+    @staticmethod
+    def decode(word: Tuple[Factor, ...], scale: int) -> PBWMonomial:
+        return PBWMonomial(tuple([(Fraction(p, scale), i) for p, i in word])) if word else VACUUM
+
+    @staticmethod
+    def word_json(word: Tuple[Factor, ...], scale: int) -> list:
+        out = []
+        for p, i in word:
+            g = math.gcd(p, scale)
+            out.append([str(p // g) if g == scale else f"{p // g}/{scale // g}", i])
+        return out
 
 
-# the two plain codings: the int shape of integer words, and the lex-z2 shape
-_INTEGER_WORDS = _PlainWords(lambda word: list(map(list, word)))
-_LEX_WORDS = _PlainWords(lambda word: [[[a, b], i] for (a, b), i in word])
+_INTEGER_WORDS, _LEX_WORDS, _DYADIC_WORDS = _IntegerWords(), _LexWords(), _DyadicWords()

@@ -373,8 +373,8 @@ def _reference_act(m, sym, vec):
 
     Dyadic parts are coded per action at the largest denominator in
     sight, and every structure constant is the ``Fraction`` ``n/scale``:
-    no code table and no integer rescaling of the weight, so the engine's
-    module-wide scale and common denominator are checked against it.
+    no integer rescaling of the weight, so the engine's run scale and
+    common denominator are checked against it.
     """
     out = {}
     if sym is CENTRAL:
@@ -850,15 +850,14 @@ def test_coded_results_match_their_json_rebuild(group):
 
 
 def test_coded_results_of_two_scales_combine_recoded(monkeypatch):
-    # a part at 1/8 extends the module's scale from 2 to 8 between two
-    # results: sums and nested actions re-code the older one, decode
+    # a result at scale 2 and one at scale 8, where the generator has a
+    # part at 1/8: sums and nested actions re-code the coarser one, decode
     # nothing, and every value stays the same
     m = module(_EXPLICIT, DYADIC)
     vec = m.vector([(Fraction(1, 2), 0), (Fraction(1), 1)])
     a = m.act(Generator(Fraction(-1, 2), 1), vec)
-    assert m._codes.scale == 2
     b = m.act(Generator(Fraction(-3, 8), 0), vec)
-    assert m._codes.scale == 8
+    assert (a._scale, b._scale) == (2, 8)
     sym, q = Generator(Fraction(1, 2), 2), Fraction(-5, 3)
     with monkeypatch.context() as patched:
         patched.setattr(ModuleVector, "items", _no_decode)
@@ -936,19 +935,43 @@ def test_coded_lex_difference_matches_the_decoded_one():
 
 
 def test_coded_equality_across_dyadic_scales(monkeypatch):
-    # one result coded at scale 2 and again at scale 8 once a part at 1/8
-    # has extended the module's scale: == re-codes the coarser one and
-    # decodes neither, and equal vectors hash alike
+    # one result coded at scale 2, and again at scale 8 from the same
+    # vector re-coded by adding and taking away a word at 1/8: == re-codes
+    # the coarser one and decodes neither, and equal vectors hash alike
     m = module(_EXPLICIT, DYADIC)
     vec = m.vector([(Fraction(1, 2), 0), (Fraction(1), 1)])
+    eighth = m.vector([(Fraction(1, 8), 0)])
     sym = Generator(Fraction(-1, 2), 1)
-    a = m.act(sym, vec)
-    m.act(Generator(Fraction(-3, 8), 0), vec)
-    b = m.act(sym, vec)
-    assert m._codes.scale == 8
+    a, b = m.act(sym, vec), m.act(sym, vec + eighth - eighth)
+    assert (a._scale, b._scale) == (2, 8)
     monkeypatch.setattr(ModuleVector, "items", _no_decode)
     assert a == b and b == a and len({a, b}) == 1
     assert a != b.scaled(2) and b.scaled(2) != a
+
+
+def test_integer_and_dyadic_vectors_at_scale_one_combine_dyadic():
+    # an integer vector and an all-integral dyadic one hold the same raw
+    # words at scale 1; whichever comes first, their sum or difference is
+    # dyadic: it writes its parts as dyadic elements and reads them as
+    # Fractions
+    vi = module(_EXPLICIT, INTEGERS).vector([(1, 0)])
+    vd = module(_EXPLICIT, DYADIC).vector([(Fraction(1), 0)])
+    for got in (vi + vd, vd + vi, vd - vi.scaled(3), vi.scaled(3) - vd):
+        assert [t["factors"] for t in got.to_json(DYADIC)["terms"]] == [[["1", 0]]]
+        assert [type(p) for w in got.monomials() for p, _ in w.factors] == [Fraction]
+    assert vi + vd == vd + vi == vd.scaled(2)
+
+
+def test_dyadic_result_does_not_depend_on_the_module_history():
+    # a run at a finer scale leaves nothing behind in the module: the next
+    # result is coded at the scale of its own run, as a fresh module's is
+    m = module(_EXPLICIT, DYADIC)
+    vec = m.vector([(Fraction(1, 2), 0), (Fraction(1), 1)])
+    sym = Generator(Fraction(-1, 2), 1)
+    assert m.act(Generator(Fraction(-3, 8), 0), vec)._scale == 8
+    got, fresh = m.act(sym, vec), module(_EXPLICIT, DYADIC).act(sym, vec)
+    assert got._scale == fresh._scale == 2
+    assert got.to_json(DYADIC) == fresh.to_json(DYADIC)
 
 
 def _no_decode(self):
@@ -957,7 +980,7 @@ def _no_decode(self):
 
 def test_dyadic_module_axiom_decodes_nothing(monkeypatch):
     # seeded triples with denominators up to 8, so a later action often
-    # extends the module's scale past that of a result it reads; the first
+    # runs at a finer scale than that of a result it reads; the first
     # triple is h = L(1,3) on a word with a part 3/2, then g = L(-5/4,-1)
     rng = random.Random("dyadic-axiom")
     triples = [(Generator(Fraction(-5, 4), -1), Generator(Fraction(1), 3),
@@ -975,7 +998,7 @@ def test_dyadic_module_axiom_decodes_nothing(monkeypatch):
             vec = m.vector(word)
             hv = m.act(h, vec)
             ghv = m.act(g, hv)
-            recoded += hv._scale < m._codes.scale
+            recoded += hv._scale < ghv._scale
             lhs = ghv - m.act(h, m.act(g, vec))
             rhs = m.act_element(m.algebra.bracket_basis(g, h), vec)
             assert lhs == rhs and hash(lhs) == hash(rhs)
@@ -1080,10 +1103,10 @@ def test_vector_built_from_words_reads_as_its_sum_with_zero(group):
 
 
 def test_coefficient_reads_every_term_of_a_result():
-    # an integer result, a dyadic one coded at scale 2 and read after a
-    # part at 1/8 has extended its module's table to scale 8, and a lex-z2
-    # one with Q[w] coefficients: each word of items() reads its value, as
-    # the reference action built from words reads it
+    # an integer result, a dyadic one coded at scale 2 and read after its
+    # module has run at scale 8, and a lex-z2 one with Q[w] coefficients:
+    # each word of items() reads its value, as the reference action built
+    # from words reads it
     ints = module(_EXPLICIT, INTEGERS)
     dyadic = module(_EXPLICIT, DYADIC)
     lex = module(_EXPLICIT, LEX_Z2)
@@ -1095,8 +1118,8 @@ def test_coefficient_reads_every_term_of_a_result():
         (lex, Generator((0, 1), 1), inner),
     ]
     results = [m.act(sym, vec) for m, sym, vec in cases]
-    dyadic.act(Generator(Fraction(-3, 8), 0), base)
-    assert results[1]._scale == 2 and dyadic._codes.scale == 8
+    assert results[1]._scale == 2
+    assert dyadic.act(Generator(Fraction(-3, 8), 0), base)._scale == 8
     for (m, sym, vec), result in zip(cases, results):
         want = _reference_act(m, sym, vec)
         assert len(result) >= 3
@@ -1237,17 +1260,17 @@ def test_action_rows_match_word_by_word_act_over_integers(hw):
 
 
 def test_action_rows_match_word_by_word_act_over_dyadics():
-    # a mixed-denominator catalog codes the basis at scale 4, and the probe
-    # at 1/8 extends the scale of the code table between two runs
+    # a mixed-denominator catalog codes the basis at scale 4, and a probe
+    # at 1/8 runs it at scale 8, between two runs at scale 4
     m = module(_EXPLICIT, DYADIC)
     parts = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(3, 2)]
     basis = m.weight_basis(Fraction(-3, 2), 1, parts=parts)
     probes = [Generator(p, k) for p in parts for k in (-1, 0, 2)]
     _assert_rows_match(m, probes, basis)
-    assert m._codes.scale == 4
+    assert {m._run(p, basis)[2] for p in probes} == {4}
     probes = [Generator(Fraction(1, 8), 1), Generator(Fraction(-3, 8), 0), Generator(Fraction(0), 1)]
     _assert_rows_match(m, probes, basis)
-    assert m._codes.scale == 8
+    assert [m._run(p, basis)[2] for p in probes] == [8, 8, 4]
 
 
 def test_action_rows_match_word_by_word_act_over_lex_pairs():
@@ -1335,26 +1358,11 @@ def test_dyadic_central_term_enters_scaled():
             assert got == (n * a * _EXPLICIT.central_charge) * m.vector([(a, -1)] * (n - 1))
 
 
-def test_dyadic_actions_share_their_decoded_words():
-    # the module's code table decodes a word once: equal words from two
-    # actions are one object, so combining the results compares no parts
-    m = module(_EXPLICIT, DYADIC)
-    vec = m.vector([(Fraction(1, 4), 0), (Fraction(1, 2), 1)])
-    a = m.act(Generator(Fraction(1, 4), 1), vec)
-    b = m.act(Generator(Fraction(1, 4), 1), vec)
-    assert a == b and a.monomials()
-    assert all(x is y for x, y in zip(a.monomials(), b.monomials()))
-    c = m.act(Generator(Fraction(0), 2), m.act(Generator(Fraction(1, 4), 0), vec))
-    seen = {w: w for w in a.monomials()}
-    assert any(w in seen for w in c.monomials())
-    assert all(seen[w] is w for w in c.monomials() if w in seen)
-
-
-def test_finer_denominator_replaces_the_code_table():
-    # acting at denominators <= 2 and then at 8 replaces the scale of the
-    # module's codes, and re-codes its table in place; every action still
-    # equals a fresh module's and the reference, on a result coded at the
-    # coarse scale too
+def test_finer_denominator_leaves_later_results_coarse():
+    # acting at denominators <= 2, then at 8 and then at <= 2 again: each
+    # result is coded at the scale of its own run, and every action equals
+    # a fresh module's and the reference, on a result coded at the coarse
+    # scale too
     rng = random.Random(13)
     m = module(_EXPLICIT, DYADIC)
     base = m.vector([(Fraction(1, 2), -1), (Fraction(1), 1)])
@@ -1368,13 +1376,12 @@ def test_finer_denominator_replaces_the_code_table():
         for vec in vecs:
             got = m.act(sym, vec)
             assert got == module(_EXPLICIT, DYADIC).act(sym, vec) == _reference_act(m, sym, vec)
-    assert m._codes.scale == 8
+            assert got._scale == (8 if sym in fine else 2)
 
 
 def test_vector_made_in_one_module_acts_in_another(monkeypatch):
-    # each module codes words in its own table: a result of one module, at
-    # a finer scale than the other's table, acts in the other, which
-    # extends its scale and decodes nothing
+    # a result of one module, at a finer scale than any run of the other
+    # so far, acts in the other at its own scale and decodes nothing
     first, second = module(HW, DYADIC), module(_EXPLICIT, DYADIC)
     second.act(Generator(Fraction(1, 2), 0), second.vector([(Fraction(1, 2), 1)]))
     vec = first.act(
@@ -1386,42 +1393,39 @@ def test_vector_made_in_one_module_acts_in_another(monkeypatch):
         for sym in syms:
             got = second.act(sym, vec)
             fresh = ModuleVector.from_json(vec.to_json(DYADIC), DYADIC)
-            assert got == module(_EXPLICIT, DYADIC).act(sym, fresh)
-        assert second._codes.scale == 8
+            assert got == module(_EXPLICIT, DYADIC).act(sym, fresh) and got._scale == 8
     for sym in syms:
         assert second.act(sym, vec) == _reference_act(second, sym, vec)
 
 
 def test_decoded_dyadic_words_hash_as_their_factors():
     # a decoded word must hash as its factors, equal the word the
-    # constructor builds and find it in a dict, at every code table
+    # constructor builds and find it in a dict, at every scale
     m = module(_EXPLICIT, DYADIC)
     vec = m.vector([(Fraction(1, 2), -1), (Fraction(1), 1), (Fraction(2), 0)])
-    seen = []
-    coarse = [Generator(Fraction(a), i) for a, i in (("-1/2", 0), ("3/2", 1), (1, 0))]
-    kept = [m.act(sym, vec) for sym in coarse]  # results at the coarse scale
-    for out in kept[:2]:
+    syms = [Generator(Fraction(a), i) for a, i in (("-1/2", 0), ("3/2", 1), (1, 0))]
+    syms += [Generator(Fraction(-3, 8), 1), Generator(Fraction(5, 8), 0)]
+    words, seen = verma._DYADIC_WORDS, []
+    for sym in syms:
+        out = m.act(sym, vec)
         seen += out.monomials()
-    seen += m._codes.words.values()
-    for sym in (Generator(Fraction(-3, 8), 1), Generator(Fraction(5, 8), 0)):
-        seen += m.act(sym, vec).monomials()
-    assert m._codes.scale == 8
-    seen += kept[2].monomials()  # a coarse result decoded at the finer table
-    for sym in coarse:  # coarse denominators coded at the finer scale
-        seen += m.act(sym, vec).monomials()
-    seen += m._codes.words.values()
+        # the same raw words coded at four times the scale decode alike
+        finer = out._as(words, 4 * out._scale)
+        assert finer.monomials() == out.monomials()
+        seen += finer.monomials()
     assert any(p.denominator == 1 for w in seen for p, _ in w.factors)
     for w in seen:
         built = PBWMonomial(w.factors)
         assert hash(w) == hash(w.factors) == hash(built)
         assert w == built and built in {w: 0} and w in {built: 0}
-    # an integral part decodes to a Fraction that matches the integer word
-    two = m._codes.decode(((2 * m._codes.scale, 0),))
-    assert two.factors == ((Fraction(2), 0),) and type(two.factors[0][0]) is Fraction
-    assert two == PBWMonomial(((2, 0),)) and hash(two) == hash(PBWMonomial(((2, 0),)))
-    assert {PBWMonomial(((2, 0),)): 1}[two] == 1
-    # the empty word is the vacuum
-    assert m._codes.decode(()) is VACUUM
+    # an integral part decodes to a Fraction that matches the integer word,
+    # and the empty word is the vacuum
+    for scale in (1, 2, 8):
+        two = words.decode(((2 * scale, 0),), scale)
+        assert two.factors == ((Fraction(2), 0),) and type(two.factors[0][0]) is Fraction
+        assert two == PBWMonomial(((2, 0),)) and hash(two) == hash(PBWMonomial(((2, 0),)))
+        assert {PBWMonomial(((2, 0),)): 1}[two] == 1
+        assert words.decode((), scale) is VACUUM
     assert m.act(Generator(Fraction(0), 1), m.vacuum()).monomials()[0] is VACUUM
 
 
