@@ -271,7 +271,6 @@ class SingularReport:
     max_index: int
     probe_index: int
     probe_weight: int
-    residuals_checked: bool = False
 
     @property
     def dimension(self) -> int:
@@ -296,7 +295,8 @@ class SingularReport:
             "candidates": [v.to_json(group) for v in self.candidates],
             "generator": self.generator.to_json(group) if self.generator else None,
             "generator_dim": self.generator_dim,
-            "residuals_all_zero": self.residuals_checked,
+            # singular_candidates raises on a candidate a probe does not kill
+            "residuals_all_zero": True,
             "note": "candidates are singular within the stated horizon only",
         }
 
@@ -455,7 +455,6 @@ def singular_candidates(
         max_index=max_index,
         probe_index=probe_index,
         probe_weight=probe_weight,
-        residuals_checked=True,
     )
 
 

@@ -24,8 +24,8 @@ when constant.
 Each piece of the engine is described once, next to its code: the work
 stack loop in :meth:`VermaModule._straighten`, the setup of a run that
 puts integer and dyadic parts on one ``int`` kernel in
-:meth:`VermaModule._run`, the three stateless codings of raw words in
-:class:`_IntegerWords`, the Q[w] coefficients of the kernel in
+:meth:`VermaModule._run`, the coding of raw words by their scale in
+:func:`_encode_word`, the Q[w] coefficients of the kernel in
 :class:`_LexPairs`, the one coded form of every vector, read term by
 term only when printed or listed, in :class:`ModuleVector`, and the
 enumeration of a weight space in :meth:`VermaModule.weight_basis`.
@@ -127,31 +127,31 @@ def normal_word(factors: Iterable[Factor], group: OrderedGroup) -> PBWMonomial:
 class ModuleVector:
     """Exact linear combination of PBW monomials, in one coded form.
 
-    ``_raw`` maps raw words to nonzero coefficients, ``_words`` is their
-    coding and ``_scale`` the scale of their parts; nothing else is kept.
-    A vector built from words is encoded once (:func:`_encode`); a result
-    of :meth:`VermaModule.act` is the kernel's output as it stands.
-    :meth:`_values` reads each raw word's coefficient value, and
-    :meth:`items`, the one decoder, builds each word through the coding
-    on every call, for :meth:`coefficients`, :meth:`monomials` and ``str``.
+    ``_raw`` maps raw words to nonzero coefficients and ``_scale`` is the
+    scale of their parts; nothing else is kept.  A vector built from words
+    is encoded once (:func:`_encode`); a result of :meth:`VermaModule.act`
+    is the kernel's output as it stands.  :meth:`_values` reads each raw
+    word's coefficient value, and :meth:`items`, the one decoder, builds
+    each word (:func:`_decode_word`) on every call, for
+    :meth:`coefficients`, :meth:`monomials` and ``str``.
 
-    In the lex-z2 shape ``_divisor`` is ``None``, a raw word is its factor
-    tuple and a coefficient is exact: a rational or a Q[w] tuple of
-    :class:`_LexPairs`.  A vector built with no parts, such as the vacuum,
-    takes it too and keeps its coefficient as given.  In the int shape a
-    raw word holds ``int`` part codes ``x * _scale`` and a coefficient is
-    an ``int`` numerator: ``_divisor = (d, e)`` makes ``d * _scale**(e -
-    n)`` the divisor of a word of length ``n``, as a run leaves it
-    (:meth:`VermaModule._run`), and a coefficient reads as an ``int``
-    exactly when its value is integral.  ``_words`` is the integer, lex-z2
-    or dyadic coding (:class:`_IntegerWords`), which reads a raw word at
-    ``_scale`` and keeps no state.
+    In the lex-z2 shape ``_divisor`` is ``None``, ``_scale`` is 1, a raw
+    word is its factor tuple and a coefficient is exact: a rational or a
+    Q[w] tuple of :class:`_LexPairs`.  A vector built with no parts, such
+    as the vacuum, takes it too and keeps its coefficient as given.  In
+    the int shape a raw word holds ``int`` part codes ``x * _scale`` and a
+    coefficient is an ``int`` numerator: ``_divisor = (d, e)`` makes ``d *
+    _scale**(e - n)`` the divisor of a word of length ``n``, as a run
+    leaves it (:meth:`VermaModule._run`), and a coefficient reads as an
+    ``int`` exactly when its value is integral.  The scale names the
+    coding: 1 holds integer parts and a dyadic scale is a power of two and
+    at least 2, an all-integral vector's too.
 
-    Two vectors combine at the finer scale (at a tie, see :meth:`_aligned`),
-    to which :meth:`_as` re-codes the other.  ``+`` and ``-``
-    bring both divisors to their lcm at every length, ``lcm(d1*S**e1,
-    d2*S**e2) / S**n``, so each side's numerators are multiplied by one
-    ``int``, and ``-`` subtracts in one pass
+    Two vectors combine at the finer scale, in the int shape unless both
+    are lex-z2 (:meth:`_aligned`), to which :meth:`_as` re-codes each.
+    ``+`` and ``-`` bring both divisors to their lcm at every length,
+    ``lcm(d1*S**e1, d2*S**e2) / S**n``, so each side's numerators are
+    multiplied by one ``int``, and ``-`` subtracts in one pass
     (:func:`lie.subtract_terms`); ``==`` is true exactly when that
     difference is empty.  :meth:`scaled` by ``p/q`` multiplies the
     numerators by ``p`` and ``d`` by ``q``.  :meth:`weight` sums the parts
@@ -160,19 +160,19 @@ class ModuleVector:
     value, which every coding gives alike.
     """
 
-    __slots__ = ("_raw", "_words", "_scale", "_divisor")
+    __slots__ = ("_raw", "_scale", "_divisor")
 
     def __init__(self, terms=None):
-        self._raw, self._words, self._scale, self._divisor = _encode(dict(terms) if terms else {})
+        self._raw, self._scale, self._divisor = _encode(dict(terms) if terms else {})
 
     @classmethod
     def zero(cls) -> "ModuleVector":
         return cls()
 
     @classmethod
-    def _of_coded(cls, raw: dict, words, scale: int, divisor: Optional[Tuple[int, int]]):
+    def _of_coded(cls, raw: dict, scale: int, divisor: Optional[Tuple[int, int]]):
         res = cls.__new__(cls)
-        res._raw, res._words, res._scale, res._divisor = raw, words, scale, divisor
+        res._raw, res._scale, res._divisor = raw, scale, divisor
         return res
 
     def _values(self) -> List[Tuple[Tuple[Factor, ...], Coeff]]:
@@ -194,9 +194,9 @@ class ModuleVector:
 
     def items(self) -> List[Tuple[PBWMonomial, Coeff]]:
         """The terms in :meth:`PBWMonomial.sort_key` order, each word decoded."""
-        decode, scale = self._words.decode, self._scale
+        scale = self._scale
         terms = sorted(self._values(), key=lambda wc: _raw_key(wc[0]))
-        return [(decode(w, scale), c) for w, c in terms]
+        return [(_decode_word(w, scale), c) for w, c in terms]
 
     def coefficients(self, monos: Iterable[PBWMonomial]) -> List[Coeff]:
         """The coefficients of ``monos``, ``Fraction(0)`` where absent, by one :meth:`items`."""
@@ -218,54 +218,55 @@ class ModuleVector:
     def is_zero(self) -> bool:
         return not self
 
-    def _as(self, words, scale: int) -> "ModuleVector":
-        """This vector coded by ``words`` at ``scale``, or ``TypeError``.
+    def _as(self, lex: bool, scale: int) -> "ModuleVector":
+        """This vector in the lex-z2 shape if ``lex``, else in the int shape
+        at ``scale``; ``TypeError`` if it has no such form.
 
         From a coarser scale, for ``k = scale / _scale`` each part code is
         multiplied by ``k`` and, under the same divisor, the numerator of a
-        word of length ``n`` by ``k**(e - n)``.  A vector built with no
-        parts and a rational coefficient takes the int shape.
+        word of length ``n`` by ``k**(e - n)``: integer parts at scale 1
+        become dyadic ones.  A vector built with no parts and a rational
+        coefficient takes the int shape at any scale.
         """
         raw, divisor = self._raw, self._divisor
-        if (divisor is None) != (words is _LEX_WORDS):
+        if (divisor is None) != lex:
             c = raw.get(())
             if divisor is not None or raw.keys() - {()} or type(c) is tuple:
                 raise TypeError("module vectors of different groups do not combine")
             raw, divisor = ({}, (1, 0)) if c is None else ({(): c.numerator}, (c.denominator, 0))
-            return self._of_coded(raw, words, scale, divisor)
+            return self._of_coded(raw, scale, divisor)
         if self._scale == scale:
-            return self  # at one scale the int-shape codings share raw words
+            return self
         k, finer = divmod(scale, self._scale)
         if finer:
             raise TypeError("module vectors of different groups do not combine")
         d, e = divisor
         power = [k ** (e - n) for n in range(e + 1)]
         raw = {tuple([(p * k, i) for p, i in w]): c * power[len(w)] for w, c in raw.items()}
-        return self._of_coded(raw, words, scale, divisor)
+        return self._of_coded(raw, scale, divisor)
 
     def _aligned(self, other):
-        """``self`` and ``other`` in one coding, then that coding and its scale:
-        the finer scale's, and at one scale the int shape's, dyadic first."""
+        """``self`` and ``other`` in one coded form, then its scale: the
+        finer scale, in the int shape unless both sides are lex-z2."""
         if not isinstance(other, ModuleVector):
             raise TypeError(f"a module vector does not combine with {type(other).__name__}")
-        if self._scale == other._scale and self._words is other._words:
-            return self, other, self._words, self._scale
-        fine = max(self, other, key=lambda v: (
-            v._scale, v._divisor is not None, v._words is _DYADIC_WORDS))
-        words, scale = fine._words, fine._scale
-        return self._as(words, scale), other._as(words, scale), words, scale
+        scale, lex = self._scale, self._divisor is None
+        if scale == other._scale and lex == (other._divisor is None):
+            return self, other, scale
+        scale, lex = max(scale, other._scale), lex and other._divisor is None
+        return self._as(lex, scale), other._as(lex, scale), scale
 
     def __eq__(self, other) -> bool:
         try:
-            a, b, words, scale = self._aligned(other)
+            a, b, scale = self._aligned(other)
         except TypeError:  # another group, or not a module vector
             return False
-        # equal vectors in one coding hold the same raw words
-        return a._raw.keys() == b._raw.keys() and not _coded_sum(a, b, words, scale, True)
+        # equal vectors in one coded form hold the same raw words
+        return a._raw.keys() == b._raw.keys() and not _coded_sum(a, b, scale, True)
 
     def __hash__(self) -> int:
         # each word's index sequence with its coefficient, read without
-        # building the word: every coding gives the same, so equal vectors
+        # building the word: every scale gives the same, so equal vectors
         # hash alike
         return hash(frozenset([(tuple([i for _, i in w]), c) for w, c in self._values()]))
 
@@ -289,11 +290,11 @@ class ModuleVector:
             mul = _LEX_PAIRS.smul
             if type(scalar) is Poly:
                 scalar, mul = scalar.coeffs, _LEX_PAIRS.tmul
-            return self._of_coded({w: mul(scalar, c) for w, c in raw.items()}, _LEX_WORDS, 1, None)
+            return self._of_coded({w: mul(scalar, c) for w, c in raw.items()}, 1, None)
         p, (d, e) = scalar.numerator, self._divisor
         if p != 1:
             raw = {w: c * p for w, c in raw.items()}
-        return self._of_coded(raw, self._words, self._scale, (d * scalar.denominator, e))
+        return self._of_coded(raw, self._scale, (d * scalar.denominator, e))
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
@@ -329,15 +330,16 @@ class ModuleVector:
     def to_json(self, group: OrderedGroup) -> dict:
         weight = self.weight(group)
         # raw words in the decoded order, with no word or coefficient built
-        raw = self._raw
+        raw, scale = self._raw, self._scale
         words = sorted(raw, key=_raw_key)
         if self._divisor is None:
+            factors = [[[[a, b], i] for (a, b), i in w] for w in words]
             coeffs = [coeff_json(raw[w]) for w in words]
         else:
+            factors = [_word_json(w, scale) for w in words]
             divisor = self._divisors()
             coeffs = [_quotient_json(raw[w], divisor[len(w)]) for w in words]
-        word_json, scale = self._words.word_json, self._scale
-        terms = [{"factors": word_json(w, scale), "coeff": c} for w, c in zip(words, coeffs)]
+        terms = [{"factors": f, "coeff": c} for f, c in zip(factors, coeffs)]
         return {"weight": None if weight is None else element_json(weight), "terms": terms}
 
     @classmethod
@@ -372,12 +374,12 @@ class ModuleVector:
 
 
 def _encode(terms: dict):
-    """The coded form ``raw, words, scale, divisor`` of ``terms``, zeros dropped.
+    """The coded form ``raw, scale, divisor`` of ``terms``, zeros dropped.
 
-    Integer pairs, or no parts at all, take the lex-z2 shape; ``int`` parts
-    the integer coding and dyadic ones the dyadic coding at the lcm of
-    their denominators, in the int shape.  A coefficient is checked
-    by :func:`_exact`.
+    Integer pairs, or no parts at all, take the lex-z2 shape.  Other parts
+    take the int shape: ``int`` ones at scale 1, and dyadic ones at the lcm
+    of 2 and their denominators, an all-integral word's too.  A
+    coefficient is checked by :func:`_exact`.
     """
     part = next((m.factors[0][0] for m in terms if m.factors), None)
     lex = part is None or type(part) is tuple
@@ -385,19 +387,16 @@ def _encode(terms: dict):
     items = terms.items()
     if lex or not terms:
         raw = {m.factors: (c.coeffs if type(c) is Poly else c) for m, c in items}
-        return raw, _LEX_WORDS, 1, None
+        return raw, 1, None
     parts = [p for m in terms for p, _ in m.factors]
-    if all(type(p) is int for p in parts):
-        words, scale = _INTEGER_WORDS, 1
-    else:
-        words, scale = _DYADIC_WORDS, math.lcm(*[p.denominator for p in parts])
+    scale = 1 if all(type(p) is int for p in parts) else math.lcm(2, *[p.denominator for p in parts])
     den = math.lcm(*[c.denominator for _, c in items])
     e = max(len(m.factors) for m, _ in items)
     raw = {
-        words.encode(m, scale): c.numerator * (den // c.denominator) * scale ** (e - len(m.factors))
+        _encode_word(m, scale): c.numerator * (den // c.denominator) * scale ** (e - len(m.factors))
         for m, c in items
     }
-    return raw, words, scale, (den, e)
+    return raw, scale, (den, e)
 
 
 def _exact(c, lex: bool):
@@ -407,8 +406,8 @@ def _exact(c, lex: bool):
     return c if kind is int or kind is Fraction or (lex and kind is Poly) else exact_fraction(c)
 
 
-def _coded_sum(a: ModuleVector, b: ModuleVector, words, scale: int, negate: bool) -> ModuleVector:
-    """``a + b`` or ``a - b`` of two vectors coded by ``words`` at ``scale``."""
+def _coded_sum(a: ModuleVector, b: ModuleVector, scale: int, negate: bool) -> ModuleVector:
+    """``a + b`` or ``a - b`` of two vectors in one coded form at ``scale``."""
     terms = b._raw.items()
     if a._divisor is None:
         out, ar, divisor = dict(a._raw), _LEX_PAIRS, None
@@ -420,12 +419,12 @@ def _coded_sum(a: ModuleVector, b: ModuleVector, words, scale: int, negate: bool
         out = dict(a._raw) if mx == 1 else {w: c * mx for w, c in a._raw.items()}
         if my != 1:
             terms = [(w, c * my) for w, c in terms]
-        ar, divisor = _INT_PARTS, (lcm // scale**e, e)
+        ar, divisor = _IntParts, (lcm // scale**e, e)
     if negate:
         out = subtract_terms(out, terms, ar.csub, ar.cneg)
     else:
         out = merge_terms(out, terms, ar.cadd)
-    return ModuleVector._of_coded(out, words, scale, divisor)
+    return ModuleVector._of_coded(out, scale, divisor)
 
 
 # -- highest weight functionals -----------------------------------------
@@ -636,8 +635,8 @@ class VermaModule:
         """
         if isinstance(sym, Central):
             return vec.scaled(self.hw.central_charge)
-        (raw,), words, scale, divisor = self._run(sym, [vec])
-        return ModuleVector._of_coded(raw, words, scale, divisor)
+        (raw,), scale, divisor = self._run(sym, [vec])
+        return ModuleVector._of_coded(raw, scale, divisor)
 
     def action_rows(
         self, probe: Generator, basis: Sequence[PBWMonomial]
@@ -661,7 +660,7 @@ class VermaModule:
         """
         if isinstance(probe, Central):
             raise ValueError("action rows need a generator, not the central symbol")
-        cols, _, _, divisor = self._run(probe, basis)
+        cols, _, divisor = self._run(probe, basis)
         rows: Dict[Tuple[Factor, ...], Dict[int, Coeff]] = {}
         for j, words in enumerate(cols):
             for w, c in words.items():
@@ -679,13 +678,13 @@ class VermaModule:
 
         An input is a vector, or a word that stands for itself with
         coefficient 1.  Returns one dict per input, from raw output words
-        to their nonzero coefficients, the coding of those words, its
-        scale and the run's divisor, in the terms of the coded form of
+        to their nonzero coefficients, the scale of those words and the
+        run's divisor, in the terms of the coded form of
         :class:`ModuleVector`.  Each input is straightened in full before
         the next starts and spends its own step budget.  A vector enters
-        in its coded form, re-coded first if its dyadic scale is coarser
-        than the run's (:meth:`ModuleVector._as`): no word is decoded and
-        no coefficient cleared again.
+        in its coded form, re-coded first if its scale is coarser than the
+        run's (:meth:`ModuleVector._as`): no word is decoded and no
+        coefficient cleared again.
 
         Integer and dyadic parts share one integer kernel, because the
         dyadic algebra is the integer one rescaled: for a scale ``S`` that
@@ -693,11 +692,12 @@ class VermaModule:
         map it into the integer algebra, and the module of weight ``(cc,
         labels)`` goes to the integer module of weight ``(S*cc,
         S*labels)``, a word of length ``k`` to ``S^-k`` times its image.
-        A dyadic run takes for ``S`` the lcm of the denominators of ``sym``
-        and its inputs, a vector's ``_scale`` or a word's parts; an integer
-        run has ``S = 1``.  So a part ``x`` runs as the ``int`` code ``x*S``
-        (``S > 0`` keeps the order), every structure constant is an
-        ``int``, and the weight data enters scaled (see :meth:`_straighten`).
+        A dyadic run takes for ``S`` the lcm of 2 and the denominators of
+        ``sym`` and its inputs, a vector's ``_scale`` or a word's parts, so
+        that ``S`` alone tells it from an integer run, which has ``S = 1``.
+        So a part ``x`` runs as the ``int`` code ``x*S`` (``S > 0`` keeps
+        the order), every structure constant is an ``int``, and the weight
+        data enters scaled (see :meth:`_straighten`).
         An output word of length ``n`` then carries ``S^(n - len_in - 1)``.
 
         Such a run stays in ``int``.  An input word of length ``len_in``
@@ -728,7 +728,7 @@ class VermaModule:
                 if type(x) is PBWMonomial:
                     terms = ((x.factors, 1),)
                 else:
-                    terms = x._as(_LEX_WORDS, 1)._raw.items()
+                    terms = x._as(True, 1)._raw.items()
                 dest, tasks = {}, []
                 for factors, c in terms:
                     if type(c) is Fraction and c.denominator == 1:
@@ -736,24 +736,24 @@ class VermaModule:
                     tasks.append((_APPLY, alpha, idx, (), factors, c, dest))
                 outs.append(dest)
                 seeds.append(tasks)
-            self._straighten(seeds, _LEX_PAIRS, 1)
-            return outs, _LEX_WORDS, 1, None
+            self._straighten(seeds, _LEX_PAIRS)
+            return outs, 1, None
         # Integer and dyadic words run on the integer kernel, a dyadic word
         # coded at the run's scale.
         if isinstance(g, DyadicGroup):
-            words, scale = _DYADIC_WORDS, math.lcm(alpha.denominator, *[
+            scale = math.lcm(2, alpha.denominator, *[
                 math.lcm(*[p.denominator for p, _ in x.factors]) if type(x) is PBWMonomial
                 else x._scale for x in inputs])
             alpha = alpha.numerator * (scale // alpha.denominator)
         else:
-            words, scale = _INTEGER_WORDS, 1
+            scale = 1
         top, den, reach, sources = 0, 1, -1, []
         for x in inputs:
             if type(x) is PBWMonomial:  # a word times 1: divisor 1 at its length
-                factors = words.encode(x, scale)
+                factors = _encode_word(x, scale)
                 terms, d, e = ((factors, 1),), 1, len(factors)
             else:
-                x = x._as(words, scale)
+                x = x._as(False, scale)
                 terms, (d, e) = x._raw.items(), x._divisor
             den = math.lcm(den, d)
             if e > top:
@@ -778,15 +778,15 @@ class VermaModule:
                 tasks.append((_APPLY, alpha, idx, (), factors, c * m, dest))
             outs.append(dest)
             seeds.append(tasks)
-        self._straighten(seeds, _INT_PARTS, scale)
-        return outs, words, scale, (den * lam, top + 1)
+        self._straighten(seeds, _IntParts(scale))
+        return outs, scale, (den * lam, top + 1)
 
     def act_element(self, elem: LieElement, vec: ModuleVector) -> ModuleVector:
         """Linear extension of :meth:`act` over a Lie element."""
         terms = [self.act(sym, vec).scaled(coeff) for sym, coeff in elem.items()]
         return reduce(operator.add, terms) if terms else ModuleVector.zero()
 
-    def _straighten(self, seeds: list, ar, scale: int) -> None:
+    def _straighten(self, seeds: list, ar) -> None:
         """Run each seed's tasks until the stack is empty; words are plain factor tuples.
 
         One loop runs over an explicit LIFO work stack, so no word is held
@@ -825,25 +825,17 @@ class VermaModule:
         ends.  ``ar`` is the part arithmetic of the run, :class:`_IntParts`
         or :class:`_LexPairs`.  Coefficients meet only its ring hooks
         ``mul``, ``smul`` and ``cadd``, so a Q[w] coefficient stays a tuple
-        here and no ``Poly`` is built.  Parts are coded at ``scale``, so the
-        weight data enters scaled: a label as ``label*scale``, the central
-        charge as ``scale*cc``.  A label term is ``smul(label, coeff)`` and
-        a central term ``smul(cc, mul(scalar(gamma), coeff))``.  On integer
-        parts ``smul`` by ``p/q`` is ``coeff // q * p``: both terms go
-        straight to the output, so the coefficient they scale is still an
-        integer multiple of the entry scale of :meth:`_run`, which ``q``
-        divides.
+        here and no ``Poly`` is built.  A label term is ``smul(label,
+        coeff)`` and a central term ``smul(cc, mul(scalar(gamma), coeff))``.
+        On integer parts coded at the run's scale ``S``, ``smul`` by ``p/q``
+        is ``coeff // q * p * S``, so the weight data enters scaled with the
+        parts: both terms go straight to the output, so the coefficient
+        they scale is still an integer multiple of the entry scale of
+        :meth:`_run`, which ``q`` divides.
         """
         zero, add, sub, neg, const = ar.zero, ar.add, ar.sub, ar.neg, ar.const
         mul, smul, cadd = ar.mul, ar.smul, ar.cadd
         label, cc = self.hw.label, self.hw.central_charge
-        if scale != 1:
-            cc *= scale
-            hw_label = label
-
-            def label(i):
-                return hw_label(i) * scale
-
         stack: list = []
         push, pop = stack.append, stack.pop
         for tasks in seeds:
@@ -1078,24 +1070,28 @@ def _accumulate(store: Dict, mono, coeff: Coeff, add=operator.add):
 
 
 class _IntParts:
-    """Integer parts, and dyadic parts coded as ints; a scalar image is the int itself.
+    """Integer parts, and dyadic parts coded as ints at ``scale``; a scalar
+    image is the int itself.
 
     Coefficients are ``int``s.  ``mul``, ``cadd``, ``csub`` and ``cneg``
     are the plain operators, and ``smul`` by a label or the central charge
-    ``p/q`` is the exact division ``a // q * p`` (see
-    :meth:`VermaModule._run`).
+    ``p/q`` is the exact division ``a // q * p`` times ``scale`` (see
+    :meth:`VermaModule._run`).  Each run makes its own at its scale;
+    :func:`_coded_sum` reads only the plain operators, from the class.
     """
 
-    __slots__ = ()
+    __slots__ = ("scale",)
     zero = 0
     add = cadd = staticmethod(operator.add)
     sub = csub = staticmethod(operator.sub)
     neg = cneg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
 
-    @staticmethod
-    def smul(x, a):
-        return a // x.denominator * x.numerator
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def smul(self, x, a):
+        return a // x.denominator * x.numerator * self.scale
 
     @staticmethod
     def scalar(x):
@@ -1229,7 +1225,6 @@ class _LexPairs:
 
 
 _APPLY, _INSERT = range(2)  # task kinds of VermaModule._straighten
-_INT_PARTS = _IntParts()
 _LEX_PAIRS = _LexPairs()
 
 
@@ -1255,7 +1250,8 @@ def _label_reach(gamma: int, factors: Tuple[Factor, ...]) -> int:
 
 
 def _raw_key(word: Tuple[Factor, ...]):
-    """:meth:`PBWMonomial.sort_key` of a raw word, which a coding keeps."""
+    """:meth:`PBWMonomial.sort_key` of a raw word: codes at one scale keep
+    the order of parts."""
     return (len(word), word)
 
 
@@ -1278,66 +1274,37 @@ def _quotient_json(c: int, d: int) -> str:
     return f"{c // g}/{d // g}"
 
 
-class _IntegerWords:
-    """The integer coding of raw words: a raw word is its factor tuple.
+def _encode_word(mono: PBWMonomial, scale: int) -> Tuple[Factor, ...]:
+    """The raw word of ``mono`` at ``scale``: its factors at scale 1, where
+    parts are integers or lex-z2 pairs, and otherwise each dyadic part
+    ``x`` as the ``int`` ``x*scale``.
 
-    A coding keeps no state: each method takes the ``scale`` of the vector
-    or run whose raw words it reads, 1 but over the dyadic instance
-    (:class:`_DyadicWords`).  :meth:`encode` codes a word, :meth:`decode`
-    builds the word of a raw one and :meth:`word_json` writes its JSON.
+    A dyadic scale is a power of two and at least 2 and a multiple of
+    every part's denominator, so codes keep the order of parts.
     """
-
-    __slots__ = ()
-
-    @staticmethod
-    def encode(mono: PBWMonomial, scale: int) -> Tuple[Factor, ...]:
+    if scale == 1:
         return mono.factors
+    return tuple([(p.numerator * (scale // p.denominator), i) for p, i in mono.factors])
 
-    @staticmethod
-    def decode(word: Tuple[Factor, ...], scale: int) -> PBWMonomial:
-        return PBWMonomial(word) if word else VACUUM
 
-    @staticmethod
-    def word_json(word: Tuple[Factor, ...], scale: int) -> list:
+def _decode_word(word: Tuple[Factor, ...], scale: int) -> PBWMonomial:
+    """The word of a raw one at ``scale``; above 1 every part is a
+    ``Fraction``, an integral one too."""
+    if not word:
+        return VACUUM
+    if scale == 1:
+        return PBWMonomial(word)
+    return PBWMonomial(tuple([(Fraction(p, scale), i) for p, i in word]))
+
+
+def _word_json(word: Tuple[Factor, ...], scale: int) -> list:
+    """The JSON factors of an int-shape raw word at ``scale``: an integer
+    part as it is, a dyadic one as :func:`lie.element_json` writes it, with
+    no ``Fraction`` built."""
+    if scale == 1:
         return list(map(list, word))
-
-
-class _LexWords(_IntegerWords):
-    """The lex-z2 coding: as the integer one, with pair parts in JSON."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def word_json(word: Tuple[Factor, ...], scale: int) -> list:
-        return [[[a, b], i] for (a, b), i in word]
-
-
-class _DyadicWords:
-    """The dyadic coding: a part ``x`` is the ``int`` ``x*scale``.
-
-    ``scale`` is a positive multiple of every part's denominator, so codes
-    keep the order of parts.  A part decodes to a ``Fraction``, an integral
-    one too, and is written as :func:`lie.element_json` writes it, with no
-    ``Fraction`` built.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def encode(mono: PBWMonomial, scale: int) -> Tuple[Factor, ...]:
-        return tuple([(p.numerator * (scale // p.denominator), i) for p, i in mono.factors])
-
-    @staticmethod
-    def decode(word: Tuple[Factor, ...], scale: int) -> PBWMonomial:
-        return PBWMonomial(tuple([(Fraction(p, scale), i) for p, i in word])) if word else VACUUM
-
-    @staticmethod
-    def word_json(word: Tuple[Factor, ...], scale: int) -> list:
-        out = []
-        for p, i in word:
-            g = math.gcd(p, scale)
-            out.append([str(p // g) if g == scale else f"{p // g}/{scale // g}", i])
-        return out
-
-
-_INTEGER_WORDS, _LEX_WORDS, _DYADIC_WORDS = _IntegerWords(), _LexWords(), _DyadicWords()
+    out = []
+    for p, i in word:
+        g = math.gcd(p, scale)
+        out.append([str(p // g) if g == scale else f"{p // g}/{scale // g}", i])
+    return out

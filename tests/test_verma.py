@@ -949,17 +949,39 @@ def test_coded_equality_across_dyadic_scales(monkeypatch):
     assert a != b.scaled(2) and b.scaled(2) != a
 
 
-def test_integer_and_dyadic_vectors_at_scale_one_combine_dyadic():
-    # an integer vector and an all-integral dyadic one hold the same raw
-    # words at scale 1; whichever comes first, their sum or difference is
-    # dyadic: it writes its parts as dyadic elements and reads them as
-    # Fractions
+def test_integer_vector_combines_with_an_all_integral_dyadic_one_dyadic():
+    # an integer vector is coded at scale 1 and an all-integral dyadic one
+    # at scale 2; whichever comes first, their sum or difference is re-coded
+    # at 2 and dyadic: it writes its parts as dyadic elements and reads them
+    # as Fractions
     vi = module(_EXPLICIT, INTEGERS).vector([(1, 0)])
     vd = module(_EXPLICIT, DYADIC).vector([(Fraction(1), 0)])
     for got in (vi + vd, vd + vi, vd - vi.scaled(3), vi.scaled(3) - vd):
         assert [t["factors"] for t in got.to_json(DYADIC)["terms"]] == [[["1", 0]]]
         assert [type(p) for w in got.monomials() for p, _ in w.factors] == [Fraction]
     assert vi + vd == vd + vi == vd.scaled(2)
+
+
+def test_every_dyadic_scale_is_a_power_of_two_and_at_least_two():
+    # the scale names the coding, so no dyadic vector or run is at scale 1,
+    # however integral its parts; an all-integral one still decodes to
+    # Fraction parts and writes them as dyadic elements
+    m = module(_EXPLICIT, DYADIC)
+    one, two = Fraction(1), Fraction(2)
+    integral = m.vector([(one, 0), (two, 1)])
+    built = ModuleVector({m.monomial([(one, -1)]): Fraction(2, 3), VACUUM: 1})
+    basis = m.weight_basis(-two, 1, parts=[one, two])
+    probes = [Generator(p, k) for p in (one, two, Fraction(1, 4)) for k in (-1, 0, 1)]
+    vi = module(_EXPLICIT, INTEGERS).vector([(1, 0)])
+    vecs = [integral, built, m.vector([(Fraction(3, 8), 0)])]
+    vecs += [m.act(Generator(-one, 1), integral), m.act(Generator(one, 2), integral)]
+    vecs += [v + vi for v in vecs] + [vi - v for v in vecs] + [v.scaled(3) for v in vecs]
+    scales = [v._scale for v in vecs] + [m._run(p, basis)[1] for p in probes]
+    assert set(scales) == {2, 4, 8}
+    for s in scales:
+        assert s >= 2 and s & (s - 1) == 0
+    assert [type(p) for w in integral.monomials() for p, _ in w.factors] == [Fraction] * 2
+    assert [t["factors"] for t in integral.to_json(DYADIC)["terms"]] == [[["1", 0], ["2", 1]]]
 
 
 def test_dyadic_result_does_not_depend_on_the_module_history():
@@ -1156,10 +1178,10 @@ def test_one_run_reads_coded_and_decoded_inputs_alike(group):
     sym = Generator(word.factors[0][0], 1)
     if group is DYADIC:
         sym = Generator(Fraction(1, 8), 1)  # finer than the scale 2 of the inputs
-    outs, words, scale, divisor = m._run(sym, inputs)
+    outs, scale, divisor = m._run(sym, inputs)
     assert scale == (8 if group is DYADIC else 1)
     for x, raw in zip(inputs, outs):
-        got = ModuleVector._of_coded(raw, words, scale, divisor)
+        got = ModuleVector._of_coded(raw, scale, divisor)
         if type(x) is PBWMonomial:
             x = ModuleVector.of(x, 1)
         assert got and got == m.act(sym, x) == _reference_act(m, sym, x)
@@ -1234,7 +1256,7 @@ def _assert_rows_match(m, probes, basis):
             # over the integers and dyadics each row is the act row times
             # the run's divisor for the row's word length, with int
             # entries; one act call straightens a word at its own scale
-            _, _, scale, (d, e) = m._run(probe, basis)
+            _, scale, (d, e) = m._run(probe, basis)
             assert d > 0 and e == max(mono.length for mono in basis) + 1
             divisor = [d * scale ** (e - n) for n in range(e + 1)]
             scaled = [{j: c * divisor[w.length] for j, c in r.items()} for w, r in want]
@@ -1267,10 +1289,10 @@ def test_action_rows_match_word_by_word_act_over_dyadics():
     basis = m.weight_basis(Fraction(-3, 2), 1, parts=parts)
     probes = [Generator(p, k) for p in parts for k in (-1, 0, 2)]
     _assert_rows_match(m, probes, basis)
-    assert {m._run(p, basis)[2] for p in probes} == {4}
+    assert {m._run(p, basis)[1] for p in probes} == {4}
     probes = [Generator(Fraction(1, 8), 1), Generator(Fraction(-3, 8), 0), Generator(Fraction(0), 1)]
     _assert_rows_match(m, probes, basis)
-    assert [m._run(p, basis)[2] for p in probes] == [8, 8, 4]
+    assert [m._run(p, basis)[1] for p in probes] == [8, 8, 4]
 
 
 def test_action_rows_match_word_by_word_act_over_lex_pairs():
@@ -1405,12 +1427,12 @@ def test_decoded_dyadic_words_hash_as_their_factors():
     vec = m.vector([(Fraction(1, 2), -1), (Fraction(1), 1), (Fraction(2), 0)])
     syms = [Generator(Fraction(a), i) for a, i in (("-1/2", 0), ("3/2", 1), (1, 0))]
     syms += [Generator(Fraction(-3, 8), 1), Generator(Fraction(5, 8), 0)]
-    words, seen = verma._DYADIC_WORDS, []
+    seen = []
     for sym in syms:
         out = m.act(sym, vec)
         seen += out.monomials()
         # the same raw words coded at four times the scale decode alike
-        finer = out._as(words, 4 * out._scale)
+        finer = out._as(False, 4 * out._scale)
         assert finer.monomials() == out.monomials()
         seen += finer.monomials()
     assert any(p.denominator == 1 for w in seen for p, _ in w.factors)
@@ -1418,14 +1440,17 @@ def test_decoded_dyadic_words_hash_as_their_factors():
         built = PBWMonomial(w.factors)
         assert hash(w) == hash(w.factors) == hash(built)
         assert w == built and built in {w: 0} and w in {built: 0}
-    # an integral part decodes to a Fraction that matches the integer word,
-    # and the empty word is the vacuum
+    # at a dyadic scale an integral part decodes to a Fraction that matches
+    # the integer word; at scale 1 it is the integer part itself; the empty
+    # word is the vacuum at every scale
+    decode = verma._decode_word
     for scale in (1, 2, 8):
-        two = words.decode(((2 * scale, 0),), scale)
-        assert two.factors == ((Fraction(2), 0),) and type(two.factors[0][0]) is Fraction
+        two = decode(((2 * scale, 0),), scale)
+        assert type(two.factors[0][0]) is (int if scale == 1 else Fraction)
+        assert two.factors == ((Fraction(2), 0),)
         assert two == PBWMonomial(((2, 0),)) and hash(two) == hash(PBWMonomial(((2, 0),)))
         assert {PBWMonomial(((2, 0),)): 1}[two] == 1
-        assert words.decode((), scale) is VACUUM
+        assert decode((), scale) is VACUUM
     assert m.act(Generator(Fraction(0), 1), m.vacuum()).monomials()[0] is VACUUM
 
 
