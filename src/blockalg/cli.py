@@ -33,8 +33,8 @@ from .exprparse import (
     parse_vector,
 )
 from .groups import DYADIC, GROUPS, INTEGERS, GroupError, format_element, get_group
-from .lie import BlockAlgebra, check_int
-from .polynomial import format_rational
+from .lie import BlockAlgebra
+from .polynomial import check_int, format_rational
 from .reducibility import (
     DetectorInconsistencyError,
     charpoly_certificate,

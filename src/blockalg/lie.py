@@ -26,20 +26,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from .groups import IntegerGroup, LexPairGroup, OrderedGroup, format_element
-from .polynomial import Poly, format_poly, format_rational, parse_rational
-
-
-def check_int(value, name: str, least: Optional[int] = None) -> None:
-    """The integer rule of indices (at least -1) and horizons: an ``int``,
-    not a ``bool``, and at least ``least`` when given; anything else raises
-    ``ValueError``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}")
+from .polynomial import Poly, check_int, format_poly, format_rational, parse_rational
 
 
 @dataclass(frozen=True)

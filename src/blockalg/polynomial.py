@@ -1,39 +1,84 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact arithmetic over the rationals and in Q[x]: the one layer of it.
 
-Dense coefficient tuples; deliberately small.  A coefficient is a Python
-``int`` while it is integral and a ``Fraction`` once a non-integral value
-has entered it; the two compare and hash alike (``hash(3) ==
-hash(Fraction(3))``), so the mix is invisible to equality.  One class
-covers three roles in this package:
+``exact_rational`` is the one gate of an exact scalar: an ``int`` that is
+not a ``bool``, or a ``Fraction``, as ``check_int`` is of an integer;
+``parse_rational`` and ``format_rational`` are its JSON form ``"p/q"``
+(``q >= 1``).  A Q[x] value is a dense tuple, lowest degree first, with
+no trailing zero (zero is ``()``); an entry is an ``int`` while integral
+and a ``Fraction`` after, and the two compare and hash alike.  ``mul``,
+``tmul``, ``smul``, ``cneg``, ``cadd`` and ``csub`` are its arithmetic,
+written once: they also take a bare rational for a constant, as the
+lex-z2 kernel (``verma._LexPairs``, which binds them) keeps a
+coefficient no w-arithmetic has touched.  ``Poly`` gives a tuple
+operators, in three roles:
 
 * characteristic polynomials and probe expansions in ``t``;
 * symbolic sweep coefficients in ``x`` (for degree bookkeeping);
 * the coefficient ring for the lexicographic pair group, whose structure
   constants live in Q[w] for a formal unit ``w`` exceeding every rational.
-
-``format_rational`` and ``parse_rational`` are the one JSON form of an
-exact rational used throughout the package: ``"p/q"`` with ``q >= 1``.
-``format_poly`` writes a coefficient tuple as ``Poly.format`` prints it.
-``exact_fraction`` is the one strict conversion of a value to ``Fraction``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
-def _rat(value) -> Rat:
-    if isinstance(value, Fraction):
+def exact_rational(value) -> Rat:
+    """``value`` as it is if it is an ``int`` that is not a ``bool``, or a ``Fraction``.
+
+    Anything else -- a float, a bool, a string, a ``Poly`` -- raises
+    ``ValueError`` rather than being converted: ``Fraction(0.1)`` is not
+    1/10, and ``True`` is not the number 1.
+    """
+    kind = type(value)
+    if kind is int or kind is Fraction or (isinstance(value, (int, Fraction)) and kind is not bool):
         return value
-    if isinstance(value, int):
-        return int(value)  # a bool becomes a plain int
-    raise TypeError(f"not an exact rational: {value!r}")
+    raise ValueError(f"not an exact rational: {value!r} (use an int or a Fraction)")
+
+
+def check_int(value, name: str, least: Optional[int] = None) -> None:
+    """The integer rule of indices (at least -1), horizons and exponents: an
+    ``int``, not a ``bool``, and at least ``least`` when given; anything
+    else raises ``ValueError``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def exact_fraction(value) -> Fraction:
+    """``value`` as a ``Fraction``: a ``Fraction`` as it is, an ``int`` converted,
+    anything else refused by :func:`exact_rational`."""
+    return value if type(value) is Fraction else Fraction(exact_rational(value))
+
+
+def parse_rational(value) -> Rat:
+    """An exact rational from JSON: an int, or a ``"p"`` or ``"p/q"`` string.
+
+    A ``Fraction`` passes through.  Anything else -- a float, a bool, a
+    decimal or exponent string -- raises ``ValueError``: a float has
+    already lost the value it was meant to hold.
+    """
+    if not isinstance(value, str):
+        try:
+            return exact_rational(value)
+        except ValueError:
+            pass  # refused below, with the JSON forms named
+    elif _RATIONAL.fullmatch(value.strip()):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    raise ValueError(
+        f"not an exact rational: {value!r} (use an integer or a \"p/q\" string)"
+    )
 
 
 def format_rational(x: Rat) -> str:
@@ -67,48 +112,99 @@ def format_poly(cs: Sequence[Rat], var: str = "t") -> str:
     return " ".join(bits) if bits else "0"
 
 
-def exact_fraction(value) -> Fraction:
-    """``value`` as a ``Fraction``: a ``Fraction`` passes, an ``int`` converts.
+def _trim(cs: Sequence[Rat]) -> Tuple[Rat, ...]:
+    """``cs`` as a tuple without trailing zeros; a trimmed tuple is returned as it is."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return tuple(cs[:n])
 
-    Anything else -- a float, a bool, a string -- raises ``ValueError``
-    rather than being converted: ``Fraction(0.1)`` is not 1/10.
+
+def mul(c, a):
+    """``c*a`` for a nonzero tuple ``c`` of degree at most 1 and a nonzero ``a``, in one pass.
+
+    The top entry ``a[-1]*c1`` is nonzero, so the product needs no trim.
+    ``a``'s entries are the left operand, so a ``Fraction`` takes its own method.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ValueError(f"not an exact rational: {value!r} (use an int or a Fraction)")
+    if type(a) is not tuple:
+        return tuple([a * x for x in c])
+    if len(c) == 1:
+        c0 = c[0]
+        return tuple([y * c0 for y in a])
+    c0, c1 = c
+    x = a[0]
+    out = [x * c0]
+    for y in a[1:]:
+        out.append(y * c0 + x * c1)
+        x = y
+    out.append(x * c1)
+    return tuple(out)
 
 
-def parse_rational(value) -> Rat:
-    """An exact rational from JSON: an int, or a ``"p"`` or ``"p/q"`` string.
+def tmul(c, a):
+    """``c*a`` for a nonzero tuple ``c`` of any degree; no trim, as in :func:`mul`."""
+    if len(c) <= 2:
+        return mul(c, a)
+    if type(a) is not tuple:
+        return tuple([a * x for x in c])
+    out = [0] * (len(a) + len(c) - 1)
+    for j, x in enumerate(c):
+        for i, y in enumerate(a):
+            out[i + j] += y * x
+    return tuple(out)
 
-    A ``Fraction`` passes through.  Anything else -- a float, a bool, a
-    decimal or exponent string -- raises ``ValueError``: a float has
-    already lost the value it was meant to hold.
-    """
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise ValueError(
-        f"not an exact rational: {value!r} (use an integer or a \"p/q\" string)"
-    )
+
+def smul(x, a):
+    """``x*a`` for a rational ``x``: a label, the central charge or a scalar."""
+    if type(a) is not tuple:
+        return x * a
+    return tuple([x * y for y in a]) if x else ()
+
+
+def cneg(a):
+    return tuple([-y for y in a]) if type(a) is tuple else -a
+
+
+def cadd(a, b):
+    """``a + b``, trimmed; a sum that cancels is ``()`` (or a rational 0)."""
+    if type(a) is not tuple:
+        if type(b) is not tuple:
+            return a + b
+        a = (a,) if a else ()
+    elif type(b) is not tuple:
+        b = (b,) if b else ()
+    if len(a) != len(b):
+        if len(a) < len(b):
+            a, b = b, a
+        return tuple(map(operator.add, a, b)) + a[len(b):]
+    return _trim(tuple(map(operator.add, a, b)))
+
+
+def csub(a, b):
+    """``a - b``, trimmed as by :func:`cadd`; two tuples of one length in one pass."""
+    if type(a) is not tuple or type(b) is not tuple or len(a) != len(b):
+        return cadd(a, cneg(b))
+    return _trim(tuple(map(operator.sub, a, b)))
+
+
+def _operand(other):
+    """A ``Poly``'s tuple or an exact rational as it is; ``None`` for anything else."""
+    if type(other) is Poly:
+        return other.coeffs
+    try:
+        return exact_rational(other)
+    except ValueError:
+        return None
 
 
 class Poly:
-    """Immutable c0 + c1*X + c2*X^2 + ... with exact rational coefficients."""
+    """Immutable c0 + c1*X + c2*X^2 + ...; an operand that is neither a
+    ``Poly`` nor an exact rational, a ``bool`` too, is ``NotImplemented``."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Rat, ...] = tuple(cs)
+        self.coeffs: Tuple[Rat, ...] = _trim(tuple(map(exact_rational, coeffs)))
 
     @classmethod
     def of_exact(cls, cs: Sequence[Rat]) -> "Poly":
@@ -117,12 +213,8 @@ class Poly:
         Skips the per-entry check of the constructor and trims trailing
         zeros; a tuple that needs no trim becomes the coefficients as it is.
         """
-        if cs and not cs[-1]:
-            cs = list(cs)
-            while cs and not cs[-1]:
-                cs.pop()
         p = cls.__new__(cls)
-        p.coeffs = tuple(cs)
+        p.coeffs = _trim(cs)
         return p
 
     @property
@@ -143,11 +235,10 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly((other,))
-        return NotImplemented
+        b = _operand(other)
+        if b is None:
+            return NotImplemented
+        return self.coeffs == (b if type(b) is tuple else _trim((b,)))
 
     def __hash__(self):
         # a constant hashes like the rational it equals
@@ -157,65 +248,37 @@ class Poly:
         return hash(cs[0]) if cs else 0
 
     def __add__(self, other):
-        # the exact type test first: isinstance against the numeric
-        # classes goes through the ABC machinery
-        if type(other) is Poly:
-            b = other.coeffs
-        elif isinstance(other, (int, Fraction)):
-            b = (_rat(other),)
-        else:
-            return NotImplemented
-        a = self.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = [x + y for x, y in zip(a, b)]
-        cs.extend(a[len(b):])
-        return Poly.of_exact(cs)
+        b = _operand(other)
+        return NotImplemented if b is None else Poly.of_exact(cadd(self.coeffs, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly.of_exact([-c for c in self.coeffs])
+        return Poly.of_exact(cneg(self.coeffs))
 
     def __sub__(self, other):
-        if type(other) is Poly:
-            b = other.coeffs
-        elif isinstance(other, (int, Fraction)):
-            b = (_rat(other),)
-        else:
-            return NotImplemented
-        a = self.coeffs
-        cs = [x - y for x, y in zip(a, b)]
-        if len(a) >= len(b):
-            cs.extend(a[len(b):])
-        else:
-            cs.extend(-y for y in b[len(a):])
-        return Poly.of_exact(cs)
+        b = _operand(other)
+        return NotImplemented if b is None else Poly.of_exact(csub(self.coeffs, b))
 
     def __rsub__(self, other):
-        return (-self) + other
+        b = _operand(other)
+        return NotImplemented if b is None else Poly.of_exact(csub(b, self.coeffs))
 
     def __mul__(self, other):
-        if type(other) is not Poly:
-            if isinstance(other, (int, Fraction)):
-                # scalar on the left: a Fraction scalar then takes the fast
-                # forward path against the (mostly int) coefficients
-                return Poly.of_exact([other * c for c in self.coeffs])
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return Poly.of_exact(out)
+        a = self.coeffs
+        if type(b) is not tuple:
+            # scalar on the left: a Fraction scalar then takes the fast
+            # forward path against the (mostly int) coefficients
+            return Poly.of_exact(smul(b, a))
+        return Poly.of_exact(tmul(b, a) if a and b else ())
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
+        check_int(n, "exponent", 0)
         out = ONE
         for _ in range(n):
             out = out * self
@@ -223,11 +286,8 @@ class Poly:
 
     def shifted(self, k: int) -> "Poly":
         """Multiply by X^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if not self.coeffs:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        check_int(k, "shift", 0)
+        return Poly.of_exact((0,) * k + self.coeffs) if self.coeffs else self
 
     def derivative(self) -> "Poly":
         return Poly((i * c for i, c in enumerate(self.coeffs) if i))
@@ -254,4 +314,6 @@ X = Poly((0, 1))
 
 
 def x_power(n: int) -> Poly:
-    return Poly((0,) * n + (1,))
+    """X^n for an ``int`` ``n >= 0``."""
+    check_int(n, "exponent", 0)
+    return Poly.of_exact((0,) * n + (1,))

@@ -50,8 +50,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groups import IntegerGroup, LexPairGroup, OrderedGroup
-from .lie import Coeff, Generator, check_int, coeff_json
-from .polynomial import Poly, X, exact_fraction, format_rational
+from .lie import Coeff, Generator, coeff_json
+from .polynomial import Poly, X, check_int, exact_fraction, format_rational
 from .verma import (
     HighestWeight,
     ModuleVector,

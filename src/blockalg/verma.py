@@ -13,20 +13,22 @@ positive-weight generators annihilate ``v``.
 
 Coefficients are exact and come in three representations that compare
 and hash alike: a Python ``int``, a ``Fraction`` and a ``Poly`` in the
-formal unit ``w`` over the lex-z2 instance.  An integer or dyadic vector
-with parts reads a coefficient as an ``int`` exactly when its value is
-integral.  The JSON form ``"p/q"`` is the same for ``3``,
-``Fraction(3)`` and the constant ``Poly`` 3; the printed form is not
-(``3*v`` against ``(3)*v``), so a lex-z2 coefficient stays a rational
-until w-arithmetic touches it, and is a ``Poly`` from then on, even
-when constant.
+formal unit ``w`` over the lex-z2 instance.  A scalar enters through
+:func:`polynomial.exact_rational`, which refuses a ``bool`` and a
+``float``.  An integer or dyadic vector with parts reads a coefficient
+as an ``int`` exactly when its value is integral.  The JSON form
+``"p/q"`` is the same for ``3``, ``Fraction(3)`` and the constant
+``Poly`` 3; the printed form is not (``3*v`` against ``(3)*v``), so a
+lex-z2 coefficient stays a rational until w-arithmetic touches it, and
+is a ``Poly`` from then on, even when constant.
 
 Each piece of the engine is described once, next to its code: the work
 stack loop in :meth:`VermaModule._straighten`, the setup of a run that
 puts integer and dyadic parts on one ``int`` kernel in
 :meth:`VermaModule._run`, the coding of raw words by their scale in
-:func:`_encode_word`, the Q[w] coefficients of the kernel in
-:class:`_LexPairs`, the one coded form of every vector, read term by
+:func:`_encode_word`, the lex-z2 pairs of the kernel in
+:class:`_LexPairs`, whose Q[w] coefficients are the tuples of
+:mod:`polynomial`, the one coded form of every vector, read term by
 term only when printed or listed, in :class:`ModuleVector`, and the
 enumeration of a weight space in :meth:`VermaModule.weight_basis`.
 """
@@ -49,7 +51,6 @@ from .lie import (
     Coeff,
     Generator,
     LieElement,
-    check_int,
     coeff_from_json,
     coeff_json,
     element_from_json,
@@ -59,7 +60,8 @@ from .lie import (
     merge_terms,
     subtract_terms,
 )
-from .polynomial import Poly, exact_fraction, format_rational, parse_rational
+from . import polynomial
+from .polynomial import Poly, check_int, exact_fraction, format_rational, parse_rational
 
 Factor = Tuple[object, int]  # (positive part, index >= -1)
 
@@ -109,7 +111,7 @@ def normal_word(factors: Iterable[Factor], group: OrderedGroup) -> PBWMonomial:
     """The word on ``factors``; ``ValueError`` unless it is normal-ordered.
 
     Parts must be positive elements of ``group`` and indices ``int``s of
-    at least -1 (:func:`lie.check_int`), with the factors weakly
+    at least -1 (:func:`polynomial.check_int`), with the factors weakly
     increasing.  This is the one gate for words from outside the engine.
     """
     fs = tuple(factors)
@@ -287,9 +289,9 @@ class ModuleVector:
         if not scalar:
             return type(self)()
         if lex:
-            mul = _LEX_PAIRS.smul
+            mul = polynomial.smul
             if type(scalar) is Poly:
-                scalar, mul = scalar.coeffs, _LEX_PAIRS.tmul
+                scalar, mul = scalar.coeffs, polynomial.tmul
             return self._of_coded({w: mul(scalar, c) for w, c in raw.items()}, 1, None)
         p, (d, e) = scalar.numerator, self._divisor
         if p != 1:
@@ -400,10 +402,9 @@ def _encode(terms: dict):
 
 
 def _exact(c, lex: bool):
-    """``c`` if it is an ``int``, a ``Fraction`` or, in the lex-z2 shape, a
-    ``Poly``; else :func:`polynomial.exact_fraction` of it."""
-    kind = type(c)
-    return c if kind is int or kind is Fraction or (lex and kind is Poly) else exact_fraction(c)
+    """``c`` if it is a ``Poly`` in the lex-z2 shape, else
+    :func:`polynomial.exact_rational` of it."""
+    return c if lex and type(c) is Poly else polynomial.exact_rational(c)
 
 
 def _coded_sum(a: ModuleVector, b: ModuleVector, scale: int, negate: bool) -> ModuleVector:
@@ -1106,20 +1107,19 @@ class _IntParts:
 class _LexPairs:
     """Lex-z2 pairs as tuples; the scalar image of ``(a, b)`` is ``a*w + b``.
 
-    A Q[w] value is a trimmed tuple ``(c0, c1, ..., cd)`` of ``int`` and
-    ``Fraction`` entries, lowest degree first, with ``cd != 0``; zero is
-    ``()``.  ``scalar`` and ``const`` return linear ones.  A coefficient
-    is such a tuple once w-arithmetic has touched it and a plain rational
-    before (see the module docstring), so the ring hooks ``mul``, ``smul``
-    and ``cadd`` take either.  In a product the coefficient's entries are
-    the left operand, so a ``Fraction`` takes its own method.  ``Poly``
-    appears only at the boundary: a vector built from words holds a
-    ``Poly`` coefficient as its ``coeffs`` (:func:`_encode`),
-    :meth:`ModuleVector.scaled` multiplies by a ``Poly`` scalar's
-    coefficients through :meth:`tmul`, and a tuple becomes a ``Poly``
-    where a vector is read (:func:`_lex_coeff`); ``to_json`` writes the
-    tuple through :func:`lie.coeff_json` without one.  ``tmul``, ``csub``
-    and ``cneg`` are not kernel hooks: they serve the arithmetic of vectors.
+    Coefficients are the Q[w] tuples of :mod:`polynomial`, and this class
+    keeps only the pair operations and the two scalar images, ``scalar``
+    and ``const``, which return linear tuples.  The ring hooks ``mul``,
+    ``smul`` and ``cadd``, and ``csub`` and ``cneg`` for
+    :func:`_coded_sum`, are the tuple functions of :mod:`polynomial`,
+    bound as they are.  A coefficient is a tuple once w-arithmetic has
+    touched it and a plain rational before (see the module docstring),
+    and they take either.  ``Poly`` appears only at the boundary: a vector
+    built from words holds a ``Poly`` coefficient as its ``coeffs``
+    (:func:`_encode`), :meth:`ModuleVector.scaled` multiplies by a
+    ``Poly`` scalar's coefficients through :func:`polynomial.tmul`, and a
+    tuple becomes a ``Poly`` where a vector is read (:func:`_lex_coeff`);
+    ``to_json`` writes the tuple through :func:`lie.coeff_json` without one.
     """
 
     __slots__ = ()
@@ -1149,79 +1149,11 @@ class _LexPairs:
         b = n * x[1] - m * y[1]
         return (b, a) if a else ((b,) if b else ())
 
-    @staticmethod
-    def mul(c, a):
-        """``c*a`` for a nonzero linear ``c`` and a coefficient ``a``, in one pass.
-
-        The top entry ``a[-1]*c1`` is nonzero, so the product needs no trim.
-        """
-        if type(a) is not tuple:
-            return tuple([a * x for x in c])
-        if len(c) == 1:
-            c0 = c[0]
-            return tuple([y * c0 for y in a])
-        c0, c1 = c
-        x = a[0]
-        out = [x * c0]
-        for y in a[1:]:
-            out.append(y * c0 + x * c1)
-            x = y
-        out.append(x * c1)
-        return tuple(out)
-
-    @staticmethod
-    def tmul(c, a):
-        """``c*a`` for a nonzero Q[w] tuple ``c`` of any degree; no trim, as in :meth:`mul`."""
-        if len(c) <= 2:
-            return _LexPairs.mul(c, a)
-        if type(a) is not tuple:
-            return tuple([a * x for x in c])
-        out = [0] * (len(a) + len(c) - 1)
-        for j, x in enumerate(c):
-            for i, y in enumerate(a):
-                out[i + j] += y * x
-        return tuple(out)
-
-    @staticmethod
-    def smul(x, a):
-        """``x*a`` for a rational ``x``: a label, the central charge or a scalar."""
-        if type(a) is not tuple:
-            return x * a
-        return tuple([x * y for y in a]) if x else ()
-
-    @staticmethod
-    def cneg(a):
-        return tuple([-y for y in a]) if type(a) is tuple else -a
-
-    @staticmethod
-    def cadd(a, b):
-        """``a + b``, trimmed; a sum that cancels is ``()`` (or a rational 0)."""
-        if type(a) is not tuple:
-            if type(b) is not tuple:
-                return a + b
-            a = (a,)
-        elif type(b) is not tuple:
-            b = (b,)
-        if len(a) != len(b):
-            if len(a) < len(b):
-                a, b = b, a
-            return tuple(map(operator.add, a, b)) + a[len(b):]
-        s = tuple(map(operator.add, a, b))
-        n = len(s)
-        while n and not s[n - 1]:
-            n -= 1
-        return s[:n]
-
-    @staticmethod
-    def csub(a, b):
-        """``a - b``, trimmed as by :meth:`cadd`; two tuples of one length in one pass."""
-        if type(a) is not tuple or type(b) is not tuple or len(a) != len(b):
-            return _LexPairs.cadd(a, _LexPairs.cneg(b))
-        s = tuple(map(operator.sub, a, b))
-        n = len(s)
-        while n and not s[n - 1]:
-            n -= 1
-        return s[:n]
+    mul = staticmethod(polynomial.mul)
+    smul = staticmethod(polynomial.smul)
+    cadd = staticmethod(polynomial.cadd)
+    csub = staticmethod(polynomial.csub)
+    cneg = staticmethod(polynomial.cneg)
 
 
 _APPLY, _INSERT = range(2)  # task kinds of VermaModule._straighten

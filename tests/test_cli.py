@@ -143,6 +143,21 @@ def test_step3_check_explicit(capsys):
     assert check["passed"] and check["expected"] == "10*w^2 + 14*w - 12"
     for key in ("expected", "from_engine"):
         assert coeff_from_json(check[key], LEX_Z2) == Poly([-12, 14, 10])
+    # a degree-3 coefficient: the Poly product of sweep_coefficient against
+    # the kernel's tuple arithmetic, pinned byte for byte
+    code, out, _ = run(
+        capsys,
+        "step3-check",
+        "--group", "lex-z2",
+        "--eps", "(0,1)",
+        "--part", "(0,2),1",
+        "--part", "(1,-1),2",
+        "--part", "(2,3),0",
+        "--probe-j", "2",
+        "--format", "json",
+    )
+    assert code == 0
+    assert out == (DATA / "step3_lex_z2_degree3.json").read_text()
 
 
 def test_step3_check_part_reads_the_integer_grammar(capsys):
