@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals.
 
-One streaming elimination, ``_echelon`` with its per-row step
+One streaming elimination, :class:`Echelon` with its per-row step
 ``_eliminate``, does all the work.  Rows arrive one at a time as sparse
 ``{column: int}`` dicts: the callers scale a ``Fraction`` row by the lcm
 of its denominators on the way in, while the singular search and the
@@ -15,7 +15,7 @@ into the earlier pivot rows, so a pivot row may still hold entries at
 pivot columns that arrived after it.  An incoming row therefore clears
 its pivot columns one at a time, in increasing column order, picking up
 and clearing those later entries as it goes.  A generic search ends at
-full rank, where the reduced form is the identity: the routine stops
+full rank, where the reduced form is the identity: the elimination stops
 pulling rows there and never back-substitutes at all.  The singular
 search hands in each probe's rows sparsest first (fewest entries first,
 as in structured Gaussian elimination), so its pivot rows start sparse
@@ -23,23 +23,27 @@ and the rows reduced against them, and the clearing of stale entries,
 create little fill-in; at a deep weight such as 2990 words that cuts
 the elimination about twentyfold.  The order changes no result, since
 the reduced form is unique, and full rank, when it comes, still comes
-within the same probe.  Only when a
-kernel is left does it bring the pivot rows to reduced-echelon form, last
-pivot first.  Where dependent rows keep meeting the same stale pivot row
-with no new pivot in between (a rank-deficient system past its last
-pivot, or a deep search), that row is reduced once and then reused; see
-``_echelon``.  The pivot rows are
-divided by their pivots once, at the end, so every result comes back
-exact, as ``Fraction`` entries.
+within the same probe.  Where dependent rows keep meeting the same stale
+pivot row with no new pivot in between (a rank-deficient system past its
+last pivot, or a deep search), that row is reduced once and then reused;
+see :class:`Echelon`.  Pivot rows are brought to reduced-echelon form,
+last pivot first, only when the state is read, and divided by their
+pivots only in what a reader returns, so every result comes back exact,
+as ``Fraction`` entries.
 
-``rref``, ``nullspace``, ``solve`` and ``rank`` only read its result.  The
-reduced-echelon form of a row space is unique, so nullspace bases and
-particular solutions come out in the canonical form the reports promise,
-whatever order the rows arrive in.  ``first_null_vector`` wants only the
-first vector of that basis.  It reduces rows through the same step as
-``_echelon`` (``_eliminate``), but only until one row is dependent, and
-then checks each remaining row against a candidate vector with one dot
-product; a row that fails is eliminated, and the candidate moves on.
+Every public routine is a reader of that one state.  ``rref``,
+``solve`` and ``rank`` read its reduced pivot rows, and ``nullspace``
+its canonical kernel basis.  The reduced-echelon form of a row space is
+unique, so nullspace bases and particular solutions come out in the
+canonical form the reports promise, whatever order the rows arrive in.
+``first_null_vector`` wants only the first vector of that basis.  It
+eliminates rows only until one is dependent, reads the first kernel
+vector of the state, and then checks each remaining row against it with
+one dot product; a row that fails is eliminated, and the candidate moves
+on.  The singular search (``reducibility.singular_candidates``) keeps a
+state of its own in the same way: it feeds in the rows of one probe at a
+time, reads the kernel, and feeds in more rows only for a probe that
+does not annihilate it.
 
 Matrix entries are ``int`` or ``Fraction``; anything else (a float, a
 string, a bool) is refused with ``ValueError`` rather than converted.  A
@@ -80,7 +84,7 @@ def _check_entries(values: Iterable[Rational]) -> None:
 def _integral(items: Iterable[Tuple[int, Rational]]) -> IntRow:
     """The nonzero entries of a checked row, times the lcm of their denominators.
 
-    The result is always a fresh dict, which ``_echelon`` may reduce in
+    The result is always a fresh dict, which :class:`Echelon` may reduce in
     place; a row of plain ``int`` entries is that dict as it is.
     """
     row = {k: x for k, x in items if x}
@@ -183,7 +187,7 @@ def _eliminate(
     becomes a pivot row at its first column; no earlier pivot row is
     touched.  ``reduced`` holds the pivot count at which each pivot row
     was last reduced, and ``used`` the count at which it was last used
-    while stale (see ``_echelon``).  True when ``r`` added a pivot row,
+    while stale (see :class:`Echelon`).  True when ``r`` added a pivot row,
     False when it reduced to zero.
     """
     n = len(pivots)
@@ -228,15 +232,15 @@ def _eliminate(
     return True
 
 
-def _echelon(rows: Iterable[IntRow], ncols: int) -> Dict[int, SparseRow]:
-    """Reduced pivot rows of ``rows``, keyed by pivot column.
+class Echelon:
+    """One streaming elimination over ``ncols`` columns, and its readers.
 
-    Each pivot row has a 1 at its pivot and zeros at every other pivot
-    column, with ``Fraction`` entries.  The incoming rows are integral,
-    and ``_eliminate`` reduces them in place, one at a time.  While
-    eliminating, a pivot row is a primitive integer vector, positive at
-    its pivot, with no entry left of its pivot and none at the pivot
-    columns that existed when it was last reduced.
+    Rows go in one at a time and are reduced in place by ``_eliminate``;
+    :meth:`extend` checks sparse rows as it pulls them and stops pulling
+    once the rank is full.  While eliminating, a pivot row is a primitive
+    integer vector, positive at its pivot, with no entry left of its
+    pivot and none at the pivot columns that existed when it was last
+    reduced.
 
     A pivot row is stale once a pivot has arrived since it was last
     reduced.  When a stale row is used a second time with no new pivot
@@ -246,25 +250,97 @@ def _echelon(rows: Iterable[IntRow], ncols: int) -> Dict[int, SparseRow]:
     again.  A stream in which every row adds a pivot reduces no pivot
     row this way.
 
-    No row is pulled once the pivots reach full rank; the reduced form is
-    then the identity.  Otherwise every pivot row is brought to reduced
-    form at the end, last pivot first.
+    The state can be read at any point, and more rows may follow: a
+    reader brings pivot rows to reduced form in place, which the rows
+    after it reduce against as before.  :meth:`reduced` gives the
+    reduced pivot rows (``rref``, ``solve``), :meth:`kernel` the
+    canonical kernel basis (``nullspace`` and the singular search) and
+    :meth:`first_null` its first vector (``first_null_vector``).  At full
+    rank the reduced form is the identity, and no reader reduces a row.
     """
-    pivots: Dict[int, IntRow] = {}
-    # per pivot row: the pivot count when it was last reduced, and when
-    # it was last used while stale
-    reduced: Dict[int, int] = {}
-    used: Dict[int, int] = {}
-    if ncols == 0:
-        return {}
-    for r in rows:
-        if _eliminate(pivots, reduced, used, r) and len(pivots) == ncols:
-            return {p: {p: Fraction(1)} for p in range(ncols)}
-    for p in sorted(pivots, reverse=True):
-        _reduce_pivot_row(pivots, reduced, p)
-    return {
-        p: {k: Fraction(v, q[p]) for k, v in q.items()} for p, q in pivots.items()
-    }
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivots: Dict[int, IntRow] = {}
+        # per pivot row: the pivot count when it was last reduced, and when
+        # it was last used while stale
+        self._reduced: Dict[int, int] = {}
+        self._used: Dict[int, int] = {}
+
+    @property
+    def full(self) -> bool:
+        return len(self.pivots) == self.ncols
+
+    def _add(self, r: IntRow) -> bool:
+        """Reduce the integral row ``r`` in place; True when it added a pivot."""
+        return _eliminate(self.pivots, self._reduced, self._used, r)
+
+    def _extend(self, rows: Iterable[IntRow]) -> bool:
+        """Eliminate integral rows, pulling none once the rank is full;
+        True when one of them added a pivot."""
+        n = len(self.pivots)
+        if n < self.ncols:
+            for r in rows:
+                if self._add(r) and self.full:
+                    break
+        return len(self.pivots) > n
+
+    def extend(self, rows: Iterable[Dict[int, Rational]]) -> bool:
+        """:meth:`_extend` on sparse ``{column: value}`` rows, each checked
+        and cleared of denominators as it is pulled (``_sparse``)."""
+        return self._extend(_sparse(rows, self.ncols))
+
+    def reduced(self) -> Dict[int, SparseRow]:
+        """The reduced pivot rows, keyed by pivot column: a 1 at the pivot
+        and zeros at every other pivot column, with ``Fraction`` entries.
+        Every pivot row is brought to reduced form first, last pivot first."""
+        if self.full:
+            return {p: {p: Fraction(1)} for p in range(self.ncols)}
+        for p in sorted(self.pivots, reverse=True):
+            _reduce_pivot_row(self.pivots, self._reduced, p)
+        return {
+            p: {k: Fraction(v, q[p]) for k, v in q.items()} for p, q in self.pivots.items()
+        }
+
+    def kernel(self) -> List[Row]:
+        """Canonical kernel basis of the rows so far: one vector per free
+        column, unit there, with minus that column of each reduced pivot
+        row at its pivot."""
+        pivots = self.reduced()
+        basis: Dict[int, Row] = {}
+        for f in range(self.ncols):
+            if f not in pivots:
+                v = [Fraction(0)] * self.ncols
+                v[f] = Fraction(1)
+                basis[f] = v
+        for p, row in pivots.items():
+            for k, x in row.items():
+                if k != p:
+                    basis[k][p] = -x
+        return list(basis.values())
+
+    def first_null(self) -> Optional[List[int]]:
+        """The first canonical kernel vector of the rows so far, or None at
+        full rank: its entries up to its first free column d0, where it
+        ends, times their common denominator ``den``, the last entry.
+        Only the pivot rows left of d0 are reduced."""
+        if self.full:
+            return None
+        pivots = self.pivots
+        d0 = next(c for c in range(self.ncols) if c not in pivots)
+        for p in range(d0):
+            _reduce_pivot_row(pivots, self._reduced, p)
+        den = math.lcm(*[pivots[p][p] for p in range(d0)])
+        v = [-pivots[p].get(d0, 0) * (den // pivots[p][p]) for p in range(d0)]
+        v.append(den)
+        return v
+
+
+def _dense_echelon(rows: Sequence[Sequence[Rational]], ncols: int) -> Echelon:
+    """The elimination of a dense matrix, every row checked first."""
+    state = Echelon(ncols)
+    state._extend(_dense(rows, ncols))
+    return state
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[Row], List[int]]:
@@ -276,7 +352,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[Row], List[int]]:
     if not rows:
         return [], []
     ncols = len(rows[0])
-    pivots = _echelon(_dense(rows, ncols), ncols)
+    pivots = _dense_echelon(rows, ncols).reduced()
     cols = sorted(pivots)
     m = []
     for p in cols:
@@ -297,20 +373,10 @@ def nullspace(
     sparse ``{column: value}`` rows, pulled only until full rank.
     """
     if isinstance(rows, Sequence):
-        pivots = _echelon(_dense(rows, ncols), ncols)
-    else:
-        pivots = _echelon(_sparse(rows, ncols), ncols)
-    basis: Dict[int, Row] = {}
-    for f in range(ncols):
-        if f not in pivots:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            basis[f] = v
-    for p, row in pivots.items():
-        for k, x in row.items():
-            if k != p:
-                basis[k][p] = -x
-    return list(basis.values())
+        return _dense_echelon(rows, ncols).kernel()
+    state = Echelon(ncols)
+    state.extend(rows)
+    return state.kernel()
 
 
 def first_null_vector(rows: Sequence[Sequence[Rational]], ncols: int) -> Optional[Row]:
@@ -318,47 +384,41 @@ def first_null_vector(rows: Sequence[Sequence[Rational]], ncols: int) -> Optiona
 
     ``rows`` is a dense matrix.  Its rows are eliminated in order only
     until one reduces to zero (or the rank is full, and the answer is
-    None).  Then a candidate is read off the pivots: a 1 at the first
-    free column d0, and at each pivot column p < d0 minus the entry at d0
-    of pivot row p in reduced form.  Every row not yet eliminated is
-    checked against it with one exact dot product.  The first row that
-    fails is independent of the rows eliminated so far, so eliminating
-    it adds a pivot, at d0, and the next candidate's first free column
-    lies further right; the rows that passed the old candidate are
-    checked again.  When every row passes, the candidate lies in the
-    kernel of the whole matrix, which the kernel of the eliminated rows
-    contains; the columns left of d0 are pivots of those rows, so it is
-    the one kernel vector with its 1 at d0 and nothing right of d0,
-    which is the first canonical one.
+    None).  Then a candidate is read off the elimination
+    (:meth:`Echelon.first_null`): a 1 at the first free column d0, and
+    nothing right of it.  Every row not yet eliminated is checked
+    against it with one exact dot product.  The first row that fails is
+    independent of the rows eliminated so far, so eliminating it adds a
+    pivot, at d0, and the next candidate's first free column lies
+    further right; the rows that passed the old candidate are checked
+    again.  When every row passes, the candidate lies in the kernel of
+    the whole matrix, which the kernel of the eliminated rows contains;
+    the columns left of d0 are pivots of those rows, so it is the one
+    kernel vector with its 1 at d0 and nothing right of d0, which is the
+    first canonical one.
     """
     integral = _dense(rows, ncols)
-    if ncols == 0:
+    state = Echelon(ncols)
+    if state.full:
         return None
-    pivots: Dict[int, IntRow] = {}
-    reduced: Dict[int, int] = {}
-    used: Dict[int, int] = {}
     eliminated = 0
     for r in integral:
         eliminated += 1
-        if not _eliminate(pivots, reduced, used, r):
+        if not state._add(r):
             break
-        if len(pivots) == ncols:
+        if state.full:
             return None
     rest = list(rows[eliminated:])
     while True:
-        d0 = next(c for c in range(ncols) if c not in pivots)
-        for p in range(d0):
-            _reduce_pivot_row(pivots, reduced, p)
-        den = math.lcm(*[pivots[p][p] for p in range(d0)])
-        v = [-pivots[p].get(d0, 0) * (den // pivots[p][p]) for p in range(d0)]
-        v.append(den)
+        v = state.first_null()
         for i, row in enumerate(rest):
             if sum(map(operator.mul, row, v)):
                 break
         else:
-            return [Fraction(x, den) for x in v] + [Fraction(0)] * (ncols - d0 - 1)
-        _eliminate(pivots, reduced, used, _integral(enumerate(rest.pop(i))))
-        if len(pivots) == ncols:
+            den = v[-1]
+            return [Fraction(x, den) for x in v] + [Fraction(0)] * (ncols - len(v))
+        state._add(_integral(enumerate(rest.pop(i))))
+        if state.full:
             return None
 
 
@@ -379,7 +439,7 @@ def solve(
         return []
     ncols = len(rows[0])
     augmented = [[*row, b] for row, b in zip(rows, rhs)]
-    pivots = _echelon(_dense(augmented, ncols + 1), ncols + 1)
+    pivots = _dense_echelon(augmented, ncols + 1).reduced()
     if ncols in pivots:
         return None
     sol = [Fraction(0)] * ncols
@@ -391,5 +451,4 @@ def solve(
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     if not rows:
         return 0
-    ncols = len(rows[0])
-    return len(_echelon(_dense(rows, ncols), ncols))
+    return len(_dense_echelon(rows, len(rows[0])).pivots)

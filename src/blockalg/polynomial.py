@@ -181,10 +181,14 @@ def cadd(a, b):
 
 
 def csub(a, b):
-    """``a - b``, trimmed as by :func:`cadd`; two tuples of one length in one pass."""
-    if type(a) is not tuple or type(b) is not tuple or len(a) != len(b):
+    """``a - b``, trimmed as by :func:`cadd`; two tuples in one pass."""
+    if type(a) is not tuple or type(b) is not tuple:
         return cadd(a, cneg(b))
-    return _trim(tuple(map(operator.sub, a, b)))
+    n = len(b)
+    if len(a) == n:
+        return _trim(tuple(map(operator.sub, a, b)))
+    diff = tuple(map(operator.sub, a, b))
+    return diff + a[n:] if len(a) > n else diff + tuple([-y for y in b[len(a):]])
 
 
 def _operand(other):

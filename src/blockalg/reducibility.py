@@ -31,7 +31,10 @@ which makes it the unique monic solution of minimal degree.  The probes
 are eliminated in order only until one is dependent, which on a
 recurrent weight of degree d is usually the probe after the first d;
 every later probe costs one exact dot product with the candidate
-instead of an elimination step.
+instead of an elimination step.  Detector 3 does the same with whole
+probes of the positive part: it assembles and eliminates their rows only
+until a probe adds no pivot, and checks each later probe on the kernel by
+straightening (``singular_candidates``).
 
 The sweep-determinant identity: a positive generator applied to a word of
 strictly decreasing parts is absorbed factor by factor, and each step
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groups import IntegerGroup, LexPairGroup, OrderedGroup
@@ -322,30 +325,26 @@ def _probe_generators(module: VermaModule, probe_weight: int, probe_index: int, 
 
 
 def _annihilation_rows(
-    module: VermaModule, basis: List[PBWMonomial], probes
-) -> Iterator[Dict[int, Coeff]]:
-    """Sparse rows of the truncated positive action, probe by probe.
+    module: VermaModule, basis: List[PBWMonomial], probe: Generator
+) -> List[Dict[int, Coeff]]:
+    """Sparse rows of one probe's truncated action, sparsest first.
 
-    A row is one output word of one probe, keyed by basis column.  The
-    probes come in order.  One straightening run per probe builds all of
-    its rows (:meth:`VermaModule.action_rows`; over the integers and
-    dyadics ``int`` rows, each scaled by one positive integer, which
-    leaves the row space as it is), and it runs only when the probe's
-    first row is pulled, so an elimination that reaches full rank early
-    never straightens the remaining probes.
+    A row is one output word of the probe, keyed by basis column.  One
+    straightening run builds all of them (:meth:`VermaModule.action_rows`;
+    over the integers and dyadics ``int`` rows, each scaled by one
+    positive integer, which leaves the row space as it is).
 
-    Within a probe the rows come sparsest first: sorted by entry count,
-    stably, so rows of equal count keep ``action_rows``' output-word
-    order.  The order is exact: a row space has one reduced echelon
-    form, so the kernel is the same in any order, and full rank, if it
-    comes, comes within the same probe.  It is fast because a sparse
-    row becomes a sparse pivot row, so the rows reduced against it and
-    the deferred back-substitution of ``linalg._echelon`` create far
-    less fill-in (sparse rows first, as in structured Gaussian
-    elimination: LaMacchia and Odlyzko, CRYPTO '90).
+    The rows come sorted by entry count, stably, so rows of equal count
+    keep ``action_rows``' output-word order.  The order is exact: a row
+    space has one reduced echelon form, so the kernel is the same in any
+    order, and full rank, if it comes, comes within the same probe.  It
+    is fast because a sparse row becomes a sparse pivot row, so the rows
+    reduced against it and the deferred back-substitution of
+    :class:`linalg.Echelon` create far less fill-in (sparse rows first,
+    as in structured Gaussian elimination: LaMacchia and Odlyzko,
+    CRYPTO '90).
     """
-    for probe in probes:
-        yield from sorted(module.action_rows(probe, basis), key=len)
+    return sorted(module.action_rows(probe, basis), key=len)
 
 
 def _sub_kernel(kernel: List[List[Fraction]], cols: List[int]) -> List[List[Fraction]]:
@@ -367,6 +366,20 @@ def _sub_kernel(kernel: List[List[Fraction]], cols: List[int]) -> List[List[Frac
     return [row[n:][::-1] for row, p in zip(reduced, pivots) if p >= n][::-1]
 
 
+def _vectors(basis: List[PBWMonomial], kernel: List[List[Fraction]]) -> List[ModuleVector]:
+    """The module vectors of kernel vectors over ``basis``."""
+    return [ModuleVector({m: c for m, c in zip(basis, v) if c}) for v in kernel]
+
+
+def _annihilates(module: VermaModule, probe: Generator, candidates: List[ModuleVector]) -> bool:
+    """True when ``probe`` sends every candidate to zero: the first alone,
+    so a probe that fails costs one action, then the rest in one run."""
+    first, *rest = candidates
+    return module.act(probe, first).is_zero() and all(
+        v.is_zero() for v in (module.act_each(probe, rest) if rest else ())
+    )
+
+
 def singular_candidates(
     module: VermaModule,
     mu,
@@ -378,13 +391,32 @@ def singular_candidates(
     """Nullspace of the truncated positive action at weight ``mu``.
 
     Exact: a candidate is annihilated by every probed generator.  The
-    matrix rows stream into the elimination probe by probe, as sparse
-    rows, each probe's rows sparsest first (see ``_annihilation_rows``:
-    the kernel does not depend on the row order, and sparse pivot rows
-    keep the fill-in of a deep search small), and elimination stops
-    once the rank equals the basis size.
-    That full-rank verdict (no candidates) is exact: the kernel is
-    already {0}, so the probes not yet acted on cannot change it.
+    live probes (see below) are taken in order, and each probe's rows go
+    into one elimination (:class:`linalg.Echelon`) as sparse rows,
+    sparsest first (see ``_annihilation_rows``: the kernel does not
+    depend on the row order, and sparse pivot rows keep the fill-in of a
+    deep search small).  Elimination stops once the rank equals the
+    basis size.  That full-rank verdict (no candidates) is exact: the
+    kernel is already {0}, so the probes not yet acted on cannot change
+    it.
+
+    After the first probe whose rows add no pivot, the search reads the
+    canonical kernel of the rows pulled so far and checks each remaining
+    live probe on it, by straightening: it acts on the first candidate
+    alone, and only if that gives zero on all the others in one run
+    (:meth:`VermaModule.act_each`).  A probe that annihilates every
+    candidate is never assembled.  A probe that does not has its rows
+    eliminated, which adds a pivot, and the search goes back to
+    assembling probes until one adds no pivot, then reads the kernel
+    anew.  (Cuts tend to come in runs: on a recurrent weight with one
+    label perturbed, every probe that reaches that label cuts, and a
+    kernel read and a failed check per probe cost more than assembling
+    them.)  This is exact.  The kernel of the pulled rows contains the
+    kernel of the whole matrix, and it shrinks only when rows are
+    pulled, so each probe that passed annihilates the final kernel too:
+    the two kernels are equal, and so are the canonical basis, the
+    generator and every report.
+
     A probe L(beta,k) with beta heavier than -mu is never straightened:
     it sends the weight space to mu+beta > 0, where the module is zero,
     so it gives no row and annihilates every candidate.  The report
@@ -392,12 +424,14 @@ def singular_candidates(
     The report also singles out a *generator*: the canonical candidate
     living at the smallest index horizon that already admits one (for
     weight -1 this is the characteristic polynomial direction; the
-    remaining candidates are its index shifts).  The matrix is
-    eliminated once: the candidates at an index bound are the kernel
-    vectors that vanish on every basis word with a larger index, so the
-    generator and its ``generator_dim`` are read off the full kernel.
-    Every candidate is re-verified by acting on it directly with every
-    live probe, an independent path through the straightening engine.
+    remaining candidates are its index shifts).  The candidates at an
+    index bound are the kernel vectors that vanish on every basis word
+    with a larger index, so the generator and its ``generator_dim`` are
+    read off the full kernel.
+    Every probe whose rows were assembled then acts on every candidate
+    in one run, a path that does not go through the matrix, and any
+    nonzero result raises ``DetectorInconsistencyError``; the other
+    live probes acted on the candidates when they were checked.
 
     The search runs over the integers and the dyadics; lex-z2 is refused
     up front, since its weight spaces need a ``max_parts`` bound and its
@@ -418,10 +452,24 @@ def singular_candidates(
     # a probe heavier than -mu lands above the highest weight: no rows
     top = g.neg(mu)
     live = [p for p in probes if g.compare(p.alpha, top) <= 0]
-    kernel = linalg.nullspace(_annihilation_rows(module, basis, live), len(basis))
-    candidates = [
-        ModuleVector({m: c for m, c in zip(basis, v) if c}) for v in kernel
-    ]
+
+    state = linalg.Echelon(len(basis))
+    kernel = None  # read when a probe adds no pivot, dropped when one cuts it
+    assembled = []
+    for probe in live:
+        if state.full:
+            break
+        if kernel is not None and _annihilates(module, probe, candidates):
+            continue
+        assembled.append(probe)
+        if state.extend(_annihilation_rows(module, basis, probe)):
+            kernel = None
+        else:
+            kernel = state.kernel()
+            candidates = _vectors(basis, kernel)
+    if kernel is None:
+        kernel = state.kernel()
+        candidates = _vectors(basis, kernel)
 
     # distinguished minimal-horizon candidate, read off the one kernel
     generator = None
@@ -438,10 +486,10 @@ def singular_candidates(
                 generator = ModuleVector({basis[i]: c for i, c in zip(low, sub[0]) if c})
                 break
 
-    # independent re-verification: exact zero under every live probe
-    for cand in candidates:
-        for probe in live:
-            if not module.act(probe, cand).is_zero():
+    # independent re-verification of the assembled probes, one run each
+    for probe in assembled if candidates else []:
+        for cand, image in zip(candidates, module.act_each(probe, candidates)):
+            if not image.is_zero():
                 raise DetectorInconsistencyError(
                     f"candidate {cand} fails probe {probe}: matrix assembly bug"
                 )

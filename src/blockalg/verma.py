@@ -134,8 +134,9 @@ class ModuleVector:
     is encoded once (:func:`_encode`); a result of :meth:`VermaModule.act`
     is the kernel's output as it stands.  :meth:`_values` reads each raw
     word's coefficient value, and :meth:`items`, the one decoder, builds
-    each word (:func:`_decode_word`) on every call, for
-    :meth:`coefficients`, :meth:`monomials` and ``str``.
+    each word (:func:`_decode_word`), and at a dyadic scale each distinct
+    part's ``Fraction``, once per call, for :meth:`coefficients`,
+    :meth:`monomials` and ``str``.
 
     In the lex-z2 shape ``_divisor`` is ``None``, ``_scale`` is 1, a raw
     word is its factor tuple and a coefficient is exact: a rational or a
@@ -198,7 +199,10 @@ class ModuleVector:
         """The terms in :meth:`PBWMonomial.sort_key` order, each word decoded."""
         scale = self._scale
         terms = sorted(self._values(), key=lambda wc: _raw_key(wc[0]))
-        return [(_decode_word(w, scale), c) for w, c in terms]
+        parts = None if scale == 1 else {
+            p: Fraction(p, scale) for p in {p for w, _ in terms for p, _ in w}
+        }
+        return [(_decode_word(w, parts), c) for w, c in terms]
 
     def coefficients(self, monos: Iterable[PBWMonomial]) -> List[Coeff]:
         """The coefficients of ``monos``, ``Fraction(0)`` where absent, by one :meth:`items`."""
@@ -638,6 +642,13 @@ class VermaModule:
             return vec.scaled(self.hw.central_charge)
         (raw,), scale, divisor = self._run(sym, [vec])
         return ModuleVector._of_coded(raw, scale, divisor)
+
+    def act_each(self, sym: Generator, vecs: Sequence[ModuleVector]) -> List[ModuleVector]:
+        """:meth:`act` of a generator on each of ``vecs``, in one straightening
+        run: each vector is its own input, with its own output and its own
+        step budget (:meth:`_run`)."""
+        outs, scale, divisor = self._run(sym, vecs)
+        return [ModuleVector._of_coded(raw, scale, divisor) for raw in outs]
 
     def action_rows(
         self, probe: Generator, basis: Sequence[PBWMonomial]
@@ -1219,14 +1230,15 @@ def _encode_word(mono: PBWMonomial, scale: int) -> Tuple[Factor, ...]:
     return tuple([(p.numerator * (scale // p.denominator), i) for p, i in mono.factors])
 
 
-def _decode_word(word: Tuple[Factor, ...], scale: int) -> PBWMonomial:
-    """The word of a raw one at ``scale``; above 1 every part is a
-    ``Fraction``, an integral one too."""
+def _decode_word(word: Tuple[Factor, ...], parts: Optional[Dict[int, Fraction]]) -> PBWMonomial:
+    """The word of a raw one: its parts as they are at scale 1, where
+    ``parts`` is ``None``, else the ``Fraction`` of each part code, an
+    integral one too, from ``parts``."""
     if not word:
         return VACUUM
-    if scale == 1:
+    if parts is None:
         return PBWMonomial(word)
-    return PBWMonomial(tuple([(Fraction(p, scale), i) for p, i in word]))
+    return PBWMonomial(tuple([(parts[p], i) for p, i in word]))
 
 
 def _word_json(word: Tuple[Factor, ...], scale: int) -> list:

@@ -263,6 +263,20 @@ def test_delta_series_of_a_recurrent_weight_is_pinned(capsys):
     assert out == (DATA / "delta_recurrent_degree4.json").read_text()
 
 
+def test_rank_deficient_integer_search_is_pinned(capsys):
+    # a kernel of dimension 6 on 65 words at -2: the search assembles 5 of
+    # the 28 live probes and checks the other 23 on the kernel; the report
+    # is pinned byte for byte
+    code, out, _ = run(
+        capsys, "singular-search", "--mu", "-2", "--max-t-index", "8", "--probe-k", "12",
+        "--probe-b", "3", "--weight", WEIGHT_RECURRENT, "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert (data["basis_size"], data["dimension"]) == (65, 6)
+    assert out == (DATA / "singular_recurrent_minus_two.json").read_text()
+
+
 def test_theorem2_report_of_a_recurrent_weight_is_pinned(capsys):
     # the consolidated report at the default horizon: a kernel of
     # dimension 3 at -1, found by the probes of weight 1 alone

@@ -215,6 +215,34 @@ def test_matches_dense_reference():
     assert inconsistent > 30
 
 
+def test_reads_between_rows_match_dense_reference():
+    # the singular search reads the kernel of one elimination, then feeds
+    # it more rows: every read must be the kernel of the rows so far, and
+    # a read must not change what the later rows give
+    rng = random.Random(4)
+    reads = 0
+    for m in _reference_cases():
+        cols = len(m[0])
+        state = linalg.Echelon(cols)
+        k = 0
+        while k < len(m):
+            step = rng.randint(1, 3)
+            grew = state.extend({c: x for c, x in enumerate(r) if x} for r in m[k : k + step])
+            before = len(_dense_rref(m[:k])[1]) if k else 0
+            k += step
+            after = len(_dense_rref(m[:k])[1])
+            assert grew == (len(state.pivots) > before)
+            if state.full:
+                assert after == cols
+                break
+            assert len(state.pivots) == after
+            assert state.kernel() == _dense_nullspace(m[:k], cols)
+            first = state.first_null()
+            assert [Fraction(x, first[-1]) for x in first] == _dense_nullspace(m[:k], cols)[0][: len(first)]
+            reads += 1
+    assert reads > 100
+
+
 def test_shape_mismatches_are_rejected():
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]]
     with pytest.raises(ValueError):
@@ -408,7 +436,8 @@ def test_annihilation_kernels_match_dense_reference(weight, mu, bound, probe_ind
     m = VermaModule(BlockAlgebra(INTEGERS), weight)
     basis = m.weight_basis(mu, bound)
     probes = reducibility._probe_generators(m, probe_weight, probe_index)
-    kernel = linalg.nullspace(reducibility._annihilation_rows(m, basis, probes), len(basis))
+    rows = (row for p in probes for row in reducibility._annihilation_rows(m, basis, p))
+    kernel = linalg.nullspace(rows, len(basis))
     assert kernel
     assert kernel == _dense_nullspace(_act_matrix(m, basis, probes), len(basis))
 

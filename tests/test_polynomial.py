@@ -163,6 +163,12 @@ def test_tuple_functions_on_chosen_cases():
     # unequal lengths keep the longer top entry
     assert polynomial.cadd((1,), (0, 0, half)) == (1, 0, half)
     assert polynomial.csub(2, (1, 1)) == (1, -1)
+    # tuples of unequal length subtract in one pass, in both orders; the
+    # shorter side may cancel all of its entries, never the top one
+    assert polynomial.csub((1, 2, half), (1, 2)) == (0, 0, half)
+    assert polynomial.csub((1, 2), (1, 2, half)) == (0, 0, -half)
+    assert polynomial.csub((4,), (1, 0, 0, 3)) == (3, 0, 0, -3)
+    assert polynomial.csub((), (1, half)) == (-1, -half) and polynomial.csub((1, half), ()) == (1, half)
     # a factor of degree at least 2 against a tuple and a bare rational
     assert polynomial.tmul((1, 0, 1), (1, 1)) == (1, 1, 1, 1)
     assert polynomial.tmul((half, 0, 2), Fraction(2, 3)) == (Fraction(1, 3), 0, Fraction(4, 3))

@@ -586,32 +586,56 @@ def _streamed_search_cases():
     # rows hold Q[w] entries, and the search supports neither
 
 
-def test_streamed_search_matches_dense_reference(monkeypatch):
+def _dense_reference(m, mu, bound, k, b, parts):
+    """The search's report, from every probe's dense rows through
+    ``linalg.nullspace``: the kernel of the whole matrix, and the
+    generator from the kernel of its columns up to each index bound."""
+    basis = m.weight_basis(mu, bound, parts=parts)
+    every = reducibility._probe_generators(m, b, k, parts=parts)
+    rows = _dense_annihilation_matrix(m, basis, every)
+    kernel = linalg.nullspace(rows, len(basis))
+    generator = generator_dim = None
+    reach = [max(ix for _, ix in w.factors) for w in basis]
+    for top in range(-1, bound + 1) if kernel else ():
+        low = [i for i, r in enumerate(reach) if r <= top]
+        sub = linalg.nullspace([[row[i] for i in low] for row in rows], len(low))
+        if sub:
+            generator_dim = len(sub)
+            generator = ModuleVector({basis[i]: c for i, c in zip(low, sub[0]) if c})
+            break
+    return reducibility.SingularReport(
+        weight=mu,
+        basis=basis,
+        candidates=[ModuleVector({w: c for w, c in zip(basis, v) if c}) for v in kernel],
+        generator=generator,
+        generator_dim=generator_dim,
+        probes=every,
+        max_index=bound,
+        probe_index=k,
+        probe_weight=b,
+    )
+
+
+def test_streamed_search_matches_dense_reference():
     full_rank = deficient = heavier = 0
     for m, mu, bound, k, b, parts in _streamed_search_cases():
         got = singular_candidates(m, mu, bound, k, b, parts=parts)
         # the reference straightens every probe of the horizon
-        every = reducibility._probe_generators(m, b, k, parts=parts)
-
-        def dense(module, basis, _live, every=every):
-            return _dense_annihilation_matrix(module, basis, every)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(reducibility, "_annihilation_rows", dense)
-            ref = singular_candidates(m, mu, bound, k, b, parts=parts)
+        ref = _dense_reference(m, mu, bound, k, b, parts)
         g = m.group
         assert json.dumps(got.to_json(g)) == json.dumps(ref.to_json(g))
-        assert got.probes == ref.probes == every
+        assert got.probes == ref.probes
         full_rank += got.dimension == 0
         deficient += got.dimension > 0
-        heavier += any(g.compare(p.alpha, g.neg(mu)) > 0 for p in every)
+        heavier += any(g.compare(p.alpha, g.neg(mu)) > 0 for p in got.probes)
     assert full_rank >= 5 and deficient >= 5 and heavier >= 10
 
 
 def _log_straightening(monkeypatch):
-    """Log every probe run (``action_rows``) and every plain ``act``, in order."""
+    """Log every probe run (``action_rows``), every plain ``act`` and every
+    ``act_each``, in order."""
     log = []
-    for name in ("action_rows", "act"):
+    for name in ("action_rows", "act", "act_each"):
         real = getattr(VermaModule, name)
 
         def logged(self, sym, arg, name=name, real=real):
@@ -641,24 +665,139 @@ def test_rank_deficient_search_acts_on_every_live_probe(monkeypatch):
     m = module(labels_from_charpoly(X + 1, 1))
     log = _log_straightening(monkeypatch)
     rep = singular_candidates(m, -1, 3, 12, 3)
-    assert rep.dimension > 0
-    # at -1 only the weight-1 probes are live; assembly runs each once over
-    # the whole basis, then re-verification acts with each on every candidate
+    assert rep.dimension == 4
+    # at -1 only the weight-1 probes are live
     live = [p for p in rep.probes if p.alpha == 1]
-    n = len(live)
-    assert n == 14 and len(rep.probes) == 3 * 14  # the report still lists every probe
-    assert [(name, sym) for name, sym, _ in log[:n]] == [("action_rows", p) for p in live]
-    assert all(arg == rep.basis for _, _, arg in log[:n])
-    assert [(name, sym, arg) for name, sym, arg in log[n:]] == [
-        ("act", p, cand) for cand in rep.candidates for p in live
+    assert len(live) == 14 and len(rep.probes) == 3 * 14  # the report still lists every probe
+    # the first probe makes the one pivot and the second adds none, so
+    # only those two are assembled, each over the whole basis.  Every
+    # later probe acts on the first candidate alone, then on the other
+    # three in one run, and is never assembled.  Last, each assembled
+    # probe acts on all four candidates in one run.
+    first, rest = rep.candidates[0], rep.candidates[1:]
+    assert log == (
+        [("action_rows", p, rep.basis) for p in live[:2]]
+        + [call for p in live[2:] for call in (("act", p, first), ("act_each", p, rest))]
+        + [("act_each", p, rep.candidates) for p in live[:2]]
+    )
+
+
+def _duplicate_first_probe(monkeypatch):
+    """Probe the first generator twice, so the second probe adds no pivot."""
+    real = reducibility._probe_generators
+
+    def doubled(*args, **kwargs):
+        probes = real(*args, **kwargs)
+        return probes[:1] + probes
+
+    monkeypatch.setattr(reducibility, "_probe_generators", doubled)
+
+
+@pytest.mark.parametrize(
+    "hw, mu, bound, dimension",
+    [
+        (labels_from_charpoly(Poly([Fraction(2, 5), Fraction(-1, 3), 1]), Fraction(3, 7),
+                              [Fraction(1, 2)]), -1, 3, 3),
+        (HighestWeight.explicit(RANDOMISH, Fraction(2)), -2, 2, 0),
+    ],
+    ids=["kernel-left", "full-rank"],
+)
+def test_a_probe_that_cuts_the_kernel_is_assembled_and_the_scan_goes_on(
+    monkeypatch, hw, mu, bound, dimension
+):
+    m = module(hw)
+    want = singular_candidates(m, mu, bound, 12, 3)
+    with monkeypatch.context() as patch:
+        _duplicate_first_probe(patch)
+        log = _log_straightening(patch)
+        got = singular_candidates(m, mu, bound, 12, 3)
+    # the repeated probe adds no pivot, so the kernel is read after two
+    # probes; the next probe fails on the first candidate, is assembled
+    # and cuts the kernel, and assembly goes on until a probe adds no
+    # pivot, or the rank is full
+    live = [p for p in got.probes if p.alpha <= -mu]
+    p0, p1, p2 = live[0], live[2], live[3]
+    assert live[1] == p0
+    assert [(name, sym) for name, sym, _ in log[:5]] == [
+        ("action_rows", p0), ("action_rows", p0), ("act", p1), ("action_rows", p1),
+        ("action_rows", p2),
     ]
-    assert len(log) == n * (1 + rep.dimension)
+    assert got.dimension == want.dimension == dimension
+    if dimension:
+        # p2 adds no pivot: the kernel is read again, and every later
+        # probe passes its check on it
+        first, rest = got.candidates[0], got.candidates[1:]
+        assert log[5:] == (
+            [call for p in live[4:] for call in (("act", p, first), ("act_each", p, rest))]
+            + [("act_each", p, got.candidates) for p in live[:4]]
+        )
+    else:
+        assert len(log) == 5
+    assert json.dumps(got.to_json(INTEGERS)) == json.dumps(want.to_json(INTEGERS))
+    ref = _dense_reference(m, mu, bound, 12, 3, None)
+    assert json.dumps(got.to_json(INTEGERS)) == json.dumps(ref.to_json(INTEGERS))
 
 
-def _unsorted_rows(module, basis, probes):
-    """The stream without the sort: each probe's rows in word order."""
-    for probe in probes:
-        yield from module.action_rows(probe, basis)
+def _perturbed(f, cc, index):
+    """The recurrent weight of ``f`` with label ``index`` raised by 1."""
+    base = labels_from_charpoly(f, cc)
+    labels = [base.label(i) for i in range(40)]
+    labels[index] += 1
+    return HighestWeight.explicit(labels, cc)
+
+
+def test_a_corrupted_row_of_an_assembled_probe_raises(monkeypatch):
+    # at -1, I = 3, K = 12 only the last probe L(1,12) reads label 16: the
+    # first two probes leave a kernel of dimension 4, L(1,12) fails its
+    # check, is assembled and cuts it to 3, and no other probe could
+    m = module(_perturbed(X + 1, 1, 16))
+    last = Generator(1, 12)
+    with monkeypatch.context() as patch:
+        log = _log_straightening(patch)
+        assert singular_candidates(m, -1, 3, 12, 3).dimension == 3
+    assert [sym.index for name, sym, _ in log if name == "action_rows"] == [-1, 0, 12]
+    # a first entry dropped from its row leaves a candidate that the probe
+    # does not kill, and the re-verification by straightening sees it
+    real = VermaModule.action_rows
+
+    def corrupted(self, probe, basis):
+        rows = real(self, probe, basis)
+        if probe == last:
+            (row,) = rows
+            del row[min(row)]
+        return rows
+
+    monkeypatch.setattr(VermaModule, "action_rows", corrupted)
+    with pytest.raises(DetectorInconsistencyError, match="matrix assembly bug"):
+        singular_candidates(m, -1, 3, 12, 3)
+
+
+def test_a_check_that_drops_a_term_is_caught_by_the_label_side(monkeypatch):
+    # a recurrent weight with one label perturbed: the first probes see
+    # the recurrence, so the kernel is read early, and a later probe that
+    # reaches the perturbed label cuts it
+    hw = _perturbed(X + 1, 1, 8)
+    with monkeypatch.context() as patch:
+        log = _log_straightening(patch)
+        assert reducibility_report(module(hw)).singular.dimension == 0
+    acted = {sym for name, sym, _ in log if name == "act"}
+    assert acted & {sym for name, sym, _ in log if name == "action_rows"}
+    # a check run that drops the first term of each image passes every
+    # probe, so the search keeps the early kernel
+    real = VermaModule.act_each
+
+    def dropping(self, sym, vecs):
+        return [ModuleVector(dict(v.items()[1:])) for v in real(self, sym, vecs)]
+
+    monkeypatch.setattr(VermaModule, "act_each", dropping)
+    monkeypatch.setattr(VermaModule, "act", lambda self, sym, vec: dropping(self, sym, [vec])[0])
+    with pytest.raises(DetectorInconsistencyError, match="candidate space"):
+        reducibility_report(module(hw))
+
+
+def _unsorted_rows(module, basis, probe):
+    """A probe's rows without the sort, in word order."""
+    return module.action_rows(probe, basis)
 
 
 def _row_key(row):
@@ -673,16 +812,13 @@ def test_annihilation_rows_come_sparsest_first_within_each_probe(monkeypatch):
         basis = m.weight_basis(mu, bound, parts=parts)
         probes = reducibility._probe_generators(m, b, k, parts=parts)
         live = [p for p in probes if g.compare(p.alpha, g.neg(mu)) <= 0]
-        # the whole stream, each row filed under the probe last straightened
-        by_probe = {p: [] for p in live}
-        with monkeypatch.context() as patch:
-            log = _log_straightening(patch)
-            for row in reducibility._annihilation_rows(m, basis, live):
-                by_probe[log[-1][1]].append(row)
-        assert [sym for _, sym, _ in log] == live
         for p in live:
+            # one straightening run of the probe itself
+            with monkeypatch.context() as patch:
+                log = _log_straightening(patch)
+                got = reducibility._annihilation_rows(m, basis, p)
+            assert [(name, sym) for name, sym, _ in log] == [("action_rows", p)]
             word_order = m.action_rows(p, basis)
-            got = by_probe[p]
             # the same rows, as a multiset, with entry counts never falling
             assert sorted(map(_row_key, got)) == sorted(map(_row_key, word_order))
             assert [len(r) for r in got] == sorted(len(r) for r in got)

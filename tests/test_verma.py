@@ -1443,15 +1443,35 @@ def test_decoded_dyadic_words_hash_as_their_factors():
     # at a dyadic scale an integral part decodes to a Fraction that matches
     # the integer word; at scale 1 it is the integer part itself; the empty
     # word is the vacuum at every scale
-    decode = verma._decode_word
     for scale in (1, 2, 8):
-        two = decode(((2 * scale, 0),), scale)
+        (two,) = ModuleVector._of_coded({((2 * scale, 0),): 1}, scale, (1, 1)).monomials()
         assert type(two.factors[0][0]) is (int if scale == 1 else Fraction)
         assert two.factors == ((Fraction(2), 0),)
         assert two == PBWMonomial(((2, 0),)) and hash(two) == hash(PBWMonomial(((2, 0),)))
         assert {PBWMonomial(((2, 0),)): 1}[two] == 1
-        assert decode((), scale) is VACUUM
+        (vacuum,) = ModuleVector._of_coded({(): 1}, scale, (1, 0)).monomials()
+        assert vacuum is VACUUM
     assert m.act(Generator(Fraction(0), 1), m.vacuum()).monomials()[0] is VACUUM
+
+
+def test_items_build_each_dyadic_part_once_per_call():
+    # a part shared by many words is one Fraction object within a call,
+    # and the terms are those of decoding every part on its own
+    m = module(_EXPLICIT, DYADIC)
+    vec = m.act(
+        Generator(Fraction(3, 8), 1),
+        m.vector([(Fraction(1, 8), 0), (Fraction(1, 2), 1), (Fraction(1, 2), 2)]),
+    )
+    terms = vec.items()
+    parts = [p for w, _ in terms for p, _ in w.factors]
+    assert len(terms) >= 5 and len(parts) > 2 * len(set(parts))
+    assert len({id(p) for p in parts}) == len(set(parts))
+    scale = vec._scale
+    alone = [
+        (PBWMonomial(tuple([(Fraction(p, scale), i) for p, i in w])), c)
+        for w, c in vec._values()
+    ]
+    assert terms == sorted(alone, key=lambda t: t[0].sort_key())
 
 
 def _weight_by_add(vec, group):
