@@ -106,7 +106,7 @@ def _dense(rows: Sequence[Sequence[Rational]], ncols: int) -> Iterable[IntRow]:
     return (_integral(enumerate(row)) for row in rows)
 
 
-def _sparse(rows: Iterable[Dict[int, Rational]], ncols: int) -> Iterable[IntRow]:
+def sparse_rows(rows: Iterable[Dict[int, Rational]], ncols: int) -> Iterable[IntRow]:
     """Integral copies of lazily pulled sparse rows, each checked as it arrives."""
     for row in rows:
         for c in row:
@@ -236,8 +236,9 @@ class Echelon:
     """One streaming elimination over ``ncols`` columns, and its readers.
 
     Rows go in one at a time and are reduced in place by ``_eliminate``;
-    :meth:`extend` checks sparse rows as it pulls them and stops pulling
-    once the rank is full.  While eliminating, a pivot row is a primitive
+    :meth:`extend` takes integral rows, checked on the way in by
+    ``_dense`` or ``sparse_rows``, and stops pulling them once the rank
+    is full.  While eliminating, a pivot row is a primitive
     integer vector, positive at its pivot, with no entry left of its
     pivot and none at the pivot columns that existed when it was last
     reduced.
@@ -267,34 +268,22 @@ class Echelon:
         self._reduced: Dict[int, int] = {}
         self._used: Dict[int, int] = {}
 
-    @property
-    def full(self) -> bool:
-        return len(self.pivots) == self.ncols
-
-    def _add(self, r: IntRow) -> bool:
-        """Reduce the integral row ``r`` in place; True when it added a pivot."""
-        return _eliminate(self.pivots, self._reduced, self._used, r)
-
-    def _extend(self, rows: Iterable[IntRow]) -> bool:
-        """Eliminate integral rows, pulling none once the rank is full;
-        True when one of them added a pivot."""
-        n = len(self.pivots)
-        if n < self.ncols:
+    def extend(self, rows: Iterable[IntRow]) -> bool:
+        """Eliminate integral rows (``_dense`` or ``sparse_rows``), pulling
+        none once the rank is full; True when one of them added a pivot."""
+        pivots, ncols = self.pivots, self.ncols
+        n = len(pivots)
+        if n < ncols:
             for r in rows:
-                if self._add(r) and self.full:
+                if _eliminate(pivots, self._reduced, self._used, r) and len(pivots) == ncols:
                     break
-        return len(self.pivots) > n
-
-    def extend(self, rows: Iterable[Dict[int, Rational]]) -> bool:
-        """:meth:`_extend` on sparse ``{column: value}`` rows, each checked
-        and cleared of denominators as it is pulled (``_sparse``)."""
-        return self._extend(_sparse(rows, self.ncols))
+        return len(pivots) > n
 
     def reduced(self) -> Dict[int, SparseRow]:
         """The reduced pivot rows, keyed by pivot column: a 1 at the pivot
         and zeros at every other pivot column, with ``Fraction`` entries.
         Every pivot row is brought to reduced form first, last pivot first."""
-        if self.full:
+        if len(self.pivots) == self.ncols:
             return {p: {p: Fraction(1)} for p in range(self.ncols)}
         for p in sorted(self.pivots, reverse=True):
             _reduce_pivot_row(self.pivots, self._reduced, p)
@@ -324,9 +313,9 @@ class Echelon:
         full rank: its entries up to its first free column d0, where it
         ends, times their common denominator ``den``, the last entry.
         Only the pivot rows left of d0 are reduced."""
-        if self.full:
-            return None
         pivots = self.pivots
+        if len(pivots) == self.ncols:
+            return None
         d0 = next(c for c in range(self.ncols) if c not in pivots)
         for p in range(d0):
             _reduce_pivot_row(pivots, self._reduced, p)
@@ -339,7 +328,7 @@ class Echelon:
 def _dense_echelon(rows: Sequence[Sequence[Rational]], ncols: int) -> Echelon:
     """The elimination of a dense matrix, every row checked first."""
     state = Echelon(ncols)
-    state._extend(_dense(rows, ncols))
+    state.extend(_dense(rows, ncols))
     return state
 
 
@@ -375,7 +364,7 @@ def nullspace(
     if isinstance(rows, Sequence):
         return _dense_echelon(rows, ncols).kernel()
     state = Echelon(ncols)
-    state.extend(rows)
+    state.extend(sparse_rows(rows, ncols))
     return state.kernel()
 
 
@@ -398,15 +387,16 @@ def first_null_vector(rows: Sequence[Sequence[Rational]], ncols: int) -> Optiona
     first canonical one.
     """
     integral = _dense(rows, ncols)
-    state = Echelon(ncols)
-    if state.full:
+    if not ncols:
         return None
+    state = Echelon(ncols)
+    pivots, reduced, used = state.pivots, state._reduced, state._used
     eliminated = 0
     for r in integral:
         eliminated += 1
-        if not state._add(r):
+        if not _eliminate(pivots, reduced, used, r):
             break
-        if state.full:
+        if len(pivots) == ncols:
             return None
     rest = list(rows[eliminated:])
     while True:
@@ -417,8 +407,8 @@ def first_null_vector(rows: Sequence[Sequence[Rational]], ncols: int) -> Optiona
         else:
             den = v[-1]
             return [Fraction(x, den) for x in v] + [Fraction(0)] * (ncols - len(v))
-        state._add(_integral(enumerate(rest.pop(i))))
-        if state.full:
+        _eliminate(pivots, reduced, used, _integral(enumerate(rest.pop(i))))
+        if len(pivots) == ncols:
             return None
 
 

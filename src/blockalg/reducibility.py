@@ -371,15 +371,6 @@ def _vectors(basis: List[PBWMonomial], kernel: List[List[Fraction]]) -> List[Mod
     return [ModuleVector({m: c for m, c in zip(basis, v) if c}) for v in kernel]
 
 
-def _annihilates(module: VermaModule, probe: Generator, candidates: List[ModuleVector]) -> bool:
-    """True when ``probe`` sends every candidate to zero: the first alone,
-    so a probe that fails costs one action, then the rest in one run."""
-    first, *rest = candidates
-    return module.act(probe, first).is_zero() and all(
-        v.is_zero() for v in (module.act_each(probe, rest) if rest else ())
-    )
-
-
 def singular_candidates(
     module: VermaModule,
     mu,
@@ -402,20 +393,19 @@ def singular_candidates(
 
     After the first probe whose rows add no pivot, the search reads the
     canonical kernel of the rows pulled so far and checks each remaining
-    live probe on it, by straightening: it acts on the first candidate
-    alone, and only if that gives zero on all the others in one run
-    (:meth:`VermaModule.act_each`).  A probe that annihilates every
-    candidate is never assembled.  A probe that does not has its rows
-    eliminated, which adds a pivot, and the search goes back to
+    live probe on it by straightening: one run of the probe over every
+    candidate (:meth:`VermaModule.act_each`).  A probe that annihilates
+    every candidate is never assembled.  A probe that does not has its
+    rows eliminated, which adds a pivot, and the search goes back to
     assembling probes until one adds no pivot, then reads the kernel
-    anew.  (Cuts tend to come in runs: on a recurrent weight with one
-    label perturbed, every probe that reaches that label cuts, and a
-    kernel read and a failed check per probe cost more than assembling
-    them.)  This is exact.  The kernel of the pulled rows contains the
-    kernel of the whole matrix, and it shrinks only when rows are
-    pulled, so each probe that passed annihilates the final kernel too:
-    the two kernels are equal, and so are the canonical basis, the
-    generator and every report.
+    anew.  (Assembling after a cut rather than reading the kernel and
+    checking again was chosen on one synthetic case, a recurrent weight
+    with one label perturbed, where it was faster; no benchmark workload
+    reaches a cut.)  If straightening is right, this is exact.  The
+    kernel of the pulled rows contains the kernel of the whole matrix,
+    and it shrinks only when rows are pulled, so each probe that passed
+    annihilates the final kernel too: the two kernels are equal, and so
+    are the canonical basis, the generator and every report.
 
     A probe L(beta,k) with beta heavier than -mu is never straightened:
     it sends the weight space to mu+beta > 0, where the module is zero,
@@ -429,9 +419,14 @@ def singular_candidates(
     with a larger index, so the generator and its ``generator_dim`` are
     read off the full kernel.
     Every probe whose rows were assembled then acts on every candidate
-    in one run, a path that does not go through the matrix, and any
-    nonzero result raises ``DetectorInconsistencyError``; the other
-    live probes acted on the candidates when they were checked.
+    in one straightening run, a path that does not go through the
+    matrix, and any nonzero result raises ``DetectorInconsistencyError``.
+    A probe that passed its check was never assembled, so its verdict
+    rests on straightening alone: a straightening error that sends a
+    nonzero image to zero would leave a candidate that the whole matrix
+    does not, and nothing here would see it.  Only at weight -1 inside
+    ``reducibility_report`` is there a second check, the label-side
+    kernel, which must match the candidates.
 
     The search runs over the integers and the dyadics; lex-z2 is refused
     up front, since its weight spaces need a ``max_parts`` bound and its
@@ -453,16 +448,17 @@ def singular_candidates(
     top = g.neg(mu)
     live = [p for p in probes if g.compare(p.alpha, top) <= 0]
 
-    state = linalg.Echelon(len(basis))
+    n = len(basis)
+    state = linalg.Echelon(n)
     kernel = None  # read when a probe adds no pivot, dropped when one cuts it
     assembled = []
     for probe in live:
-        if state.full:
+        if len(state.pivots) == n:
             break
-        if kernel is not None and _annihilates(module, probe, candidates):
+        if kernel is not None and all(v.is_zero() for v in module.act_each(probe, candidates)):
             continue
         assembled.append(probe)
-        if state.extend(_annihilation_rows(module, basis, probe)):
+        if state.extend(linalg.sparse_rows(_annihilation_rows(module, basis, probe), n)):
             kernel = None
         else:
             kernel = state.kernel()
@@ -486,7 +482,7 @@ def singular_candidates(
                 generator = ModuleVector({basis[i]: c for i, c in zip(low, sub[0]) if c})
                 break
 
-    # independent re-verification of the assembled probes, one run each
+    # re-verification of the assembled probes by straightening, one run each
     for probe in assembled if candidates else []:
         for cand, image in zip(candidates, module.act_each(probe, candidates)):
             if not image.is_zero():

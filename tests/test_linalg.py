@@ -227,12 +227,13 @@ def test_reads_between_rows_match_dense_reference():
         k = 0
         while k < len(m):
             step = rng.randint(1, 3)
-            grew = state.extend({c: x for c, x in enumerate(r) if x} for r in m[k : k + step])
+            rows = ({c: x for c, x in enumerate(r) if x} for r in m[k : k + step])
+            grew = state.extend(linalg.sparse_rows(rows, cols))
             before = len(_dense_rref(m[:k])[1]) if k else 0
             k += step
             after = len(_dense_rref(m[:k])[1])
             assert grew == (len(state.pivots) > before)
-            if state.full:
+            if len(state.pivots) == cols:
                 assert after == cols
                 break
             assert len(state.pivots) == after

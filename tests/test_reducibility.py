@@ -671,13 +671,11 @@ def test_rank_deficient_search_acts_on_every_live_probe(monkeypatch):
     assert len(live) == 14 and len(rep.probes) == 3 * 14  # the report still lists every probe
     # the first probe makes the one pivot and the second adds none, so
     # only those two are assembled, each over the whole basis.  Every
-    # later probe acts on the first candidate alone, then on the other
-    # three in one run, and is never assembled.  Last, each assembled
-    # probe acts on all four candidates in one run.
-    first, rest = rep.candidates[0], rep.candidates[1:]
+    # later probe acts on all four candidates in one run and is never
+    # assembled.  Last, each assembled probe does the same.
     assert log == (
         [("action_rows", p, rep.basis) for p in live[:2]]
-        + [call for p in live[2:] for call in (("act", p, first), ("act_each", p, rest))]
+        + [("act_each", p, rep.candidates) for p in live[2:]]
         + [("act_each", p, rep.candidates) for p in live[:2]]
     )
 
@@ -712,25 +710,21 @@ def test_a_probe_that_cuts_the_kernel_is_assembled_and_the_scan_goes_on(
         log = _log_straightening(patch)
         got = singular_candidates(m, mu, bound, 12, 3)
     # the repeated probe adds no pivot, so the kernel is read after two
-    # probes; the next probe fails on the first candidate, is assembled
+    # probes; the next probe fails its check, is assembled
     # and cuts the kernel, and assembly goes on until a probe adds no
     # pivot, or the rank is full
     live = [p for p in got.probes if p.alpha <= -mu]
     p0, p1, p2 = live[0], live[2], live[3]
     assert live[1] == p0
     assert [(name, sym) for name, sym, _ in log[:5]] == [
-        ("action_rows", p0), ("action_rows", p0), ("act", p1), ("action_rows", p1),
+        ("action_rows", p0), ("action_rows", p0), ("act_each", p1), ("action_rows", p1),
         ("action_rows", p2),
     ]
     assert got.dimension == want.dimension == dimension
     if dimension:
         # p2 adds no pivot: the kernel is read again, and every later
         # probe passes its check on it
-        first, rest = got.candidates[0], got.candidates[1:]
-        assert log[5:] == (
-            [call for p in live[4:] for call in (("act", p, first), ("act_each", p, rest))]
-            + [("act_each", p, got.candidates) for p in live[:4]]
-        )
+        assert log[5:] == [("act_each", p, got.candidates) for p in live[4:] + live[:4]]
     else:
         assert len(log) == 5
     assert json.dumps(got.to_json(INTEGERS)) == json.dumps(want.to_json(INTEGERS))
@@ -772,6 +766,15 @@ def test_a_corrupted_row_of_an_assembled_probe_raises(monkeypatch):
         singular_candidates(m, -1, 3, 12, 3)
 
 
+def _dropping_first_terms(real):
+    """``act_each`` with the first term of every image dropped."""
+
+    def dropping(self, sym, vecs):
+        return [ModuleVector(dict(v.items()[1:])) for v in real(self, sym, vecs)]
+
+    return dropping
+
+
 def test_a_check_that_drops_a_term_is_caught_by_the_label_side(monkeypatch):
     # a recurrent weight with one label perturbed: the first probes see
     # the recurrence, so the kernel is read early, and a later probe that
@@ -780,19 +783,38 @@ def test_a_check_that_drops_a_term_is_caught_by_the_label_side(monkeypatch):
     with monkeypatch.context() as patch:
         log = _log_straightening(patch)
         assert reducibility_report(module(hw)).singular.dimension == 0
-    acted = {sym for name, sym, _ in log if name == "act"}
-    assert acted & {sym for name, sym, _ in log if name == "action_rows"}
+    checked = [sym for name, sym, _ in log if name == "act_each"]
+    assert set(checked) & {sym for name, sym, _ in log if name == "action_rows"}
     # a check run that drops the first term of each image passes every
     # probe, so the search keeps the early kernel
-    real = VermaModule.act_each
-
-    def dropping(self, sym, vecs):
-        return [ModuleVector(dict(v.items()[1:])) for v in real(self, sym, vecs)]
-
-    monkeypatch.setattr(VermaModule, "act_each", dropping)
-    monkeypatch.setattr(VermaModule, "act", lambda self, sym, vec: dropping(self, sym, [vec])[0])
+    monkeypatch.setattr(VermaModule, "act_each", _dropping_first_terms(VermaModule.act_each))
     with pytest.raises(DetectorInconsistencyError, match="candidate space"):
         reducibility_report(module(hw))
+
+
+def test_a_check_that_loses_its_images_goes_unseen_away_from_minus_one(monkeypatch):
+    # the pinned -2 search on a recurrent weight with label 18 raised: the
+    # first five probes leave a kernel of dimension 6, and the later
+    # probes L(1,9)..L(1,12), which reach label 18, fail their checks and
+    # cut it to {0}
+    base = labels_from_charpoly(Poly([Fraction(2, 5), Fraction(-1, 3), 1]), Fraction(3, 7),
+                                [Fraction(1, 2)])
+    labels = [base.label(i) for i in range(40)]
+    labels[18] += 1
+    m = module(HighestWeight.explicit(labels, Fraction(3, 7)))
+    with monkeypatch.context() as patch:
+        log = _log_straightening(patch)
+        assert singular_candidates(m, -2, 8, 12, 3).dimension == 0
+    assert [sym.index for name, sym, _ in log if name == "action_rows"] == [
+        -1, 0, 1, 2, 3, 9, 10, 11, 12
+    ]
+    # a checked probe is verified by straightening alone: an act_each that
+    # loses every term passes each check, the early kernel stands, and
+    # nothing raises, since no label-side kernel exists away from -1.
+    # Only the label side of reducibility_report, at -1, would see it
+    monkeypatch.setattr(VermaModule, "act_each",
+                        lambda self, sym, vecs: [ModuleVector({}) for _ in vecs])
+    assert singular_candidates(m, -2, 8, 12, 3).dimension == 6
 
 
 def _unsorted_rows(module, basis, probe):
