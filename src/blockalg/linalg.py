@@ -47,13 +47,14 @@ does not annihilate it.
 
 Matrix entries are ``int`` or ``Fraction``; anything else (a float, a
 string, a bool) is refused with ``ValueError`` rather than converted.  A
-plain ``int`` passes that check on one ``type`` test.
-Dense matrices (a sequence of equal-length rows) are validated in full
-before elimination starts.  ``nullspace`` also takes an iterator of
-sparse rows, which it pulls one at a time and validates as each arrives;
-once the pivots reach full rank it pulls no further row, so a lazily
-assembled matrix is only built as far as the rank needs.  A full-rank
-verdict is exact: no later row can shrink a kernel that is already {0}.
+plain ``int`` passes that check on one ``type`` test.  The public
+routines take a dense matrix, a list or tuple of equal-length list or
+tuple rows, and check it in full before elimination starts.  The one way
+to stream sparse rows is ``Echelon(n).extend(sparse_rows(rows, n))``,
+which pulls and checks one row at a time and pulls no further row once
+the rank is full, so a lazily assembled matrix is only built as far as
+the rank needs.  A full-rank verdict is exact: no later row can shrink a
+kernel that is already {0}.
 """
 
 from __future__ import annotations
@@ -97,8 +98,18 @@ def _integral(items: Iterable[Tuple[int, Rational]]) -> IntRow:
     return {k: x.numerator * (den // x.denominator) for k, x in row.items()}
 
 
+def _width(rows: Sequence[Sequence[Rational]]) -> int:
+    """The length of the first row of a dense matrix, 0 when it has none;
+    ``ValueError`` unless the matrix and each row is a list or a tuple (a
+    dict row would be read as its keys, an iterator used up by the checks)."""
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise ValueError("a dense matrix is a list or a tuple of list or tuple rows")
+    return len(rows[0]) if rows else 0
+
+
 def _dense(rows: Sequence[Sequence[Rational]], ncols: int) -> Iterable[IntRow]:
     """Integral sparse copies of dense rows, every row checked before the first one."""
+    _width(rows)
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)} in a matrix with {ncols} columns")
@@ -238,7 +249,9 @@ class Echelon:
     Rows go in one at a time and are reduced in place by ``_eliminate``;
     :meth:`extend` takes integral rows, checked on the way in by
     ``_dense`` or ``sparse_rows``, and stops pulling them once the rank
-    is full.  While eliminating, a pivot row is a primitive
+    is full.  ``Echelon(n).extend(sparse_rows(rows, n))`` is the one way
+    to stream sparse rows; the public routines take dense matrices only.
+    While eliminating, a pivot row is a primitive
     integer vector, positive at its pivot, with no entry left of its
     pivot and none at the pivot columns that existed when it was last
     reduced.
@@ -338,9 +351,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[Row], List[int]]:
     The matrix has one row per input row: the pivot rows in pivot order,
     then zero rows.
     """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+    ncols = _width(rows)
     pivots = _dense_echelon(rows, ncols).reduced()
     cols = sorted(pivots)
     m = []
@@ -353,19 +364,10 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[Row], List[int]]:
     return m, cols
 
 
-def nullspace(
-    rows: Union[Sequence[Sequence[Fraction]], Iterable[SparseRow]], ncols: int
-) -> List[List[Fraction]]:
-    """Canonical nullspace basis: one vector per free column, unit there.
-
-    ``rows`` is a dense matrix (a sequence of rows) or an iterator of
-    sparse ``{column: value}`` rows, pulled only until full rank.
-    """
-    if isinstance(rows, Sequence):
-        return _dense_echelon(rows, ncols).kernel()
-    state = Echelon(ncols)
-    state.extend(sparse_rows(rows, ncols))
-    return state.kernel()
+def nullspace(rows: Sequence[Sequence[Rational]], ncols: int) -> List[Row]:
+    """Canonical nullspace basis of a dense matrix: one vector per free
+    column, unit there."""
+    return _dense_echelon(rows, ncols).kernel()
 
 
 def first_null_vector(rows: Sequence[Sequence[Rational]], ncols: int) -> Optional[Row]:
@@ -423,11 +425,9 @@ def solve(
     columns; the system is inconsistent exactly when column ``ncols``
     becomes a pivot.
     """
+    ncols = _width(rows)
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rows)} equations but {len(rhs)} right-hand sides")
-    if not rows:
-        return []
-    ncols = len(rows[0])
     augmented = [[*row, b] for row, b in zip(rows, rhs)]
     pivots = _dense_echelon(augmented, ncols + 1).reduced()
     if ncols in pivots:
@@ -439,6 +439,4 @@ def solve(
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    return len(_dense_echelon(rows, len(rows[0])).pivots)
+    return len(_dense_echelon(rows, _width(rows)).pivots)

@@ -171,10 +171,16 @@ def charpoly_certificate(hw: HighestWeight, f: Poly) -> str:
     return "within-horizon"
 
 
+def _label_residual(hw: HighestWeight, f: Poly, m: int) -> Fraction:
+    """The probe of f = sum_n f_n t^n against t^m, a ``Fraction``:
+    sum_n f_n * shadow(n+m), minus f(0) * cc at m = 0; zero when it holds."""
+    r = sum((c * hw.shadow(n + m) for n, c in enumerate(f.coeffs)), Fraction(0))
+    return r - f.coefficient(0) * hw.central_charge if m == 0 else r
+
+
 def m0_condition_holds(hw: HighestWeight, f: Poly) -> bool:
     """sum_j j a_j label(j-1) == f(0) * cc, the probe against t^0."""
-    s = sum((f.coefficient(j) * hw.shadow(j) for j in range(f.degree + 1)), Fraction(0))
-    return s == f.coefficient(0) * hw.central_charge
+    return _label_residual(hw, f, 0) == 0
 
 
 # -- generating series and the quasipolynomial test -----------------------
@@ -509,22 +515,9 @@ def singular_candidates(
 class SingularCheck:
     passed: bool
     residuals: List[Tuple[int, Fraction]]
-    engine_zero: List[Tuple[int, bool]]
     higher_weight_zero: bool
     certificate: str
     failing_probe: Optional[int] = None
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "certificate": self.certificate,
-            "failing_probe": self.failing_probe,
-            "residuals": [
-                [m, format_rational(r)] for m, r in self.residuals
-            ],
-            "engine_zero": [[m, z] for m, z in self.engine_zero],
-            "higher_weight_probes_zero": self.higher_weight_zero,
-        }
 
 
 def polynomial_of_vector(v: ModuleVector) -> Poly:
@@ -552,36 +545,28 @@ def verify_singular(
 ) -> SingularCheck:
     """Check that ``v`` (the weight -1 vector of ``f``) is singular.
 
-    Two numeric paths per probe m <= probes: the label expansion of the
-    annihilation identity against t^m, and the straightening engine
-    applied with the corresponding positive generator (index m-1).  When
-    the weight is recurrent with this very polynomial, the conditions
-    hold at every probe by construction and the verdict is a full
-    certificate rather than horizon-limited.  Positive generators of
-    weight >= 2 land in strictly positive weight and vanish
-    automatically; a sample is confirmed through the engine.
+    Each probe m <= probes is computed twice, and the two must agree: its
+    label residual (``_label_residual``, the t^m probe of f against the
+    labels), and the image of ``v`` under the positive generator
+    L(1, m-1) in the straightening engine.  When the weight is recurrent
+    with this very polynomial, the conditions hold at every probe by
+    construction and the verdict is a full certificate rather than
+    horizon-limited.  Positive generators of weight >= 2 land in
+    strictly positive weight and vanish automatically; a sample is
+    confirmed through the engine.
     """
     if polynomial_of_vector(v) != f:
         raise ValueError("vector and polynomial disagree")
     hw = module.hw
     residuals = []
-    engine_zero = []
     failing = None
     for m in range(0, probes + 1):
-        # label path: value of the functional on f' t^m + m f t^(m-1),
-        # minus the central correction at m = 0
-        p = f.derivative().shifted(m)
-        if m >= 1:
-            p = p + m * f.shifted(m - 1)
-        r = sum((c * hw.label(i) for i, c in enumerate(p.coeffs)), Fraction(0))
-        if m == 0:
-            r -= f.coefficient(0) * hw.central_charge
+        r = _label_residual(hw, f, m)
         residuals.append((m, r))
-        image = module.act(Generator(1, m - 1), v)
-        engine_zero.append((m, image.is_zero()))
-        if (r != 0 or not image.is_zero()) and failing is None:
+        zero = module.act(Generator(1, m - 1), v).is_zero()
+        if (r != 0 or not zero) and failing is None:
             failing = m
-        if (r == 0) != image.is_zero():
+        if (r == 0) != zero:
             raise DetectorInconsistencyError(
                 f"label path and engine disagree at probe {m}"
             )
@@ -596,7 +581,6 @@ def verify_singular(
     return SingularCheck(
         passed=failing is None and higher,
         residuals=residuals,
-        engine_zero=engine_zero,
         higher_weight_zero=higher,
         certificate=certificate,
         failing_probe=failing,

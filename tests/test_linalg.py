@@ -192,6 +192,13 @@ def _all_fractions(vectors):
     return all(type(x) is Fraction for v in vectors for x in v)
 
 
+def _stream_kernel(rows, ncols):
+    """The kernel of sparse rows streamed into one elimination, as the singular search runs it."""
+    state = linalg.Echelon(ncols)
+    state.extend(linalg.sparse_rows(rows, ncols))
+    return state.kernel()
+
+
 def test_matches_dense_reference():
     rng = random.Random(3)
     inconsistent = 0
@@ -276,11 +283,11 @@ def test_non_rational_entries_are_rejected():
         lambda: linalg.nullspace([["1/2", "1"]], 2),
         lambda: linalg.rref([[Fraction(1), None], [True, 2]]),
         lambda: linalg.solve([[1, 2]], [0.5]),
-        lambda: linalg.nullspace(iter([{0: 1}, {1: 2.0}]), 2),
+        lambda: _stream_kernel(iter([{0: 1}, {1: 2.0}]), 2),
         lambda: linalg.first_null_vector([[1, 2], [2, 4], [0.5, 1]], 2),
         lambda: linalg.first_null_vector([[True, 2]], 2),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
             call()
     assert linalg.rank([[Fraction(1, 10), Fraction(3, 10)], [1, 3]]) == 1
 
@@ -293,7 +300,7 @@ def test_a_non_rational_entry_after_ints_is_rejected(bad):
         lambda: linalg.nullspace([[2, 7, 1, 8, 2, 8], row], 6),
         lambda: linalg.rref([row, [2, 7, 1, 8, 2, 8]]),
         lambda: linalg.rank([row]),
-        lambda: linalg.nullspace(iter([{0: 2, 1: 7}, dict(enumerate(row))]), 6),
+        lambda: _stream_kernel(iter([{0: 2, 1: 7}, dict(enumerate(row))]), 6),
         lambda: linalg.first_null_vector([[2, 7, 1, 8, 2, 8], [4, 14, 2, 16, 4, 16], row], 6),
     ):
         with pytest.raises(ValueError, match="is not an int or a Fraction"):
@@ -301,11 +308,44 @@ def test_a_non_rational_entry_after_ints_is_rejected(bad):
 
 
 def test_int_rows_of_the_caller_are_left_unchanged():
-    # _echelon reduces its rows in place, so an all-int row is copied first
+    # Echelon reduces its rows in place, so an all-int row is copied first
     rows = [{0: 2, 1: 4, 2: 6}, {0: 1, 1: 3, 2: 5}, {0: 3, 1: 7, 2: 11}, {1: 0}]
     copies = [dict(r) for r in rows]
-    assert linalg.nullspace(iter(rows), 3) == [[Fraction(1), Fraction(-2), Fraction(1)]]
+    assert _stream_kernel(iter(rows), 3) == [[Fraction(1), Fraction(-2), Fraction(1)]]
     assert rows == copies
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [{0: 5, 1: 7}],  # a dict row would be read as its keys, [0, 1]
+        [{0: Fraction(1, 2), 1: 3}],
+        [[1, 2], {0: 1, 1: 2}],
+        iter([[5, 7]]),  # an iterator would be used up by the checks
+        ([5, 7] for _ in range(2)),
+        {0: [5, 7]},
+    ],
+    ids=["dict-row", "fraction-dict-row", "dict-second-row", "iterator", "generator", "dict-matrix"],
+)
+def test_a_matrix_that_is_not_list_or_tuple_rows_is_rejected(bad):
+    for call in (
+        lambda: linalg.rref(bad),
+        lambda: linalg.rank(bad),
+        lambda: linalg.nullspace(bad, 2),
+        lambda: linalg.solve(bad, [1]),
+        lambda: linalg.first_null_vector(bad, 2),
+    ):
+        with pytest.raises(ValueError, match="list or tuple rows"):
+            call()
+
+
+def test_tuple_rows_are_a_dense_matrix():
+    rows = ((Fraction(5), 7), (10, 14))
+    assert linalg.nullspace(rows, 2) == [[Fraction(-7, 5), Fraction(1)]]
+    assert linalg.rref(rows) == linalg.rref([list(r) for r in rows])
+    assert linalg.rank(rows) == 1
+    assert linalg.solve(rows, (5, 10)) == [Fraction(1), Fraction(0)]
+    assert linalg.first_null_vector(rows, 2) == [Fraction(-7, 5), Fraction(1)]
 
 
 # -- lazily fed sparse rows ------------------------------------------------------
@@ -315,7 +355,7 @@ def test_lazy_sparse_rows_match_dense_reference():
     for m in _reference_cases():
         cols = len(m[0])
         rows = ({c: x for c, x in enumerate(r) if x} for r in m)
-        kernel = linalg.nullspace(rows, cols)
+        kernel = _stream_kernel(rows, cols)
         assert kernel == _dense_nullspace(m, cols) and _all_fractions(kernel)
 
 
@@ -327,21 +367,21 @@ def test_lazy_rows_are_not_pulled_past_full_rank():
             pulled.append(r)
             yield r
 
-    assert linalg.nullspace(rows(), 2) == []
+    assert _stream_kernel(rows(), 2) == []
     assert len(pulled) == 3  # the third row completes the rank
 
 
 def test_lazy_int_entries_stay_exact():
     # int / int would give a float in the pivot normalisation
-    (v,) = linalg.nullspace(iter([{0: 2, 1: 1}]), 2)
+    (v,) = _stream_kernel(iter([{0: 2, 1: 1}]), 2)
     assert v == [Fraction(-1, 2), Fraction(1)]
     assert all(type(x) is Fraction for x in v)
 
 
 def test_lazy_sparse_column_out_of_range_is_rejected():
     for bad in ({2: Fraction(1)}, {-1: Fraction(1)}, {Fraction(1): Fraction(1)}):
-        with pytest.raises(ValueError):
-            linalg.nullspace(iter([{0: Fraction(1)}, bad]), 2)
+        with pytest.raises(ValueError, match="^column"):
+            _stream_kernel(iter([{0: Fraction(1)}, bad]), 2)
 
 
 # -- streams with deferred back-substitution ------------------------------------------
@@ -395,7 +435,7 @@ def test_sparse_streams_match_dense_reference():
                 pulled.append(r)
                 yield dict(r)
 
-        kernel = linalg.nullspace(stream(), ncols)
+        kernel = _stream_kernel(stream(), ncols)
         assert kernel == _dense_nullspace(dense, ncols) and _all_fractions(kernel)
         if kernel:
             deficient += 1
@@ -438,7 +478,7 @@ def test_annihilation_kernels_match_dense_reference(weight, mu, bound, probe_ind
     basis = m.weight_basis(mu, bound)
     probes = reducibility._probe_generators(m, probe_weight, probe_index)
     rows = (row for p in probes for row in reducibility._annihilation_rows(m, basis, p))
-    kernel = linalg.nullspace(rows, len(basis))
+    kernel = _stream_kernel(rows, len(basis))
     assert kernel
     assert kernel == _dense_nullspace(_act_matrix(m, basis, probes), len(basis))
 

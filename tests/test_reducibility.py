@@ -67,9 +67,18 @@ def test_labels_from_charpoly_validation():
     assert labels_from_charpoly(ONE, 0).label(5) == 0
 
 
+def _poly_residual(hw, f, m):
+    """The t^m probe of f by plain polynomial arithmetic: the functional on
+    f'(t) t^m + f(t) (t^m)', evaluated on the labels, minus f(0)*cc at m = 0."""
+    p = f.derivative().shifted(m)
+    if m >= 1:
+        p = p + m * f.shifted(m - 1)
+    value = sum((c * hw.label(i) for i, c in enumerate(p.coeffs)), Fraction(0))
+    return value - f.coefficient(0) * hw.central_charge if m == 0 else value
+
+
 def test_label_recurrence_against_symbolic_expansion():
-    # independent oracle: expand the functional on f'(t) t^m + f(t) (t^m)'
-    # with plain polynomial arithmetic and evaluate it on the labels
+    # independent oracle: the polynomial expansion of each probe vanishes
     rng = random.Random(0)
     for _ in range(25):
         d = rng.randint(1, 4)
@@ -78,14 +87,7 @@ def test_label_recurrence_against_symbolic_expansion():
         initial = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d - 1)]
         hw = labels_from_charpoly(f, cc, initial)
         for m in range(0, 11):
-            p = f.derivative().shifted(m)
-            if m >= 1:
-                p = p + m * f.shifted(m - 1)
-            value = sum(
-                (c * hw.label(i) for i, c in enumerate(p.coeffs)), Fraction(0)
-            )
-            expected = f.coefficient(0) * cc if m == 0 else Fraction(0)
-            assert value == expected
+            assert _poly_residual(hw, f, m) == 0
 
 
 def _fraction_labels(f: Poly, cc: Fraction, initial, n: int):
@@ -158,6 +160,51 @@ def test_label_conditions_match_the_shadow_reference(first):
             rows = reducibility._label_conditions(hw, first, last, ncols)
             assert rows == _reference_conditions(hw, first, last, ncols)
             assert all(type(x) is int for row in rows for x in row)
+
+
+def _residual_cases():
+    """Seeded (weight, f) pairs: recurrent weights against their own
+    charpoly, its shift and random polynomials, and explicit weights, some
+    with fewer stored labels than the probes reach."""
+    rng = random.Random(29)
+
+    def poly():
+        cs = [
+            rng.randint(-5, 5) if rng.random() < 0.5 else Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            for _ in range(rng.randint(0, 6))
+        ]
+        return Poly(cs)
+
+    for f, cc, initial in _recurrent_cases():
+        hw = labels_from_charpoly(f, cc, initial)
+        for g in [f, f * X, f + 1, ONE, Poly([])] + [poly() for _ in range(10)]:
+            yield hw, g
+    for n in (0, 3, 8, 20, 40):
+        for cc in (Fraction(0), Fraction(rng.randint(-6, 6), rng.randint(1, 5))):
+            labels = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+            hw = HighestWeight.explicit(labels, cc)
+            for g in [X, X**2, ONE] + [poly() for _ in range(12)]:
+                yield hw, g
+
+
+def test_label_residual_matches_the_poly_expansion():
+    # one formula, sum_n f_n shadow(n+m) - [m = 0] f(0) cc, against the
+    # polynomial expansion, in value and in type; it vanishes exactly where
+    # row m of the label conditions does on f
+    horizon = 24
+    cases = zero = 0
+    for hw, f in _residual_cases():
+        ncols = max(1, len(f.coeffs))
+        rows = _label_conditions(hw, 0, horizon, ncols)
+        for m in range(horizon + 1):
+            got = reducibility._label_residual(hw, f, m)
+            want = _poly_residual(hw, f, m)
+            assert got == want and type(got) is type(want) is Fraction
+            dot = sum(a * f.coefficient(n) for n, a in enumerate(rows[m]))
+            assert (got == 0) == (dot == 0)
+            cases += 1
+            zero += got == 0
+    assert cases > 7000 and 1000 < zero < cases - 1000
 
 
 def test_m0_consistency_for_recurrent_weights():
