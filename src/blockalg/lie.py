@@ -226,6 +226,8 @@ class LieElement:
                 raise ValueError(f"a term is an object with 'alpha', 'i' and 'coeff': {entry!r}")
             coeff = coeff_from_json(entry["coeff"], group)
             if entry["i"] == "central":
+                if entry["alpha"] is not None:
+                    raise ValueError(f"the central term has alpha null: {entry!r}")
                 sym: BasisSymbol = CENTRAL
             else:
                 sym = Generator(

@@ -2,12 +2,13 @@
 
 One streaming elimination, :class:`Echelon` with its per-row step
 ``_eliminate``, does all the work.  Rows arrive one at a time as sparse
-``{column: int}`` dicts: the callers scale a ``Fraction`` row by the lcm
-of its denominators on the way in, while the singular search and the
-label detectors hand in ``int`` rows already, which are copied without
-that pass.  Each row is reduced against the pivot rows kept so far
-without ever forming a fraction (integer-preserving elimination, after
-Bareiss, Math. Comp. 22, 1968).
+``{column: int}`` dicts, which the elimination reduces in place.  The
+dense routines below build them, each a fresh dict with a ``Fraction``
+row scaled by the lcm of its denominators; the singular search hands in
+the fresh ``int`` rows of ``VermaModule.action_rows`` as they are.  Each
+row is reduced against the pivot rows kept so far without ever forming
+a fraction (integer-preserving elimination, after Bareiss, Math. Comp.
+22, 1968).
 
 Back-substitution is deferred.  A new pivot row is reduced against the
 pivots that existed before it, but the new pivot is not substituted back
@@ -18,18 +19,19 @@ and clearing those later entries as it goes.  A generic search ends at
 full rank, where the reduced form is the identity: the elimination stops
 pulling rows there and never back-substitutes at all.  The singular
 search hands in each probe's rows sparsest first (fewest entries first,
-as in structured Gaussian elimination), so its pivot rows start sparse
-and the rows reduced against them, and the clearing of stale entries,
-create little fill-in; at a deep weight such as 2990 words that cuts
-the elimination about twentyfold.  The order changes no result, since
-the reduced form is unique, and full rank, when it comes, still comes
-within the same probe.  Where dependent rows keep meeting the same stale
-pivot row with no new pivot in between (a rank-deficient system past its
-last pivot, or a deep search), that row is reduced once and then reused;
-see :class:`Echelon`.  Pivot rows are brought to reduced-echelon form,
-last pivot first, only when the state is read, and divided by their
-pivots only in what a reader returns, so every result comes back exact,
-as ``Fraction`` entries.
+as in structured Gaussian elimination; ``action_rows`` builds them in
+that order), so its pivot rows start sparse and the rows reduced against
+them, and the clearing of stale entries, create little fill-in; at a
+deep weight such as 2990 words that cuts the elimination about
+twentyfold.  The order changes no result, since the reduced form is
+unique, and full rank, when it comes, still comes within the same probe.
+Where dependent rows keep meeting the same stale pivot row with no new
+pivot in between (a rank-deficient system past its last pivot, or a deep
+search), that row is reduced once and then reused; see :class:`Echelon`.
+Pivot rows are brought to reduced-echelon form, last pivot first, only
+when the state is read, and divided by their pivots only in what a
+reader returns, so every result comes back exact, as ``Fraction``
+entries.
 
 Every public routine is a reader of that one state.  ``rref``,
 ``solve`` and ``rank`` read its reduced pivot rows, and ``nullspace``
@@ -45,16 +47,17 @@ state of its own in the same way: it feeds in the rows of one probe at a
 time, reads the kernel, and feeds in more rows only for a probe that
 does not annihilate it.
 
-Matrix entries are ``int`` or ``Fraction``; anything else (a float, a
-string, a bool) is refused with ``ValueError`` rather than converted.  A
-plain ``int`` passes that check on one ``type`` test.  The public
-routines take a dense matrix, a list or tuple of equal-length list or
-tuple rows, and check it in full before elimination starts.  The one way
-to stream sparse rows is ``Echelon(n).extend(sparse_rows(rows, n))``,
-which pulls and checks one row at a time and pulls no further row once
-the rank is full, so a lazily assembled matrix is only built as far as
-the rank needs.  A full-rank verdict is exact: no later row can shrink a
-kernel that is already {0}.
+The public routines take a dense matrix, a list or tuple of
+equal-length list or tuple rows, and check it in full before elimination
+starts: they are the gate for matrices from outside the engine.  Matrix
+entries are ``int`` or ``Fraction``; anything else (a float, a string, a
+bool) is refused with ``ValueError`` rather than converted.  A plain
+``int`` passes that check on one ``type`` test.  :meth:`Echelon.extend`
+checks nothing: it takes integral rows built inside the engine, pulls
+them one at a time and pulls no further row once the rank is full, so a
+lazily assembled matrix is only built as far as the rank needs.  A
+full-rank verdict is exact: no later row can shrink a kernel that is
+already {0}.
 """
 
 from __future__ import annotations
@@ -115,16 +118,6 @@ def _dense(rows: Sequence[Sequence[Rational]], ncols: int) -> Iterable[IntRow]:
             raise ValueError(f"row of length {len(row)} in a matrix with {ncols} columns")
         _check_entries(row)
     return (_integral(enumerate(row)) for row in rows)
-
-
-def sparse_rows(rows: Iterable[Dict[int, Rational]], ncols: int) -> Iterable[IntRow]:
-    """Integral copies of lazily pulled sparse rows, each checked as it arrives."""
-    for row in rows:
-        for c in row:
-            if not isinstance(c, int) or not 0 <= c < ncols:
-                raise ValueError(f"column {c!r} in a matrix with {ncols} columns")
-        _check_entries(row.values())
-        yield _integral(row.items())
 
 
 def _subtract(r: IntRow, f: int, q: IntRow, skip: int) -> None:
@@ -247,10 +240,9 @@ class Echelon:
     """One streaming elimination over ``ncols`` columns, and its readers.
 
     Rows go in one at a time and are reduced in place by ``_eliminate``;
-    :meth:`extend` takes integral rows, checked on the way in by
-    ``_dense`` or ``sparse_rows``, and stops pulling them once the rank
-    is full.  ``Echelon(n).extend(sparse_rows(rows, n))`` is the one way
-    to stream sparse rows; the public routines take dense matrices only.
+    :meth:`extend` takes fresh integral rows, as ``_dense`` and
+    ``VermaModule.action_rows`` build them, and stops pulling them once
+    the rank is full.  The public routines take dense matrices only.
     While eliminating, a pivot row is a primitive
     integer vector, positive at its pivot, with no entry left of its
     pivot and none at the pivot columns that existed when it was last
@@ -282,8 +274,12 @@ class Echelon:
         self._used: Dict[int, int] = {}
 
     def extend(self, rows: Iterable[IntRow]) -> bool:
-        """Eliminate integral rows (``_dense`` or ``sparse_rows``), pulling
-        none once the rank is full; True when one of them added a pivot."""
+        """Eliminate ``{column: int}`` rows in place, pulling none once the
+        rank is full; True when one of them added a pivot.
+
+        Nothing is checked: every entry must be a nonzero ``int`` at a
+        column below ``ncols``, as ``_dense`` and
+        ``VermaModule.action_rows`` build them."""
         pivots, ncols = self.pivots, self.ncols
         n = len(pivots)
         if n < ncols:

@@ -330,29 +330,6 @@ def _probe_generators(module: VermaModule, probe_weight: int, probe_index: int, 
     ]
 
 
-def _annihilation_rows(
-    module: VermaModule, basis: List[PBWMonomial], probe: Generator
-) -> List[Dict[int, Coeff]]:
-    """Sparse rows of one probe's truncated action, sparsest first.
-
-    A row is one output word of the probe, keyed by basis column.  One
-    straightening run builds all of them (:meth:`VermaModule.action_rows`;
-    over the integers and dyadics ``int`` rows, each scaled by one
-    positive integer, which leaves the row space as it is).
-
-    The rows come sorted by entry count, stably, so rows of equal count
-    keep ``action_rows``' output-word order.  The order is exact: a row
-    space has one reduced echelon form, so the kernel is the same in any
-    order, and full rank, if it comes, comes within the same probe.  It
-    is fast because a sparse row becomes a sparse pivot row, so the rows
-    reduced against it and the deferred back-substitution of
-    :class:`linalg.Echelon` create far less fill-in (sparse rows first,
-    as in structured Gaussian elimination: LaMacchia and Odlyzko,
-    CRYPTO '90).
-    """
-    return sorted(module.action_rows(probe, basis), key=len)
-
-
 def _sub_kernel(kernel: List[List[Fraction]], cols: List[int]) -> List[List[Fraction]]:
     """Canonical basis of the kernel vectors supported on ``cols``.
 
@@ -389,8 +366,9 @@ def singular_candidates(
 
     Exact: a candidate is annihilated by every probed generator.  The
     live probes (see below) are taken in order, and each probe's rows go
-    into one elimination (:class:`linalg.Echelon`) as sparse rows,
-    sparsest first (see ``_annihilation_rows``: the kernel does not
+    from :meth:`VermaModule.action_rows` into one elimination
+    (:class:`linalg.Echelon`) as they are: fresh ``int`` rows, sparsest
+    first, which the elimination reduces in place (the kernel does not
     depend on the row order, and sparse pivot rows keep the fill-in of a
     deep search small).  Elimination stops once the rank equals the
     basis size.  That full-rank verdict (no candidates) is exact: the
@@ -464,7 +442,7 @@ def singular_candidates(
         if kernel is not None and all(v.is_zero() for v in module.act_each(probe, candidates)):
             continue
         assembled.append(probe)
-        if state.extend(linalg.sparse_rows(_annihilation_rows(module, basis, probe), n)):
+        if state.extend(module.action_rows(probe, basis)):
             kernel = None
         else:
             kernel = state.kernel()
@@ -554,7 +532,14 @@ def verify_singular(
     horizon-limited.  Positive generators of weight >= 2 land in
     strictly positive weight and vanish automatically; a sample is
     confirmed through the engine.
+
+    ``probes`` is an ``int`` of at least 0, and ``v`` is not the zero
+    vector, which is annihilated by everything and singular by no
+    definition; either mistake raises ``ValueError``.
     """
+    check_int(probes, "probes", 0)
+    if v.is_zero():
+        raise ValueError("the zero vector is not a singular vector")
     if polynomial_of_vector(v) != f:
         raise ValueError("vector and polynomial disagree")
     hw = module.hw

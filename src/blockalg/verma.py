@@ -652,51 +652,62 @@ class VermaModule:
 
     def action_rows(
         self, probe: Generator, basis: Sequence[PBWMonomial]
-    ) -> List[Dict[int, Coeff]]:
-        """The matrix of ``probe`` on ``basis``, one sparse row per output word.
+    ) -> List[Dict[int, int]]:
+        """The matrix of ``probe`` on ``basis``, one sparse row per output
+        word, in the order the singular search eliminates them.
 
         The row of an output word maps column ``j`` to its coefficient in
-        ``act(probe, basis[j])``, over the integers and dyadics times the
-        run's divisor for the word's length (see :meth:`_run`).  Rows come
-        in the order of :meth:`PBWMonomial.sort_key` on their words, and
-        the columns of a row ascend.  One straightening run covers the
-        whole basis: each word is its own input, with its own output dict
-        and its own step budget, and output words stay raw factor tuples
-        (coded ones over the dyadic instance, which sort the same), never
-        decoded.
+        ``act(probe, basis[j])`` times the run's divisor for the word's
+        length (see :meth:`_run`).  All entries of a row share that one
+        positive divisor, so the row space is the one of the ``act`` rows.
+        One straightening run covers the whole basis: each word is its own
+        input, with its own output dict and its own step budget, and output
+        words stay raw factor tuples (coded ones over the dyadic instance,
+        which sort the same), never decoded.  Each row is a fresh
+        ``{column: int}`` dict whose columns ascend, every entry a nonzero
+        ``int`` at a column in ``range(len(basis))``, so the caller may
+        reduce it in place (:meth:`linalg.Echelon.extend` does).
 
-        Over the integers and dyadics every row is an ``int`` row.  All
-        entries of a row share one positive divisor, so the row space is
-        the one of the ``act`` rows.  Over lex-z2 the rows are the ``act``
-        rows themselves, with a Q[w] entry as its ``Poly``.
+        The rows come sparsest first: by entry count, and rows of equal
+        count in the order of :meth:`PBWMonomial.sort_key` on their words.
+        The order is exact: a row space has one reduced echelon form, so
+        the kernel is the same in any order, and full rank, if it comes,
+        comes within the same probe.  It is fast because a sparse row
+        becomes a sparse pivot row, so the rows reduced against it and the
+        deferred back-substitution of :class:`linalg.Echelon` create far
+        less fill-in (sparse rows first, as in structured Gaussian
+        elimination: LaMacchia and Odlyzko, CRYPTO '90).
+
+        Over lex-z2 this raises ``ValueError``: its Q[w] rows could not be
+        eliminated, and the singular search refuses lex-z2 before any work.
         """
         if isinstance(probe, Central):
             raise ValueError("action rows need a generator, not the central symbol")
-        cols, _, divisor = self._run(probe, basis)
-        rows: Dict[Tuple[Factor, ...], Dict[int, Coeff]] = {}
+        if isinstance(self.group, LexPairGroup):
+            raise ValueError("action rows run over the integers and the dyadics")
+        cols, _, _ = self._run(probe, basis)
+        rows: Dict[Tuple[Factor, ...], Dict[int, int]] = {}
         for j, words in enumerate(cols):
             for w, c in words.items():
-                if divisor is None:
-                    c = _lex_coeff(c)
                 row = rows.get(w)
                 if row is None:
                     rows[w] = {j: c}
                 else:
                     row[j] = c
-        return [rows[w] for w in sorted(rows, key=_raw_key)]
+        return [rows[w] for w in sorted(rows, key=lambda w: (len(rows[w]), len(w), w))]
 
     def _run(self, sym: Generator, inputs: Sequence[Union[ModuleVector, PBWMonomial]]):
         """Straighten ``sym`` on each of ``inputs`` in one kernel run.
 
-        An input is a vector, or a word that stands for itself with
-        coefficient 1.  Returns one dict per input, from raw output words
-        to their nonzero coefficients, the scale of those words and the
-        run's divisor, in the terms of the coded form of
-        :class:`ModuleVector`.  Each input is straightened in full before
-        the next starts and spends its own step budget.  A vector enters
-        in its coded form, re-coded first if its scale is coarser than the
-        run's (:meth:`ModuleVector._as`): no word is decoded and no
-        coefficient cleared again.
+        An input is a vector or, over the integers and dyadics, a word that
+        stands for itself with coefficient 1.  Returns one dict per
+        input, from raw output words to their nonzero coefficients, the
+        scale of those words and the run's divisor, in the terms of the
+        coded form of :class:`ModuleVector`.  Each input is straightened
+        in full before the next starts and spends its own step budget.
+        A vector enters in its coded form, re-coded first if its scale
+        is coarser than the run's (:meth:`ModuleVector._as`): no word is
+        decoded and no coefficient cleared again.
 
         Integer and dyadic parts share one integer kernel, because the
         dyadic algebra is the integer one rescaled: for a scale ``S`` that
@@ -737,12 +748,8 @@ class VermaModule:
         seeds = []
         if isinstance(g, LexPairGroup):
             for x in inputs:
-                if type(x) is PBWMonomial:
-                    terms = ((x.factors, 1),)
-                else:
-                    terms = x._as(True, 1)._raw.items()
                 dest, tasks = {}, []
-                for factors, c in terms:
+                for factors, c in x._as(True, 1)._raw.items():
                     if type(c) is Fraction and c.denominator == 1:
                         c = c.numerator  # integral: straighten in int arithmetic
                     tasks.append((_APPLY, alpha, idx, (), factors, c, dest))

@@ -237,6 +237,8 @@ def test_element_coefficients_reject_floats():
         [{"alpha": 1, "i": True, "coeff": "1"}],  # was read as L(1,1)
         [{"alpha": 1, "i": "1/2", "coeff": "1"}],
         [{"alpha": 1, "i": -2, "coeff": "1"}],
+        [{"alpha": 5, "i": "central", "coeff": "1/1"}],  # was read as c, alpha dropped
+        [{"alpha": 0, "i": "central", "coeff": "1"}],
     ],
 )
 def test_element_from_json_rejects_malformed_input(data):

@@ -29,7 +29,13 @@ from blockalg.reducibility import (
     vector_of_polynomial,
     verify_singular,
 )
-from blockalg.verma import HighestWeight, ModuleVector, StraighteningLimitError, VermaModule
+from blockalg.verma import (
+    HighestWeight,
+    ModuleVector,
+    StraighteningLimitError,
+    VermaModule,
+    _raw_key,
+)
 
 ALG = BlockAlgebra(INTEGERS)
 
@@ -864,9 +870,15 @@ def test_a_check_that_loses_its_images_goes_unseen_away_from_minus_one(monkeypat
     assert singular_candidates(m, -2, 8, 12, 3).dimension == 6
 
 
-def _unsorted_rows(module, basis, probe):
-    """A probe's rows without the sort, in word order."""
-    return module.action_rows(probe, basis)
+def _rows_in_word_order(module, probe, basis):
+    """A probe's rows from one run, in the order of their output words
+    (:meth:`PBWMonomial.sort_key`) rather than sparsest first."""
+    cols, _, _ = module._run(probe, basis)
+    rows = {}
+    for j, words in enumerate(cols):
+        for w, c in words.items():
+            rows.setdefault(w, {})[j] = c
+    return [rows[w] for w in sorted(rows, key=_raw_key)]
 
 
 def _row_key(row):
@@ -874,6 +886,8 @@ def _row_key(row):
 
 
 def test_annihilation_rows_come_sparsest_first_within_each_probe(monkeypatch):
+    # the elimination checks nothing, so every row action_rows hands it
+    # must be a fresh dict of nonzero ints at columns of the basis
     deep = module(HighestWeight.explicit(RANDOMISH, Fraction(2))), -3, 2, 10, 3, None
     reordered = full_rank = 0
     for m, mu, bound, k, b, parts in [*_streamed_search_cases(), deep]:
@@ -882,23 +896,27 @@ def test_annihilation_rows_come_sparsest_first_within_each_probe(monkeypatch):
         probes = reducibility._probe_generators(m, b, k, parts=parts)
         live = [p for p in probes if g.compare(p.alpha, g.neg(mu)) <= 0]
         for p in live:
-            # one straightening run of the probe itself
-            with monkeypatch.context() as patch:
-                log = _log_straightening(patch)
-                got = reducibility._annihilation_rows(m, basis, p)
-            assert [(name, sym) for name, sym, _ in log] == [("action_rows", p)]
-            word_order = m.action_rows(p, basis)
+            got = m.action_rows(p, basis)
+            assert all(type(r) is dict for r in got)
+            assert all(
+                type(c) is int and 0 <= c < len(basis) and type(x) is int and x
+                for r in got
+                for c, x in r.items()
+            )
+            word_order = _rows_in_word_order(m, p, basis)
             # the same rows, as a multiset, with entry counts never falling
+            # and rows of equal count in word order
             assert sorted(map(_row_key, got)) == sorted(map(_row_key, word_order))
             assert [len(r) for r in got] == sorted(len(r) for r in got)
+            assert got == sorted(word_order, key=len)
             reordered += [len(r) for r in word_order] != [len(r) for r in got]
         # the search straightens the same probes, and re-verifies the same
-        # candidates, as it does on the unsorted stream
+        # candidates, as it does on rows in word order
         with monkeypatch.context() as patch:
             log = _log_straightening(patch)
             got = singular_candidates(m, mu, bound, k, b, parts=parts)
         with monkeypatch.context() as patch:
-            patch.setattr(reducibility, "_annihilation_rows", _unsorted_rows)
+            patch.setattr(VermaModule, "action_rows", _rows_in_word_order)
             ref_log = _log_straightening(patch)
             ref = singular_candidates(m, mu, bound, k, b, parts=parts)
         assert log == ref_log
@@ -980,6 +998,22 @@ def test_verify_singular_shape_checks():
         verify_singular(m, vector_of_polynomial(X + 1), X, probes=5)
     with pytest.raises(ValueError):
         polynomial_of_vector(m.vector([(2, 0)]))
+
+
+def test_verify_singular_refuses_checks_that_check_nothing():
+    m = module(HighestWeight.explicit([5, 7, 9], 1))
+    f = X + 1
+    v = vector_of_polynomial(f)
+    res = verify_singular(m, v, f, probes=20)
+    assert not res.passed and res.failing_probe == 0
+    # no probe at all would pass it; a bool or a float is no probe count
+    for probes in (-1, True, 2.5):
+        with pytest.raises(ValueError, match="probes"):
+            verify_singular(m, v, f, probes=probes)
+    assert len(verify_singular(m, v, f, probes=0).residuals) == 1
+    # the zero vector is annihilated by everything and is not singular
+    with pytest.raises(ValueError, match="zero vector"):
+        verify_singular(m, ModuleVector.zero(), Poly([]))
 
 
 # -- sweep determinants ----------------------------------------------------------------

@@ -1169,12 +1169,13 @@ def test_coefficient_reads_every_term_of_a_result():
 def test_one_run_reads_coded_and_decoded_inputs_alike(group):
     # the inputs of one run share its divisor: a result, a vector built
     # from words with denominators (over the dyadics at a coarser scale
-    # than the run's) and a bare word each come out as their own action
+    # than the run's) and, outside lex-z2, a bare word each come out as
+    # their own action
     m = module(_EXPLICIT, group)
     word = m.monomial(_ONE_WORD[group] * 2)
     coded = m.act(Generator(group.neg(word.factors[0][0]), 2), ModuleVector.of(word, Fraction(2, 3)))
     built = ModuleVector({word: Fraction(-5, 7), VACUUM: 1})
-    inputs = [coded, built, word]
+    inputs = [coded, built] if group is LEX_Z2 else [coded, built, word]
     sym = Generator(word.factors[0][0], 1)
     if group is DYADIC:
         sym = Generator(Fraction(1, 8), 1)  # finer than the scale 2 of the inputs
@@ -1249,19 +1250,19 @@ def _rows_word_by_word(m, probe, basis):
 def _assert_rows_match(m, probes, basis):
     for probe in probes:
         got = m.action_rows(probe, basis)
-        want = _rows_word_by_word(m, probe, basis)
-        if m.group is LEX_Z2:
-            want = [r for _, r in want]
-        else:
-            # over the integers and dyadics each row is the act row times
-            # the run's divisor for the row's word length, with int
-            # entries; one act call straightens a word at its own scale
-            _, scale, (d, e) = m._run(probe, basis)
-            assert d > 0 and e == max(mono.length for mono in basis) + 1
-            divisor = [d * scale ** (e - n) for n in range(e + 1)]
-            scaled = [{j: c * divisor[w.length] for j, c in r.items()} for w, r in want]
-            assert all(c.denominator == 1 for r in scaled for c in r.values())
-            want = [{j: int(c) for j, c in r.items()} for r in scaled]
+        # each row is the act row times the run's divisor for the row's
+        # word length, with int entries; one act call straightens a word
+        # at its own scale
+        _, scale, (d, e) = m._run(probe, basis)
+        assert d > 0 and e == max(mono.length for mono in basis) + 1
+        divisor = [d * scale ** (e - n) for n in range(e + 1)]
+        scaled = [
+            {j: c * divisor[w.length] for j, c in r.items()}
+            for w, r in _rows_word_by_word(m, probe, basis)
+        ]
+        assert all(c.denominator == 1 for r in scaled for c in r.values())
+        # sparsest first: a stable sort of the word order by entry count
+        want = sorted(({j: int(c) for j, c in r.items()} for r in scaled), key=len)
         # the same rows in the same order, the same columns in the same
         # order, and equal coefficients of the same type
         assert [[(j, c, type(c)) for j, c in r.items()] for r in got] == [
@@ -1295,7 +1296,9 @@ def test_action_rows_match_word_by_word_act_over_dyadics():
     assert [m._run(p, basis)[1] for p in probes] == [8, 8, 4]
 
 
-def test_action_rows_match_word_by_word_act_over_lex_pairs():
+def test_action_rows_refuse_lex_pairs():
+    # Q[w] rows cannot be eliminated, so there are no lex-z2 rows; the
+    # action on the same words and probes is checked against the reference
     m = module(_EXPLICIT, LEX_Z2)
     basis = [
         m.monomial(w)
@@ -1312,7 +1315,16 @@ def test_action_rows_match_word_by_word_act_over_lex_pairs():
         for a in ((0, 1), (1, -3), (1, -1), (0, 3), (0, 0), (-1, 2))
         for k in (-1, 0, 1)
     ]
-    _assert_rows_match(m, probes, basis)
+    with pytest.raises(ValueError, match="integers and the dyadics"):
+        m.action_rows(probes[0], basis)
+    nonzero = 0
+    for probe in probes:
+        for mono in basis:
+            vec = ModuleVector.of(mono)
+            got = m.act(probe, vec)
+            assert got == _reference_act(m, probe, vec)
+            nonzero += bool(got)
+    assert nonzero >= 60
 
 
 def test_action_rows_give_every_word_its_own_step_budget():
