@@ -4,8 +4,8 @@ One streaming elimination, :class:`Echelon` with its per-row step
 ``_eliminate``, does all the work.  Rows arrive one at a time as sparse
 ``{column: int}`` dicts, which the elimination reduces in place.  The
 dense routines below build them, each a fresh dict with a ``Fraction``
-row scaled by the lcm of its denominators; the singular search hands in
-the fresh ``int`` rows of ``VermaModule.action_rows`` as they are.  Each
+row scaled by the lcm of its denominators; the engine's own callers hand
+in fresh ``int`` rows as they are (see the last paragraph).  Each
 row is reduced against the pivot rows kept so far without ever forming
 a fraction (integer-preserving elimination, after Bareiss, Math. Comp.
 22, 1968).
@@ -38,14 +38,14 @@ Every public routine is a reader of that one state.  ``rref``,
 its canonical kernel basis.  The reduced-echelon form of a row space is
 unique, so nullspace bases and particular solutions come out in the
 canonical form the reports promise, whatever order the rows arrive in.
-``first_null_vector`` wants only the first vector of that basis.  It
-eliminates rows only until one is dependent, reads the first kernel
-vector of the state, and then checks each remaining row against it with
-one dot product; a row that fails is eliminated, and the candidate moves
-on.  The singular search (``reducibility.singular_candidates``) keeps a
-state of its own in the same way: it feeds in the rows of one probe at a
-time, reads the kernel, and feeds in more rows only for a probe that
-does not annihilate it.
+``first_null_vector`` wants only the first vector of that basis.  Its
+routine, ``first_null_unchecked``, eliminates rows only until one is
+dependent, reads the first kernel vector of the state, and then checks
+each remaining row against it with one dot product; a row that fails is
+eliminated, and the candidate moves on.  The singular search
+(``reducibility.singular_candidates``) keeps a state of its own in the
+same way: it feeds in the rows of one probe at a time, reads the kernel,
+and feeds in more rows only for a probe that does not annihilate it.
 
 The public routines take a dense matrix, a list or tuple of
 equal-length list or tuple rows, and check it in full before elimination
@@ -58,6 +58,13 @@ them one at a time and pulls no further row once the rank is full, so a
 lazily assembled matrix is only built as far as the rank needs.  A
 full-rank verdict is exact: no later row can shrink a kernel that is
 already {0}.
+
+The engine's own ``int`` rows cannot fail the gate and skip it.  The
+singular search (``reducibility.singular_candidates``) and the
+label-side kernel of the report (``reducibility._label_side_kernel``)
+feed theirs into an :class:`Echelon` directly, and the characteristic
+polynomial and the recurrence (``reducibility._minimal_monic``) hand
+theirs to ``first_null_unchecked``, ``first_null_vector`` without it.
 """
 
 from __future__ import annotations
@@ -110,14 +117,14 @@ def _width(rows: Sequence[Sequence[Rational]]) -> int:
     return len(rows[0]) if rows else 0
 
 
-def _dense(rows: Sequence[Sequence[Rational]], ncols: int) -> Iterable[IntRow]:
-    """Integral sparse copies of dense rows, every row checked before the first one."""
+def _check_dense(rows: Sequence[Sequence[Rational]], ncols: int) -> None:
+    """The input gate: ``ValueError`` unless ``rows`` is a dense matrix of
+    ``ncols`` columns with ``int`` or ``Fraction`` entries."""
     _width(rows)
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)} in a matrix with {ncols} columns")
         _check_entries(row)
-    return (_integral(enumerate(row)) for row in rows)
 
 
 def _subtract(r: IntRow, f: int, q: IntRow, skip: int) -> None:
@@ -240,13 +247,13 @@ class Echelon:
     """One streaming elimination over ``ncols`` columns, and its readers.
 
     Rows go in one at a time and are reduced in place by ``_eliminate``;
-    :meth:`extend` takes fresh integral rows, as ``_dense`` and
-    ``VermaModule.action_rows`` build them, and stops pulling them once
-    the rank is full.  The public routines take dense matrices only.
-    While eliminating, a pivot row is a primitive
-    integer vector, positive at its pivot, with no entry left of its
-    pivot and none at the pivot columns that existed when it was last
-    reduced.
+    :meth:`extend` takes fresh integral rows, as ``_dense_echelon``,
+    ``VermaModule.action_rows`` and ``reducibility._label_side_kernel``
+    build them, and stops pulling them once the rank is full.  The public
+    routines take dense matrices only.  While eliminating, a pivot row is
+    a primitive integer vector, positive at its pivot, with no entry left
+    of its pivot and none at the pivot columns that existed when it was
+    last reduced.
 
     A pivot row is stale once a pivot has arrived since it was last
     reduced.  When a stale row is used a second time with no new pivot
@@ -260,9 +267,10 @@ class Echelon:
     reader brings pivot rows to reduced form in place, which the rows
     after it reduce against as before.  :meth:`reduced` gives the
     reduced pivot rows (``rref``, ``solve``), :meth:`kernel` the
-    canonical kernel basis (``nullspace`` and the singular search) and
-    :meth:`first_null` its first vector (``first_null_vector``).  At full
-    rank the reduced form is the identity, and no reader reduces a row.
+    canonical kernel basis (``nullspace``, the singular search and the
+    label-side kernel) and :meth:`first_null` its first vector
+    (``first_null_unchecked``).  At full rank the reduced form is the
+    identity, and no reader reduces a row.
     """
 
     def __init__(self, ncols: int):
@@ -278,8 +286,9 @@ class Echelon:
         rank is full; True when one of them added a pivot.
 
         Nothing is checked: every entry must be a nonzero ``int`` at a
-        column below ``ncols``, as ``_dense`` and
-        ``VermaModule.action_rows`` build them."""
+        column below ``ncols``, as ``_dense_echelon``,
+        ``VermaModule.action_rows`` and ``reducibility._label_side_kernel``
+        build them."""
         pivots, ncols = self.pivots, self.ncols
         n = len(pivots)
         if n < ncols:
@@ -335,9 +344,11 @@ class Echelon:
 
 
 def _dense_echelon(rows: Sequence[Sequence[Rational]], ncols: int) -> Echelon:
-    """The elimination of a dense matrix, every row checked first."""
+    """The elimination of a dense matrix, every row checked first and then
+    streamed in as an integral sparse copy."""
+    _check_dense(rows, ncols)
     state = Echelon(ncols)
-    state.extend(_dense(rows, ncols))
+    state.extend(_integral(enumerate(row)) for row in rows)
     return state
 
 
@@ -367,32 +378,38 @@ def nullspace(rows: Sequence[Sequence[Rational]], ncols: int) -> List[Row]:
 
 
 def first_null_vector(rows: Sequence[Sequence[Rational]], ncols: int) -> Optional[Row]:
-    """``nullspace(rows, ncols)[0]``, or None when the kernel is {0}.
+    """``nullspace(rows, ncols)[0]``, or None when the kernel is {0}: the
+    input gate, then :func:`first_null_unchecked`."""
+    _check_dense(rows, ncols)
+    return first_null_unchecked(rows, ncols)
 
-    ``rows`` is a dense matrix.  Its rows are eliminated in order only
-    until one reduces to zero (or the rank is full, and the answer is
-    None).  Then a candidate is read off the elimination
-    (:meth:`Echelon.first_null`): a 1 at the first free column d0, and
-    nothing right of it.  Every row not yet eliminated is checked
-    against it with one exact dot product.  The first row that fails is
-    independent of the rows eliminated so far, so eliminating it adds a
-    pivot, at d0, and the next candidate's first free column lies
-    further right; the rows that passed the old candidate are checked
-    again.  When every row passes, the candidate lies in the kernel of
-    the whole matrix, which the kernel of the eliminated rows contains;
-    the columns left of d0 are pivots of those rows, so it is the one
-    kernel vector with its 1 at d0 and nothing right of d0, which is the
-    first canonical one.
+
+def first_null_unchecked(rows: Sequence[Sequence[Rational]], ncols: int) -> Optional[Row]:
+    """``first_null_vector`` of a dense matrix that nothing checks: rows of
+    ``ncols`` entries, each an ``int`` or a ``Fraction``.
+
+    The rows are eliminated in order only until one reduces to zero (or
+    the rank is full, and the answer is None).  Then a candidate is read
+    off the elimination (:meth:`Echelon.first_null`): a 1 at the first
+    free column d0, and nothing right of it.  Every row not yet
+    eliminated is checked against it with one exact dot product.  The
+    first row that fails is independent of the rows eliminated so far, so
+    eliminating it adds a pivot, at d0, and the next candidate's first
+    free column lies further right; the rows that passed the old candidate
+    are checked again.  When every row passes, the candidate lies in the
+    kernel of the whole matrix, which the kernel of the eliminated rows
+    contains; the columns left of d0 are pivots of those rows, so it is
+    the one kernel vector with its 1 at d0 and nothing right of d0, which
+    is the first canonical one.
     """
-    integral = _dense(rows, ncols)
     if not ncols:
         return None
     state = Echelon(ncols)
     pivots, reduced, used = state.pivots, state._reduced, state._used
     eliminated = 0
-    for r in integral:
+    for r in rows:
         eliminated += 1
-        if not _eliminate(pivots, reduced, used, r):
+        if not _eliminate(pivots, reduced, used, _integral(enumerate(r))):
             break
         if len(pivots) == ncols:
             return None

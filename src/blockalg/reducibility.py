@@ -23,18 +23,21 @@ f = sum_n a_n t^n against t^m gives the row (n+m)*label(n+m-1), minus
 the central charge at m = n = 0 (``_label_conditions``).  The
 characteristic polynomial reads the probes m >= 0 and the recurrence
 the probes m >= 1.  Each detector builds its own matrix over the
-coefficients a_0..a_D and asks ``linalg.first_null_vector`` for its
-first canonical kernel vector.  That vector has a 1 at the first free
-column d and vanishes beyond it, so it is a monic polynomial of degree
-d, and columns 0..d-1 are all pivots exactly when no lower degree fits,
-which makes it the unique monic solution of minimal degree.  The probes
-are eliminated in order only until one is dependent, which on a
-recurrent weight of degree d is usually the probe after the first d;
-every later probe costs one exact dot product with the candidate
-instead of an elimination step.  Detector 3 does the same with whole
-probes of the positive part: it assembles and eliminates their rows only
-until a probe adds no pivot, and checks each later probe on the kernel by
-straightening (``singular_candidates``).
+coefficients a_0..a_D, from labels read in one call, and finds its first
+canonical kernel vector with ``linalg.first_null_unchecked``: the rows
+are ``int`` rows built here, so they skip the input gate that
+``linalg.first_null_vector`` puts in front of the same routine.  That
+vector has a 1 at the first free column d and vanishes beyond it, so it
+is a monic polynomial of degree d, and columns 0..d-1 are all pivots
+exactly when no lower degree fits, which makes it the unique monic
+solution of minimal degree.  The probes are eliminated in order only
+until one is dependent, which on a recurrent weight of degree d is
+usually the probe after the first d; every later probe costs one exact
+dot product with the candidate instead of an elimination step.
+Detector 3 does the same with whole probes of the positive part: it
+assembles and eliminates their rows only until a probe adds no pivot,
+and checks each later probe on the kernel by straightening
+(``singular_candidates``).
 
 The sweep-determinant identity: a positive generator applied to a word of
 strictly decreasing parts is absorbed factor by factor, and each step
@@ -112,21 +115,22 @@ def _label_conditions(
     same.  Every label detector reads this one system.  It is a Hankel
     matrix, so each shadow is computed and cleared once and every row is
     a slice of that one list; the corner is the only entry at index 0.
+    The labels it reads come in one call (``prefix``).
     No ``Fraction`` is built: with label(k-1) = p/q in lowest terms, the
     shadow k*p/q is the int pair (k/g * p, q/g) with g = gcd(k, q), in
     lowest terms too, and the corner is the pair of -cc.
     """
     nums, dens = [], []
-    for k in range(first, last + ncols):
-        if k:
-            x = hw.label(k - 1)
-            q = x.denominator
-            g = math.gcd(k, q)
-            nums.append(k // g * x.numerator)
-            dens.append(q // g)
-        else:
-            nums.append(-hw.central_charge.numerator)
-            dens.append(hw.central_charge.denominator)
+    if first == 0:
+        nums.append(-hw.central_charge.numerator)
+        dens.append(hw.central_charge.denominator)
+    labels = hw.labels.prefix(last + ncols - 1)
+    for k in range(max(first, 1), last + ncols):
+        x = labels[k - 1]
+        q = x.denominator
+        g = math.gcd(k, q)
+        nums.append(k // g * x.numerator)
+        dens.append(q // g)
     den = math.lcm(*dens)
     shadows = [n * (den // q) for n, q in zip(nums, dens)]
     return [shadows[i : i + ncols] for i in range(last - first + 1)]
@@ -136,10 +140,10 @@ def _minimal_monic(rows: List[List[int]], ncols: int) -> Optional[Poly]:
     """The unique lowest-degree monic f in the kernel of ``rows``, or None.
 
     It is the first canonical kernel vector (see the module docstring),
-    which ``linalg.first_null_vector`` finds without eliminating the rows
-    that the candidate already satisfies.
+    which ``linalg.first_null_unchecked`` finds without eliminating the
+    rows that the candidate already satisfies, past the input gate.
     """
-    v = linalg.first_null_vector(rows, ncols)
+    v = linalg.first_null_unchecked(rows, ncols)
     return None if v is None else Poly(v)
 
 
@@ -221,10 +225,8 @@ def delta_series(hw: HighestWeight, n: int) -> List[Fraction]:
     property does not depend on that choice.)
     """
     check_int(n, "series length", 0)
-    out = [hw.central_charge]
-    for i in range(n):
-        out.append(hw.label(i) / math.factorial(i))
-    return out
+    labels = hw.labels.prefix(n)
+    return [hw.central_charge] + [x / math.factorial(i) for i, x in enumerate(labels)]
 
 
 def is_quasipolynomial(hw: HighestWeight, max_order: int, horizon: int) -> QuasiVerdict:
@@ -705,10 +707,14 @@ def _label_side_kernel(hw: HighestWeight, max_degree: int, probes: int):
 
     Assembled directly from the labels (coefficients of dimension
     max_degree + 1, constant term included), independently of the
-    straightening engine; rows are the t^m probes for m <= probes.
+    straightening engine; rows are the t^m probes for m <= probes, fed
+    into one :class:`linalg.Echelon` past the input gate.
     """
     ncols = max_degree + 1
-    return linalg.nullspace(_label_conditions(hw, 0, probes, ncols), ncols)
+    state = linalg.Echelon(ncols)
+    rows = _label_conditions(hw, 0, probes, ncols)
+    state.extend({n: x for n, x in enumerate(row) if x} for row in rows)
+    return state.kernel()
 
 
 def reducibility_report(

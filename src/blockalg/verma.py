@@ -444,6 +444,11 @@ class ExplicitLabels:
     def label(self, i: int) -> Fraction:
         return self.values[i] if i < len(self.values) else Fraction(0)
 
+    def prefix(self, n: int) -> List[Fraction]:
+        """label(0)..label(n-1) in one list: the stored ones, then ``Fraction(0)``."""
+        check_int(n, "label count", 0)
+        return list(self.values[:n]) + [Fraction(0)] * (n - len(self.values))
+
     def describe(self) -> str:
         return f"explicit({len(self.values)} stored)"
 
@@ -512,6 +517,13 @@ class RecurrentLabels:
                 memo.append(Fraction(-s, self._den * lam * (d + m)))
         return memo[i]
 
+    def prefix(self, n: int) -> List[Fraction]:
+        """label(0)..label(n-1) in one list, the memo extended once."""
+        check_int(n, "label count", 0)
+        if n:
+            self.label(n - 1)
+        return self._memo[:n]
+
     def describe(self) -> str:
         return f"recurrent(f = {self.charpoly})"
 
@@ -571,12 +583,15 @@ class HighestWeight:
         spec = data.get("labels", data)
         if not isinstance(spec, dict):
             raise ValueError("weight 'labels' must be a JSON object")
+        if "explicit" in spec:
+            for key in ("charpoly", "initial"):
+                if key in spec:
+                    raise ValueError(f"weight {key!r} does not go with 'explicit' labels")
+            return cls.explicit(_rational_list(spec, "explicit"), cc)
         if "charpoly" in spec:
             f = Poly(_rational_list(spec, "charpoly"))
             initial = _rational_list(spec, "initial")
             return cls(cc, RecurrentLabels(f, initial, cc))
-        if "explicit" in spec:
-            return cls.explicit(_rational_list(spec, "explicit"), cc)
         raise ValueError("weight spec needs either 'charpoly' or 'explicit' labels")
 
 

@@ -210,6 +210,12 @@ def test_step3_check_random_instances_are_pinned(capsys):
     ]
 
 
+# the 40-label explicit weight of the deep singular searches in CI
+WEIGHT_GENERIC = (
+    '{"central_charge":"3/2","explicit":["1/2",3,"-7/5",-2,9,"7/2",-8,1,"-7/2","-7/5",4,9,'
+    '"-2/5","-8/5","9/4",-4,"-8/5","-5/3",2,8,3,4,"-6/5","9/2",2,8,9,"-3/4",2,"1/4","9/4",'
+    '"2/3",-1,-2,3,"7/4","1/4",0,-7,"7/4"]}'
+)
 # a recurrent weight whose label denominators grow with the index
 WEIGHT_RECURRENT = '{"central_charge":"3/7","charpoly":["2/5","-1/3","1"],"initial":["1/2"]}'
 
@@ -284,6 +290,20 @@ def test_theorem2_report_of_a_recurrent_weight_is_pinned(capsys):
     assert code == 0
     assert json.loads(out)["singular"]["dimension"] == 3
     assert out == (DATA / "theorem2_recurrent.json").read_text()
+
+
+def test_theorem2_report_of_a_generic_weight_is_pinned(capsys):
+    # 40 explicit labels at D = 8, N = 30: every label system has full rank,
+    # so no characteristic polynomial, no recurrence and no candidate
+    code, out, _ = run(
+        capsys, "theorem2", "--max-degree", "8", "--horizon", "30", "--weight", WEIGHT_GENERIC,
+        "--format", "json",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["charpoly"] is None and data["singular"]["dimension"] == 0
+    assert data["quasipolynomial"]["verdict"] == "unknown-within-horizon"
+    assert out == (DATA / "theorem2_generic.json").read_text()
 
 
 def test_dyadic_act_json_is_pinned(capsys):
@@ -416,6 +436,18 @@ def test_group_and_seed_go_only_where_they_are_read():
 def test_non_integer_word_index_exits_2(capsys):
     code, _, err = run(capsys, "act", "L(1,0)", "L(-1,2.5)*v", "--weight", WEIGHT_B)
     assert code == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "weight",
+    ['{"charpoly": ["1", "1"], "explicit": [5, 6]}', '{"explicit": [5, 6], "initial": ["1/2"]}'],
+    ids=["charpoly-and-explicit", "initial-and-explicit"],
+)
+def test_a_weight_that_mixes_label_kinds_exits_2(capsys, weight):
+    # a second kind of labels would otherwise be dropped without a word
+    code, out, err = run(capsys, "charpoly", "--weight", weight)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "does not go with 'explicit' labels" in err
 
 
 def test_usage_errors_exit_2(capsys):

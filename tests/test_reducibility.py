@@ -14,6 +14,7 @@ from blockalg.reducibility import (
     QuasiVerdict,
     _label_conditions,
     _label_side_kernel,
+    _minimal_monic,
     _sub_kernel,
     charpoly_certificate,
     charpoly_from_labels,
@@ -416,6 +417,23 @@ def test_label_detectors_match_the_full_nullspace():
                 # only the last probe reads the perturbed label at a column
                 # <= d, and it refutes the recurrence the others satisfy
                 assert found[0] != broken and found[1] != broken
+
+
+def test_engine_path_matches_the_public_gate_on_the_same_rows():
+    # the detectors send the rows of _label_conditions past linalg's input
+    # gate; on those rows they must give what the gated routines give, and
+    # leave the rows as they were
+    for hw, _ in _detector_weights():
+        for max_degree, horizon in [(0, 2), (2, 6), (4, 10), (8, 18), (8, 30)]:
+            ncols = max_degree + 1
+            for first in (0, 1):
+                rows = _label_conditions(hw, first, horizon, ncols)
+                before = [list(r) for r in rows]
+                v = linalg.first_null_vector(rows, ncols)
+                assert _minimal_monic(rows, ncols) == (None if v is None else Poly(v))
+                assert linalg.first_null_unchecked(rows, ncols) == v and rows == before
+            rows = _label_conditions(hw, 0, horizon, ncols)
+            assert _label_side_kernel(hw, max_degree, horizon) == linalg.nullspace(rows, ncols)
 
 
 # -- generating series ----------------------------------------------------------

@@ -103,6 +103,10 @@ def test_highest_weight_json_roundtrip():
         {"explicit": 5},
         {"labels": 3},
         {"charpoly": [1, 1], "initial": "1/2"},
+        # two kinds of labels at once: neither is dropped without a word
+        {"charpoly": ["1", "1"], "explicit": [5, 6]},
+        {"explicit": [5, 6], "initial": ["1/2"]},
+        {"central_charge": 1, "labels": {"explicit": [], "initial": []}},
     ],
 )
 def test_highest_weight_json_rejects_floats_and_bad_shapes(data):
@@ -114,6 +118,41 @@ def test_highest_weight_json_accepts_ints_and_ratio_strings():
     hw = HighestWeight.from_json({"central_charge": "-3/4", "explicit": [2, "1/3", "-5"]})
     assert hw.central_charge == Fraction(-3, 4)
     assert [hw.label(i) for i in range(4)] == [2, Fraction(1, 3), -5, 0]
+
+
+def _fresh(hw):
+    """The same weight with a cold label memo."""
+    return HighestWeight.from_json(hw.to_json())
+
+
+def test_label_prefix_reads_the_first_labels_in_one_call():
+    explicit = HighestWeight.explicit([Fraction(1, 3), 2, -5], 1).labels
+    for n in (0, 2, 3, 4, 9):  # below, at and beyond the stored labels
+        got = explicit.prefix(n)
+        assert got == [explicit.label(i) for i in range(n)]
+        assert all(type(x) is Fraction for x in got)
+    assert explicit.prefix(9)[3:] == [0] * 6
+    assert HighestWeight.zero().labels.prefix(3) == [0, 0, 0]
+    rec = labels_from_charpoly(X**3 - Fraction(2, 3) * X + 5, Fraction(3, 7), [Fraction(1, 2), -1])
+    for warm in (None, 1, 6, 40):
+        for n in (0, 1, 2, 3, 7, 30):
+            hw = _fresh(rec)
+            if warm is not None:
+                hw.label(warm)
+            got = hw.labels.prefix(n)
+            assert got == [_fresh(rec).label(i) for i in range(n)]
+            assert all(type(x) is Fraction for x in got)
+            # the memo is extended once, as far as n, and not handed out
+            reach = max(2, n, 0 if warm is None else warm + 1)
+            got.append(Fraction(9))
+            assert len(hw.labels._memo) == reach
+
+
+@pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3", None, Fraction(2)], ids=repr)
+def test_label_prefix_refuses_a_count_that_is_not_a_natural_int(bad):
+    for labels in (ExplicitLabels([1, 2]), HW.labels):
+        with pytest.raises(ValueError, match="label count"):
+            labels.prefix(bad)
 
 
 # -- the action ---------------------------------------------------------------
