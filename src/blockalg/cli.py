@@ -435,6 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # an exact result may have more digits than CPython writes by default
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (ParseError, GroupError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
@@ -446,6 +451,9 @@ def main(argv=None) -> int:
     except StraighteningLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return RESOURCE_LIMIT
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

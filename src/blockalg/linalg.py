@@ -38,14 +38,15 @@ Every public routine is a reader of that one state.  ``rref``,
 its canonical kernel basis.  The reduced-echelon form of a row space is
 unique, so nullspace bases and particular solutions come out in the
 canonical form the reports promise, whatever order the rows arrive in.
-``first_null_vector`` wants only the first vector of that basis.  Its
-routine, ``first_null_unchecked``, eliminates rows only until one is
-dependent, reads the first kernel vector of the state, and then checks
-each remaining row against it with one dot product; a row that fails is
-eliminated, and the candidate moves on.  The singular search
-(``reducibility.singular_candidates``) keeps a state of its own in the
-same way: it feeds in the rows of one probe at a time, reads the kernel,
-and feeds in more rows only for a probe that does not annihilate it.
+``first_null_unchecked`` wants only the first vector of that basis: it
+eliminates rows only until one is dependent, reads the first kernel
+vector of the state, and then checks each remaining row against it with
+one dot product; a row that fails is eliminated, and the candidate moves
+on.  The singular search (``reducibility.singular_candidates``) keeps a
+state of its own in the same way: it feeds in the rows of one probe at a
+time, reads the kernel, and feeds in more rows only for a probe that
+does not annihilate it.  It reads its generator off a restriction of
+that state to fewer columns (:meth:`Echelon.restricted`).
 
 The public routines take a dense matrix, a list or tuple of
 equal-length list or tuple rows, and check it in full before elimination
@@ -64,7 +65,7 @@ singular search (``reducibility.singular_candidates``) and the
 label-side kernel of the report (``reducibility._label_side_kernel``)
 feed theirs into an :class:`Echelon` directly, and the characteristic
 polynomial and the recurrence (``reducibility._minimal_monic``) hand
-theirs to ``first_null_unchecked``, ``first_null_vector`` without it.
+theirs to ``first_null_unchecked``, which checks nothing either.
 """
 
 from __future__ import annotations
@@ -247,13 +248,13 @@ class Echelon:
     """One streaming elimination over ``ncols`` columns, and its readers.
 
     Rows go in one at a time and are reduced in place by ``_eliminate``;
-    :meth:`extend` takes fresh integral rows, as ``_dense_echelon``,
-    ``VermaModule.action_rows`` and ``reducibility._label_side_kernel``
-    build them, and stops pulling them once the rank is full.  The public
-    routines take dense matrices only.  While eliminating, a pivot row is
-    a primitive integer vector, positive at its pivot, with no entry left
-    of its pivot and none at the pivot columns that existed when it was
-    last reduced.
+    :meth:`extend` takes fresh integral rows, as the dense routines,
+    :meth:`restricted`, ``VermaModule.action_rows`` and
+    ``reducibility._label_side_kernel`` build them, and stops pulling
+    them once the rank is full.  The public routines take dense matrices
+    only.  While eliminating, a pivot row is a primitive integer vector,
+    positive at its pivot, with no entry left of its pivot and none at
+    the pivot columns that existed when it was last reduced.
 
     A pivot row is stale once a pivot has arrived since it was last
     reduced.  When a stale row is used a second time with no new pivot
@@ -270,7 +271,8 @@ class Echelon:
     canonical kernel basis (``nullspace``, the singular search and the
     label-side kernel) and :meth:`first_null` its first vector
     (``first_null_unchecked``).  At full rank the reduced form is the
-    identity, and no reader reduces a row.
+    identity, and no reader reduces a row.  :meth:`restricted` starts a
+    new elimination from the pivot rows and leaves this one as it is.
     """
 
     def __init__(self, ncols: int):
@@ -286,9 +288,7 @@ class Echelon:
         rank is full; True when one of them added a pivot.
 
         Nothing is checked: every entry must be a nonzero ``int`` at a
-        column below ``ncols``, as ``_dense_echelon``,
-        ``VermaModule.action_rows`` and ``reducibility._label_side_kernel``
-        build them."""
+        column below ``ncols``, as the callers above build them."""
         pivots, ncols = self.pivots, self.ncols
         n = len(pivots)
         if n < ncols:
@@ -342,6 +342,19 @@ class Echelon:
         v.append(den)
         return v
 
+    def restricted(self, cols: Sequence[int]) -> "Echelon":
+        """A fresh elimination of the rows so far restricted to ``cols``:
+        column ``cols[i]`` becomes column ``i``.
+
+        A vector supported on ``cols`` is in the kernel of the rows exactly
+        when it is in the kernel of their restriction, and the pivot rows,
+        restricted, span the row space of that restriction.  They go in as
+        fresh dicts, so this state is left as it was."""
+        at = {c: i for i, c in enumerate(cols)}
+        sub = Echelon(len(at))
+        sub.extend({at[k]: v for k, v in q.items() if k in at} for q in self.pivots.values())
+        return sub
+
 
 def _dense_echelon(rows: Sequence[Sequence[Rational]], ncols: int) -> Echelon:
     """The elimination of a dense matrix, every row checked first and then
@@ -377,16 +390,10 @@ def nullspace(rows: Sequence[Sequence[Rational]], ncols: int) -> List[Row]:
     return _dense_echelon(rows, ncols).kernel()
 
 
-def first_null_vector(rows: Sequence[Sequence[Rational]], ncols: int) -> Optional[Row]:
-    """``nullspace(rows, ncols)[0]``, or None when the kernel is {0}: the
-    input gate, then :func:`first_null_unchecked`."""
-    _check_dense(rows, ncols)
-    return first_null_unchecked(rows, ncols)
-
-
 def first_null_unchecked(rows: Sequence[Sequence[Rational]], ncols: int) -> Optional[Row]:
-    """``first_null_vector`` of a dense matrix that nothing checks: rows of
-    ``ncols`` entries, each an ``int`` or a ``Fraction``.
+    """``nullspace(rows, ncols)[0]``, or None when the kernel is {0}, of a
+    dense matrix that nothing checks: rows of ``ncols`` entries, each an
+    ``int`` or a ``Fraction``.
 
     The rows are eliminated in order only until one reduces to zero (or
     the rank is full, and the answer is None).  Then a candidate is read
@@ -402,29 +409,24 @@ def first_null_unchecked(rows: Sequence[Sequence[Rational]], ncols: int) -> Opti
     the one kernel vector with its 1 at d0 and nothing right of d0, which
     is the first canonical one.
     """
-    if not ncols:
-        return None
     state = Echelon(ncols)
-    pivots, reduced, used = state.pivots, state._reduced, state._used
     eliminated = 0
     for r in rows:
         eliminated += 1
-        if not _eliminate(pivots, reduced, used, _integral(enumerate(r))):
+        if not state.extend([_integral(enumerate(r))]):
             break
-        if len(pivots) == ncols:
-            return None
     rest = list(rows[eliminated:])
     while True:
         v = state.first_null()
+        if v is None:
+            return None
         for i, row in enumerate(rest):
             if sum(map(operator.mul, row, v)):
                 break
         else:
             den = v[-1]
             return [Fraction(x, den) for x in v] + [Fraction(0)] * (ncols - len(v))
-        _eliminate(pivots, reduced, used, _integral(enumerate(rest.pop(i))))
-        if len(pivots) == ncols:
-            return None
+        state.extend([_integral(enumerate(rest.pop(i)))])
 
 
 def solve(

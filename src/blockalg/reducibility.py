@@ -24,10 +24,9 @@ the central charge at m = n = 0 (``_label_conditions``).  The
 characteristic polynomial reads the probes m >= 0 and the recurrence
 the probes m >= 1.  Each detector builds its own matrix over the
 coefficients a_0..a_D, from labels read in one call, and finds its first
-canonical kernel vector with ``linalg.first_null_unchecked``: the rows
-are ``int`` rows built here, so they skip the input gate that
-``linalg.first_null_vector`` puts in front of the same routine.  That
-vector has a 1 at the first free column d and vanishes beyond it, so it
+canonical kernel vector with ``linalg.first_null_unchecked``, which
+takes the ``int`` rows built here without an input gate.  That vector
+has a 1 at the first free column d and vanishes beyond it, so it
 is a monic polynomial of degree d, and columns 0..d-1 are all pivots
 exactly when no lower degree fits, which makes it the unique monic
 solution of minimal degree.  The probes are eliminated in order only
@@ -332,25 +331,6 @@ def _probe_generators(module: VermaModule, probe_weight: int, probe_index: int, 
     ]
 
 
-def _sub_kernel(kernel: List[List[Fraction]], cols: List[int]) -> List[List[Fraction]]:
-    """Canonical basis of the kernel vectors supported on ``cols``.
-
-    ``kernel`` is a nullspace basis of some matrix A and ``cols`` an
-    increasing column list.  The result, written over ``cols``, equals
-    ``linalg.nullspace`` of A restricted to ``cols`` without touching A:
-    that canonical basis is the reduced-echelon basis of the same space
-    with the columns reversed, listed from the last row up.  Eliminating
-    the other columns first leaves exactly the vectors that vanish there.
-    """
-    if not kernel:
-        return []
-    keep = set(cols)
-    rest = [c for c in range(len(kernel[0])) if c not in keep]
-    reduced, pivots = linalg.rref([[v[c] for c in rest + cols[::-1]] for v in kernel])
-    n = len(rest)
-    return [row[n:][::-1] for row, p in zip(reduced, pivots) if p >= n][::-1]
-
-
 def _vectors(basis: List[PBWMonomial], kernel: List[List[Fraction]]) -> List[ModuleVector]:
     """The module vectors of kernel vectors over ``basis``."""
     return [ModuleVector({m: c for m, c in zip(basis, v) if c}) for v in kernel]
@@ -402,8 +382,10 @@ def singular_candidates(
     weight -1 this is the characteristic polynomial direction; the
     remaining candidates are its index shifts).  The candidates at an
     index bound are the kernel vectors that vanish on every basis word
-    with a larger index, so the generator and its ``generator_dim`` are
-    read off the full kernel.
+    with a larger index: the kernel of the pulled rows restricted to the
+    words within the bound.  So the generator and its ``generator_dim``
+    are read off the search's own elimination, restricted to those
+    columns (:meth:`linalg.Echelon.restricted`), at each bound in turn.
     Every probe whose rows were assembled then acts on every candidate
     in one straightening run, a path that does not go through the
     matrix, and any nonzero result raises ``DetectorInconsistencyError``.
@@ -453,7 +435,7 @@ def singular_candidates(
         kernel = state.kernel()
         candidates = _vectors(basis, kernel)
 
-    # distinguished minimal-horizon candidate, read off the one kernel
+    # distinguished minimal-horizon candidate, read off the one elimination
     generator = None
     generator_dim = None
     if kernel:
@@ -461,11 +443,12 @@ def singular_candidates(
         reach = [max(ix for _, ix in m.factors) for m in basis]
         for bound in range(-1, max_index + 1):
             low = [i for i, r in enumerate(reach) if r <= bound]
-            sub = _sub_kernel(kernel, low)
-            if sub:
-                generator_dim = len(sub)
-                # the canonical vector's last nonzero coefficient is already 1
-                generator = ModuleVector({basis[i]: c for i, c in zip(low, sub[0]) if c})
+            sub = state.restricted(low)
+            v = sub.first_null()
+            if v is not None:
+                generator_dim = len(low) - len(sub.pivots)
+                den = v[-1]
+                generator = ModuleVector({basis[i]: Fraction(x, den) for i, x in zip(low, v) if x})
                 break
 
     # re-verification of the assembled probes by straightening, one run each

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -640,3 +641,17 @@ def test_float_in_weight_json_is_a_usage_error(capsys):
     )
     assert code == 2
     assert "0.1" in err and "p/q" in err
+
+
+def test_an_exact_result_longer_than_the_int_string_limit_is_written(capsys):
+    # 1/1600! has 4497 digits, past CPython's default of 4300 for int <-> str;
+    # the command lifts the limit while it runs and puts it back afterwards
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run(
+        capsys, "delta", "--horizon", "1600", "--format", "json",
+        "--weight", '{"central_charge":"1","charpoly":["1","1"]}',
+    )
+    assert code == 0 and err == ""
+    assert max(len(c) for c in json.loads(out)["coefficients"]) > 4300
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit

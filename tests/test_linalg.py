@@ -209,7 +209,7 @@ def test_matches_dense_reference():
         assert reduced == _dense_rref(m) and _all_fractions(reduced[0])
         kernel = linalg.nullspace(m, cols)
         assert kernel == _dense_nullspace(m, cols) and _all_fractions(kernel)
-        assert linalg.first_null_vector(m, cols) == _first_reference(m, cols)
+        assert linalg.first_null_unchecked(m, cols) == _first_reference(m, cols)
         assert linalg.rank(m) == len(_dense_rref(m)[1])
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
         consistent = [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in m]
@@ -251,25 +251,54 @@ def test_reads_between_rows_match_dense_reference():
     assert reads > 100
 
 
+def test_restricted_matches_nullspace_of_restriction():
+    # the elimination of A restricted to the columns S, read off the
+    # elimination of A, has the kernel of A[:, S]; A's own state is left
+    # as it was, so its kernel and what later rows give do not change
+    rng = random.Random(4)
+    more = random.Random(5)
+    above_one = 0
+    for _ in range(150):
+        ncols = rng.randint(1, 9)
+        base = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else Fraction(0)
+             for _ in range(ncols)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        mix = [[rng.randint(-2, 2) for _ in base] for _ in range(rng.randint(1, 8))]
+        a = [
+            [sum((x * b[j] for x, b in zip(coeffs, base)), Fraction(0)) for j in range(ncols)]
+            for coeffs in mix
+        ]
+        cols = sorted(rng.sample(range(ncols), rng.randint(0, ncols)))
+        state, twin = linalg.Echelon(ncols), linalg.Echelon(ncols)
+        for s in (state, twin):
+            s.extend(linalg._integral(enumerate(r)) for r in a)
+        kernel = state.kernel()
+        sub = state.restricted(cols).kernel()
+        assert sub == linalg.nullspace([[r[c] for c in cols] for r in a], len(cols))
+        assert state.kernel() == kernel == twin.kernel() and state.pivots == twin.pivots
+        row = [Fraction(more.randint(-3, 3), more.randint(1, 3)) for _ in range(ncols)]
+        grew = [s.extend([linalg._integral(enumerate(row))]) for s in (state, twin)]
+        assert grew[0] == grew[1]
+        assert state.kernel() == twin.kernel() == linalg.nullspace(a + [row], ncols)
+        above_one += len(sub) > 1
+    assert above_one > 20
+
+
 def test_shape_mismatches_are_rejected():
     rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]]
     with pytest.raises(ValueError):
         linalg.solve(rows, [Fraction(1), Fraction(2)])  # one right-hand side short
     with pytest.raises(ValueError):
         linalg.nullspace([[Fraction(1), Fraction(1), Fraction(1)]], 2)
-    with pytest.raises(ValueError):
-        linalg.first_null_vector([[Fraction(1), Fraction(1), Fraction(1)]], 2)
     # the short row arrives after full rank, where elimination could stop
     ragged = rows + [[Fraction(1)]]
-    # and here after the first dependent row, where elimination does stop
-    ragged_after_dependent = [[1, 2], [2, 4], [3, 6], [1]]
     for call in (
         lambda: linalg.rref(ragged),
         lambda: linalg.rank(ragged),
         lambda: linalg.nullspace(ragged, 2),
         lambda: linalg.solve(ragged, [Fraction(0)] * 4),
-        lambda: linalg.first_null_vector(ragged, 2),
-        lambda: linalg.first_null_vector(ragged_after_dependent, 2),
     ):
         with pytest.raises(ValueError):
             call()
@@ -283,8 +312,6 @@ def test_non_rational_entries_are_rejected():
         lambda: linalg.nullspace([["1/2", "1"]], 2),
         lambda: linalg.rref([[Fraction(1), None], [True, 2]]),
         lambda: linalg.solve([[1, 2]], [0.5]),
-        lambda: linalg.first_null_vector([[1, 2], [2, 4], [0.5, 1]], 2),
-        lambda: linalg.first_null_vector([[True, 2]], 2),
     ):
         with pytest.raises(ValueError, match="is not an int or a Fraction"):
             call()
@@ -299,7 +326,6 @@ def test_a_non_rational_entry_after_ints_is_rejected(bad):
         lambda: linalg.nullspace([[2, 7, 1, 8, 2, 8], row], 6),
         lambda: linalg.rref([row, [2, 7, 1, 8, 2, 8]]),
         lambda: linalg.rank([row]),
-        lambda: linalg.first_null_vector([[2, 7, 1, 8, 2, 8], [4, 14, 2, 16, 4, 16], row], 6),
     ):
         with pytest.raises(ValueError, match="is not an int or a Fraction"):
             call()
@@ -323,7 +349,6 @@ def test_a_matrix_that_is_not_list_or_tuple_rows_is_rejected(bad):
         lambda: linalg.rank(bad),
         lambda: linalg.nullspace(bad, 2),
         lambda: linalg.solve(bad, [1]),
-        lambda: linalg.first_null_vector(bad, 2),
     ):
         with pytest.raises(ValueError, match="list or tuple rows"):
             call()
@@ -335,7 +360,7 @@ def test_tuple_rows_are_a_dense_matrix():
     assert linalg.rref(rows) == linalg.rref([list(r) for r in rows])
     assert linalg.rank(rows) == 1
     assert linalg.solve(rows, (5, 10)) == [Fraction(1), Fraction(0)]
-    assert linalg.first_null_vector(rows, 2) == [Fraction(-7, 5), Fraction(1)]
+    assert linalg.first_null_unchecked(rows, 2) == [Fraction(-7, 5), Fraction(1)]
 
 
 # -- lazily fed sparse rows ------------------------------------------------------
@@ -468,7 +493,7 @@ def test_annihilation_kernels_match_dense_reference(weight, mu, bound, probe_ind
 
 
 # -- the first kernel vector alone -------------------------------------------------
-# first_null_vector eliminates rows only until one is dependent and checks
+# first_null_unchecked eliminates rows only until one is dependent and checks
 # the rest with a dot product against a candidate; a row that fails is
 # eliminated and every row still waiting is checked again.
 
@@ -515,10 +540,10 @@ def _first_null_cases():
     yield [[0, 0, 0], [0, 0, 0]], 3
 
 
-def test_first_null_vector_matches_dense_reference():
+def test_first_null_unchecked_matches_dense_reference():
     found = missing = 0
     for rows, ncols in _first_null_cases():
-        v = linalg.first_null_vector(rows, ncols)
+        v = linalg.first_null_unchecked(rows, ncols)
         assert v == _first_reference(rows, ncols)
         if v is None:
             missing += 1
