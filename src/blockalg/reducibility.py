@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .groups import IntegerGroup, LexPairGroup, OrderedGroup
 from .lie import Coeff, Generator, coeff_json
-from .polynomial import Poly, X, check_int, exact_fraction, format_rational
+from .polynomial import Poly, X, check_int, format_rational
 from .verma import (
     HighestWeight,
     ModuleVector,
@@ -73,29 +73,8 @@ class DetectorInconsistencyError(RuntimeError):
 # -- label conditions and the characteristic polynomial -------------------
 
 
-def labels_from_charpoly(
-    f: Poly, central_charge, initial: Sequence = ()
-) -> HighestWeight:
-    """Highest weight whose labels satisfy the conditions of ``f``.
-
-    Probing the annihilation identity against t^m turns it into
-
-        sum_j (j+m) a_j label(j+m-1) = (1 if m == 0 else 0) * f(0) * cc,
-
-    which fixes every label beyond the d-1 free initial ones.  Degree 0
-    (f = 1) forces the zero functional and is only accepted with zero
-    central charge and no initial labels.
-    """
-    if not f.is_monic:
-        raise ValueError("characteristic polynomial must be monic")
-    cc = exact_fraction(central_charge)
-    if f.degree == 0:
-        if cc != 0 or initial:
-            raise ValueError(
-                "degree 0 is inconsistent unless the functional is zero"
-            )
-        return HighestWeight.zero()
-    return HighestWeight(cc, RecurrentLabels(f, initial, cc))
+# (f, central_charge, initial=()) -> the weight of f, built as a JSON spec is
+labels_from_charpoly = HighestWeight.recurrent
 
 
 def _label_conditions(

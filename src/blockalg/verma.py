@@ -143,21 +143,19 @@ class ModuleVector:
     Q[w] tuple of :class:`_LexPairs`.  A vector built with no parts, such
     as the vacuum, takes it too and keeps its coefficient as given.  In
     the int shape a raw word holds ``int`` part codes ``x * _scale`` and a
-    coefficient is an ``int`` numerator: ``_divisor = (d, e)`` makes ``d *
-    _scale**(e - n)`` the divisor of a word of length ``n``, as a run
-    leaves it (:meth:`VermaModule._run`), and a coefficient reads as an
+    coefficient is an ``int`` numerator over the one positive ``int``
+    ``_divisor``, whatever the word's length or the scale, and reads as an
     ``int`` exactly when its value is integral.  The scale names the
     coding: 1 holds integer parts and a dyadic scale is a power of two and
     at least 2, an all-integral vector's too.
 
     Two vectors combine at the finer scale, in the int shape unless both
     are lex-z2 (:meth:`_aligned`), to which :meth:`_as` re-codes each.
-    ``+`` and ``-`` bring both divisors to their lcm at every length,
-    ``lcm(d1*S**e1, d2*S**e2) / S**n``, so each side's numerators are
-    multiplied by one ``int``, and ``-`` subtracts in one pass
+    ``+`` and ``-`` bring both divisors to their lcm, so each side's
+    numerators are multiplied by one ``int``, and ``-`` subtracts in one pass
     (:func:`lie.subtract_terms`); ``==`` is true exactly when that
     difference is empty.  :meth:`scaled` by ``p/q`` multiplies the
-    numerators by ``p`` and ``d`` by ``q``.  :meth:`weight` sums the parts
+    numerators by ``p`` and the divisor by ``q``.  :meth:`weight` sums the parts
     of each raw word, :meth:`to_json` writes the raw words in the decoded
     order, and ``hash`` reads each word's indices and its coefficient's
     value, which every coding gives alike.
@@ -173,7 +171,7 @@ class ModuleVector:
         return cls()
 
     @classmethod
-    def _of_coded(cls, raw: dict, scale: int, divisor: Optional[Tuple[int, int]]):
+    def _of_coded(cls, raw: dict, scale: int, divisor: Optional[int]):
         res = cls.__new__(cls)
         res._raw, res._scale, res._divisor = raw, scale, divisor
         return res
@@ -183,13 +181,8 @@ class ModuleVector:
         raw = self._raw
         if self._divisor is None:
             return [(w, _lex_coeff(c)) for w, c in raw.items()]
-        divisor = self._divisors()
-        return [(w, _quotient(c, divisor[len(w)])) for w, c in raw.items()]
-
-    def _divisors(self) -> List[int]:
-        """The divisor of an int-shape word, by its length."""
-        d, e = self._divisor
-        return [d * self._scale ** (e - n) for n in range(e + 1)]
+        d = self._divisor
+        return [(w, _quotient(c, d)) for w, c in raw.items()]
 
     @classmethod
     def of(cls, mono: PBWMonomial, coeff: Coeff = Fraction(1)) -> "ModuleVector":
@@ -229,26 +222,24 @@ class ModuleVector:
         at ``scale``; ``TypeError`` if it has no such form.
 
         From a coarser scale, for ``k = scale / _scale`` each part code is
-        multiplied by ``k`` and, under the same divisor, the numerator of a
-        word of length ``n`` by ``k**(e - n)``: integer parts at scale 1
-        become dyadic ones.  A vector built with no parts and a rational
-        coefficient takes the int shape at any scale.
+        multiplied by ``k``, and the coefficients and the divisor stay as
+        they are: integer parts at scale 1 become dyadic ones.  A vector
+        built with no parts and a rational coefficient takes the int shape
+        at any scale.
         """
         raw, divisor = self._raw, self._divisor
         if (divisor is None) != lex:
             c = raw.get(())
             if divisor is not None or raw.keys() - {()} or type(c) is tuple:
                 raise TypeError("module vectors of different groups do not combine")
-            raw, divisor = ({}, (1, 0)) if c is None else ({(): c.numerator}, (c.denominator, 0))
+            raw, divisor = ({}, 1) if c is None else ({(): c.numerator}, c.denominator)
             return self._of_coded(raw, scale, divisor)
         if self._scale == scale:
             return self
         k, finer = divmod(scale, self._scale)
         if finer:
             raise TypeError("module vectors of different groups do not combine")
-        d, e = divisor
-        power = [k ** (e - n) for n in range(e + 1)]
-        raw = {tuple([(p * k, i) for p, i in w]): c * power[len(w)] for w, c in raw.items()}
+        raw = {tuple([(p * k, i) for p, i in w]): c for w, c in raw.items()}
         return self._of_coded(raw, scale, divisor)
 
     def _aligned(self, other):
@@ -297,10 +288,10 @@ class ModuleVector:
             if type(scalar) is Poly:
                 scalar, mul = scalar.coeffs, polynomial.tmul
             return self._of_coded({w: mul(scalar, c) for w, c in raw.items()}, 1, None)
-        p, (d, e) = scalar.numerator, self._divisor
+        p = scalar.numerator
         if p != 1:
             raw = {w: c * p for w, c in raw.items()}
-        return self._of_coded(raw, self._scale, (d * scalar.denominator, e))
+        return self._of_coded(raw, self._scale, self._divisor * scalar.denominator)
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
@@ -343,8 +334,7 @@ class ModuleVector:
             coeffs = [coeff_json(raw[w]) for w in words]
         else:
             factors = [_word_json(w, scale) for w in words]
-            divisor = self._divisors()
-            coeffs = [_quotient_json(raw[w], divisor[len(w)]) for w in words]
+            coeffs = [_quotient_json(raw[w], self._divisor) for w in words]
         terms = [{"factors": f, "coeff": c} for f, c in zip(factors, coeffs)]
         return {"weight": None if weight is None else element_json(weight), "terms": terms}
 
@@ -397,12 +387,8 @@ def _encode(terms: dict):
     parts = [p for m in terms for p, _ in m.factors]
     scale = 1 if all(type(p) is int for p in parts) else math.lcm(2, *[p.denominator for p in parts])
     den = math.lcm(*[c.denominator for _, c in items])
-    e = max(len(m.factors) for m, _ in items)
-    raw = {
-        _encode_word(m, scale): c.numerator * (den // c.denominator) * scale ** (e - len(m.factors))
-        for m, c in items
-    }
-    return raw, scale, (den, e)
+    raw = {_encode_word(m, scale): c.numerator * (den // c.denominator) for m, c in items}
+    return raw, scale, den
 
 
 def _exact(c, lex: bool):
@@ -417,14 +403,13 @@ def _coded_sum(a: ModuleVector, b: ModuleVector, scale: int, negate: bool) -> Mo
     if a._divisor is None:
         out, ar, divisor = dict(a._raw), _LEX_PAIRS, None
     else:
-        (d1, e1), (d2, e2) = a._divisor, b._divisor
-        x, y = d1 * scale**e1, d2 * scale**e2
-        lcm, e = math.lcm(x, y), max(e1, e2)
-        mx, my = lcm // x, lcm // y
+        x, y = a._divisor, b._divisor
+        divisor = math.lcm(x, y)
+        mx, my = divisor // x, divisor // y
         out = dict(a._raw) if mx == 1 else {w: c * mx for w, c in a._raw.items()}
         if my != 1:
             terms = [(w, c * my) for w, c in terms]
-        ar, divisor = _IntParts, (lcm // scale**e, e)
+        ar = _IntParts
     if negate:
         out = subtract_terms(out, terms, ar.csub, ar.cneg)
     else:
@@ -537,15 +522,40 @@ class RecurrentLabels:
 
 
 class HighestWeight:
-    """Central charge plus the label sequence of the weight-zero modes."""
+    """Central charge plus the label sequence of the weight-zero modes; recurrent
+    labels, computed from a central charge of their own, must have the weight's."""
 
     def __init__(self, central_charge, labels):
         self.central_charge = exact_fraction(central_charge)
+        if isinstance(labels, RecurrentLabels) and labels.central_charge != self.central_charge:
+            raise ValueError("the recurrent labels' central charge is not the weight's")
         self.labels = labels
 
     @classmethod
     def explicit(cls, values, central_charge) -> "HighestWeight":
         return cls(central_charge, ExplicitLabels(values))
+
+    @classmethod
+    def recurrent(cls, f: Poly, central_charge, initial: Sequence = ()) -> "HighestWeight":
+        """The weight whose labels satisfy the conditions of ``f``.
+
+        Probing the annihilation identity against t^m turns it into
+
+            sum_j (j+m) a_j label(j+m-1) = (1 if m == 0 else 0) * f(0) * cc,
+
+        which fixes every label beyond the d-1 free initial ones
+        (:class:`RecurrentLabels`).  Degree 0 (f = 1) forces the zero
+        functional and is only accepted with zero central charge and no
+        initial labels.
+        """
+        if not f.is_monic:
+            raise ValueError("characteristic polynomial must be monic")
+        cc = exact_fraction(central_charge)
+        if f.degree == 0:
+            if cc != 0 or initial:
+                raise ValueError("degree 0 is inconsistent unless the functional is zero")
+            return cls.zero()
+        return cls(cc, RecurrentLabels(f, initial, cc))
 
     @classmethod
     def zero(cls) -> "HighestWeight":
@@ -590,8 +600,7 @@ class HighestWeight:
             return cls.explicit(_rational_list(spec, "explicit"), cc)
         if "charpoly" in spec:
             f = Poly(_rational_list(spec, "charpoly"))
-            initial = _rational_list(spec, "initial")
-            return cls(cc, RecurrentLabels(f, initial, cc))
+            return cls.recurrent(f, cc, _rational_list(spec, "initial"))
         raise ValueError("weight spec needs either 'charpoly' or 'explicit' labels")
 
 
@@ -624,6 +633,7 @@ class VermaModule:
         self.algebra = algebra
         self.group = algebra.group
         self.hw = weight
+        check_int(step_budget, "step_budget", 1)
         self.step_budget = step_budget
         self._weight_scales: List[int] = []  # see _weight_scale
 
@@ -672,9 +682,9 @@ class VermaModule:
         word, in the order the singular search eliminates them.
 
         The row of an output word maps column ``j`` to its coefficient in
-        ``act(probe, basis[j])`` times the run's divisor for the word's
-        length (see :meth:`_run`).  All entries of a row share that one
-        positive divisor, so the row space is the one of the ``act`` rows.
+        ``act(probe, basis[j])`` times the run's divisor (see :meth:`_run`).
+        Every row shares that one positive divisor, so the row space is the
+        one of the ``act`` rows.
         One straightening run covers the whole basis: each word is its own
         input, with its own output dict and its own step budget, and output
         words stay raw factor tuples (coded ones over the dyadic instance,
@@ -739,12 +749,10 @@ class VermaModule:
         An output word of length ``n`` then carries ``S^(n - len_in - 1)``.
 
         Such a run stays in ``int``.  An input word of length ``len_in``
-        enters as the ``int`` ``c*den*lam*S^(top - len_in)``: ``top``
-        bounds the input word lengths and ``den`` is a common denominator
-        of the input coefficients, both over the whole run.  An input of
-        divisor ``(d, e)`` holds ``c*d*S^(e - len_in)``, so it brings ``d``
-        to ``den`` and ``e`` to ``top`` and enters times one factor.
-        ``lam`` is the lcm of the central charge's denominator and the
+        and coefficient ``c/d`` enters as the ``int``
+        ``c*(den/d)*lam*S^(top - len_in)``: ``top`` is the longest input
+        word and ``den`` the lcm of the input divisors, both over the whole
+        run.  ``lam`` is the lcm of the central charge's denominator and the
         denominators of labels ``0..sym.index + 1 + reach``, or 1 when no
         input word can reach a label or the central charge
         (:func:`_label_reach`), such as under a generator of negative
@@ -752,9 +760,11 @@ class VermaModule:
         bracket terms only insert), so its ``lam`` is that of ``label(index
         + 1)``.  Every label or central term is then an exact division,
         and an output word of length ``n`` carries the divisor
-        ``den*lam*S^(top + 1 - n)``: the run's divisor is ``(den*lam, top +
-        1)``.  Over lex-z2 the outputs are the action itself, divisor
-        ``None``.
+        ``den*lam*S^(top + 1 - n)``.  After a dyadic run each such word is
+        multiplied by ``S^n`` once, so every output shares the one divisor
+        ``den*lam*S^(top + 1)`` the run returns; this is the only place the
+        power of ``S`` depends on a word's length.  Over lex-z2 the outputs
+        are the action itself, divisor ``None``.
         """
         g = self.group
         alpha, idx = sym.alpha, sym.index
@@ -783,21 +793,20 @@ class VermaModule:
             scale = 1
         top, den, reach, sources = 0, 1, -1, []
         for x in inputs:
-            if type(x) is PBWMonomial:  # a word times 1: divisor 1 at its length
-                factors = _encode_word(x, scale)
-                terms, d, e = ((factors, 1),), 1, len(factors)
+            if type(x) is PBWMonomial:  # a word times 1
+                terms, d = ((_encode_word(x, scale), 1),), 1
             else:
                 x = x._as(False, scale)
-                terms, (d, e) = x._raw.items(), x._divisor
+                terms, d = x._raw.items(), x._divisor
             den = math.lcm(den, d)
-            if e > top:
-                top = e
-            if alpha >= 0:  # a negative generator only inserts
-                for factors, _ in terms:
+            for factors, _ in terms:
+                if len(factors) > top:
+                    top = len(factors)
+                if alpha >= 0:  # a negative generator only inserts
                     r = _label_reach(alpha, factors)
                     if r > reach:
                         reach = r
-            sources.append((terms, d, e))
+            sources.append((terms, d))
         if reach < 0:
             lam = 1
         elif alpha == 0:
@@ -805,15 +814,18 @@ class VermaModule:
         else:
             lam = self._weight_scale(idx + 1 + reach)
         enter = [lam * scale ** (top - n) for n in range(top + 1)]
-        for terms, d, e in sources:
+        for terms, d in sources:
             dest, tasks = {}, []
-            m = enter[e] * (den // d)
+            m = den // d
             for factors, c in terms:
-                tasks.append((_APPLY, alpha, idx, (), factors, c * m, dest))
+                tasks.append((_APPLY, alpha, idx, (), factors, c * m * enter[len(factors)], dest))
             outs.append(dest)
             seeds.append(tasks)
         self._straighten(seeds, _IntParts(scale))
-        return outs, scale, (den * lam, top + 1)
+        if scale != 1:  # a word of length n carries S^(top + 1 - n): bring it to S^(top + 1)
+            power = [scale**n for n in range(top + 2)]
+            outs = [{w: c * power[len(w)] for w, c in dest.items()} for dest in outs]
+        return outs, scale, den * lam * scale ** (top + 1)
 
     def act_element(self, elem: LieElement, vec: ModuleVector) -> ModuleVector:
         """Linear extension of :meth:`act` over a Lie element."""

@@ -635,6 +635,17 @@ def test_act_with_a_huge_index_over_explicit_labels(capsys):
     assert out == "0\n"
 
 
+def test_a_degree_zero_charpoly_weight_is_read_as_the_zero_functional(capsys):
+    code, out, err = run(
+        capsys, "charpoly", "--format", "json",
+        "--weight", '{"charpoly":["1"],"central_charge":"0"}',
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["charpoly"] == ["1/1"]
+    code, _, err = run(capsys, "charpoly", "--weight", '{"charpoly":["1"],"central_charge":"1"}')
+    assert code == 2 and "functional is zero" in err
+
+
 def test_float_in_weight_json_is_a_usage_error(capsys):
     code, _, err = run(
         capsys, "charpoly", "--weight", '{"charpoly": [1, 1], "central_charge": 0.1}'

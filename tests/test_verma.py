@@ -54,6 +54,32 @@ def test_recurrent_labels_validate_shape():
         RecurrentLabels(X + 1, [Fraction(1)], 1)  # too many initial labels
 
 
+def test_recurrent_labels_carry_the_central_charge_of_their_weight():
+    # labels computed with cc 2 under a weight of cc 1 would make label(0)
+    # 2 and change on a JSON round trip, which rebuilds them with cc 1
+    with pytest.raises(ValueError, match="central charge"):
+        HighestWeight(1, RecurrentLabels(X + 1, [], 2))
+    hw = HighestWeight(2, RecurrentLabels(X + 1, [], Fraction(2)))
+    back = HighestWeight.from_json(hw.to_json())
+    assert [back.label(i) for i in range(6)] == [hw.label(i) for i in range(6)]
+    assert hw.label(0) == 2
+
+
+def test_a_degree_zero_charpoly_spec_is_the_zero_functional():
+    # the spec goes through the constructor the library uses, which reads
+    # f = 1 with cc 0 as the zero functional and refuses it otherwise
+    hw = HighestWeight.from_json({"charpoly": ["1"], "central_charge": "0"})
+    assert hw.central_charge == 0 and hw.labels.prefix(6) == [0] * 6
+    assert hw.to_json() == labels_from_charpoly(Poly([1]), 0).to_json()
+    for data in (
+        {"charpoly": ["1"], "central_charge": "1"},
+        {"charpoly": ["1"], "central_charge": "0", "initial": ["1/2"]},
+        {"charpoly": ["2", "2"], "central_charge": "0"},
+    ):
+        with pytest.raises(ValueError):
+            HighestWeight.from_json(data)
+
+
 @pytest.mark.parametrize("bad", [0.1, True, "1/3"], ids=["float", "bool", "string"])
 def test_weight_constructors_refuse_inexact_values(bad):
     # Fraction(0.1) would store 3602879701896397/36028797018963968, and
@@ -293,6 +319,13 @@ def test_step_budget_guard():
     m = VermaModule(ALG, HW, step_budget=3)
     with pytest.raises(StraighteningLimitError):
         m.act(Generator(2, 1), m.vector([(1, 0), (1, 1), (2, 0)]))
+
+
+@pytest.mark.parametrize("bad", [0, -5, 1.5, True, "x"])
+def test_step_budget_is_a_positive_int(bad):
+    # checked when the module is built, not when a run first spends it
+    with pytest.raises(ValueError, match="step_budget"):
+        VermaModule(ALG, HW, step_budget=bad)
 
 
 def test_long_word_straightens_past_the_recursion_limit():
@@ -1289,16 +1322,11 @@ def _rows_word_by_word(m, probe, basis):
 def _assert_rows_match(m, probes, basis):
     for probe in probes:
         got = m.action_rows(probe, basis)
-        # each row is the act row times the run's divisor for the row's
-        # word length, with int entries; one act call straightens a word
-        # at its own scale
-        _, scale, (d, e) = m._run(probe, basis)
-        assert d > 0 and e == max(mono.length for mono in basis) + 1
-        divisor = [d * scale ** (e - n) for n in range(e + 1)]
-        scaled = [
-            {j: c * divisor[w.length] for j, c in r.items()}
-            for w, r in _rows_word_by_word(m, probe, basis)
-        ]
+        # each row is the act row times the run's one divisor, with int
+        # entries; one act call straightens a word at its own scale
+        _, _, d = m._run(probe, basis)
+        assert type(d) is int and d > 0
+        scaled = [{j: c * d for j, c in r.items()} for _, r in _rows_word_by_word(m, probe, basis)]
         assert all(c.denominator == 1 for r in scaled for c in r.values())
         # sparsest first: a stable sort of the word order by entry count
         want = sorted(({j: int(c) for j, c in r.items()} for r in scaled), key=len)
@@ -1421,6 +1449,25 @@ def test_coded_dyadic_action_matches_rescaled_integer_module():
         assert all(type(p) is Fraction for mono in got.monomials() for p, _ in mono.factors)
 
 
+def test_recoding_a_dyadic_vector_finer_keeps_its_coefficients_and_divisor():
+    # a finer scale multiplies only the part codes: every raw coefficient
+    # and the one divisor stay, and the vector and its JSON are the same
+    rng = random.Random(29)
+    m = module(_EXPLICIT, DYADIC)
+    for _ in range(60):
+        word = sorted(
+            (Fraction(rng.randint(1, 8), 2 ** rng.randint(0, 3)), rng.randint(-1, 2))
+            for _ in range(rng.randint(1, 3))
+        )
+        vec = m.vector(word).scaled(_rat(rng) or 1)
+        gamma = Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 3))
+        for v in (vec, m.act(Generator(gamma, rng.randint(-1, 2)), vec)):
+            finer = v._as(False, 4 * v._scale)
+            assert finer._scale == 4 * v._scale and finer._divisor == v._divisor
+            assert sorted(finer._raw.values()) == sorted(v._raw.values())
+            assert finer == v and finer.to_json(DYADIC) == v.to_json(DYADIC)
+
+
 def test_dyadic_central_term_enters_scaled():
     # [L(a,-1), L(-a,-1)] = a*c, so L(a,-1) L(-a,-1)^n v = n*a*cc L(-a,-1)^(n-1) v:
     # on the coded kernel the central charge enters scaled with the parts
@@ -1495,12 +1542,12 @@ def test_decoded_dyadic_words_hash_as_their_factors():
     # the integer word; at scale 1 it is the integer part itself; the empty
     # word is the vacuum at every scale
     for scale in (1, 2, 8):
-        (two,) = ModuleVector._of_coded({((2 * scale, 0),): 1}, scale, (1, 1)).monomials()
+        (two,) = ModuleVector._of_coded({((2 * scale, 0),): 1}, scale, 1).monomials()
         assert type(two.factors[0][0]) is (int if scale == 1 else Fraction)
         assert two.factors == ((Fraction(2), 0),)
         assert two == PBWMonomial(((2, 0),)) and hash(two) == hash(PBWMonomial(((2, 0),)))
         assert {PBWMonomial(((2, 0),)): 1}[two] == 1
-        (vacuum,) = ModuleVector._of_coded({(): 1}, scale, (1, 0)).monomials()
+        (vacuum,) = ModuleVector._of_coded({(): 1}, scale, 1).monomials()
         assert vacuum is VACUUM
     assert m.act(Generator(Fraction(0), 1), m.vacuum()).monomials()[0] is VACUUM
 
