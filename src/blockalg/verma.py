@@ -132,11 +132,11 @@ class ModuleVector:
     ``_raw`` maps raw words to nonzero coefficients and ``_scale`` is the
     scale of their parts; nothing else is kept.  A vector built from words
     is encoded once (:func:`_encode`); a result of :meth:`VermaModule.act`
-    is the kernel's output as it stands.  :meth:`_values` reads each raw
-    word's coefficient value, and :meth:`items`, the one decoder, builds
-    each word (:func:`_decode_word`), and at a dyadic scale each distinct
-    part's ``Fraction``, once per call, for :meth:`coefficients`,
-    :meth:`monomials` and ``str``.
+    is the kernel's output over one divisor (:meth:`VermaModule._vectors`).
+    :meth:`_values` reads each raw word's coefficient value, and
+    :meth:`items`, the one decoder, builds each word (:func:`_decode_word`),
+    and at a dyadic scale each distinct part's ``Fraction``, once per call,
+    for :meth:`coefficients`, :meth:`monomials` and ``str``.
 
     In the lex-z2 shape ``_divisor`` is ``None``, ``_scale`` is 1, a raw
     word is its factor tuple and a coefficient is exact: a rational or a
@@ -181,8 +181,7 @@ class ModuleVector:
         raw = self._raw
         if self._divisor is None:
             return [(w, _lex_coeff(c)) for w, c in raw.items()]
-        d = self._divisor
-        return [(w, _quotient(c, d)) for w, c in raw.items()]
+        return [(w, _quotient(c, self._divisor)) for w, c in raw.items()]
 
     @classmethod
     def of(cls, mono: PBWMonomial, coeff: Coeff = Fraction(1)) -> "ModuleVector":
@@ -522,8 +521,7 @@ class RecurrentLabels:
 
 
 class HighestWeight:
-    """Central charge plus the label sequence of the weight-zero modes; recurrent
-    labels, computed from a central charge of their own, must have the weight's."""
+    """Central charge plus the label sequence of the weight-zero modes."""
 
     def __init__(self, central_charge, labels):
         self.central_charge = exact_fraction(central_charge)
@@ -665,15 +663,13 @@ class VermaModule:
         """
         if isinstance(sym, Central):
             return vec.scaled(self.hw.central_charge)
-        (raw,), scale, divisor = self._run(sym, [vec])
-        return ModuleVector._of_coded(raw, scale, divisor)
+        return self._vectors(*self._run(sym, [vec]))[0]
 
     def act_each(self, sym: Generator, vecs: Sequence[ModuleVector]) -> List[ModuleVector]:
         """:meth:`act` of a generator on each of ``vecs``, in one straightening
         run: each vector is its own input, with its own output and its own
         step budget (:meth:`_run`)."""
-        outs, scale, divisor = self._run(sym, vecs)
-        return [ModuleVector._of_coded(raw, scale, divisor) for raw in outs]
+        return self._vectors(*self._run(sym, vecs))
 
     def action_rows(
         self, probe: Generator, basis: Sequence[PBWMonomial]
@@ -682,9 +678,9 @@ class VermaModule:
         word, in the order the singular search eliminates them.
 
         The row of an output word maps column ``j`` to its coefficient in
-        ``act(probe, basis[j])`` times the run's divisor (see :meth:`_run`).
-        Every row shares that one positive divisor, so the row space is the
-        one of the ``act`` rows.
+        ``act(probe, basis[j])`` times the run's divisor for the word's
+        length (see :meth:`_run`).  All entries of a row share that one
+        positive divisor, so the row space is the one of the ``act`` rows.
         One straightening run covers the whole basis: each word is its own
         input, with its own output dict and its own step budget, and output
         words stay raw factor tuples (coded ones over the dyadic instance,
@@ -727,7 +723,7 @@ class VermaModule:
         An input is a vector or, over the integers and dyadics, a word that
         stands for itself with coefficient 1.  Returns one dict per
         input, from raw output words to their nonzero coefficients, the
-        scale of those words and the run's divisor, in the terms of the
+        scale of those words and the run's divisor ``D`` (below), in the
         coded form of :class:`ModuleVector`.  Each input is straightened
         in full before the next starts and spends its own step budget.
         A vector enters in its coded form, re-coded first if its scale
@@ -759,12 +755,9 @@ class VermaModule:
         weight.  A zero mode meets no central term and no other label (its
         bracket terms only insert), so its ``lam`` is that of ``label(index
         + 1)``.  Every label or central term is then an exact division,
-        and an output word of length ``n`` carries the divisor
-        ``den*lam*S^(top + 1 - n)``.  After a dyadic run each such word is
-        multiplied by ``S^n`` once, so every output shares the one divisor
-        ``den*lam*S^(top + 1)`` the run returns; this is the only place the
-        power of ``S`` depends on a word's length.  Over lex-z2 the outputs
-        are the action itself, divisor ``None``.
+        and an output word of length ``n`` carries the divisor ``D/S^n``
+        for the ``D = den*lam*S^(top + 1)`` the run returns (:meth:`_vectors`
+        brings it to ``D``).  Over lex-z2 the outputs are the action itself.
         """
         g = self.group
         alpha, idx = sym.alpha, sym.index
@@ -822,10 +815,25 @@ class VermaModule:
             outs.append(dest)
             seeds.append(tasks)
         self._straighten(seeds, _IntParts(scale))
-        if scale != 1:  # a word of length n carries S^(top + 1 - n): bring it to S^(top + 1)
-            power = [scale**n for n in range(top + 2)]
-            outs = [{w: c * power[len(w)] for w, c in dest.items()} for dest in outs]
         return outs, scale, den * lam * scale ** (top + 1)
+
+    @staticmethod
+    def _vectors(outs, scale: int, divisor: Optional[int]) -> List[ModuleVector]:
+        """A run's outputs (:meth:`_run`) as vectors: a dyadic word of length ``n``
+        is multiplied by ``S^n = 2^(s*n)``, then the twos the divisor shares
+        with every numerator go, so chained actions pile up no powers of ``S``."""
+        if scale == 1 or divisor is None:
+            return [ModuleVector._of_coded(raw, scale, divisor) for raw in outs]
+        s, twos, vecs = scale.bit_length() - 1, (divisor & -divisor).bit_length() - 1, []
+        for raw in outs:
+            t = twos
+            for w, c in raw.items():
+                v = (c & -c).bit_length() - 1 + s * len(w)
+                if v < t:
+                    t = v
+            raw = {w: (c << s * len(w)) >> t for w, c in raw.items()}
+            vecs.append(ModuleVector._of_coded(raw, scale, divisor >> t))
+        return vecs
 
     def act_element(self, elem: LieElement, vec: ModuleVector) -> ModuleVector:
         """Linear extension of :meth:`act` over a Lie element."""

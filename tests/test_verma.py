@@ -1253,8 +1253,7 @@ def test_one_run_reads_coded_and_decoded_inputs_alike(group):
         sym = Generator(Fraction(1, 8), 1)  # finer than the scale 2 of the inputs
     outs, scale, divisor = m._run(sym, inputs)
     assert scale == (8 if group is DYADIC else 1)
-    for x, raw in zip(inputs, outs):
-        got = ModuleVector._of_coded(raw, scale, divisor)
+    for x, got in zip(inputs, m._vectors(outs, scale, divisor)):
         if type(x) is PBWMonomial:
             x = ModuleVector.of(x, 1)
         assert got and got == m.act(sym, x) == _reference_act(m, sym, x)
@@ -1322,11 +1321,15 @@ def _rows_word_by_word(m, probe, basis):
 def _assert_rows_match(m, probes, basis):
     for probe in probes:
         got = m.action_rows(probe, basis)
-        # each row is the act row times the run's one divisor, with int
-        # entries; one act call straightens a word at its own scale
-        _, _, d = m._run(probe, basis)
+        # each row is the act row times the run's divisor for the row's
+        # word length, with int entries; one act call straightens a word
+        # at its own scale
+        _, scale, d = m._run(probe, basis)
         assert type(d) is int and d > 0
-        scaled = [{j: c * d for j, c in r.items()} for _, r in _rows_word_by_word(m, probe, basis)]
+        scaled = [
+            {j: c * (d // scale**w.length) for j, c in r.items()}
+            for w, r in _rows_word_by_word(m, probe, basis)
+        ]
         assert all(c.denominator == 1 for r in scaled for c in r.values())
         # sparsest first: a stable sort of the word order by entry count
         want = sorted(({j: int(c) for j, c in r.items()} for r in scaled), key=len)
@@ -1447,6 +1450,20 @@ def test_coded_dyadic_action_matches_rescaled_integer_module():
         )
         assert got == want
         assert all(type(p) is Fraction for mono in got.monomials() for p, _ in mono.factors)
+
+
+def test_a_chain_of_dyadic_actions_keeps_no_spare_twos_in_its_divisor():
+    # each run brings its outputs to one divisor through powers of the
+    # scale and then clears the twos the coefficients do not need, so the
+    # divisor's power of two stays the largest among the denominators
+    # rather than growing by a power of the scale with every action
+    m = module(_EXPLICIT, DYADIC)
+    v = m.vector([(Fraction(1, 4), 0), (Fraction(1, 2), 1), (Fraction(3, 4), 0)])
+    for _ in range(12):
+        v = m.act(Generator(Fraction(1, 4), 0), m.act(Generator(Fraction(-1, 4), 0), v))
+        dens = [Fraction(c).denominator for c in v.coefficients(v.monomials())]
+        assert v._divisor & -v._divisor == max(d & -d for d in dens)
+    assert len(v) > 5
 
 
 def test_recoding_a_dyadic_vector_finer_keeps_its_coefficients_and_divisor():
