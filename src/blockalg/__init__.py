@@ -44,11 +44,11 @@ from .reducibility import (
 from .exprparse import ParseError, parse_element, parse_group_element, parse_vector
 from .verify import CHECKS, CheckResult, VerifyConfig, run_suite
 from .verma import (
-    ExplicitLabels,
+    ExplicitWeight,
     HighestWeight,
     ModuleVector,
     PBWMonomial,
-    RecurrentLabels,
+    RecurrentWeight,
     StraighteningLimitError,
     VermaModule,
 )

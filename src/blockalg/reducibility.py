@@ -61,7 +61,7 @@ from .verma import (
     HighestWeight,
     ModuleVector,
     PBWMonomial,
-    RecurrentLabels,
+    RecurrentWeight,
     VermaModule,
 )
 
@@ -102,7 +102,7 @@ def _label_conditions(
     if first == 0:
         nums.append(-hw.central_charge.numerator)
         dens.append(hw.central_charge.denominator)
-    labels = hw.labels.prefix(last + ncols - 1)
+    labels = hw.prefix(last + ncols - 1)
     for k in range(max(first, 1), last + ncols):
         x = labels[k - 1]
         q = x.denominator
@@ -148,7 +148,7 @@ def charpoly_from_labels(
 
 def charpoly_certificate(hw: HighestWeight, f: Poly) -> str:
     """'full' when the weight was generated by this very polynomial."""
-    if isinstance(hw.labels, RecurrentLabels) and hw.labels.charpoly == f:
+    if isinstance(hw, RecurrentWeight) and hw.charpoly == f:
         return "full"
     return "within-horizon"
 
@@ -203,7 +203,7 @@ def delta_series(hw: HighestWeight, n: int) -> List[Fraction]:
     property does not depend on that choice.)
     """
     check_int(n, "series length", 0)
-    labels = hw.labels.prefix(n)
+    labels = hw.prefix(n)
     return [hw.central_charge] + [x / math.factorial(i) for i, x in enumerate(labels)]
 
 
@@ -723,7 +723,7 @@ def reducibility_report(
                 raise DetectorInconsistencyError(
                     "characteristic polynomial below the recurrence order"
                 )
-            if hw.is_recurrent():
+            if isinstance(hw, RecurrentWeight):
                 # recurrent weights satisfy the conditions identically, so
                 # the shifted recurrence is the unique minimal solution
                 want = qp.recurrence * X

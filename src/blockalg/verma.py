@@ -7,9 +7,10 @@ A module vector is an exact linear combination of normal-ordered words
 where the parts ``a_s`` are positive group elements, weakly increasing
 left to right, and the indices ``i_s`` weakly increase within a run of
 equal parts.  A word from outside the engine passes :func:`normal_word`.
-The highest weight functional assigns a rational label to every
-weight-zero generator and a central charge to the central symbol;
-positive-weight generators annihilate ``v``.
+The highest weight functional, one :class:`HighestWeight` of either
+kind, assigns a rational label to every weight-zero generator and a
+central charge to the central symbol; positive-weight generators
+annihilate ``v``.  Its JSON spec refuses an unknown key.
 
 Coefficients are exact and come in three representations that compare
 and hash alike: a Python ``int``, a ``Fraction`` and a ``Poly`` in the
@@ -419,13 +420,104 @@ def _coded_sum(a: ModuleVector, b: ModuleVector, scale: int, negate: bool) -> Mo
 # -- highest weight functionals -----------------------------------------
 
 
-class ExplicitLabels:
-    """Finitely supported label sequence, zero beyond the stored prefix."""
+class HighestWeight:
+    """A central charge and a rational label for each weight-zero generator.
 
-    def __init__(self, values: Iterable[Union[int, Fraction]]):
-        self.values = tuple(map(exact_fraction, values))
+    The base of the two kinds, :class:`ExplicitWeight` and
+    :class:`RecurrentWeight`; a kind supplies its labels (``_label``),
+    :meth:`prefix`, and the ``_summary`` and ``_spec`` of its text and JSON.
+    """
+
+    def __init__(self, central_charge):
+        self.central_charge = exact_fraction(central_charge)
+        self._scales: List[int] = []  # see scale
+
+    @staticmethod
+    def explicit(values, central_charge) -> "HighestWeight":
+        return ExplicitWeight(values, central_charge)
+
+    @staticmethod
+    def recurrent(f: Poly, central_charge, initial: Sequence = ()) -> "HighestWeight":
+        """The weight whose labels satisfy the conditions of ``f``
+        (:class:`RecurrentWeight`).  Degree 0 (f = 1) forces the zero
+        functional and is only accepted with zero central charge and no
+        initial labels."""
+        cc = exact_fraction(central_charge)
+        if f.degree == 0 and f.is_monic:
+            if cc != 0 or initial:
+                raise ValueError("degree 0 is inconsistent unless the functional is zero")
+            return HighestWeight.zero()
+        return RecurrentWeight(f, cc, initial)
+
+    @staticmethod
+    def zero() -> "HighestWeight":
+        return ExplicitWeight((), 0)
 
     def label(self, i: int) -> Fraction:
+        if i < 0:
+            raise ValueError("labels are defined for indices >= 0")
+        return self._label(i)
+
+    def shadow(self, n: int) -> Fraction:
+        """The sequence n * label(n-1), with value 0 at n = 0."""
+        if n < 0:
+            raise ValueError("shadow sequence starts at 0")
+        return Fraction(0) if n == 0 else n * self.label(n - 1)
+
+    def scale(self, n: int) -> int:
+        """The lcm of the denominators of the central charge and of labels
+        0..n, memoized as :meth:`RecurrentWeight._labels` memoizes labels,
+        each new label read through :meth:`label`."""
+        scales = self._scales
+        if len(scales) <= n:
+            scales = list(scales)
+            while len(scales) <= n:
+                prev = scales[-1] if scales else self.central_charge.denominator
+                scales.append(math.lcm(prev, self.label(len(scales)).denominator))
+            self._scales = scales
+        return scales[n] if n >= 0 else self.central_charge.denominator
+
+    def describe(self) -> str:
+        return f"cc={self.central_charge}, labels {self._summary()}"
+
+    def to_json(self) -> dict:
+        return {"central_charge": format_rational(self.central_charge), "labels": self._spec()}
+
+    @staticmethod
+    def from_json(data: dict) -> "HighestWeight":
+        """Inverse of :meth:`to_json`; malformed input raises ``ValueError``, and
+        so do an unknown key and label keys both in and next to ``labels``."""
+        if not isinstance(data, dict):
+            raise ValueError("a weight spec is a JSON object")
+        spec = data.get("labels", data)
+        if not isinstance(spec, dict):
+            raise ValueError("weight 'labels' must be a JSON object")
+        nested, outer = spec is not data, data.keys() - {"central_charge", "labels"}
+        if nested and outer & _LABEL_KEYS:
+            raise ValueError("weight labels go in the 'labels' object or next to it, not both")
+        unknown = sorted((outer | (spec.keys() if nested else set())) - _LABEL_KEYS, key=str)
+        if unknown:
+            raise ValueError(f"unknown weight key {unknown[0]!r}")
+        cc = parse_rational(data.get("central_charge", 0))
+        if "explicit" in spec:
+            for key in ("charpoly", "initial"):
+                if key in spec:
+                    raise ValueError(f"weight {key!r} does not go with 'explicit' labels")
+            return ExplicitWeight(_rational_list(spec, "explicit"), cc)
+        if "charpoly" in spec:
+            f = Poly(_rational_list(spec, "charpoly"))
+            return HighestWeight.recurrent(f, cc, _rational_list(spec, "initial"))
+        raise ValueError("weight spec needs either 'charpoly' or 'explicit' labels")
+
+
+class ExplicitWeight(HighestWeight):
+    """Finitely many stored labels, zero beyond them."""
+
+    def __init__(self, values: Iterable[Union[int, Fraction]], central_charge):
+        self.values = tuple(map(exact_fraction, values))
+        super().__init__(central_charge)
+
+    def _label(self, i: int) -> Fraction:
         return self.values[i] if i < len(self.values) else Fraction(0)
 
     def prefix(self, n: int) -> List[Fraction]:
@@ -433,43 +525,43 @@ class ExplicitLabels:
         check_int(n, "label count", 0)
         return list(self.values[:n]) + [Fraction(0)] * (n - len(self.values))
 
-    def describe(self) -> str:
+    def scale(self, n: int) -> int:
+        # labels past the stored ones are 0, of denominator 1
+        return super().scale(min(n, len(self.values) - 1))
+
+    def _summary(self) -> str:
         return f"explicit({len(self.values)} stored)"
 
-    def to_json(self):
+    def _spec(self) -> dict:
         return {"explicit": [format_rational(v) for v in self.values]}
 
 
-class RecurrentLabels:
+class RecurrentWeight(HighestWeight):
     """Labels generated by a monic polynomial recurrence.
 
-    For f = sum a_j t^j monic of degree d >= 1 and central charge cc the
-    defining conditions are, probing against every power t^m:
+    For f = sum a_j t^j monic of degree d >= 1, probing against t^m gives
+    sum_j a_j s_(j+m) = 0 for every m >= 0 on the shadows s_k = k *
+    label(k-1), with -cc standing for s_0, as at the corner of
+    ``reducibility._label_conditions`` (at m = 0: sum_j j a_j label(j-1)
+    = a_0 cc).  So the probe m fixes label(d+m-1) = s_(d+m) / (d+m) from
+    the d-1 free initial labels up.  Labels are memoized (:meth:`_labels`).
 
-        m = 0:   sum_j j * a_j * label(j-1) = a_0 * cc
-        m >= 1:  sum_j (j+m) * a_j * label(j+m-1) = 0
-
-    The m = 0 instance fixes label(d-1) from the d-1 free initial labels
-    (coefficient d != 0), and each m >= 1 instance fixes label(d+m-1).
-    Labels are memoized; the table is append-only, so sharing a weight
-    between workers is safe under the GIL, or give each worker its own.
-
-    The m >= 1 instances run in integers: the coefficients a_j = alpha_j
-    / A are cleared to one denominator A once, and each new label is one
-    integer combination of the labels it reads (at most d) over the lcm L
-    of their denominators, so it costs one ``Fraction``,
-    ``-sum_j (j+m) alpha_j label(j+m-1) L / (A L (d+m))``.
+    Each step runs in integers: the a_j = alpha_j / A are cleared to one
+    denominator A once, and a new label is one integer combination of the
+    values it reads (at most d labels, or -cc) over the lcm L of their
+    denominators, so it costs one ``Fraction``, ``-sum_j alpha_j s_(j+m) L
+    / (A L (d+m))``.
     """
 
-    def __init__(self, charpoly: Poly, initial: Sequence[Union[int, Fraction]], central_charge):
+    def __init__(self, charpoly: Poly, central_charge, initial: Sequence[Union[int, Fraction]] = ()):
         if not charpoly.is_monic or charpoly.degree < 1:
             raise ValueError("recurrence polynomial must be monic of degree >= 1")
         if len(initial) != charpoly.degree - 1:
             raise ValueError(
                 f"expected {charpoly.degree - 1} initial labels, got {len(initial)}"
             )
+        super().__init__(central_charge)
         self.charpoly = charpoly
-        self.central_charge = exact_fraction(central_charge)
         self._memo: List[Fraction] = list(map(exact_fraction, initial))
         cs = charpoly.coeffs
         # A and the pairs (j, alpha_j) of the nonzero a_j below the top
@@ -480,126 +572,43 @@ class RecurrentLabels:
             if c
         ]
 
-    def label(self, i: int) -> Fraction:
-        d = self.charpoly.degree
-        a = self.charpoly.coefficient
+    def _labels(self, n: int) -> List[Fraction]:
+        """The memo, at least ``n`` labels long: a longer one is built apart
+        and published whole, so threads that share the weight each read a
+        consistent list."""
         memo = self._memo
-        while len(memo) <= i:
-            n = len(memo)  # computing label(n)
-            if n == d - 1:
-                s = a(0) * self.central_charge
-                for j in range(1, d):
-                    s -= j * a(j) * memo[j - 1]
-                memo.append(s / d)
-            else:
-                m = n - d + 1  # n = d + m - 1 with m >= 1
-                window = [memo[j + m - 1] for j, _ in self._terms]
-                lam = math.lcm(*[x.denominator for x in window])
+        if len(memo) < n:
+            memo, d, cc = list(memo), self.charpoly.degree, self.central_charge
+            while len(memo) < n:
+                m = len(memo) - d + 1  # computing label(d+m-1), m >= 0
+                # s_k read as the pair (k, label(k-1)), and s_0 = -cc as (-1, cc)
+                window = [(j + m, memo[j + m - 1]) if j + m else (-1, cc) for j, _ in self._terms]
+                lam = math.lcm(*[x.denominator for _, x in window])
                 s = 0
-                for (j, alpha), x in zip(self._terms, window):
-                    s += (j + m) * alpha * x.numerator * (lam // x.denominator)
+                for (_, alpha), (k, x) in zip(self._terms, window):
+                    s += k * alpha * x.numerator * (lam // x.denominator)
                 memo.append(Fraction(-s, self._den * lam * (d + m)))
-        return memo[i]
+            self._memo = memo
+        return memo
+
+    def _label(self, i: int) -> Fraction:
+        return self._labels(i + 1)[i]
 
     def prefix(self, n: int) -> List[Fraction]:
         """label(0)..label(n-1) in one list, the memo extended once."""
         check_int(n, "label count", 0)
-        if n:
-            self.label(n - 1)
-        return self._memo[:n]
+        return self._labels(n)[:n]
 
-    def describe(self) -> str:
+    def _summary(self) -> str:
         return f"recurrent(f = {self.charpoly})"
 
-    def to_json(self):
-        return {
-            "charpoly": [format_rational(c) for c in self.charpoly.coeffs],
-            "initial": [
-                format_rational(v) for v in self._memo[: self.charpoly.degree - 1]
-            ],
-        }
+    def _spec(self) -> dict:
+        initial = self._memo[: self.charpoly.degree - 1]
+        return {"charpoly": [format_rational(c) for c in self.charpoly.coeffs],
+                "initial": [format_rational(v) for v in initial]}
 
 
-class HighestWeight:
-    """Central charge plus the label sequence of the weight-zero modes."""
-
-    def __init__(self, central_charge, labels):
-        self.central_charge = exact_fraction(central_charge)
-        if isinstance(labels, RecurrentLabels) and labels.central_charge != self.central_charge:
-            raise ValueError("the recurrent labels' central charge is not the weight's")
-        self.labels = labels
-
-    @classmethod
-    def explicit(cls, values, central_charge) -> "HighestWeight":
-        return cls(central_charge, ExplicitLabels(values))
-
-    @classmethod
-    def recurrent(cls, f: Poly, central_charge, initial: Sequence = ()) -> "HighestWeight":
-        """The weight whose labels satisfy the conditions of ``f``.
-
-        Probing the annihilation identity against t^m turns it into
-
-            sum_j (j+m) a_j label(j+m-1) = (1 if m == 0 else 0) * f(0) * cc,
-
-        which fixes every label beyond the d-1 free initial ones
-        (:class:`RecurrentLabels`).  Degree 0 (f = 1) forces the zero
-        functional and is only accepted with zero central charge and no
-        initial labels.
-        """
-        if not f.is_monic:
-            raise ValueError("characteristic polynomial must be monic")
-        cc = exact_fraction(central_charge)
-        if f.degree == 0:
-            if cc != 0 or initial:
-                raise ValueError("degree 0 is inconsistent unless the functional is zero")
-            return cls.zero()
-        return cls(cc, RecurrentLabels(f, initial, cc))
-
-    @classmethod
-    def zero(cls) -> "HighestWeight":
-        return cls(0, ExplicitLabels(()))
-
-    def label(self, i: int) -> Fraction:
-        if i < 0:
-            raise ValueError("labels are defined for indices >= 0")
-        return self.labels.label(i)
-
-    def shadow(self, n: int) -> Fraction:
-        """The sequence n * label(n-1), with value 0 at n = 0."""
-        if n < 0:
-            raise ValueError("shadow sequence starts at 0")
-        return Fraction(0) if n == 0 else n * self.label(n - 1)
-
-    def is_recurrent(self) -> bool:
-        return isinstance(self.labels, RecurrentLabels)
-
-    def describe(self) -> str:
-        return f"cc={self.central_charge}, labels {self.labels.describe()}"
-
-    def to_json(self) -> dict:
-        return {
-            "central_charge": format_rational(self.central_charge),
-            "labels": self.labels.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HighestWeight":
-        """Inverse of :meth:`to_json`; malformed input raises ``ValueError``."""
-        if not isinstance(data, dict):
-            raise ValueError("a weight spec is a JSON object")
-        cc = parse_rational(data.get("central_charge", 0))
-        spec = data.get("labels", data)
-        if not isinstance(spec, dict):
-            raise ValueError("weight 'labels' must be a JSON object")
-        if "explicit" in spec:
-            for key in ("charpoly", "initial"):
-                if key in spec:
-                    raise ValueError(f"weight {key!r} does not go with 'explicit' labels")
-            return cls.explicit(_rational_list(spec, "explicit"), cc)
-        if "charpoly" in spec:
-            f = Poly(_rational_list(spec, "charpoly"))
-            return cls.recurrent(f, cc, _rational_list(spec, "initial"))
-        raise ValueError("weight spec needs either 'charpoly' or 'explicit' labels")
+_LABEL_KEYS = frozenset({"explicit", "charpoly", "initial"})  # of a weight's JSON spec
 
 
 def _rational_list(spec: dict, key: str) -> list:
@@ -623,8 +632,8 @@ class VermaModule:
     where one :meth:`act` call per word would, and a word too large for
     the budget still ends in :class:`StraighteningLimitError`.
 
-    Beyond its settings a module keeps only the label lcms of
-    :meth:`_weight_scale`, so a result depends on its own run alone.
+    A module keeps nothing beyond its settings, so a result depends on its
+    own run alone; the labels and their lcms are memoized on the weight.
     """
 
     def __init__(self, algebra: BlockAlgebra, weight: HighestWeight, step_budget: int = 5_000_000):
@@ -633,7 +642,6 @@ class VermaModule:
         self.hw = weight
         check_int(step_budget, "step_budget", 1)
         self.step_budget = step_budget
-        self._weight_scales: List[int] = []  # see _weight_scale
 
     # -- construction and validation ------------------------------------
 
@@ -749,10 +757,10 @@ class VermaModule:
         ``c*(den/d)*lam*S^(top - len_in)``: ``top`` is the longest input
         word and ``den`` the lcm of the input divisors, both over the whole
         run.  ``lam`` is the lcm of the central charge's denominator and the
-        denominators of labels ``0..sym.index + 1 + reach``, or 1 when no
-        input word can reach a label or the central charge
-        (:func:`_label_reach`), such as under a generator of negative
-        weight.  A zero mode meets no central term and no other label (its
+        denominators of labels ``0..sym.index + 1 + reach``
+        (:meth:`HighestWeight.scale`), or 1 when no input word can reach a
+        label or the central charge (:func:`_label_reach`), such as under a
+        generator of negative weight.  A zero mode meets no central term and no other label (its
         bracket terms only insert), so its ``lam`` is that of ``label(index
         + 1)``.  Every label or central term is then an exact division,
         and an output word of length ``n`` carries the divisor ``D/S^n``
@@ -805,7 +813,7 @@ class VermaModule:
         elif alpha == 0:
             lam = self.hw.label(idx + 1).denominator
         else:
-            lam = self._weight_scale(idx + 1 + reach)
+            lam = self.hw.scale(idx + 1 + reach)
         enter = [lam * scale ** (top - n) for n in range(top + 1)]
         for terms, d in sources:
             dest, tasks = {}, []
@@ -976,19 +984,6 @@ class VermaModule:
                         push((_INSERT, head, add(part, p1), idx + i1, factors,
                               mul(merged, coeff), dest))
                     head += (first,)
-
-    def _weight_scale(self, n: int) -> int:
-        """The lcm of the central charge's denominator and those of labels 0..n."""
-        if isinstance(self.hw.labels, ExplicitLabels):
-            # labels past the stored prefix are 0, of denominator 1
-            n = min(n, len(self.hw.labels.values) - 1)
-            if n < 0:
-                return self.hw.central_charge.denominator
-        lcms = self._weight_scales
-        while len(lcms) <= n:
-            prev = lcms[-1] if lcms else self.hw.central_charge.denominator
-            lcms.append(math.lcm(prev, self.hw.label(len(lcms)).denominator))
-        return lcms[n]
 
     def _exhausted(self) -> StraighteningLimitError:
         return StraighteningLimitError(

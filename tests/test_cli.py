@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from blockalg import cli
+from blockalg import cli, reducibility
 from blockalg.cli import main
 from blockalg.groups import LEX_Z2
 from blockalg.lie import coeff_from_json
@@ -69,6 +69,17 @@ def test_charpoly_roundtrip_command(capsys):
     code, out, _ = run(capsys, "charpoly", "--weight", WEIGHT_B, "--max-degree", "4")
     assert code == 0
     assert "t + 1" in out and "full" in out
+
+
+def test_charpoly_command_when_no_polynomial_is_found(capsys):
+    argv = ["charpoly", "--weight", '{"explicit": [1, "1/7", 3, -2, 5, 8], "central_charge": 2}',
+            "--max-degree", "2", "--horizon", "6"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "no characteristic polynomial of degree <= 2 within horizon N=6\n"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"charpoly": None, "max_degree": 2, "horizon": 6}
 
 
 def test_classify_order_command(capsys):
@@ -449,6 +460,15 @@ def test_a_weight_that_mixes_label_kinds_exits_2(capsys, weight):
     code, out, err = run(capsys, "charpoly", "--weight", weight)
     assert code == 2 and out == "" and "Traceback" not in err
     assert "does not go with 'explicit' labels" in err
+
+
+def test_a_detector_inconsistency_exits_1(capsys, monkeypatch):
+    # an empty label-side kernel against the one candidate of t + 1
+    monkeypatch.setattr(reducibility, "_label_side_kernel", lambda *args: [])
+    code, out, err = run(capsys, "theorem2", "--weight", WEIGHT_B)
+    assert code == cli.VERDICT_FAILURE == 1
+    assert out == "" and err.startswith("internal consistency failure: ")
+    assert "candidate space disagrees" in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -110,14 +110,19 @@ def test_realization_needs_integers():
 
 def test_realization_bracket_agrees():
     rng = random.Random(4)
-    for _ in range(500):
-        a, i = rng.randint(-6, 6), rng.randint(-1, 6)
-        b, j = rng.randint(-6, 6), rng.randint(-1, 6)
+    pairs = [(rng.randint(-6, 6), rng.randint(-1, 6), rng.randint(-6, 6), rng.randint(-1, 6))
+             for _ in range(500)]
+    # the central term needs opposite weights at index -1, which the random
+    # pairs almost never draw: [L(a,-1), L(-a,-1)] = a*c
+    central = [(a, -1, -a, -1) for a in range(-6, 7) if a]
+    for a, i, b, j in pairs + central:
         lhs = alg.bracket_basis(Generator(a, i), Generator(b, j))
         rhs = alg.realization_bracket(
             PolyForm(a, x_power(i + 1)), PolyForm(b, x_power(j + 1))
         )
         assert lhs == rhs
+        if (a, i, b, j) in central:
+            assert dict(lhs.items())[CENTRAL] == dict(rhs.items())[CENTRAL] == a
 
 
 def test_lex_bracket_coefficients_live_in_the_extension():

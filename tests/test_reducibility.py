@@ -1117,6 +1117,31 @@ def test_report_shifted_charpoly_case():
     assert rep.reducible_within_horizon
 
 
+@pytest.mark.parametrize(
+    "f, cc, initial, horizons, charpoly, recurrence",
+    [
+        (X, 3, [], {}, X, ONE),
+        (X**2 + X, 2, [1], {}, X**2 + X, X + 1),
+        # the shifted recurrence t is past max_degree 0: no characteristic
+        # polynomial, and no inconsistency either
+        (X, 3, [], {"max_degree": 0, "horizon": 2}, None, ONE),
+    ],
+    ids=["t", "t^2+t", "t-past-max-degree"],
+)
+def test_report_expects_the_shifted_recurrence_on_a_recurrent_weight(
+    f, cc, initial, horizons, charpoly, recurrence
+):
+    # the minimal recurrence fails the t^0 probe, so on a recurrent weight
+    # the report expects the characteristic polynomial recurrence * t, or
+    # none where that is past max_degree
+    hw = labels_from_charpoly(f, cc, initial)
+    rep = reducibility_report(module(hw), **horizons)
+    assert rep.quasi.recurrence == recurrence
+    assert not m0_condition_holds(hw, recurrence)
+    assert rep.charpoly == charpoly
+    assert rep.charpoly_certificate == ("none" if charpoly is None else "full")
+
+
 def test_report_requires_integers():
     hw = HighestWeight.zero()
     with pytest.raises(ValueError):

@@ -2,9 +2,12 @@ import bisect
 import hashlib
 import itertools
 import json
+import math
 import operator
 import random
 import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,11 +20,11 @@ from blockalg.polynomial import Poly, X
 from blockalg.reducibility import labels_from_charpoly
 from blockalg.verma import (
     VACUUM,
-    ExplicitLabels,
+    ExplicitWeight,
     HighestWeight,
     ModuleVector,
     PBWMonomial,
-    RecurrentLabels,
+    RecurrentWeight,
     StraighteningLimitError,
     VermaModule,
     _accumulate,
@@ -49,17 +52,15 @@ def test_label_examples():
 
 def test_recurrent_labels_validate_shape():
     with pytest.raises(ValueError):
-        RecurrentLabels(2 * X + 1, [], 1)  # not monic
+        RecurrentWeight(2 * X + 1, 1)  # not monic
     with pytest.raises(ValueError):
-        RecurrentLabels(X + 1, [Fraction(1)], 1)  # too many initial labels
+        RecurrentWeight(X + 1, 1, [Fraction(1)])  # too many initial labels
 
 
 def test_recurrent_labels_carry_the_central_charge_of_their_weight():
-    # labels computed with cc 2 under a weight of cc 1 would make label(0)
-    # 2 and change on a JSON round trip, which rebuilds them with cc 1
-    with pytest.raises(ValueError, match="central charge"):
-        HighestWeight(1, RecurrentLabels(X + 1, [], 2))
-    hw = HighestWeight(2, RecurrentLabels(X + 1, [], Fraction(2)))
+    # the weight holds its central charge once, so the labels a JSON round
+    # trip rebuilds are the ones computed with it
+    hw = RecurrentWeight(X + 1, Fraction(2))
     back = HighestWeight.from_json(hw.to_json())
     assert [back.label(i) for i in range(6)] == [hw.label(i) for i in range(6)]
     assert hw.label(0) == 2
@@ -69,7 +70,7 @@ def test_a_degree_zero_charpoly_spec_is_the_zero_functional():
     # the spec goes through the constructor the library uses, which reads
     # f = 1 with cc 0 as the zero functional and refuses it otherwise
     hw = HighestWeight.from_json({"charpoly": ["1"], "central_charge": "0"})
-    assert hw.central_charge == 0 and hw.labels.prefix(6) == [0] * 6
+    assert hw.central_charge == 0 and hw.prefix(6) == [0] * 6
     assert hw.to_json() == labels_from_charpoly(Poly([1]), 0).to_json()
     for data in (
         {"charpoly": ["1"], "central_charge": "1"},
@@ -85,10 +86,10 @@ def test_weight_constructors_refuse_inexact_values(bad):
     # Fraction(0.1) would store 3602879701896397/36028797018963968, and
     # Fraction("1/3") and Fraction(True) would pass unchecked
     for build in (
-        lambda: ExplicitLabels([1, bad]),
-        lambda: RecurrentLabels(X**2 + 1, [bad], 1),
-        lambda: RecurrentLabels(X + 1, [], bad),
-        lambda: HighestWeight(bad, ExplicitLabels([])),
+        lambda: ExplicitWeight([1, bad], 1),
+        lambda: RecurrentWeight(X**2 + 1, 1, [bad]),
+        lambda: RecurrentWeight(X + 1, bad),
+        lambda: ExplicitWeight([], bad),
         lambda: HighestWeight.explicit([Fraction(1, 3), bad], 1),
         lambda: HighestWeight.explicit([1], bad),
         lambda: labels_from_charpoly(X + 1, bad),
@@ -133,6 +134,14 @@ def test_highest_weight_json_roundtrip():
         {"charpoly": ["1", "1"], "explicit": [5, 6]},
         {"explicit": [5, 6], "initial": ["1/2"]},
         {"central_charge": 1, "labels": {"explicit": [], "initial": []}},
+        # an unknown key at either level, or a label key next to a 'labels'
+        # object, would be dropped without a word
+        {"centrl_charge": "3", "explicit": [1]},
+        {"central_charge": "3", "explicit": [1], "initals": []},
+        {"labels": {"explicit": [1, 2]}, "charpoly": ["1", "1"]},
+        {"labels": {"explicit": [1, 2], "central_charge": "3"}},
+        {"labels": {"charpoly": ["1", "1"], "extra": []}},
+        {1: 2, "explicit": []},
     ],
 )
 def test_highest_weight_json_rejects_floats_and_bad_shapes(data):
@@ -152,33 +161,66 @@ def _fresh(hw):
 
 
 def test_label_prefix_reads_the_first_labels_in_one_call():
-    explicit = HighestWeight.explicit([Fraction(1, 3), 2, -5], 1).labels
+    explicit = HighestWeight.explicit([Fraction(1, 3), 2, -5], 1)
     for n in (0, 2, 3, 4, 9):  # below, at and beyond the stored labels
         got = explicit.prefix(n)
         assert got == [explicit.label(i) for i in range(n)]
         assert all(type(x) is Fraction for x in got)
     assert explicit.prefix(9)[3:] == [0] * 6
-    assert HighestWeight.zero().labels.prefix(3) == [0, 0, 0]
+    assert HighestWeight.zero().prefix(3) == [0, 0, 0]
     rec = labels_from_charpoly(X**3 - Fraction(2, 3) * X + 5, Fraction(3, 7), [Fraction(1, 2), -1])
     for warm in (None, 1, 6, 40):
         for n in (0, 1, 2, 3, 7, 30):
             hw = _fresh(rec)
             if warm is not None:
                 hw.label(warm)
-            got = hw.labels.prefix(n)
+            got = hw.prefix(n)
             assert got == [_fresh(rec).label(i) for i in range(n)]
             assert all(type(x) is Fraction for x in got)
             # the memo is extended once, as far as n, and not handed out
             reach = max(2, n, 0 if warm is None else warm + 1)
             got.append(Fraction(9))
-            assert len(hw.labels._memo) == reach
+            assert len(hw._memo) == reach
+
+
+def test_threads_that_share_a_weight_read_its_labels_and_scales_alike(monkeypatch):
+    # a memo extended in place takes one label or lcm twice when two
+    # threads extend it at once, and every later entry is then off by one
+    # place; the threads start together, and each lcm of an extension
+    # gives up the interpreter lock, so their extensions interleave
+    rec = labels_from_charpoly(X**3 - Fraction(2, 3) * X + 5, Fraction(3, 7), [Fraction(1, 2), -1])
+    indices = (40, 120, 300)
+    weights = (rec, HighestWeight.explicit(_fresh(rec).prefix(300), Fraction(3, 7)))
+    wants = [[(_fresh(w).label(i), _fresh(w).scale(i)) for i in indices] for w in weights]
+    lcm = math.lcm
+
+    def yielding_lcm(*args):
+        time.sleep(0)
+        return lcm(*args)
+
+    monkeypatch.setattr(math, "lcm", yielding_lcm)
+    for weight, want in zip(weights, wants):
+        hw, got, start = _fresh(weight), [], threading.Barrier(3)
+
+        def read():
+            start.wait(timeout=30)
+            got.append([(hw.label(i), hw.scale(i)) for i in indices])
+
+        threads = [threading.Thread(target=read) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 3
+        assert [(hw.label(i), hw.scale(i)) for i in indices] == want
 
 
 @pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3", None, Fraction(2)], ids=repr)
 def test_label_prefix_refuses_a_count_that_is_not_a_natural_int(bad):
-    for labels in (ExplicitLabels([1, 2]), HW.labels):
+    for hw in (HighestWeight.explicit([1, 2], 0), HW):
         with pytest.raises(ValueError, match="label count"):
-            labels.prefix(bad)
+            hw.prefix(bad)
 
 
 # -- the action ---------------------------------------------------------------
@@ -319,6 +361,12 @@ def test_step_budget_guard():
     m = VermaModule(ALG, HW, step_budget=3)
     with pytest.raises(StraighteningLimitError):
         m.act(Generator(2, 1), m.vector([(1, 0), (1, 1), (2, 0)]))
+    # L(1,0) passing L(-2,0) leaves L(-1,0), which moves left past the
+    # L(-1,2) in the head: that move spends its steps at once, and the
+    # budget of two runs out there
+    m = VermaModule(ALG, HighestWeight.explicit([1, 2, 3], 1), step_budget=2)
+    with pytest.raises(StraighteningLimitError, match="2-step budget"):
+        m.act(Generator(1, 0), m.vector([(1, 2), (2, 0)]))
 
 
 @pytest.mark.parametrize("bad", [0, -5, 1.5, True, "x"])
@@ -645,13 +693,13 @@ def test_actions_that_reach_no_label_compute_none():
         ):
             out = m.act(sym, vec)
             assert out == _reference_act(m, sym, vec)
-            assert len(hw.labels._memo) == labels
+            assert len(hw._memo) == labels
 
 
 def test_zero_mode_takes_the_denominator_of_its_one_label():
     # a zero mode L(0, i) reaches label(i + 1) alone: its bracket terms have
     # negative weight and only insert, and it meets no central term.  So its
-    # run computes no lcm over the labels 0..i + 1, and the module's
+    # run computes no lcm over the labels 0..i + 1, and the weight's
     # prefix-lcm list stays empty however large the index.
     for group, a in ((INTEGERS, 1), (DYADIC, Fraction(1, 2))):
         m = module(HighestWeight.from_json(_DEEP_RECURRENT.to_json()), group)
@@ -660,9 +708,9 @@ def test_zero_mode_takes_the_denominator_of_its_one_label():
             sym = Generator(group.zero(), idx)
             assert m.act(sym, vec) == _reference_act(m, sym, vec)
             assert m.act(sym, m.vacuum()) == m.vacuum().scaled(m.hw.label(idx + 1))
-        assert m._weight_scales == []
+        assert m.hw._scales == []
         m.act(Generator(3 * a, 1), vec)  # a positive mode takes the prefix lcm
-        assert 0 < len(m._weight_scales) <= 8
+        assert 0 < len(m.hw._scales) <= 8
 
 
 def test_positive_mode_stops_the_prefix_lcm_at_the_explicit_labels():
@@ -672,12 +720,12 @@ def test_positive_mode_stops_the_prefix_lcm_at_the_explicit_labels():
     vec = m.vector([(1, 0)])
     assert m.act(Generator(1, 10**12), vec).is_zero()
     assert m.act(Generator(2, 10**12), m.vector([(1, 0), (1, 4)])).is_zero()
-    assert len(m._weight_scales) <= 3
+    assert len(m.hw._scales) <= 3
     sym = Generator(1, 2)  # reaches label 2 and past it
     assert m.act(sym, vec) == _reference_act(m, sym, vec)
-    assert m._weight_scale(10**12) == 30
-    empty = module(HighestWeight.explicit([], Fraction(3, 7)))
-    assert empty._weight_scale(10**12) == 7 and empty._weight_scales == []
+    assert m.hw.scale(10**12) == 30
+    empty = HighestWeight.explicit([], Fraction(3, 7))
+    assert empty.scale(10**12) == 7 and empty._scales == []
 
 
 # -- Q[w] coefficients and output rescaling on the kernel ----------------------
@@ -1032,6 +1080,18 @@ def test_integer_vector_combines_with_an_all_integral_dyadic_one_dyadic():
         assert [t["factors"] for t in got.to_json(DYADIC)["terms"]] == [[["1", 0]]]
         assert [type(p) for w in got.monomials() for p, _ in w.factors] == [Fraction]
     assert vi + vd == vd + vi == vd.scaled(2)
+
+
+def test_a_lex_z2_vector_does_not_combine_with_an_integer_one():
+    # the lex-z2 shape and the int shape meet only in a vector with no
+    # parts: two vectors with words, one of each, neither add nor compare
+    vl = module(_EXPLICIT, LEX_Z2).vector([((0, 1), 0)])
+    vi = module(_EXPLICIT, INTEGERS).vector([(1, 0)])
+    for a, b in ((vl, vi), (vi, vl)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError, match="different groups"):
+                op(a, b)
+        assert (a == b) is False and a != b
 
 
 def test_every_dyadic_scale_is_a_power_of_two_and_at_least_two():
