@@ -7,8 +7,8 @@ three that sample, ``classify-order``, ``step3-check`` and
 ``verify-suite``, whose runs are deterministic for a fixed seed.  The
 rest take no random input.  Exit codes: 0 success,
 1 mathematical-verdict failure (a failing verification), 2 usage error
-(bad input, including a JSON float where an exact rational belongs),
-3 resource limit (the straightening step budget ran out, which also
+(bad input, including a JSON float where an exact rational belongs and
+a number past the interpreter's int digit limit), 3 resource limit (the straightening step budget ran out, which also
 caps the length of a word; the input is too large for the engine, not
 wrong).
 
@@ -27,6 +27,7 @@ import sys
 
 from .exprparse import (
     ParseError,
+    digit_limit,
     parse_element,
     parse_group_element,
     parse_pair,
@@ -91,11 +92,22 @@ def _parts(args, group):
     return [parse_group_element(s, group) for s in args.parts.split(";")]
 
 
-def _emit(args, text: str, data) -> None:
-    if args.format == "json":
-        payload = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    else:
-        payload = text if text.endswith("\n") else text + "\n"
+def _emit(args, render) -> None:
+    """Write ``render()``, a pair (text, JSON data), as ``--format`` asks.
+    Inputs are read under the interpreter's limit on int digits (exit 2
+    past it); a result may be longer, so the limit is lifted to write it."""
+    limit = digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text, data = render()
+        if args.format == "json":
+            payload = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        else:
+            payload = text if text.endswith("\n") else text + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -112,7 +124,7 @@ def cmd_bracket(args) -> int:
     e1 = parse_element(args.left, group)
     e2 = parse_element(args.right, group)
     out = alg.bracket(e1, e2)
-    _emit(args, str(out), {"result": out.to_json(group), "printed": str(out)})
+    _emit(args, lambda: (str(out), {"result": out.to_json(group), "printed": str(out)}))
     return 0
 
 
@@ -122,7 +134,7 @@ def cmd_act(args) -> int:
     elem = parse_element(args.element, group)
     vec = parse_vector(args.vector, group)
     out = module.act_element(elem, vec)
-    _emit(args, str(out), {"result": out.to_json(group), "printed": str(out)})
+    _emit(args, lambda: (str(out), {"result": out.to_json(group), "printed": str(out)}))
     return 0
 
 
@@ -133,18 +145,16 @@ def cmd_weight_basis(args) -> int:
     basis = module.weight_basis(
         mu, args.max_t_index, parts=_parts(args, group), max_parts=args.max_parts
     )
-    text = "\n".join(str(m) for m in basis) or "(empty)"
-    _emit(
-        args,
+    _emit(args, lambda: (
         f"{len(basis)} monomials at weight {args.mu} (indices <= {args.max_t_index})\n"
-        + text,
+        + ("\n".join(str(m) for m in basis) or "(empty)"),
         {
             "weight": args.mu,
             "max_t_index": args.max_t_index,
             "count": len(basis),
             "monomials": [str(m) for m in basis],
         },
-    )
+    ))
     return 0
 
 
@@ -164,51 +174,50 @@ def cmd_singular_search(args) -> int:
         probe_b,
         parts=_parts(args, group),
     )
-    lines = [
-        f"weight {args.mu}: {rep.dimension} candidate(s) within horizon "
-        f"I={args.max_t_index}, K={args.probe_k}, {bound}",
-        "candidates are singular within the stated horizon only",
-    ]
-    for v in rep.candidates:
-        lines.append(f"  {v}")
-    if rep.generator is not None:
-        lines.append(f"generator (minimal index horizon): {rep.generator}")
-    _emit(args, "\n".join(lines), rep.to_json(group))
+
+    def render():
+        lines = [
+            f"weight {args.mu}: {rep.dimension} candidate(s) within horizon "
+            f"I={args.max_t_index}, K={args.probe_k}, {bound}",
+            "candidates are singular within the stated horizon only",
+        ]
+        lines += [f"  {v}" for v in rep.candidates]
+        if rep.generator is not None:
+            lines.append(f"generator (minimal index horizon): {rep.generator}")
+        return "\n".join(lines), rep.to_json(group)
+
+    _emit(args, render)
     return 0
 
 
 def cmd_charpoly(args) -> int:
     hw = _load_weight(args.weight)
     f = charpoly_from_labels(hw, args.max_degree, args.horizon)
-    if f is None:
-        text = (
-            f"no characteristic polynomial of degree <= {args.max_degree} "
-            f"within horizon N={args.horizon}"
-        )
-        data = {"charpoly": None, "max_degree": args.max_degree, "horizon": args.horizon}
-    else:
+    data = {"charpoly": None, "max_degree": args.max_degree, "horizon": args.horizon}
+
+    def render():
+        if f is None:
+            return (
+                f"no characteristic polynomial of degree <= {args.max_degree} "
+                f"within horizon N={args.horizon}"
+            ), data
         cert = charpoly_certificate(hw, f)
-        text = f"characteristic polynomial: {f}   [{cert}]"
-        data = {
-            "charpoly": [format_rational(c) for c in f.coeffs],
-            "printed": str(f),
-            "certificate": cert,
-            "max_degree": args.max_degree,
-            "horizon": args.horizon,
-        }
-    _emit(args, text, data)
+        data.update(charpoly=[format_rational(c) for c in f.coeffs], printed=str(f), certificate=cert)
+        return f"characteristic polynomial: {f}   [{cert}]", data
+
+    _emit(args, render)
     return 0
 
 
 def cmd_delta(args) -> int:
     hw = _load_weight(args.weight)
     rep = delta_report(hw, args.horizon, args.max_degree, max(14, 2 * args.max_degree + 2))
-    text = (
+    _emit(args, lambda: (
         "series coefficients: ["
         + ", ".join(str(c) for c in rep.coefficients)
-        + f"]\n{rep.quasi.describe()}"
-    )
-    _emit(args, text, rep.to_json())
+        + f"]\n{rep.quasi.describe()}",
+        rep.to_json(),
+    ))
     return 0
 
 
@@ -223,7 +232,7 @@ def cmd_classify_order(args) -> int:
         "least_positive": None if cls.dense else format_element(cls.least_positive),
         "printed": str(cls),
     }
-    _emit(args, str(cls), data)
+    _emit(args, lambda: (str(cls), data))
     return 0
 
 
@@ -260,15 +269,10 @@ def cmd_step3_check(args) -> int:
                 sweep_check(module, eps, parts, rng.randint(-1, args.max_k))
             )
     ok = all(r.passed for r in results)
-    text = (
-        f"{len(results)} sweep determinant check(s): "
-        + ("all exact" if ok else "FAILED")
-    )
-    _emit(
-        args,
-        text,
+    _emit(args, lambda: (
+        f"{len(results)} sweep determinant check(s): " + ("all exact" if ok else "FAILED"),
         {"passed": ok, "count": len(results), "checks": [r.to_json() for r in results]},
-    )
+    ))
     return 0 if ok else VERDICT_FAILURE
 
 
@@ -282,7 +286,7 @@ def cmd_theorem2(args) -> int:
         probe_index=args.probe_k,
         probe_weight=args.probe_b,
     )
-    lines = [
+    _emit(args, lambda: ("\n".join([
         f"weight: {rep.weight_summary}",
         f"characteristic polynomial: "
         + (f"{rep.charpoly}   [{rep.charpoly_certificate}]" if rep.charpoly else "none within horizon"),
@@ -290,8 +294,7 @@ def cmd_theorem2(args) -> int:
         f"singular candidates at weight -1: {rep.singular.dimension} "
         f"(I={args.max_t_index}, K={args.probe_k}, B={args.probe_b})",
         f"verdict: {rep.verdict}",
-    ]
-    _emit(args, "\n".join(lines), rep.to_json(INTEGERS))
+    ]), rep.to_json(INTEGERS)))
     return 0
 
 
@@ -314,8 +317,7 @@ def cmd_verify_suite(args) -> int:
         lines.append(f"{r.name:<{width}}  {status}  {r.seconds:7.2f}s  {r.detail}")
     ok = all(r.passed for r in results)
     lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    _emit(
-        args,
+    _emit(args, lambda: (
         "\n".join(lines),
         {
             "seed": cfg.seed,
@@ -325,7 +327,7 @@ def cmd_verify_suite(args) -> int:
                 for r in results
             ],
         },
-    )
+    ))
     return 0 if ok else VERDICT_FAILURE
 
 
@@ -435,11 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    # an exact result may have more digits than CPython writes by default
-    lift = hasattr(sys, "set_int_max_str_digits")
-    if lift:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (ParseError, GroupError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
@@ -451,9 +448,6 @@ def main(argv=None) -> int:
     except StraighteningLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return RESOURCE_LIMIT
-    finally:
-        if lift:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

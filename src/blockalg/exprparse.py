@@ -23,6 +23,7 @@ refused everywhere.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -33,6 +34,7 @@ from .verma import ModuleVector, normal_word
 
 
 _CONTEXT = 30  # characters of the input quoted on each side of an error
+digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # the int digit limit; 0 for none
 
 
 class ParseError(ValueError):
@@ -122,9 +124,20 @@ def _digits(tk: _Tokens, what: str) -> Tuple[int, int]:
     return int(t[1]), t[2]
 
 
-def _power(tk: _Tokens) -> int:
-    """An optional exponent ``^n``; 1 when there is none."""
-    return _digits(tk, "an exponent")[0] if tk.accept("op", "^") else 1
+def _power(tk: _Tokens) -> Tuple[int, int]:
+    """An optional exponent ``^n`` and its position; n = 1 when there is none."""
+    return _digits(tk, "an exponent") if tk.accept("op", "^") else (1, tk.pos())
+
+
+def _var_power(tk: _Tokens, var: str) -> Poly:
+    """``X^n`` for ``var`` to an optional exponent: n + 1 coefficients, so an
+    n above :data:`digit_limit` is refused before they are built."""
+    n, pos = _power(tk)
+    limit = digit_limit()
+    if limit and n > limit:
+        hint = f"; L(a,{n - 1}) names x^a*t^{n}" if var == "t" else ""
+        raise ParseError(f"{var} exponent above {limit}, the limit on input digits{hint}", tk.text, pos)
+    return x_power(n)
 
 
 def _sign(tk: _Tokens) -> Optional[int]:
@@ -147,7 +160,12 @@ def _rational(tk: _Tokens) -> Fraction:
     if not tk.accept("op", "/"):
         return Fraction(num)
     den, pos = _digits(tk, "a denominator")
-    den **= _power(tk)
+    k, at = _power(tk)
+    limit = digit_limit()
+    # den**k >= 2**((bits - 1) * k): one past 16**limit is refused unbuilt
+    if limit and k > 1 and den > 1 and ((den.bit_length() - 1) * k > 4 * limit or den**k >= 10**limit):
+        raise ParseError(f"a power of more than {limit} digits", tk.text, at)
+    den **= k
     if den == 0:
         raise ParseError("zero denominator", tk.text, pos)
     return Fraction(num, den)
@@ -256,7 +274,7 @@ def _poly(tk: _Tokens, var: str = "t") -> Poly:
                 coeff *= _rational(tk)
             elif t and t[0] == "name" and t[1] == var:
                 tk.next()
-                p = x_power(_power(tk))
+                p = _var_power(tk, var)
                 poly = p if poly is None else poly * p
             else:
                 raise ParseError(f"expected a {var}-term", tk.text, tk.pos())
@@ -306,7 +324,7 @@ def parse_element(text: str, group: OrderedGroup) -> LieElement:
                     x_alpha = 1
             elif kind == "name" and val == "t":
                 tk.next()
-                p = x_power(_power(tk))
+                p = _var_power(tk, "t")
                 tpoly = p if tpoly is None else tpoly * p
             elif kind == "op" and val == "(":
                 tk.next()
@@ -341,7 +359,6 @@ def parse_vector(text: str, group: OrderedGroup) -> ModuleVector:
         coeff = Fraction(sign)
         factors = []
         start = None  # position of the word's first factor
-        closed = False
         while True:
             t = tk.peek()
             if t is None:
@@ -361,7 +378,6 @@ def parse_vector(text: str, group: OrderedGroup) -> ModuleVector:
                 factors.append((group.neg(gen.alpha), gen.index))
             elif kind == "name" and val == "v":
                 tk.next()
-                closed = True
                 break
             else:
                 raise ParseError("expected a factor or 'v'", tk.text, pos)
@@ -369,8 +385,6 @@ def parse_vector(text: str, group: OrderedGroup) -> ModuleVector:
                 t = tk.peek()
                 if not (t and t[0] == "name" and t[1] == "v"):
                     raise ParseError("expected '*' or 'v'", tk.text, tk.pos())
-        if not closed:
-            raise ParseError("a word must end in 'v'", tk.text, tk.pos())
         try:
             word = normal_word(factors, group)
         except ValueError as e:

@@ -57,13 +57,7 @@ from . import linalg
 from .groups import IntegerGroup, LexPairGroup, OrderedGroup
 from .lie import Coeff, Generator, coeff_json
 from .polynomial import Poly, X, check_int, format_rational
-from .verma import (
-    HighestWeight,
-    ModuleVector,
-    PBWMonomial,
-    RecurrentWeight,
-    VermaModule,
-)
+from .verma import HighestWeight, ModuleVector, PBWMonomial, VermaModule
 
 
 class DetectorInconsistencyError(RuntimeError):
@@ -148,7 +142,7 @@ def charpoly_from_labels(
 
 def charpoly_certificate(hw: HighestWeight, f: Poly) -> str:
     """'full' when the weight was generated by this very polynomial."""
-    if isinstance(hw, RecurrentWeight) and hw.charpoly == f:
+    if hw.charpoly is not None and hw.charpoly == f:
         return "full"
     return "within-horizon"
 
@@ -723,7 +717,7 @@ def reducibility_report(
                 raise DetectorInconsistencyError(
                     "characteristic polynomial below the recurrence order"
                 )
-            if isinstance(hw, RecurrentWeight):
+            if hw.charpoly is not None:
                 # recurrent weights satisfy the conditions identically, so
                 # the shifted recurrence is the unique minimal solution
                 want = qp.recurrence * X

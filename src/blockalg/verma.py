@@ -236,9 +236,7 @@ class ModuleVector:
             return self._of_coded(raw, scale, divisor)
         if self._scale == scale:
             return self
-        k, finer = divmod(scale, self._scale)
-        if finer:
-            raise TypeError("module vectors of different groups do not combine")
+        k = scale // self._scale
         raw = {tuple([(p * k, i) for p, i in w]): c for w, c in raw.items()}
         return self._of_coded(raw, scale, divisor)
 
@@ -428,6 +426,8 @@ class HighestWeight:
     :meth:`prefix`, and the ``_summary`` and ``_spec`` of its text and JSON.
     """
 
+    charpoly: Optional[Poly] = None  # the recurrence the labels were generated by, if any
+
     def __init__(self, central_charge):
         self.central_charge = exact_fraction(central_charge)
         self._scales: List[int] = []  # see scale
@@ -481,32 +481,29 @@ class HighestWeight:
         return f"cc={self.central_charge}, labels {self._summary()}"
 
     def to_json(self) -> dict:
-        return {"central_charge": format_rational(self.central_charge), "labels": self._spec()}
+        """The spec :meth:`from_json` and the CLI's ``--weight`` read."""
+        return {"central_charge": format_rational(self.central_charge), **self._spec()}
 
     @staticmethod
     def from_json(data: dict) -> "HighestWeight":
-        """Inverse of :meth:`to_json`; malformed input raises ``ValueError``, and
-        so do an unknown key and label keys both in and next to ``labels``."""
+        """Inverse of :meth:`to_json`: one JSON object with an optional
+        ``central_charge`` (default 0) and either ``explicit`` labels or a
+        ``charpoly`` with its ``initial`` labels.  Malformed input raises
+        ``ValueError``, and so do an unknown key and labels of both kinds."""
         if not isinstance(data, dict):
             raise ValueError("a weight spec is a JSON object")
-        spec = data.get("labels", data)
-        if not isinstance(spec, dict):
-            raise ValueError("weight 'labels' must be a JSON object")
-        nested, outer = spec is not data, data.keys() - {"central_charge", "labels"}
-        if nested and outer & _LABEL_KEYS:
-            raise ValueError("weight labels go in the 'labels' object or next to it, not both")
-        unknown = sorted((outer | (spec.keys() if nested else set())) - _LABEL_KEYS, key=str)
+        unknown = sorted(data.keys() - _SPEC_KEYS, key=str)
         if unknown:
             raise ValueError(f"unknown weight key {unknown[0]!r}")
         cc = parse_rational(data.get("central_charge", 0))
-        if "explicit" in spec:
+        if "explicit" in data:
             for key in ("charpoly", "initial"):
-                if key in spec:
+                if key in data:
                     raise ValueError(f"weight {key!r} does not go with 'explicit' labels")
-            return ExplicitWeight(_rational_list(spec, "explicit"), cc)
-        if "charpoly" in spec:
-            f = Poly(_rational_list(spec, "charpoly"))
-            return HighestWeight.recurrent(f, cc, _rational_list(spec, "initial"))
+            return ExplicitWeight(_rational_list(data, "explicit"), cc)
+        if "charpoly" in data:
+            f = Poly(_rational_list(data, "charpoly"))
+            return HighestWeight.recurrent(f, cc, _rational_list(data, "initial"))
         raise ValueError("weight spec needs either 'charpoly' or 'explicit' labels")
 
 
@@ -608,7 +605,7 @@ class RecurrentWeight(HighestWeight):
                 "initial": [format_rational(v) for v in initial]}
 
 
-_LABEL_KEYS = frozenset({"explicit", "charpoly", "initial"})  # of a weight's JSON spec
+_SPEC_KEYS = frozenset({"central_charge", "explicit", "charpoly", "initial"})
 
 
 def _rational_list(spec: dict, key: str) -> list:

@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,9 @@ from blockalg import cli, reducibility
 from blockalg.cli import main
 from blockalg.groups import LEX_Z2
 from blockalg.lie import coeff_from_json
-from blockalg.polynomial import Poly
+from blockalg.polynomial import Poly, X
+from blockalg.reducibility import labels_from_charpoly
+from blockalg.verma import HighestWeight
 
 DATA = Path(__file__).parent / "data"
 
@@ -497,6 +500,7 @@ def test_usage_errors_exit_2(capsys):
         (["--group", "lex-z2"], "dyadic"),
         (["--count", "0"], "--count must be >= 1"),
         (["--count", "-3"], "--count must be >= 1"),
+        (["--eps", "1/2"], "explicit mode needs at least one --part"),
     ):
         code, out, err = run(capsys, "step3-check", *argv)
         assert code == 2 and message in err and out == ""
@@ -674,9 +678,54 @@ def test_float_in_weight_json_is_a_usage_error(capsys):
     assert "0.1" in err and "p/q" in err
 
 
+@pytest.mark.parametrize(
+    "hw",
+    [HighestWeight.explicit([Fraction(1, 2), 3], Fraction(-3, 4)),
+     labels_from_charpoly(X**2 + 1, 2, [Fraction(1, 2)]), HighestWeight.zero()],
+    ids=["explicit", "recurrent", "zero"],
+)
+def test_weight_to_json_is_the_spec_weight_reads(capsys, hw):
+    # one flat shape: the central charge next to the label keys
+    assert set(hw.to_json()) - {"charpoly", "initial", "explicit"} == {"central_charge"}
+    spec = json.dumps(hw.to_json())
+    code, out, err = run(capsys, "theorem2", "--weight", spec, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["weight"] == hw.describe()
+
+
+def _number(digits):
+    return "1" + "0" * (digits - 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["charpoly", "--weight", f'{{"central_charge": "{_number(4301)}", "explicit": []}}'],
+        ["charpoly", "--weight", f'{{"central_charge": {_number(4301)}, "explicit": []}}'],
+        ["bracket", f"{_number(4301)}*L(1,0)", "L(0,0)"],
+        ["bracket", "t^1000000", "L(0,0)"],
+        ["bracket", "1/3^1000000*L(1,0)", "L(0,0)"],
+    ],
+    ids=["cc-string", "cc-integer", "literal", "t-power", "denominator-power"],
+)
+def test_an_input_past_the_int_string_limit_exits_2(capsys, argv):
+    # an input is read under the interpreter's limit on int digits, 4300 by
+    # default, and a power is refused before its value is built
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and ("limit" in err or "digits" in err)
+
+
+def test_an_input_at_the_int_string_limit_is_read(capsys):
+    code, out, _ = run(capsys, "charpoly", "--weight",
+                       f'{{"central_charge": {_number(4300)}, "explicit": []}}')
+    assert code == 0 and "characteristic polynomial: t" in out
+    code, out, _ = run(capsys, "bracket", f"{_number(4300)}*L(1,0)", "L(0,0)")
+    assert code == 0 and out.strip() == f"-{_number(4300)}*L(1,0)"
+
+
 def test_an_exact_result_longer_than_the_int_string_limit_is_written(capsys):
     # 1/1600! has 4497 digits, past CPython's default of 4300 for int <-> str;
-    # the command lifts the limit while it runs and puts it back afterwards
+    # the command lifts the limit while it writes and puts it back afterwards
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     code, out, err = run(
         capsys, "delta", "--horizon", "1600", "--format", "json",

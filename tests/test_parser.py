@@ -9,10 +9,12 @@ from blockalg.exprparse import (
     parse_element,
     parse_group_element,
     parse_pair,
+    parse_poly,
     parse_vector,
 )
 from blockalg.groups import DYADIC, INTEGERS, LEX_Z2
 from blockalg.lie import CENTRAL, Generator, LieElement
+from blockalg.polynomial import Poly
 from blockalg.verma import ModuleVector, PBWMonomial
 
 
@@ -81,6 +83,52 @@ def test_error_positions_and_messages():
         parse_element("L(1,0) L(2,0)", INTEGERS)
     with pytest.raises(ParseError):
         parse_element("", INTEGERS)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, pos",
+    [
+        (parse_element, "1/", "unexpected end of input", 2),
+        (parse_element, "1/x*L(1,0)", "expected a denominator", 2),
+        (parse_element, "1/0*L(1,0)", "zero denominator", 2),
+        (parse_element, "2*", "a term needs a basis symbol", 2),
+        (parse_element, "x*x*t", "repeated x factor", 2),
+        (parse_element, "x*L(1,0)", "cannot mix L/c with the x,t form", 8),
+        (parse_vector, "L(-1,0)*", "expected 'v'", 8),
+        (parse_vector, "L(-1,0)*c", "expected a factor or 'v'", 8),
+        # a value past the interpreter's digit limit (4300) is refused at its
+        # exponent before it is built
+        (parse_element, "t^4301", "t exponent above 4300, the limit on input digits; "
+         "L(a,4300) names x^a*t^4301", 2),
+        (parse_element, "x*(t^9+t^1000000)", "t exponent above 4300", 9),
+        (parse_element, "1/3^1000000*L(1,0)", "a power of more than 4300 digits", 4),
+        (parse_element, "1/10^4300*L(1,0)", "a power of more than 4300 digits", 5),
+        (lambda text, group: parse_poly(text, "w"), "w^4301", "w exponent above 4300, "
+         "the limit on input digits", 2),
+    ],
+    ids=["end-of-denominator", "denominator", "zero-denominator", "no-symbol", "repeated-x",
+         "mixed-forms", "vector-end", "vector-factor", "t-power", "t-power-in-parentheses",
+         "denominator-power", "denominator-power-at-limit", "w-power"],
+)
+def test_refused_inputs_name_the_fault_and_its_position(parse, text, message, pos):
+    with pytest.raises(ParseError) as exc:
+        parse(text, INTEGERS)
+    assert exc.value.pos == pos
+    assert str(exc.value).startswith(f"at position {pos}: {message}")
+
+
+def test_numbers_up_to_the_digit_limit_are_read():
+    # the interpreter reads a literal of up to 4300 digits; 2^14000 has
+    # 4215, and 1 to any power stays one digit
+    assert parse_element("1" * 4300 + "*L(1,0)", INTEGERS) == L(1, 0, int("1" * 4300))
+    with pytest.raises(ValueError, match=r"Exceeds the limit \(4300 digits\)"):
+        parse_element("1" * 4301 + "*L(1,0)", INTEGERS)
+    assert parse_element("x*t^4300", INTEGERS) == L(1, 4299)
+    assert parse_element("1/2^14000*L(1,0)", INTEGERS) == L(1, 0, Fraction(1, 2**14000))
+    assert parse_element("1/3^1*L(1,0) + 5/1^99999*c", INTEGERS) == L(1, 0, Fraction(1, 3)) + (
+        LieElement.term(CENTRAL, Fraction(5))
+    )
+    assert parse_poly("w^4300", "w") == Poly((0,) * 4300 + (1,))
 
 
 def test_error_message_quotes_a_bounded_window():

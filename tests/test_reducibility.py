@@ -963,6 +963,8 @@ def test_vacuous_horizons_are_rejected():
     d = module(HighestWeight.zero(), DYADIC)
     rep = singular_candidates(d, Fraction(-1), 0, 2, 0, parts=[Fraction(1)])
     assert rep.probes
+    with pytest.raises(ValueError, match="singular search outside the integers needs a part catalog"):
+        singular_candidates(d, Fraction(-1), 0, 2, 0, parts=[])
 
 
 # -- certified verification ---------------------------------------------------------
@@ -1058,6 +1060,8 @@ def test_sweep_check_validates_order():
         sweep_check(
             m, Fraction(1, 4), [(Fraction(1), 0), (Fraction(1, 2), 0)], 0
         )  # parts must increase
+    with pytest.raises(ValueError, match="eps must be positive"):
+        sweep_check(m, Fraction(0), [(Fraction(1), 0)], 0)
 
 
 def test_sweep_degree_gap():
@@ -1163,3 +1167,39 @@ def test_report_still_catches_a_wrong_label_side_kernel(monkeypatch):
     hw = labels_from_charpoly(X + 1, 1)
     with pytest.raises(DetectorInconsistencyError, match="candidate space"):
         reducibility_report(module(hw), max_degree=4, horizon=14, max_index=3, probe_index=12)
+
+
+@pytest.mark.parametrize(
+    "f, patched, value, message",
+    [
+        (X + 1, "is_quasipolynomial", QuasiVerdict(False, None, None, 4, 14),
+         "characteristic polynomial exists but no recurrence was found"),
+        (X + 1, "charpoly_from_labels", None,
+         "recurrence t \\+ 1 passes every probe but the characteristic polynomial came out as None"),
+        (X, "charpoly_from_labels", ONE, "characteristic polynomial below the recurrence order"),
+        (X, "charpoly_from_labels", X + 1, "expected characteristic polynomial t, got t \\+ 1"),
+    ],
+    ids=["charpoly-without-recurrence", "recurrence-not-charpoly", "charpoly-below-order",
+         "not-the-shifted-recurrence"],
+)
+def test_each_cross_check_of_the_label_detectors_can_fire(monkeypatch, f, patched, value, message):
+    # one detector made to answer wrongly; the report's exact relations
+    # between the charpoly and the recurrence catch it (on t the minimal
+    # recurrence is 1, which fails the t^0 probe)
+    monkeypatch.setattr(reducibility, patched, lambda *args: value)
+    with pytest.raises(DetectorInconsistencyError, match=f"^{message}$"):
+        reducibility_report(module(labels_from_charpoly(f, 3 if f == X else 1)))
+
+
+def test_verify_singular_catches_an_engine_that_disagrees_with_the_labels(monkeypatch):
+    # the label residual of t + 1 is zero at every probe, so an engine that
+    # leaves L(1,2).v nonzero disagrees with it at probe 3
+    m = module(labels_from_charpoly(X + 1, 1))
+    real = VermaModule.act
+
+    def act(self, sym, vec):
+        return self.vacuum() if sym == Generator(1, 2) else real(self, sym, vec)
+
+    monkeypatch.setattr(VermaModule, "act", act)
+    with pytest.raises(DetectorInconsistencyError, match="label path and engine disagree at probe 3"):
+        verify_singular(m, vector_of_polynomial(X + 1), X + 1, probes=5)

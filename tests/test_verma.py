@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import random
+import re
 import sys
 import threading
 import time
@@ -147,6 +148,25 @@ def test_highest_weight_json_roundtrip():
 def test_highest_weight_json_rejects_floats_and_bad_shapes(data):
     with pytest.raises(ValueError):
         HighestWeight.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: HW.shadow(-1), "shadow sequence starts at 0"),
+        (lambda: HighestWeight.from_json({"central_charge": 1}),
+         "weight spec needs either 'charpoly' or 'explicit' labels"),
+        # the one spec shape is flat: a nested one is an unknown key
+        (lambda: HighestWeight.from_json({"labels": {"explicit": [1]}}), "unknown weight key 'labels'"),
+        (lambda: HighestWeight.from_json({"central_charge": "1/0", "explicit": []}),
+         "zero denominator in '1/0'"),
+        (lambda: module().weight_basis(-2, 1, parts=[0, 1]), "catalog part 0 is not positive"),
+    ],
+    ids=["shadow", "no-labels", "nested", "zero-denominator", "catalog-part"],
+)
+def test_weight_refusals_name_the_fault(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_highest_weight_json_accepts_ints_and_ratio_strings():
